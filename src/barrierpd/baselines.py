@@ -15,10 +15,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .imaging import DenoiseProblem, ImageGrid, _grad, _grad_adjoint
+from .pedi import ConfigError
 
 __all__ = [
     "BaselineConfig",
     "BaselineResult",
+    "ConfigError",
     "pdhgm_run",
     "dual_fb_run",
     "DUAL_FB_L",
@@ -26,10 +28,6 @@ __all__ = [
 
 # Analytic gradient-operator bound used for the forward-backward step.
 DUAL_FB_L = math.sqrt(8.0)
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,15 @@ Conventions fixed here and relied on by every solver:
   layout is needed;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
-  for H1;
+  for H1.  Since the heads are zero, the lifted operator K carries only the
+  tails: K x is the gradient field reshaped to an (n_blocks, m) array (a
+  view, m = 2 for TV and 2*n1*n2 for H1), and K* takes such an array;
 * in the trace inner product the lifted coupling is <Kx, y> = 2 (Dx).tail(y),
-  so the per-block constraint <a, y> = b0 with a = e and b0 = alpha makes
+  so the per-block constraint <e, y> = b0 with b0 = alpha makes
   sup_y <Kx, y> = alpha * R(x) exactly the regularizer, and the portable
   (unlifted) dual variable is p = 2 tail(y) with ||p|| <= alpha, the same
-  object the unlifted baseline solvers iterate on.
+  object the unlifted baseline solvers iterate on.  The solver returns y as
+  a BlockConeVector; unlift and DenoiseProblem.unlifted_dual read its tails.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .barrier import RankOneConstraint
-from .jordan import BlockConeVector, identity
+from .jordan import BlockConeVector
 from .pedi import SaddleProblem
 
 __all__ = [
@@ -38,9 +40,7 @@ __all__ = [
     "VARIANTS",
     "gradient_apply",
     "gradient_adjoint",
-    "lift",
     "unlift",
-    "build_problem",
     "add_gaussian_noise",
     "estimate_opnorm",
     "synthetic_image",
@@ -50,10 +50,6 @@ __all__ = [
 
 VARIANTS = ("tv", "h1")
 DB_CLAMP = -320.0
-
-# Analytic bound on the discrete-gradient operator norm (Euclidean, both
-# axes, forward differences): ||D||^2 <= 8.
-GRAD_OPNORM_BOUND = math.sqrt(8.0)
 
 
 @dataclass(frozen=True)
@@ -118,18 +114,6 @@ def gradient_adjoint(gfield: np.ndarray) -> ImageGrid:
     if gfield.ndim != 3 or gfield.shape[2] != 2:
         raise ValueError("gradient field must have shape (n1, n2, 2)")
     return ImageGrid(_grad_adjoint(gfield))
-
-
-def lift(gfield: np.ndarray, variant: str) -> BlockConeVector:
-    """Embed a gradient field into the product cone with zero heads."""
-    _check_variant(variant)
-    gfield = np.asarray(gfield, dtype=float)
-    if gfield.ndim != 3 or gfield.shape[2] != 2:
-        raise ValueError("gradient field must have shape (n1, n2, 2)")
-    n = gfield.shape[0] * gfield.shape[1]
-    if variant == "tv":
-        return BlockConeVector.from_arrays(np.zeros(n), gfield.reshape(n, 2))
-    return BlockConeVector.from_arrays(np.zeros(1), gfield.reshape(1, 2 * n))
 
 
 def unlift(y: BlockConeVector, shape) -> np.ndarray:
@@ -250,22 +234,22 @@ class DenoiseProblem:
     def saddle_problem(self) -> SaddleProblem:
         """Lifted conic saddle-point form consumed by the interior solver.
 
-        The per-block constraint is (a, b0) = (e, alpha): in the trace inner
-        product this fixes head(y) = alpha/2, and the coupling
-        <Kx, y> = 2 (Dx).tail(y) then represents alpha R(x) exactly.  The
-        adjoint is K* y = 2 D* tail(y).
+        The per-block constraint is <e, y> = b0 with b0 = alpha: in the trace
+        inner product this fixes head(y) = alpha/2, and the coupling
+        <Kx, y> = 2 (Dx).tail(y) then represents alpha R(x) exactly.  apply_K
+        returns the tails of K x, the gradient field viewed as an
+        (n_blocks, m) array; the adjoint is K* y = 2 D* tail(y) on such an
+        array.
         """
         n1, n2 = self.shape
-        variant = self.variant
-        m = 2 if variant == "tv" else 2 * self.n_pixels
-        n_blocks = self.n_pixels if variant == "tv" else 1
+        tails_shape = (self.n_pixels, 2) if self.variant == "tv" else (1, 2 * self.n_pixels)
         zf = self.z.flat()
 
         def apply_K(x):
-            return lift(_grad(x.reshape(n1, n2)), variant)
+            return _grad(x.reshape(n1, n2)).reshape(tails_shape)
 
-        def apply_K_adjoint(y):
-            return 2.0 * _grad_adjoint(y.tails.reshape(n1, n2, 2)).reshape(-1)
+        def apply_K_adjoint(y_tails):
+            return 2.0 * _grad_adjoint(y_tails.reshape(n1, n2, 2)).reshape(-1)
 
         def prox_G(v, tau):
             return (v + tau * zf) / (1.0 + tau)
@@ -273,26 +257,18 @@ class DenoiseProblem:
         opnorm_K = math.sqrt(2.0) * self.opnorm_D
         return SaddleProblem(
             primal_dim=self.n_pixels,
-            n_blocks=n_blocks,
-            block_dim=1 + m,
             apply_K=apply_K,
             apply_K_adjoint=apply_K_adjoint,
             prox_G=prox_G,
             gamma=1.0,
-            constraint=RankOneConstraint(identity(m), self.alpha),
+            b0=self.alpha,
             opnorm_K=opnorm_K,
             primal_bound_hint=float(np.linalg.norm(zf)) + 1.0,
-            source=self,
         )
 
     def unlifted_dual(self, y: BlockConeVector) -> np.ndarray:
         """Portable dual field p = 2 tail(y); satisfies ||p|| <= alpha."""
         return 2.0 * unlift(y, self.shape)
-
-
-def build_problem(z: ImageGrid, alpha: float, variant: str) -> SaddleProblem:
-    """Lifted saddle-point problem for (1/2)||x-z||^2 + alpha R(x)."""
-    return DenoiseProblem(z, alpha, variant).saddle_problem()
 
 
 def add_gaussian_noise(img: ImageGrid, sigma: float, seed: int) -> ImageGrid:

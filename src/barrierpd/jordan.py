@@ -119,8 +119,6 @@ def _check_dims(x: SpinElement, y: SpinElement):
 
 def jordan_product(x, y):
     """Jordan product x o y; commutative, not associative."""
-    if isinstance(x, BlockConeVector):
-        return _blockwise2(jordan_product, x, y)
     _check_dims(x, y)
     head = x.head * y.head + float(x.tail @ y.tail)
     return SpinElement(head, x.head * y.tail + y.head * x.tail)
@@ -190,8 +188,6 @@ def trace(x) -> float:
 
 def inverse(x):
     """Jordan inverse x^-1 = Rx/det(x), R the diagonal mirroring."""
-    if isinstance(x, BlockConeVector):
-        return _blockwise1(inverse, x)
     d = det(x)
     if abs(d) <= 1e-14 * (1.0 + inner(x, x)):
         raise SingularElementError(f"element is singular: det = {d:g}")
@@ -204,8 +200,6 @@ def power(x, alpha: float):
     Integer alpha only needs invertibility (for negative exponents);
     fractional alpha needs strictly positive eigenvalues.
     """
-    if isinstance(x, BlockConeVector):
-        return _blockwise1(lambda b: power(b, alpha), x)
     lam_p, lam_m, (c_p, c_m) = spectral(x)
     if alpha != int(alpha):
         if lam_p <= 0.0 or lam_m <= 0.0:
@@ -219,8 +213,6 @@ def power(x, alpha: float):
 
 def quadratic_rep_apply(p, y):
     """Apply the quadratic presentation: Q_p y = 2 p o (p o y) - (p o p) o y."""
-    if isinstance(p, BlockConeVector):
-        return _blockwise2(quadratic_rep_apply, p, y)
     _check_dims(p, y)
     return 2.0 * jordan_product(p, jordan_product(p, y)) - jordan_product(
         jordan_product(p, p), y
@@ -247,24 +239,12 @@ class BlockConeVector:
     Stored as arrays heads (n,) and tails (n, m) for n blocks of E_{1+m}; this
     covers both the per-pixel product cone of TV (n blocks of E_{1+2}) and the
     single big cone of H1 (one block).  Mixed block dimensions are not
-    supported.  Values are immutable after construction and all algebraic
-    operations act blockwise.
+    supported.  Built only with from_arrays, which copies; values are
+    immutable after construction.  inner, det, trace, lambda_min, lambda_max
+    and the arithmetic operators act blockwise, vectorised over blocks.
     """
 
     __slots__ = ("heads", "tails")
-
-    def __init__(self, blocks):
-        dims = {b.dim for b in blocks}
-        if not blocks:
-            raise ValueError("need at least one block")
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed block dimensions {sorted(dims)}")
-        heads = np.array([b.head for b in blocks], dtype=float)
-        tails = np.stack([b.tail for b in blocks]).astype(float)
-        heads.flags.writeable = False
-        tails.flags.writeable = False
-        self.heads = heads
-        self.tails = tails
 
     @classmethod
     def from_arrays(cls, heads, tails) -> "BlockConeVector":
@@ -286,17 +266,6 @@ class BlockConeVector:
     @property
     def n_blocks(self) -> int:
         return self.heads.size
-
-    @property
-    def block_dims(self):
-        return [self.tails.shape[1]] * self.n_blocks
-
-    @property
-    def blocks(self):
-        return [SpinElement(h, t) for h, t in zip(self.heads, self.tails)]
-
-    def block(self, i: int) -> SpinElement:
-        return SpinElement(self.heads[i], self.tails[i])
 
     def _check_compatible(self, other: "BlockConeVector"):
         if not isinstance(other, BlockConeVector):
@@ -325,11 +294,3 @@ class BlockConeVector:
     def __repr__(self):
         return f"BlockConeVector(n_blocks={self.n_blocks}, m={self.tails.shape[1]})"
 
-
-def _blockwise1(op, x: BlockConeVector) -> BlockConeVector:
-    return BlockConeVector([op(b) for b in x.blocks])
-
-
-def _blockwise2(op, x: BlockConeVector, y) -> BlockConeVector:
-    x._check_compatible(y)
-    return BlockConeVector([op(bx, by) for bx, by in zip(x.blocks, y.blocks)])

@@ -1,11 +1,19 @@
 """Barrier-preconditioned primal-dual method.
 
-Each iteration performs an exact interior dual solve (closed form for rank-one
-constraints, see :mod:`barrierpd.barrier`) followed by a Euclidean proximal
-step on the primal variable.  Two step-size regimes are provided: a general
-rule giving O(1/N) squared-distance decay, and a second-order-cone rule whose
-monotonicity lower bound grows with ||K x^i||, giving linear convergence when
-the optimal K x is nonzero.
+Each iteration performs an exact interior dual solve followed by a Euclidean
+proximal step on the primal variable.  The dual lives on a product of n
+second-order cones E_{1+m} under the per-block constraint <e, y_b> = b0 (a = e,
+the constraint both denoising models lift with), so the dual solve is the
+closed form of :func:`barrierpd.barrier.central_path_solve` specialised to
+a = e and vectorised over blocks.  K maps into cone elements with zero heads;
+the solver therefore passes plain (n, m) tail arrays between K and K*, and
+builds :class:`~barrierpd.jordan.BlockConeVector` values only for the
+callback and the result.
+
+Two step-size regimes are provided: a general rule giving O(1/N)
+squared-distance decay, and a second-order-cone rule whose monotonicity lower
+bound grows with ||K x^i||, giving linear convergence when the optimal K x is
+nonzero.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .barrier import RankOneConstraint, central_path_solve
-from .jordan import BlockConeVector, inner, power, quadratic_rep_apply
+# unused here; kept as a module attribute for perfbench's layer trace
+from .barrier import central_path_solve  # noqa: F401
+from .jordan import BlockConeVector
 
 __all__ = [
     "StepState",
@@ -66,9 +75,10 @@ class StepConfig:
 
     theta and zeta control the barrier weight mu_{i+1} = theta phi_i^{-1/2}
     and the monotonicity bound; gamma is the strong-convexity factor used for
-    the testing-parameter update; b0 and lambda_min_a describe the per-block
-    constraint (uniform across blocks); opnorm_K is the operator norm of K in
-    the trace inner product.
+    the testing-parameter update and may not exceed the problem's; b0 is the
+    right-hand side of the per-block constraint <e, y_b> = b0 and must equal
+    the problem's; opnorm_K is an upper bound on the operator norm of K in
+    the trace inner product, at least the problem's.
     """
 
     opnorm_K: float
@@ -76,11 +86,10 @@ class StepConfig:
     gamma: float = 0.9
     zeta: Optional[float] = None
     theta: Optional[float] = None
-    lambda_min_a: float = 1.0
 
     def __post_init__(self):
-        if self.opnorm_K <= 0 or self.b0 <= 0 or self.lambda_min_a <= 0:
-            raise ConfigError("opnorm_K, b0, lambda_min_a must be positive")
+        if self.opnorm_K <= 0 or self.b0 <= 0:
+            raise ConfigError("opnorm_K and b0 must be positive")
         if self.gamma < 0:
             raise ConfigError("gamma must be nonnegative")
         if self.zeta is None:
@@ -94,7 +103,7 @@ class StepConfig:
         """Rescale theta so the first step (with K x^0 = 0) equals tau0."""
         if tau0 <= 0:
             raise ConfigError("tau0 must be positive")
-        theta = tau0 * self.opnorm_K**2 / (2.0 * self.zeta * self.lambda_min_a)
+        theta = tau0 * self.opnorm_K**2 / (2.0 * self.zeta)
         return replace(self, theta=theta)
 
 
@@ -105,11 +114,11 @@ def _advance(state: StepState, config: StepConfig, omega_lb: float, mu: float) -
 
 
 def step_rule_general(state: StepState, config: StepConfig) -> StepState:
-    """General symmetric-cone rule: omega_lb = zeta lambda_min(a) mu_{i+1}."""
+    """General symmetric-cone rule: omega_lb = zeta mu_{i+1} (lambda_min(e) = 1)."""
     if not config.zeta < 1.0 / config.b0**2:
         raise ConfigError("general rule needs zeta in (0, b0^-2)")
     mu = config.theta * state.phi ** -0.5
-    omega_lb = config.zeta * config.lambda_min_a * mu
+    omega_lb = config.zeta * mu
     return _advance(state, config, omega_lb, mu)
 
 
@@ -120,7 +129,7 @@ def step_rule_soc(state: StepState, current_Kx_norm: float, config: StepConfig) 
     if current_Kx_norm < 0:
         raise ValueError("current_Kx_norm must be nonnegative")
     mu = config.theta * state.phi ** -0.5
-    omega_lb = (mu * config.zeta + current_Kx_norm / (math.sqrt(2.0) * config.b0)) * config.lambda_min_a
+    omega_lb = mu * config.zeta + current_Kx_norm / (math.sqrt(2.0) * config.b0)
     return _advance(state, config, omega_lb, mu)
 
 
@@ -128,28 +137,22 @@ def step_rule_soc(state: StepState, current_Kx_norm: float, config: StepConfig) 
 class SaddleProblem:
     """Saddle-point problem min_x max_y G(x) + <Kx, y> - F*(y) with conic F*.
 
-    apply_K maps primal vectors to BlockConeVector with all-zero heads (the
-    lifting convention), apply_K_adjoint is its adjoint between the primal
-    Euclidean and the trace inner product.  The same rank-one constraint
-    applies to every block.  gamma is the strong-convexity factor of G.
+    The dual variable y lives on n second-order cones E_{1+m}, constrained
+    blockwise by <e, y_b> = b0, which pins head(y_b) = b0/2.  K maps into
+    elements with zero heads, so apply_K returns only their tails, an (n, m)
+    array, and apply_K_adjoint takes the tails of y as an (n, m) array; with
+    the trace inner product <Kx, y> = 2 sum_b tail(Kx)_b . tail(y)_b.  gamma
+    is the strong-convexity factor of G and opnorm_K an upper bound on ||K||.
     """
 
     primal_dim: int
-    n_blocks: int
-    block_dim: int
-    apply_K: Callable[[np.ndarray], BlockConeVector]
-    apply_K_adjoint: Callable[[BlockConeVector], np.ndarray]
+    apply_K: Callable[[np.ndarray], np.ndarray]
+    apply_K_adjoint: Callable[[np.ndarray], np.ndarray]
     prox_G: Callable[[np.ndarray, float], np.ndarray]
     gamma: float
-    constraint: RankOneConstraint
+    b0: float
     opnorm_K: float
     primal_bound_hint: Optional[float] = None
-    source: object = None
-
-    @property
-    def constraint_is_identity(self) -> bool:
-        a = self.constraint.a
-        return a.head == 1.0 and not np.any(a.tail)
 
 
 @dataclass
@@ -168,45 +171,30 @@ class PEDIResult:
         return np.concatenate(([self.phi0], [s.phi for s in self.states]))
 
 
-def _dual_update_identity(Kx: BlockConeVector, b0: float, mu: float):
-    """Closed-form dual solve for a = e per block, c = -Kx (zero heads)."""
-    tails_c = -Kx.tails
-    tn2 = np.einsum("ij,ij->i", tails_c, tails_c)
+def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float):
+    """Closed-form dual solve per block for a = e and c_b = -(Kx)_b.
+
+    tn2 holds the squared tail norms of Kx per block.  Returns the tails of
+    y and the heads of d; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.
+    """
     d0 = (mu + np.sqrt(mu * mu + b0 * b0 * tn2)) / b0
     # d0 = 0 only when mu underflowed and the block tail vanishes, in which
     # case the dual tail is zero anyway
     scale = np.divide(b0, 2.0 * d0, out=np.zeros_like(d0), where=d0 > 0.0)
-    y_tails = -scale[:, None] * tails_c
-    y = BlockConeVector.from_arrays(np.full(Kx.n_blocks, b0 / 2.0), y_tails)
-    d = BlockConeVector.from_arrays(d0, tails_c)
-    return y, d, d0
+    return scale[:, None] * kx_tails, d0
 
 
-def _dual_update_general(Kx: BlockConeVector, constraint: RankOneConstraint, mu: float):
-    ys, ds, zs = [], [], []
-    for blk in Kx.blocks:
-        pt = central_path_solve(constraint, -blk, mu)
-        ys.append(pt.y)
-        ds.append(pt.d)
-        zs.append(pt.z)
-    return BlockConeVector(ys), BlockConeVector(ds), np.array(zs)
+def _dual_vector(y_tails: np.ndarray, b0: float) -> BlockConeVector:
+    return BlockConeVector.from_arrays(np.full(y_tails.shape[0], b0 / 2.0), y_tails)
 
 
-def _weighted_kx_norm(problem: SaddleProblem, Kx: BlockConeVector) -> float:
-    """Smallest per-block Q_{a^-1}-weighted trace norm of Kx.
-
-    The enlarged monotonicity bound of the dual solve holds blockwise with
-    the block's own ||(Kx)_b||; the scalar step rule can only use the worst
-    block.  For a single cone this is the plain weighted norm; on product
-    cones any block with vanishing gradient (a flat image region) collapses
-    the enhancement and the rule degrades gracefully to the general one.
-    """
-    if problem.constraint_is_identity:
-        tn2 = np.einsum("ij,ij->i", Kx.tails, Kx.tails)
-        return math.sqrt(2.0 * float(np.min(tn2)))
-    qinv = power(problem.constraint.a, -1.0)
-    worst = min(inner(quadratic_rep_apply(qinv, blk), blk) for blk in Kx.blocks)
-    return math.sqrt(worst)
+def _check_config(problem: SaddleProblem, config: StepConfig):
+    if config.b0 != problem.b0:
+        raise ConfigError(f"config b0 = {config.b0!r} differs from the problem's {problem.b0!r}")
+    if config.gamma > problem.gamma:
+        raise ConfigError(f"config gamma = {config.gamma!r} exceeds the problem's {problem.gamma!r}")
+    if config.opnorm_K < problem.opnorm_K:
+        raise ConfigError(f"config opnorm_K = {config.opnorm_K!r} is below the problem's {problem.opnorm_K!r}")
 
 
 def pedi_run(
@@ -224,15 +212,19 @@ def pedi_run(
     the interior dual system exactly with barrier weight mu_{i+1} and
     c = -K x^i, then take the primal proximal step
     x^{i+1} = prox_{tau_i G}(x^i - tau_i K* y^{i+1}).  The dual iterates are
-    strictly interior and exactly feasible at every iteration.
+    strictly interior and exactly feasible at every iteration.  The config
+    must fit the problem: the same b0, a gamma no larger and an opnorm_K no
+    smaller than the problem's; otherwise ConfigError is raised.
 
     The callback, if given, is invoked as callback(i, x, y, state, metrics)
-    after each iteration with metrics = {"kx_norm": ...}; it may be used for
-    logging or error tracking.  No randomness: identical inputs give
-    identical trajectories.
+    after each iteration, with y the dual iterate as a BlockConeVector and
+    metrics = {"kx_norm": ...}; it may be used for logging or error
+    tracking.  The result carries the final y and d as BlockConeVector.  No
+    randomness: identical inputs give identical trajectories.
     """
     if step_rule not in ("general", "soc"):
         raise ConfigError(f"unknown step rule {step_rule!r}")
+    _check_config(problem, config)
     x = np.zeros(problem.primal_dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.primal_dim,):
         raise ValueError("x0 has wrong dimension")
@@ -240,25 +232,26 @@ def pedi_run(
     state = initial_state()
     states = []
     xs = [x.copy()] if keep_iterates else None
-    y = d = None
+    kx_tails = y_tails = d0 = None
     watchdog = False
-    b0 = problem.constraint.b0
+    b0 = problem.b0
 
     for i in range(max_iters):
-        Kx = problem.apply_K(x)
+        kx_tails = problem.apply_K(x)
+        tn2 = np.einsum("ij,ij->i", kx_tails, kx_tails)
         if step_rule == "soc":
-            kx_norm = _weighted_kx_norm(problem, Kx)
+            # the enlarged monotonicity bound holds blockwise with the block's
+            # own ||(Kx)_b||; the scalar rule can only use the worst block, so
+            # a flat image region degrades it gracefully to the general rule
+            kx_norm = math.sqrt(2.0 * float(np.min(tn2)))
             state = step_rule_soc(state, kx_norm, config)
         else:
             kx_norm = None
             state = step_rule_general(state, config)
 
-        if problem.constraint_is_identity:
-            y, d, _ = _dual_update_identity(Kx, b0, state.mu)
-        else:
-            y, d, _ = _dual_update_general(Kx, problem.constraint, state.mu)
+        y_tails, d0 = _dual_update(kx_tails, tn2, b0, state.mu)
 
-        x = problem.prox_G(x - state.tau * problem.apply_K_adjoint(y), state.tau)
+        x = problem.prox_G(x - state.tau * problem.apply_K_adjoint(y_tails), state.tau)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite primal iterate at iteration {i}")
         if problem.primal_bound_hint is not None and not watchdog:
@@ -269,8 +262,12 @@ def pedi_run(
         if keep_iterates:
             xs.append(x.copy())
         if callback is not None:
-            callback(i, x, y, state, {"kx_norm": kx_norm})
+            callback(i, x, _dual_vector(y_tails, b0), state, {"kx_norm": kx_norm})
 
+    y = d = None
+    if max_iters > 0:
+        y = _dual_vector(y_tails, b0)
+        d = BlockConeVector.from_arrays(d0, -kx_tails)
     return PEDIResult(x=x, y=y, d=d, states=states, xs=xs, watchdog_triggered=watchdog)
 
 

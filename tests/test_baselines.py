@@ -8,6 +8,7 @@ from barrierpd.baselines import (
     dual_fb_run,
     pdhgm_run,
 )
+from barrierpd import pedi
 from barrierpd.imaging import DenoiseProblem, ImageGrid
 
 
@@ -22,6 +23,14 @@ def test_step_condition_enforced():
     # tau0*sigma0*||K||^2 = 0.988 with the defaults
     cfg = BaselineConfig.default_for(make_problem(), max_iters=10)
     assert cfg.tau0 * cfg.sigma0 * cfg.opnorm**2 <= 1.0
+
+
+def test_config_error_is_shared_with_pedi():
+    # one exception class, so `except pedi.ConfigError` also catches a
+    # baseline step-condition failure
+    assert ConfigError is pedi.ConfigError
+    with pytest.raises(pedi.ConfigError):
+        BaselineConfig(tau0=1.0, sigma0=1.0, gamma=0.9, max_iters=10, opnorm=2.0)
 
 
 def test_acceleration_identities():

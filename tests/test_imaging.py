@@ -6,16 +6,14 @@ from barrierpd.imaging import (
     DenoiseProblem,
     ImageGrid,
     add_gaussian_noise,
-    build_problem,
     estimate_opnorm,
     gradient_adjoint,
     gradient_apply,
-    lift,
     metrics,
     synthetic_image,
     unlift,
 )
-from barrierpd.jordan import inner
+from barrierpd.jordan import BlockConeVector
 
 
 def rand_grid(rng, n1=6, n2=5, scale=1.0):
@@ -56,26 +54,29 @@ def test_adjoint_identity(rng):
 
 
 def test_lift_unlift(rng):
-    field = rng.standard_normal((4, 3, 2))
-    for variant, blocks in (("tv", 12), ("h1", 1)):
-        v = lift(field, variant)
-        assert v.n_blocks == blocks
-        assert np.all(v.heads == 0.0)
-        assert np.allclose(unlift(v, (4, 3)), field)
+    # K x carries the gradient tails, (n_blocks, m); the heads are zero
+    z = rand_grid(rng, 4, 3)
+    x = rng.standard_normal(12)
+    field = gradient_apply(ImageGrid(x.reshape(4, 3)))
+    for variant, shape in (("tv", (12, 2)), ("h1", (1, 24))):
+        tails = DenoiseProblem(z, 1.0, variant).saddle_problem().apply_K(x)
+        assert tails.shape == shape
+        v = BlockConeVector.from_arrays(np.zeros(shape[0]), tails)
+        assert np.array_equal(unlift(v, (4, 3)), field)
     with pytest.raises(ValueError):
-        lift(field, "l2")
+        DenoiseProblem(z, 1.0, "l2")
     with pytest.raises(ValueError):
-        unlift(lift(field, "tv"), (5, 5))
+        unlift(BlockConeVector.from_arrays(np.zeros(12), field.reshape(12, 2)), (5, 5))
 
 
 def test_zero_field_lifts_to_zero():
-    v = lift(np.zeros((2, 2, 2)), "tv")
-    assert np.all(v.heads == 0.0) and np.all(v.tails == 0.0)
+    sp = DenoiseProblem(ImageGrid(np.full((2, 2), 3.0)), 1.0, "tv").saddle_problem()
+    assert np.all(sp.apply_K(np.full(4, 3.0)) == 0.0)
 
 
-def test_build_problem_prox(rng):
+def test_saddle_problem_prox(rng):
     z = rand_grid(rng)
-    sp = build_problem(z, 0.7, "tv")
+    sp = DenoiseProblem(z, 0.7, "tv").saddle_problem()
     zf = z.flat()
     # the data is a fixed point of the prox for any step
     assert np.allclose(sp.prox_G(zf, 3.7), zf)
@@ -83,17 +84,17 @@ def test_build_problem_prox(rng):
 
 
 def test_saddle_problem_adjoint_consistency(rng):
+    # tails arrays carry the trace inner product <u, v> = 2 u.v
     z = rand_grid(rng)
     for variant in ("tv", "h1"):
-        sp = build_problem(z, 0.3, variant)
+        sp = DenoiseProblem(z, 0.3, variant).saddle_problem()
         x = rng.standard_normal(sp.primal_dim)
         Kx = sp.apply_K(x)
-        y = type(Kx).from_arrays(
-            rng.standard_normal(Kx.n_blocks), rng.standard_normal(Kx.tails.shape)
+        y_tails = rng.standard_normal(Kx.shape)
+        assert 2.0 * float(np.sum(Kx * y_tails)) == pytest.approx(
+            float(x @ sp.apply_K_adjoint(y_tails)), rel=1e-12
         )
-        assert inner(Kx, y) == pytest.approx(float(x @ sp.apply_K_adjoint(y)), rel=1e-12)
-        assert sp.constraint_is_identity
-        assert sp.constraint.b0 == 0.3
+        assert sp.b0 == 0.3
 
 
 def test_opnorms(rng):
@@ -106,7 +107,8 @@ def test_opnorms(rng):
     for _ in range(500):
         v = sp.apply_K_adjoint(sp.apply_K(x))
         x = v / np.linalg.norm(v)
-    attained = np.sqrt(inner(sp.apply_K(x), sp.apply_K(x)))
+    Kx = sp.apply_K(x)
+    attained = np.sqrt(2.0 * float(np.sum(Kx * Kx)))
     assert attained <= np.sqrt(2.0) * np.sqrt(8.0)
     assert abs(attained - sp.opnorm_K) <= 0.02 * attained
 

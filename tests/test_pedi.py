@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from barrierpd.barrier import RankOneConstraint, central_path_solve
 from barrierpd.baselines import dual_fb_run
-from barrierpd.imaging import DenoiseProblem, ImageGrid, synthetic_image
-from barrierpd.jordan import is_interior, lambda_min
+from barrierpd.imaging import DenoiseProblem, ImageGrid, add_gaussian_noise, synthetic_image
+from barrierpd.jordan import SpinElement, identity, is_interior, lambda_min
 from barrierpd.pedi import (
     ConfigError,
     StepConfig,
@@ -48,7 +51,7 @@ def test_general_rule_invariants():
         prev = s
         s = step_rule_general(s, cfg)
         assert s.mu == pytest.approx(cfg.theta * prev.phi**-0.5)
-        assert s.omega_lb == pytest.approx(cfg.zeta * cfg.lambda_min_a * s.mu)
+        assert s.omega_lb == pytest.approx(cfg.zeta * s.mu)
         assert s.tau == pytest.approx(2.0 * s.omega_lb / cfg.opnorm_K**2)
         assert s.phi == pytest.approx(prev.phi * (1.0 + 2.0 * cfg.gamma * s.tau))
         assert s.iter == prev.iter + 1
@@ -70,9 +73,7 @@ def test_soc_rule_invariants():
     s = initial_state()
     kx = 3.7
     s = step_rule_soc(s, kx, cfg)
-    assert s.omega_lb == pytest.approx(
-        (s.mu * cfg.zeta + kx / (np.sqrt(2.0) * cfg.b0)) * cfg.lambda_min_a
-    )
+    assert s.omega_lb == pytest.approx(s.mu * cfg.zeta + kx / (np.sqrt(2.0) * cfg.b0))
     with pytest.raises(ValueError):
         step_rule_soc(s, -1.0, cfg)
 
@@ -152,6 +153,53 @@ def test_pedi_rejects_bad_input():
         pedi_run(sp, cfg, 10, step_rule="fancy")
     with pytest.raises(ValueError):
         pedi_run(sp, cfg, 10, x0=np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"b0": 50.0}, {"gamma": 1.5}, {"opnorm_K": 1.0}],
+    ids=["b0", "gamma", "opnorm_K"],
+)
+def test_pedi_rejects_config_that_does_not_fit_problem(change):
+    # a config made for another problem used to run silently: b0 = 50 on an
+    # alpha = 0.5 problem gave dual heads 25 instead of 0.25
+    dp = make_problem(variant="tv", alpha=0.5)
+    sp = dp.saddle_problem()
+    assert sp.gamma == 1.0 and sp.opnorm_K > 1.0
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+    with pytest.raises(ConfigError):
+        pedi_run(sp, dataclasses.replace(cfg, **change), 1)
+    # a larger norm bound and a smaller gamma are admissible
+    pedi_run(sp, dataclasses.replace(cfg, opnorm_K=2.0 * sp.opnorm_K, gamma=0.5), 1)
+
+
+@pytest.mark.parametrize("variant,alpha", [("tv", 0.5), ("h1", 2.0)])
+@pytest.mark.parametrize("rule", ["general", "soc"])
+def test_dual_update_matches_central_path_oracle(variant, alpha, rule):
+    # every block of the vectorised a = e dual solve against the general
+    # closed form of barrier.central_path_solve at the same mu and c = -K x
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(4, 4), 6.15, 1), alpha, variant)
+    sp = dp.saddle_problem()
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=alpha)
+    xs = [np.zeros(sp.primal_dim)]
+    points = []
+
+    def oracle(x_prev, mu):
+        kx = sp.apply_K(x_prev)
+        con = RankOneConstraint(identity(kx.shape[1]), alpha)
+        return [central_path_solve(con, SpinElement(0.0, -t), mu) for t in kx]
+
+    def cb(i, x, y, state, info):
+        points[:] = oracle(xs[-1], state.mu)
+        for b, pt in enumerate(points):
+            yb = np.concatenate(([y.heads[b]], y.tails[b]))
+            assert np.linalg.norm(yb - pt.y.as_array()) <= 1e-12 * np.linalg.norm(pt.y.as_array())
+        xs.append(x.copy())
+
+    res = pedi_run(sp, cfg, 12, step_rule=rule, callback=cb)
+    for b, pt in enumerate(points):
+        db = np.concatenate(([res.d.heads[b]], res.d.tails[b]))
+        assert np.linalg.norm(db - pt.d.as_array()) <= 1e-12 * np.linalg.norm(pt.d.as_array())
 
 
 @pytest.mark.parametrize("variant,alpha", [("h1", 2.0), ("tv", 0.5)])
