@@ -3,7 +3,10 @@
 Both methods iterate directly on the gradient-field dual variable p with the
 ball constraint ||p|| <= alpha (per pixel for TV, global for H1) -- no cone
 lifting.  They converge to the same primal solution as the interior method
-and serve as references in the benchmark harness.
+and serve as references in the benchmark harness.  Like the interior method
+they keep the dual field in a planar (2, n1, n2) buffer and the primal
+iterates in vectors allocated once, updated in place through the same
+gradient kernels (_grad, _grad_adjoint) and DenoiseProblem.project_dual.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .imaging import DenoiseProblem, ImageGrid, _grad, _grad_adjoint
-from .pedi import ConfigError
+from .imaging import DenoiseProblem, ImageGrid, _field, _grad, _grad_adjoint
+from .pedi import ConfigError, _readonly
 
 __all__ = [
     "BaselineConfig",
@@ -84,26 +87,47 @@ def pdhgm_run(
     the gamma-acceleration schedule is theta_i = 1/sqrt(1 + 2 gamma tau_i),
     tau_{i+1} = theta_i tau_i, sigma_{i+1} = sigma_i / theta_i, which keeps
     the product sigma_i tau_i invariant.
+
+    The callback, if given, is invoked as callback(i, x, p, info) after each
+    iteration, with p the (n1, n2, 2) dual field; x and p are borrowed
+    read-only views of the solver's buffers, valid until the callback
+    returns: copy them to keep them.
     """
     n1, n2 = problem.shape
     zf = problem.z.flat()
     x = np.zeros_like(zf)
-    x_bar = x.copy()
-    p = np.zeros((n1, n2, 2))
+    x_bar = np.zeros_like(zf)
+    w = np.empty_like(zf)
+    p = np.zeros((2, n1, n2))
+    g = np.empty_like(p)
+    p_field, g_field = _field(p), _field(g)
+    p_view = _readonly(p_field)
     tau, sigma = config.tau0, config.sigma0
 
     for i in range(config.max_iters):
-        p = problem.project_dual(p + sigma * _grad(x_bar.reshape(n1, n2)))
-        x_old = x
-        v = x - tau * _grad_adjoint(p).reshape(-1)
-        x = (v + tau * zf) / (1.0 + tau)
+        # p = P(p + sigma D x_bar)
+        _grad(x_bar.reshape(n1, n2), out=g)
+        g *= sigma
+        g += p
+        problem.project_dual(g_field, out=p_field)
+        # x_new = prox(x - tau D* p) = (x - tau D* p + tau z) / (1 + tau), into w
+        _grad_adjoint(p, out=w.reshape(n1, n2))
+        w *= tau
+        np.subtract(x, w, out=w)
+        np.multiply(zf, tau, out=x_bar)
+        w += x_bar
+        w /= 1.0 + tau
+        # x_bar = x_new + theta (x_new - x); x = x_new
         theta = 1.0 / math.sqrt(1.0 + 2.0 * config.gamma * tau)
-        x_bar = x + theta * (x - x_old)
+        np.subtract(w, x, out=x_bar)
+        x_bar *= theta
+        x_bar += w
+        x, w = w, x
         tau, sigma = theta * tau, sigma / theta
         if callback is not None:
-            callback(i, x, p, {"tau": tau, "sigma": sigma, "theta": theta})
+            callback(i, _readonly(x), p_view, {"tau": tau, "sigma": sigma, "theta": theta})
 
-    return BaselineResult(x=x, p=p, n_iters=config.max_iters)
+    return BaselineResult(x=x, p=p_field, n_iters=config.max_iters)
 
 
 def dual_fb_run(
@@ -116,18 +140,33 @@ def dual_fb_run(
     The dual objective (1/2)||z - D* p||^2 - (1/2)||z||^2 is 1/tau-smooth
     for tau = 1/L^2 with the analytic L = sqrt(8); each step is a gradient
     step followed by ball projection.  The primal is recovered through the
-    optimality relation x = z - D* p.
+    optimality relation x = z - D* p, once per iteration: it is both the
+    iterate reported for p and the point of the next gradient step.
+
+    The callback, if given, is invoked as callback(i, x, p, info) after each
+    iteration, with p the (n1, n2, 2) dual field; x and p are borrowed
+    read-only views of the solver's buffers, valid until the callback
+    returns: copy them to keep them.
     """
     n1, n2 = problem.shape
     zf = problem.z.flat()
-    p = np.zeros((n1, n2, 2))
+    p = np.zeros((2, n1, n2))
+    g = np.empty_like(p)
+    p_field, g_field = _field(p), _field(g)
+    # x = z - D* 0
+    x = zf.copy()
+    w = np.empty_like(zf)
+    x_view, p_view = _readonly(x), _readonly(p_field)
     tau = 1.0 / DUAL_FB_L**2
 
     for i in range(max_iters):
-        x = zf - _grad_adjoint(p).reshape(-1)
-        p = problem.project_dual(p + tau * _grad(x.reshape(n1, n2)))
+        _grad(x.reshape(n1, n2), out=g)
+        g *= tau
+        g += p
+        problem.project_dual(g_field, out=p_field)
+        _grad_adjoint(p, out=w.reshape(n1, n2))
+        np.subtract(zf, w, out=x)
         if callback is not None:
-            callback(i, zf - _grad_adjoint(p).reshape(-1), p, {"tau": tau})
+            callback(i, x_view, p_view, {"tau": tau})
 
-    x = zf - _grad_adjoint(p).reshape(-1)
-    return BaselineResult(x=x, p=p, n_iters=max_iters)
+    return BaselineResult(x=x, p=p_field, n_iters=max_iters)

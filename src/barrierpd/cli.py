@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import BaselineConfig, dual_fb_run, pdhgm_run
-from .imaging import DenoiseProblem, add_gaussian_noise, metrics
-from .pedi import StepConfig, pedi_run
+from .imaging import DenoiseProblem, Target, add_gaussian_noise, metrics
+from .pedi import ConfigError, StepConfig, check_config, pedi_run
 from .pgm import read_pgm
 
 SOLVERS = ("pedi-general", "pedi-soc", "pdhgm", "dual-fb")
@@ -104,11 +104,13 @@ def _atomic_write_bytes(path: Path, data: bytes):
         raise
 
 
-def _run_solver(solver, problem, iters, step_rule, tau0_override, gamma, zeta, theta, target_x, gap0):
-    """Run one solver, collecting an IterationRecord per iteration."""
-    records = []
-    t0 = time.perf_counter()
+def _configure(solver, problem, iters, step_rule, tau0_override, gamma, zeta, theta):
+    """Build and check one solver's configuration before anything runs.
 
+    Returns (run, opnorm): run(log) runs the solver and calls log(i, x, p)
+    after each iteration with the unlifted dual field p.  Raises ConfigError
+    for a configuration the solver would reject.
+    """
     if solver in ("pedi-general", "pedi-soc"):
         sp = problem.saddle_problem()
         kwargs = {"opnorm_K": sp.opnorm_K, "b0": problem.alpha, "gamma": gamma}
@@ -120,31 +122,39 @@ def _run_solver(solver, problem, iters, step_rule, tau0_override, gamma, zeta, t
         if tau0_override is not None:
             cfg = cfg.with_tau0(tau0_override)
         rule = step_rule if solver == "pedi-general" else "soc"
+        check_config(sp, cfg, rule)
 
-        def cb(i, x, y, state, info):
-            p = problem.unlifted_dual(y)
-            records.append(metrics(x, p, problem, target_x, gap0, iter=i, wall_seconds=time.perf_counter() - t0))
+        def run(log):
+            pedi_run(sp, cfg, iters, step_rule=rule,
+                     callback=lambda i, x, y, state, info: log(i, x, problem.unlifted_dual(y)))
 
-        pedi_run(sp, cfg, iters, step_rule=rule, callback=cb)
-        opnorm = sp.opnorm_K
-    elif solver == "pdhgm":
+        return run, sp.opnorm_K
+    if solver == "pdhgm":
         cfg = BaselineConfig.default_for(problem, max_iters=iters, gamma=gamma)
 
-        def cb(i, x, p, info):
-            records.append(metrics(x, p, problem, target_x, gap0, iter=i, wall_seconds=time.perf_counter() - t0))
+        def run(log):
+            pdhgm_run(problem, cfg, callback=lambda i, x, p, info: log(i, x, p))
 
-        pdhgm_run(problem, cfg, callback=cb)
-        opnorm = problem.opnorm_D
-    elif solver == "dual-fb":
+        return run, problem.opnorm_D
+    if solver == "dual-fb":
 
-        def cb(i, x, p, info):
-            records.append(metrics(x, p, problem, target_x, gap0, iter=i, wall_seconds=time.perf_counter() - t0))
+        def run(log):
+            dual_fb_run(problem, iters, callback=lambda i, x, p, info: log(i, x, p))
 
-        dual_fb_run(problem, iters, callback=cb)
-        opnorm = problem.opnorm_D
-    else:
-        raise click.ClickException(f"unknown solver {solver!r}")
-    return records, opnorm
+        return run, problem.opnorm_D
+    raise click.ClickException(f"unknown solver {solver!r}")
+
+
+def _run_solver(run, problem, target, gap0):
+    """Run one configured solver, collecting an IterationRecord per iteration."""
+    records = []
+    t0 = time.perf_counter()
+
+    def log(i, x, p):
+        records.append(metrics(x, p, problem, target, gap0, iter=i, wall_seconds=time.perf_counter() - t0))
+
+    run(log)
+    return records
 
 
 def _write_csv(path: Path, records):
@@ -191,9 +201,16 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, step_rule, tau0
             raise click.ClickException(f"unknown solver {s!r}; choose from {', '.join(SOLVERS)}")
     if iters < 1:
         raise click.ClickException("--iters must be >= 1")
-    out.mkdir(parents=True, exist_ok=True)
 
     problem = _build(image, variant, alpha, sigma, seed)
+    try:
+        plans = [
+            _configure(solver, problem, iters, step_rule, tau0_override, gamma, zeta, theta)
+            for solver in solver_list
+        ]
+    except ConfigError as exc:
+        raise click.ClickException(f"invalid solver configuration: {exc}")
+    out.mkdir(parents=True, exist_ok=True)
     key = _problem_key(image, variant, alpha, sigma, seed)
     if target_policy == "load":
         target_x = _load_target(out, key)
@@ -205,12 +222,11 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, step_rule, tau0
         target_x = _compute_target(problem, target_iters)
     if not np.any(target_x):
         raise click.ClickException("degenerate reference solution (all zero)")
+    target = Target.of(problem, target_x)
     gap0 = 0.5 * float(np.sum(problem.z.flat() ** 2))
 
-    for solver in solver_list:
-        records, opnorm = _run_solver(
-            solver, problem, iters, step_rule, tau0_override, gamma, zeta, theta, target_x, gap0
-        )
+    for solver, (run_solver, opnorm) in zip(solver_list, plans):
+        records = _run_solver(run_solver, problem, target, gap0)
         csv_path = out / f"{solver}.csv"
         _write_csv(csv_path, records)
         sidecar = {

@@ -5,15 +5,19 @@ Conventions fixed here and relied on by every solver:
 * pixels are row-major; an image is a (n1, n2) array, a primal vector its
   row-major flattening;
 * the discrete gradient uses forward differences with Neumann boundary
-  (last difference along each axis is zero); a gradient field is an
-  (n1, n2, 2) array with component 0 the axis-0 difference and component 1
-  the axis-1 difference, flattened row-major to (n1*n2, 2) when a per-pixel
-  layout is needed;
+  (last difference along each axis is zero).  Gradient fields are stored
+  planar, as (2, n1, n2) arrays with plane 0 the axis-0 difference and
+  plane 1 the axis-1 difference; the solvers allocate these buffers once and
+  update them in place (``out=``).  The public (n1, n2, 2) field is the view
+  np.moveaxis(G, 0, -1) of a planar buffer G;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
   for H1.  Since the heads are zero, the lifted operator K carries only the
-  tails: K x is the gradient field reshaped to an (n_blocks, m) array (a
-  view, m = 2 for TV and 2*n1*n2 for H1), and K* takes such an array;
+  tails: K x is the view G.reshape(m, n_blocks).T of the planar gradient
+  buffer, an (n_blocks, m) array with m = 2 for TV and 2*n1*n2 for H1, and K*
+  takes such an array.  H1's single tail is therefore component-major (all
+  axis-0 differences, then all axis-1 differences); the cone is invariant
+  under that reordering;
 * in the trace inner product the lifted coupling is <Kx, y> = 2 (Dx).tail(y),
   so the per-block constraint <e, y> = b0 with b0 = alpha makes
   sup_y <Kx, y> = alpha * R(x) exactly the regularizer, and the portable
@@ -45,6 +49,7 @@ __all__ = [
     "estimate_opnorm",
     "synthetic_image",
     "metrics",
+    "Target",
     "DB_CLAMP",
 ]
 
@@ -81,31 +86,57 @@ class ImageGrid:
         return self.values.shape
 
     def flat(self) -> np.ndarray:
-        """Row-major flattening to a primal vector."""
-        return self.values.reshape(-1).copy()
+        """Row-major flattening to a primal vector: a read-only view, no copy."""
+        return self.values.reshape(-1)
 
 
-def _grad(values: np.ndarray) -> np.ndarray:
-    g = np.zeros(values.shape + (2,))
-    g[:-1, :, 0] = values[1:, :] - values[:-1, :]
-    g[:, :-1, 1] = values[:, 1:] - values[:, :-1]
-    return g
+def _grad(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gradient of an (n1, n2) array as a planar (2, n1, n2) field, into out if given."""
+    if out is None:
+        out = np.empty((2,) + values.shape)
+    np.subtract(values[1:, :], values[:-1, :], out=out[0, :-1, :])
+    out[0, -1, :] = 0.0
+    np.subtract(values[:, 1:], values[:, :-1], out=out[1, :, :-1])
+    out[1, :, -1] = 0.0
+    return out
 
 
-def _grad_adjoint(gfield: np.ndarray) -> np.ndarray:
-    g0 = gfield[..., 0]
-    g1 = gfield[..., 1]
-    out = np.zeros(gfield.shape[:2])
-    out[1:, :] += g0[:-1, :]
+def _grad_adjoint(planes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Adjoint of _grad on a planar (2, n1, n2) field, an (n1, n2) array, into out if given."""
+    g0, g1 = planes[0], planes[1]
+    if out is None:
+        out = np.empty(g0.shape)
+    out[0, :] = 0.0
+    out[1:, :] = g0[:-1, :]
     out[:-1, :] -= g0[:-1, :]
     out[:, 1:] += g1[:, :-1]
     out[:, :-1] -= g1[:, :-1]
     return out
 
 
+def _planes(gfield: np.ndarray) -> np.ndarray:
+    """Planar (2, n1, n2) view of an (n1, n2, 2) field."""
+    return np.moveaxis(gfield, -1, 0)
+
+
+def _field(planes: np.ndarray) -> np.ndarray:
+    """(n1, n2, 2) field view of a planar (2, n1, n2) array."""
+    return np.moveaxis(planes, 0, -1)
+
+
+def _field_norm(planes: np.ndarray) -> float:
+    """Euclidean norm of a planar field, summed in (n1, n2, 2) element order.
+
+    The order fixes the roundoff of the H1 regularizer and of the H1 dual
+    projection.  np.stack interleaves a copy plane by plane, several times
+    faster than reshaping the field view, whose copy gathers across planes.
+    """
+    return float(np.linalg.norm(np.stack((planes[0], planes[1]), axis=-1).reshape(-1)))
+
+
 def gradient_apply(img: ImageGrid) -> np.ndarray:
     """Forward-difference gradient with Neumann boundary; (n1, n2, 2) field."""
-    return _grad(img.values)
+    return _field(_grad(img.values))
 
 
 def gradient_adjoint(gfield: np.ndarray) -> ImageGrid:
@@ -113,16 +144,19 @@ def gradient_adjoint(gfield: np.ndarray) -> ImageGrid:
     gfield = np.asarray(gfield, dtype=float)
     if gfield.ndim != 3 or gfield.shape[2] != 2:
         raise ValueError("gradient field must have shape (n1, n2, 2)")
-    return ImageGrid(_grad_adjoint(gfield))
+    return ImageGrid(_grad_adjoint(_planes(gfield)))
 
 
 def unlift(y: BlockConeVector, shape) -> np.ndarray:
-    """Extract the gradient-field tails, discarding heads."""
+    """The (n1, n2, 2) gradient field carried by the tails of y, discarding heads.
+
+    Inverts the layout of apply_K: a view of y.tails where the layout allows.
+    """
     n1, n2 = shape
     expected = n1 * n2 * 2
     if y.tails.size != expected:
         raise ValueError(f"block vector carries {y.tails.size} tail entries, expected {expected}")
-    return y.tails.reshape(n1, n2, 2)
+    return _field(y.tails.T.reshape(2, n1, n2))
 
 
 def _check_variant(variant: str):
@@ -185,9 +219,10 @@ class DenoiseProblem:
         """Power-iteration estimate of ||D|| (Euclidean, unlifted)."""
         if self._opnorm_D is None:
             n1, n2 = self.shape
+            # the planar field passes straight from _grad to _grad_adjoint
             self._opnorm_D = estimate_opnorm(
-                lambda v: _grad(v.reshape(n1, n2)).reshape(-1),
-                lambda g: _grad_adjoint(g.reshape(n1, n2, 2)).reshape(-1),
+                lambda v: _grad(v.reshape(n1, n2)),
+                lambda g: _grad_adjoint(g).reshape(-1),
                 self.n_pixels,
             )
         return self._opnorm_D
@@ -198,36 +233,46 @@ class DenoiseProblem:
         """R(x): TV or H1 seminorm of the image x (flat vector)."""
         g = _grad(np.asarray(x, dtype=float).reshape(self.shape))
         if self.variant == "tv":
-            return float(np.sum(np.sqrt(np.sum(g**2, axis=2))))
-        return float(np.linalg.norm(g.reshape(-1)))
+            return float(np.sum(np.sqrt(np.einsum("kij,kij->ij", g, g))))
+        return _field_norm(g)
 
     def objective(self, x: np.ndarray) -> float:
-        zf = self.z.flat()
-        return 0.5 * float(np.sum((x - zf) ** 2)) + self.alpha * self.regularizer(x)
+        return 0.5 * float(np.sum((x - self.z.flat()) ** 2)) + self.alpha * self.regularizer(x)
 
     def dual_value(self, p: np.ndarray) -> float:
         """Dual objective (1/2)||z||^2 - (1/2)||z - D* p||^2 at a field p."""
         zf = self.z.flat()
-        dstar = _grad_adjoint(np.asarray(p, dtype=float).reshape(self.shape + (2,))).reshape(-1)
+        planes = _planes(np.asarray(p, dtype=float).reshape(self.shape + (2,)))
+        dstar = _grad_adjoint(planes).reshape(-1)
         return 0.5 * float(np.sum(zf**2)) - 0.5 * float(np.sum((zf - dstar) ** 2))
 
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
         return self.objective(x) - self.dual_value(p)
 
-    def project_dual(self, p: np.ndarray) -> np.ndarray:
-        """Project a field onto the dual constraint ||p|| <= alpha.
+    def project_dual(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Project a field (n1, n2, 2) onto the dual constraint ||p|| <= alpha.
 
-        Per-pixel for TV, globally for H1.
+        Per-pixel for TV, globally for H1.  Writes into out, a field of the
+        same shape that may be p itself, if given; planar-backed fields
+        (views of (2, n1, n2) buffers) are the fast layout.
         """
         p = np.asarray(p, dtype=float).reshape(self.shape + (2,))
+        planes = _planes(p)
+        out_planes = np.empty(planes.shape) if out is None else _planes(out)
         if self.variant == "tv":
-            norms = np.sqrt(np.sum(p**2, axis=2))
-            scale = np.minimum(1.0, self.alpha / np.maximum(norms, 1e-300))
-            return p * scale[..., None]
-        nrm = float(np.linalg.norm(p.reshape(-1)))
-        if nrm <= self.alpha:
-            return p.copy()
-        return p * (self.alpha / nrm)
+            scale = np.einsum("kij,kij->ij", planes, planes)
+            np.sqrt(scale, out=scale)
+            np.maximum(scale, 1e-300, out=scale)
+            np.divide(self.alpha, scale, out=scale)
+            np.minimum(1.0, scale, out=scale)
+            np.multiply(planes, scale, out=out_planes)
+        else:
+            nrm = _field_norm(planes)
+            if nrm <= self.alpha:
+                np.copyto(out_planes, planes)
+            else:
+                np.multiply(planes, self.alpha / nrm, out=out_planes)
+        return _field(out_planes) if out is None else out
 
     # ----- conic form ----------------------------------------------------
 
@@ -237,22 +282,41 @@ class DenoiseProblem:
         The per-block constraint is <e, y> = b0 with b0 = alpha: in the trace
         inner product this fixes head(y) = alpha/2, and the coupling
         <Kx, y> = 2 (Dx).tail(y) then represents alpha R(x) exactly.  apply_K
-        returns the tails of K x, the gradient field viewed as an
+        returns the tails of K x, the planar gradient buffer viewed as an
         (n_blocks, m) array; the adjoint is K* y = 2 D* tail(y) on such an
-        array.
+        array.  Each operator writes into out= when given: for apply_K an
+        array returned by an earlier apply_K call (or np.empty_like of one),
+        for apply_K_adjoint and prox_G a contiguous primal vector, which for
+        prox_G must not overlap v.
         """
         n1, n2 = self.shape
-        tails_shape = (self.n_pixels, 2) if self.variant == "tv" else (1, 2 * self.n_pixels)
+        m, n_blocks = (2, self.n_pixels) if self.variant == "tv" else (2 * self.n_pixels, 1)
         zf = self.z.flat()
 
-        def apply_K(x):
-            return _grad(x.reshape(n1, n2)).reshape(tails_shape)
+        def apply_K(x, out=None):
+            planes = None
+            if out is not None:
+                if out.shape != (n_blocks, m) or not out.T.flags.c_contiguous:
+                    raise ValueError("out must be a tails array returned by apply_K")
+                planes = out.T.reshape(2, n1, n2)
+            return _grad(x.reshape(n1, n2), out=planes).reshape(m, n_blocks).T
 
-        def apply_K_adjoint(y_tails):
-            return 2.0 * _grad_adjoint(y_tails.reshape(n1, n2, 2)).reshape(-1)
+        def apply_K_adjoint(y_tails, out=None):
+            if out is None:
+                out = np.empty(self.n_pixels)
+            elif out.shape != (self.n_pixels,) or not out.flags.c_contiguous:
+                raise ValueError("out must be a contiguous primal vector")
+            _grad_adjoint(y_tails.T.reshape(2, n1, n2), out=out.reshape(n1, n2))
+            out *= 2.0
+            return out
 
-        def prox_G(v, tau):
-            return (v + tau * zf) / (1.0 + tau)
+        def prox_G(v, tau, out=None):
+            if out is not None and np.may_share_memory(out, v):
+                raise ValueError("prox_G cannot write over v")
+            out = np.multiply(zf, tau, out=out)
+            out += v
+            out /= 1.0 + tau
+            return out
 
         opnorm_K = math.sqrt(2.0) * self.opnorm_D
         return SaddleProblem(
@@ -318,11 +382,28 @@ def _db(ratio_num: float, ratio_den: float) -> float:
     return max(DB_CLAMP, 10.0 * math.log10(ratio_num / ratio_den))
 
 
+@dataclass(frozen=True)
+class Target:
+    """The per-run constants of metrics: a target solution x, ||x||^2 and its objective value."""
+
+    x: np.ndarray
+    norm2: float
+    value: float
+
+    @classmethod
+    def of(cls, problem: DenoiseProblem, x: np.ndarray) -> "Target":
+        x = np.asarray(x, dtype=float)
+        norm2 = float(np.sum(x**2))
+        if norm2 == 0.0:
+            raise ValueError("degenerate target: ||target_x|| = 0")
+        return cls(x=x, norm2=norm2, value=problem.objective(x))
+
+
 def metrics(
     x: np.ndarray,
     p: np.ndarray,
     problem: DenoiseProblem,
-    target_x: np.ndarray,
+    target: Target,
     gap0: float,
     iter: int = 0,
     wall_seconds: float = 0.0,
@@ -332,19 +413,16 @@ def metrics(
     p is the unlifted dual field (use DenoiseProblem.unlifted_dual for
     interior-solver iterates, whose exact feasibility keeps the gap finite).
     gap_db is the duality gap relative to gap0, target_db the squared
-    distance to target_x relative to ||target_x||^2, value_db the squared
-    relative objective error.
+    distance to target.x relative to ||target.x||^2, value_db the squared
+    relative objective error.  The objective at x is evaluated once and
+    serves both the gap and value_db.
     """
-    target_x = np.asarray(target_x, dtype=float)
-    tn2 = float(np.sum(target_x**2))
-    if tn2 == 0.0:
-        raise ValueError("degenerate target: ||target_x|| = 0")
     if gap0 <= 0.0:
         raise ValueError("gap0 must be positive")
-    gap = problem.duality_gap(x, p)
     val = problem.objective(x)
-    val_hat = problem.objective(target_x)
+    gap = val - problem.dual_value(p)
+    val_hat = target.value
     gap_db = _db(gap, gap0)
-    target_db = _db(float(np.sum((x - target_x) ** 2)), tn2)
+    target_db = _db(float(np.sum((x - target.x) ** 2)), target.norm2)
     value_db = _db((val - val_hat) ** 2, val_hat**2) if val_hat != 0.0 else DB_CLAMP
     return IterationRecord(iter=iter, wall_seconds=wall_seconds, gap_db=gap_db, target_db=target_db, value_db=value_db)

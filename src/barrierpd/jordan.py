@@ -239,28 +239,37 @@ class BlockConeVector:
     Stored as arrays heads (n,) and tails (n, m) for n blocks of E_{1+m}; this
     covers both the per-pixel product cone of TV (n blocks of E_{1+2}) and the
     single big cone of H1 (one block).  Mixed block dimensions are not
-    supported.  Built only with from_arrays, which copies; values are
-    immutable after construction.  inner, det, trace, lambda_min, lambda_max
-    and the arithmetic operators act blockwise, vectorised over blocks.
+    supported.  from_arrays copies, so its values are immutable after
+    construction; view_of shares the caller's arrays through read-only views.
+    inner, det, trace, lambda_min, lambda_max and the arithmetic operators act
+    blockwise, vectorised over blocks.
     """
 
     __slots__ = ("heads", "tails")
 
     @classmethod
     def from_arrays(cls, heads, tails) -> "BlockConeVector":
-        heads = np.ascontiguousarray(heads, dtype=float)
-        tails = np.ascontiguousarray(tails, dtype=float)
+        """Vector holding C-contiguous copies of heads (n,) and tails (n, m)."""
+        return cls.view_of(np.array(heads, dtype=float), np.array(tails, dtype=float, order="C"))
+
+    @classmethod
+    def view_of(cls, heads, tails) -> "BlockConeVector":
+        """Vector over read-only views of heads (n,) and tails (n, m), no copy.
+
+        It reads whatever the arrays hold, so it changes when their owner
+        writes to them.
+        """
+        heads = np.asarray(heads, dtype=float)
+        tails = np.asarray(tails, dtype=float)
         if heads.ndim != 1 or tails.ndim != 2 or tails.shape[0] != heads.size:
             raise ValueError("heads must be (n,), tails (n, m)")
         if heads.size < 1 or tails.shape[1] < 1:
             raise ValueError("need at least one block with tail dimension >= 1")
         obj = cls.__new__(cls)
-        heads = heads.copy()
-        tails = tails.copy()
-        heads.flags.writeable = False
-        tails.flags.writeable = False
-        obj.heads = heads
-        obj.tails = tails
+        obj.heads = heads.view()
+        obj.tails = tails.view()
+        obj.heads.flags.writeable = False
+        obj.tails.flags.writeable = False
         return obj
 
     @property

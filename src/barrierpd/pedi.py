@@ -6,9 +6,10 @@ second-order cones E_{1+m} under the per-block constraint <e, y_b> = b0 (a = e,
 the constraint both denoising models lift with), so the dual solve is the
 closed form of :func:`barrierpd.barrier.central_path_solve` specialised to
 a = e and vectorised over blocks.  K maps into cone elements with zero heads;
-the solver therefore passes plain (n, m) tail arrays between K and K*, and
-builds :class:`~barrierpd.jordan.BlockConeVector` values only for the
-callback and the result.
+the solver therefore passes plain (n, m) tail arrays between K and K*,
+allocated once before its loop and updated in place, and builds
+:class:`~barrierpd.jordan.BlockConeVector` values only at its edge: one
+read-only view for the callback and copies for the result.
 
 Two step-size regimes are provided: a general rule giving O(1/N)
 squared-distance decay, and a second-order-cone rule whose monotonicity lower
@@ -37,6 +38,7 @@ __all__ = [
     "step_rule_general",
     "step_rule_soc",
     "pedi_run",
+    "check_config",
     "descent_certificate",
 ]
 
@@ -113,10 +115,16 @@ def _advance(state: StepState, config: StepConfig, omega_lb: float, mu: float) -
     return StepState(phi=phi_next, tau=tau, mu=mu, omega_lb=omega_lb, iter=state.iter + 1)
 
 
+def _check_zeta(config: StepConfig, step_rule: str):
+    if step_rule == "general" and not config.zeta < 1.0 / config.b0**2:
+        raise ConfigError("general rule needs zeta in (0, b0^-2)")
+    if step_rule == "soc" and not config.zeta <= 2.0 / config.b0**2:
+        raise ConfigError("soc rule needs zeta in (0, 2 b0^-2]")
+
+
 def step_rule_general(state: StepState, config: StepConfig) -> StepState:
     """General symmetric-cone rule: omega_lb = zeta mu_{i+1} (lambda_min(e) = 1)."""
-    if not config.zeta < 1.0 / config.b0**2:
-        raise ConfigError("general rule needs zeta in (0, b0^-2)")
+    _check_zeta(config, "general")
     mu = config.theta * state.phi ** -0.5
     omega_lb = config.zeta * mu
     return _advance(state, config, omega_lb, mu)
@@ -124,8 +132,7 @@ def step_rule_general(state: StepState, config: StepConfig) -> StepState:
 
 def step_rule_soc(state: StepState, current_Kx_norm: float, config: StepConfig) -> StepState:
     """Second-order-cone rule with the ||K x^i||-enlarged monotonicity bound."""
-    if not config.zeta <= 2.0 / config.b0**2:
-        raise ConfigError("soc rule needs zeta in (0, 2 b0^-2]")
+    _check_zeta(config, "soc")
     if current_Kx_norm < 0:
         raise ValueError("current_Kx_norm must be nonnegative")
     mu = config.theta * state.phi ** -0.5
@@ -143,6 +150,12 @@ class SaddleProblem:
     array, and apply_K_adjoint takes the tails of y as an (n, m) array; with
     the trace inner product <Kx, y> = 2 sum_b tail(Kx)_b . tail(y)_b.  gamma
     is the strong-convexity factor of G and opnorm_K an upper bound on ||K||.
+
+    Each operator takes an optional out= and writes its result there:
+    apply_K(x, out) into an array returned by an earlier apply_K call or
+    np.empty_like of one, apply_K_adjoint(y_tails, out) and
+    prox_G(v, tau, out) into a primal vector, which for prox_G must not
+    overlap v.
     """
 
     primal_dim: int
@@ -171,30 +184,51 @@ class PEDIResult:
         return np.concatenate(([self.phi0], [s.phi for s in self.states]))
 
 
-def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float):
-    """Closed-form dual solve per block for a = e and c_b = -(Kx)_b.
+def _dual_update(
+    kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0: np.ndarray, y_tails: np.ndarray
+):
+    """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, in place.
 
-    tn2 holds the squared tail norms of Kx per block.  Returns the tails of
-    y and the heads of d; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.
+    tn2 holds the squared tail norms of Kx per block and is overwritten.
+    Writes the heads of d into d0 and the tails of y into y_tails;
+    head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.
     """
-    d0 = (mu + np.sqrt(mu * mu + b0 * b0 * tn2)) / b0
-    # d0 = 0 only when mu underflowed and the block tail vanishes, in which
-    # case the dual tail is zero anyway
-    scale = np.divide(b0, 2.0 * d0, out=np.zeros_like(d0), where=d0 > 0.0)
-    return scale[:, None] * kx_tails, d0
+    np.multiply(tn2, b0 * b0, out=d0)
+    d0 += mu * mu
+    np.sqrt(d0, out=d0)
+    d0 += mu
+    d0 /= b0
+    scale = np.multiply(d0, 2.0, out=tn2)
+    if d0.min() > 0.0:
+        np.divide(b0, scale, out=scale)
+    else:
+        # d0 = 0 only when mu underflowed and the block tail vanishes, in
+        # which case the dual tail is zero anyway
+        np.divide(b0, scale, out=scale, where=scale > 0.0)
+    np.multiply(kx_tails, scale[:, None], out=y_tails)
 
 
-def _dual_vector(y_tails: np.ndarray, b0: float) -> BlockConeVector:
-    return BlockConeVector.from_arrays(np.full(y_tails.shape[0], b0 / 2.0), y_tails)
+def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):
+    """Raise ConfigError unless pedi_run accepts (problem, config, step_rule).
 
-
-def _check_config(problem: SaddleProblem, config: StepConfig):
+    The step rule must be "general" or "soc" with zeta in its range, and the
+    config must fit the problem (see pedi_run).
+    """
+    if step_rule not in ("general", "soc"):
+        raise ConfigError(f"unknown step rule {step_rule!r}")
+    _check_zeta(config, step_rule)
     if config.b0 != problem.b0:
         raise ConfigError(f"config b0 = {config.b0!r} differs from the problem's {problem.b0!r}")
     if config.gamma > problem.gamma:
         raise ConfigError(f"config gamma = {config.gamma!r} exceeds the problem's {problem.gamma!r}")
     if config.opnorm_K < problem.opnorm_K:
         raise ConfigError(f"config opnorm_K = {config.opnorm_K!r} is below the problem's {problem.opnorm_K!r}")
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def pedi_run(
@@ -214,17 +248,20 @@ def pedi_run(
     x^{i+1} = prox_{tau_i G}(x^i - tau_i K* y^{i+1}).  The dual iterates are
     strictly interior and exactly feasible at every iteration.  The config
     must fit the problem: the same b0, a gamma no larger and an opnorm_K no
-    smaller than the problem's; otherwise ConfigError is raised.
+    smaller than the problem's, and a zeta in the step rule's range;
+    otherwise ConfigError is raised before the first iteration (see
+    check_config).  The iterates live in buffers allocated once and updated
+    in place.
 
     The callback, if given, is invoked as callback(i, x, y, state, metrics)
     after each iteration, with y the dual iterate as a BlockConeVector and
     metrics = {"kx_norm": ...}; it may be used for logging or error
-    tracking.  The result carries the final y and d as BlockConeVector.  No
-    randomness: identical inputs give identical trajectories.
+    tracking.  x and y are borrowed read-only views of the solver's buffers,
+    valid until the callback returns: copy them to keep them.  The result
+    carries the final y and d as BlockConeVector copies.  No randomness:
+    identical inputs give identical trajectories.
     """
-    if step_rule not in ("general", "soc"):
-        raise ConfigError(f"unknown step rule {step_rule!r}")
-    _check_config(problem, config)
+    check_config(problem, config, step_rule)
     x = np.zeros(problem.primal_dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.primal_dim,):
         raise ValueError("x0 has wrong dimension")
@@ -232,13 +269,26 @@ def pedi_run(
     state = initial_state()
     states = []
     xs = [x.copy()] if keep_iterates else None
-    kx_tails = y_tails = d0 = None
+    if max_iters < 1:
+        return PEDIResult(x=x, y=None, d=None, states=states, xs=xs)
     watchdog = False
     b0 = problem.b0
 
+    # K x^0 also sizes the buffers; empty_like keeps apply_K's memory layout
+    kx_tails = problem.apply_K(x)
+    y_tails = np.empty_like(kx_tails)
+    n_blocks = kx_tails.shape[0]
+    tn2, d0 = np.empty(n_blocks), np.empty(n_blocks)
+    heads = np.full(n_blocks, b0 / 2.0)
+    v = np.empty_like(x)
+    if callback is not None:
+        x_view = _readonly(x)
+        y_view = BlockConeVector.view_of(heads, y_tails)
+
     for i in range(max_iters):
-        kx_tails = problem.apply_K(x)
-        tn2 = np.einsum("ij,ij->i", kx_tails, kx_tails)
+        if i:
+            problem.apply_K(x, out=kx_tails)
+        np.einsum("ij,ij->i", kx_tails, kx_tails, out=tn2)
         if step_rule == "soc":
             # the enlarged monotonicity bound holds blockwise with the block's
             # own ||(Kx)_b||; the scalar rule can only use the worst block, so
@@ -249,9 +299,12 @@ def pedi_run(
             kx_norm = None
             state = step_rule_general(state, config)
 
-        y_tails, d0 = _dual_update(kx_tails, tn2, b0, state.mu)
+        _dual_update(kx_tails, tn2, b0, state.mu, d0, y_tails)
 
-        x = problem.prox_G(x - state.tau * problem.apply_K_adjoint(y_tails), state.tau)
+        problem.apply_K_adjoint(y_tails, out=v)
+        v *= state.tau
+        np.subtract(x, v, out=v)
+        problem.prox_G(v, state.tau, out=x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite primal iterate at iteration {i}")
         if problem.primal_bound_hint is not None and not watchdog:
@@ -262,12 +315,10 @@ def pedi_run(
         if keep_iterates:
             xs.append(x.copy())
         if callback is not None:
-            callback(i, x, _dual_vector(y_tails, b0), state, {"kx_norm": kx_norm})
+            callback(i, x_view, y_view, state, {"kx_norm": kx_norm})
 
-    y = d = None
-    if max_iters > 0:
-        y = _dual_vector(y_tails, b0)
-        d = BlockConeVector.from_arrays(d0, -kx_tails)
+    y = BlockConeVector.from_arrays(heads, y_tails)
+    d = BlockConeVector.from_arrays(d0, -kx_tails)
     return PEDIResult(x=x, y=y, d=d, states=states, xs=xs, watchdog_triggered=watchdog)
 
 

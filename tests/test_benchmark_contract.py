@@ -2,8 +2,11 @@
 
 perfbench/spans.py looks up every entry of PATCH_POINTS with getattr and no
 default on each benchmark run, traced or not, so removing or renaming one of
-them aborts the benchmark.  perfbench's own self-tests are not part of this
-suite; this test keeps the contract under the tier-1 run.
+them aborts the benchmark.  The solvers must also keep calling through those
+names (and through the SaddleProblem and DenoiseProblem.project_dual
+attributes the trace wraps), or the per-layer metrics silently read zero.
+perfbench's own self-tests are not part of this suite; these tests keep the
+contract under the tier-1 run.
 """
 
 import dataclasses
@@ -12,13 +15,17 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from barrierpd.baselines import BaselineConfig, dual_fb_run, pdhgm_run
+from barrierpd.imaging import DenoiseProblem, add_gaussian_noise, synthetic_image
 from barrierpd.jordan import BlockConeVector
-from barrierpd.pedi import SaddleProblem
+from barrierpd.pedi import SaddleProblem, StepConfig, pedi_run
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def load_patch_points():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     # dataclasses in the module resolve their module through sys.modules
@@ -27,11 +34,11 @@ def load_patch_points():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.PATCH_POINTS
+    return module
 
 
 def test_patch_points_exist():
-    points = load_patch_points()
+    points = load_spans().PATCH_POINTS
     assert points
     missing = [f"{m}.{a}" for m, a, _, _ in points if not hasattr(importlib.import_module(m), a)]
     assert missing == []
@@ -44,3 +51,34 @@ def test_from_arrays_is_a_classmethod():
 def test_saddle_problem_operator_fields():
     names = {f.name for f in dataclasses.fields(SaddleProblem)}
     assert {"apply_K", "apply_K_adjoint", "prox_G"} <= names
+
+
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+def test_trace_sees_one_operator_call_per_iteration(variant):
+    spans = load_spans()
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(8, 8), 6.15, 1), 0.5, variant)
+    sp = dp.saddle_problem()
+    iters = 7
+    tracer = spans.Tracer()
+
+    def ignore(*_):
+        pass
+
+    with spans.instrumented(tracer, {}):
+        for rule in ("general", "soc"):
+            with tracer.solver_run("pedi.run", rule):
+                cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+                pedi_run(tracer.wrap_saddle(sp), cfg, iters, step_rule=rule, callback=ignore)
+        with tracer.solver_run("baselines.run", "pdhgm"), tracer.wrap_project_dual(dp):
+            pdhgm_run(dp, BaselineConfig.default_for(dp, iters), callback=ignore)
+        with tracer.solver_run("baselines.run", "dual-fb"), tracer.wrap_project_dual(dp):
+            dual_fb_run(dp, iters, callback=ignore)
+    calls = {key: row[0] for key, row in tracer.layer_totals().items()}
+    for rule in ("general", "soc"):
+        for name in ("imaging.apply_K", "imaging.apply_K_adjoint", "imaging.prox_G", "pedi.step_rule"):
+            assert calls.get((name, rule)) == iters, name
+        # only the result's y and d are built; the callback gets views
+        assert calls.get(("jordan.from_arrays", rule)) == 2
+    for tag in ("pdhgm", "dual-fb"):
+        for name in ("imaging.grad", "imaging.grad_adjoint", "imaging.project_dual"):
+            assert calls.get((name, tag)) == iters, name

@@ -109,6 +109,24 @@ def test_run_rejects_bad_flags(workdir):
     assert r.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "solvers,flags",
+    [("dual-fb,pedi-soc", ["--gamma", "1.5"]), ("dual-fb,pedi-soc", ["--zeta", "-1"]),
+     ("dual-fb,pdhgm", ["--gamma", "-1"])],
+    ids=["pedi-gamma", "pedi-zeta", "pdhgm-gamma"],
+)
+def test_run_rejects_bad_solver_config_before_output(workdir, tmp_path, solvers, flags):
+    # a ConfigError used to escape as a traceback after earlier solvers had
+    # written their logs
+    r = invoke(["run", "--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5",
+                "--seed", "1", "--out", str(tmp_path), "--solvers", solvers, "--iters", "5",
+                "--target-iters", "20000"] + flags)
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "invalid solver configuration" in r.output
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_table_rounding_and_never_reached(tmp_path):
     log = tmp_path / "synthetic.csv"
     rows = ["iter,wall_seconds,gap_db,target_db,value_db"]

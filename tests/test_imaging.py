@@ -5,6 +5,7 @@ from barrierpd.imaging import (
     DB_CLAMP,
     DenoiseProblem,
     ImageGrid,
+    Target,
     add_gaussian_noise,
     estimate_opnorm,
     gradient_adjoint,
@@ -67,6 +68,46 @@ def test_lift_unlift(rng):
         DenoiseProblem(z, 1.0, "l2")
     with pytest.raises(ValueError):
         unlift(BlockConeVector.from_arrays(np.zeros(12), field.reshape(12, 2)), (5, 5))
+
+
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+def test_operators_write_into_out(rng, variant):
+    dp = DenoiseProblem(rand_grid(rng, 4, 3), 0.7, variant)
+    sp = dp.saddle_problem()
+    x, x2 = rng.standard_normal(12), rng.standard_normal(12)
+    buf = sp.apply_K(x)
+    got = sp.apply_K(x2, out=buf)
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(buf, sp.apply_K(x2))
+    # TV tails are the transpose of a contiguous (2, n) array, and a
+    # C-contiguous (n, 2) array is not
+    bad = np.zeros(buf.shape) if variant == "tv" else np.zeros(buf.shape[::-1])
+    with pytest.raises(ValueError):
+        sp.apply_K(x2, out=bad)
+    v = np.empty(12)
+    assert np.shares_memory(sp.apply_K_adjoint(buf, out=v), v)
+    assert np.array_equal(v, sp.apply_K_adjoint(buf))
+    assert np.shares_memory(sp.prox_G(x, 0.3, out=v), v)
+    assert np.array_equal(v, sp.prox_G(x, 0.3))
+    with pytest.raises(ValueError):
+        sp.prox_G(v, 0.3, out=v)
+    p = rng.standard_normal((4, 3, 2)) * 3.0
+    q = p.copy()
+    assert dp.project_dual(q, out=q) is q
+    assert np.array_equal(q, dp.project_dual(p))
+
+
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+def test_unlift_round_trip(rng, variant):
+    # field -> tails in apply_K's layout -> field, through both entry points
+    dp = DenoiseProblem(rand_grid(rng, 4, 3), 0.7, variant)
+    field = rng.standard_normal((4, 3, 2))
+    tails = np.moveaxis(field, -1, 0).reshape(-1, 12 if variant == "tv" else 1).T
+    assert tails.shape == dp.saddle_problem().apply_K(np.zeros(12)).shape
+    for y in (BlockConeVector.from_arrays(np.ones(tails.shape[0]), tails),
+              BlockConeVector.view_of(np.ones(tails.shape[0]), tails)):
+        assert np.array_equal(unlift(y, (4, 3)), field)
+        assert np.array_equal(dp.unlifted_dual(y), 2.0 * field)
 
 
 def test_zero_field_lifts_to_zero():
@@ -171,7 +212,7 @@ def test_metrics_clamp_at_target(rng):
     dp = DenoiseProblem(rand_grid(rng, 4, 4, scale=10.0), 0.5, "tv")
     target = dp.z.flat() * 0.9
     gap0 = 0.5 * float(np.sum(dp.z.flat() ** 2))
-    rec = metrics(target, np.zeros((4, 4, 2)), dp, target, gap0, iter=3)
+    rec = metrics(target, np.zeros((4, 4, 2)), dp, Target.of(dp, target), gap0, iter=3)
     assert rec.target_db == DB_CLAMP
     assert rec.value_db == DB_CLAMP
     assert rec.iter == 3
@@ -198,9 +239,9 @@ def test_weak_duality(rng):
 def test_metrics_rejects_degenerate_target(rng):
     dp = DenoiseProblem(rand_grid(rng, 4, 4), 0.5, "tv")
     with pytest.raises(ValueError):
-        metrics(np.zeros(16), np.zeros((4, 4, 2)), dp, np.zeros(16), 1.0)
+        Target.of(dp, np.zeros(16))
     with pytest.raises(ValueError):
-        metrics(np.zeros(16), np.zeros((4, 4, 2)), dp, np.ones(16), 0.0)
+        metrics(np.zeros(16), np.zeros((4, 4, 2)), dp, Target.of(dp, np.ones(16)), 0.0)
 
 
 def test_synthetic_image_range():

@@ -244,3 +244,35 @@ def test_pedi_x0_and_watchdog():
     cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
     res = pedi_run(sp, cfg, 50, x0=dp.z.flat())
     assert not res.watchdog_triggered
+
+
+def test_callback_views_are_read_only():
+    # x and y are borrowed views of the solver's buffers
+    dp = make_problem(variant="tv")
+    sp = dp.saddle_problem()
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+    seen = []
+
+    def cb(i, x, y, state, info):
+        with pytest.raises(ValueError):
+            y.tails[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            y.heads[0] = 1.0
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        seen.append(i)
+
+    pedi_run(sp, cfg, 3, callback=cb)
+    assert seen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+def test_results_survive_a_later_run(variant):
+    dp = make_problem(variant=variant)
+    sp = dp.saddle_problem()
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+    first = pedi_run(sp, cfg, 5, step_rule="soc")
+    kept = [a.copy() for a in (first.x, first.y.tails, first.d.heads, first.d.tails)]
+    pedi_run(sp, cfg, 9, step_rule="soc", x0=dp.z.flat())
+    for a, b in zip((first.x, first.y.tails, first.d.heads, first.d.tails), kept):
+        assert np.array_equal(a, b)
