@@ -68,7 +68,7 @@ def _compute_target(problem: DenoiseProblem, iters: int) -> np.ndarray:
     # problems gives a much sharper tail than the benchmark default
     cfg = BaselineConfig.default_for(problem, max_iters=iters, gamma=0.3)
     res = pdhgm_run(problem, cfg)
-    gap0 = 0.5 * float(np.sum(problem.z.flat() ** 2))
+    gap0 = problem.half_z2
     gap = problem.duality_gap(res.x, res.p)
     if gap > 1e-8 * gap0:
         raise click.ClickException(
@@ -125,8 +125,10 @@ def _configure(solver, problem, iters, step_rule, tau0_override, gamma, zeta, th
         check_config(sp, cfg, rule)
 
         def run(log):
+            # one planar-backed field per run receives p = 2 tail(y)
+            p = np.empty((2,) + problem.shape).transpose(1, 2, 0)
             pedi_run(sp, cfg, iters, step_rule=rule,
-                     callback=lambda i, x, y, state, info: log(i, x, problem.unlifted_dual(y)))
+                     callback=lambda i, x, y, state, info: log(i, x, problem.unlifted_dual(y, out=p)))
 
         return run, sp.opnorm_K
     if solver == "pdhgm":
@@ -223,7 +225,7 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, step_rule, tau0
     if not np.any(target_x):
         raise click.ClickException("degenerate reference solution (all zero)")
     target = Target.of(problem, target_x)
-    gap0 = 0.5 * float(np.sum(problem.z.flat() ** 2))
+    gap0 = problem.half_z2
 
     for solver, (run_solver, opnorm) in zip(solver_list, plans):
         records = _run_solver(run_solver, problem, target, gap0)

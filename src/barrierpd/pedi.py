@@ -305,11 +305,12 @@ def pedi_run(
         v *= state.tau
         np.subtract(x, v, out=v)
         problem.prox_G(v, state.tau, out=x)
-        if not np.all(np.isfinite(x)):
+        # one pass: ||x|| is finite when x is, unless a finite x overflows it
+        x_norm = float(np.linalg.norm(x))
+        if not math.isfinite(x_norm) and not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite primal iterate at iteration {i}")
-        if problem.primal_bound_hint is not None and not watchdog:
-            if float(np.linalg.norm(x)) > 1e3 * problem.primal_bound_hint:
-                watchdog = True
+        if problem.primal_bound_hint is not None and x_norm > 1e3 * problem.primal_bound_hint:
+            watchdog = True
 
         states.append(state)
         if keep_iterates:

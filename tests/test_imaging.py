@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from barrierpd.imaging import (
     DenoiseProblem,
     ImageGrid,
     Target,
+    _grad,
+    _grad_adjoint,
     add_gaussian_noise,
     estimate_opnorm,
     gradient_adjoint,
@@ -15,6 +19,7 @@ from barrierpd.imaging import (
     unlift,
 )
 from barrierpd.jordan import BlockConeVector
+from test_golden_trajectory import ref_grad, ref_grad_adjoint
 
 
 def rand_grid(rng, n1=6, n2=5, scale=1.0):
@@ -52,6 +57,71 @@ def test_adjoint_identity(rng):
         lhs = float(np.sum(gradient_apply(img) * field))
         rhs = float(np.sum(img.values * gradient_adjoint(field).values))
         assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(lhs)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (64, 64)], ids="{0[0]}x{0[1]}".format)
+def test_gradient_kernels_match_slicing_reference(rng, shape):
+    # the flat shifted passes must round exactly like interleaved 2-d column
+    # slices; the boundary entries the Neumann gradient never produces are
+    # nonzero here, so a kernel that assumes them zero fails
+    v = rng.standard_normal(shape)
+    planes = rng.standard_normal((2,) + shape)
+    assert np.all(planes[1, :, -1] != 0.0) and np.all(planes[0, -1, :] != 0.0)
+    want_grad = np.moveaxis(ref_grad(v), -1, 0)
+    want_adj = ref_grad_adjoint(np.moveaxis(planes, 0, -1))
+    assert np.array_equal(_grad(v), want_grad)
+    assert np.array_equal(_grad_adjoint(planes), want_adj)
+    out = np.full((2,) + shape, np.nan)
+    assert _grad(v, out=out) is out and np.array_equal(out, want_grad)
+    img = np.full(shape, np.nan)
+    assert _grad_adjoint(planes, out=img) is img and np.array_equal(img, want_adj)
+    # a strided plane that still flattens to a view is written in place
+    field = np.full(shape + (2,), np.nan)
+    _grad(v, out=np.moveaxis(field, -1, 0))
+    assert np.array_equal(field, ref_grad(v))
+
+
+def test_gradient_kernels_refuse_out_that_would_copy(rng):
+    # writing through a flattened copy would leave out untouched
+    n = 5
+    with pytest.raises(ValueError):
+        _grad(rng.standard_normal((n, n)), out=np.empty((2, n, n + 1))[:, :, :n])
+    with pytest.raises(ValueError):
+        _grad_adjoint(rng.standard_normal((2, n, n)), out=np.empty((n, n + 1))[:, :n])
+
+
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+def test_kernels_allocate_no_array_copy(rng, variant):
+    # each call may allocate at most a quarter of one n1*n2 float array: a
+    # reshape that silently started copying would allocate a whole one
+    n = 64
+    dp = DenoiseProblem(rand_grid(rng, n, n), 0.5, variant)
+    sp = dp.saddle_problem()
+    v = rng.standard_normal((n, n))
+    G, img = np.empty((2, n, n)), np.empty((n, n))
+    kx = sp.apply_K(v.reshape(-1))
+    y = np.empty_like(kx)
+    y[...] = rng.standard_normal(y.shape)
+    x = np.empty(n * n)
+    calls = {
+        "_grad": lambda: _grad(v, out=G),
+        "_grad_adjoint": lambda: _grad_adjoint(G, out=img),
+        "apply_K": lambda: sp.apply_K(v.reshape(-1), out=kx),
+        "apply_K_adjoint": lambda: sp.apply_K_adjoint(y, out=x),
+    }
+    for call in calls.values():
+        call()
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(peak < n * n * 8 / 4 for peak in peaks.values()), peaks
 
 
 def test_lift_unlift(rng):
@@ -108,6 +178,19 @@ def test_unlift_round_trip(rng, variant):
               BlockConeVector.view_of(np.ones(tails.shape[0]), tails)):
         assert np.array_equal(unlift(y, (4, 3)), field)
         assert np.array_equal(dp.unlifted_dual(y), 2.0 * field)
+
+
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+def test_unlifted_dual_writes_into_out(rng, variant):
+    dp = DenoiseProblem(rand_grid(rng, 4, 3), 0.7, variant)
+    tails = np.empty_like(dp.saddle_problem().apply_K(np.zeros(12)))
+    tails[...] = rng.standard_normal(tails.shape)
+    y = BlockConeVector.view_of(np.ones(tails.shape[0]), tails)
+    out = np.full((2, 4, 3), np.nan).transpose(1, 2, 0)
+    got = dp.unlifted_dual(y, out=out)
+    assert got is out and np.shares_memory(got, out)
+    assert np.array_equal(out, dp.unlifted_dual(y))
+    assert np.array_equal(out, 2.0 * unlift(y, (4, 3)))
 
 
 def test_zero_field_lifts_to_zero():

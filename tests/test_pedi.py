@@ -246,6 +246,37 @@ def test_pedi_x0_and_watchdog():
     assert not res.watchdog_triggered
 
 
+def _with_prox_entry(sp, value):
+    """sp whose prox step writes value into one entry of its result."""
+
+    def prox_G(v, tau, out=None):
+        out = sp.prox_G(v, tau, out=out)
+        out[3] = value
+        return out
+
+    return dataclasses.replace(sp, prox_G=prox_G)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_iterate_raises(value):
+    dp = make_problem(variant="tv")
+    sp = dp.saddle_problem()
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+    with pytest.raises(FloatingPointError, match="at iteration 0$"):
+        pedi_run(_with_prox_entry(sp, value), cfg, 3)
+
+
+def test_finite_iterate_with_overflowing_norm_trips_watchdog():
+    # ||x|| overflows to inf, but every entry of x is finite
+    dp = make_problem(variant="tv")
+    sp = dp.saddle_problem()
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+    with np.errstate(over="ignore"):
+        res = pedi_run(_with_prox_entry(sp, 1e200), cfg, 1)
+    assert np.all(np.isfinite(res.x)) and res.x[3] == 1e200
+    assert res.watchdog_triggered
+
+
 def test_callback_views_are_read_only():
     # x and y are borrowed views of the solver's buffers
     dp = make_problem(variant="tv")
