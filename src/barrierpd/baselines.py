@@ -39,8 +39,8 @@ class BaselineConfig:
     primal-dual hybrid gradient method.
 
     The classical step condition tau0*sigma0*||K||^2 <= 1 is enforced at
-    construction against the supplied operator norm (use the problem's
-    power-iteration estimate).
+    construction against the supplied operator norm, which must be an upper
+    bound on ||D||: use the problem's closed-form DenoiseProblem.opnorm_D.
     """
 
     tau0: float

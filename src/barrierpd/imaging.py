@@ -51,7 +51,6 @@ __all__ = [
     "gradient_adjoint",
     "unlift",
     "add_gaussian_noise",
-    "estimate_opnorm",
     "synthetic_image",
     "metrics",
     "Target",
@@ -196,30 +195,6 @@ def _check_variant(variant: str):
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def estimate_opnorm(apply_op, apply_adjoint, dim: int, iters: int = 30, rtol: float = 1e-6, seed: int = 0) -> float:
-    """Operator norm by power iteration on the normal map v -> A*(A v).
-
-    Deterministic (fixed seed), with early stopping when successive Rayleigh
-    estimates agree to rtol.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = apply_adjoint(apply_op(v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        new_est = math.sqrt(nw)
-        v = w / nw
-        if est > 0.0 and abs(new_est - est) <= rtol * est:
-            est = new_est
-            break
-        est = new_est
-    return est
-
-
 @dataclass
 class DenoiseProblem:
     """The variational denoising problem min_x (1/2)||x-z||^2 + alpha R(x).
@@ -231,7 +206,6 @@ class DenoiseProblem:
     z: ImageGrid
     alpha: float
     variant: str
-    _opnorm_D: Optional[float] = field(default=None, repr=False)
     _half_z2: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -249,16 +223,18 @@ class DenoiseProblem:
 
     @property
     def opnorm_D(self) -> float:
-        """Power-iteration estimate of ||D|| (Euclidean, unlifted)."""
-        if self._opnorm_D is None:
-            n1, n2 = self.shape
-            # the planar field passes straight from _grad to _grad_adjoint
-            self._opnorm_D = estimate_opnorm(
-                lambda v: _grad(v.reshape(n1, n2)),
-                lambda g: _grad_adjoint(g).reshape(-1),
-                self.n_pixels,
-            )
-        return self._opnorm_D
+        """||D|| (Euclidean, unlifted) in closed form, rounded up to a proven upper bound.
+
+        D*D is the Kronecker sum of the two path-graph Laplacians, whose
+        eigenvalues are 4 sin^2(pi k / (2 n)), k = 0..n-1, so
+        ||D||^2 = 4 sin^2(pi (n1-1) / (2 n1)) + 4 sin^2(pi (n2-1) / (2 n2)).
+        Each rounded operation adds at most 2^-53 relative error, and
+        a cot(a) <= 1 on [0, pi/2] keeps sin from amplifying the error of its
+        argument, so the float result is within 2e-15 of the exact norm; the
+        factor 1 + 4e-15 lifts it above.  A 1-pixel axis contributes an exact 0.
+        """
+        s = sum(4.0 * math.sin(math.pi * (n - 1) / (2 * n)) ** 2 for n in self.shape)
+        return math.sqrt(s) * (1.0 + 4e-15)
 
     @property
     def half_z2(self) -> float:
@@ -307,9 +283,10 @@ class DenoiseProblem:
         if self.variant == "tv":
             scale = np.einsum("kij,kij->ij", planes, planes)
             np.sqrt(scale, out=scale)
-            np.maximum(scale, 1e-300, out=scale)
+            # flooring the norm at alpha caps alpha/norm at 1 without a
+            # second pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
+            np.maximum(scale, max(self.alpha, 1e-300), out=scale)
             np.divide(self.alpha, scale, out=scale)
-            np.minimum(1.0, scale, out=scale)
             np.multiply(planes, scale, out=out_planes)
         else:
             nrm = _field_norm(planes)
@@ -332,7 +309,9 @@ class DenoiseProblem:
         array.  Each operator writes into out= when given: for apply_K an
         array returned by an earlier apply_K call (or np.empty_like of one),
         for apply_K_adjoint and prox_G a contiguous primal vector, which for
-        prox_G must not overlap v.
+        prox_G must not overlap v.  opnorm_K = sqrt(2) opnorm_D, an upper
+        bound on ||K|| since opnorm_D is one with a margin far above the
+        roundoff of that product.
         """
         n1, n2 = self.shape
         m, n_blocks = (2, self.n_pixels) if self.variant == "tv" else (2 * self.n_pixels, 1)

@@ -149,7 +149,9 @@ class SaddleProblem:
     elements with zero heads, so apply_K returns only their tails, an (n, m)
     array, and apply_K_adjoint takes the tails of y as an (n, m) array; with
     the trace inner product <Kx, y> = 2 sum_b tail(Kx)_b . tail(y)_b.  gamma
-    is the strong-convexity factor of G and opnorm_K an upper bound on ||K||.
+    is the strong-convexity factor of G and opnorm_K an upper bound on ||K||:
+    the step tau_i = 2 omega_lb / ||K||^2 is admissible only for a bound, so
+    an estimate from below (such as power iteration) is not enough.
 
     Each operator takes an optional out= and writes its result there:
     apply_K(x, out) into an array returned by an earlier apply_K call or
@@ -198,13 +200,16 @@ def _dual_update(
     np.sqrt(d0, out=d0)
     d0 += mu
     d0 /= b0
-    scale = np.multiply(d0, 2.0, out=tn2)
+    # (b0/2)/d0 and b0/(2 d0) are one rounding of the same quotient, since
+    # halving b0 and doubling d0 are exact; the first saves a pass
+    scale = tn2
     if d0.min() > 0.0:
-        np.divide(b0, scale, out=scale)
+        np.divide(b0 / 2.0, d0, out=scale)
     else:
-        # d0 = 0 only when mu underflowed and the block tail vanishes, in
-        # which case the dual tail is zero anyway
-        np.divide(b0, scale, out=scale, where=scale > 0.0)
+        # d0 = 0 only when mu underflowed and so did b0^2 ||tail||^2; such
+        # a block gets a zero dual tail
+        scale.fill(0.0)
+        np.divide(b0 / 2.0, d0, out=scale, where=d0 > 0.0)
     np.multiply(kx_tails, scale[:, None], out=y_tails)
 
 

@@ -10,6 +10,7 @@ from barrierpd.baselines import (
 )
 from barrierpd import pedi
 from barrierpd.imaging import DenoiseProblem, ImageGrid
+from test_imaging import power_iteration_opnorm_D
 
 
 def make_problem(n=8, variant="tv", alpha=0.5, seed=11):
@@ -23,6 +24,17 @@ def test_step_condition_enforced():
     # tau0*sigma0*||K||^2 = 0.988 with the defaults
     cfg = BaselineConfig.default_for(make_problem(), max_iters=10)
     assert cfg.tau0 * cfg.sigma0 * cfg.opnorm**2 <= 1.0
+
+
+def test_step_condition_uses_the_exact_bound():
+    # tau0*sigma0 = 1/est^2 with the 30-step power-iteration estimate est
+    # passes a check against est, but exceeds 1 against the true ||D||
+    dp = make_problem(n=64)
+    est = power_iteration_opnorm_D(64, 64)
+    assert est < dp.opnorm_D
+    BaselineConfig(tau0=1.0 / est, sigma0=1.0 / est, gamma=0.9, max_iters=10, opnorm=est)
+    with pytest.raises(ConfigError):
+        BaselineConfig(tau0=1.0 / est, sigma0=1.0 / est, gamma=0.9, max_iters=10, opnorm=dp.opnorm_D)
 
 
 def test_config_error_is_shared_with_pedi():

@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from barrierpd import imaging
 from barrierpd.imaging import (
     DB_CLAMP,
     DenoiseProblem,
@@ -11,7 +13,6 @@ from barrierpd.imaging import (
     _grad,
     _grad_adjoint,
     add_gaussian_noise,
-    estimate_opnorm,
     gradient_adjoint,
     gradient_apply,
     metrics,
@@ -19,7 +20,7 @@ from barrierpd.imaging import (
     unlift,
 )
 from barrierpd.jordan import BlockConeVector
-from test_golden_trajectory import ref_grad, ref_grad_adjoint
+from test_golden_trajectory import ref_grad, ref_grad_adjoint, ref_project
 
 
 def rand_grid(rng, n1=6, n2=5, scale=1.0):
@@ -221,20 +222,95 @@ def test_saddle_problem_adjoint_consistency(rng):
         assert sp.b0 == 0.3
 
 
+def estimate_opnorm(apply_op, apply_adjoint, dim: int, iters: int = 30, rtol: float = 1e-6, seed: int = 0) -> float:
+    """Operator norm by power iteration on the normal map v -> A*(A v).
+
+    The oracle for DenoiseProblem.opnorm_D: it converges from below, so it
+    may never exceed the closed form.  Deterministic (fixed seed), with early
+    stopping when successive Rayleigh estimates agree to rtol.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    est = 0.0
+    for _ in range(iters):
+        w = apply_adjoint(apply_op(v))
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0
+        new_est = math.sqrt(nw)
+        v = w / nw
+        if est > 0.0 and abs(new_est - est) <= rtol * est:
+            est = new_est
+            break
+        est = new_est
+    return est
+
+
+def power_iteration_opnorm_D(n1, n2):
+    """The 30-step power-iteration estimate of ||D|| that opnorm_D once returned."""
+    return estimate_opnorm(
+        lambda v: _grad(v.reshape(n1, n2)), lambda g: _grad_adjoint(g).reshape(-1), n1 * n2
+    )
+
+
 def test_opnorms(rng):
     dp = DenoiseProblem(rand_grid(rng, 8, 8), 1.0, "tv")
     assert 0.0 < dp.opnorm_D <= np.sqrt(8.0)
     sp = dp.saddle_problem()
     assert sp.opnorm_K == pytest.approx(np.sqrt(2.0) * dp.opnorm_D)
-    # the default 30-step estimate tracks a long power iteration to ~1%
+    # a long power iteration attains ||K|| from below, to roundoff
     x = rng.standard_normal(64)
     for _ in range(500):
         v = sp.apply_K_adjoint(sp.apply_K(x))
         x = v / np.linalg.norm(v)
     Kx = sp.apply_K(x)
     attained = np.sqrt(2.0 * float(np.sum(Kx * Kx)))
-    assert attained <= np.sqrt(2.0) * np.sqrt(8.0)
-    assert abs(attained - sp.opnorm_K) <= 0.02 * attained
+    assert attained <= sp.opnorm_K <= attained * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (9, 20), (16, 16)], ids="{0[0]}x{0[1]}".format
+)
+def test_opnorm_D_is_the_dense_spectral_norm(shape):
+    # D as a dense (2N, N) matrix, column k the gradient of the k-th unit image
+    n = shape[0] * shape[1]
+    M = np.stack([_grad(e.reshape(shape)).reshape(-1) for e in np.eye(n)], axis=1)
+    exact = np.linalg.norm(M, 2)
+    got = DenoiseProblem(ImageGrid(np.zeros(shape)), 1.0, "tv").opnorm_D
+    assert exact <= got <= exact * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_power_iteration_stays_below_closed_form(n):
+    dp = DenoiseProblem(ImageGrid(np.zeros((n, n))), 1.0, "tv")
+    assert power_iteration_opnorm_D(n, n) <= dp.opnorm_D
+
+
+def test_setup_applies_no_gradient(monkeypatch, rng):
+    # set-up reads ||D|| from its closed form; an iterative estimate
+    # would apply D and D* here
+    calls = {"_grad": 0, "_grad_adjoint": 0}
+
+    def counted(name):
+        kernel = getattr(imaging, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(imaging, name, counted(name))
+    for variant in imaging.VARIANTS:
+        dp = DenoiseProblem(rand_grid(rng, 16, 16), 0.5, variant)
+        assert dp.opnorm_D > 0.0
+        assert dp.saddle_problem().opnorm_K > 0.0
+    assert calls == {"_grad": 0, "_grad_adjoint": 0}
+    # the counters do see the kernels
+    dp.saddle_problem().apply_K(np.zeros(dp.n_pixels))
+    assert calls["_grad"] == 1
 
 
 def test_estimate_opnorm_on_matrix(rng):
@@ -285,6 +361,23 @@ def test_project_dual(rng):
     assert np.linalg.norm(ph) <= 0.4 * (1 + 1e-14)
     small = 0.01 * rng.standard_normal((5, 5, 2))
     assert np.allclose(dph.project_dual(small), small)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 1e-5, 1e3, 1e-305])
+def test_project_dual_edges_match_reference(rng, alpha):
+    # bit for bit against the clamp min(1, alpha / max(||p||, 1e-300)) on a
+    # zero pixel, pixels of norm exactly alpha and one ulp either side of
+    # it, and norms at and below the 1e-300 floor
+    dp = DenoiseProblem(rand_grid(rng, 4, 4), alpha, "tv")
+    p = alpha * rng.standard_normal((4, 4, 2))
+    p[0] = [[0.0, 0.0], [alpha, 0.0], [0.0, -alpha], [np.nextafter(alpha, 0.0), 0.0]]
+    p[1] = [[np.nextafter(alpha, np.inf), 0.0], [1e-301, 0.0], [5e-324, 0.0], [1e-300, 1e-300]]
+    got = dp.project_dual(p)
+    assert np.array_equal(got, ref_project(dp, p))
+    assert np.all(got[0, 0] == 0.0)
+    if alpha > 1e-150:
+        # sqrt(alpha^2) == alpha unless alpha^2 underflows
+        assert np.array_equal(got[0, 1:], p[0, 1:])
 
 
 # ---------------------------------------------------------------------------

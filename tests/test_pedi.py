@@ -9,6 +9,7 @@ from barrierpd.imaging import DenoiseProblem, ImageGrid, add_gaussian_noise, syn
 from barrierpd.jordan import SpinElement, identity, is_interior, lambda_min
 from barrierpd.pedi import (
     ConfigError,
+    _dual_update,
     StepConfig,
     descent_certificate,
     initial_state,
@@ -200,6 +201,16 @@ def test_dual_update_matches_central_path_oracle(variant, alpha, rule):
     for b, pt in enumerate(points):
         db = np.concatenate(([res.d.heads[b]], res.d.tails[b]))
         assert np.linalg.norm(db - pt.d.as_array()) <= 1e-12 * np.linalg.norm(pt.d.as_array())
+
+
+def test_dual_update_zero_heads_give_zero_tails():
+    # with mu = 0 and b0^2 underflowing, every head d0 is 0; the dual tails
+    # must then be 0, not whatever the reused tn2 buffer held
+    kx = np.ones((3, 2))
+    tn2 = np.einsum("ij,ij->i", kx, kx)
+    d0, y = np.empty(3), np.full((3, 2), np.nan)
+    _dual_update(kx, tn2, 1e-170, 0.0, d0, y)
+    assert np.all(d0 == 0.0) and np.all(y == 0.0)
 
 
 @pytest.mark.parametrize("variant,alpha", [("h1", 2.0), ("tv", 0.5)])
