@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -35,6 +36,8 @@ from .pedi import ConfigError, StepConfig, check_config, pedi_run
 from .pgm import read_pgm
 
 SOLVERS = ("pedi-general", "pedi-soc", "pdhgm", "dual-fb")
+# the solver name alone picks the pedi step rule
+PEDI_RULES = {"pedi-general": "general", "pedi-soc": "soc"}
 
 
 def _problem_key(image_path: Path, variant: str, alpha: float, sigma: float, seed: int) -> dict:
@@ -104,24 +107,19 @@ def _atomic_write_bytes(path: Path, data: bytes):
         raise
 
 
-def _configure(solver, problem, iters, step_rule, tau0_override, gamma, zeta, theta):
+def _configure(solver, problem, iters, tau0_override, gamma, zeta, theta):
     """Build and check one solver's configuration before anything runs.
 
     Returns (run, opnorm): run(log) runs the solver and calls log(i, x, p)
     after each iteration with the unlifted dual field p.  Raises ConfigError
     for a configuration the solver would reject.
     """
-    if solver in ("pedi-general", "pedi-soc"):
+    if solver in PEDI_RULES:
         sp = problem.saddle_problem()
-        kwargs = {"opnorm_K": sp.opnorm_K, "b0": problem.alpha, "gamma": gamma}
-        if zeta is not None:
-            kwargs["zeta"] = zeta
-        if theta is not None:
-            kwargs["theta"] = theta
-        cfg = StepConfig(**kwargs)
+        cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=problem.alpha, gamma=gamma, zeta=zeta, theta=theta)
         if tau0_override is not None:
             cfg = cfg.with_tau0(tau0_override)
-        rule = step_rule if solver == "pedi-general" else "soc"
+        rule = PEDI_RULES[solver]
         check_config(sp, cfg, rule)
 
         def run(log):
@@ -186,14 +184,13 @@ def _common_problem_options(fn):
 @_common_problem_options
 @click.option("--solvers", default="pedi-general", show_default=True, help="Comma-separated subset of " + ",".join(SOLVERS))
 @click.option("--iters", default=1000, type=int, show_default=True)
-@click.option("--step-rule", default="general", type=click.Choice(["general", "soc"]), show_default=True)
 @click.option("--tau0-override", default=None, type=float)
 @click.option("--gamma", default=0.9, type=float, show_default=True)
 @click.option("--zeta", default=None, type=float)
 @click.option("--theta", default=None, type=float)
 @click.option("--target", "target_policy", default="compute", type=click.Choice(["load", "compute"]), show_default=True)
 @click.option("--target-iters", default=100000, type=int, show_default=True)
-def run(image, variant, alpha, sigma, seed, out, solvers, iters, step_rule, tau0_override, gamma, zeta, theta, target_policy, target_iters):
+def run(image, variant, alpha, sigma, seed, out, solvers, iters, tau0_override, gamma, zeta, theta, target_policy, target_iters):
     """Run solver(s) and write one CSV log per solver."""
     solver_list = [s.strip() for s in solvers.split(",") if s.strip()]
     if not solver_list:
@@ -203,11 +200,13 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, step_rule, tau0
             raise click.ClickException(f"unknown solver {s!r}; choose from {', '.join(SOLVERS)}")
     if iters < 1:
         raise click.ClickException("--iters must be >= 1")
+    if theta is not None and tau0_override is not None:
+        raise click.ClickException("--theta and --tau0-override both set theta; give at most one")
 
     problem = _build(image, variant, alpha, sigma, seed)
     try:
         plans = [
-            _configure(solver, problem, iters, step_rule, tau0_override, gamma, zeta, theta)
+            _configure(solver, problem, iters, tau0_override, gamma, zeta, theta)
             for solver in solver_list
         ]
     except ConfigError as exc:
@@ -235,7 +234,7 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, step_rule, tau0
             "solver": solver,
             "problem": key,
             "iters": iters,
-            "step_rule": step_rule if solver == "pedi-general" else ("soc" if solver == "pedi-soc" else None),
+            "step_rule": PEDI_RULES.get(solver),
             "tau0_override": tau0_override,
             "gamma": gamma,
             "zeta": zeta,
@@ -262,17 +261,9 @@ def make_target(image, variant, alpha, sigma, seed, out, target_iters):
         return
     problem = _build(image, variant, alpha, sigma, seed)
     x = _compute_target(problem, target_iters)
-    fd, tmp = tempfile.mkstemp(dir=out, suffix=".tmp")
-    os.close(fd)
-    try:
-        np.savez(tmp, x=x, config=json.dumps(key, sort_keys=True))
-        # np.savez appends .npz to names without it
-        src = tmp if tmp.endswith(".npz") else tmp + ".npz"
-        os.replace(src, path)
-    finally:
-        for leftover in (tmp, tmp + ".npz"):
-            if os.path.exists(leftover):
-                os.unlink(leftover)
+    buf = io.BytesIO()
+    np.savez(buf, x=x, config=json.dumps(key, sort_keys=True))
+    _atomic_write_bytes(path, buf.getvalue())
     click.echo(f"wrote {path}")
 
 

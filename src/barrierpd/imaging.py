@@ -47,8 +47,6 @@ __all__ = [
     "DenoiseProblem",
     "IterationRecord",
     "VARIANTS",
-    "gradient_apply",
-    "gradient_adjoint",
     "unlift",
     "add_gaussian_noise",
     "synthetic_image",
@@ -163,19 +161,6 @@ def _field_norm(planes: np.ndarray) -> float:
     faster than reshaping the field view, whose copy gathers across planes.
     """
     return float(np.linalg.norm(np.stack((planes[0], planes[1]), axis=-1).reshape(-1)))
-
-
-def gradient_apply(img: ImageGrid) -> np.ndarray:
-    """Forward-difference gradient with Neumann boundary; (n1, n2, 2) field."""
-    return _field(_grad(img.values))
-
-
-def gradient_adjoint(gfield: np.ndarray) -> ImageGrid:
-    """Exact adjoint of gradient_apply (negative divergence)."""
-    gfield = np.asarray(gfield, dtype=float)
-    if gfield.ndim != 3 or gfield.shape[2] != 2:
-        raise ValueError("gradient field must have shape (n1, n2, 2)")
-    return ImageGrid(_grad_adjoint(_planes(gfield)))
 
 
 def unlift(y: BlockConeVector, shape) -> np.ndarray:

@@ -125,10 +125,7 @@ def jordan_product(x, y):
 
 
 def inner(x, y) -> float:
-    """Trace inner product <x, y> = tr(x o y) = 2 x.y; summed over blocks."""
-    if isinstance(x, BlockConeVector):
-        x._check_compatible(y)
-        return 2.0 * float(x.heads @ y.heads + np.vdot(x.tails, y.tails))
+    """Trace inner product <x, y> = tr(x o y) = 2 x.y."""
     _check_dims(x, y)
     return 2.0 * (x.head * y.head + float(x.tail @ y.tail))
 
@@ -168,21 +165,15 @@ def lambda_min(x) -> float:
 
 
 def lambda_max(x) -> float:
-    if isinstance(x, BlockConeVector):
-        return float(np.max(x.heads + np.linalg.norm(x.tails, axis=1)))
     return x.head + float(np.linalg.norm(x.tail))
 
 
 def det(x) -> float:
-    """Determinant; product of eigenvalues, aggregated over blocks."""
-    if isinstance(x, BlockConeVector):
-        return float(np.prod(x.heads**2 - np.sum(x.tails**2, axis=1)))
+    """Determinant; product of eigenvalues."""
     return x.head**2 - float(x.tail @ x.tail)
 
 
 def trace(x) -> float:
-    if isinstance(x, BlockConeVector):
-        return 2.0 * float(np.sum(x.heads))
     return 2.0 * x.head
 
 
@@ -241,8 +232,9 @@ class BlockConeVector:
     single big cone of H1 (one block).  Mixed block dimensions are not
     supported.  from_arrays copies, so its values are immutable after
     construction; view_of shares the caller's arrays through read-only views.
-    inner, det, trace, lambda_min, lambda_max and the arithmetic operators act
-    blockwise, vectorised over blocks.
+    It carries the interior solver's dual iterates and has no algebra of its
+    own: lambda_min, and through it is_in_cone and is_interior, are the only
+    operations that take it, vectorised over blocks.
     """
 
     __slots__ = ("heads", "tails")
@@ -275,30 +267,6 @@ class BlockConeVector:
     @property
     def n_blocks(self) -> int:
         return self.heads.size
-
-    def _check_compatible(self, other: "BlockConeVector"):
-        if not isinstance(other, BlockConeVector):
-            raise DimensionMismatchError("expected a BlockConeVector operand")
-        if self.heads.shape != other.heads.shape or self.tails.shape != other.tails.shape:
-            raise DimensionMismatchError(
-                f"block structures differ: {self.tails.shape} != {other.tails.shape}"
-            )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return BlockConeVector.from_arrays(self.heads + other.heads, self.tails + other.tails)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return BlockConeVector.from_arrays(self.heads - other.heads, self.tails - other.tails)
-
-    def __mul__(self, scalar):
-        return BlockConeVector.from_arrays(self.heads * scalar, self.tails * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BlockConeVector.from_arrays(-self.heads, -self.tails)
 
     def __repr__(self):
         return f"BlockConeVector(n_blocks={self.n_blocks}, m={self.tails.shape[1]})"

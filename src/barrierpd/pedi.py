@@ -54,8 +54,9 @@ class StepState:
     After i+1 applications of a step rule: phi is the testing parameter
     phi_{i+1} = phi_i (1 + 2 gamma tau_i), tau the primal step
     tau_i = 2 omega_lb / ||K||^2, mu the barrier weight of the dual solve, and
-    omega_lb the monotonicity lower bound.  The initial state carries phi_0
-    and None for the not-yet-defined scalars.
+    omega_lb the monotonicity lower bound.  The initial state carries
+    phi_0 = 1 and None for the not-yet-defined scalars; a different phi_0
+    would only rescale theta, since mu_{i+1} = theta phi_i^{-1/2}.
     """
 
     phi: float
@@ -65,10 +66,8 @@ class StepState:
     iter: int
 
 
-def initial_state(phi0: float = 1.0) -> StepState:
-    if phi0 <= 0:
-        raise ConfigError("phi0 must be positive")
-    return StepState(phi=phi0, tau=None, mu=None, omega_lb=None, iter=0)
+def initial_state() -> StepState:
+    return StepState(phi=1.0, tau=None, mu=None, omega_lb=None, iter=0)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ class SaddleProblem:
     gamma: float
     b0: float
     opnorm_K: float
-    primal_bound_hint: Optional[float] = None
+    primal_bound_hint: float
 
 
 @dataclass
@@ -178,12 +177,11 @@ class PEDIResult:
     states: list
     xs: Optional[list] = None
     watchdog_triggered: bool = False
-    phi0: float = 1.0
 
     @property
     def phis(self) -> np.ndarray:
-        """Testing parameters aligned with iterates: phi_0, phi_1, ..., phi_N."""
-        return np.concatenate(([self.phi0], [s.phi for s in self.states]))
+        """Testing parameters aligned with iterates: phi_0 = 1, phi_1, ..., phi_N."""
+        return np.concatenate(([1.0], [s.phi for s in self.states]))
 
 
 def _dual_update(
@@ -310,11 +308,12 @@ def pedi_run(
         v *= state.tau
         np.subtract(x, v, out=v)
         problem.prox_G(v, state.tau, out=x)
-        # one pass: ||x|| is finite when x is, unless a finite x overflows it
-        x_norm = float(np.linalg.norm(x))
+        # one pass: ||x|| is finite when x is, unless a finite x overflows it (no warning)
+        with np.errstate(over="ignore"):
+            x_norm = float(np.linalg.norm(x))
         if not math.isfinite(x_norm) and not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite primal iterate at iteration {i}")
-        if problem.primal_bound_hint is not None and x_norm > 1e3 * problem.primal_bound_hint:
+        if x_norm > 1e3 * problem.primal_bound_hint:
             watchdog = True
 
         states.append(state)

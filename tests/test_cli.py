@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -125,6 +126,59 @@ def test_run_rejects_bad_solver_config_before_output(workdir, tmp_path, solvers,
     assert isinstance(r.exception, SystemExit), r.exception
     assert "invalid solver configuration" in r.output
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_run_has_no_step_rule_option(workdir, tmp_path):
+    # the solver name picks the pedi rule; click no longer knows the flag
+    r = invoke(["run", "--image", str(workdir / "img.pgm"), "--variant", "h1", "--alpha", "5",
+                "--seed", "1", "--out", str(tmp_path), "--solvers", "pedi-general", "--iters", "5",
+                "--target-iters", "20000", "--step-rule", "soc"])
+    assert r.exit_code == 2, r.output
+    assert "--step-rule" in r.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solver_name_picks_the_step_rule(workdir, tmp_path):
+    r = invoke(["run", "--image", str(workdir / "img.pgm"), "--variant", "h1", "--alpha", "5",
+                "--sigma", "6.15", "--seed", "1", "--out", str(tmp_path), "--iters", "60",
+                "--solvers", "pedi-general,pedi-soc,pdhgm,dual-fb", "--target-iters", "20000"])
+    assert r.exit_code == 0, r.output
+    rules = {s: json.loads((tmp_path / f"{s}.meta.json").read_text())["step_rule"]
+             for s in ("pedi-general", "pedi-soc", "pdhgm", "dual-fb")}
+    assert rules == {"pedi-general": "general", "pedi-soc": "soc", "pdhgm": None, "dual-fb": None}
+    # on H1 the two rules take different steps, so the logs differ
+    general, soc = (strip_wall((tmp_path / f"{s}.csv").read_text()) for s in ("pedi-general", "pedi-soc"))
+    assert general != soc
+
+
+def test_run_rejects_theta_with_tau0_override(workdir, tmp_path):
+    # both set theta, so accepting the pair would leave a sidecar naming a theta the run did not use
+    out = tmp_path / "out"
+    r = invoke(["run", "--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5",
+                "--seed", "1", "--out", str(out), "--solvers", "pedi-general", "--iters", "5",
+                "--target-iters", "20000", "--theta", "5", "--tau0-override", "0.01"])
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "--tau0-override" in r.output
+    assert not out.exists()
+
+
+def test_make_target_writes_only_the_target(workdir, tmp_path, monkeypatch):
+    args = ["--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5", "--seed", "1",
+            "--target-iters", "20000"]
+    r = invoke(["make-target", *args, "--out", str(tmp_path / "ok")])
+    assert r.exit_code == 0, r.output
+    names = [p.name for p in (tmp_path / "ok").iterdir()]
+    assert len(names) == 1 and names[0].startswith("target_") and names[0].endswith(".npz")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    r = invoke(["make-target", *args, "--out", str(tmp_path / "failed")])
+    assert r.exit_code != 0
+    assert isinstance(r.exception, OSError)
+    assert list((tmp_path / "failed").iterdir()) == []
 
 
 def test_table_rounding_and_never_reached(tmp_path):

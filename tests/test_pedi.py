@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -282,7 +283,8 @@ def test_finite_iterate_with_overflowing_norm_trips_watchdog():
     dp = make_problem(variant="tv")
     sp = dp.saddle_problem()
     cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = pedi_run(_with_prox_entry(sp, 1e200), cfg, 1)
     assert np.all(np.isfinite(res.x)) and res.x[3] == 1e200
     assert res.watchdog_triggered
