@@ -7,6 +7,9 @@ and serve as references in the benchmark harness.  Like the interior method
 they keep the dual field in a planar (2, n1, n2) buffer and the primal
 iterates in vectors allocated once, updated in place through the same
 gradient kernels (_grad, _grad_adjoint) and DenoiseProblem.project_dual.
+Those, the ascent step g = s g + p and pdhgm's primal update run compiled
+(barrierpd.kernels) whenever pedi's stages do, so timings compare the
+algorithms, not their implementations.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernels
 from .imaging import DenoiseProblem, ImageGrid, _field, _grad, _grad_adjoint
 from .pedi import ConfigError, _readonly
 
@@ -69,6 +73,39 @@ class BaselineConfig:
         return cls(tau0=0.52 / L, sigma0=1.9 / L, gamma=gamma, max_iters=max_iters, opnorm=problem.opnorm_D)
 
 
+def _ascent(g: np.ndarray, s: float, p: np.ndarray):
+    """g = g s + p in place: the dual ascent step ahead of the projection."""
+    if kernels.PATH == "c":
+        try:
+            kernels.ext.scale_add(g, p, s)
+            return
+        except ValueError:
+            pass
+    g *= s
+    g += p
+
+
+def _pdhgm_primal(x, w, x_bar, zf, tau: float, theta: float):
+    """pdhgm's primal prox step into w, which holds D* p on entry, and its extrapolation into x_bar.
+
+    w = (x - tau D* p + tau z) / (1 + tau), then x_bar = w + theta (w - x).
+    """
+    if kernels.PATH == "c":
+        try:
+            kernels.ext.pdhgm_primal(x, w, x_bar, zf, tau, theta)
+            return
+        except ValueError:
+            pass
+    w *= tau
+    np.subtract(x, w, out=w)
+    np.multiply(zf, tau, out=x_bar)
+    w += x_bar
+    w /= 1.0 + tau
+    np.subtract(w, x, out=x_bar)
+    x_bar *= theta
+    x_bar += w
+
+
 @dataclass
 class BaselineResult:
     x: np.ndarray
@@ -107,21 +144,11 @@ def pdhgm_run(
     for i in range(config.max_iters):
         # p = P(p + sigma D x_bar)
         _grad(x_bar.reshape(n1, n2), out=g)
-        g *= sigma
-        g += p
+        _ascent(g, sigma, p)
         problem.project_dual(g_field, out=p_field)
-        # x_new = prox(x - tau D* p) = (x - tau D* p + tau z) / (1 + tau), into w
         _grad_adjoint(p, out=w.reshape(n1, n2))
-        w *= tau
-        np.subtract(x, w, out=w)
-        np.multiply(zf, tau, out=x_bar)
-        w += x_bar
-        w /= 1.0 + tau
-        # x_bar = x_new + theta (x_new - x); x = x_new
         theta = 1.0 / math.sqrt(1.0 + 2.0 * config.gamma * tau)
-        np.subtract(w, x, out=x_bar)
-        x_bar *= theta
-        x_bar += w
+        _pdhgm_primal(x, w, x_bar, zf, tau, theta)
         x, w = w, x
         tau, sigma = theta * tau, sigma / theta
         if callback is not None:
@@ -161,8 +188,7 @@ def dual_fb_run(
 
     for i in range(max_iters):
         _grad(x.reshape(n1, n2), out=g)
-        g *= tau
-        g += p
+        _ascent(g, tau, p)
         problem.project_dual(g_field, out=p_field)
         _grad_adjoint(p, out=w.reshape(n1, n2))
         np.subtract(zf, w, out=x)

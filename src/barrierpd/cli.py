@@ -29,7 +29,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .baselines import BaselineConfig, dual_fb_run, pdhgm_run
 from .imaging import DenoiseProblem, Target, add_gaussian_noise, metrics
 from .pedi import ConfigError, StepConfig, check_config, pedi_run
@@ -96,10 +96,18 @@ def _load_target(out: Path, key: dict):
 
 
 def _atomic_write_bytes(path: Path, data: bytes):
+    """Write data to path through a temporary file renamed into place.
+
+    The file gets the mode open() would give it, 0o666 less the umask;
+    mkstemp alone would leave it 0o600.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -241,6 +249,7 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, tau0_override, 
             "theta": theta,
             "opnorm": opnorm,
             "gap0": gap0,
+            "kernels": "c" if kernels.PATH == "c" else "numpy",
             "version": __version__,
         }
         _atomic_write_bytes(out / f"{solver}.meta.json", (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())

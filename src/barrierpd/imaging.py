@@ -14,7 +14,11 @@ Conventions fixed here and relied on by every solver:
   pass over the flattened (n1, n2) plane, which is several times faster than
   2-d column slices and rounds every element the same way.  An out= array
   (or its plane) must therefore flatten to a view: one that would need a
-  copy raises ValueError rather than leaving out unwritten;
+  copy raises ValueError rather than leaving out unwritten.  With the
+  compiled kernels (barrierpd.kernels) each of them, K*'s factor 2, the
+  prox and the TV projection is one pass over C-contiguous float64
+  buffers, bit-identical to the numpy passes, which run for any other
+  array;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
   for H1.  Since the heads are zero, the lifted operator K carries only the
@@ -39,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .jordan import BlockConeVector
 from .pedi import SaddleProblem
 
@@ -103,10 +108,16 @@ def _grad(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
     The axis-1 difference is one shifted pass over the flattened plane; the
     entries it computes across row ends fall in the last column, which the
-    Neumann boundary then zeroes.
+    Neumann boundary then zeroes.  The compiled kernel makes the same passes.
     """
     if out is None:
         out = np.empty((2,) + values.shape)
+    if kernels.PATH == "c":
+        try:
+            kernels.ext.grad(values, out)
+            return out
+        except ValueError:
+            pass
     g1f = _flat(out[1])
     vf = values.reshape(-1)
     np.subtract(values[1:, :], values[:-1, :], out=out[0, :-1, :])
@@ -116,19 +127,26 @@ def _grad(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _grad_adjoint(planes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Adjoint of _grad on a planar (2, n1, n2) field, an (n1, n2) array, into out if given.
+def _grad_adjoint(planes: np.ndarray, out: Optional[np.ndarray] = None, scale: float = 1.0) -> np.ndarray:
+    """scale times the adjoint of _grad on a planar (2, n1, n2) field, an (n1, n2) array, into out if given.
 
     The axis-1 terms are two shifted passes over the flattened plane, each
     of which also reaches one column it must leave alone (column 0 across
     row ends, then the last column); that column is saved before the pass
     and restored after it.  Every element sees the same operations in the
     same order as the 2-d column slices, so the result is exact for any
-    field, whatever its boundary columns hold.
+    field, whatever its boundary columns hold.  The product with scale comes
+    last; the compiled kernel makes it in the same pass.
     """
     g0, g1 = planes[0], planes[1]
     if out is None:
         out = np.empty(g0.shape)
+    if kernels.PATH == "c":
+        try:
+            kernels.ext.grad_adjoint(planes, out, scale)
+            return out
+        except ValueError:
+            pass
     of = _flat(out)
     g1f = g1.reshape(-1)
     out[0, :] = 0.0
@@ -140,6 +158,8 @@ def _grad_adjoint(planes: np.ndarray, out: Optional[np.ndarray] = None) -> np.nd
     edge[:] = out[:, -1]
     of -= g1f
     out[:, -1] = edge
+    if scale != 1.0:
+        out *= scale
     return out
 
 
@@ -266,11 +286,18 @@ class DenoiseProblem:
         planes = _planes(p)
         out_planes = np.empty(planes.shape) if out is None else _planes(out)
         if self.variant == "tv":
-            scale = np.einsum("kij,kij->ij", planes, planes)
-            np.sqrt(scale, out=scale)
             # flooring the norm at alpha caps alpha/norm at 1 without a
             # second pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
-            np.maximum(scale, max(self.alpha, 1e-300), out=scale)
+            floor = max(self.alpha, 1e-300)
+            if kernels.PATH == "c":
+                try:
+                    kernels.ext.project_tv(planes, out_planes, self.alpha, floor)
+                    return _field(out_planes) if out is None else out
+                except ValueError:
+                    pass
+            scale = np.einsum("kij,kij->ij", planes, planes)
+            np.sqrt(scale, out=scale)
+            np.maximum(scale, floor, out=scale)
             np.divide(self.alpha, scale, out=scale)
             np.multiply(planes, scale, out=out_planes)
         else:
@@ -315,13 +342,20 @@ class DenoiseProblem:
                 out = np.empty(self.n_pixels)
             elif out.shape != (self.n_pixels,) or not out.flags.c_contiguous:
                 raise ValueError("out must be a contiguous primal vector")
-            _grad_adjoint(y_tails.T.reshape(2, n1, n2), out=out.reshape(n1, n2))
-            out *= 2.0
+            _grad_adjoint(y_tails.T.reshape(2, n1, n2), out=out.reshape(n1, n2), scale=2.0)
             return out
 
         def prox_G(v, tau, out=None):
             if out is not None and np.may_share_memory(out, v):
                 raise ValueError("prox_G cannot write over v")
+            if kernels.PATH == "c":
+                if out is None:
+                    out = np.empty(self.n_pixels)
+                try:
+                    kernels.ext.prox(zf, v, out, tau)
+                    return out
+                except ValueError:
+                    pass
             out = np.multiply(zf, tau, out=out)
             out += v
             out /= 1.0 + tau

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernels
 # unused here; kept as a module attribute for perfbench's layer trace
 from .barrier import central_path_solve  # noqa: F401
 from .jordan import BlockConeVector
@@ -184,15 +185,40 @@ class PEDIResult:
         return np.concatenate(([1.0], [s.phi for s in self.states]))
 
 
+def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray, need_min: bool) -> Optional[float]:
+    """Squared tail norms of Kx per block into tn2, and their minimum if need_min.
+
+    The compiled kernel takes two-entry tails (TV) stored planar, as apply_K
+    returns them, and always returns the minimum.  Other tails, such as H1's
+    single block, stay with einsum, whose summation order fixes their
+    roundoff.
+    """
+    if kernels.PATH == "c" and kx_tails.shape[1] == 2:
+        try:
+            return kernels.ext.tail_norms(kx_tails.T, tn2)
+        except ValueError:
+            pass
+    np.einsum("ij,ij->i", kx_tails, kx_tails, out=tn2)
+    return float(np.min(tn2)) if need_min else None
+
+
 def _dual_update(
     kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0: np.ndarray, y_tails: np.ndarray
 ):
     """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, in place.
 
-    tn2 holds the squared tail norms of Kx per block and is overwritten.
-    Writes the heads of d into d0 and the tails of y into y_tails;
-    head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.
+    tn2 holds the squared tail norms of Kx per block; the numpy path
+    overwrites it.  Writes the heads of d into d0 and the tails of y into
+    y_tails; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  Two-entry tails
+    stored planar go through the compiled kernel, which makes the same
+    operations per block in one pass.
     """
+    if kernels.PATH == "c" and kx_tails.shape[1] == 2:
+        try:
+            kernels.ext.dual_solve(tn2, kx_tails.T, d0, y_tails.T, b0, mu)
+            return
+        except ValueError:
+            pass
     np.multiply(tn2, b0 * b0, out=d0)
     d0 += mu * mu
     np.sqrt(d0, out=d0)
@@ -209,6 +235,18 @@ def _dual_update(
         scale.fill(0.0)
         np.divide(b0 / 2.0, d0, out=scale, where=d0 > 0.0)
     np.multiply(kx_tails, scale[:, None], out=y_tails)
+
+
+def _prox_argument(x: np.ndarray, v: np.ndarray, tau: float):
+    """v = x - tau v in place, the point the primal prox is taken at."""
+    if kernels.PATH == "c":
+        try:
+            kernels.ext.x_minus_tau_v(x, v, tau)
+            return
+        except ValueError:
+            pass
+    v *= tau
+    np.subtract(x, v, out=v)
 
 
 def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):
@@ -254,7 +292,11 @@ def pedi_run(
     smaller than the problem's, and a zeta in the step rule's range;
     otherwise ConfigError is raised before the first iteration (see
     check_config).  The iterates live in buffers allocated once and updated
-    in place.
+    in place.  Two-entry tails (TV) stored planar, as DenoiseProblem's
+    apply_K returns them, take the compiled kernels (barrierpd.kernels) for
+    the tail norms and their min and for the dual solve, and the step
+    x - tau K* y goes through one too; other tails, such as H1's one block,
+    stay with numpy.  Both paths give bit-identical iterates.
 
     The callback, if given, is invoked as callback(i, x, y, state, metrics)
     after each iteration, with y the dual iterate as a BlockConeVector and
@@ -291,12 +333,12 @@ def pedi_run(
     for i in range(max_iters):
         if i:
             problem.apply_K(x, out=kx_tails)
-        np.einsum("ij,ij->i", kx_tails, kx_tails, out=tn2)
+        tn2_min = _tail_norms(kx_tails, tn2, step_rule == "soc")
         if step_rule == "soc":
             # the enlarged monotonicity bound holds blockwise with the block's
             # own ||(Kx)_b||; the scalar rule can only use the worst block, so
             # a flat image region degrades it gracefully to the general rule
-            kx_norm = math.sqrt(2.0 * float(np.min(tn2)))
+            kx_norm = math.sqrt(2.0 * tn2_min)
             state = step_rule_soc(state, kx_norm, config)
         else:
             kx_norm = None
@@ -305,8 +347,7 @@ def pedi_run(
         _dual_update(kx_tails, tn2, b0, state.mu, d0, y_tails)
 
         problem.apply_K_adjoint(y_tails, out=v)
-        v *= state.tau
-        np.subtract(x, v, out=v)
+        _prox_argument(x, v, state.tau)
         problem.prox_G(v, state.tau, out=x)
         # one pass: ||x|| is finite when x is, unless a finite x overflows it (no warning)
         with np.errstate(over="ignore"):

@@ -7,8 +7,13 @@ reproducible from the printed seed.
 import numpy as np
 import pytest
 
+from barrierpd import kernels
 from barrierpd.barrier import RankOneConstraint
 from barrierpd.jordan import SpinElement, power, quadratic_rep_apply
+
+
+def pytest_report_header(config):
+    return f"barrierpd kernels: {kernels.PATH}"
 
 
 def rand_spin(rng, m, interior=False, scale=1.0):

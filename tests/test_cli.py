@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from barrierpd import kernels
 from barrierpd.cli import main
 from barrierpd.imaging import synthetic_image
 from barrierpd.pgm import write_pgm
@@ -213,3 +214,29 @@ def test_table_no_thresholds_header_only(tmp_path):
     r = invoke(["table", str(log)])
     assert r.exit_code == 0
     assert r.output.splitlines()[0].startswith("log")
+
+
+def test_written_files_follow_the_umask(workdir, tmp_path):
+    # mkstemp creates 0o600 files; the target, CSV and sidecar must get 0o666 less the umask
+    out = tmp_path / "modes"
+    args = ["--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5", "--seed", "1",
+            "--out", str(out)]
+    old = os.umask(0o022)
+    try:
+        assert invoke(["make-target", *args, "--target-iters", "20000"]).exit_code == 0
+        r = invoke(["run", *args, "--solvers", "dual-fb", "--iters", "3", "--target", "load"])
+        assert r.exit_code == 0, r.output
+    finally:
+        os.umask(old)
+    files = sorted(out.iterdir())
+    assert [p.suffix for p in files] == [".csv", ".json", ".npz"]
+    assert all(p.stat().st_mode & 0o777 == 0o644 for p in files), [oct(p.stat().st_mode) for p in files]
+
+
+def test_sidecar_names_the_kernel_path(workdir, tmp_path, monkeypatch):
+    args = base_args(workdir, ["--solvers", "dual-fb", "--iters", "3", "--target-iters", "20000"])
+    args[args.index("--out") + 1] = str(tmp_path)
+    for path, name in ((kernels.PATH, "c" if kernels.PATH == "c" else "numpy"), ("numpy (no C compiler)", "numpy")):
+        monkeypatch.setattr(kernels, "PATH", path)
+        assert invoke(["run"] + args).exit_code == 0
+        assert json.loads((tmp_path / "dual-fb.meta.json").read_text())["kernels"] == name
