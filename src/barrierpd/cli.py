@@ -250,6 +250,7 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, tau0_override, 
             "opnorm": opnorm,
             "gap0": gap0,
             "kernels": "c" if kernels.PATH == "c" else "numpy",
+            "kernel_threads": kernels.THREADS,
             "version": __version__,
         }
         _atomic_write_bytes(out / f"{solver}.meta.json", (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())

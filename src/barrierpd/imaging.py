@@ -16,9 +16,10 @@ Conventions fixed here and relied on by every solver:
   (or its plane) must therefore flatten to a view: one that would need a
   copy raises ValueError rather than leaving out unwritten.  With the
   compiled kernels (barrierpd.kernels) each of them, K*'s factor 2, the
-  prox and the TV projection is one pass over C-contiguous float64
-  buffers, bit-identical to the numpy passes, which run for any other
-  array;
+  prox, the TV projection and the elementwise passes of the H1 projection
+  and norm is one pass over C-contiguous float64 buffers, split across
+  threads on large images and bit-identical to the numpy passes, which run
+  for any other array;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
   for H1.  Since the heads are zero, the lifted operator K carries only the
@@ -177,9 +178,20 @@ def _field_norm(planes: np.ndarray) -> float:
     """Euclidean norm of a planar field, summed in (n1, n2, 2) element order.
 
     The order fixes the roundoff of the H1 regularizer and of the H1 dual
-    projection.  np.stack interleaves a copy plane by plane, several times
-    faster than reshaping the field view, whose copy gathers across planes.
+    projection.  The planes are interleaved into a copy whose norm BLAS
+    takes (np.linalg.norm), so that roundoff also depends on the BLAS and
+    its thread count.  The compiled kernel makes the copy, split across
+    threads like every kernel; otherwise np.stack interleaves it plane by plane,
+    several times faster than reshaping the field view, whose copy gathers
+    across planes.
     """
+    if kernels.PATH == "c":
+        flat = np.empty(planes.size)
+        try:
+            kernels.ext.interleave(planes, flat)
+            return float(np.linalg.norm(flat))
+        except ValueError:
+            pass
     return float(np.linalg.norm(np.stack((planes[0], planes[1]), axis=-1).reshape(-1)))
 
 
@@ -285,6 +297,7 @@ class DenoiseProblem:
         p = np.asarray(p, dtype=float).reshape(self.shape + (2,))
         planes = _planes(p)
         out_planes = np.empty(planes.shape) if out is None else _planes(out)
+        result = _field(out_planes) if out is None else out
         if self.variant == "tv":
             # flooring the norm at alpha caps alpha/norm at 1 without a
             # second pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
@@ -292,7 +305,7 @@ class DenoiseProblem:
             if kernels.PATH == "c":
                 try:
                     kernels.ext.project_tv(planes, out_planes, self.alpha, floor)
-                    return _field(out_planes) if out is None else out
+                    return result
                 except ValueError:
                     pass
             scale = np.einsum("kij,kij->ij", planes, planes)
@@ -302,11 +315,19 @@ class DenoiseProblem:
             np.multiply(planes, scale, out=out_planes)
         else:
             nrm = _field_norm(planes)
-            if nrm <= self.alpha:
+            inside = nrm <= self.alpha
+            if kernels.PATH == "c":
+                try:
+                    # scale copies when its factor is 1, as copyto does
+                    kernels.ext.scale(planes, out_planes, 1.0 if inside else self.alpha / nrm)
+                    return result
+                except ValueError:
+                    pass
+            if inside:
                 np.copyto(out_planes, planes)
             else:
                 np.multiply(planes, self.alpha / nrm, out=out_planes)
-        return _field(out_planes) if out is None else out
+        return result
 
     # ----- conic form ----------------------------------------------------
 

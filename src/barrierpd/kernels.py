@@ -6,7 +6,8 @@ module.  The build is cached under a key made of the SHA-256 of the source,
 the compiler's resolved path and file stat (in place of its version, so that
 a cache hit starts no process), the flags and the extension suffix.  A build
 writes a temporary file and renames it into place, so processes importing at
-the same time each load a complete file.
+the same time each load a complete file, and a successful build removes
+the builds left under other keys.
 
 PATH names the path the solvers take: "c" when the extension loaded, and
 otherwise "numpy (<reason>)", the reason being a missing compiler, the
@@ -16,6 +17,16 @@ it replaces, which runs on the numpy path and for arrays a kernel rejects
 (non-contiguous, not float64, overlapping), and which the tests use as the
 reference: both compute every element with the same operations in the same
 order, so their results are bit-identical.
+
+THREADS is the number of threads a large kernel call is split across,
+the caller included: one per CPU in the process's affinity mask (so
+``taskset`` restricts it), at most 8, and 1 on the numpy path.  The BLAS
+thread variables do not set it, and neither does any option.  The worker
+threads start on the first call whose every part would cover at least
+32,768 pixels (on two CPUs a 256 x 256 image splits, a 128 x 128 one does
+not), sleep between calls, and are started afresh in a forked child.
+Every element is computed as on one thread, so the split changes no
+result.
 """
 
 from __future__ import annotations
@@ -29,12 +40,12 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-__all__ = ["PATH", "ext", "compiler", "load"]
+__all__ = ["PATH", "THREADS", "ext", "compiler", "load"]
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 CACHE = Path(__file__).with_name("__pycache__")
 # -ffp-contract=off keeps a*b + c from becoming a fused multiply-add
-FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread", "-shared", "-fPIC")
 
 
 def compiler() -> list:
@@ -58,7 +69,11 @@ def _compile(cc: list, out: str):
 
 
 def load(cache: Path, cc: list):
-    """(extension module, "c"), or (None, "numpy (<reason>)") when it cannot load."""
+    """(extension module, "c"), or (None, "numpy (<reason>)") when it cannot load.
+
+    A build that succeeds removes the builds under other keys from cache;
+    a cache hit or a failed build removes nothing.
+    """
     try:
         source = SOURCE.read_bytes()
     except OSError as exc:
@@ -91,6 +106,12 @@ def load(cache: Path, cc: list):
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for old in cache.glob("_kernels.*" + suffix):
+            if old != path:
+                try:
+                    old.unlink()
+                except OSError:
+                    pass
     spec = importlib.util.spec_from_file_location(f"{__package__}._kernels", path)
     try:
         ext = importlib.util.module_from_spec(spec)
@@ -101,3 +122,4 @@ def load(cache: Path, cc: list):
 
 
 ext, PATH = load(CACHE, compiler())
+THREADS = ext.THREADS if PATH == "c" else 1

@@ -211,7 +211,8 @@ def _dual_update(
     overwrites it.  Writes the heads of d into d0 and the tails of y into
     y_tails; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  Two-entry tails
     stored planar go through the compiled kernel, which makes the same
-    operations per block in one pass.
+    operations per block in one pass; a single block (H1) computes its head
+    with numpy and scales its tail with a kernel.
     """
     if kernels.PATH == "c" and kx_tails.shape[1] == 2:
         try:
@@ -234,6 +235,12 @@ def _dual_update(
         # a block gets a zero dual tail
         scale.fill(0.0)
         np.divide(b0 / 2.0, d0, out=scale, where=d0 > 0.0)
+    if kernels.PATH == "c" and kx_tails.shape[0] == 1:
+        try:
+            kernels.ext.scale(kx_tails, y_tails, float(scale[0]))
+            return
+        except ValueError:
+            pass
     np.multiply(kx_tails, scale[:, None], out=y_tails)
 
 
@@ -295,8 +302,9 @@ def pedi_run(
     in place.  Two-entry tails (TV) stored planar, as DenoiseProblem's
     apply_K returns them, take the compiled kernels (barrierpd.kernels) for
     the tail norms and their min and for the dual solve, and the step
-    x - tau K* y goes through one too; other tails, such as H1's one block,
-    stay with numpy.  Both paths give bit-identical iterates.
+    x - tau K* y goes through one too; H1's one block keeps its norm and
+    head in numpy and scales its tail with a kernel.  Kernels split large
+    images across threads.  Both paths give bit-identical iterates.
 
     The callback, if given, is invoked as callback(i, x, y, state, metrics)
     after each iteration, with y the dual iterate as a BlockConeVector and

@@ -13,7 +13,8 @@ from barrierpd.jordan import SpinElement, power, quadratic_rep_apply
 
 
 def pytest_report_header(config):
-    return f"barrierpd kernels: {kernels.PATH}"
+    threads = f"{kernels.THREADS} thread" + ("s" if kernels.THREADS != 1 else "")
+    return f"barrierpd kernels: {kernels.PATH}, {threads}"
 
 
 def rand_spin(rng, m, interior=False, scale=1.0):

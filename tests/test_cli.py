@@ -240,3 +240,10 @@ def test_sidecar_names_the_kernel_path(workdir, tmp_path, monkeypatch):
         monkeypatch.setattr(kernels, "PATH", path)
         assert invoke(["run"] + args).exit_code == 0
         assert json.loads((tmp_path / "dual-fb.meta.json").read_text())["kernels"] == name
+
+
+def test_sidecar_records_the_kernel_threads(workdir, tmp_path):
+    args = base_args(workdir, ["--solvers", "dual-fb", "--iters", "3", "--target-iters", "20000"])
+    args[args.index("--out") + 1] = str(tmp_path)
+    assert invoke(["run"] + args).exit_code == 0
+    assert json.loads((tmp_path / "dual-fb.meta.json").read_text())["kernel_threads"] == kernels.THREADS

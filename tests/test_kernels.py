@@ -9,9 +9,11 @@ build.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,8 @@ from barrierpd.imaging import DenoiseProblem, _grad, _grad_adjoint, add_gaussian
 from barrierpd.pedi import StepConfig, pedi_run
 
 ROOT = Path(__file__).resolve().parents[1]
-SHAPES = [(1, 1), (1, 7), (7, 1), (3, 5), (64, 64)]
+# the last two split across threads, into chunks of unequal size
+SHAPES = [(1, 1), (1, 7), (7, 1), (3, 5), (64, 64), (256, 256), (257, 263)]
 SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan, 1e200, -1e-200]
 NUMPY = "numpy (selected by the test)"
 
@@ -162,20 +165,60 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
     assert_identical(c[:2], ref[:2])
 
 
+@needs_c
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
+def test_h1_elementwise_passes(monkeypatch, rng, shape):
+    # the interleaving copy of _field_norm, H1 project_dual's two branches and
+    # pedi's one-block tail scaling
+    planes = special(rng, (2,) + shape)
+    c, ref = on_both_paths(monkeypatch, imaging._field_norm, planes)
+    assert_identical(c, ref)
+    finite = rng.standard_normal((2,) + shape)
+    norm = imaging._field_norm(finite)
+    for alpha in (0.5 * norm, 2.0 * norm):
+        dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
+        stage = lambda p, out: dp.project_dual(imaging._field(p), out=imaging._field(out))  # noqa: E731
+        for field in (finite, planes):
+            c, ref = on_both_paths(monkeypatch, stage, field, np.empty_like(field))
+            assert_identical(c[:2], ref[:2])
+    m = 2 * shape[0] * shape[1]
+    for kx in (rng.standard_normal((m, 1)), special(rng, (m, 1))):
+        tn2 = np.einsum("ij,ij->i", kx.T, kx.T)
+
+        def stage(kx, tn2, d0, y):
+            pedi._dual_update(kx.T, tn2, 0.7, 0.3, d0, y.T)
+
+        c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty(1), np.empty((m, 1)))
+        assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
+
+
+@needs_c
+@pytest.mark.parametrize("shape", [(256, 256), (257, 263)], ids=shape_ids)
+def test_tail_norm_min_in_the_last_chunk(rng, shape):
+    # every chunk's minimum must reach the result, and a NaN in any chunk
+    n = shape[0] * shape[1]
+    field = rng.standard_normal((2, n)) + 3.0
+    field[:, -1] = 1e-3
+    tn2 = np.empty(n)
+    assert pedi._tail_norms(field.T, tn2, True) == 2e-6 == tn2[-1]
+    field[1, -1] = np.nan
+    assert np.isnan(pedi._tail_norms(field.T, tn2, True))
+
+
 # ---------------------------------------------------------------------------
 # whole solvers
 
 
-def run_all(dp):
-    """x, the dual iterate and the step states of all four solvers, 50 iterations each."""
+def run_all(dp, iters=50):
+    """x, the dual iterate and the step states of all four solvers, iters iterations each."""
     sp = dp.saddle_problem()
     out = []
     for rule in ("general", "soc"):
-        res = pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 50, step_rule=rule)
+        res = pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), iters, step_rule=rule)
         out.append((res.x, res.y.tails, res.d.heads, res.states))
-    res = pdhgm_run(dp, BaselineConfig.default_for(dp, 50))
+    res = pdhgm_run(dp, BaselineConfig.default_for(dp, iters))
     out.append((res.x, res.p))
-    res = dual_fb_run(dp, 50)
+    res = dual_fb_run(dp, iters)
     out.append((res.x, res.p))
     return out
 
@@ -187,6 +230,22 @@ def test_solvers_identical_on_both_paths(monkeypatch, variant, alpha):
     got = run_all(dp)
     monkeypatch.setattr(kernels, "PATH", NUMPY)
     want = run_all(dp)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            if isinstance(b, list):
+                assert a == b
+            else:
+                assert identical(a, b)
+
+
+@needs_c
+@pytest.mark.parametrize("variant, alpha", [("tv", 0.3), ("h1", 5.0)])
+def test_split_solvers_identical_on_both_paths(monkeypatch, variant, alpha):
+    # 256 x 256 splits every kernel across the threads
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(256, 256), 6.15, 3), alpha, variant)
+    got = run_all(dp, 20)
+    monkeypatch.setattr(kernels, "PATH", NUMPY)
+    want = run_all(dp, 20)
     for g, w in zip(got, want):
         for a, b in zip(g, w):
             if isinstance(b, list):
@@ -230,6 +289,23 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     assert rec.calls == {
         "grad": 20, "grad_adjoint": 2 * 5 + 2 * 5, "tail_norms": 10, "dual_solve": 10,
         "x_minus_tau_v": 10, "prox": 10, "scale_add": 10, "project_tv": 10, "pdhgm_primal": 5,
+    }
+
+
+@needs_c
+def test_h1_solvers_take_the_compiled_path(monkeypatch):
+    rec = Recorder(kernels.ext)
+    monkeypatch.setattr(kernels, "ext", rec)
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 3), 5.0, "h1")
+    sp = dp.saddle_problem()
+    for rule in ("general", "soc"):
+        pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 5, step_rule=rule)
+    pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
+    dual_fb_run(dp, 5)
+    assert rec.rejected == []
+    assert rec.calls == {
+        "grad": 20, "grad_adjoint": 20, "x_minus_tau_v": 10, "prox": 10, "scale_add": 10,
+        "pdhgm_primal": 5, "interleave": 10, "scale": 2 * 5 + 10,
     }
 
 
@@ -304,6 +380,118 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
+# the worker pool
+
+
+def run_python(code: str, path: Path = ROOT / "src") -> str:
+    """Standard output of a fresh interpreter running code with the package under path."""
+    env = dict(os.environ, PYTHONPATH=str(path), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+SOLVE_256 = """
+import numpy as np
+from barrierpd.baselines import BaselineConfig, pdhgm_run
+from barrierpd.imaging import DenoiseProblem, add_gaussian_noise, synthetic_image
+
+def solve(n):
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(n, n), 6.15, 3), 0.3, "tv")
+    return pdhgm_run(dp, BaselineConfig.default_for(dp, 10)).x
+"""
+
+
+@needs_c
+def test_forked_child_splits_like_its_parent():
+    # the parent's worker sleeps in the pool at the fork; a child that kept
+    # the parent's lock and condition variables would hang on its first split
+    code = SOLVE_256 + """
+import os
+x = solve(256)
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if np.array_equal(solve(256), x) else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    assert run_python(code) == "0"
+
+
+@needs_c
+def test_python_threads_share_the_pool():
+    # more callers than CPUs, switching often: each gets the serial result
+    dps = [DenoiseProblem(add_gaussian_noise(synthetic_image(256, 256), 6.15, 3), alpha, variant)
+           for variant, alpha in (("tv", 0.3), ("h1", 5.0))]
+    want = [dual_fb_run(dp, 20) for dp in dps]
+    got = [None] * 4
+
+    def call(k):
+        got[k] = dual_fb_run(dps[k % 2], 20)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, res in enumerate(got):
+        assert identical(res.x, want[k % 2].x) and identical(res.p, want[k % 2].p)
+
+
+@needs_c
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_workers_start_on_the_first_split():
+    # numpy's BLAS may start threads of its own on import
+    code = """
+import os
+import numpy
+tasks = lambda: len(os.listdir("/proc/self/task"))
+before = tasks()
+""" + SOLVE_256 + """
+from barrierpd import kernels
+solve(64)
+after_64 = tasks()
+solve(256)
+print(before, after_64, tasks(), kernels.THREADS)
+"""
+    before, after_64, after_256, threads = map(int, run_python(code).split())
+    assert after_64 == before
+    assert after_256 == before + threads - 1
+
+
+@needs_c
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_threads_count_the_affinity_mask():
+    assert kernels.THREADS == min(len(os.sched_getaffinity(0)), 8)
+    code = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from barrierpd import kernels
+print(kernels.PATH, kernels.THREADS)
+"""
+    assert run_python(code) == "c 1"
+
+
+def test_report_header_names_path_and_threads():
+    from conftest import pytest_report_header
+
+    m = re.fullmatch(r"barrierpd kernels: (.+), (\d+) threads?", pytest_report_header(None))
+    assert m and m[1] == kernels.PATH and int(m[2]) == kernels.THREADS
+
+
+def test_numpy_path_runs_one_thread(tmp_path):
+    pkg = tmp_path / "barrierpd"
+    shutil.copytree(ROOT / "src" / "barrierpd", pkg, ignore=shutil.ignore_patterns("__pycache__", "_kernels.c"))
+    code = "from barrierpd import kernels; print(kernels.PATH[:5], kernels.THREADS)"
+    assert run_python(code, tmp_path) == "numpy 1"
+
+
+# ---------------------------------------------------------------------------
 # build cache
 
 
@@ -361,3 +549,20 @@ def test_package_data_ships_the_kernel_source(tmp_path):
            "egg_info", "--egg-base", str(tmp_path), "build_py", "--build-lib", str(tmp_path / "lib")]
     subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, timeout=120)
     assert (tmp_path / "lib" / "barrierpd" / "_kernels.c").read_bytes() == kernels.SOURCE.read_bytes()
+
+
+@needs_c
+def test_a_new_build_removes_stale_builds(monkeypatch, tmp_path):
+    suffix = kernels.sysconfig.get_config_var("EXT_SUFFIX")
+    stale = tmp_path / f"_kernels.0123456789abcdef{suffix}"
+    stale.write_bytes(b"an old build")
+    # a failed build removes nothing
+    assert kernels.load(tmp_path, [sys.executable, "-c", "import sys; sys.exit(1)"])[0] is None
+    assert stale.exists()
+    # a successful one removes the builds under other keys
+    ext, _ = kernels.load(tmp_path, kernels.compiler())
+    assert sorted(tmp_path.iterdir()) == [Path(ext.__file__)]
+    # a cache hit removes nothing
+    stale.write_bytes(b"an old build")
+    assert kernels.load(tmp_path, kernels.compiler())[1] == "c"
+    assert stale.exists()
