@@ -3,8 +3,9 @@
  * Each kernel does, on every element, the operations of the numpy code it
  * replaces in the same order, so its results are bit-identical to that
  * code's.  The build flags keep it so: -ffp-contract=off stops a*b + c from
- * becoming a fused multiply-add, and no -ffast-math.  The one reduction,
- * the minimum of tail_norms, is exact in any order.
+ * becoming a fused multiply-add, and no -ffast-math.  Of the two
+ * reductions, the minimum of tail_norms is exact in any order, and
+ * metric_sums adds its terms in numpy's own pairwise order.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; on x86-64 each is cloned for AVX-512, AVX2 and the
@@ -13,10 +14,12 @@
  * ValueError for anything else: they never copy an array.
  *
  * Every element is computed independently of the others, so a call splits
- * into contiguous chunks without changing any result.  A call whose parts
- * would each cover at least MIN_PART pixels runs on a pool of worker
- * threads (see run); a smaller one runs on the calling thread alone.  The
- * pool has one thread per CPU in the process's affinity mask, at most
+ * into contiguous chunks without changing any result; metric_sums splits
+ * into subtrees of its summation tree and adds their sums in the tree's
+ * order, so its sums do not change either.  A call whose parts would each
+ * cover at least MIN_PART pixels runs on a pool of worker threads (see
+ * run); a smaller one runs on the calling thread alone.  The pool has one
+ * thread per CPU in the process's affinity mask, at most
  * MAX_THREADS, counting the caller; taskset or any other affinity mask is
  * what restricts it, and the BLAS thread variables do not.  The workers
  * start on the first call that splits, sleep on a condition variable
@@ -43,54 +46,84 @@ typedef Py_ssize_t idx;
 
 /* ----- kernels ----------------------------------------------------------- */
 
-/* Rows r0..r1-1 of the forward differences with Neumann boundary of the
- * (n1, n2) array v into the planes g0 (axis 0) and g1 (axis 1).  g1's pass
- * runs across row ends and the last column is then zeroed, as in
- * imaging._grad. */
+/* Columns j0..j1-1 of row i of the forward differences with Neumann
+ * boundary of the (n1, n2) array v, into d0 (axis 0) and d1 (axis 1): the
+ * entries imaging._grad gives those pixels, whose axis-1 pass runs across
+ * row ends and then zeroes the last column. */
+static inline void grad_row(const double *restrict v, double *restrict d0, double *restrict d1,
+                            idx n1, idx n2, idx i, idx j0, idx j1)
+{
+    const double *restrict r = v + i * n2;
+    idx inner = j1 < n2 - 1 ? j1 : n2 - 1;
+    if (i < n1 - 1)
+        for (idx j = j0; j < j1; j++)
+            d0[j - j0] = r[j + n2] - r[j];
+    else
+        for (idx j = j0; j < j1; j++)
+            d0[j - j0] = 0.0;
+    for (idx j = j0; j < inner; j++)
+        d1[j - j0] = r[j + 1] - r[j];
+    if (j1 == n2)
+        d1[n2 - 1 - j0] = 0.0;
+}
+
+/* Columns j0..j1-1 of row i of c times the adjoint of grad on the planes
+ * g0 and g1, into o: the axis-0 terms first, then + g1[j-1] and - g1[j],
+ * then the product with c, as imaging._grad_adjoint followed by a
+ * multiplication by c. */
+static inline void grad_adjoint_row(const double *restrict g0, const double *restrict g1,
+                                    double *restrict o, idx n1, idx n2, idx i, idx j0, idx j1,
+                                    double c)
+{
+    const double *restrict cur = g0 + i * n2;
+    const double *restrict h = g1 + i * n2;
+    if (i == 0 && n1 > 1)
+        for (idx j = j0; j < j1; j++)
+            o[j - j0] = 0.0 - cur[j];
+    else if (i == 0)
+        for (idx j = j0; j < j1; j++)
+            o[j - j0] = 0.0;
+    else if (i < n1 - 1)
+        for (idx j = j0; j < j1; j++)
+            o[j - j0] = cur[j - n2] - cur[j];
+    else
+        for (idx j = j0; j < j1; j++)
+            o[j - j0] = cur[j - n2];
+    if (n2 == 1) {
+        o[0] = o[0] * c;
+        return;
+    }
+    idx lo = j0, inner = j1 < n2 - 1 ? j1 : n2 - 1;
+    if (j0 == 0) {
+        o[0] = (o[0] - h[0]) * c;
+        lo = 1;
+    }
+    for (idx j = lo; j < inner; j++)
+        o[j - j0] = ((o[j - j0] + h[j - 1]) - h[j]) * c;
+    if (j1 == n2)
+        o[n2 - 1 - j0] = (o[n2 - 1 - j0] + h[n2 - 2]) * c;
+}
+
+/* Rows r0..r1-1 of the gradient of v into the planes g0 and g1. */
 KERNEL static void grad(const double *restrict v, double *restrict g0, double *restrict g1,
                         idx n1, idx n2, idx r0, idx r1)
 {
-    idx lo = r0 * n2, hi = r1 * n2, mid = (r1 < n1 ? r1 : n1 - 1) * n2;
-    for (idx k = lo; k < mid; k++)
-        g0[k] = v[k + n2] - v[k];
-    for (idx k = mid > lo ? mid : lo; k < hi; k++)
-        g0[k] = 0.0;
-    for (idx k = lo; k < hi - 1; k++)
-        g1[k] = v[k + 1] - v[k];
     for (idx i = r0; i < r1; i++)
-        g1[i * n2 + n2 - 1] = 0.0;
+        grad_row(v, g0 + i * n2, g1 + i * n2, n1, n2, i, 0, n2);
 }
 
-/* Rows r0..r1-1 of c times the adjoint of grad: the axis-0 terms first,
- * then + g1[j-1] and - g1[j], then the product with c, as
- * imaging._grad_adjoint followed by a multiplication by c. */
+/* Rows r0..r1-1 of c times the adjoint of grad into out, or, with a
+ * minuend m, of m minus that: baselines.dual_fb_run's x = z - D* p. */
 KERNEL static void grad_adjoint(const double *restrict g0, const double *restrict g1,
-                                double *restrict out, idx n1, idx n2, idx r0, idx r1, double c)
+                                const double *restrict m, double *restrict out, idx n1, idx n2,
+                                idx r0, idx r1, double c)
 {
     for (idx i = r0; i < r1; i++) {
         double *restrict o = out + i * n2;
-        const double *restrict cur = g0 + i * n2;
-        const double *restrict h = g1 + i * n2;
-        if (i == 0 && n1 > 1)
+        grad_adjoint_row(g0, g1, o, n1, n2, i, 0, n2, c);
+        if (m)
             for (idx j = 0; j < n2; j++)
-                o[j] = 0.0 - cur[j];
-        else if (i == 0)
-            for (idx j = 0; j < n2; j++)
-                o[j] = 0.0;
-        else if (i < n1 - 1)
-            for (idx j = 0; j < n2; j++)
-                o[j] = cur[j - n2] - cur[j];
-        else
-            for (idx j = 0; j < n2; j++)
-                o[j] = cur[j - n2];
-        if (n2 > 1) {
-            o[0] = (o[0] - h[0]) * c;
-            for (idx j = 1; j < n2 - 1; j++)
-                o[j] = ((o[j] + h[j - 1]) - h[j]) * c;
-            o[n2 - 1] = (o[n2 - 1] + h[n2 - 2]) * c;
-        } else {
-            o[0] = o[0] * c;
-        }
+                o[j] = m[i * n2 + j] - o[j];
     }
 }
 
@@ -209,11 +242,98 @@ KERNEL static void interleave(const double *restrict p0, const double *restrict 
     }
 }
 
+/* numpy's summation order for float64: its pairwise_sum, which add.reduce
+ * (so .sum() of a C-contiguous array of any shape) applies to the whole
+ * array.  Fewer than 8 terms are added in order; up to LEAF terms go into 8
+ * interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+ * and the rest is added in order; a longer range splits at half its
+ * length rounded down to a multiple of 8. */
+#define LEAF 128
+
+static inline double leaf_sum(const double *restrict t, idx n)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (idx k = 0; k < n; k++)
+            s += t[k];
+        return s;
+    }
+    double r[8];
+    for (int q = 0; q < 8; q++)
+        r[q] = t[q];
+    idx k = 8;
+    for (; k < n - n % 8; k += 8)
+        for (int q = 0; q < 8; q++)
+            r[q] += t[k + q];
+    double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; k < n; k++)
+        s += t[k];
+    return s;
+}
+
+static inline idx left_half(idx n)
+{
+    idx h = n / 2;
+    return h - h % 8;
+}
+
+/* The terms of imaging.metrics' four sums at pixels lo..lo+n-1, n <= LEAF,
+ * each leaf-summed into s: (x - z)^2, with tv the TV norm
+ * sqrt(d0*d0 + d1*d1) of d = grad x (else 0), (z - w)^2 with w = D* p, and
+ * (x - xh)^2, with numpy's operations in numpy's order.  The stencils run
+ * row segment by row segment. */
+KERNEL static void metric_leaf(const double *restrict x, const double *restrict z,
+                               const double *restrict xh, const double *restrict p0,
+                               const double *restrict p1, idx n1, idx n2, int tv, idx lo, idx n,
+                               double *s)
+{
+    double t[4][LEAF], d1[LEAF], w[LEAF];
+    for (idx k = 0; k < n;) {
+        idx i = (lo + k) / n2, j0 = (lo + k) % n2, j1 = j0 + (n - k) < n2 ? j0 + (n - k) : n2;
+        if (tv)
+            grad_row(x, t[1] + k, d1 + k, n1, n2, i, j0, j1);
+        grad_adjoint_row(p0, p1, w + k, n1, n2, i, j0, j1, 1.0);
+        k += j1 - j0;
+    }
+    x += lo;
+    z += lo;
+    xh += lo;
+    for (idx k = 0; k < n; k++) {
+        double r = x[k] - z[k], e = x[k] - xh[k], q = z[k] - w[k];
+        t[0][k] = r * r;
+        t[2][k] = q * q;
+        t[3][k] = e * e;
+    }
+    if (tv)
+        for (idx k = 0; k < n; k++)
+            t[1][k] = sqrt(t[1][k] * t[1][k] + d1[k] * d1[k]);
+    for (int q = 0; q < 4; q++)
+        s[q] = q == 1 && !tv ? 0.0 : leaf_sum(t[q], n);
+}
+
+/* The four sums over pixels lo..lo+n-1, a node of numpy's pairwise tree. */
+static void metric_tree(const double *x, const double *z, const double *xh, const double *p0,
+                        const double *p1, idx n1, idx n2, int tv, idx lo, idx n, double *s)
+{
+    if (n <= LEAF) {
+        metric_leaf(x, z, xh, p0, p1, n1, n2, tv, lo, n, s);
+        return;
+    }
+    double a[4], b[4];
+    idx h = left_half(n);
+    metric_tree(x, z, xh, p0, p1, n1, n2, tv, lo, h, a);
+    metric_tree(x, z, xh, p0, p1, n1, n2, tv, lo + h, n - h, b);
+    for (int q = 0; q < 4; q++)
+        s[q] = a[q] + b[q];
+}
+
 /* ----- the worker pool --------------------------------------------------- */
 
 #define MAX_THREADS 8
 #define CHUNKS_PER_THREAD 2
 #define MAX_CHUNKS (MAX_THREADS * CHUNKS_PER_THREAD)
+/* metric_sums splits into the MAX_CHUNKS nodes of one depth of a binary tree */
+_Static_assert((MAX_CHUNKS & (MAX_CHUNKS - 1)) == 0, "MAX_CHUNKS must be a power of two");
 /* The fewest pixels a thread's part of a split call may cover.  Pixels,
  * not array entries, so that all of an iteration's kernels split or none
  * do (a gradient field holds two entries per pixel): an image split in
@@ -235,6 +355,7 @@ struct Job {
     idx units;
     int chunks;
     uint64_t lo[MAX_CHUNKS], hi[MAX_CHUNKS];
+    double sum[MAX_CHUNKS][4];
 };
 
 /* The job being run is published by a store to claim, which packs the
@@ -380,7 +501,7 @@ static void t_grad(Job *j, idx lo, idx hi, int c)
 
 static void t_grad_adjoint(Job *j, idx lo, idx hi, int c)
 {
-    grad_adjoint(j->a[0], j->a[0] + j->n1 * j->n2, j->a[1], j->n1, j->n2, lo, hi, j->s[0]);
+    grad_adjoint(j->a[0], j->a[0] + j->n1 * j->n2, j->a[2], j->a[1], j->n1, j->n2, lo, hi, j->s[0]);
 }
 
 static void t_tail_norms(Job *j, idx lo, idx hi, int c)
@@ -429,6 +550,24 @@ static void t_scale(Job *j, idx lo, idx hi, int c)
 static void t_interleave(Job *j, idx lo, idx hi, int c)
 {
     interleave(j->a[0] + lo, j->a[0] + j->units + lo, j->a[1] + 2 * lo, hi - lo);
+}
+
+/* Units are the nodes of one depth of the pairwise tree, left to right: a
+ * unit's binary digits, highest first, pick the left or right half at each
+ * level down.  Each node's sums go to j->sum[unit]. */
+static void t_metric_sums(Job *j, idx lo, idx hi, int c)
+{
+    idx n = j->n1 * j->n2;
+    for (idx u = lo; u < hi; u++) {
+        idx start = 0, len = n;
+        for (idx bit = j->units >> 1; bit; bit >>= 1) {
+            idx h = left_half(len);
+            start += u & bit ? h : 0;
+            len = u & bit ? len - h : h;
+        }
+        metric_tree(j->a[0], j->a[1], j->a[2], j->a[3], j->a[3] + n, j->n1, j->n2, j->s[0] != 0.0,
+                    start, len, j->sum[u]);
+    }
 }
 
 /* ----- wrappers ---------------------------------------------------------- */
@@ -544,16 +683,20 @@ WRAPPER(grad)
     return finish(&bs);
 }
 
-/* grad_adjoint(g, out, c): g a (2, n1, n2) array, out an (n1, n2) array. */
+/* grad_adjoint(g, out, c) or grad_adjoint(g, out, m, c): g a (2, n1, n2)
+ * array, out and the minuend m (n1, n2) arrays. */
 WRAPPER(grad_adjoint)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 1)) {
+    j.a[2] = NULL;
+    if (unpack(&bs, &j, args, nargs, nargs == 4 ? "rwr" : "rw", 1)) {
         const Py_buffer *g = &bs.b[0], *o = &bs.b[1];
         if (o->ndim != 2 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != o->shape[0] ||
             g->shape[2] != o->shape[1] || o->len == 0)
             fail("grad_adjoint needs a (2, n1, n2) array and an (n1, n2) out");
+        else if (bs.n == 3 && (bs.b[2].ndim != 2 || memcmp(bs.b[2].shape, o->shape, 2 * sizeof *o->shape)))
+            fail("the minuend must have the shape of out");
         else {
             j.n1 = o->shape[0];
             j.n2 = o->shape[1];
@@ -681,10 +824,46 @@ WRAPPER(interleave)
     return finish(&bs);
 }
 
+/* metric_sums(x, z, xhat, p, tv) -> (sum (x - z)^2, the TV of x if tv else
+ * 0, sum (z - D* p)^2, sum (x - xhat)^2), each in numpy's summation order:
+ * x, z and xhat of one shape and n1 n2 entries, p a planar (2, n1, n2)
+ * field.  A call large enough to split sums the nodes of depth 4 of the
+ * pairwise tree in parallel and adds them up the tree, so no sum depends on
+ * the thread count. */
+WRAPPER(metric_sums)
+{
+    Bufs bs = {.n = 0};
+    Job j;
+    double *s = j.sum[0];
+    if (unpack(&bs, &j, args, nargs, "rrrr", 1)) {
+        const Py_buffer *x = &bs.b[0], *p = &bs.b[3];
+        int ok = p->ndim == 3 && p->shape[0] == 2 && p->len > 0 && size(&bs, 0) * 2 == size(&bs, 3);
+        for (int i = 1; i < 3 && ok; i++)
+            ok = bs.b[i].ndim == x->ndim && !memcmp(bs.b[i].shape, x->shape, x->ndim * sizeof *x->shape);
+        if (!ok)
+            fail("metric_sums needs x, z and xhat of one shape and a planar (2, n1, n2) p of their size");
+        else {
+            j.n1 = p->shape[1];
+            j.n2 = p->shape[2];
+            idx n = j.n1 * j.n2, units = n >= 2 * MIN_PART ? MAX_CHUNKS : 1;
+            run(&j, t_metric_sums, units, n);
+            for (idx w = 1; w < units; w *= 2)
+                for (idx u = 0; u < units; u += 2 * w)
+                    for (int q = 0; q < 4; q++)
+                        j.sum[u][q] = j.sum[u][q] + j.sum[u + w][q];
+        }
+    }
+    release(&bs);
+    if (PyErr_Occurred())
+        return NULL;
+    /* add.reduce starts from its identity, 0 */
+    return Py_BuildValue("(dddd)", 0.0 + s[0], 0.0 + s[1], 0.0 + s[2], 0.0 + s[3]);
+}
+
 static PyMethodDef methods[] = {
     {"grad", (PyCFunction)(void (*)(void))w_grad, METH_FASTCALL, "grad(v, out)"},
     {"grad_adjoint", (PyCFunction)(void (*)(void))w_grad_adjoint, METH_FASTCALL,
-     "grad_adjoint(g, out, c)"},
+     "grad_adjoint(g, out[, m], c)"},
     {"tail_norms", (PyCFunction)(void (*)(void))w_tail_norms, METH_FASTCALL,
      "tail_norms(kx, tn2) -> min"},
     {"dual_solve", (PyCFunction)(void (*)(void))w_dual_solve, METH_FASTCALL,
@@ -699,6 +878,8 @@ static PyMethodDef methods[] = {
      "pdhgm_primal(x, w, xb, z, tau, theta)"},
     {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL, "scale(p, out, s)"},
     {"interleave", (PyCFunction)(void (*)(void))w_interleave, METH_FASTCALL, "interleave(p, out)"},
+    {"metric_sums", (PyCFunction)(void (*)(void))w_metric_sums, METH_FASTCALL,
+     "metric_sums(x, z, xhat, p, tv) -> (xz2, tv, zp2, xxhat2)"},
     {NULL, NULL, 0, NULL},
 };
 

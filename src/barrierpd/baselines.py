@@ -167,8 +167,9 @@ def dual_fb_run(
     The dual objective (1/2)||z - D* p||^2 - (1/2)||z||^2 is 1/tau-smooth
     for tau = 1/L^2 with the analytic L = sqrt(8); each step is a gradient
     step followed by ball projection.  The primal is recovered through the
-    optimality relation x = z - D* p, once per iteration: it is both the
-    iterate reported for p and the point of the next gradient step.
+    optimality relation x = z - D* p, once per iteration and in D*'s own
+    pass: it is both the iterate reported for p and the point of the next
+    gradient step.
 
     The callback, if given, is invoked as callback(i, x, p, info) after each
     iteration, with p the (n1, n2, 2) dual field; x and p are borrowed
@@ -182,7 +183,6 @@ def dual_fb_run(
     p_field, g_field = _field(p), _field(g)
     # x = z - D* 0
     x = zf.copy()
-    w = np.empty_like(zf)
     x_view, p_view = _readonly(x), _readonly(p_field)
     tau = 1.0 / DUAL_FB_L**2
 
@@ -190,8 +190,8 @@ def dual_fb_run(
         _grad(x.reshape(n1, n2), out=g)
         _ascent(g, tau, p)
         problem.project_dual(g_field, out=p_field)
-        _grad_adjoint(p, out=w.reshape(n1, n2))
-        np.subtract(zf, w, out=x)
+        # x = z - D* p
+        _grad_adjoint(p, out=x.reshape(n1, n2), minuend=zf.reshape(n1, n2))
         if callback is not None:
             callback(i, x_view, p_view, {"tau": tau})
 

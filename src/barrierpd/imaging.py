@@ -19,7 +19,8 @@ Conventions fixed here and relied on by every solver:
   prox, the TV projection and the elementwise passes of the H1 projection
   and norm is one pass over C-contiguous float64 buffers, split across
   threads on large images and bit-identical to the numpy passes, which run
-  for any other array;
+  for any other array.  So is metrics' one pass for its four sums, which
+  adds its terms in numpy's pairwise summation order;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
   for H1.  Since the heads are zero, the lifted operator K carries only the
@@ -128,7 +129,12 @@ def _grad(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _grad_adjoint(planes: np.ndarray, out: Optional[np.ndarray] = None, scale: float = 1.0) -> np.ndarray:
+def _grad_adjoint(
+    planes: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scale: float = 1.0,
+    minuend: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """scale times the adjoint of _grad on a planar (2, n1, n2) field, an (n1, n2) array, into out if given.
 
     The axis-1 terms are two shifted passes over the flattened plane, each
@@ -137,14 +143,18 @@ def _grad_adjoint(planes: np.ndarray, out: Optional[np.ndarray] = None, scale: f
     and restored after it.  Every element sees the same operations in the
     same order as the 2-d column slices, so the result is exact for any
     field, whatever its boundary columns hold.  The product with scale comes
-    last; the compiled kernel makes it in the same pass.
+    last; with an (n1, n2) minuend m, out is then m minus that product.  The
+    compiled kernel makes both in the same pass.
     """
     g0, g1 = planes[0], planes[1]
     if out is None:
         out = np.empty(g0.shape)
     if kernels.PATH == "c":
         try:
-            kernels.ext.grad_adjoint(planes, out, scale)
+            if minuend is None:
+                kernels.ext.grad_adjoint(planes, out, scale)
+            else:
+                kernels.ext.grad_adjoint(planes, out, minuend, scale)
             return out
         except ValueError:
             pass
@@ -161,6 +171,8 @@ def _grad_adjoint(planes: np.ndarray, out: Optional[np.ndarray] = None, scale: f
     out[:, -1] = edge
     if scale != 1.0:
         out *= scale
+    if minuend is not None:
+        np.subtract(minuend, out, out=out)
     return out
 
 
@@ -174,19 +186,19 @@ def _field(planes: np.ndarray) -> np.ndarray:
     return planes.transpose(1, 2, 0)
 
 
-def _field_norm(planes: np.ndarray) -> float:
+def _field_norm(planes: np.ndarray, out: Optional[np.ndarray] = None) -> float:
     """Euclidean norm of a planar field, summed in (n1, n2, 2) element order.
 
     The order fixes the roundoff of the H1 regularizer and of the H1 dual
     projection.  The planes are interleaved into a copy whose norm BLAS
     takes (np.linalg.norm), so that roundoff also depends on the BLAS and
-    its thread count.  The compiled kernel makes the copy, split across
-    threads like every kernel; otherwise np.stack interleaves it plane by plane,
-    several times faster than reshaping the field view, whose copy gathers
-    across planes.
+    its thread count.  The compiled kernel makes the copy, into out (an
+    array of the field's size) if given, split across threads like every
+    kernel; otherwise np.stack interleaves it plane by plane, several times
+    faster than reshaping the field view, whose copy gathers across planes.
     """
     if kernels.PATH == "c":
-        flat = np.empty(planes.size)
+        flat = np.empty(planes.size) if out is None else out
         try:
             kernels.ext.interleave(planes, flat)
             return float(np.linalg.norm(flat))
@@ -283,6 +295,21 @@ class DenoiseProblem:
         r = _grad_adjoint(planes).reshape(-1)
         np.subtract(self.z.flat(), r, out=r)
         return self.half_z2 - 0.5 * float(np.square(r, out=r).sum())
+
+    def _h1_regularizer(self, x: np.ndarray) -> float:
+        """regularizer(x) for H1 and a contiguous x, through a scratch buffer kept on the problem.
+
+        The buffer holds the gradient planes and their interleaved copy.  A
+        call takes it off the problem while it uses it (one dict operation,
+        atomic under the interpreter lock), so concurrent calls never share it.
+        """
+        buf = self.__dict__.pop("_scratch", None)
+        if buf is None:
+            buf = np.empty((2, 2 * self.n_pixels))
+        g = _grad(x.reshape(self.shape), out=buf[0].reshape((2,) + self.shape))
+        norm = _field_norm(g, out=buf[1])
+        self._scratch = buf
+        return norm
 
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
         return self.objective(x) - self.dual_value(p)
@@ -467,6 +494,30 @@ class Target:
         return cls(x=x, norm2=norm2, value=problem.objective(x))
 
 
+def _metric_sums(x, p, problem: DenoiseProblem, target: Target):
+    """metrics' four sums in one compiled pass; None when the kernels are off or reject an array.
+
+    Returns (sum (x - z)^2, R(x), sum (z - D* p)^2, sum (x - target.x)^2),
+    each equal to the numpy code's: the kernel forms every term with that
+    code's operations and adds the terms in numpy's pairwise order.  p must
+    be a planar-backed (n1, n2, 2) field.  H1's R(x) is _field_norm of the
+    gradient, as in regularizer, through a buffer kept on the problem.
+    """
+    if kernels.PATH != "c":
+        return None
+    p = np.asarray(p)
+    if p.shape != problem.shape + (2,):
+        return None
+    tv = problem.variant == "tv"
+    try:
+        xz2, reg, zp2, dist2 = kernels.ext.metric_sums(x, problem.z.flat(), target.x, _planes(p), tv)
+    except ValueError:
+        return None
+    if not tv:
+        reg = problem._h1_regularizer(x)
+    return xz2, reg, zp2, dist2
+
+
 def metrics(
     x: np.ndarray,
     p: np.ndarray,
@@ -485,14 +536,28 @@ def metrics(
     relative objective error.  The objective at x is evaluated once and
     serves both the gap and value_db; the dual value uses the problem's
     cached (1/2)||z||^2 (DenoiseProblem.half_z2).
+
+    With the compiled kernels and a planar-backed p (as every solver's
+    callback passes) the four sums behind these numbers come from one pass
+    that allocates no image-sized array; otherwise objective, dual_value
+    and a residual compute them.  Both give the same record bit for bit.
     """
     if gap0 <= 0.0:
         raise ValueError("gap0 must be positive")
-    val = problem.objective(x)
-    gap = val - problem.dual_value(p)
+    sums = _metric_sums(x, p, problem, target)
+    if sums is None:
+        val = problem.objective(x)
+        dual = problem.dual_value(p)
+        r = np.subtract(x, target.x)
+        dist2 = float(np.square(r, out=r).sum())
+    else:
+        # the scalar expressions of objective and dual_value
+        xz2, reg, zp2, dist2 = sums
+        val = 0.5 * xz2 + problem.alpha * reg
+        dual = problem.half_z2 - 0.5 * zp2
+    gap = val - dual
     val_hat = target.value
     gap_db = _db(gap, gap0)
-    r = np.subtract(x, target.x)
-    target_db = _db(float(np.square(r, out=r).sum()), target.norm2)
+    target_db = _db(dist2, target.norm2)
     value_db = _db((val - val_hat) ** 2, val_hat**2) if val_hat != 0.0 else DB_CLAMP
     return IterationRecord(iter=iter, wall_seconds=wall_seconds, gap_db=gap_db, target_db=target_db, value_db=value_db)

@@ -16,7 +16,9 @@ selects the path.  Every function that calls a kernel keeps the numpy code
 it replaces, which runs on the numpy path and for arrays a kernel rejects
 (non-contiguous, not float64, overlapping), and which the tests use as the
 reference: both compute every element with the same operations in the same
-order, so their results are bit-identical.
+order, so their results are bit-identical.  That holds for the one kernel
+that sums, imaging.metrics' pass, too: it adds its terms in the pairwise
+order in which numpy's .sum() adds a float64 array.
 
 THREADS is the number of threads a large kernel call is split across,
 the caller included: one per CPU in the process's affinity mask (so
@@ -25,8 +27,9 @@ thread variables do not set it, and neither does any option.  The worker
 threads start on the first call whose every part would cover at least
 32,768 pixels (on two CPUs a 256 x 256 image splits, a 128 x 128 one does
 not), sleep between calls, and are started afresh in a forked child.
-Every element is computed as on one thread, so the split changes no
-result.
+Every element is computed as on one thread, and the metrics pass adds the
+sums of its parts in the order of one thread's summation tree, so the split
+changes no result.
 """
 
 from __future__ import annotations

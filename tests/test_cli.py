@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from barrierpd import kernels
-from barrierpd.cli import main
+from barrierpd.cli import SOLVERS, main
 from barrierpd.imaging import synthetic_image
 from barrierpd.pgm import write_pgm
 
@@ -247,3 +247,24 @@ def test_sidecar_records_the_kernel_threads(workdir, tmp_path):
     args[args.index("--out") + 1] = str(tmp_path)
     assert invoke(["run"] + args).exit_code == 0
     assert json.loads((tmp_path / "dual-fb.meta.json").read_text())["kernel_threads"] == kernels.THREADS
+
+
+@pytest.mark.skipif(kernels.PATH != "c", reason=f"kernels: {kernels.PATH}")
+@pytest.mark.parametrize("variant, alpha", [("tv", "0.01"), ("h1", "5")])
+def test_logs_identical_on_both_paths(tmp_path, monkeypatch, variant, alpha):
+    # the solvers, the target and the per-iteration metrics all run compiled
+    write_pgm(synthetic_image(32, 32), tmp_path / "img.pgm")
+    results = []
+    for path in ("numpy (selected by the test)", "c"):
+        monkeypatch.setattr(kernels, "PATH", path)
+        out = tmp_path / path[:5]
+        args = ["--image", str(tmp_path / "img.pgm"), "--variant", variant, "--alpha", alpha,
+                "--sigma", "6.15", "--seed", "42", "--out", str(out)]
+        assert invoke(["make-target", *args, "--target-iters", "2000"]).exit_code == 0
+        r = invoke(["run", *args, "--solvers", ",".join(SOLVERS), "--iters", "300", "--target", "load"])
+        assert r.exit_code == 0, r.output
+        (target,) = out.glob("target_*.npz")
+        with np.load(target) as npz:
+            logs = {s: strip_wall((out / f"{s}.csv").read_text()) for s in SOLVERS}
+            results.append((npz["x"].tobytes(), logs))
+    assert results[0] == results[1]

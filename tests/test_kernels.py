@@ -8,12 +8,14 @@ build into temporary directories, so they never touch the package's own
 build.
 """
 
+import dataclasses
 import os
 import re
 import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,17 @@ import pytest
 
 from barrierpd import baselines, imaging, kernels, pedi
 from barrierpd.baselines import BaselineConfig, dual_fb_run, pdhgm_run
-from barrierpd.imaging import DenoiseProblem, _grad, _grad_adjoint, add_gaussian_noise, synthetic_image
+from barrierpd.imaging import (
+    VARIANTS,
+    DenoiseProblem,
+    IterationRecord,
+    Target,
+    _grad,
+    _grad_adjoint,
+    add_gaussian_noise,
+    metrics,
+    synthetic_image,
+)
 from barrierpd.pedi import StepConfig, pedi_run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +99,10 @@ def test_gradient_pair(monkeypatch, rng, shape):
     assert_identical(c, ref)
     for scale in (1.0, 2.0):
         c, ref = on_both_paths(monkeypatch, lambda g, out: _grad_adjoint(g, out, scale), planes, np.empty(shape))
+        assert_identical(c, ref)
+        # dual_fb's x = z - D* p in the same pass
+        stage = lambda g, out, m: _grad_adjoint(g, out, scale, minuend=m)  # noqa: E731
+        c, ref = on_both_paths(monkeypatch, stage, planes, np.empty(shape), special(rng, shape))
         assert_identical(c, ref)
 
 
@@ -205,6 +221,73 @@ def test_tail_norm_min_in_the_last_chunk(rng, shape):
     assert np.isnan(pedi._tail_norms(field.T, tn2, True))
 
 
+def metric_terms(x, z, xhat, planes, tv):
+    """The four terms metric_sums adds, from the numpy path's own operations."""
+    g = _grad(x.reshape(planes.shape[1:]))
+    norms = np.sqrt(np.einsum("kij,kij->ij", g, g)) if tv else np.zeros(x.size)
+    w = _grad_adjoint(planes).reshape(-1)
+    return [np.square(x - z), norms, np.square(z - w), np.square(x - xhat)]
+
+
+@needs_c
+def test_metric_sums_follow_numpys_summation_order(monkeypatch, rng):
+    # numpy sums float64 pairwise; the kernel repeats that order, so a numpy
+    # release that changed it fails here first
+    monkeypatch.setattr(kernels, "PATH", NUMPY)
+    sizes = [*range(1, 301), 4095, 4096, 4097, 8191, 8192, 8193, 65536, 131072]
+    for n in sizes:
+        x, z, xhat = (rng.standard_normal(n) for _ in range(3))
+        planes = rng.standard_normal((2, 1, n))
+        for tv in (True, False):
+            got = kernels.ext.metric_sums(x, z, xhat, planes, tv)
+            want = [float(t.sum()) for t in metric_terms(x, z, xhat, planes, tv)]
+            assert [float.hex(v) for v in got] == [float.hex(v) for v in want], (n, tv)
+
+
+def identical_records(a: IterationRecord, b: IterationRecord) -> bool:
+    return all(identical(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(IterationRecord))
+
+
+@needs_c
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
+def test_metrics_on_both_paths(monkeypatch, rng, shape, variant):
+    rec = Recorder(kernels.ext)
+    monkeypatch.setattr(kernels, "ext", rec)
+    dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.4, variant)
+    n = dp.n_pixels
+    x, xhat, planes = rng.standard_normal(n), rng.standard_normal(n) + 1.0, rng.standard_normal((2,) + shape)
+    # all finite, then the special values in each argument in turn
+    cases = [(x, planes, xhat), (special(rng, n), planes, xhat), (x, special(rng, (2,) + shape), xhat),
+             (x, planes, special(rng, n))]
+    for x, planes, xhat in cases:
+        with np.errstate(all="ignore"):
+            target = Target.of(dp, xhat)
+
+        def stage(x, planes):
+            return metrics(x, imaging._field(planes), dp, target, 3.0, iter=7, wall_seconds=0.5)
+
+        c, ref = on_both_paths(monkeypatch, stage, x, planes)
+        assert identical_records(c[-1], ref[-1]), (c[-1], ref[-1])
+    assert rec.rejected == [] and rec.calls["metric_sums"] == len(cases)
+
+
+@needs_c
+def test_metrics_allocates_no_image(rng):
+    # the numpy path's objective, dual_value and residual peak at 133 KB here
+    dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((64, 64))), 0.4, "tv")
+    x, p = rng.standard_normal(64 * 64), imaging._field(rng.standard_normal((2, 64, 64)))
+    target = Target.of(dp, rng.standard_normal(64 * 64))
+    metrics(x, p, dp, target, 3.0)
+    tracemalloc.start()
+    try:
+        metrics(x, p, dp, target, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
+
+
 # ---------------------------------------------------------------------------
 # whole solvers
 
@@ -272,6 +355,17 @@ class Recorder:
                 raise
 
         return call
+
+
+@needs_c
+@pytest.mark.parametrize("shape", [(256, 256), (257, 263)], ids=shape_ids)
+def test_dual_fb_x_on_both_paths(monkeypatch, shape):
+    # x = z - D* p is made in D*'s pass, split across threads at these sizes
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), 0.3, "tv")
+    got = dual_fb_run(dp, 10)
+    monkeypatch.setattr(kernels, "PATH", NUMPY)
+    want = dual_fb_run(dp, 10)
+    assert identical(got.x, want.x) and identical(got.p, want.p)
 
 
 @needs_c
@@ -356,6 +450,8 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     dp = DenoiseProblem(imaging.ImageGrid(v), 0.4, "tv")
     p = 3.0 * rng.standard_normal((6, 5, 2))
     kx = rng.standard_normal((30, 2))
+    x = rng.standard_normal(30)
+    target = Target.of(dp, rng.standard_normal(30))
 
     def rejected():
         q = p.copy()
@@ -368,12 +464,20 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
             # C-ordered (n, 2) tails are not planar
             pedi._tail_norms(kx, np.empty(30), True),
             dp.saddle_problem().prox_G(v.reshape(-1)[::-1], 0.3),
+            # an interleaved field, a float32 planar one and a strided planar one
+            *dataclasses.astuple(metrics(x, p, dp, target, 3.0)),
+            *dataclasses.astuple(metrics(x, imaging._field(planes.astype(np.float32)), dp, target, 3.0)),
+            *dataclasses.astuple(metrics(x, imaging._field(np.repeat(planes, 2, axis=2)[:, :, ::2]), dp, target, 3.0)),
         ]
 
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
     got = rejected()
-    assert [name for name, _ in rec.rejected] == ["grad", "grad", "grad_adjoint", "project_tv", "tail_norms", "prox"]
+    assert [name for name, _ in rec.rejected] == [
+        "grad", "grad", "grad_adjoint", "project_tv", "tail_norms", "prox",
+        # dual_value's D* rejects the interleaved and strided fields; it
+        # takes a float64 copy of the float32 one, planar like the field
+        "metric_sums", "grad_adjoint", "metric_sums", "metric_sums", "grad_adjoint"]
     monkeypatch.setattr(kernels, "PATH", NUMPY)
     for a, b in zip(got, rejected()):
         assert identical(a, b)
