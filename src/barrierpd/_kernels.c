@@ -14,11 +14,10 @@
  * ValueError for anything else: they never copy an array.
  *
  * Every element is computed independently of the others, so a call splits
- * into contiguous chunks without changing any result; metric_sums splits
- * into subtrees of its summation tree and adds their sums in the tree's
- * order, so its sums do not change either.  A call whose parts would each
- * cover at least MIN_PART pixels runs on a pool of worker threads (see
- * run); a smaller one runs on the calling thread alone.  The pool has one
+ * into contiguous chunks without changing any result.  A call whose parts
+ * would each cover at least MIN_PART pixels runs on a pool of worker
+ * threads (see run); a smaller one runs on the calling thread alone, as
+ * metric_sums always does.  The pool has one
  * thread per CPU in the process's affinity mask, at most
  * MAX_THREADS, counting the caller; taskset or any other affinity mask is
  * what restricts it, and the BLAS thread variables do not.  The workers
@@ -332,8 +331,6 @@ static void metric_tree(const double *x, const double *z, const double *xh, cons
 #define MAX_THREADS 8
 #define CHUNKS_PER_THREAD 2
 #define MAX_CHUNKS (MAX_THREADS * CHUNKS_PER_THREAD)
-/* metric_sums splits into the MAX_CHUNKS nodes of one depth of a binary tree */
-_Static_assert((MAX_CHUNKS & (MAX_CHUNKS - 1)) == 0, "MAX_CHUNKS must be a power of two");
 /* The fewest pixels a thread's part of a split call may cover.  Pixels,
  * not array entries, so that all of an iteration's kernels split or none
  * do (a gradient field holds two entries per pixel): an image split in
@@ -355,7 +352,6 @@ struct Job {
     idx units;
     int chunks;
     uint64_t lo[MAX_CHUNKS], hi[MAX_CHUNKS];
-    double sum[MAX_CHUNKS][4];
 };
 
 /* The job being run is published by a store to claim, which packs the
@@ -550,24 +546,6 @@ static void t_scale(Job *j, idx lo, idx hi, int c)
 static void t_interleave(Job *j, idx lo, idx hi, int c)
 {
     interleave(j->a[0] + lo, j->a[0] + j->units + lo, j->a[1] + 2 * lo, hi - lo);
-}
-
-/* Units are the nodes of one depth of the pairwise tree, left to right: a
- * unit's binary digits, highest first, pick the left or right half at each
- * level down.  Each node's sums go to j->sum[unit]. */
-static void t_metric_sums(Job *j, idx lo, idx hi, int c)
-{
-    idx n = j->n1 * j->n2;
-    for (idx u = lo; u < hi; u++) {
-        idx start = 0, len = n;
-        for (idx bit = j->units >> 1; bit; bit >>= 1) {
-            idx h = left_half(len);
-            start += u & bit ? h : 0;
-            len = u & bit ? len - h : h;
-        }
-        metric_tree(j->a[0], j->a[1], j->a[2], j->a[3], j->a[3] + n, j->n1, j->n2, j->s[0] != 0.0,
-                    start, len, j->sum[u]);
-    }
 }
 
 /* ----- wrappers ---------------------------------------------------------- */
@@ -827,14 +805,12 @@ WRAPPER(interleave)
 /* metric_sums(x, z, xhat, p, tv) -> (sum (x - z)^2, the TV of x if tv else
  * 0, sum (z - D* p)^2, sum (x - xhat)^2), each in numpy's summation order:
  * x, z and xhat of one shape and n1 n2 entries, p a planar (2, n1, n2)
- * field.  A call large enough to split sums the nodes of depth 4 of the
- * pairwise tree in parallel and adds them up the tree, so no sum depends on
- * the thread count. */
+ * field.  It runs on the calling thread, as one chunk. */
 WRAPPER(metric_sums)
 {
     Bufs bs = {.n = 0};
     Job j;
-    double *s = j.sum[0];
+    double s[4];
     if (unpack(&bs, &j, args, nargs, "rrrr", 1)) {
         const Py_buffer *x = &bs.b[0], *p = &bs.b[3];
         int ok = p->ndim == 3 && p->shape[0] == 2 && p->len > 0 && size(&bs, 0) * 2 == size(&bs, 3);
@@ -843,14 +819,9 @@ WRAPPER(metric_sums)
         if (!ok)
             fail("metric_sums needs x, z and xhat of one shape and a planar (2, n1, n2) p of their size");
         else {
-            j.n1 = p->shape[1];
-            j.n2 = p->shape[2];
-            idx n = j.n1 * j.n2, units = n >= 2 * MIN_PART ? MAX_CHUNKS : 1;
-            run(&j, t_metric_sums, units, n);
-            for (idx w = 1; w < units; w *= 2)
-                for (idx u = 0; u < units; u += 2 * w)
-                    for (int q = 0; q < 4; q++)
-                        j.sum[u][q] = j.sum[u][q] + j.sum[u + w][q];
+            idx n1 = p->shape[1], n2 = p->shape[2];
+            metric_tree(j.a[0], j.a[1], j.a[2], j.a[3], j.a[3] + n1 * n2, n1, n2, j.s[0] != 0.0, 0,
+                        n1 * n2, s);
         }
     }
     release(&bs);

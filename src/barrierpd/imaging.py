@@ -20,7 +20,8 @@ Conventions fixed here and relied on by every solver:
   and norm is one pass over C-contiguous float64 buffers, split across
   threads on large images and bit-identical to the numpy passes, which run
   for any other array.  So is metrics' one pass for its four sums, which
-  adds its terms in numpy's pairwise summation order;
+  adds its terms in numpy's pairwise summation order and always runs on
+  the calling thread;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
   for H1.  Since the heads are zero, the lifted operator K carries only the
@@ -186,19 +187,19 @@ def _field(planes: np.ndarray) -> np.ndarray:
     return planes.transpose(1, 2, 0)
 
 
-def _field_norm(planes: np.ndarray, out: Optional[np.ndarray] = None) -> float:
+def _field_norm(planes: np.ndarray) -> float:
     """Euclidean norm of a planar field, summed in (n1, n2, 2) element order.
 
     The order fixes the roundoff of the H1 regularizer and of the H1 dual
     projection.  The planes are interleaved into a copy whose norm BLAS
     takes (np.linalg.norm), so that roundoff also depends on the BLAS and
-    its thread count.  The compiled kernel makes the copy, into out (an
-    array of the field's size) if given, split across threads like every
-    kernel; otherwise np.stack interleaves it plane by plane, several times
-    faster than reshaping the field view, whose copy gathers across planes.
+    its thread count.  The compiled kernel makes the copy, split across
+    threads like every kernel; otherwise np.stack interleaves it plane by plane,
+    several times faster than reshaping the field view, whose copy gathers
+    across planes.
     """
     if kernels.PATH == "c":
-        flat = np.empty(planes.size) if out is None else out
+        flat = np.empty(planes.size)
         try:
             kernels.ext.interleave(planes, flat)
             return float(np.linalg.norm(flat))
@@ -295,21 +296,6 @@ class DenoiseProblem:
         r = _grad_adjoint(planes).reshape(-1)
         np.subtract(self.z.flat(), r, out=r)
         return self.half_z2 - 0.5 * float(np.square(r, out=r).sum())
-
-    def _h1_regularizer(self, x: np.ndarray) -> float:
-        """regularizer(x) for H1 and a contiguous x, through a scratch buffer kept on the problem.
-
-        The buffer holds the gradient planes and their interleaved copy.  A
-        call takes it off the problem while it uses it (one dict operation,
-        atomic under the interpreter lock), so concurrent calls never share it.
-        """
-        buf = self.__dict__.pop("_scratch", None)
-        if buf is None:
-            buf = np.empty((2, 2 * self.n_pixels))
-        g = _grad(x.reshape(self.shape), out=buf[0].reshape((2,) + self.shape))
-        norm = _field_norm(g, out=buf[1])
-        self._scratch = buf
-        return norm
 
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
         return self.objective(x) - self.dual_value(p)
@@ -500,8 +486,8 @@ def _metric_sums(x, p, problem: DenoiseProblem, target: Target):
     Returns (sum (x - z)^2, R(x), sum (z - D* p)^2, sum (x - target.x)^2),
     each equal to the numpy code's: the kernel forms every term with that
     code's operations and adds the terms in numpy's pairwise order.  p must
-    be a planar-backed (n1, n2, 2) field.  H1's R(x) is _field_norm of the
-    gradient, as in regularizer, through a buffer kept on the problem.
+    be a planar-backed (n1, n2, 2) field.  H1's R(x) is regularizer(x),
+    whose BLAS norm fixes its roundoff.
     """
     if kernels.PATH != "c":
         return None
@@ -514,7 +500,7 @@ def _metric_sums(x, p, problem: DenoiseProblem, target: Target):
     except ValueError:
         return None
     if not tv:
-        reg = problem._h1_regularizer(x)
+        reg = problem.regularizer(x)
     return xz2, reg, zp2, dist2
 
 

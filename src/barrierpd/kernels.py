@@ -27,9 +27,8 @@ thread variables do not set it, and neither does any option.  The worker
 threads start on the first call whose every part would cover at least
 32,768 pixels (on two CPUs a 256 x 256 image splits, a 128 x 128 one does
 not), sleep between calls, and are started afresh in a forked child.
-Every element is computed as on one thread, and the metrics pass adds the
-sums of its parts in the order of one thread's summation tree, so the split
-changes no result.
+Every element is computed as on one thread, so the split changes no
+result.  The metrics pass never splits.
 """
 
 from __future__ import annotations
