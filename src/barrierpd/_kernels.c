@@ -45,25 +45,27 @@ typedef Py_ssize_t idx;
 
 /* ----- kernels ----------------------------------------------------------- */
 
-/* Columns j0..j1-1 of row i of the forward differences with Neumann
- * boundary of the (n1, n2) array v, into d0 (axis 0) and d1 (axis 1): the
- * entries imaging._grad gives those pixels, whose axis-1 pass runs across
- * row ends and then zeroes the last column. */
-static inline void grad_row(const double *restrict v, double *restrict d0, double *restrict d1,
-                            idx n1, idx n2, idx i, idx j0, idx j1)
+/* Pixels lo..hi-1, in row-major order, of the forward differences with
+ * Neumann boundary of the (n1, n2) array v, into d0 (axis 0) and d1
+ * (axis 1), both indexed from lo: the entries imaging._grad gives those
+ * pixels, whose axis-1 pass runs across row ends and then zeroes the last
+ * column. */
+static inline void grad_range(const double *restrict v, double *restrict d0, double *restrict d1,
+                              idx n1, idx n2, idx lo, idx hi)
 {
-    const double *restrict r = v + i * n2;
-    idx inner = j1 < n2 - 1 ? j1 : n2 - 1;
-    if (i < n1 - 1)
-        for (idx j = j0; j < j1; j++)
-            d0[j - j0] = r[j + n2] - r[j];
-    else
-        for (idx j = j0; j < j1; j++)
-            d0[j - j0] = 0.0;
-    for (idx j = j0; j < inner; j++)
-        d1[j - j0] = r[j + 1] - r[j];
-    if (j1 == n2)
-        d1[n2 - 1 - j0] = 0.0;
+    /* nm entries have a row below, ne a right neighbour in the array */
+    idx n = hi - lo, nm = (n1 - 1) * n2 - lo, ne = n1 * n2 - 1 - lo;
+    nm = nm < n ? nm : n;
+    ne = ne < n ? ne : n;
+    v += lo;
+    for (idx k = 0; k < nm; k++)
+        d0[k] = v[k + n2] - v[k];
+    for (idx k = nm > 0 ? nm : 0; k < n; k++)
+        d0[k] = 0.0;
+    for (idx k = 0; k < ne; k++)
+        d1[k] = v[k + 1] - v[k];
+    for (idx k = n2 - 1 - lo % n2; k < n; k += n2)
+        d1[k] = 0.0;
 }
 
 /* Columns j0..j1-1 of row i of c times the adjoint of grad on the planes
@@ -107,8 +109,7 @@ static inline void grad_adjoint_row(const double *restrict g0, const double *res
 KERNEL static void grad(const double *restrict v, double *restrict g0, double *restrict g1,
                         idx n1, idx n2, idx r0, idx r1)
 {
-    for (idx i = r0; i < r1; i++)
-        grad_row(v, g0 + i * n2, g1 + i * n2, n1, n2, i, 0, n2);
+    grad_range(v, g0 + r0 * n2, g1 + r0 * n2, n1, n2, r0 * n2, r1 * n2);
 }
 
 /* Rows r0..r1-1 of c times the adjoint of grad into out, or, with a
@@ -279,18 +280,18 @@ static inline idx left_half(idx n)
 /* The terms of imaging.metrics' four sums at pixels lo..lo+n-1, n <= LEAF,
  * each leaf-summed into s: (x - z)^2, with tv the TV norm
  * sqrt(d0*d0 + d1*d1) of d = grad x (else 0), (z - w)^2 with w = D* p, and
- * (x - xh)^2, with numpy's operations in numpy's order.  The stencils run
- * row segment by row segment. */
+ * (x - xh)^2, with numpy's operations in numpy's order.  D runs over the
+ * leaf's pixels at once, D* row segment by row segment. */
 KERNEL static void metric_leaf(const double *restrict x, const double *restrict z,
                                const double *restrict xh, const double *restrict p0,
                                const double *restrict p1, idx n1, idx n2, int tv, idx lo, idx n,
                                double *s)
 {
     double t[4][LEAF], d1[LEAF], w[LEAF];
+    if (tv)
+        grad_range(x, t[1], d1, n1, n2, lo, lo + n);
     for (idx k = 0; k < n;) {
         idx i = (lo + k) / n2, j0 = (lo + k) % n2, j1 = j0 + (n - k) < n2 ? j0 + (n - k) : n2;
-        if (tv)
-            grad_row(x, t[1] + k, d1 + k, n1, n2, i, j0, j1);
         grad_adjoint_row(p0, p1, w + k, n1, n2, i, j0, j1, 1.0);
         k += j1 - j0;
     }
