@@ -16,14 +16,14 @@
  * Every element is computed independently of the others, so a call splits
  * into contiguous chunks without changing any result.  A call whose parts
  * would each cover at least MIN_PART pixels runs on a pool of worker
- * threads (see run); a smaller one runs on the calling thread alone, as
- * metric_sums always does.  The pool has one
- * thread per CPU in the process's affinity mask, at most
- * MAX_THREADS, counting the caller; taskset or any other affinity mask is
- * what restricts it, and the BLAS thread variables do not.  The workers
- * start on the first call that splits, sleep on a condition variable
- * between calls, and never spin.  A wrapper holds the interpreter lock for
- * its whole call, which is what lets Python threads share the one pool.
+ * threads (see run); a smaller one, and every metric_sums call, runs on
+ * the calling thread alone.  The pool has one thread per CPU in the
+ * process's affinity mask, at most MAX_THREADS, counting the caller;
+ * taskset or any other affinity mask is what restricts it, and the BLAS
+ * thread variables do not.  The workers start on the first call that
+ * splits, sleep on a condition variable between calls, and never spin.  A
+ * wrapper holds the interpreter lock for its whole call, which is what
+ * lets Python threads share the one pool.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
