@@ -3,9 +3,12 @@
  * Each kernel does, on every element, the operations of the numpy code it
  * replaces in the same order, so its results are bit-identical to that
  * code's.  The build flags keep it so: -ffp-contract=off stops a*b + c from
- * becoming a fused multiply-add, and no -ffast-math.  Of the two
- * reductions, the minimum of tail_norms is exact in any order, and
- * metric_sums adds its terms in numpy's own pairwise order.
+ * becoming a fused multiply-add, and no -ffast-math.  Of the three
+ * reductions, tail_min's minimum is exact in any order, and metric_sums
+ * and sumsq add their terms in numpy's own pairwise order.  Three
+ * elementwise stages the numpy code makes as passes of their own ride in
+ * a neighbouring kernel's pass: the baselines' ascent in grad, pedi's
+ * x - tau K* y in grad_adjoint, and the TV tail norms in dual_solve.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; on x86-64 each is cloned for AVX-512, AVX2 and the
@@ -16,8 +19,8 @@
  * Every element is computed independently of the others, so a call splits
  * into contiguous chunks without changing any result.  A call whose parts
  * would each cover at least MIN_PART pixels runs on a pool of worker
- * threads (see run); a smaller one, and every metric_sums call, runs on
- * the calling thread alone.  The pool has one thread per CPU in the
+ * threads (see run); a smaller one, and every metric_sums and sumsq call,
+ * runs on the calling thread alone.  The pool has one thread per CPU in the
  * process's affinity mask, at most MAX_THREADS, counting the caller;
  * taskset or any other affinity mask is what restricts it, and the BLAS
  * thread variables do not.  The workers start on the first call that
@@ -49,8 +52,11 @@ typedef Py_ssize_t idx;
  * Neumann boundary of the (n1, n2) array v, into d0 (axis 0) and d1
  * (axis 1), both indexed from lo: the entries imaging._grad gives those
  * pixels, whose axis-1 pass runs across row ends and then zeroes the last
- * column. */
+ * column.  With an addend (p0, p1), indexed from lo too, each entry e
+ * becomes e s + p, the zeroed ones 0 s + p: the baselines' dual ascent,
+ * as imaging._grad makes it after D. */
 static inline void grad_range(const double *restrict v, double *restrict d0, double *restrict d1,
+                              const double *restrict p0, const double *restrict p1, double s,
                               idx n1, idx n2, idx lo, idx hi)
 {
     /* nm entries have a row below, ne a right neighbour in the array */
@@ -58,14 +64,26 @@ static inline void grad_range(const double *restrict v, double *restrict d0, dou
     nm = nm < n ? nm : n;
     ne = ne < n ? ne : n;
     v += lo;
+    if (!p0) {
+        for (idx k = 0; k < nm; k++)
+            d0[k] = v[k + n2] - v[k];
+        for (idx k = nm > 0 ? nm : 0; k < n; k++)
+            d0[k] = 0.0;
+        for (idx k = 0; k < ne; k++)
+            d1[k] = v[k + 1] - v[k];
+        for (idx k = n2 - 1 - lo % n2; k < n; k += n2)
+            d1[k] = 0.0;
+        return;
+    }
+    double zs = 0.0 * s;
     for (idx k = 0; k < nm; k++)
-        d0[k] = v[k + n2] - v[k];
+        d0[k] = (v[k + n2] - v[k]) * s + p0[k];
     for (idx k = nm > 0 ? nm : 0; k < n; k++)
-        d0[k] = 0.0;
+        d0[k] = zs + p0[k];
     for (idx k = 0; k < ne; k++)
-        d1[k] = v[k + 1] - v[k];
+        d1[k] = (v[k + 1] - v[k]) * s + p1[k];
     for (idx k = n2 - 1 - lo % n2; k < n; k += n2)
-        d1[k] = 0.0;
+        d1[k] = zs + p1[k];
 }
 
 /* Columns j0..j1-1 of row i of c times the adjoint of grad on the planes
@@ -105,42 +123,45 @@ static inline void grad_adjoint_row(const double *restrict g0, const double *res
         o[n2 - 1 - j0] = (o[n2 - 1 - j0] + h[n2 - 2]) * c;
 }
 
-/* Rows r0..r1-1 of the gradient of v into the planes g0 and g1. */
+/* Rows r0..r1-1 of the gradient of v into the planes g0 and g1, or with an
+ * addend (p0, p1) of the gradient times s plus the addend. */
 KERNEL static void grad(const double *restrict v, double *restrict g0, double *restrict g1,
-                        idx n1, idx n2, idx r0, idx r1)
+                        const double *restrict p0, const double *restrict p1, double s, idx n1,
+                        idx n2, idx r0, idx r1)
 {
-    grad_range(v, g0 + r0 * n2, g1 + r0 * n2, n1, n2, r0 * n2, r1 * n2);
+    idx o = r0 * n2;
+    grad_range(v, g0 + o, g1 + o, p0 ? p0 + o : NULL, p1 ? p1 + o : NULL, s, n1, n2, o, r1 * n2);
 }
 
 /* Rows r0..r1-1 of c times the adjoint of grad into out, or, with a
- * minuend m, of m minus that: baselines.dual_fb_run's x = z - D* p. */
+ * minuend m, of m minus that times t: pedi's x - tau K* y and
+ * baselines.dual_fb_run's x = z - D* p (t = 1). */
 KERNEL static void grad_adjoint(const double *restrict g0, const double *restrict g1,
                                 const double *restrict m, double *restrict out, idx n1, idx n2,
-                                idx r0, idx r1, double c)
+                                idx r0, idx r1, double c, double t)
 {
     for (idx i = r0; i < r1; i++) {
         double *restrict o = out + i * n2;
         grad_adjoint_row(g0, g1, o, n1, n2, i, 0, n2, c);
         if (m)
             for (idx j = 0; j < n2; j++)
-                o[j] = m[i * n2 + j] - o[j];
+                o[j] = m[i * n2 + j] - o[j] * t;
     }
 }
 
-/* Squared norms a0^2 + a1^2 of n two-entry tails into tn2, and the least
- * and greatest of their bit patterns into *lo and *hi.  Such a sum is +0 or
- * positive unless NaN, and non-negative doubles order like their bit
+/* The least and greatest bit patterns of the squared norms a0^2 + a1^2 of
+ * n two-entry tails, into *lo and *hi; nothing is written.  Such a sum is
+ * +0 or positive unless NaN, and non-negative doubles order like their bit
  * patterns, so the minimum is an unsigned integer reduction, exact in any
  * order; NaN patterns of either sign lie above +inf's. */
-KERNEL static void tail_norms(const double *restrict a0, const double *restrict a1,
-                              double *restrict tn2, idx n, uint64_t *lo, uint64_t *hi)
+KERNEL static void tail_min(const double *restrict a0, const double *restrict a1, idx n,
+                            uint64_t *lo, uint64_t *hi)
 {
     uint64_t l = UINT64_MAX, h = 0;
     for (idx k = 0; k < n; k++) {
         double t = a0[k] * a0[k] + a1[k] * a1[k];
         uint64_t b;
         memcpy(&b, &t, sizeof b);
-        tn2[k] = t;
         l = b < l ? b : l;
         h = b > h ? b : h;
     }
@@ -148,30 +169,24 @@ KERNEL static void tail_norms(const double *restrict a0, const double *restrict 
     *hi = h;
 }
 
-/* The closed-form dual solve of pedi._dual_update on two-entry tails: the
- * head d0 = (sqrt(tn2 b0^2 + mu^2) + mu) / b0 and the tail k (b0/2) / d0,
- * zero where d0 is not positive. */
-KERNEL static void dual_solve(const double *restrict tn2, const double *restrict k0,
-                              const double *restrict k1, double *restrict d0,
-                              double *restrict y0, double *restrict y1, idx n, double b0,
-                              double mu)
+/* The closed-form dual solve of pedi._dual_update on two-entry tails k,
+ * which forms each squared norm tn2 = k0^2 + k1^2 itself: the head
+ * d0 = (sqrt(tn2 b0^2 + mu^2) + mu) / b0 and the tail k (b0/2) / d0, zero
+ * where d0 is not positive. */
+KERNEL static void dual_solve(const double *restrict k0, const double *restrict k1,
+                              double *restrict d0, double *restrict y0, double *restrict y1, idx n,
+                              double b0, double mu)
 {
     double bb = b0 * b0, mm = mu * mu, hb = b0 / 2.0;
     for (idx k = 0; k < n; k++) {
-        double d = (sqrt(tn2[k] * bb + mm) + mu) / b0;
+        double t = k0[k] * k0[k] + k1[k] * k1[k];
+        double d = (sqrt(t * bb + mm) + mu) / b0;
         double q = hb / d;
         double s = d > 0.0 ? q : 0.0;
         d0[k] = d;
         y0[k] = k0[k] * s;
         y1[k] = k1[k] * s;
     }
-}
-
-/* v = x - v tau, pedi's argument of the prox. */
-KERNEL static void x_minus_tau_v(const double *restrict x, double *restrict v, idx n, double tau)
-{
-    for (idx k = 0; k < n; k++)
-        v[k] = x[k] - v[k] * tau;
 }
 
 /* out = (z tau + v) / (1 + tau), the prox of tau G(x) = tau ||x - z||^2 / 2. */
@@ -181,13 +196,6 @@ KERNEL static void prox(const double *restrict z, const double *restrict v, doub
     double s = 1.0 + tau;
     for (idx k = 0; k < n; k++)
         out[k] = (z[k] * tau + v[k]) / s;
-}
-
-/* g = g s + p, the baselines' dual ascent step before the projection. */
-KERNEL static void scale_add(double *restrict g, const double *restrict p, idx n, double s)
-{
-    for (idx k = 0; k < n; k++)
-        g[k] = g[k] * s + p[k];
 }
 
 /* Per-pixel projection of (p0, p1) onto the ball of radius alpha:
@@ -232,43 +240,36 @@ KERNEL static void scale(const double *restrict p, double *restrict out, idx n, 
         out[k] = p[k] * s;
 }
 
-/* The planes p0 and p1 interleaved into out, (n1, n2, 2) element order. */
-KERNEL static void interleave(const double *restrict p0, const double *restrict p1,
-                              double *restrict out, idx n)
-{
-    for (idx k = 0; k < n; k++) {
-        out[2 * k] = p0[k];
-        out[2 * k + 1] = p1[k];
-    }
-}
-
 /* numpy's summation order for float64: its pairwise_sum, which add.reduce
  * (so .sum() of a C-contiguous array of any shape) applies to the whole
  * array.  Fewer than 8 terms are added in order; up to LEAF terms go into 8
  * interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
  * and the rest is added in order; a longer range splits at half its
- * length rounded down to a multiple of 8. */
+ * length rounded down to a multiple of 8.  leaf_sum adds t's entries, or
+ * with squares set their squares, each formed as np.square forms it. */
 #define LEAF 128
 
-static inline double leaf_sum(const double *restrict t, idx n)
+static inline double leaf_sum(const double *restrict t, idx n, int squares)
 {
+#define TERM(k) (squares ? t[k] * t[k] : t[k])
     if (n < 8) {
         double s = 0.0;
         for (idx k = 0; k < n; k++)
-            s += t[k];
+            s += TERM(k);
         return s;
     }
     double r[8];
     for (int q = 0; q < 8; q++)
-        r[q] = t[q];
+        r[q] = TERM(q);
     idx k = 8;
     for (; k < n - n % 8; k += 8)
         for (int q = 0; q < 8; q++)
-            r[q] += t[k + q];
+            r[q] += TERM(k + q);
     double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
     for (; k < n; k++)
-        s += t[k];
+        s += TERM(k);
     return s;
+#undef TERM
 }
 
 static inline idx left_half(idx n)
@@ -289,7 +290,7 @@ KERNEL static void metric_leaf(const double *restrict x, const double *restrict 
 {
     double t[4][LEAF], d1[LEAF], w[LEAF];
     if (tv)
-        grad_range(x, t[1], d1, n1, n2, lo, lo + n);
+        grad_range(x, t[1], d1, NULL, NULL, 1.0, n1, n2, lo, lo + n);
     for (idx k = 0; k < n;) {
         idx i = (lo + k) / n2, j0 = (lo + k) % n2, j1 = j0 + (n - k) < n2 ? j0 + (n - k) : n2;
         grad_adjoint_row(p0, p1, w + k, n1, n2, i, j0, j1, 1.0);
@@ -308,7 +309,7 @@ KERNEL static void metric_leaf(const double *restrict x, const double *restrict 
         for (idx k = 0; k < n; k++)
             t[1][k] = sqrt(t[1][k] * t[1][k] + d1[k] * d1[k]);
     for (int q = 0; q < 4; q++)
-        s[q] = q == 1 && !tv ? 0.0 : leaf_sum(t[q], n);
+        s[q] = q == 1 && !tv ? 0.0 : leaf_sum(t[q], n, 0);
 }
 
 /* The four sums over pixels lo..lo+n-1, a node of numpy's pairwise tree. */
@@ -325,6 +326,22 @@ static void metric_tree(const double *x, const double *z, const double *xh, cons
     metric_tree(x, z, xh, p0, p1, n1, n2, tv, lo + h, n - h, b);
     for (int q = 0; q < 4; q++)
         s[q] = a[q] + b[q];
+}
+
+/* The sum of the squares of a[0..n-1], n <= LEAF, leaf-summed. */
+KERNEL static double sumsq_leaf(const double *restrict a, idx n)
+{
+    return leaf_sum(a, n, 1);
+}
+
+/* The sum of the squares of a[0..n-1] in numpy's pairwise order, as
+ * np.square(a).sum() adds them. */
+static double sumsq_tree(const double *a, idx n)
+{
+    if (n <= LEAF)
+        return sumsq_leaf(a, n);
+    idx h = left_half(n);
+    return sumsq_tree(a, h) + sumsq_tree(a + h, n - h);
 }
 
 /* ----- the worker pool --------------------------------------------------- */
@@ -493,39 +510,32 @@ static void run(Job *j, Task *task, idx units, idx pixels)
  * the rest. */
 static void t_grad(Job *j, idx lo, idx hi, int c)
 {
-    grad(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi);
+    idx n = j->n1 * j->n2;
+    grad(j->a[0], j->a[1], j->a[1] + n, j->a[2], j->a[2] ? j->a[2] + n : NULL, j->s[0], j->n1,
+         j->n2, lo, hi);
 }
 
 static void t_grad_adjoint(Job *j, idx lo, idx hi, int c)
 {
-    grad_adjoint(j->a[0], j->a[0] + j->n1 * j->n2, j->a[2], j->a[1], j->n1, j->n2, lo, hi, j->s[0]);
+    grad_adjoint(j->a[0], j->a[0] + j->n1 * j->n2, j->a[2], j->a[1], j->n1, j->n2, lo, hi, j->s[0],
+                 j->s[1]);
 }
 
-static void t_tail_norms(Job *j, idx lo, idx hi, int c)
+static void t_tail_min(Job *j, idx lo, idx hi, int c)
 {
-    tail_norms(j->a[0] + lo, j->a[0] + j->units + lo, j->a[1] + lo, hi - lo, &j->lo[c], &j->hi[c]);
+    tail_min(j->a[0] + lo, j->a[0] + j->units + lo, hi - lo, &j->lo[c], &j->hi[c]);
 }
 
 static void t_dual_solve(Job *j, idx lo, idx hi, int c)
 {
     idx n = j->units;
-    dual_solve(j->a[0] + lo, j->a[1] + lo, j->a[1] + n + lo, j->a[2] + lo, j->a[3] + lo,
-               j->a[3] + n + lo, hi - lo, j->s[0], j->s[1]);
-}
-
-static void t_x_minus_tau_v(Job *j, idx lo, idx hi, int c)
-{
-    x_minus_tau_v(j->a[0] + lo, j->a[1] + lo, hi - lo, j->s[0]);
+    dual_solve(j->a[0] + lo, j->a[0] + n + lo, j->a[1] + lo, j->a[2] + lo, j->a[2] + n + lo, hi - lo,
+               j->s[0], j->s[1]);
 }
 
 static void t_prox(Job *j, idx lo, idx hi, int c)
 {
     prox(j->a[0] + lo, j->a[1] + lo, j->a[2] + lo, hi - lo, j->s[0]);
-}
-
-static void t_scale_add(Job *j, idx lo, idx hi, int c)
-{
-    scale_add(j->a[0] + lo, j->a[1] + lo, hi - lo, j->s[0]);
 }
 
 static void t_project_tv(Job *j, idx lo, idx hi, int c)
@@ -542,11 +552,6 @@ static void t_pdhgm_primal(Job *j, idx lo, idx hi, int c)
 static void t_scale(Job *j, idx lo, idx hi, int c)
 {
     scale(j->a[0] + lo, j->a[1] + lo, hi - lo, j->s[0]);
-}
-
-static void t_interleave(Job *j, idx lo, idx hi, int c)
-{
-    interleave(j->a[0] + lo, j->a[0] + j->units + lo, j->a[1] + 2 * lo, hi - lo);
 }
 
 /* ----- wrappers ---------------------------------------------------------- */
@@ -643,16 +648,21 @@ static PyObject *finish(Bufs *bs)
 #define WRAPPER(name) \
     static PyObject *w_##name(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 
-/* grad(v, out): v an (n1, n2) array, out a (2, n1, n2) array. */
+/* grad(v, out) or grad(v, out, p, s): v an (n1, n2) array, out and the
+ * addend p (2, n1, n2) arrays; with p, out = (D v) s + p. */
 WRAPPER(grad)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 0)) {
+    j.a[2] = NULL;
+    j.s[0] = 1.0;
+    if (unpack(&bs, &j, args, nargs, nargs == 4 ? "rwr" : "rw", nargs == 4 ? 1 : 0)) {
         const Py_buffer *v = &bs.b[0], *g = &bs.b[1];
         if (v->ndim != 2 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != v->shape[0] ||
             g->shape[2] != v->shape[1] || v->len == 0)
             fail("grad needs an (n1, n2) array and a (2, n1, n2) out");
+        else if (bs.n == 3 && (bs.b[2].ndim != 3 || memcmp(bs.b[2].shape, g->shape, 3 * sizeof *g->shape)))
+            fail("the addend must have the shape of out");
         else {
             j.n1 = v->shape[0];
             j.n2 = v->shape[1];
@@ -662,14 +672,15 @@ WRAPPER(grad)
     return finish(&bs);
 }
 
-/* grad_adjoint(g, out, c) or grad_adjoint(g, out, m, c): g a (2, n1, n2)
- * array, out and the minuend m (n1, n2) arrays. */
+/* grad_adjoint(g, out, c) or grad_adjoint(g, out, m, c, t): g a (2, n1, n2)
+ * array, out and the minuend m (n1, n2) arrays; with m, out = m - (c D* g) t. */
 WRAPPER(grad_adjoint)
 {
     Bufs bs = {.n = 0};
     Job j;
     j.a[2] = NULL;
-    if (unpack(&bs, &j, args, nargs, nargs == 4 ? "rwr" : "rw", 1)) {
+    j.s[1] = 1.0;
+    if (unpack(&bs, &j, args, nargs, nargs == 5 ? "rwr" : "rw", nargs == 5 ? 2 : 1)) {
         const Py_buffer *g = &bs.b[0], *o = &bs.b[1];
         if (o->ndim != 2 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != o->shape[0] ||
             g->shape[2] != o->shape[1] || o->len == 0)
@@ -685,19 +696,19 @@ WRAPPER(grad_adjoint)
     return finish(&bs);
 }
 
-/* tail_norms(kx, tn2) -> min: kx the planar (2, n) tails, tn2 an (n,) out.
- * The minimum is NaN if any norm is NaN, like np.min. */
-WRAPPER(tail_norms)
+/* tail_min(kx) -> the least squared norm of the planar (2, n) tails kx,
+ * NaN if any norm is NaN, like np.min. */
+WRAPPER(tail_min)
 {
     Bufs bs = {.n = 0};
     Job j;
     double m = 0.0;
-    if (unpack(&bs, &j, args, nargs, "rw", 0) && planar(&bs, 0)) {
-        idx n = size(&bs, 1);
-        if (bs.b[0].ndim != 2 || bs.b[0].shape[1] != n)
-            fail("tn2 must hold one entry per tail of a (2, n) array");
+    if (unpack(&bs, &j, args, nargs, "r", 0) && planar(&bs, 0)) {
+        if (bs.b[0].ndim != 2)
+            fail("tail_min needs planar (2, n) tails");
         else {
-            run(&j, t_tail_norms, n, n);
+            idx n = bs.b[0].shape[1];
+            run(&j, t_tail_min, n, n);
             uint64_t lo = UINT64_MAX, hi = 0;
             for (int c = 0; c < j.chunks; c++) {
                 lo = j.lo[c] < lo ? j.lo[c] : lo;
@@ -713,28 +724,18 @@ WRAPPER(tail_norms)
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(m);
 }
 
-/* dual_solve(tn2, kx, d0, y, b0, mu): kx and y planar (2, n), tn2 and d0 (n,). */
+/* dual_solve(kx, d0, y, b0, mu): kx and y planar (2, n), d0 (n,). */
 WRAPPER(dual_solve)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (unpack(&bs, &j, args, nargs, "rrww", 2) && planar(&bs, 1)) {
-        idx n = size(&bs, 0);
-        if (bs.b[1].ndim != 2 || bs.b[1].shape[1] != n || size(&bs, 2) != n || size(&bs, 3) != 2 * n)
-            fail("dual_solve needs (n,) tn2 and d0 and (2, n) kx and y");
+    if (unpack(&bs, &j, args, nargs, "rww", 2) && planar(&bs, 0)) {
+        idx n = size(&bs, 1);
+        if (bs.b[0].ndim != 2 || bs.b[0].shape[1] != n || size(&bs, 2) != 2 * n)
+            fail("dual_solve needs (2, n) kx and y and an (n,) d0");
         else
             run(&j, t_dual_solve, n, n);
     }
-    return finish(&bs);
-}
-
-/* x_minus_tau_v(x, v, tau): v = x - v tau. */
-WRAPPER(x_minus_tau_v)
-{
-    Bufs bs = {.n = 0};
-    Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 1) && same_shape(&bs))
-        run(&j, t_x_minus_tau_v, size(&bs, 0), size(&bs, 0));
     return finish(&bs);
 }
 
@@ -745,16 +746,6 @@ WRAPPER(prox)
     Job j;
     if (unpack(&bs, &j, args, nargs, "rrw", 1) && same_shape(&bs))
         run(&j, t_prox, size(&bs, 0), size(&bs, 0));
-    return finish(&bs);
-}
-
-/* scale_add(g, p, s): g = g s + p, on gradient fields of two entries per pixel. */
-WRAPPER(scale_add)
-{
-    Bufs bs = {.n = 0};
-    Job j;
-    if (unpack(&bs, &j, args, nargs, "wr", 1) && same_shape(&bs))
-        run(&j, t_scale_add, size(&bs, 0), size(&bs, 0) / 2);
     return finish(&bs);
 }
 
@@ -789,18 +780,19 @@ WRAPPER(scale)
     return finish(&bs);
 }
 
-/* interleave(p, out): p a planar (2, ...) field, out an array of its size. */
-WRAPPER(interleave)
+/* sumsq(a) -> the sum of the squares of a's entries in numpy's summation
+ * order, bit for bit np.square(a).sum() of a C-contiguous float64 a.  It
+ * runs on the calling thread, as one chunk. */
+WRAPPER(sumsq)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 0) && planar(&bs, 0)) {
-        if (size(&bs, 1) != size(&bs, 0))
-            fail("interleave needs an out of the field's size");
-        else
-            run(&j, t_interleave, size(&bs, 0) / 2, size(&bs, 0) / 2);
-    }
-    return finish(&bs);
+    double s = 0.0;
+    if (unpack(&bs, &j, args, nargs, "r", 0) && size(&bs, 0) > 0)
+        s = sumsq_tree(j.a[0], size(&bs, 0));
+    release(&bs);
+    /* add.reduce starts from its identity, 0 */
+    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(0.0 + s);
 }
 
 /* metric_sums(x, z, xhat, p, tv) -> (sum (x - z)^2, the TV of x if tv else
@@ -833,23 +825,19 @@ WRAPPER(metric_sums)
 }
 
 static PyMethodDef methods[] = {
-    {"grad", (PyCFunction)(void (*)(void))w_grad, METH_FASTCALL, "grad(v, out)"},
+    {"grad", (PyCFunction)(void (*)(void))w_grad, METH_FASTCALL, "grad(v, out[, p, s])"},
     {"grad_adjoint", (PyCFunction)(void (*)(void))w_grad_adjoint, METH_FASTCALL,
-     "grad_adjoint(g, out[, m], c)"},
-    {"tail_norms", (PyCFunction)(void (*)(void))w_tail_norms, METH_FASTCALL,
-     "tail_norms(kx, tn2) -> min"},
+     "grad_adjoint(g, out, c) or grad_adjoint(g, out, m, c, t)"},
+    {"tail_min", (PyCFunction)(void (*)(void))w_tail_min, METH_FASTCALL, "tail_min(kx) -> min"},
     {"dual_solve", (PyCFunction)(void (*)(void))w_dual_solve, METH_FASTCALL,
-     "dual_solve(tn2, kx, d0, y, b0, mu)"},
-    {"x_minus_tau_v", (PyCFunction)(void (*)(void))w_x_minus_tau_v, METH_FASTCALL,
-     "x_minus_tau_v(x, v, tau)"},
+     "dual_solve(kx, d0, y, b0, mu)"},
     {"prox", (PyCFunction)(void (*)(void))w_prox, METH_FASTCALL, "prox(z, v, out, tau)"},
-    {"scale_add", (PyCFunction)(void (*)(void))w_scale_add, METH_FASTCALL, "scale_add(g, p, s)"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
      "project_tv(p, out, alpha, floor)"},
     {"pdhgm_primal", (PyCFunction)(void (*)(void))w_pdhgm_primal, METH_FASTCALL,
      "pdhgm_primal(x, w, xb, z, tau, theta)"},
     {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL, "scale(p, out, s)"},
-    {"interleave", (PyCFunction)(void (*)(void))w_interleave, METH_FASTCALL, "interleave(p, out)"},
+    {"sumsq", (PyCFunction)(void (*)(void))w_sumsq, METH_FASTCALL, "sumsq(a) -> sum of squares"},
     {"metric_sums", (PyCFunction)(void (*)(void))w_metric_sums, METH_FASTCALL,
      "metric_sums(x, z, xhat, p, tv) -> (xz2, tv, zp2, xxhat2)"},
     {NULL, NULL, 0, NULL},

@@ -7,9 +7,11 @@ and serve as references in the benchmark harness.  Like the interior method
 they keep the dual field in a planar (2, n1, n2) buffer and the primal
 iterates in vectors allocated once, updated in place through the same
 gradient kernels (_grad, _grad_adjoint) and DenoiseProblem.project_dual.
-Those, the ascent step g = s g + p and pdhgm's primal update run compiled
-(barrierpd.kernels) whenever pedi's stages do, so timings compare the
-algorithms, not their implementations.
+Those and pdhgm's primal update run compiled (barrierpd.kernels) whenever
+pedi's stages do, so timings compare the algorithms, not their
+implementations.  As pedi's x - tau K* y rides in K*'s pass, the ascent
+g = (D v) s + p rides in D's (_grad's scale= and addend=), and dual_fb's
+x = z - D* p in D*'s.
 """
 
 from __future__ import annotations
@@ -73,18 +75,6 @@ class BaselineConfig:
         return cls(tau0=0.52 / L, sigma0=1.9 / L, gamma=gamma, max_iters=max_iters, opnorm=problem.opnorm_D)
 
 
-def _ascent(g: np.ndarray, s: float, p: np.ndarray):
-    """g = g s + p in place: the dual ascent step ahead of the projection."""
-    if kernels.PATH == "c":
-        try:
-            kernels.ext.scale_add(g, p, s)
-            return
-        except ValueError:
-            pass
-    g *= s
-    g += p
-
-
 def _pdhgm_primal(x, w, x_bar, zf, tau: float, theta: float):
     """pdhgm's primal prox step into w, which holds D* p on entry, and its extrapolation into x_bar.
 
@@ -143,8 +133,7 @@ def pdhgm_run(
 
     for i in range(config.max_iters):
         # p = P(p + sigma D x_bar)
-        _grad(x_bar.reshape(n1, n2), out=g)
-        _ascent(g, sigma, p)
+        _grad(x_bar.reshape(n1, n2), out=g, scale=sigma, addend=p)
         problem.project_dual(g_field, out=p_field)
         _grad_adjoint(p, out=w.reshape(n1, n2))
         theta = 1.0 / math.sqrt(1.0 + 2.0 * config.gamma * tau)
@@ -187,8 +176,7 @@ def dual_fb_run(
     tau = 1.0 / DUAL_FB_L**2
 
     for i in range(max_iters):
-        _grad(x.reshape(n1, n2), out=g)
-        _ascent(g, tau, p)
+        _grad(x.reshape(n1, n2), out=g, scale=tau, addend=p)
         problem.project_dual(g_field, out=p_field)
         # x = z - D* p
         _grad_adjoint(p, out=x.reshape(n1, n2), minuend=zf.reshape(n1, n2))

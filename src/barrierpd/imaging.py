@@ -16,12 +16,16 @@ Conventions fixed here and relied on by every solver:
   (or its plane) must therefore flatten to a view: one that would need a
   copy raises ValueError rather than leaving out unwritten.  With the
   compiled kernels (barrierpd.kernels) each of them, K*'s factor 2, the
-  prox, the TV projection and the elementwise passes of the H1 projection
-  and norm is one pass over C-contiguous float64 buffers, split across
-  threads on large images and bit-identical to the numpy passes, which run
-  for any other array.  So is metrics' one pass for its four sums, which
-  adds its terms in numpy's pairwise summation order and always runs on
-  the calling thread;
+  prox, the TV projection and the H1 projection's scaling is one pass over
+  C-contiguous float64 buffers, split across threads on large images and
+  bit-identical to the numpy passes, which run for any other array.  D's
+  pass also makes the baselines' ascent (D v) s + p, and D*'s pedi's
+  x - tau K* y and dual_fb's z - D* p.  The sums -- metrics' four and the
+  sum of squares behind H1's global norm -- add their terms in numpy's
+  pairwise summation order, in one pass on the calling thread;
+* H1's global norm is sqrt(sum g^2) over the planar field, summed in
+  component-major order whatever the field's layout, so its roundoff
+  depends on neither the layout nor BLAS;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
   for H1.  Since the heads are zero, the lifted operator K carries only the
@@ -48,7 +52,7 @@ import numpy as np
 
 from . import kernels
 from .jordan import BlockConeVector
-from .pedi import SaddleProblem
+from .pedi import SaddleProblem, _sumsq
 
 __all__ = [
     "ImageGrid",
@@ -106,18 +110,29 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1) if a.flags.c_contiguous else np.reshape(a, -1, copy=False)
 
 
-def _grad(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _grad(
+    values: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scale: float = 1.0,
+    addend: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Gradient of an (n1, n2) array as a planar (2, n1, n2) field, into out if given.
 
     The axis-1 difference is one shifted pass over the flattened plane; the
     entries it computes across row ends fall in the last column, which the
-    Neumann boundary then zeroes.  The compiled kernel makes the same passes.
+    Neumann boundary then zeroes.  out is then (D values) scale, plus a
+    planar addend p if given: the baselines' dual ascent.  The compiled
+    kernel makes the same passes, and the ascent in D's own pass.
     """
     if out is None:
         out = np.empty((2,) + values.shape)
-    if kernels.PATH == "c":
+    # the kernel scales only together with an addend
+    if kernels.PATH == "c" and (addend is not None or scale == 1.0):
         try:
-            kernels.ext.grad(values, out)
+            if addend is None:
+                kernels.ext.grad(values, out)
+            else:
+                kernels.ext.grad(values, out, addend, scale)
             return out
         except ValueError:
             pass
@@ -127,6 +142,10 @@ def _grad(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     out[0, -1, :] = 0.0
     np.subtract(vf[1:], vf[:-1], out=g1f[:-1])
     out[1, :, -1] = 0.0
+    if scale != 1.0:
+        out *= scale
+    if addend is not None:
+        out += addend
     return out
 
 
@@ -135,6 +154,7 @@ def _grad_adjoint(
     out: Optional[np.ndarray] = None,
     scale: float = 1.0,
     minuend: Optional[np.ndarray] = None,
+    step: float = 1.0,
 ) -> np.ndarray:
     """scale times the adjoint of _grad on a planar (2, n1, n2) field, an (n1, n2) array, into out if given.
 
@@ -144,8 +164,10 @@ def _grad_adjoint(
     and restored after it.  Every element sees the same operations in the
     same order as the 2-d column slices, so the result is exact for any
     field, whatever its boundary columns hold.  The product with scale comes
-    last; with an (n1, n2) minuend m, out is then m minus that product.  The
-    compiled kernel makes both in the same pass.
+    last; with an (n1, n2) minuend m, which must not overlap out, out is
+    then m minus that product times step: pedi's x - tau K* y and
+    dual_fb's x = z - D* p.  The compiled kernel makes both in the same
+    pass.
     """
     g0, g1 = planes[0], planes[1]
     if out is None:
@@ -155,7 +177,7 @@ def _grad_adjoint(
             if minuend is None:
                 kernels.ext.grad_adjoint(planes, out, scale)
             else:
-                kernels.ext.grad_adjoint(planes, out, minuend, scale)
+                kernels.ext.grad_adjoint(planes, out, minuend, scale, step)
             return out
         except ValueError:
             pass
@@ -173,6 +195,8 @@ def _grad_adjoint(
     if scale != 1.0:
         out *= scale
     if minuend is not None:
+        if step != 1.0:
+            out *= step
         np.subtract(minuend, out, out=out)
     return out
 
@@ -188,24 +212,14 @@ def _field(planes: np.ndarray) -> np.ndarray:
 
 
 def _field_norm(planes: np.ndarray) -> float:
-    """Euclidean norm of a planar field, summed in (n1, n2, 2) element order.
+    """Euclidean norm of a planar field, sqrt(sum g^2) summed in (2, n1, n2) element order.
 
     The order fixes the roundoff of the H1 regularizer and of the H1 dual
-    projection.  The planes are interleaved into a copy whose norm BLAS
-    takes (np.linalg.norm), so that roundoff also depends on the BLAS and
-    its thread count.  The compiled kernel makes the copy, split across
-    threads like every kernel; otherwise np.stack interleaves it plane by plane,
-    several times faster than reshaping the field view, whose copy gathers
-    across planes.
+    projection, and it is the same whatever the layout of planes: _sumsq
+    adds the squares of a contiguous field as they lie, in numpy's pairwise
+    order, and those of any other field from a contiguous copy.
     """
-    if kernels.PATH == "c":
-        flat = np.empty(planes.size)
-        try:
-            kernels.ext.interleave(planes, flat)
-            return float(np.linalg.norm(flat))
-        except ValueError:
-            pass
-    return float(np.linalg.norm(np.stack((planes[0], planes[1]), axis=-1).reshape(-1)))
+    return math.sqrt(_sumsq(planes))
 
 
 def unlift(y: BlockConeVector, shape) -> np.ndarray:
@@ -355,9 +369,10 @@ class DenoiseProblem:
         array.  Each operator writes into out= when given: for apply_K an
         array returned by an earlier apply_K call (or np.empty_like of one),
         for apply_K_adjoint and prox_G a contiguous primal vector, which for
-        prox_G must not overlap v.  opnorm_K = sqrt(2) opnorm_D, an upper
-        bound on ||K|| since opnorm_D is one with a margin far above the
-        roundoff of that product.
+        prox_G must not overlap v.  apply_K_adjoint with a primal minuend m
+        and a step t gives m - t K* y, in K*'s own pass.
+        opnorm_K = sqrt(2) opnorm_D, an upper bound on ||K|| since opnorm_D
+        is one with a margin far above the roundoff of that product.
         """
         n1, n2 = self.shape
         m, n_blocks = (2, self.n_pixels) if self.variant == "tv" else (2 * self.n_pixels, 1)
@@ -371,12 +386,13 @@ class DenoiseProblem:
                 planes = out.T.reshape(2, n1, n2)
             return _grad(x.reshape(n1, n2), out=planes).reshape(m, n_blocks).T
 
-        def apply_K_adjoint(y_tails, out=None):
+        def apply_K_adjoint(y_tails, out=None, minuend=None, step=1.0):
             if out is None:
                 out = np.empty(self.n_pixels)
             elif out.shape != (self.n_pixels,) or not out.flags.c_contiguous:
                 raise ValueError("out must be a contiguous primal vector")
-            _grad_adjoint(y_tails.T.reshape(2, n1, n2), out=out.reshape(n1, n2), scale=2.0)
+            m = None if minuend is None else minuend.reshape(n1, n2)
+            _grad_adjoint(y_tails.T.reshape(2, n1, n2), out=out.reshape(n1, n2), scale=2.0, minuend=m, step=step)
             return out
 
         def prox_G(v, tau, out=None):
@@ -487,7 +503,7 @@ def _metric_sums(x, p, problem: DenoiseProblem, target: Target):
     each equal to the numpy code's: the kernel forms every term with that
     code's operations and adds the terms in numpy's pairwise order.  p must
     be a planar-backed (n1, n2, 2) field.  H1's R(x) is regularizer(x),
-    whose BLAS norm fixes its roundoff.
+    whose planar sum of squares fixes its roundoff.
     """
     if kernels.PATH != "c":
         return None

@@ -16,9 +16,10 @@ selects the path.  Every function that calls a kernel keeps the numpy code
 it replaces, which runs on the numpy path and for arrays a kernel rejects
 (non-contiguous, not float64, overlapping), and which the tests use as the
 reference: both compute every element with the same operations in the same
-order, so their results are bit-identical.  That holds for the one kernel
-that sums, imaging.metrics' pass, too: it adds its terms in the pairwise
-order in which numpy's .sum() adds a float64 array.
+order, so their results are bit-identical.  That holds for the two kernels
+that sum, too, imaging.metrics' pass and the sum of squares behind H1's
+norms and pedi's watchdog norm: they add their terms in the pairwise order
+in which numpy's .sum() adds a float64 array, so no BLAS takes part.
 
 THREADS is the number of threads a large kernel call is split across,
 the caller included: one per CPU in the process's affinity mask (so
@@ -28,7 +29,7 @@ threads start on the first call whose every part would cover at least
 32,768 pixels (on two CPUs a 256 x 256 image splits, a 128 x 128 one does
 not), sleep between calls, and are started afresh in a forked child.
 Every element is computed as on one thread, so the split changes no
-result.  The metrics pass never splits.
+result.  Neither sum splits.
 """
 
 from __future__ import annotations

@@ -157,7 +157,10 @@ class SaddleProblem:
     apply_K(x, out) into an array returned by an earlier apply_K call or
     np.empty_like of one, apply_K_adjoint(y_tails, out) and
     prox_G(v, tau, out) into a primal vector, which for prox_G must not
-    overlap v.
+    overlap v.  apply_K_adjoint also takes minuend= and step=: with a primal
+    vector m that does not overlap out, it returns m - step K* y, the point
+    pedi_run takes the prox at, which an implementation may form in K*'s
+    own pass.
     """
 
     primal_dim: int
@@ -185,41 +188,72 @@ class PEDIResult:
         return np.concatenate(([1.0], [s.phi for s in self.states]))
 
 
-def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray, need_min: bool) -> Optional[float]:
-    """Squared tail norms of Kx per block into tn2, and their minimum if need_min.
+def _sumsq(a: np.ndarray) -> float:
+    """Sum of the squares of a's entries in C order, as np.square(a).sum() adds those of a C-contiguous a.
 
-    The compiled kernel takes two-entry tails (TV) stored planar, as apply_K
-    returns them, and always returns the minimum.  Other tails, such as H1's
-    single block, stay with einsum, whose summation order fixes their
-    roundoff.
+    The compiled kernel adds them in numpy's pairwise order on the calling
+    thread; other arrays are squared into a C-contiguous copy first, so the
+    order is the same whatever the layout.  A sum that overflows is inf,
+    with no warning on either path.
     """
-    if kernels.PATH == "c" and kx_tails.shape[1] == 2:
+    if kernels.PATH == "c":
         try:
-            return kernels.ext.tail_norms(kx_tails.T, tn2)
+            return kernels.ext.sumsq(a)
         except ValueError:
             pass
-    np.einsum("ij,ij->i", kx_tails, kx_tails, out=tn2)
-    return float(np.min(tn2)) if need_min else None
+    sq = np.empty(a.shape)
+    with np.errstate(over="ignore"):
+        np.square(a, out=sq)
+    return float(sq.sum())
+
+
+def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray, need_min: bool):
+    """The squared tail norms of Kx per block for the dual solve, and their minimum if need_min.
+
+    Returns (norms, minimum), the minimum None unless need_min.  On the
+    compiled path, two-entry tails (TV) stored planar, as apply_K returns
+    them, are left to the dual solve, which forms each squared norm itself:
+    norms is None, and the minimum comes from a pass that writes nothing.
+    Otherwise the norms are written into tn2 and returned: a single block
+    (H1) sums its squares with _sumsq, in component-major order, and other
+    tails with einsum, which is also the numpy path's reference for TV.
+    """
+    if kernels.PATH == "c" and kx_tails.shape[1] == 2 and kx_tails.T.flags.c_contiguous:
+        if not need_min:
+            return None, None
+        try:
+            return None, kernels.ext.tail_min(kx_tails.T)
+        except ValueError:
+            pass
+    if kx_tails.shape[0] == 1:
+        tn2[0] = _sumsq(kx_tails)
+    else:
+        np.einsum("ij,ij->i", kx_tails, kx_tails, out=tn2)
+    return tn2, (float(np.min(tn2)) if need_min else None)
 
 
 def _dual_update(
-    kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0: np.ndarray, y_tails: np.ndarray
+    kx_tails: np.ndarray, tn2: Optional[np.ndarray], b0: float, mu: float, d0: np.ndarray, y_tails: np.ndarray
 ):
     """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, in place.
 
-    tn2 holds the squared tail norms of Kx per block; the numpy path
-    overwrites it.  Writes the heads of d into d0 and the tails of y into
-    y_tails; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  Two-entry tails
-    stored planar go through the compiled kernel, which makes the same
-    operations per block in one pass; a single block (H1) computes its head
-    with numpy and scales its tail with a kernel.
+    tn2 holds the squared tail norms of Kx per block, or is None when they
+    were left to this solve (see _tail_norms); the numpy path overwrites it.
+    Writes the heads of d into d0 and the tails of y into y_tails;
+    head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  Two-entry tails stored
+    planar go through the compiled kernel, which forms each squared norm
+    and makes the numpy code's operations per block in one pass; a single
+    block (H1) computes its head with numpy and scales its tail with a
+    kernel.
     """
     if kernels.PATH == "c" and kx_tails.shape[1] == 2:
         try:
-            kernels.ext.dual_solve(tn2, kx_tails.T, d0, y_tails.T, b0, mu)
+            kernels.ext.dual_solve(kx_tails.T, d0, y_tails.T, b0, mu)
             return
         except ValueError:
             pass
+    if tn2 is None:
+        tn2 = np.einsum("ij,ij->i", kx_tails, kx_tails)
     np.multiply(tn2, b0 * b0, out=d0)
     d0 += mu * mu
     np.sqrt(d0, out=d0)
@@ -242,18 +276,6 @@ def _dual_update(
         except ValueError:
             pass
     np.multiply(kx_tails, scale[:, None], out=y_tails)
-
-
-def _prox_argument(x: np.ndarray, v: np.ndarray, tau: float):
-    """v = x - tau v in place, the point the primal prox is taken at."""
-    if kernels.PATH == "c":
-        try:
-            kernels.ext.x_minus_tau_v(x, v, tau)
-            return
-        except ValueError:
-            pass
-    v *= tau
-    np.subtract(x, v, out=v)
 
 
 def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):
@@ -300,11 +322,14 @@ def pedi_run(
     otherwise ConfigError is raised before the first iteration (see
     check_config).  The iterates live in buffers allocated once and updated
     in place.  Two-entry tails (TV) stored planar, as DenoiseProblem's
-    apply_K returns them, take the compiled kernels (barrierpd.kernels) for
-    the tail norms and their min and for the dual solve, and the step
-    x - tau K* y goes through one too; H1's one block keeps its norm and
-    head in numpy and scales its tail with a kernel.  Kernels split large
-    images across threads.  Both paths give bit-identical iterates.
+    apply_K returns them, take the compiled kernels (barrierpd.kernels):
+    the dual solve forms each block's squared tail norm in its own pass, and
+    the soc rule's minimum of those norms is a pass that writes nothing.
+    H1's one block sums its squared norm in numpy's pairwise order, as the
+    watchdog's ||x|| is summed, computes its head in numpy and scales its
+    tail with a kernel.  K* forms x - tau K* y in its own pass
+    (apply_K_adjoint's minuend= and step=).  Kernels split large images
+    across threads.  Both paths give bit-identical iterates.
 
     The callback, if given, is invoked as callback(i, x, y, state, metrics)
     after each iteration, with y the dual iterate as a BlockConeVector and
@@ -341,7 +366,7 @@ def pedi_run(
     for i in range(max_iters):
         if i:
             problem.apply_K(x, out=kx_tails)
-        tn2_min = _tail_norms(kx_tails, tn2, step_rule == "soc")
+        norms, tn2_min = _tail_norms(kx_tails, tn2, step_rule == "soc")
         if step_rule == "soc":
             # the enlarged monotonicity bound holds blockwise with the block's
             # own ||(Kx)_b||; the scalar rule can only use the worst block, so
@@ -352,14 +377,13 @@ def pedi_run(
             kx_norm = None
             state = step_rule_general(state, config)
 
-        _dual_update(kx_tails, tn2, b0, state.mu, d0, y_tails)
+        _dual_update(kx_tails, norms, b0, state.mu, d0, y_tails)
 
-        problem.apply_K_adjoint(y_tails, out=v)
-        _prox_argument(x, v, state.tau)
+        # v = x - tau K* y, the point the primal prox is taken at
+        problem.apply_K_adjoint(y_tails, out=v, minuend=x, step=state.tau)
         problem.prox_G(v, state.tau, out=x)
         # one pass: ||x|| is finite when x is, unless a finite x overflows it (no warning)
-        with np.errstate(over="ignore"):
-            x_norm = float(np.linalg.norm(x))
+        x_norm = math.sqrt(_sumsq(x))
         if not math.isfinite(x_norm) and not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite primal iterate at iteration {i}")
         if x_norm > 1e3 * problem.primal_bound_hint:

@@ -39,7 +39,8 @@ def ref_grad_adjoint(g):
 def ref_project(dp, p):
     if dp.variant == "tv":
         return p * np.minimum(1.0, dp.alpha / np.maximum(np.sqrt(np.sum(p**2, axis=2)), 1e-300))[..., None]
-    nrm = float(np.linalg.norm(p.reshape(-1)))
+    # the global norm sums the squares in planar, component-major order
+    nrm = math.sqrt(float(np.square(np.ascontiguousarray(p.transpose(2, 0, 1))).sum()))
     return p.copy() if nrm <= dp.alpha else p * (dp.alpha / nrm)
 
 

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,17 +109,50 @@ def test_gradient_pair(monkeypatch, rng, shape):
 
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
+def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
+    # the baselines' ascent (D v) s + p in D's pass, and pedi's x - tau K* y
+    # in D*'s, on special values in every argument
+    v, planes, p, m = special(rng, shape), special(rng, (2,) + shape), special(rng, (2,) + shape), special(rng, shape)
+    for s in (0.3, 1.0, 1e-300, 7.0, np.inf):
+        stage = lambda v, out, p: _grad(v, out, scale=s, addend=p)  # noqa: E731
+        c, ref = on_both_paths(monkeypatch, stage, v, np.full((2,) + shape, 7.0), p)
+        assert_identical(c, ref)
+        stage = lambda g, out, m: _grad_adjoint(g, out, 2.0, minuend=m, step=s)  # noqa: E731
+        c, ref = on_both_paths(monkeypatch, stage, planes, np.empty(shape), m)
+        assert_identical(c, ref)
+    # through the operator pedi calls, on a tails array apply_K returned
+    dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, "tv")
+    sp = dp.saddle_problem()
+    y = sp.apply_K(rng.standard_normal(dp.n_pixels))
+    y[...] = special(rng, y.shape)
+    stage = lambda y, out, x: sp.apply_K_adjoint(y, out=out, minuend=x, step=0.3)  # noqa: E731
+    c, ref = on_both_paths(monkeypatch, stage, y, np.empty(dp.n_pixels), m.reshape(-1))
+    assert_identical(c, ref)
+    assert identical(c[1], m.reshape(-1) - 0.3 * sp.apply_K_adjoint(c[0]))
+
+
+@needs_c
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_tail_norms_and_min(monkeypatch, rng, shape):
+    # the compiled path leaves the norms to the dual solve: the soc rule's
+    # pass only reduces their minimum, and the general rule makes no pass
     n = shape[0] * shape[1]
     for field in (rng.standard_normal((2, n)), special(rng, (2, n))):
-        c, ref = on_both_paths(monkeypatch, lambda k, t: pedi._tail_norms(k.T, t, True), field, np.empty(n))
-        assert_identical(c, ref)
-        assert identical(c[-1], np.min(ref[1]))
+        norms = np.einsum("ij,ij->i", field.T, field.T)
+        for need_min in (True, False):
+            stage = lambda k, t: pedi._tail_norms(k.T, t, need_min)  # noqa: E731
+            c, ref = on_both_paths(monkeypatch, stage, field, np.full(n, 7.0))
+            assert ref[-1][0] is ref[1] and identical(ref[1], norms)
+            assert c[-1][0] is None and np.all(c[1] == 7.0)
+            if need_min:
+                assert identical(c[-1][1], ref[-1][1]) and identical(ref[-1][1], np.min(norms))
+            else:
+                assert c[-1][1] is None and ref[-1][1] is None
     # np.min's answer with NaN present is NaN, and +0 is a minimum like any other
     field = np.zeros((2, n))
     field[0, -1] = np.nan
-    assert np.isnan(pedi._tail_norms(field.T, np.empty(n), True))
-    assert pedi._tail_norms(np.zeros((2, n)).T, np.empty(n), True) == 0.0
+    assert np.isnan(pedi._tail_norms(field.T, np.empty(n), True)[1])
+    assert pedi._tail_norms(np.zeros((2, n)).T, np.empty(n), True)[1] == 0.0
 
 
 @needs_c
@@ -134,6 +168,15 @@ def test_dual_solve(monkeypatch, rng, shape, mu):
 
         c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty(n), np.empty((2, n)))
         # the numpy path overwrites tn2; compare kx, d0 and y
+        assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
+
+        # pedi's order: the compiled path forms the norms in the dual solve,
+        # the numpy path writes them with _tail_norms
+        def stage(kx, tn2, d0, y):
+            norms, _ = pedi._tail_norms(kx.T, tn2, False)
+            pedi._dual_update(kx.T, norms, 0.7, mu, d0, y.T)
+
+        c, ref = on_both_paths(monkeypatch, stage, kx, np.empty(n), np.empty(n), np.empty((2, n)))
         assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
 
 
@@ -156,12 +199,8 @@ def test_primal_stages(monkeypatch, rng, shape):
     x, v, z = special(rng, n), special(rng, n), special(rng, n)
     dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, "tv")
     for tau in (0.3, 1e-300, 7.0):
-        c, ref = on_both_paths(monkeypatch, lambda x, v: pedi._prox_argument(x, v, tau), x, v)
-        assert_identical(c, ref)
         # prox_G reads the problem's own z, finite by construction
         c, ref = on_both_paths(monkeypatch, lambda v, out: dp.saddle_problem().prox_G(v, tau, out=out), v, np.empty(n))
-        assert_identical(c, ref)
-        c, ref = on_both_paths(monkeypatch, lambda g, p: baselines._ascent(g, tau, p), x.reshape(shape), z.reshape(shape))
         assert_identical(c, ref)
         stage = lambda x, w, xb, z: baselines._pdhgm_primal(x, w, xb, z, tau, 0.8)  # noqa: E731
         c, ref = on_both_paths(monkeypatch, stage, x, v, np.empty(n), z)
@@ -184,8 +223,8 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_h1_elementwise_passes(monkeypatch, rng, shape):
-    # the interleaving copy of _field_norm, H1 project_dual's two branches and
-    # pedi's one-block tail scaling
+    # _field_norm's sum of squares, H1 project_dual's two branches and
+    # pedi's one-block tail norm and scaling
     planes = special(rng, (2,) + shape)
     c, ref = on_both_paths(monkeypatch, imaging._field_norm, planes)
     assert_identical(c, ref)
@@ -206,6 +245,11 @@ def test_h1_elementwise_passes(monkeypatch, rng, shape):
 
         c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty(1), np.empty((m, 1)))
         assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
+        # the one block's squared norm, summed in component-major order
+        stage = lambda kx, tn2: pedi._tail_norms(kx.T, tn2, True)  # noqa: E731
+        c, ref = on_both_paths(monkeypatch, stage, kx, np.empty(1))
+        with np.errstate(over="ignore"):
+            assert identical(c[-1][1], ref[-1][1]) and identical(ref[1], [np.square(kx).sum()])
 
 
 @needs_c
@@ -215,10 +259,9 @@ def test_tail_norm_min_in_the_last_chunk(rng, shape):
     n = shape[0] * shape[1]
     field = rng.standard_normal((2, n)) + 3.0
     field[:, -1] = 1e-3
-    tn2 = np.empty(n)
-    assert pedi._tail_norms(field.T, tn2, True) == 2e-6 == tn2[-1]
+    assert pedi._tail_norms(field.T, np.empty(n), True) == (None, 2e-6)
     field[1, -1] = np.nan
-    assert np.isnan(pedi._tail_norms(field.T, tn2, True))
+    assert np.isnan(pedi._tail_norms(field.T, np.empty(n), True)[1])
 
 
 def metric_terms(x, z, xhat, planes, tv):
@@ -242,6 +285,47 @@ def test_metric_sums_follow_numpys_summation_order(monkeypatch, rng):
             got = kernels.ext.metric_sums(x, z, xhat, planes, tv)
             want = [float(t.sum()) for t in metric_terms(x, z, xhat, planes, tv)]
             assert [float.hex(v) for v in got] == [float.hex(v) for v in want], (n, tv)
+
+
+@needs_c
+def test_sumsq_follows_numpys_summation_order(rng):
+    # numpy's square-then-sum order, which fixes H1's norms: a numpy release
+    # that changed it fails here first
+    sizes = [*range(1, 301), 4095, 4096, 4097, 8191, 8192, 8193, 65536, 131072]
+    arrays = [rng.standard_normal(n) for n in sizes]
+    arrays += [rng.standard_normal((2,) + shape) for shape in SHAPES]
+    arrays += [special(rng, (2,) + shape) for shape in SHAPES]
+    for a in arrays:
+        with np.errstate(over="ignore"):
+            want = float(np.square(a).sum())
+        got = kernels.ext.sumsq(a)
+        assert identical(got, want) and (np.isnan(want) or float.hex(got) == float.hex(want)), a.shape
+    # H1's field norm is the same whatever the field's layout
+    planes = rng.standard_normal((2, 5, 7))
+    norm = imaging._field_norm(planes)
+    assert norm == imaging._field_norm(imaging._planes(np.ascontiguousarray(imaging._field(planes))))
+    assert norm == np.sqrt(np.square(planes).sum())
+
+
+@pytest.mark.parametrize("path", ["c", NUMPY])
+def test_overflowing_norm_of_a_finite_iterate_on_both_paths(monkeypatch, path):
+    # every entry of x is finite but ||x|| overflows: the watchdog trips, the
+    # run goes on and nothing warns
+    if path == "c" and kernels.PATH != "c":
+        pytest.skip(f"kernels: {kernels.PATH}")
+    monkeypatch.setattr(kernels, "PATH", path)
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(8, 8), 6.15, 3), 0.3, "tv")
+    sp = dp.saddle_problem()
+
+    def prox_G(v, tau, out=None):
+        out = sp.prox_G(v, tau, out=out)
+        out[3] = 1e200
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pedi_run(dataclasses.replace(sp, prox_G=prox_G), StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 1)
+    assert np.all(np.isfinite(res.x)) and res.watchdog_triggered
 
 
 def identical_records(a: IterationRecord, b: IterationRecord) -> bool:
@@ -380,9 +464,10 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
+    # the general rule makes no tail pass; sumsq is pedi's watchdog norm
     assert rec.calls == {
-        "grad": 20, "grad_adjoint": 2 * 5 + 2 * 5, "tail_norms": 10, "dual_solve": 10,
-        "x_minus_tau_v": 10, "prox": 10, "scale_add": 10, "project_tv": 10, "pdhgm_primal": 5,
+        "grad": 20, "grad_adjoint": 2 * 5 + 2 * 5, "tail_min": 5, "dual_solve": 10,
+        "prox": 10, "project_tv": 10, "pdhgm_primal": 5, "sumsq": 10,
     }
 
 
@@ -397,10 +482,29 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
+    # sumsq: pedi's tail norm and watchdog norm, and the baselines' projection norm
     assert rec.calls == {
-        "grad": 20, "grad_adjoint": 20, "x_minus_tau_v": 10, "prox": 10, "scale_add": 10,
-        "pdhgm_primal": 5, "interleave": 10, "scale": 2 * 5 + 10,
+        "grad": 20, "grad_adjoint": 20, "prox": 10, "pdhgm_primal": 5, "sumsq": 2 * 10 + 10,
+        "scale": 2 * 5 + 10,
     }
+
+
+@needs_c
+def test_every_kernel_is_reached(monkeypatch):
+    # a kernel that no stage calls any more is dead code: fold or delete it
+    rec = Recorder(kernels.ext)
+    monkeypatch.setattr(kernels, "ext", rec)
+    for variant, alpha in (("tv", 0.3), ("h1", 5.0)):
+        dp = DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 3), alpha, variant)
+        sp = dp.saddle_problem()
+        for rule in ("general", "soc"):
+            pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 3, step_rule=rule)
+        res = pdhgm_run(dp, BaselineConfig.default_for(dp, 3))
+        dual_fb_run(dp, 3)
+        metrics(res.x, res.p, dp, Target.of(dp, dp.z.flat()), 1.0)
+    exported = {name for name in dir(rec.ext) if callable(getattr(rec.ext, name)) and not name.startswith("_")}
+    assert rec.rejected == []
+    assert set(rec.calls) == exported
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +538,19 @@ def test_kernels_reject_without_writing(rng):
     with pytest.raises(ValueError):
         ext.project_tv(buf[:40].reshape(2, 20), buf[20:60].reshape(2, 20), 1.0, 1.0)
     with pytest.raises(ValueError):
-        ext.x_minus_tau_v(np.empty(3), np.empty(4), 0.5)
+        ext.grad_adjoint(buf[:40].reshape(2, 4, 5), buf[30:50].reshape(4, 5), buf[:20].reshape(4, 5), 2.0, 0.5)
+    with pytest.raises(ValueError):
+        ext.grad(v, np.empty((2, 4, 5)), np.empty((2, 5, 4)), 0.5)
     with pytest.raises(ValueError):
         ext.prox(np.empty(4), np.empty((2, 2)), np.empty(4), 0.5)
     with pytest.raises(ValueError):
         ext.project_tv(np.empty((4, 5)), np.empty((4, 5)), 1.0, 1.0)
     with pytest.raises(ValueError):
-        ext.tail_norms(np.empty((3, 4)), np.empty(4))
+        ext.tail_min(np.empty((3, 4)))
+    with pytest.raises(ValueError):
+        ext.dual_solve(np.empty((2, 4)), np.empty(3), np.empty((2, 4)), 1.0, 0.5)
+    with pytest.raises(ValueError):
+        ext.sumsq(np.empty((4, 6))[:, :5])
 
 
 @needs_c
@@ -453,6 +563,11 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     x = rng.standard_normal(30)
     target = Target.of(dp, rng.standard_normal(30))
 
+    def dual_update(kx):
+        d0, y = np.empty(30), np.empty((30, 2))
+        pedi._dual_update(kx, None, 0.4, 0.3, d0, y)
+        return d0, y
+
     def rejected():
         q = p.copy()
         return [
@@ -461,9 +576,11 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
             _grad_adjoint(planes[:, :, ::-1].copy()[:, :, ::-1], scale=2.0),
             # an interleaved field, projected in place
             dp.project_dual(q, out=q),
-            # C-ordered (n, 2) tails are not planar
-            pedi._tail_norms(kx, np.empty(30), True),
+            # C-ordered (n, 2) tails are not planar, and their norms were not formed
+            *dual_update(kx),
             dp.saddle_problem().prox_G(v.reshape(-1)[::-1], 0.3),
+            # the norm of an interleaved field, summed in planar order
+            imaging._field_norm(imaging._planes(p)),
             # an interleaved field, a float32 planar one and a strided planar one
             *dataclasses.astuple(metrics(x, p, dp, target, 3.0)),
             *dataclasses.astuple(metrics(x, imaging._field(planes.astype(np.float32)), dp, target, 3.0)),
@@ -474,7 +591,7 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     monkeypatch.setattr(kernels, "ext", rec)
     got = rejected()
     assert [name for name, _ in rec.rejected] == [
-        "grad", "grad", "grad_adjoint", "project_tv", "tail_norms", "prox",
+        "grad", "grad", "grad_adjoint", "project_tv", "dual_solve", "prox", "sumsq",
         # dual_value's D* rejects the interleaved and strided fields; it
         # takes a float64 copy of the float32 one, planar like the field
         "metric_sums", "grad_adjoint", "metric_sums", "metric_sums", "grad_adjoint"]
@@ -487,9 +604,9 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
 # the worker pool
 
 
-def run_python(code: str, path: Path = ROOT / "src") -> str:
-    """Standard output of a fresh interpreter running code with the package under path."""
-    env = dict(os.environ, PYTHONPATH=str(path), PYTHONDONTWRITEBYTECODE="1")
+def run_python(code: str, path: Path = ROOT / "src", **env: str) -> str:
+    """Standard output of a fresh interpreter running code with the package under path, and env set."""
+    env = dict(os.environ, PYTHONPATH=str(path), PYTHONDONTWRITEBYTECODE="1", **env)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -545,6 +662,25 @@ def test_python_threads_share_the_pool():
     assert not any(t.is_alive() for t in threads)
     for k, res in enumerate(got):
         assert identical(res.x, want[k % 2].x) and identical(res.p, want[k % 2].p)
+
+
+def test_h1_does_not_depend_on_blas_threads():
+    # H1's global norms are summed by barrierpd in numpy's pairwise order,
+    # not by BLAS, whose order follows its thread count
+    code = """
+import hashlib
+from barrierpd.baselines import BaselineConfig, dual_fb_run, pdhgm_run
+from barrierpd.imaging import DenoiseProblem, add_gaussian_noise, synthetic_image
+from barrierpd.pedi import StepConfig, pedi_run
+
+dp = DenoiseProblem(add_gaussian_noise(synthetic_image(256, 256), 6.15, 3), 5.0, "h1")
+sp = dp.saddle_problem()
+xs = [pdhgm_run(dp, BaselineConfig.default_for(dp, 50)).x, dual_fb_run(dp, 50).x]
+xs += [pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 50, step_rule=r).x for r in ("general", "soc")]
+print(*(hashlib.sha256(x.tobytes()).hexdigest() for x in xs), dp.regularizer(dp.z.flat()).hex())
+"""
+    one, two = (run_python(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two
 
 
 @needs_c
