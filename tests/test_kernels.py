@@ -299,7 +299,7 @@ def test_sumsq_follows_numpys_summation_order(rng):
         with np.errstate(over="ignore"):
             want = float(np.square(a).sum())
         got = kernels.ext.sumsq(a)
-        assert identical(got, want) and (np.isnan(want) or float.hex(got) == float.hex(want)), a.shape
+        assert identical(got, want), (a.shape, got, want)
     # H1's field norm is the same whatever the field's layout
     planes = rng.standard_normal((2, 5, 7))
     norm = imaging._field_norm(planes)
