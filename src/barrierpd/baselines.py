@@ -100,7 +100,6 @@ def _pdhgm_primal(x, w, x_bar, zf, tau: float, theta: float):
 class BaselineResult:
     x: np.ndarray
     p: np.ndarray
-    n_iters: int
 
 
 def pdhgm_run(
@@ -143,7 +142,7 @@ def pdhgm_run(
         if callback is not None:
             callback(i, _readonly(x), p_view, {"tau": tau, "sigma": sigma, "theta": theta})
 
-    return BaselineResult(x=x, p=p_field, n_iters=config.max_iters)
+    return BaselineResult(x=x, p=p_field)
 
 
 def dual_fb_run(
@@ -163,8 +162,11 @@ def dual_fb_run(
     The callback, if given, is invoked as callback(i, x, p, info) after each
     iteration, with p the (n1, n2, 2) dual field; x and p are borrowed
     read-only views of the solver's buffers, valid until the callback
-    returns: copy them to keep them.
+    returns: copy them to keep them.  max_iters must be at least 1, or
+    ConfigError is raised, as BaselineConfig raises it for pdhgm_run.
     """
+    if max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
     n1, n2 = problem.shape
     zf = problem.z.flat()
     p = np.zeros((2, n1, n2))
@@ -183,4 +185,4 @@ def dual_fb_run(
         if callback is not None:
             callback(i, x_view, p_view, {"tau": tau})
 
-    return BaselineResult(x=x, p=p_field, n_iters=max_iters)
+    return BaselineResult(x=x, p=p_field)

@@ -118,9 +118,10 @@ def _atomic_write_bytes(path: Path, data: bytes):
 def _configure(solver, problem, iters, tau0_override, gamma, zeta, theta):
     """Build and check one solver's configuration before anything runs.
 
-    Returns (run, opnorm): run(log) runs the solver and calls log(i, x, p)
-    after each iteration with the unlifted dual field p.  Raises ConfigError
-    for a configuration the solver would reject.
+    solver must be one of SOLVERS.  Returns (run, opnorm): run(log) runs the
+    solver and calls log(i, x, p, ...) after each iteration with the
+    unlifted dual field p; the baselines pass it their info dict as well.
+    Raises ConfigError for a configuration the solver would reject.
     """
     if solver in PEDI_RULES:
         sp = problem.saddle_problem()
@@ -134,23 +135,13 @@ def _configure(solver, problem, iters, tau0_override, gamma, zeta, theta):
             # one planar-backed field per run receives p = 2 tail(y)
             p = np.empty((2,) + problem.shape).transpose(1, 2, 0)
             pedi_run(sp, cfg, iters, step_rule=rule,
-                     callback=lambda i, x, y, state, info: log(i, x, problem.unlifted_dual(y, out=p)))
+                     callback=lambda i, x, y, *_: log(i, x, problem.unlifted_dual(y, out=p)))
 
         return run, sp.opnorm_K
     if solver == "pdhgm":
         cfg = BaselineConfig.default_for(problem, max_iters=iters, gamma=gamma)
-
-        def run(log):
-            pdhgm_run(problem, cfg, callback=lambda i, x, p, info: log(i, x, p))
-
-        return run, problem.opnorm_D
-    if solver == "dual-fb":
-
-        def run(log):
-            dual_fb_run(problem, iters, callback=lambda i, x, p, info: log(i, x, p))
-
-        return run, problem.opnorm_D
-    raise click.ClickException(f"unknown solver {solver!r}")
+        return (lambda log: pdhgm_run(problem, cfg, callback=log)), problem.opnorm_D
+    return (lambda log: dual_fb_run(problem, iters, callback=log)), problem.opnorm_D
 
 
 def _run_solver(run, problem, target, gap0):
@@ -158,7 +149,7 @@ def _run_solver(run, problem, target, gap0):
     records = []
     t0 = time.perf_counter()
 
-    def log(i, x, p):
+    def log(i, x, p, *_):
         records.append(metrics(x, p, problem, target, gap0, iter=i, wall_seconds=time.perf_counter() - t0))
 
     run(log)
@@ -208,6 +199,8 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, tau0_override, 
             raise click.ClickException(f"unknown solver {s!r}; choose from {', '.join(SOLVERS)}")
     if iters < 1:
         raise click.ClickException("--iters must be >= 1")
+    if target_iters < 1:
+        raise click.ClickException("--target-iters must be >= 1")
     if theta is not None and tau0_override is not None:
         raise click.ClickException("--theta and --tau0-override both set theta; give at most one")
 
@@ -262,6 +255,8 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, tau0_override, 
 @click.option("--target-iters", default=100000, type=int, show_default=True)
 def make_target(image, variant, alpha, sigma, seed, out, target_iters):
     """Compute and cache a long-run reference solution for a configuration."""
+    if target_iters < 1:
+        raise click.ClickException("--target-iters must be >= 1")
     out.mkdir(parents=True, exist_ok=True)
     key = _problem_key(image, variant, alpha, sigma, seed)
     path = _target_path(out, _key_hash(key))

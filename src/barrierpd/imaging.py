@@ -411,7 +411,6 @@ class DenoiseProblem:
             out /= 1.0 + tau
             return out
 
-        opnorm_K = math.sqrt(2.0) * self.opnorm_D
         return SaddleProblem(
             primal_dim=self.n_pixels,
             apply_K=apply_K,
@@ -419,8 +418,7 @@ class DenoiseProblem:
             prox_G=prox_G,
             gamma=1.0,
             b0=self.alpha,
-            opnorm_K=opnorm_K,
-            primal_bound_hint=float(np.linalg.norm(zf)) + 1.0,
+            opnorm_K=math.sqrt(2.0) * self.opnorm_D,
         )
 
     def unlifted_dual(self, y: BlockConeVector, out: Optional[np.ndarray] = None) -> np.ndarray:

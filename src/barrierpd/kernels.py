@@ -18,8 +18,9 @@ it replaces, which runs on the numpy path and for arrays a kernel rejects
 reference: both compute every element with the same operations in the same
 order, so their results are bit-identical.  That holds for the two kernels
 that sum, too, imaging.metrics' pass and the sum of squares behind H1's
-norms and pedi's watchdog norm: they add their terms in the pairwise order
-in which numpy's .sum() adds a float64 array, so no BLAS takes part.
+norms and pedi's finiteness check on ||x||^2: they add their terms in the
+pairwise order in which numpy's .sum() adds a float64 array, so no BLAS
+takes part.
 
 THREADS is the number of threads a large kernel call is split across,
 the caller included: one per CPU in the process's affinity mask (so

@@ -40,7 +40,6 @@ __all__ = [
     "step_rule_soc",
     "pedi_run",
     "check_config",
-    "descent_certificate",
 ]
 
 
@@ -170,7 +169,6 @@ class SaddleProblem:
     gamma: float
     b0: float
     opnorm_K: float
-    primal_bound_hint: float
 
 
 @dataclass
@@ -179,13 +177,6 @@ class PEDIResult:
     y: BlockConeVector
     d: BlockConeVector
     states: list
-    xs: Optional[list] = None
-    watchdog_triggered: bool = False
-
-    @property
-    def phis(self) -> np.ndarray:
-        """Testing parameters aligned with iterates: phi_0 = 1, phi_1, ..., phi_N."""
-        return np.concatenate(([1.0], [s.phi for s in self.states]))
 
 
 def _sumsq(a: np.ndarray) -> float:
@@ -308,7 +299,6 @@ def pedi_run(
     step_rule: str = "general",
     x0: Optional[np.ndarray] = None,
     callback: Optional[Callable] = None,
-    keep_iterates: bool = False,
 ) -> PEDIResult:
     """Run the barrier-preconditioned primal-dual iteration.
 
@@ -318,27 +308,35 @@ def pedi_run(
     x^{i+1} = prox_{tau_i G}(x^i - tau_i K* y^{i+1}).  The dual iterates are
     strictly interior and exactly feasible at every iteration.  The config
     must fit the problem: the same b0, a gamma no larger and an opnorm_K no
-    smaller than the problem's, and a zeta in the step rule's range;
-    otherwise ConfigError is raised before the first iteration (see
-    check_config).  The iterates live in buffers allocated once and updated
-    in place.  Two-entry tails (TV) stored planar, as DenoiseProblem's
-    apply_K returns them, take the compiled kernels (barrierpd.kernels):
-    the dual solve forms each block's squared tail norm in its own pass, and
-    the soc rule's minimum of those norms is a pass that writes nothing.
-    H1's one block sums its squared norm in numpy's pairwise order, as the
-    watchdog's ||x|| is summed, computes its head in numpy and scales its
-    tail with a kernel.  K* forms x - tau K* y in its own pass
-    (apply_K_adjoint's minuend= and step=).  Kernels split large images
-    across threads.  Both paths give bit-identical iterates.
+    smaller than the problem's, and a zeta in the step rule's range, and
+    max_iters must be at least 1; otherwise ConfigError is raised before the
+    first iteration (see check_config).  After each prox step the sum of
+    squares of x is taken in one pass; if it is not finite (a non-finite x,
+    or a finite x whose norm overflows) FloatingPointError is raised.  The
+    iterates live in buffers allocated once and updated in place.  Two-entry
+    tails (TV) stored planar, as DenoiseProblem's apply_K returns them, take
+    the compiled kernels (barrierpd.kernels): the dual solve forms each
+    block's squared tail norm in its own pass, and the soc rule's minimum of
+    those norms is a pass that writes nothing.  H1's one block sums its
+    squared norm in numpy's pairwise order, as ||x||^2 is summed, computes
+    its head in numpy and scales its tail with a kernel.  K* forms
+    x - tau K* y in its own pass (apply_K_adjoint's minuend= and step=).
+    Kernels split large images across threads.  Both paths give
+    bit-identical iterates.
 
     The callback, if given, is invoked as callback(i, x, y, state, metrics)
     after each iteration, with y the dual iterate as a BlockConeVector and
     metrics = {"kx_norm": ...}; it may be used for logging or error
-    tracking.  x and y are borrowed read-only views of the solver's buffers,
-    valid until the callback returns: copy them to keep them.  The result
-    carries the final y and d as BlockConeVector copies.  No randomness:
-    identical inputs give identical trajectories.
+    tracking.  With state.phi = phi_{i+1} and x = x^{i+1} it can form the
+    descent series (1/2) phi_{i+1} ||x^{i+1} - x_hat||^2, whose boundedness
+    is the raw content of the convergence estimate.  x and y are borrowed
+    read-only views of the solver's buffers, valid until the callback
+    returns: copy them to keep them.  The result carries the final y and d
+    as BlockConeVector copies.  No randomness: identical inputs give
+    identical trajectories.
     """
+    if max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
     check_config(problem, config, step_rule)
     x = np.zeros(problem.primal_dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.primal_dim,):
@@ -346,10 +344,6 @@ def pedi_run(
 
     state = initial_state()
     states = []
-    xs = [x.copy()] if keep_iterates else None
-    if max_iters < 1:
-        return PEDIResult(x=x, y=None, d=None, states=states, xs=xs)
-    watchdog = False
     b0 = problem.b0
 
     # K x^0 also sizes the buffers; empty_like keeps apply_K's memory layout
@@ -382,34 +376,14 @@ def pedi_run(
         # v = x - tau K* y, the point the primal prox is taken at
         problem.apply_K_adjoint(y_tails, out=v, minuend=x, step=state.tau)
         problem.prox_G(v, state.tau, out=x)
-        # one pass: ||x|| is finite when x is, unless a finite x overflows it (no warning)
-        x_norm = math.sqrt(_sumsq(x))
-        if not math.isfinite(x_norm) and not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite primal iterate at iteration {i}")
-        if x_norm > 1e3 * problem.primal_bound_hint:
-            watchdog = True
+        # one pass covers a non-finite x and a finite x whose ||x||^2 overflows (no warning)
+        if not math.isfinite(_sumsq(x)):
+            raise FloatingPointError(f"non-finite primal iterate or norm at iteration {i}")
 
         states.append(state)
-        if keep_iterates:
-            xs.append(x.copy())
         if callback is not None:
             callback(i, x_view, y_view, state, {"kx_norm": kx_norm})
 
     y = BlockConeVector.from_arrays(heads, y_tails)
     d = BlockConeVector.from_arrays(d0, -kx_tails)
-    return PEDIResult(x=x, y=y, d=d, states=states, xs=xs, watchdog_triggered=watchdog)
-
-
-def descent_certificate(result: PEDIResult, target_x: np.ndarray) -> np.ndarray:
-    """Series (1/2) phi_N ||x^N - target||^2 over the stored trajectory.
-
-    Requires the run to have been made with keep_iterates=True.  Boundedness
-    of this series is the raw content of the convergence estimate; its growth
-    order against phi_N = Theta(N^2) or exponential phi growth translates into
-    the O(1/N) and linear rates.
-    """
-    if result.xs is None:
-        raise ValueError("descent_certificate needs a run with keep_iterates=True")
-    target = np.asarray(target_x, dtype=float)
-    errs = np.array([float(np.sum((x - target) ** 2)) for x in result.xs])
-    return 0.5 * result.phis * errs
+    return PEDIResult(x=x, y=y, d=d, states=states)

@@ -45,6 +45,22 @@ def test_config_error_is_shared_with_pedi():
         BaselineConfig(tau0=1.0, sigma0=1.0, gamma=0.9, max_iters=10, opnorm=2.0)
 
 
+@pytest.mark.parametrize("solver", ["pedi-general", "pedi-soc", "pdhgm", "dual-fb"])
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_every_solver_rejects_max_iters_below_one(solver, max_iters):
+    # one rule for all four: the shared ConfigError, before any iteration
+    dp = make_problem()
+    with pytest.raises(ConfigError, match="max_iters must be >= 1"):
+        if solver == "pdhgm":
+            pdhgm_run(dp, BaselineConfig.default_for(dp, max_iters))
+        elif solver == "dual-fb":
+            dual_fb_run(dp, max_iters)
+        else:
+            sp = dp.saddle_problem()
+            cfg = pedi.StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+            pedi.pedi_run(sp, cfg, max_iters, step_rule=solver.removeprefix("pedi-"))
+
+
 def test_acceleration_identities():
     dp = make_problem()
     cfg = BaselineConfig.default_for(dp, max_iters=40)

@@ -16,11 +16,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from barrierpd import cli
 from barrierpd.baselines import BaselineConfig, dual_fb_run, pdhgm_run
 from barrierpd.imaging import DenoiseProblem, add_gaussian_noise, synthetic_image
 from barrierpd.jordan import BlockConeVector
 from barrierpd.pedi import SaddleProblem, StepConfig, pedi_run
+from barrierpd.pgm import write_pgm
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -82,3 +85,29 @@ def test_trace_sees_one_operator_call_per_iteration(variant):
     for tag in ("pdhgm", "dual-fb"):
         for name in ("imaging.grad", "imaging.grad_adjoint", "imaging.project_dual"):
             assert calls.get((name, tag)) == iters, name
+
+
+def test_traced_cli_run_sees_each_solver_once(tmp_path):
+    # perfbench's traced cli-tv-64 pass reaches the solvers only through the
+    # CLI's adapters and perfbench's wrappers of barrierpd.cli's solver names
+    spans = load_spans()
+    write_pgm(synthetic_image(8, 8), tmp_path / "img.pgm")
+    base = ["--image", str(tmp_path / "img.pgm"), "--variant", "tv", "--alpha", "0.5", "--sigma", "6.15",
+            "--seed", "1", "--out", str(tmp_path)]
+    runner = CliRunner()
+    res = runner.invoke(cli.main, ["make-target", *base, "--target-iters", "20000"])
+    assert res.exit_code == 0, res.output
+    tracer, pedi_results = spans.Tracer(), {}
+    with spans.instrumented(tracer, pedi_results):
+        res = runner.invoke(cli.main, ["run", *base, "--target", "load", "--solvers", ",".join(cli.SOLVERS),
+                                       "--iters", "5"])
+    assert res.exit_code == 0, res.output
+    roots = sorted((sp.name, sp.tag) for sp in tracer.spans if sp.id == sp.run)
+    assert roots == [("baselines.run", "dual-fb"), ("baselines.run", "pdhgm"),
+                     ("pedi.run", "general"), ("pedi.run", "soc")]
+    calls = {key: row[0] for key, row in tracer.layer_totals().items()}
+    for tag in ("general", "soc", "pdhgm", "dual-fb"):
+        assert calls.get(("cli.metrics", tag)) == 5, tag
+    for rule in ("general", "soc"):
+        assert calls.get(("jordan.from_arrays", rule)) == 2, rule
+    assert sorted(pedi_results) == ["general", "soc"]

@@ -164,6 +164,28 @@ def test_run_rejects_theta_with_tau0_override(workdir, tmp_path):
     assert not out.exists()
 
 
+def test_make_target_rejects_target_iters_below_one(workdir, tmp_path):
+    # the target solve's ConfigError used to escape with empty output
+    out = tmp_path / "out"
+    r = invoke(["make-target", "--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5",
+                "--seed", "1", "--out", str(out), "--target-iters", "0"])
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "--target-iters must be >= 1" in r.output
+    assert not out.exists()
+
+
+def test_run_rejects_target_iters_below_one(workdir, tmp_path):
+    out = tmp_path / "out"
+    r = invoke(["run", "--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5",
+                "--seed", "1", "--out", str(out), "--solvers", "dual-fb", "--iters", "5",
+                "--target-iters", "-5"])
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "--target-iters must be >= 1" in r.output
+    assert not out.exists()
+
+
 def test_make_target_writes_only_the_target(workdir, tmp_path, monkeypatch):
     args = ["--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5", "--seed", "1",
             "--target-iters", "20000"]

@@ -309,8 +309,8 @@ def test_sumsq_follows_numpys_summation_order(rng):
 
 @pytest.mark.parametrize("path", ["c", NUMPY])
 def test_overflowing_norm_of_a_finite_iterate_on_both_paths(monkeypatch, path):
-    # every entry of x is finite but ||x|| overflows: the watchdog trips, the
-    # run goes on and nothing warns
+    # every entry of x is finite but ||x|| overflows: the run raises, and
+    # nothing warns
     if path == "c" and kernels.PATH != "c":
         pytest.skip(f"kernels: {kernels.PATH}")
     monkeypatch.setattr(kernels, "PATH", path)
@@ -324,8 +324,8 @@ def test_overflowing_norm_of_a_finite_iterate_on_both_paths(monkeypatch, path):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = pedi_run(dataclasses.replace(sp, prox_G=prox_G), StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 1)
-    assert np.all(np.isfinite(res.x)) and res.watchdog_triggered
+        with pytest.raises(FloatingPointError, match="at iteration 0$"):
+            pedi_run(dataclasses.replace(sp, prox_G=prox_G), StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 1)
 
 
 def identical_records(a: IterationRecord, b: IterationRecord) -> bool:
@@ -464,7 +464,7 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
-    # the general rule makes no tail pass; sumsq is pedi's watchdog norm
+    # the general rule makes no tail pass; sumsq is pedi's ||x||^2 check
     assert rec.calls == {
         "grad": 20, "grad_adjoint": 2 * 5 + 2 * 5, "tail_min": 5, "dual_solve": 10,
         "prox": 10, "project_tv": 10, "pdhgm_primal": 5, "sumsq": 10,
@@ -482,7 +482,7 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
-    # sumsq: pedi's tail norm and watchdog norm, and the baselines' projection norm
+    # sumsq: pedi's tail norm and ||x||^2 check, and the baselines' projection norm
     assert rec.calls == {
         "grad": 20, "grad_adjoint": 20, "prox": 10, "pdhgm_primal": 5, "sumsq": 2 * 10 + 10,
         "scale": 2 * 5 + 10,
