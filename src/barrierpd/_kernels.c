@@ -4,11 +4,14 @@
  * replaces in the same order, so its results are bit-identical to that
  * code's.  The build flags keep it so: -ffp-contract=off stops a*b + c from
  * becoming a fused multiply-add, and no -ffast-math.  Of the three
- * reductions, tail_min's minimum is exact in any order, and metric_sums
- * and sumsq add their terms in numpy's own pairwise order.  Three
- * elementwise stages the numpy code makes as passes of their own ride in
- * a neighbouring kernel's pass: the baselines' ascent in grad, pedi's
- * x - tau K* y in grad_adjoint, and the TV tail norms in dual_solve.
+ * reductions, tv_dual's minimum is exact in any order, and metric_sums
+ * and sumsq add their terms in numpy's own pairwise order.  Stages the
+ * numpy code makes as passes of their own ride in a neighbouring kernel's
+ * pass: the baselines' ascent in grad and pedi's x - tau K* y in
+ * grad_adjoint.  On TV, pedi's whole dual step is one pass, tv_dual: it
+ * forms each pixel's tail of K x, its squared norm, the dual solve and the
+ * soc rule's minimum in one visit, and stores K x and d's heads only when
+ * asked, since only the final iterate's are read.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; on x86-64 each is cloned for AVX-512, AVX2 and the
@@ -149,44 +152,58 @@ KERNEL static void grad_adjoint(const double *restrict g0, const double *restric
     }
 }
 
-/* The least and greatest bit patterns of the squared norms a0^2 + a1^2 of
- * n two-entry tails, into *lo and *hi; nothing is written.  Such a sum is
- * +0 or positive unless NaN, and non-negative doubles order like their bit
- * patterns, so the minimum is an unsigned integer reduction, exact in any
- * order; NaN patterns of either sign lie above +inf's. */
-KERNEL static void tail_min(const double *restrict a0, const double *restrict a1, idx n,
-                            uint64_t *lo, uint64_t *hi)
-{
-    uint64_t l = UINT64_MAX, h = 0;
-    for (idx k = 0; k < n; k++) {
-        double t = a0[k] * a0[k] + a1[k] * a1[k];
-        uint64_t b;
-        memcpy(&b, &t, sizeof b);
-        l = b < l ? b : l;
-        h = b > h ? b : h;
-    }
-    *lo = l;
-    *hi = h;
-}
-
-/* The closed-form dual solve of pedi._dual_update on two-entry tails k,
- * which forms each squared norm tn2 = k0^2 + k1^2 itself: the head
- * d0 = (sqrt(tn2 b0^2 + mu^2) + mu) / b0 and the tail k (b0/2) / d0, zero
- * where d0 is not positive. */
-KERNEL static void dual_solve(const double *restrict k0, const double *restrict k1,
-                              double *restrict d0, double *restrict y0, double *restrict y1, idx n,
-                              double b0, double mu)
+/* Rows r0..r1-1 of pedi's dual step on TV, each pixel in one visit: its
+ * block's tail (g0, g1) of K x = grad v, formed as grad_range forms it; the
+ * squared norm t = g0^2 + g1^2; the closed-form dual solve of
+ * pedi._dual_update, the head d = (sqrt(t b0^2 + mu^2) + mu) / b0 of d and
+ * the tail (g0, g1) (b0/2) / d of y, zero where d is not positive.  It writes
+ * y's tails into (y0, y1), and with keep also K x into (k0, k1) and d's heads
+ * into d0.  The least and greatest bit patterns of the norms t go into *lo
+ * and *hi: such a sum is +0 or positive unless NaN, and non-negative doubles
+ * order like their bit patterns, so the minimum is an unsigned integer
+ * reduction, exact in any order; NaN patterns of either sign lie above
+ * +inf's. */
+KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double *restrict k1,
+                           double *restrict d0, double *restrict y0, double *restrict y1, idx n1,
+                           idx n2, idx r0, idx r1, double b0, double mu, int keep, uint64_t *lo,
+                           uint64_t *hi)
 {
     double bb = b0 * b0, mm = mu * mu, hb = b0 / 2.0;
-    for (idx k = 0; k < n; k++) {
-        double t = k0[k] * k0[k] + k1[k] * k1[k];
-        double d = (sqrt(t * bb + mm) + mu) / b0;
-        double q = hb / d;
-        double s = d > 0.0 ? q : 0.0;
-        d0[k] = d;
-        y0[k] = k0[k] * s;
-        y1[k] = k1[k] * s;
+    uint64_t l = UINT64_MAX, h = 0;
+#define PIXEL(K, G0, G1)                                                  \
+    do {                                                                  \
+        double g0 = (G0), g1 = (G1), t = g0 * g0 + g1 * g1;               \
+        double d = (sqrt(t * bb + mm) + mu) / b0, q = hb / d;             \
+        double s = d > 0.0 ? q : 0.0;                                     \
+        uint64_t b;                                                       \
+        memcpy(&b, &t, sizeof b);                                         \
+        l = b < l ? b : l;                                                \
+        h = b > h ? b : h;                                                \
+        y0[K] = g0 * s;                                                   \
+        y1[K] = g1 * s;                                                   \
+        if (keep) {                                                       \
+            k0[K] = g0;                                                   \
+            k1[K] = g1;                                                   \
+            d0[K] = d;                                                    \
+        }                                                                 \
+    } while (0)
+    /* the last row and the last column have zero differences (Neumann) */
+    for (idx i = r0; i < r1; i++) {
+        const double *restrict c = v + i * n2;
+        idx o = i * n2, e = n2 - 1;
+        if (i < n1 - 1) {
+            for (idx j = 0; j < e; j++)
+                PIXEL(o + j, c[j + n2] - c[j], c[j + 1] - c[j]);
+            PIXEL(o + e, c[e + n2] - c[e], 0.0);
+        } else {
+            for (idx j = 0; j < e; j++)
+                PIXEL(o + j, 0.0, c[j + 1] - c[j]);
+            PIXEL(o + e, 0.0, 0.0);
+        }
     }
+#undef PIXEL
+    *lo = l;
+    *hi = h;
 }
 
 /* out = (z tau + v) / (1 + tau), the prox of tau G(x) = tau ||x - z||^2 / 2. */
@@ -364,7 +381,7 @@ typedef struct Job Job;
 typedef void Task(Job *j, idx lo, idx hi, int c);
 struct Job {
     double *a[4];
-    double s[2];
+    double s[3];
     idx n1, n2;
     Task *task;
     idx units;
@@ -506,8 +523,8 @@ static void run(Job *j, Task *task, idx units, idx pixels)
     }
 }
 
-/* The tasks: units are rows for the gradient pair, elements or tails for
- * the rest. */
+/* The tasks: units are rows for the gradient pair and tv_dual, elements
+ * or tails for the rest. */
 static void t_grad(Job *j, idx lo, idx hi, int c)
 {
     idx n = j->n1 * j->n2;
@@ -521,16 +538,11 @@ static void t_grad_adjoint(Job *j, idx lo, idx hi, int c)
                  j->s[1]);
 }
 
-static void t_tail_min(Job *j, idx lo, idx hi, int c)
+static void t_tv_dual(Job *j, idx lo, idx hi, int c)
 {
-    tail_min(j->a[0] + lo, j->a[0] + j->units + lo, hi - lo, &j->lo[c], &j->hi[c]);
-}
-
-static void t_dual_solve(Job *j, idx lo, idx hi, int c)
-{
-    idx n = j->units;
-    dual_solve(j->a[0] + lo, j->a[0] + n + lo, j->a[1] + lo, j->a[2] + lo, j->a[2] + n + lo, hi - lo,
-               j->s[0], j->s[1]);
+    idx n = j->n1 * j->n2;
+    tv_dual(j->a[0], j->a[1], j->a[1] + n, j->a[2], j->a[3], j->a[3] + n, j->n1, j->n2, lo, hi,
+            j->s[0], j->s[1], j->s[2] != 0.0, &j->lo[c], &j->hi[c]);
 }
 
 static void t_prox(Job *j, idx lo, idx hi, int c)
@@ -696,19 +708,26 @@ WRAPPER(grad_adjoint)
     return finish(&bs);
 }
 
-/* tail_min(kx) -> the least squared norm of the planar (2, n) tails kx,
- * NaN if any norm is NaN, like np.min. */
-WRAPPER(tail_min)
+/* tv_dual(v, kx, d0, y, b0, mu, keep) -> the least squared norm of K x's
+ * tails, NaN if any is NaN, like np.min: v an (n1, n2) image, kx a
+ * (2, n1, n2) field, d0 an (n,) array and y planar (2, n) tails, n = n1 n2.
+ * It writes y, and with keep true also kx = grad v and d0. */
+WRAPPER(tv_dual)
 {
     Bufs bs = {.n = 0};
     Job j;
     double m = 0.0;
-    if (unpack(&bs, &j, args, nargs, "r", 0) && planar(&bs, 0)) {
-        if (bs.b[0].ndim != 2)
-            fail("tail_min needs planar (2, n) tails");
+    if (unpack(&bs, &j, args, nargs, "rwww", 3)) {
+        const Py_buffer *v = &bs.b[0], *g = &bs.b[1], *d = &bs.b[2], *y = &bs.b[3];
+        idx n = size(&bs, 0);
+        if (v->ndim != 2 || n == 0 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != v->shape[0] ||
+            g->shape[2] != v->shape[1] || d->ndim != 1 || size(&bs, 2) != n || y->ndim != 2 ||
+            y->shape[0] != 2 || y->shape[1] != n)
+            fail("tv_dual needs an (n1, n2) v, a (2, n1, n2) kx, an (n,) d0 and (2, n) y, n = n1 n2");
         else {
-            idx n = bs.b[0].shape[1];
-            run(&j, t_tail_min, n, n);
+            j.n1 = v->shape[0];
+            j.n2 = v->shape[1];
+            run(&j, t_tv_dual, j.n1, n);
             uint64_t lo = UINT64_MAX, hi = 0;
             for (int c = 0; c < j.chunks; c++) {
                 lo = j.lo[c] < lo ? j.lo[c] : lo;
@@ -722,21 +741,6 @@ WRAPPER(tail_min)
     }
     release(&bs);
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(m);
-}
-
-/* dual_solve(kx, d0, y, b0, mu): kx and y planar (2, n), d0 (n,). */
-WRAPPER(dual_solve)
-{
-    Bufs bs = {.n = 0};
-    Job j;
-    if (unpack(&bs, &j, args, nargs, "rww", 2) && planar(&bs, 0)) {
-        idx n = size(&bs, 1);
-        if (bs.b[0].ndim != 2 || bs.b[0].shape[1] != n || size(&bs, 2) != 2 * n)
-            fail("dual_solve needs (2, n) kx and y and an (n,) d0");
-        else
-            run(&j, t_dual_solve, n, n);
-    }
-    return finish(&bs);
 }
 
 /* prox(z, v, out, tau): out = (z tau + v) / (1 + tau). */
@@ -828,9 +832,8 @@ static PyMethodDef methods[] = {
     {"grad", (PyCFunction)(void (*)(void))w_grad, METH_FASTCALL, "grad(v, out[, p, s])"},
     {"grad_adjoint", (PyCFunction)(void (*)(void))w_grad_adjoint, METH_FASTCALL,
      "grad_adjoint(g, out, c) or grad_adjoint(g, out, m, c, t)"},
-    {"tail_min", (PyCFunction)(void (*)(void))w_tail_min, METH_FASTCALL, "tail_min(kx) -> min"},
-    {"dual_solve", (PyCFunction)(void (*)(void))w_dual_solve, METH_FASTCALL,
-     "dual_solve(kx, d0, y, b0, mu)"},
+    {"tv_dual", (PyCFunction)(void (*)(void))w_tv_dual, METH_FASTCALL,
+     "tv_dual(v, kx, d0, y, b0, mu, keep) -> min"},
     {"prox", (PyCFunction)(void (*)(void))w_prox, METH_FASTCALL, "prox(z, v, out, tau)"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
      "project_tv(p, out, alpha, floor)"},

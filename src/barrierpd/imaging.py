@@ -20,7 +20,10 @@ Conventions fixed here and relied on by every solver:
   C-contiguous float64 buffers, split across threads on large images and
   bit-identical to the numpy passes, which run for any other array.  D's
   pass also makes the baselines' ascent (D v) s + p, and D*'s pedi's
-  x - tau K* y and dual_fb's z - D* p.  The sums -- metrics' four and the
+  x - tau K* y and dual_fb's z - D* p.  On TV, the lifted K's pass also
+  makes pedi's dual solve and the soc rule's minimum of the tail norms
+  (apply_K's dual=), so K x is never stored but on pedi's final
+  iteration.  The sums -- metrics' four and the
   sum of squares behind H1's global norm -- add their terms in numpy's
   pairwise summation order, in one pass on the calling thread;
 * H1's global norm is sqrt(sum g^2) over the planar field, summed in
@@ -369,8 +372,12 @@ class DenoiseProblem:
         array.  Each operator writes into out= when given: for apply_K an
         array returned by an earlier apply_K call (or np.empty_like of one),
         for apply_K_adjoint and prox_G a contiguous primal vector, which for
-        prox_G must not overlap v.  apply_K_adjoint with a primal minuend m
-        and a step t gives m - t K* y, in K*'s own pass.
+        prox_G must not overlap v.  apply_K with a pedi.DualSolve also does
+        that dual solve: on TV with the compiled kernels in K's own pass,
+        which forms each block's tail and never stores it unless dual.keep,
+        and otherwise by running dual.solve, the reference, on the K x it
+        wrote.  apply_K_adjoint with a primal minuend m and a step t gives
+        m - t K* y, in K*'s own pass.
         opnorm_K = sqrt(2) opnorm_D, an upper bound on ||K|| since opnorm_D
         is one with a margin far above the roundoff of that product.
         """
@@ -378,13 +385,27 @@ class DenoiseProblem:
         m, n_blocks = (2, self.n_pixels) if self.variant == "tv" else (2 * self.n_pixels, 1)
         zf = self.z.flat()
 
-        def apply_K(x, out=None):
-            planes = None
-            if out is not None:
-                if out.shape != (n_blocks, m) or not out.T.flags.c_contiguous:
-                    raise ValueError("out must be a tails array returned by apply_K")
+        def apply_K(x, out=None, dual=None):
+            if out is None:
+                planes = np.empty((2, n1, n2))
+            elif out.shape != (n_blocks, m) or not out.T.flags.c_contiguous:
+                raise ValueError("out must be a tails array returned by apply_K")
+            else:
                 planes = out.T.reshape(2, n1, n2)
-            return _grad(x.reshape(n1, n2), out=planes).reshape(m, n_blocks).T
+            tails = planes.reshape(m, n_blocks).T
+            v = x.reshape(n1, n2)
+            if dual is not None and m == 2 and kernels.PATH == "c":
+                d0, y_tails = dual.buffers(tails)
+                try:
+                    tn2_min = kernels.ext.tv_dual(v, planes, d0, y_tails.T, dual.b0, dual.mu, dual.keep)
+                    dual.minimum = tn2_min if dual.need_min else None
+                    return tails
+                except ValueError:
+                    pass
+            _grad(v, out=planes)
+            if dual is not None:
+                dual.solve(tails)
+            return tails
 
         def apply_K_adjoint(y_tails, out=None, minuend=None, step=1.0):
             if out is None:

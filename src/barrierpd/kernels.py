@@ -16,11 +16,15 @@ selects the path.  Every function that calls a kernel keeps the numpy code
 it replaces, which runs on the numpy path and for arrays a kernel rejects
 (non-contiguous, not float64, overlapping), and which the tests use as the
 reference: both compute every element with the same operations in the same
-order, so their results are bit-identical.  That holds for the two kernels
-that sum, too, imaging.metrics' pass and the sum of squares behind H1's
-norms and pedi's finiteness check on ||x||^2: they add their terms in the
-pairwise order in which numpy's .sum() adds a float64 array, so no BLAS
-takes part.
+order, so their results are bit-identical.  The fused pass of pedi's TV
+dual step (tv_dual) replaces several such functions at once: K's _grad,
+then pedi's _tail_norms and _dual_update and the soc rule's np.min, which
+the lifted apply_K runs in that order on the numpy path.  It keeps K x in
+registers and stores it, with d's heads, only on the final iteration.
+Its minimum is exact in any order, and the two kernels that sum,
+imaging.metrics' pass and the sum of squares behind H1's norms and pedi's
+finiteness check on ||x||^2, add their terms in the pairwise order in
+which numpy's .sum() adds a float64 array, so no BLAS takes part.
 
 THREADS is the number of threads a large kernel call is split across,
 the caller included: one per CPU in the process's affinity mask (so

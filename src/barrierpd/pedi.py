@@ -5,9 +5,11 @@ proximal step on the primal variable.  The dual lives on a product of n
 second-order cones E_{1+m} under the per-block constraint <e, y_b> = b0 (a = e,
 the constraint both denoising models lift with), so the dual solve is the
 closed form of :func:`barrierpd.barrier.central_path_solve` specialised to
-a = e and vectorised over blocks.  K maps into cone elements with zero heads;
-the solver therefore passes plain (n, m) tail arrays between K and K*,
-allocated once before its loop and updated in place, and builds
+a = e and vectorised over blocks.  The solve needs only each block's
+(Kx)_b, so the solver hands it to K (a DualSolve passed to apply_K), which
+may do it in its own pass.  K maps into cone elements with zero heads; the
+solver therefore passes plain (n, m) tail arrays between K and K*,
+allocated on the first iteration and updated in place, and builds
 :class:`~barrierpd.jordan.BlockConeVector` values only at its edge: one
 read-only view for the callback and copies for the result.
 
@@ -20,7 +22,7 @@ nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "StepState",
     "StepConfig",
     "SaddleProblem",
+    "DualSolve",
     "PEDIResult",
     "initial_state",
     "step_rule_general",
@@ -108,6 +111,11 @@ class StepConfig:
         return replace(self, theta=theta)
 
 
+def _barrier_weight(state: StepState, config: StepConfig) -> float:
+    """mu_{i+1} = theta phi_i^{-1/2}, the barrier weight of the next dual solve and step."""
+    return config.theta * state.phi ** -0.5
+
+
 def _advance(state: StepState, config: StepConfig, omega_lb: float, mu: float) -> StepState:
     tau = 2.0 * omega_lb / config.opnorm_K**2
     phi_next = state.phi * (1.0 + 2.0 * config.gamma * tau)
@@ -124,7 +132,7 @@ def _check_zeta(config: StepConfig, step_rule: str):
 def step_rule_general(state: StepState, config: StepConfig) -> StepState:
     """General symmetric-cone rule: omega_lb = zeta mu_{i+1} (lambda_min(e) = 1)."""
     _check_zeta(config, "general")
-    mu = config.theta * state.phi ** -0.5
+    mu = _barrier_weight(state, config)
     omega_lb = config.zeta * mu
     return _advance(state, config, omega_lb, mu)
 
@@ -134,7 +142,7 @@ def step_rule_soc(state: StepState, current_Kx_norm: float, config: StepConfig) 
     _check_zeta(config, "soc")
     if current_Kx_norm < 0:
         raise ValueError("current_Kx_norm must be nonnegative")
-    mu = config.theta * state.phi ** -0.5
+    mu = _barrier_weight(state, config)
     omega_lb = mu * config.zeta + current_Kx_norm / (math.sqrt(2.0) * config.b0)
     return _advance(state, config, omega_lb, mu)
 
@@ -156,7 +164,12 @@ class SaddleProblem:
     apply_K(x, out) into an array returned by an earlier apply_K call or
     np.empty_like of one, apply_K_adjoint(y_tails, out) and
     prox_G(v, tau, out) into a primal vector, which for prox_G must not
-    overlap v.  apply_K_adjoint also takes minuend= and step=: with a primal
+    overlap v.  apply_K also takes dual=: with a DualSolve, it also does the
+    dual solve from the K x it forms, which an implementation may form in
+    K's own pass, or by calling dual.solve on its result.  Unless dual.keep
+    is set, it may then leave out unwritten (K x's tails are read by the
+    dual solve only), so the array it returns holds K x only when keep is
+    set.  apply_K_adjoint also takes minuend= and step=: with a primal
     vector m that does not overlap out, it returns m - step K* y, the point
     pedi_run takes the prox at, which an implementation may form in K*'s
     own pass.
@@ -198,53 +211,28 @@ def _sumsq(a: np.ndarray) -> float:
     return float(sq.sum())
 
 
-def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray, need_min: bool):
-    """The squared tail norms of Kx per block for the dual solve, and their minimum if need_min.
+def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray) -> np.ndarray:
+    """The squared tail norms of Kx per block, written into tn2 and returned.
 
-    Returns (norms, minimum), the minimum None unless need_min.  On the
-    compiled path, two-entry tails (TV) stored planar, as apply_K returns
-    them, are left to the dual solve, which forms each squared norm itself:
-    norms is None, and the minimum comes from a pass that writes nothing.
-    Otherwise the norms are written into tn2 and returned: a single block
-    (H1) sums its squares with _sumsq, in component-major order, and other
-    tails with einsum, which is also the numpy path's reference for TV.
+    A single block (H1) sums its squares with _sumsq, in component-major
+    order; other tails use einsum, which for two-entry tails (TV) is the
+    reference of the compiled pass (see DualSolve).
     """
-    if kernels.PATH == "c" and kx_tails.shape[1] == 2 and kx_tails.T.flags.c_contiguous:
-        if not need_min:
-            return None, None
-        try:
-            return None, kernels.ext.tail_min(kx_tails.T)
-        except ValueError:
-            pass
     if kx_tails.shape[0] == 1:
         tn2[0] = _sumsq(kx_tails)
     else:
         np.einsum("ij,ij->i", kx_tails, kx_tails, out=tn2)
-    return tn2, (float(np.min(tn2)) if need_min else None)
+    return tn2
 
 
-def _dual_update(
-    kx_tails: np.ndarray, tn2: Optional[np.ndarray], b0: float, mu: float, d0: np.ndarray, y_tails: np.ndarray
-):
+def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0: np.ndarray, y_tails: np.ndarray):
     """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, in place.
 
-    tn2 holds the squared tail norms of Kx per block, or is None when they
-    were left to this solve (see _tail_norms); the numpy path overwrites it.
-    Writes the heads of d into d0 and the tails of y into y_tails;
-    head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  Two-entry tails stored
-    planar go through the compiled kernel, which forms each squared norm
-    and makes the numpy code's operations per block in one pass; a single
-    block (H1) computes its head with numpy and scales its tail with a
-    kernel.
+    tn2 holds the squared tail norms of Kx per block (see _tail_norms) and
+    is overwritten.  Writes the heads of d into d0 and the tails of y into
+    y_tails; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  A single block
+    (H1) computes its head with numpy and scales its tail with a kernel.
     """
-    if kernels.PATH == "c" and kx_tails.shape[1] == 2:
-        try:
-            kernels.ext.dual_solve(kx_tails.T, d0, y_tails.T, b0, mu)
-            return
-        except ValueError:
-            pass
-    if tn2 is None:
-        tn2 = np.einsum("ij,ij->i", kx_tails, kx_tails)
     np.multiply(tn2, b0 * b0, out=d0)
     d0 += mu * mu
     np.sqrt(d0, out=d0)
@@ -267,6 +255,47 @@ def _dual_update(
         except ValueError:
             pass
     np.multiply(kx_tails, scale[:, None], out=y_tails)
+
+
+@dataclass(eq=False)
+class DualSolve:
+    """The dual solve pedi_run asks SaddleProblem.apply_K to do with the K x it forms.
+
+    With barrier weight mu and c_b = -(Kx)_b, each block gets the closed
+    form of _dual_update: the tails of y go into y_tails and the heads of d
+    into d0, both allocated on first use (buffers), and, if need_min, the
+    least squared tail norm min_b ||(Kx)_b||^2, the soc rule's input, into
+    minimum (NaN if any norm is NaN, like np.min).  Only the final
+    iteration's K x and d are read, so unless keep is set an implementation
+    may leave d0 and K x's tails unwritten.  solve() is the reference: it
+    runs _tail_norms and _dual_update on a K x already formed, which is what
+    apply_K does for H1 and on the numpy path; on TV with the compiled
+    kernels, DenoiseProblem's apply_K does it all in K's own pass.
+    """
+
+    b0: float
+    need_min: bool
+    mu: float = 0.0
+    keep: bool = True
+    d0: Optional[np.ndarray] = field(default=None, init=False)
+    y_tails: Optional[np.ndarray] = field(default=None, init=False)
+    minimum: Optional[float] = field(default=None, init=False)
+    _tn2: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def buffers(self, kx_tails: np.ndarray):
+        """(d0, y_tails), allocated on first use for tails in kx_tails' shape and layout."""
+        if self.y_tails is None:
+            n_blocks = kx_tails.shape[0]
+            self.d0, self._tn2 = np.empty(n_blocks), np.empty(n_blocks)
+            self.y_tails = np.empty_like(kx_tails)
+        return self.d0, self.y_tails
+
+    def solve(self, kx_tails: np.ndarray):
+        """The dual solve from the tails of K x, with _tail_norms and _dual_update."""
+        d0, y_tails = self.buffers(kx_tails)
+        tn2 = _tail_norms(kx_tails, self._tn2)
+        self.minimum = float(np.min(tn2)) if self.need_min else None
+        _dual_update(kx_tails, tn2, self.b0, self.mu, d0, y_tails)
 
 
 def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):
@@ -302,9 +331,9 @@ def pedi_run(
 ) -> PEDIResult:
     """Run the barrier-preconditioned primal-dual iteration.
 
-    Per iteration: advance the step scalars with the configured rule, solve
-    the interior dual system exactly with barrier weight mu_{i+1} and
-    c = -K x^i, then take the primal proximal step
+    Per iteration: solve the interior dual system exactly with barrier
+    weight mu_{i+1} and c = -K x^i, advance the step scalars with the
+    configured rule, then take the primal proximal step
     x^{i+1} = prox_{tau_i G}(x^i - tau_i K* y^{i+1}).  The dual iterates are
     strictly interior and exactly feasible at every iteration.  The config
     must fit the problem: the same b0, a gamma no larger and an opnorm_K no
@@ -313,16 +342,28 @@ def pedi_run(
     first iteration (see check_config).  After each prox step the sum of
     squares of x is taken in one pass; if it is not finite (a non-finite x,
     or a finite x whose norm overflows) FloatingPointError is raised.  The
-    iterates live in buffers allocated once and updated in place.  Two-entry
-    tails (TV) stored planar, as DenoiseProblem's apply_K returns them, take
-    the compiled kernels (barrierpd.kernels): the dual solve forms each
-    block's squared tail norm in its own pass, and the soc rule's minimum of
-    those norms is a pass that writes nothing.  H1's one block sums its
-    squared norm in numpy's pairwise order, as ||x||^2 is summed, computes
-    its head in numpy and scales its tail with a kernel.  K* forms
-    x - tau K* y in its own pass (apply_K_adjoint's minuend= and step=).
-    Kernels split large images across threads.  Both paths give
+    iterates live in buffers allocated on the first iteration and updated
+    in place.
+
+    An iteration runs: mu_{i+1} (_barrier_weight, which both rules use);
+    apply_K with a DualSolve, which forms K x^i, the dual solve and, for
+    the soc rule, min_b ||(Kx)_b||^2; the step rule; K*, which forms
+    x - tau K* y in its own pass (apply_K_adjoint's minuend= and step=);
+    the prox; and ||x||^2.  On TV with the compiled kernels
+    (barrierpd.kernels), DenoiseProblem's apply_K makes K, the dual solve
+    and the minimum one pass, which keeps K x in registers and stores it,
+    and d's heads, only on the final iteration, the one the result reads.
+    H1's one block sums its squared norm in numpy's pairwise order, as
+    ||x||^2 is summed, computes its head in numpy and scales its tail with
+    a kernel.  Kernels split large images across threads.  Both paths give
     bit-identical iterates.
+
+    On TV the soc rule is the general rule: the Neumann boundary makes the
+    corner pixel's block of K zero, so min_b ||(Kx)_b|| = 0 at every
+    iterate and the soc rule's enlarged bound adds nothing.  The two rules
+    give the same iterates bit for bit, and with the compiled kernels at the
+    same cost, since the fused pass reduces the minimum in the same visit.  The soc term pays on H1,
+    whose one block's ||Kx|| stays away from zero.
 
     The callback, if given, is invoked as callback(i, x, y, state, metrics)
     after each iteration, with y the dual iterate as a BlockConeVector and
@@ -345,36 +386,33 @@ def pedi_run(
     state = initial_state()
     states = []
     b0 = problem.b0
-
-    # K x^0 also sizes the buffers; empty_like keeps apply_K's memory layout
-    kx_tails = problem.apply_K(x)
-    y_tails = np.empty_like(kx_tails)
-    n_blocks = kx_tails.shape[0]
-    tn2, d0 = np.empty(n_blocks), np.empty(n_blocks)
-    heads = np.full(n_blocks, b0 / 2.0)
+    dual = DualSolve(b0, step_rule == "soc")
+    kx_tails = y_view = None
     v = np.empty_like(x)
-    if callback is not None:
-        x_view = _readonly(x)
-        y_view = BlockConeVector.view_of(heads, y_tails)
+    x_view = _readonly(x)
 
     for i in range(max_iters):
-        if i:
-            problem.apply_K(x, out=kx_tails)
-        norms, tn2_min = _tail_norms(kx_tails, tn2, step_rule == "soc")
+        dual.mu = _barrier_weight(state, config)
+        # only the result's d reads K x and d's heads
+        dual.keep = i == max_iters - 1
+        # the first call allocates K x's buffer and sizes the dual's
+        kx_tails = problem.apply_K(x, out=kx_tails, dual=dual)
+        if i == 0:
+            heads = np.full(kx_tails.shape[0], b0 / 2.0)
+            if callback is not None:
+                y_view = BlockConeVector.view_of(heads, dual.y_tails)
         if step_rule == "soc":
             # the enlarged monotonicity bound holds blockwise with the block's
             # own ||(Kx)_b||; the scalar rule can only use the worst block, so
             # a flat image region degrades it gracefully to the general rule
-            kx_norm = math.sqrt(2.0 * tn2_min)
+            kx_norm = math.sqrt(2.0 * dual.minimum)
             state = step_rule_soc(state, kx_norm, config)
         else:
             kx_norm = None
             state = step_rule_general(state, config)
 
-        _dual_update(kx_tails, norms, b0, state.mu, d0, y_tails)
-
         # v = x - tau K* y, the point the primal prox is taken at
-        problem.apply_K_adjoint(y_tails, out=v, minuend=x, step=state.tau)
+        problem.apply_K_adjoint(dual.y_tails, out=v, minuend=x, step=state.tau)
         problem.prox_G(v, state.tau, out=x)
         # one pass covers a non-finite x and a finite x whose ||x||^2 overflows (no warning)
         if not math.isfinite(_sumsq(x)):
@@ -384,6 +422,6 @@ def pedi_run(
         if callback is not None:
             callback(i, x_view, y_view, state, {"kx_norm": kx_norm})
 
-    y = BlockConeVector.from_arrays(heads, y_tails)
-    d = BlockConeVector.from_arrays(d0, -kx_tails)
+    y = BlockConeVector.from_arrays(heads, dual.y_tails)
+    d = BlockConeVector.from_arrays(dual.d0, -kx_tails)
     return PEDIResult(x=x, y=y, d=d, states=states)

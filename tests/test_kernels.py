@@ -131,65 +131,80 @@ def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
     assert identical(c[1], m.reshape(-1) - 0.3 * sp.apply_K_adjoint(c[0]))
 
 
+def dual_step(sp, x, b0=0.7, mu=0.3, need_min=True, keep=True, fill=7.0):
+    """K x through apply_K with a DualSolve, its buffers and K x's prefilled with fill.
+
+    Returns (K x's tails, d0, y_tails, minimum), the arrays apply_K wrote into.
+    """
+    dual = pedi.DualSolve(b0, need_min, mu=mu, keep=keep)
+    kx = np.full_like(sp.apply_K(x), fill)
+    for a in dual.buffers(kx):
+        a.fill(fill)
+    sp.apply_K(x, out=kx, dual=dual)
+    return kx, dual.d0, dual.y_tails, dual.minimum
+
+
+def tv_saddle(rng, shape):
+    return DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.7, "tv").saddle_problem()
+
+
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_tail_norms_and_min(monkeypatch, rng, shape):
-    # the compiled path leaves the norms to the dual solve: the soc rule's
-    # pass only reduces their minimum, and the general rule makes no pass
+    # the fused pass reduces the soc rule's minimum of the tail norms it
+    # forms, which the reference takes with np.min over _tail_norms' einsum
     n = shape[0] * shape[1]
-    for field in (rng.standard_normal((2, n)), special(rng, (2, n))):
-        norms = np.einsum("ij,ij->i", field.T, field.T)
+    sp = tv_saddle(rng, shape)
+    for x in (rng.standard_normal(n), special(rng, n)):
+        g = _grad(x.reshape(shape))
+        with np.errstate(all="ignore"):
+            norms = np.einsum("kij,kij->ij", g, g)
         for need_min in (True, False):
-            stage = lambda k, t: pedi._tail_norms(k.T, t, need_min)  # noqa: E731
-            c, ref = on_both_paths(monkeypatch, stage, field, np.full(n, 7.0))
-            assert ref[-1][0] is ref[1] and identical(ref[1], norms)
-            assert c[-1][0] is None and np.all(c[1] == 7.0)
+            c, ref = on_both_paths(monkeypatch, lambda x: dual_step(sp, x, need_min=need_min), x)
+            assert_identical(c[-1], ref[-1])
             if need_min:
-                assert identical(c[-1][1], ref[-1][1]) and identical(ref[-1][1], np.min(norms))
+                assert identical(ref[-1][3], np.min(norms))
             else:
-                assert c[-1][1] is None and ref[-1][1] is None
+                assert c[-1][3] is None and ref[-1][3] is None
     # np.min's answer with NaN present is NaN, and +0 is a minimum like any other
-    field = np.zeros((2, n))
-    field[0, -1] = np.nan
-    assert np.isnan(pedi._tail_norms(field.T, np.empty(n), True)[1])
-    assert pedi._tail_norms(np.zeros((2, n)).T, np.empty(n), True)[1] == 0.0
+    x = np.zeros(n)
+    assert dual_step(sp, x)[3] == 0.0
+    x[-1] = np.nan
+    assert n < 2 or np.isnan(dual_step(sp, x)[3])
 
 
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 @pytest.mark.parametrize("mu", [0.3, 1e-200, 0.0])
 def test_dual_solve(monkeypatch, rng, shape, mu):
+    # the fused pass against the reference, _grad, _tail_norms and
+    # _dual_update, which the numpy path runs
     n = shape[0] * shape[1]
-    for kx in (rng.standard_normal((2, n)), special(rng, (2, n))):
-        tn2 = np.einsum("ij,ij->i", kx.T, kx.T)
-
-        def stage(kx, tn2, d0, y):
-            pedi._dual_update(kx.T, tn2, 0.7, mu, d0, y.T)
-
-        c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty(n), np.empty((2, n)))
-        # the numpy path overwrites tn2; compare kx, d0 and y
-        assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
-
-        # pedi's order: the compiled path forms the norms in the dual solve,
-        # the numpy path writes them with _tail_norms
-        def stage(kx, tn2, d0, y):
-            norms, _ = pedi._tail_norms(kx.T, tn2, False)
-            pedi._dual_update(kx.T, norms, 0.7, mu, d0, y.T)
-
-        c, ref = on_both_paths(monkeypatch, stage, kx, np.empty(n), np.empty(n), np.empty((2, n)))
-        assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
+    sp = tv_saddle(rng, shape)
+    for x in (rng.standard_normal(n), special(rng, n)):
+        c, ref = on_both_paths(monkeypatch, lambda x: dual_step(sp, x, mu=mu), x)
+        assert_identical(c[-1], ref[-1])
+        kx, d0, y = ref[-1][:3]
+        with np.errstate(all="ignore"):
+            tn2 = pedi._tail_norms(kx, np.empty(n))
+            d0_ref, y_ref = np.empty(n), np.empty_like(y)
+            pedi._dual_update(kx, tn2, 0.7, mu, d0_ref, y_ref)
+        assert identical(d0, d0_ref) and identical(y, y_ref)
+        # without keep the pass writes y only: K x and d's heads stay as they were
+        monkeypatch.setattr(kernels, "PATH", "c")
+        got = dual_step(sp, x, mu=mu, keep=False)
+        assert identical(got[2], y) and np.all(got[0] == 7.0) and np.all(got[1] == 7.0)
 
 
 @needs_c
 def test_dual_solve_zero_heads(monkeypatch, rng):
     # b0^2 underflows to 0 and mu = 0, so every head d0 is 0: the tails must be 0, not NaN
-    kx = rng.standard_normal((2, 50))
-    tn2 = np.einsum("ij,ij->i", kx.T, kx.T)
-    stage = lambda kx, tn2, d0, y: pedi._dual_update(kx.T, tn2, 1e-170, 0.0, d0, y.T)  # noqa: E731
-    c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty(50), np.full((2, 50), np.nan))
-    for got in (c, ref):
-        assert np.all(got[2] == 0.0) and np.all(got[3] == 0.0)
-    assert identical(c[3], ref[3])
+    sp = tv_saddle(rng, (5, 10))
+    stage = lambda x: dual_step(sp, x, b0=1e-170, mu=0.0, fill=np.nan)  # noqa: E731
+    c, ref = on_both_paths(monkeypatch, stage, rng.standard_normal(50))
+    for got in (c[-1], ref[-1]):
+        assert np.all(got[1] == 0.0) and np.all(got[2] == 0.0)
+    assert identical(c[-1][2], ref[-1][2])
 
 
 @needs_c
@@ -246,22 +261,34 @@ def test_h1_elementwise_passes(monkeypatch, rng, shape):
         c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty(1), np.empty((m, 1)))
         assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
         # the one block's squared norm, summed in component-major order
-        stage = lambda kx, tn2: pedi._tail_norms(kx.T, tn2, True)  # noqa: E731
+        stage = lambda kx, tn2: pedi._tail_norms(kx.T, tn2)  # noqa: E731
         c, ref = on_both_paths(monkeypatch, stage, kx, np.empty(1))
         with np.errstate(over="ignore"):
-            assert identical(c[-1][1], ref[-1][1]) and identical(ref[1], [np.square(kx).sum()])
+            assert identical(c[1], ref[1]) and identical(ref[1], [np.square(kx).sum()])
 
 
 @needs_c
 @pytest.mark.parametrize("shape", [(256, 256), (257, 263)], ids=shape_ids)
-def test_tail_norm_min_in_the_last_chunk(rng, shape):
-    # every chunk's minimum must reach the result, and a NaN in any chunk
-    n = shape[0] * shape[1]
-    field = rng.standard_normal((2, n)) + 3.0
-    field[:, -1] = 1e-3
-    assert pedi._tail_norms(field.T, np.empty(n), True) == (None, 2e-6)
-    field[1, -1] = np.nan
-    assert np.isnan(pedi._tail_norms(field.T, np.empty(n), True)[1])
+def test_tail_norm_min_in_the_last_chunk(monkeypatch, shape):
+    # every chunk's minimum must reach the soc rule: the only zero tail is
+    # the Neumann corner's, in the last row and so the last chunk, and a NaN
+    # formed in the last chunk must give NaN
+    n1, n2 = shape
+    i, j = np.mgrid[:n1, :n2]
+    x = (3.0 * i + 5.0 * j + np.sin(i * j)).reshape(-1)
+    sp = tv_saddle(np.random.default_rng(0), shape)
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=0.7)
+    seen = []
+    pedi_run(sp, cfg, 1, step_rule="soc", x0=x, callback=lambda *a: seen.append(a[4]["kx_norm"]))
+    assert seen == [0.0]
+    for path in ("c", NUMPY):
+        monkeypatch.setattr(kernels, "PATH", path)
+        kx, _, _, minimum = dual_step(sp, x)
+        norms = np.einsum("ij,ij->i", kx, kx)
+        assert minimum == 0.0 and np.flatnonzero(norms == 0.0).tolist() == [n1 * n2 - 1]
+        x[-1] = np.nan
+        assert np.isnan(dual_step(sp, x)[3])
+        x[-1] = 0.0
 
 
 def metric_terms(x, z, xhat, planes, tv):
@@ -382,7 +409,7 @@ def run_all(dp, iters=50):
     out = []
     for rule in ("general", "soc"):
         res = pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), iters, step_rule=rule)
-        out.append((res.x, res.y.tails, res.d.heads, res.states))
+        out.append((res.x, res.y.heads, res.y.tails, res.d.heads, res.d.tails, res.states))
     res = pdhgm_run(dp, BaselineConfig.default_for(dp, iters))
     out.append((res.x, res.p))
     res = dual_fb_run(dp, iters)
@@ -408,17 +435,22 @@ def test_solvers_identical_on_both_paths(monkeypatch, variant, alpha):
 @needs_c
 @pytest.mark.parametrize("variant, alpha", [("tv", 0.3), ("h1", 5.0)])
 def test_split_solvers_identical_on_both_paths(monkeypatch, variant, alpha):
-    # 256 x 256 splits every kernel across the threads
-    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(256, 256), 6.15, 3), alpha, variant)
-    got = run_all(dp, 20)
-    monkeypatch.setattr(kernels, "PATH", NUMPY)
-    want = run_all(dp, 20)
-    for g, w in zip(got, want):
-        for a, b in zip(g, w):
-            if isinstance(b, list):
-                assert a == b
-            else:
-                assert identical(a, b)
+    # these sizes split every kernel across the threads, into equal and
+    # unequal chunks; one iteration is also the last, whose K x and d's
+    # heads pedi's fused pass writes
+    for shape in ((256, 256), (257, 263)):
+        dp = DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), alpha, variant)
+        for iters in (20, 1):
+            monkeypatch.setattr(kernels, "PATH", "c")
+            got = run_all(dp, iters)
+            monkeypatch.setattr(kernels, "PATH", NUMPY)
+            want = run_all(dp, iters)
+            for g, w in zip(got, want):
+                for a, b in zip(g, w):
+                    if isinstance(b, list):
+                        assert a == b
+                    else:
+                        assert identical(a, b)
 
 
 class Recorder:
@@ -464,9 +496,10 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
-    # the general rule makes no tail pass; sumsq is pedi's ||x||^2 check
+    # pedi's K, dual solve and soc minimum are one tv_dual pass, and grad is
+    # the baselines'; sumsq is pedi's ||x||^2 check
     assert rec.calls == {
-        "grad": 20, "grad_adjoint": 2 * 5 + 2 * 5, "tail_min": 5, "dual_solve": 10,
+        "grad": 10, "grad_adjoint": 2 * 5 + 2 * 5, "tv_dual": 10,
         "prox": 10, "project_tv": 10, "pdhgm_primal": 5, "sumsq": 10,
     }
 
@@ -545,10 +578,17 @@ def test_kernels_reject_without_writing(rng):
         ext.prox(np.empty(4), np.empty((2, 2)), np.empty(4), 0.5)
     with pytest.raises(ValueError):
         ext.project_tv(np.empty((4, 5)), np.empty((4, 5)), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ext.tail_min(np.empty((3, 4)))
-    with pytest.raises(ValueError):
-        ext.dual_solve(np.empty((2, 4)), np.empty(3), np.empty((2, 4)), 1.0, 0.5)
+    # tv_dual: the shapes, the dtype and an output overlapping another array
+    kx, d0, y = np.full((2, 4, 5), 7.0), np.full(20, 7.0), np.full((2, 20), 7.0)
+    wide = np.full((2, 40), 7.0)
+    for args in ((v.T, kx, d0, y), (v, kx[:, :, :4].copy(), d0, y), (v, kx, d0[:19].copy(), y),
+                 (v, kx, d0.reshape(4, 5), y), (v, kx, d0, y.reshape(2, 4, 5)), (v, kx, d0, y.T.copy()),
+                 (v.astype(np.float32), kx, d0, y), (v, kx, d0, y.astype(np.float32)),
+                 (v, kx, d0, wide[:, ::2]), (v, kx, d0, kx.reshape(2, 20)),
+                 (v, kx, y[0], y)):
+        with pytest.raises(ValueError):
+            ext.tv_dual(*args, 1.0, 0.5, True)
+    assert all(np.all(a == 7.0) for a in (kx, d0, y, wide))
     with pytest.raises(ValueError):
         ext.sumsq(np.empty((4, 6))[:, :5])
 
@@ -559,14 +599,13 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     planes = rng.standard_normal((2, 6, 5))
     dp = DenoiseProblem(imaging.ImageGrid(v), 0.4, "tv")
     p = 3.0 * rng.standard_normal((6, 5, 2))
-    kx = rng.standard_normal((30, 2))
     x = rng.standard_normal(30)
     target = Target.of(dp, rng.standard_normal(30))
 
-    def dual_update(kx):
-        d0, y = np.empty(30), np.empty((30, 2))
-        pedi._dual_update(kx, None, 0.4, 0.3, d0, y)
-        return d0, y
+    def dual_update(x):
+        dual = pedi.DualSolve(0.4, True, mu=0.3)
+        kx = dp.saddle_problem().apply_K(x, dual=dual)
+        return kx, dual.d0, dual.y_tails, dual.minimum
 
     def rejected():
         q = p.copy()
@@ -576,8 +615,8 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
             _grad_adjoint(planes[:, :, ::-1].copy()[:, :, ::-1], scale=2.0),
             # an interleaved field, projected in place
             dp.project_dual(q, out=q),
-            # C-ordered (n, 2) tails are not planar, and their norms were not formed
-            *dual_update(kx),
+            # a reversed x, not C-contiguous: the fused pass and D reject it
+            *dual_update(x[::-1]),
             dp.saddle_problem().prox_G(v.reshape(-1)[::-1], 0.3),
             # the norm of an interleaved field, summed in planar order
             imaging._field_norm(imaging._planes(p)),
@@ -591,7 +630,7 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     monkeypatch.setattr(kernels, "ext", rec)
     got = rejected()
     assert [name for name, _ in rec.rejected] == [
-        "grad", "grad", "grad_adjoint", "project_tv", "dual_solve", "prox", "sumsq",
+        "grad", "grad", "grad_adjoint", "project_tv", "tv_dual", "grad", "prox", "sumsq",
         # dual_value's D* rejects the interleaved and strided fields; it
         # takes a float64 copy of the float32 one, planar like the field
         "metric_sums", "grad_adjoint", "metric_sums", "metric_sums", "grad_adjoint"]
@@ -782,6 +821,18 @@ def test_concurrent_first_imports_both_load(tmp_path):
     outs = [p.communicate(timeout=120)[0].strip() for p in procs]
     assert outs == ["c", "c"]
     assert [p.suffix for p in (pkg / "__pycache__").iterdir()] == [".so"]
+
+
+def test_kernel_source_builds_without_warnings(tmp_path):
+    # the build's own flags plus -Wall -Werror: a warning fails here, not
+    # silently in the cached build
+    cc = kernels.compiler()
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler: {' '.join(cc)!r}")
+    include = kernels.sysconfig.get_paths()["include"]
+    cmd = [*cc, *kernels.FLAGS, "-Wall", "-Werror", "-I", include, str(kernels.SOURCE), "-o", str(tmp_path / "k.so")]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_package_data_ships_the_kernel_source(tmp_path):

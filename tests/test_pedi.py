@@ -213,6 +213,23 @@ def test_dual_update_zero_heads_give_zero_tails():
     assert np.all(d0 == 0.0) and np.all(y == 0.0)
 
 
+def test_soc_rule_is_the_general_rule_on_tv():
+    # the Neumann corner pixel's block of K is zero, so on TV
+    # min_b ||(Kx)_b|| = 0 at every iterate and the soc rule's bound is the
+    # general rule's: the two runs agree bit for bit.  A soc rule that left
+    # out zero blocks of K would change this on purpose.
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(32, 32), 6.15, 1), 0.3, "tv")
+    sp = dp.saddle_problem()
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+    norms = []
+    soc = pedi_run(sp, cfg, 100, step_rule="soc", callback=lambda i, x, y, s, info: norms.append(info["kx_norm"]))
+    general = pedi_run(sp, cfg, 100, step_rule="general")
+    assert norms == [0.0] * 100
+    assert soc.states == general.states
+    for a, b in ((soc.x, general.x), (soc.y.tails, general.y.tails), (soc.d.heads, general.d.heads)):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("variant,alpha", [("h1", 2.0), ("tv", 0.5)])
 @pytest.mark.parametrize("rule", ["general", "soc"])
 def test_pedi_converges_to_reference(variant, alpha, rule):
