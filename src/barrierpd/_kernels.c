@@ -3,15 +3,18 @@
  * Each kernel does, on every element, the operations of the numpy code it
  * replaces in the same order, so its results are bit-identical to that
  * code's.  The build flags keep it so: -ffp-contract=off stops a*b + c from
- * becoming a fused multiply-add, and no -ffast-math.  Of the three
- * reductions, tv_dual's minimum is exact in any order, and metric_sums
- * and sumsq add their terms in numpy's own pairwise order.  Stages the
- * numpy code makes as passes of their own ride in a neighbouring kernel's
- * pass: the baselines' ascent in grad and pedi's x - tau K* y in
- * grad_adjoint.  On TV, pedi's whole dual step is one pass, tv_dual: it
- * forms each pixel's tail of K x, its squared norm, the dual solve and the
- * soc rule's minimum in one visit, and stores K x and d's heads only when
- * asked, since only the final iterate's are read.
+ * becoming a fused multiply-add, and no -ffast-math.  Of the reductions,
+ * tv_dual's minimum is exact in any order, and metric_sums, sumsq,
+ * grad_sumsq and h1_dual's norm add their terms in numpy's own pairwise
+ * order.  Stages the numpy code makes as passes of their own ride in a
+ * neighbouring kernel's pass: the baselines' ascent in grad and pedi's
+ * x - tau K* y in grad_adjoint.  pedi's whole dual step is one kernel call:
+ * on TV, tv_dual forms each pixel's tail of K x, its squared norm, the dual
+ * solve and the soc rule's minimum in one visit; on H1, whose one block
+ * needs the norm of all of K x first, h1_dual sums its squares formed on
+ * the fly, solves for the block's scalars and then writes y.  Both store K
+ * x and d's heads only when asked, since only the final iterate's are
+ * read.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; on x86-64 each is cloned for AVX-512, AVX2 and the
@@ -20,16 +23,18 @@
  * ValueError for anything else: they never copy an array.
  *
  * Every element is computed independently of the others, so a call splits
- * into contiguous chunks without changing any result.  A call whose parts
- * would each cover at least MIN_PART pixels runs on a pool of worker
- * threads (see run); a smaller one, and every metric_sums and sumsq call,
- * runs on the calling thread alone.  The pool has one thread per CPU in the
- * process's affinity mask, at most MAX_THREADS, counting the caller;
- * taskset or any other affinity mask is what restricts it, and the BLAS
- * thread variables do not.  The workers start on the first call that
- * splits, sleep on a condition variable between calls, and never spin.  A
- * wrapper holds the interpreter lock for its whole call, which is what
- * lets Python threads share the one pool.
+ * into contiguous chunks without changing any result.  A sum splits by the
+ * subtrees of its pairwise tree, whose sums the caller adds in the tree's
+ * order (see pairwise), so it too is the same for any thread count.  A
+ * call whose parts would each cover at least MIN_PART pixels runs on a
+ * pool of worker threads (see run); a smaller one, and every metric_sums
+ * call, runs on the calling thread alone.  The pool has one thread per
+ * CPU in the process's affinity mask, at most MAX_THREADS, counting the
+ * caller; taskset or any other affinity mask is what restricts it, and
+ * the BLAS thread variables do not.  The workers start on the first call
+ * that splits, sleep on a condition variable between calls, and never
+ * spin.  A wrapper holds the interpreter lock for its whole call, which
+ * is what lets Python threads share the one pool.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -51,33 +56,53 @@ typedef Py_ssize_t idx;
 
 /* ----- kernels ----------------------------------------------------------- */
 
-/* Pixels lo..hi-1, in row-major order, of the forward differences with
- * Neumann boundary of the (n1, n2) array v, into d0 (axis 0) and d1
- * (axis 1), both indexed from lo: the entries imaging._grad gives those
- * pixels, whose axis-1 pass runs across row ends and then zeroes the last
- * column.  With an addend (p0, p1), indexed from lo too, each entry e
- * becomes e s + p, the zeroed ones 0 s + p: the baselines' dual ascent,
- * as imaging._grad makes it after D. */
+/* Pixels lo..hi-1, in row-major order, of plane q of the forward
+ * differences with Neumann boundary of the (n1, n2) array v, into d
+ * indexed from lo: the entries imaging._grad gives those pixels, whose
+ * axis-1 pass (q = 1) runs across row ends and then zeroes the last
+ * column. */
+static inline void grad_plane(const double *restrict v, double *restrict d, int q, idx n1, idx n2,
+                              idx lo, idx hi)
+{
+    idx n = hi - lo;
+    v += lo;
+    if (q == 0) {
+        /* nm entries have a row below */
+        idx nm = (n1 - 1) * n2 - lo;
+        nm = nm < n ? nm : n;
+        for (idx k = 0; k < nm; k++)
+            d[k] = v[k + n2] - v[k];
+        for (idx k = nm > 0 ? nm : 0; k < n; k++)
+            d[k] = 0.0;
+        return;
+    }
+    /* ne entries have a right neighbour in the array */
+    idx ne = n1 * n2 - 1 - lo;
+    ne = ne < n ? ne : n;
+    for (idx k = 0; k < ne; k++)
+        d[k] = v[k + 1] - v[k];
+    for (idx k = n2 - 1 - lo % n2; k < n; k += n2)
+        d[k] = 0.0;
+}
+
+/* Both planes of pixels lo..hi-1 of the gradient of v, into d0 (axis 0)
+ * and d1 (axis 1), indexed from lo.  With an addend (p0, p1), indexed from
+ * lo too, each entry e becomes e s + p, the zeroed ones 0 s + p: the
+ * baselines' dual ascent, as imaging._grad makes it after D. */
 static inline void grad_range(const double *restrict v, double *restrict d0, double *restrict d1,
                               const double *restrict p0, const double *restrict p1, double s,
                               idx n1, idx n2, idx lo, idx hi)
 {
+    if (!p0) {
+        grad_plane(v, d0, 0, n1, n2, lo, hi);
+        grad_plane(v, d1, 1, n1, n2, lo, hi);
+        return;
+    }
     /* nm entries have a row below, ne a right neighbour in the array */
     idx n = hi - lo, nm = (n1 - 1) * n2 - lo, ne = n1 * n2 - 1 - lo;
     nm = nm < n ? nm : n;
     ne = ne < n ? ne : n;
     v += lo;
-    if (!p0) {
-        for (idx k = 0; k < nm; k++)
-            d0[k] = v[k + n2] - v[k];
-        for (idx k = nm > 0 ? nm : 0; k < n; k++)
-            d0[k] = 0.0;
-        for (idx k = 0; k < ne; k++)
-            d1[k] = v[k + 1] - v[k];
-        for (idx k = n2 - 1 - lo % n2; k < n; k += n2)
-            d1[k] = 0.0;
-        return;
-    }
     double zs = 0.0 * s;
     for (idx k = 0; k < nm; k++)
         d0[k] = (v[k + n2] - v[k]) * s + p0[k];
@@ -152,6 +177,24 @@ KERNEL static void grad_adjoint(const double *restrict g0, const double *restric
     }
 }
 
+/* Runs PIXEL(k, g0, g1) on each pixel k of rows r0..r1-1 of the (n1, n2)
+ * array v, with (g0, g1) its entries of grad v, formed as grad_range forms
+ * them: the last row and the last column have zero differences (Neumann). */
+#define GRAD_ROWS(PIXEL)                                                  \
+    for (idx i = r0; i < r1; i++) {                                       \
+        const double *restrict c = v + i * n2;                            \
+        idx o = i * n2, e = n2 - 1;                                       \
+        if (i < n1 - 1) {                                                 \
+            for (idx j = 0; j < e; j++)                                   \
+                PIXEL(o + j, c[j + n2] - c[j], c[j + 1] - c[j]);          \
+            PIXEL(o + e, c[e + n2] - c[e], 0.0);                          \
+        } else {                                                          \
+            for (idx j = 0; j < e; j++)                                   \
+                PIXEL(o + j, 0.0, c[j + 1] - c[j]);                       \
+            PIXEL(o + e, 0.0, 0.0);                                       \
+        }                                                                 \
+    }
+
 /* Rows r0..r1-1 of pedi's dual step on TV, each pixel in one visit: its
  * block's tail (g0, g1) of K x = grad v, formed as grad_range forms it; the
  * squared norm t = g0^2 + g1^2; the closed-form dual solve of
@@ -187,23 +230,32 @@ KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double
             d0[K] = d;                                                    \
         }                                                                 \
     } while (0)
-    /* the last row and the last column have zero differences (Neumann) */
-    for (idx i = r0; i < r1; i++) {
-        const double *restrict c = v + i * n2;
-        idx o = i * n2, e = n2 - 1;
-        if (i < n1 - 1) {
-            for (idx j = 0; j < e; j++)
-                PIXEL(o + j, c[j + n2] - c[j], c[j + 1] - c[j]);
-            PIXEL(o + e, c[e + n2] - c[e], 0.0);
-        } else {
-            for (idx j = 0; j < e; j++)
-                PIXEL(o + j, 0.0, c[j + 1] - c[j]);
-            PIXEL(o + e, 0.0, 0.0);
-        }
-    }
+    GRAD_ROWS(PIXEL)
 #undef PIXEL
     *lo = l;
     *hi = h;
+}
+
+/* Rows r0..r1-1 of the write of pedi's dual step on H1, whose one block
+ * has the factor s = (b0/2) / d: y = (grad v) s into the planes (y0, y1),
+ * as pedi._dual_update's product forms it, and with keep K x = grad v
+ * itself into (k0, k1). */
+KERNEL static void h1_write(const double *restrict v, double *restrict k0, double *restrict k1,
+                            double *restrict y0, double *restrict y1, idx n1, idx n2, idx r0,
+                            idx r1, double s, int keep)
+{
+#define PIXEL(K, G0, G1)                                                  \
+    do {                                                                  \
+        double g0 = (G0), g1 = (G1);                                      \
+        y0[K] = g0 * s;                                                   \
+        y1[K] = g1 * s;                                                   \
+        if (keep) {                                                       \
+            k0[K] = g0;                                                   \
+            k1[K] = g1;                                                   \
+        }                                                                 \
+    } while (0)
+    GRAD_ROWS(PIXEL)
+#undef PIXEL
 }
 
 /* out = (z tau + v) / (1 + tau), the prox of tau G(x) = tau ||x - z||^2 / 2. */
@@ -244,9 +296,9 @@ KERNEL static void pdhgm_primal(const double *restrict x, double *restrict w,
     }
 }
 
-/* out = p s, or a copy of p when s is 1: the H1 dual projection and pedi's
- * one-block dual tails.  A product with 1 differs from a copy only on a
- * signalling NaN, which it quiets. */
+/* out = p s, or a copy of p when s is 1: the H1 dual projection.  A
+ * product with 1 differs from a copy only on a signalling NaN, which it
+ * quiets. */
 KERNEL static void scale(const double *restrict p, double *restrict out, idx n, double s)
 {
     if (s == 1.0) {
@@ -361,11 +413,40 @@ static double sumsq_tree(const double *a, idx n)
     return sumsq_tree(a, h) + sumsq_tree(a + h, n - h);
 }
 
+/* The sum of the squares of entries lo..lo+n-1, n <= LEAF, of grad v in
+ * planar (2, n1, n2) order, leaf-summed.  The leaf is formed plane by
+ * plane as grad_range forms it, and may straddle the two planes. */
+KERNEL static double grad_sumsq_leaf(const double *restrict v, idx n1, idx n2, idx lo, idx n)
+{
+    double t[LEAF];
+    /* k of the entries lie in plane 0, the rest in plane 1 */
+    idx p = n1 * n2, k = lo >= p ? 0 : lo + n <= p ? n : p - lo;
+    if (k > 0)
+        grad_plane(v, t, 0, n1, n2, lo, lo + k);
+    if (k < n)
+        grad_plane(v, t + k, 1, n1, n2, lo + k - p, lo + n - p);
+    return leaf_sum(t, n, 1);
+}
+
+/* The sum of the squares of entries lo..lo+n-1 of grad v in planar order,
+ * in numpy's pairwise order: np.square(_grad(v)).sum()'s node there. */
+static double grad_sumsq_tree(const double *v, idx n1, idx n2, idx lo, idx n)
+{
+    if (n <= LEAF)
+        return grad_sumsq_leaf(v, n1, n2, lo, n);
+    idx h = left_half(n);
+    return grad_sumsq_tree(v, n1, n2, lo, h) + grad_sumsq_tree(v, n1, n2, lo + h, n - h);
+}
+
 /* ----- the worker pool --------------------------------------------------- */
 
 #define MAX_THREADS 8
 #define CHUNKS_PER_THREAD 2
 #define MAX_CHUNKS (MAX_THREADS * CHUNKS_PER_THREAD)
+/* A split sum adds the subtrees NODE_DEPTH levels down numpy's pairwise
+ * tree, at most MAX_NODES of them (see pairwise) */
+#define NODE_DEPTH 4
+#define MAX_NODES (1 << NODE_DEPTH)
 /* The fewest pixels a thread's part of a split call may cover.  Pixels,
  * not array entries, so that all of an iteration's kernels split or none
  * do (a gradient field holds two entries per pixel): an image split in
@@ -387,6 +468,9 @@ struct Job {
     idx units;
     int chunks;
     uint64_t lo[MAX_CHUNKS], hi[MAX_CHUNKS];
+    /* a split sum's node u adds terms node[u]..node[u+1]-1 into sum[u] */
+    idx node[MAX_NODES + 1];
+    double sum[MAX_NODES];
 };
 
 /* The job being run is published by a store to claim, which packs the
@@ -523,8 +607,47 @@ static void run(Job *j, Task *task, idx units, idx pixels)
     }
 }
 
-/* The tasks: units are rows for the gradient pair and tv_dual, elements
- * or tails for the rest. */
+/* Puts into node the bounds of the subtrees of numpy's pairwise tree over
+ * terms lo..lo+n-1 that lie depth levels down, or of the leaves above
+ * them, in order; returns their number. */
+static int split(idx *node, idx lo, idx n, int depth)
+{
+    if (depth == 0 || n <= LEAF) {
+        *node = lo;
+        return 1;
+    }
+    idx h = left_half(n);
+    int a = split(node, lo, h, depth - 1);
+    return a + split(node + a, lo + h, n - h, depth - 1);
+}
+
+/* The sum of the node sums from *u on over a tree of n terms, added in
+ * the tree's order, as split laid the nodes out. */
+static double join(const double *sum, idx n, int depth, int *u)
+{
+    if (depth == 0 || n <= LEAF)
+        return sum[(*u)++];
+    idx h = left_half(n);
+    double a = join(sum, h, depth - 1, u);
+    return a + join(sum, n - h, depth - 1, u);
+}
+
+/* The sum of n terms in numpy's pairwise order, which covers the given
+ * number of pixels: task sums the terms of the tree's nodes NODE_DEPTH
+ * levels down, each as a unit of run, and the caller adds the node sums in
+ * the tree's order.  Each node's sum is the same on any thread, so the
+ * result is bit for bit the whole tree's for any thread count. */
+static double pairwise(Job *j, Task *task, idx n, idx pixels)
+{
+    int nodes = split(j->node, 0, n, NODE_DEPTH), u = 0;
+    j->node[nodes] = n;
+    run(j, task, nodes, pixels);
+    return join(j->sum, n, NODE_DEPTH, &u);
+}
+
+/* The tasks: units are rows for the gradient pair, tv_dual and h1_write,
+ * nodes of a pairwise tree for the sums, and elements or tails for the
+ * rest. */
 static void t_grad(Job *j, idx lo, idx hi, int c)
 {
     idx n = j->n1 * j->n2;
@@ -564,6 +687,25 @@ static void t_pdhgm_primal(Job *j, idx lo, idx hi, int c)
 static void t_scale(Job *j, idx lo, idx hi, int c)
 {
     scale(j->a[0] + lo, j->a[1] + lo, hi - lo, j->s[0]);
+}
+
+static void t_sumsq(Job *j, idx lo, idx hi, int c)
+{
+    for (idx u = lo; u < hi; u++)
+        j->sum[u] = sumsq_tree(j->a[0] + j->node[u], j->node[u + 1] - j->node[u]);
+}
+
+static void t_grad_sumsq(Job *j, idx lo, idx hi, int c)
+{
+    for (idx u = lo; u < hi; u++)
+        j->sum[u] = grad_sumsq_tree(j->a[0], j->n1, j->n2, j->node[u], j->node[u + 1] - j->node[u]);
+}
+
+static void t_h1_write(Job *j, idx lo, idx hi, int c)
+{
+    idx n = j->n1 * j->n2;
+    h1_write(j->a[0], j->a[1], j->a[1] + n, j->a[3], j->a[3] + n, j->n1, j->n2, lo, hi, j->s[0],
+             j->s[2] != 0.0);
 }
 
 /* ----- wrappers ---------------------------------------------------------- */
@@ -774,7 +916,7 @@ WRAPPER(pdhgm_primal)
 }
 
 /* scale(p, out, s): out = p s, a copy of p when s is 1, on gradient fields
- * or tails of two entries per pixel. */
+ * of two entries per pixel. */
 WRAPPER(scale)
 {
     Bufs bs = {.n = 0};
@@ -784,18 +926,82 @@ WRAPPER(scale)
     return finish(&bs);
 }
 
+/* h1_dual(v, kx, d0, y, b0, mu, keep) -> t, the squared norm of K x's one
+ * tail, pedi's whole dual step on H1: v an (n1, n2) image, kx a
+ * (2, n1, n2) field, d0 a (1,) array and y the (1, 2 n) tail, n = n1 n2.
+ * It sums t over grad v on the fly, as np.square(_grad(v)).sum() adds it,
+ * storing no field; solves d = (sqrt(t b0^2 + mu^2) + mu) / b0 and the
+ * factor s = (b0/2) / d, 0 where d is not positive, as pedi._dual_update
+ * does; and then writes y = (grad v) s, and with keep true also kx = grad v
+ * and d0 = d. */
+WRAPPER(h1_dual)
+{
+    Bufs bs = {.n = 0};
+    Job j;
+    double t = 0.0;
+    if (unpack(&bs, &j, args, nargs, "rwww", 3)) {
+        const Py_buffer *v = &bs.b[0], *g = &bs.b[1], *d = &bs.b[2], *y = &bs.b[3];
+        idx n = size(&bs, 0);
+        if (v->ndim != 2 || n == 0 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != v->shape[0] ||
+            g->shape[2] != v->shape[1] || d->ndim != 1 || size(&bs, 2) != 1 || y->ndim != 2 ||
+            y->shape[0] != 1 || y->shape[1] != 2 * n)
+            fail("h1_dual needs an (n1, n2) v, a (2, n1, n2) kx, a (1,) d0 and a (1, 2 n) y, n = n1 n2");
+        else {
+            j.n1 = v->shape[0];
+            j.n2 = v->shape[1];
+            /* add.reduce starts from its identity, 0 */
+            t = 0.0 + pairwise(&j, t_grad_sumsq, 2 * n, n);
+            double b0 = j.s[0], mu = j.s[1];
+            double dh = (sqrt(t * (b0 * b0) + mu * mu) + mu) / b0, q = (b0 / 2.0) / dh;
+            if (j.s[2] != 0.0)
+                *(double *)j.a[2] = dh;
+            /* the factor t_h1_write reads */
+            j.s[0] = dh > 0.0 ? q : 0.0;
+            run(&j, t_h1_write, j.n1, n);
+        }
+    }
+    release(&bs);
+    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(t);
+}
+
 /* sumsq(a) -> the sum of the squares of a's entries in numpy's summation
  * order, bit for bit np.square(a).sum() of a C-contiguous float64 a.  It
- * runs on the calling thread, as one chunk. */
+ * splits by the tree's subtrees, a planar (2, ...) array counting two
+ * entries per pixel and any other one entry. */
 WRAPPER(sumsq)
 {
     Bufs bs = {.n = 0};
     Job j;
     double s = 0.0;
-    if (unpack(&bs, &j, args, nargs, "r", 0) && size(&bs, 0) > 0)
-        s = sumsq_tree(j.a[0], size(&bs, 0));
+    if (unpack(&bs, &j, args, nargs, "r", 0) && size(&bs, 0) > 0) {
+        const Py_buffer *a = &bs.b[0];
+        idx n = size(&bs, 0);
+        s = pairwise(&j, t_sumsq, n, a->ndim >= 2 && a->shape[0] == 2 ? n / 2 : n);
+    }
     release(&bs);
     /* add.reduce starts from its identity, 0 */
+    return PyErr_Occurred() ? NULL : PyFloat_FromDouble(0.0 + s);
+}
+
+/* grad_sumsq(v) -> the sum of the squares of grad v's entries, bit for bit
+ * np.square(_grad(v)).sum() of the planar (2, n1, n2) field, which it
+ * forms on the fly and never stores: v an (n1, n2) array. */
+WRAPPER(grad_sumsq)
+{
+    Bufs bs = {.n = 0};
+    Job j;
+    double s = 0.0;
+    if (unpack(&bs, &j, args, nargs, "r", 0)) {
+        const Py_buffer *v = &bs.b[0];
+        if (v->ndim != 2 || v->len == 0)
+            fail("grad_sumsq needs an (n1, n2) array");
+        else {
+            j.n1 = v->shape[0];
+            j.n2 = v->shape[1];
+            s = pairwise(&j, t_grad_sumsq, 2 * j.n1 * j.n2, j.n1 * j.n2);
+        }
+    }
+    release(&bs);
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(0.0 + s);
 }
 
@@ -840,7 +1046,11 @@ static PyMethodDef methods[] = {
     {"pdhgm_primal", (PyCFunction)(void (*)(void))w_pdhgm_primal, METH_FASTCALL,
      "pdhgm_primal(x, w, xb, z, tau, theta)"},
     {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL, "scale(p, out, s)"},
+    {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,
+     "h1_dual(v, kx, d0, y, b0, mu, keep) -> t"},
     {"sumsq", (PyCFunction)(void (*)(void))w_sumsq, METH_FASTCALL, "sumsq(a) -> sum of squares"},
+    {"grad_sumsq", (PyCFunction)(void (*)(void))w_grad_sumsq, METH_FASTCALL,
+     "grad_sumsq(v) -> sum of the squares of grad v"},
     {"metric_sums", (PyCFunction)(void (*)(void))w_metric_sums, METH_FASTCALL,
      "metric_sums(x, z, xhat, p, tv) -> (xz2, tv, zp2, xxhat2)"},
     {NULL, NULL, 0, NULL},

@@ -20,12 +20,15 @@ Conventions fixed here and relied on by every solver:
   C-contiguous float64 buffers, split across threads on large images and
   bit-identical to the numpy passes, which run for any other array.  D's
   pass also makes the baselines' ascent (D v) s + p, and D*'s pedi's
-  x - tau K* y and dual_fb's z - D* p.  On TV, the lifted K's pass also
+  x - tau K* y and dual_fb's z - D* p.  The lifted K's kernel call also
   makes pedi's dual solve and the soc rule's minimum of the tail norms
-  (apply_K's dual=), so K x is never stored but on pedi's final
-  iteration.  The sums -- metrics' four and the
-  sum of squares behind H1's global norm -- add their terms in numpy's
-  pairwise summation order, in one pass on the calling thread;
+  (apply_K's dual=): on TV in the same pass, on H1 by summing the squares
+  of K x formed on the fly before a pass that writes y.  So K x is never
+  stored but on pedi's final iteration.  The sums -- metrics' four, the
+  sum of squares behind H1's global norm and H1's regularizer, which sums
+  the squares of a gradient it never stores -- add their terms in numpy's
+  pairwise summation order; all but metrics' split across threads by the
+  subtrees of that order, which changes no bit;
 * H1's global norm is sqrt(sum g^2) over the planar field, summed in
   component-major order whatever the field's layout, so its roundoff
   depends on neither the layout nor BLAS;
@@ -293,8 +296,19 @@ class DenoiseProblem:
     # ----- functionals ---------------------------------------------------
 
     def regularizer(self, x: np.ndarray) -> float:
-        """R(x): TV or H1 seminorm of the image x (flat vector)."""
-        g = _grad(np.asarray(x, dtype=float).reshape(self.shape))
+        """R(x): TV or H1 seminorm of the image x (flat vector).
+
+        With the compiled kernels H1's is one pass that sums the squares of
+        the gradient as it forms them, and allocates nothing.
+        """
+        v = np.asarray(x, dtype=float).reshape(self.shape)
+        if self.variant == "h1" and kernels.PATH == "c":
+            try:
+                # _field_norm(_grad(v)) bit for bit, with no field stored
+                return math.sqrt(kernels.ext.grad_sumsq(v))
+            except ValueError:
+                pass
+        g = _grad(v)
         if self.variant == "tv":
             norms = np.einsum("kij,kij->ij", g, g)
             return float(np.sqrt(norms, out=norms).sum())
@@ -373,11 +387,13 @@ class DenoiseProblem:
         array returned by an earlier apply_K call (or np.empty_like of one),
         for apply_K_adjoint and prox_G a contiguous primal vector, which for
         prox_G must not overlap v.  apply_K with a pedi.DualSolve also does
-        that dual solve: on TV with the compiled kernels in K's own pass,
-        which forms each block's tail and never stores it unless dual.keep,
-        and otherwise by running dual.solve, the reference, on the K x it
-        wrote.  apply_K_adjoint with a primal minuend m and a step t gives
-        m - t K* y, in K*'s own pass.
+        that dual solve.  With the compiled kernels it is K's own call,
+        which never stores K x unless dual.keep: tv_dual on TV forms each
+        block's tail and solves it in one pass; h1_dual on H1 sums the one
+        block's squared norm over K x formed on the fly, solves for the
+        block and then writes y.  Otherwise apply_K runs dual.solve, the
+        reference, on the K x it wrote.  apply_K_adjoint with a primal
+        minuend m and a step t gives m - t K* y, in K*'s own pass.
         opnorm_K = sqrt(2) opnorm_D, an upper bound on ||K|| since opnorm_D
         is one with a margin far above the roundoff of that product.
         """
@@ -394,10 +410,14 @@ class DenoiseProblem:
                 planes = out.T.reshape(2, n1, n2)
             tails = planes.reshape(m, n_blocks).T
             v = x.reshape(n1, n2)
-            if dual is not None and m == 2 and kernels.PATH == "c":
+            if dual is not None and kernels.PATH == "c":
                 d0, y_tails = dual.buffers(tails)
                 try:
-                    tn2_min = kernels.ext.tv_dual(v, planes, d0, y_tails.T, dual.b0, dual.mu, dual.keep)
+                    # the least squared tail norm: TV's minimum, H1's one norm
+                    if m == 2:
+                        tn2_min = kernels.ext.tv_dual(v, planes, d0, y_tails.T, dual.b0, dual.mu, dual.keep)
+                    else:
+                        tn2_min = kernels.ext.h1_dual(v, planes, d0, y_tails, dual.b0, dual.mu, dual.keep)
                     dual.minimum = tn2_min if dual.need_min else None
                     return tails
                 except ValueError:

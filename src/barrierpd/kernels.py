@@ -16,15 +16,18 @@ selects the path.  Every function that calls a kernel keeps the numpy code
 it replaces, which runs on the numpy path and for arrays a kernel rejects
 (non-contiguous, not float64, overlapping), and which the tests use as the
 reference: both compute every element with the same operations in the same
-order, so their results are bit-identical.  The fused pass of pedi's TV
-dual step (tv_dual) replaces several such functions at once: K's _grad,
-then pedi's _tail_norms and _dual_update and the soc rule's np.min, which
-the lifted apply_K runs in that order on the numpy path.  It keeps K x in
-registers and stores it, with d's heads, only on the final iteration.
-Its minimum is exact in any order, and the two kernels that sum,
-imaging.metrics' pass and the sum of squares behind H1's norms and pedi's
-finiteness check on ||x||^2, add their terms in the pairwise order in
-which numpy's .sum() adds a float64 array, so no BLAS takes part.
+order, so their results are bit-identical.  The fused passes of pedi's
+dual step (tv_dual on TV, h1_dual on H1) replace several such functions
+at once: K's _grad, then pedi's _tail_norms and _dual_update and the soc
+rule's np.min, which the lifted apply_K runs in that order on the numpy
+path.  tv_dual keeps K x in registers; h1_dual forms it twice, once for
+its one block's norm and once to write y.  Both store K x, with d's
+heads, only on the final iteration.  tv_dual's minimum is exact in any
+order, and the kernels that sum -- imaging.metrics' pass, the sum of
+squares behind H1's norms and pedi's finiteness check on ||x||^2, and the
+sum of squares of a gradient formed on the fly (h1_dual's norm and H1's
+regularizer) -- add their terms in the pairwise order in which numpy's
+.sum() adds a float64 array, so no BLAS takes part.
 
 THREADS is the number of threads a large kernel call is split across,
 the caller included: one per CPU in the process's affinity mask (so
@@ -34,7 +37,9 @@ threads start on the first call whose every part would cover at least
 32,768 pixels (on two CPUs a 256 x 256 image splits, a 128 x 128 one does
 not), sleep between calls, and are started afresh in a forked child.
 Every element is computed as on one thread, so the split changes no
-result.  Neither sum splits.
+result.  The sums split too, except the metrics pass's: by the subtrees
+of numpy's pairwise order, whose sums the caller adds in that order, so
+they are also the same for any thread count.
 """
 
 from __future__ import annotations

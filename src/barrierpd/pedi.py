@@ -7,9 +7,11 @@ the constraint both denoising models lift with), so the dual solve is the
 closed form of :func:`barrierpd.barrier.central_path_solve` specialised to
 a = e and vectorised over blocks.  The solve needs only each block's
 (Kx)_b, so the solver hands it to K (a DualSolve passed to apply_K), which
-may do it in its own pass.  K maps into cone elements with zero heads; the
-solver therefore passes plain (n, m) tail arrays between K and K*,
-allocated on the first iteration and updated in place, and builds
+may do it in its own kernel call: one pass per pixel on TV, and on H1, the
+one-block case, a sum of K x's squares formed on the fly followed by the
+write of y.  K maps into cone elements with zero heads; the solver
+therefore passes plain (n, m) tail arrays between K and K*, allocated on
+the first iteration and updated in place, and builds
 :class:`~barrierpd.jordan.BlockConeVector` values only at its edge: one
 read-only view for the callback and copies for the result.
 
@@ -192,23 +194,39 @@ class PEDIResult:
     states: list
 
 
+# the most entries the numpy path of _sumsq squares at once
+_SLICE = 8192
+
+
 def _sumsq(a: np.ndarray) -> float:
     """Sum of the squares of a's entries in C order, as np.square(a).sum() adds those of a C-contiguous a.
 
-    The compiled kernel adds them in numpy's pairwise order on the calling
-    thread; other arrays are squared into a C-contiguous copy first, so the
-    order is the same whatever the layout.  A sum that overflows is inf,
-    with no warning on either path.
+    Both paths add them in numpy's pairwise order.  The compiled kernel
+    splits large arrays by the order's subtrees across threads and adds
+    the subtrees' sums in the order's own tree, so the thread count changes
+    no bit.  The numpy path sums the same subtrees down to slices of at most
+    _SLICE entries, each squared into a small buffer and summed by numpy,
+    so it allocates no array of a's size unless a must be copied into C
+    order.  A sum that overflows is inf, with no warning on either path.
     """
     if kernels.PATH == "c":
         try:
             return kernels.ext.sumsq(a)
         except ValueError:
             pass
-    sq = np.empty(a.shape)
+    flat = np.ravel(a)
     with np.errstate(over="ignore"):
-        np.square(a, out=sq)
-    return float(sq.sum())
+        return _pairwise_sumsq(flat, np.empty(min(flat.size, _SLICE)))
+
+
+def _pairwise_sumsq(a: np.ndarray, buf: np.ndarray) -> float:
+    """The sum of the squares of the 1-d a in numpy's pairwise order, squared into buf slice by slice."""
+    n = a.size
+    if n <= _SLICE:
+        return float(np.square(a, out=buf[:n]).sum())
+    # numpy's pairwise sum splits at half the length, rounded down to a multiple of 8
+    h = n // 2 - n // 2 % 8
+    return _pairwise_sumsq(a[:h], buf) + _pairwise_sumsq(a[h:], buf)
 
 
 def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray) -> np.ndarray:
@@ -230,8 +248,9 @@ def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0
 
     tn2 holds the squared tail norms of Kx per block (see _tail_norms) and
     is overwritten.  Writes the heads of d into d0 and the tails of y into
-    y_tails; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  A single block
-    (H1) computes its head with numpy and scales its tail with a kernel.
+    y_tails; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  This is the
+    numpy reference of the compiled passes tv_dual and h1_dual (see
+    DualSolve).
     """
     np.multiply(tn2, b0 * b0, out=d0)
     d0 += mu * mu
@@ -248,12 +267,6 @@ def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0
         # a block gets a zero dual tail
         scale.fill(0.0)
         np.divide(b0 / 2.0, d0, out=scale, where=d0 > 0.0)
-    if kernels.PATH == "c" and kx_tails.shape[0] == 1:
-        try:
-            kernels.ext.scale(kx_tails, y_tails, float(scale[0]))
-            return
-        except ValueError:
-            pass
     np.multiply(kx_tails, scale[:, None], out=y_tails)
 
 
@@ -268,9 +281,10 @@ class DualSolve:
     minimum (NaN if any norm is NaN, like np.min).  Only the final
     iteration's K x and d are read, so unless keep is set an implementation
     may leave d0 and K x's tails unwritten.  solve() is the reference: it
-    runs _tail_norms and _dual_update on a K x already formed, which is what
-    apply_K does for H1 and on the numpy path; on TV with the compiled
-    kernels, DenoiseProblem's apply_K does it all in K's own pass.
+    runs _tail_norms and _dual_update, both numpy-only but for _sumsq, on a
+    K x already formed, which is what apply_K does on the numpy path.  With
+    the compiled kernels DenoiseProblem's apply_K does it all in one call:
+    tv_dual on TV, h1_dual on H1, whose one block's minimum is its norm.
     """
 
     b0: float
@@ -349,14 +363,15 @@ def pedi_run(
     apply_K with a DualSolve, which forms K x^i, the dual solve and, for
     the soc rule, min_b ||(Kx)_b||^2; the step rule; K*, which forms
     x - tau K* y in its own pass (apply_K_adjoint's minuend= and step=);
-    the prox; and ||x||^2.  On TV with the compiled kernels
-    (barrierpd.kernels), DenoiseProblem's apply_K makes K, the dual solve
-    and the minimum one pass, which keeps K x in registers and stores it,
-    and d's heads, only on the final iteration, the one the result reads.
-    H1's one block sums its squared norm in numpy's pairwise order, as
-    ||x||^2 is summed, computes its head in numpy and scales its tail with
-    a kernel.  Kernels split large images across threads.  Both paths give
-    bit-identical iterates.
+    the prox; and ||x||^2.  With the compiled kernels (barrierpd.kernels),
+    DenoiseProblem's apply_K makes K, the dual solve and the minimum one
+    kernel call, which stores K x and d's heads only on the final
+    iteration, the one the result reads.  On TV it is one pass that keeps
+    K x in registers.  On H1 the one block's squared norm is summed over K
+    x formed on the fly, in numpy's pairwise order as ||x||^2 is summed;
+    the block's head and factor follow in closed form, and a second pass
+    writes y.  Kernels split large images, and these sums, across threads.
+    Both paths and every thread count give bit-identical iterates.
 
     On TV the soc rule is the general rule: the Neumann boundary makes the
     corner pixel's block of K zero, so min_b ||(Kx)_b|| = 0 at every

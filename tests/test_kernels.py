@@ -148,6 +148,10 @@ def tv_saddle(rng, shape):
     return DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.7, "tv").saddle_problem()
 
 
+def h1_saddle(rng, shape):
+    return DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.7, "h1").saddle_problem()
+
+
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_tail_norms_and_min(monkeypatch, rng, shape):
@@ -207,6 +211,49 @@ def test_dual_solve_zero_heads(monkeypatch, rng):
     assert identical(c[-1][2], ref[-1][2])
 
 
+# 1 x n and n x 1 images whose sum splits across threads; at 257 x 263 the
+# planar length is 135,182, so the pairwise tree's first split falls at
+# 67,584 and leaves straddle the two planes
+H1_SHAPES = SHAPES + [(1, 70001), (70001, 1)]
+
+
+@needs_c
+@pytest.mark.parametrize("shape", H1_SHAPES, ids=shape_ids)
+@pytest.mark.parametrize("mu", [0.3, 1e-200, 0.0])
+def test_h1_dual_solve(monkeypatch, rng, shape, mu):
+    # h1_dual against the reference the numpy path runs, _grad and then
+    # DualSolve.solve (_tail_norms and _dual_update)
+    n = shape[0] * shape[1]
+    sp = h1_saddle(rng, shape)
+    for x in (rng.standard_normal(n), special(rng, n)):
+        c, ref = on_both_paths(monkeypatch, lambda x: dual_step(sp, x, mu=mu), x)
+        assert_identical(c[-1], ref[-1])
+        kx, d0, y, t = ref[-1]
+        with np.errstate(all="ignore"):
+            g = _grad(x.reshape(shape))
+            want = pedi.DualSolve(0.7, True, mu=mu)
+            want.solve(g.reshape(1, -1))
+            assert identical(t, float(np.square(g).sum()))
+        assert identical(kx, g.reshape(1, -1)) and identical(t, want.minimum)
+        assert identical(d0, want.d0) and identical(y, want.y_tails)
+        # without keep the pass writes y only: K x and d's head stay as they were
+        monkeypatch.setattr(kernels, "PATH", "c")
+        got = dual_step(sp, x, mu=mu, keep=False)
+        assert identical(got[2], y) and np.all(got[0] == 7.0) and np.all(got[1] == 7.0)
+
+
+@needs_c
+@pytest.mark.parametrize("shape", [(5, 7), (256, 256)], ids=shape_ids)
+def test_h1_dual_solve_zero_head(monkeypatch, shape):
+    # a constant image with mu = 0: t = 0 and d = 0, so y's tail is zero, not NaN
+    sp = h1_saddle(np.random.default_rng(0), shape)
+    stage = lambda x: dual_step(sp, x, mu=0.0, fill=np.nan)  # noqa: E731
+    c, ref = on_both_paths(monkeypatch, stage, np.full(shape[0] * shape[1], 3.0))
+    for got in (c[-1], ref[-1]):
+        assert got[3] == 0.0 and got[1].tolist() == [0.0] and np.all(got[2] == 0.0)
+    assert_identical(c[-1], ref[-1])
+
+
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_primal_stages(monkeypatch, rng, shape):
@@ -238,11 +285,18 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_h1_elementwise_passes(monkeypatch, rng, shape):
-    # _field_norm's sum of squares, H1 project_dual's two branches and
-    # pedi's one-block tail norm and scaling
+    # _field_norm's sum of squares, the regularizer's sum over a gradient
+    # it never stores, H1 project_dual's two branches and pedi's numpy-only
+    # one-block tail norm and dual update
     planes = special(rng, (2,) + shape)
     c, ref = on_both_paths(monkeypatch, imaging._field_norm, planes)
     assert_identical(c, ref)
+    x = special(rng, shape[0] * shape[1])
+    dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), 0.5, "h1")
+    c, ref = on_both_paths(monkeypatch, dp.regularizer, x)
+    assert_identical(c, ref)
+    with np.errstate(all="ignore"):
+        assert identical(c[-1], imaging._field_norm(_grad(x.reshape(shape))))
     finite = rng.standard_normal((2,) + shape)
     norm = imaging._field_norm(finite)
     for alpha in (0.5 * norm, 2.0 * norm):
@@ -315,10 +369,12 @@ def test_metric_sums_follow_numpys_summation_order(monkeypatch, rng):
 
 
 @needs_c
-def test_sumsq_follows_numpys_summation_order(rng):
+def test_sumsq_follows_numpys_summation_order(monkeypatch, rng):
     # numpy's square-then-sum order, which fixes H1's norms: a numpy release
-    # that changed it fails here first
-    sizes = [*range(1, 301), 4095, 4096, 4097, 8191, 8192, 8193, 65536, 131072]
+    # that changed it fails here first.  The kernel's sum splits across
+    # threads from 65,536 entries on two CPUs, and the numpy path's slices
+    # hold 8,192 entries
+    sizes = [*range(1, 301), 4095, 4096, 4097, 8191, 8192, 8193, 65535, 65536, 65537, 131072, 262147]
     arrays = [rng.standard_normal(n) for n in sizes]
     arrays += [rng.standard_normal((2,) + shape) for shape in SHAPES]
     arrays += [special(rng, (2,) + shape) for shape in SHAPES]
@@ -327,6 +383,14 @@ def test_sumsq_follows_numpys_summation_order(rng):
             want = float(np.square(a).sum())
         got = kernels.ext.sumsq(a)
         assert identical(got, want), (a.shape, got, want)
+        with np.errstate(all="ignore"):
+            assert identical(kernels.ext.grad_sumsq(a.reshape(-1, a.shape[-1])),
+                             float(np.square(_grad(a.reshape(-1, a.shape[-1]))).sum())), a.shape
+    monkeypatch.setattr(kernels, "PATH", NUMPY)
+    for a in arrays:
+        with np.errstate(over="ignore"):
+            want = float(np.square(a).sum())
+        assert identical(pedi._sumsq(a), want), a.shape
     # H1's field norm is the same whatever the field's layout
     planes = rng.standard_normal((2, 5, 7))
     norm = imaging._field_norm(planes)
@@ -385,18 +449,20 @@ def test_metrics_on_both_paths(monkeypatch, rng, shape, variant):
 
 @needs_c
 def test_metrics_allocates_no_image(rng):
-    # the numpy path's objective, dual_value and residual peak at 133 KB here
-    dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((64, 64))), 0.4, "tv")
-    x, p = rng.standard_normal(64 * 64), imaging._field(rng.standard_normal((2, 64, 64)))
-    target = Target.of(dp, rng.standard_normal(64 * 64))
-    metrics(x, p, dp, target, 3.0)
-    tracemalloc.start()
-    try:
+    # the numpy path's objective, dual_value and residual peak at 133 KB
+    # here; H1's regularizer sums its gradient without storing it
+    for variant in VARIANTS:
+        dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((64, 64))), 0.4, variant)
+        x, p = rng.standard_normal(64 * 64), imaging._field(rng.standard_normal((2, 64, 64)))
+        target = Target.of(dp, rng.standard_normal(64 * 64))
         metrics(x, p, dp, target, 3.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4096, peak
+        tracemalloc.start()
+        try:
+            metrics(x, p, dp, target, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, (variant, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +581,12 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
-    # sumsq: pedi's tail norm and ||x||^2 check, and the baselines' projection norm
+    # pedi's K, tail norm and dual solve are one h1_dual call, and grad and
+    # scale are the baselines'; sumsq is pedi's ||x||^2 check and the
+    # baselines' projection norm
     assert rec.calls == {
-        "grad": 20, "grad_adjoint": 20, "prox": 10, "pdhgm_primal": 5, "sumsq": 2 * 10 + 10,
-        "scale": 2 * 5 + 10,
+        "grad": 10, "grad_adjoint": 20, "h1_dual": 10, "prox": 10, "pdhgm_primal": 5,
+        "sumsq": 10 + 10, "scale": 10,
     }
 
 
@@ -589,8 +657,21 @@ def test_kernels_reject_without_writing(rng):
         with pytest.raises(ValueError):
             ext.tv_dual(*args, 1.0, 0.5, True)
     assert all(np.all(a == 7.0) for a in (kx, d0, y, wide))
+    # h1_dual likewise, with a (1,) d0 and the (1, 2 n) tail y
+    d0, y, wide = np.full(1, 7.0), np.full((1, 40), 7.0), np.full((1, 80), 7.0)
+    for args in ((v.T, kx, d0, y), (v, kx[:, :, :4].copy(), d0, y), (v, kx, np.full(2, 7.0), y),
+                 (v, kx, d0.reshape(1, 1), y), (v, kx, d0, y.reshape(2, 20)), (v, kx, d0, y.T.copy()),
+                 (v.astype(np.float32), kx, d0, y), (v, kx, d0, y.astype(np.float32)),
+                 (v, kx, d0, wide[:, ::2]), (v, kx, d0, kx.reshape(1, 40)), (v, kx, y[0, :1], y)):
+        with pytest.raises(ValueError):
+            ext.h1_dual(*args, 1.0, 0.5, True)
+    assert all(np.all(a == 7.0) for a in (kx, d0, y, wide))
     with pytest.raises(ValueError):
         ext.sumsq(np.empty((4, 6))[:, :5])
+    for bad in (np.empty((4, 6))[:, :5], np.empty(20), np.empty((2, 4, 5)), np.empty((4, 5), dtype=np.float32),
+                np.empty((0, 5))):
+        with pytest.raises(ValueError):
+            ext.grad_sumsq(bad)
 
 
 @needs_c
@@ -720,6 +801,38 @@ print(*(hashlib.sha256(x.tobytes()).hexdigest() for x in xs), dp.regularizer(dp.
 """
     one, two = (run_python(code, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n) for n in ("1", "2"))
     assert one == two
+
+
+@needs_c
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+def test_results_do_not_depend_on_the_thread_count():
+    # the split sums add their subtrees in numpy's tree order, and every
+    # other kernel computes each element as on one thread: a child pinned to
+    # one CPU gets the bits of a child on all of them
+    code = """
+import hashlib, os, sys
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from barrierpd import kernels
+from barrierpd.baselines import BaselineConfig, dual_fb_run, pdhgm_run
+from barrierpd.imaging import DenoiseProblem, add_gaussian_noise, synthetic_image
+from barrierpd.pedi import StepConfig, pedi_run
+
+rng = np.random.default_rng(5)
+sums = [kernels.ext.sumsq(rng.standard_normal(n)) for n in (65535, 65536, 131071, 262144, 262145)]
+sums += [kernels.ext.sumsq(rng.standard_normal(shape)) for shape in ((2, 181, 181), (2, 256, 256), (2, 257, 263))]
+sums += [kernels.ext.grad_sumsq(rng.standard_normal(shape)) for shape in ((181, 181), (257, 263), (1, 70001))]
+dp = DenoiseProblem(add_gaussian_noise(synthetic_image(256, 256), 6.15, 3), 5.0, "h1")
+sp = dp.saddle_problem()
+xs = [pdhgm_run(dp, BaselineConfig.default_for(dp, 30)).x, dual_fb_run(dp, 30).x]
+xs += [pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 30, step_rule=r).x for r in ("general", "soc")]
+print(kernels.THREADS, *(s.hex() for s in sums), *(hashlib.sha256(x.tobytes()).hexdigest() for x in xs))
+"""
+    one, all_cpus = (run_python(code.replace("sys.argv[1]", repr(n))) for n in ("1", "all"))
+    assert one.split()[0] == "1" and int(all_cpus.split()[0]) > 1
+    assert one.split()[1:] == all_cpus.split()[1:]
 
 
 @needs_c
