@@ -14,13 +14,21 @@
  * needs the norm of all of K x first, h1_dual sums its squares formed on
  * the fly, solves for the block's scalars and then writes y.  Both store K
  * x and d's heads only when asked, since only the final iterate's are
- * read.
+ * read.  Every kernel that forms D does so through one stencil, STENCIL,
+ * and every sum walks numpy's tree through one walker, WALKER, over a leaf.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
- * gcc vectorises; on x86-64 each is cloned for AVX-512, AVX2 and the
- * baseline ISA and picked at load time.  The wrappers below them unpack
- * C-contiguous float64 buffers, check shapes and overlap, and raise
- * ValueError for anything else: they never copy an array.
+ * gcc vectorises; the sums' leaves read theirs from a job.  On x86-64 each
+ * is cloned for AVX-512, AVX2 and the baseline ISA and picked at load
+ * time.  The clones carry real weight: on 2 CPUs with AVX-512, a
+ * pedi-general TV iteration at 256 x 256 took 457-461 us built for the
+ * baseline ISA alone (KERNEL defined empty) against 285-300 us with the
+ * clones, and 1.51-1.70 ms against 1.06-1.13 ms at 512 x 512 (3 alternating
+ * runs of 300 iterations, best of 5).  A build may define KERNEL itself,
+ * which is how the tests run the clones the host never picks.  The wrappers
+ * below the kernels unpack C-contiguous float64 buffers, check shapes and
+ * overlap, and raise ValueError for anything else: they never copy an
+ * array.
  *
  * Every element is computed independently of the others, so a call splits
  * into contiguous chunks without changing any result.  A sum splits by the
@@ -46,73 +54,50 @@
 #include <stdint.h>
 #include <string.h>
 
+#ifndef KERNEL
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define KERNEL __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #else
 #define KERNEL
+#endif
 #endif
 
 typedef Py_ssize_t idx;
 
 /* ----- kernels ----------------------------------------------------------- */
 
-/* Pixels lo..hi-1, in row-major order, of plane q of the forward
- * differences with Neumann boundary of the (n1, n2) array v, into d
- * indexed from lo: the entries imaging._grad gives those pixels, whose
- * axis-1 pass (q = 1) runs across row ends and then zeroes the last
- * column. */
-static inline void grad_plane(const double *restrict v, double *restrict d, int q, idx n1, idx n2,
-                              idx lo, idx hi)
-{
-    idx n = hi - lo;
-    v += lo;
-    if (q == 0) {
-        /* nm entries have a row below */
-        idx nm = (n1 - 1) * n2 - lo;
-        nm = nm < n ? nm : n;
-        for (idx k = 0; k < nm; k++)
-            d[k] = v[k + n2] - v[k];
-        for (idx k = nm > 0 ? nm : 0; k < n; k++)
-            d[k] = 0.0;
-        return;
+/* Runs the PIXEL body, the arguments after hi, on each pixel k = lo..hi-1
+ * of the (n1, n2) array v in row-major order, with (g0, g1) the pixel's
+ * entries of the forward differences with Neumann boundary: the entries
+ * imaging._grad gives, zero in the last row (g0) and the last column (g1).
+ * A kernel whose planar outputs each need one entry runs it once per
+ * plane, reading g0 or g1 alone: pairing the planes per pixel made grad
+ * 2.1 times as slow at 256 x 256 on one CPU, and h1_dual 1.6 times. */
+#define STENCIL(v, n1, n2, lo, hi, ...)                                         \
+    for (idx k = (lo), i_ = k / (n2); k < (hi); i_++) {                         \
+        /* the row ends at r_; pixels before m_ have a right neighbour, and     \
+         * the one from m_ to e_, if any, is the row's last */                  \
+        idx r_ = (i_ + 1) * (n2), e_ = (hi) < r_ ? (hi) : r_;                   \
+        idx m_ = e_ < r_ - 1 ? e_ : r_ - 1;                                     \
+        if (i_ < (n1) - 1) {                                                    \
+            for (; k < m_; k++)                                                 \
+                PIXEL((v)[k + (n2)] - (v)[k], (v)[k + 1] - (v)[k], __VA_ARGS__) \
+            if (k < e_)                                                         \
+                PIXEL((v)[k + (n2)] - (v)[k], 0.0, __VA_ARGS__)                 \
+        } else {                                                                \
+            for (; k < m_; k++)                                                 \
+                PIXEL(0.0, (v)[k + 1] - (v)[k], __VA_ARGS__)                    \
+            if (k < e_)                                                         \
+                PIXEL(0.0, 0.0, __VA_ARGS__)                                    \
+        }                                                                       \
+        k = e_;                                                                 \
     }
-    /* ne entries have a right neighbour in the array */
-    idx ne = n1 * n2 - 1 - lo;
-    ne = ne < n ? ne : n;
-    for (idx k = 0; k < ne; k++)
-        d[k] = v[k + 1] - v[k];
-    for (idx k = n2 - 1 - lo % n2; k < n; k += n2)
-        d[k] = 0.0;
-}
-
-/* Both planes of pixels lo..hi-1 of the gradient of v, into d0 (axis 0)
- * and d1 (axis 1), indexed from lo.  With an addend (p0, p1), indexed from
- * lo too, each entry e becomes e s + p, the zeroed ones 0 s + p: the
- * baselines' dual ascent, as imaging._grad makes it after D. */
-static inline void grad_range(const double *restrict v, double *restrict d0, double *restrict d1,
-                              const double *restrict p0, const double *restrict p1, double s,
-                              idx n1, idx n2, idx lo, idx hi)
-{
-    if (!p0) {
-        grad_plane(v, d0, 0, n1, n2, lo, hi);
-        grad_plane(v, d1, 1, n1, n2, lo, hi);
-        return;
+#define PIXEL(G0, G1, ...)                                                      \
+    {                                                                           \
+        const double g0 = (G0), g1 = (G1);                                      \
+        (void)g0, (void)g1;                                                     \
+        __VA_ARGS__;                                                            \
     }
-    /* nm entries have a row below, ne a right neighbour in the array */
-    idx n = hi - lo, nm = (n1 - 1) * n2 - lo, ne = n1 * n2 - 1 - lo;
-    nm = nm < n ? nm : n;
-    ne = ne < n ? ne : n;
-    v += lo;
-    double zs = 0.0 * s;
-    for (idx k = 0; k < nm; k++)
-        d0[k] = (v[k + n2] - v[k]) * s + p0[k];
-    for (idx k = nm > 0 ? nm : 0; k < n; k++)
-        d0[k] = zs + p0[k];
-    for (idx k = 0; k < ne; k++)
-        d1[k] = (v[k + 1] - v[k]) * s + p1[k];
-    for (idx k = n2 - 1 - lo % n2; k < n; k += n2)
-        d1[k] = zs + p1[k];
-}
 
 /* Columns j0..j1-1 of row i of c times the adjoint of grad on the planes
  * g0 and g1, into o: the axis-0 terms first, then + g1[j-1] and - g1[j],
@@ -151,14 +136,21 @@ static inline void grad_adjoint_row(const double *restrict g0, const double *res
         o[n2 - 1 - j0] = (o[n2 - 1 - j0] + h[n2 - 2]) * c;
 }
 
-/* Rows r0..r1-1 of the gradient of v into the planes g0 and g1, or with an
- * addend (p0, p1) of the gradient times s plus the addend. */
-KERNEL static void grad(const double *restrict v, double *restrict g0, double *restrict g1,
+/* Rows r0..r1-1 of the gradient of v into the planes o0 and o1, or with an
+ * addend (p0, p1) of the gradient times s plus the addend: the baselines'
+ * dual ascent, as imaging._grad makes it after D. */
+KERNEL static void grad(const double *restrict v, double *restrict o0, double *restrict o1,
                         const double *restrict p0, const double *restrict p1, double s, idx n1,
                         idx n2, idx r0, idx r1)
 {
-    idx o = r0 * n2;
-    grad_range(v, g0 + o, g1 + o, p0 ? p0 + o : NULL, p1 ? p1 + o : NULL, s, n1, n2, o, r1 * n2);
+    idx lo = r0 * n2, hi = r1 * n2;
+    if (p0) {
+        STENCIL(v, n1, n2, lo, hi, o0[k] = g0 * s + p0[k]);
+        STENCIL(v, n1, n2, lo, hi, o1[k] = g1 * s + p1[k]);
+    } else {
+        STENCIL(v, n1, n2, lo, hi, o0[k] = g0);
+        STENCIL(v, n1, n2, lo, hi, o1[k] = g1);
+    }
 }
 
 /* Rows r0..r1-1 of c times the adjoint of grad into out, or, with a
@@ -177,29 +169,11 @@ KERNEL static void grad_adjoint(const double *restrict g0, const double *restric
     }
 }
 
-/* Runs PIXEL(k, g0, g1) on each pixel k of rows r0..r1-1 of the (n1, n2)
- * array v, with (g0, g1) its entries of grad v, formed as grad_range forms
- * them: the last row and the last column have zero differences (Neumann). */
-#define GRAD_ROWS(PIXEL)                                                  \
-    for (idx i = r0; i < r1; i++) {                                       \
-        const double *restrict c = v + i * n2;                            \
-        idx o = i * n2, e = n2 - 1;                                       \
-        if (i < n1 - 1) {                                                 \
-            for (idx j = 0; j < e; j++)                                   \
-                PIXEL(o + j, c[j + n2] - c[j], c[j + 1] - c[j]);          \
-            PIXEL(o + e, c[e + n2] - c[e], 0.0);                          \
-        } else {                                                          \
-            for (idx j = 0; j < e; j++)                                   \
-                PIXEL(o + j, 0.0, c[j + 1] - c[j]);                       \
-            PIXEL(o + e, 0.0, 0.0);                                       \
-        }                                                                 \
-    }
-
 /* Rows r0..r1-1 of pedi's dual step on TV, each pixel in one visit: its
- * block's tail (g0, g1) of K x = grad v, formed as grad_range forms it; the
- * squared norm t = g0^2 + g1^2; the closed-form dual solve of
- * pedi._dual_update, the head d = (sqrt(t b0^2 + mu^2) + mu) / b0 of d and
- * the tail (g0, g1) (b0/2) / d of y, zero where d is not positive.  It writes
+ * block's tail (g0, g1) of K x = grad v; the squared norm
+ * t = g0^2 + g1^2; the closed-form dual solve of pedi._dual_update, the
+ * head d = (sqrt(t b0^2 + mu^2) + mu) / b0 of d and the tail
+ * (g0, g1) (b0/2) / d of y, zero where d is not positive.  It writes
  * y's tails into (y0, y1), and with keep also K x into (k0, k1) and d's heads
  * into d0.  The least and greatest bit patterns of the norms t go into *lo
  * and *hi: such a sum is +0 or positive unless NaN, and non-negative doubles
@@ -213,25 +187,22 @@ KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double
 {
     double bb = b0 * b0, mm = mu * mu, hb = b0 / 2.0;
     uint64_t l = UINT64_MAX, h = 0;
-#define PIXEL(K, G0, G1)                                                  \
-    do {                                                                  \
-        double g0 = (G0), g1 = (G1), t = g0 * g0 + g1 * g1;               \
-        double d = (sqrt(t * bb + mm) + mu) / b0, q = hb / d;             \
-        double s = d > 0.0 ? q : 0.0;                                     \
-        uint64_t b;                                                       \
-        memcpy(&b, &t, sizeof b);                                         \
-        l = b < l ? b : l;                                                \
-        h = b > h ? b : h;                                                \
-        y0[K] = g0 * s;                                                   \
-        y1[K] = g1 * s;                                                   \
-        if (keep) {                                                       \
-            k0[K] = g0;                                                   \
-            k1[K] = g1;                                                   \
-            d0[K] = d;                                                    \
-        }                                                                 \
-    } while (0)
-    GRAD_ROWS(PIXEL)
-#undef PIXEL
+    STENCIL(v, n1, n2, r0 * n2, r1 * n2, {
+        double t = g0 * g0 + g1 * g1;
+        double d = (sqrt(t * bb + mm) + mu) / b0, q = hb / d;
+        double s = d > 0.0 ? q : 0.0;
+        uint64_t b;
+        memcpy(&b, &t, sizeof b);
+        l = b < l ? b : l;
+        h = b > h ? b : h;
+        y0[k] = g0 * s;
+        y1[k] = g1 * s;
+        if (keep) {
+            k0[k] = g0;
+            k1[k] = g1;
+            d0[k] = d;
+        }
+    });
     *lo = l;
     *hi = h;
 }
@@ -239,23 +210,18 @@ KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double
 /* Rows r0..r1-1 of the write of pedi's dual step on H1, whose one block
  * has the factor s = (b0/2) / d: y = (grad v) s into the planes (y0, y1),
  * as pedi._dual_update's product forms it, and with keep K x = grad v
- * itself into (k0, k1). */
+ * itself into (k0, k1), each plane in a pass of its own. */
 KERNEL static void h1_write(const double *restrict v, double *restrict k0, double *restrict k1,
                             double *restrict y0, double *restrict y1, idx n1, idx n2, idx r0,
                             idx r1, double s, int keep)
 {
-#define PIXEL(K, G0, G1)                                                  \
-    do {                                                                  \
-        double g0 = (G0), g1 = (G1);                                      \
-        y0[K] = g0 * s;                                                   \
-        y1[K] = g1 * s;                                                   \
-        if (keep) {                                                       \
-            k0[K] = g0;                                                   \
-            k1[K] = g1;                                                   \
-        }                                                                 \
-    } while (0)
-    GRAD_ROWS(PIXEL)
-#undef PIXEL
+    idx lo = r0 * n2, hi = r1 * n2;
+    STENCIL(v, n1, n2, lo, hi, y0[k] = g0 * s);
+    STENCIL(v, n1, n2, lo, hi, y1[k] = g1 * s);
+    if (keep) {
+        STENCIL(v, n1, n2, lo, hi, k0[k] = g0);
+        STENCIL(v, n1, n2, lo, hi, k1[k] = g1);
+    }
 }
 
 /* out = (z tau + v) / (1 + tau), the prox of tau G(x) = tau ||x - z||^2 / 2. */
@@ -309,135 +275,6 @@ KERNEL static void scale(const double *restrict p, double *restrict out, idx n, 
         out[k] = p[k] * s;
 }
 
-/* numpy's summation order for float64: its pairwise_sum, which add.reduce
- * (so .sum() of a C-contiguous array of any shape) applies to the whole
- * array.  Fewer than 8 terms are added in order; up to LEAF terms go into 8
- * interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
- * and the rest is added in order; a longer range splits at half its
- * length rounded down to a multiple of 8.  leaf_sum adds t's entries, or
- * with squares set their squares, each formed as np.square forms it. */
-#define LEAF 128
-
-static inline double leaf_sum(const double *restrict t, idx n, int squares)
-{
-#define TERM(k) (squares ? t[k] * t[k] : t[k])
-    if (n < 8) {
-        double s = 0.0;
-        for (idx k = 0; k < n; k++)
-            s += TERM(k);
-        return s;
-    }
-    double r[8];
-    for (int q = 0; q < 8; q++)
-        r[q] = TERM(q);
-    idx k = 8;
-    for (; k < n - n % 8; k += 8)
-        for (int q = 0; q < 8; q++)
-            r[q] += TERM(k + q);
-    double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-    for (; k < n; k++)
-        s += TERM(k);
-    return s;
-#undef TERM
-}
-
-static inline idx left_half(idx n)
-{
-    idx h = n / 2;
-    return h - h % 8;
-}
-
-/* The terms of imaging.metrics' four sums at pixels lo..lo+n-1, n <= LEAF,
- * each leaf-summed into s: (x - z)^2, with tv the TV norm
- * sqrt(d0*d0 + d1*d1) of d = grad x (else 0), (z - w)^2 with w = D* p, and
- * (x - xh)^2, with numpy's operations in numpy's order.  D runs over the
- * leaf's pixels at once, D* row segment by row segment. */
-KERNEL static void metric_leaf(const double *restrict x, const double *restrict z,
-                               const double *restrict xh, const double *restrict p0,
-                               const double *restrict p1, idx n1, idx n2, int tv, idx lo, idx n,
-                               double *s)
-{
-    double t[4][LEAF], d1[LEAF], w[LEAF];
-    if (tv)
-        grad_range(x, t[1], d1, NULL, NULL, 1.0, n1, n2, lo, lo + n);
-    for (idx k = 0; k < n;) {
-        idx i = (lo + k) / n2, j0 = (lo + k) % n2, j1 = j0 + (n - k) < n2 ? j0 + (n - k) : n2;
-        grad_adjoint_row(p0, p1, w + k, n1, n2, i, j0, j1, 1.0);
-        k += j1 - j0;
-    }
-    x += lo;
-    z += lo;
-    xh += lo;
-    for (idx k = 0; k < n; k++) {
-        double r = x[k] - z[k], e = x[k] - xh[k], q = z[k] - w[k];
-        t[0][k] = r * r;
-        t[2][k] = q * q;
-        t[3][k] = e * e;
-    }
-    if (tv)
-        for (idx k = 0; k < n; k++)
-            t[1][k] = sqrt(t[1][k] * t[1][k] + d1[k] * d1[k]);
-    for (int q = 0; q < 4; q++)
-        s[q] = q == 1 && !tv ? 0.0 : leaf_sum(t[q], n, 0);
-}
-
-/* The four sums over pixels lo..lo+n-1, a node of numpy's pairwise tree. */
-static void metric_tree(const double *x, const double *z, const double *xh, const double *p0,
-                        const double *p1, idx n1, idx n2, int tv, idx lo, idx n, double *s)
-{
-    if (n <= LEAF) {
-        metric_leaf(x, z, xh, p0, p1, n1, n2, tv, lo, n, s);
-        return;
-    }
-    double a[4], b[4];
-    idx h = left_half(n);
-    metric_tree(x, z, xh, p0, p1, n1, n2, tv, lo, h, a);
-    metric_tree(x, z, xh, p0, p1, n1, n2, tv, lo + h, n - h, b);
-    for (int q = 0; q < 4; q++)
-        s[q] = a[q] + b[q];
-}
-
-/* The sum of the squares of a[0..n-1], n <= LEAF, leaf-summed. */
-KERNEL static double sumsq_leaf(const double *restrict a, idx n)
-{
-    return leaf_sum(a, n, 1);
-}
-
-/* The sum of the squares of a[0..n-1] in numpy's pairwise order, as
- * np.square(a).sum() adds them. */
-static double sumsq_tree(const double *a, idx n)
-{
-    if (n <= LEAF)
-        return sumsq_leaf(a, n);
-    idx h = left_half(n);
-    return sumsq_tree(a, h) + sumsq_tree(a + h, n - h);
-}
-
-/* The sum of the squares of entries lo..lo+n-1, n <= LEAF, of grad v in
- * planar (2, n1, n2) order, leaf-summed.  The leaf is formed plane by
- * plane as grad_range forms it, and may straddle the two planes. */
-KERNEL static double grad_sumsq_leaf(const double *restrict v, idx n1, idx n2, idx lo, idx n)
-{
-    double t[LEAF];
-    /* k of the entries lie in plane 0, the rest in plane 1 */
-    idx p = n1 * n2, k = lo >= p ? 0 : lo + n <= p ? n : p - lo;
-    if (k > 0)
-        grad_plane(v, t, 0, n1, n2, lo, lo + k);
-    if (k < n)
-        grad_plane(v, t + k, 1, n1, n2, lo + k - p, lo + n - p);
-    return leaf_sum(t, n, 1);
-}
-
-/* The sum of the squares of entries lo..lo+n-1 of grad v in planar order,
- * in numpy's pairwise order: np.square(_grad(v)).sum()'s node there. */
-static double grad_sumsq_tree(const double *v, idx n1, idx n2, idx lo, idx n)
-{
-    if (n <= LEAF)
-        return grad_sumsq_leaf(v, n1, n2, lo, n);
-    idx h = left_half(n);
-    return grad_sumsq_tree(v, n1, n2, lo, h) + grad_sumsq_tree(v, n1, n2, lo + h, n - h);
-}
-
 /* ----- the worker pool --------------------------------------------------- */
 
 #define MAX_THREADS 8
@@ -457,9 +294,11 @@ static double grad_sumsq_tree(const double *v, idx n1, idx n2, idx lo, idx n)
 #define WAIT_YIELDS 200
 
 /* One kernel call: its arrays, scalars and shape, and the task that runs
- * units lo..hi-1 of it as chunk c. */
+ * units lo..hi-1 of it as chunk c.  A walk puts into s the sums of terms
+ * lo..lo+n-1 of the job's arrays (see WALKER). */
 typedef struct Job Job;
 typedef void Task(Job *j, idx lo, idx hi, int c);
+typedef void Walk(const Job *j, idx lo, idx n, double *s);
 struct Job {
     double *a[4];
     double s[3];
@@ -468,7 +307,9 @@ struct Job {
     idx units;
     int chunks;
     uint64_t lo[MAX_CHUNKS], hi[MAX_CHUNKS];
-    /* a split sum's node u adds terms node[u]..node[u+1]-1 into sum[u] */
+    /* a split sum's walker puts the sum of terms node[u]..node[u+1]-1, its
+     * node u, into sum[u] */
+    Walk *walk;
     idx node[MAX_NODES + 1];
     double sum[MAX_NODES];
 };
@@ -607,6 +448,126 @@ static void run(Job *j, Task *task, idx units, idx pixels)
     }
 }
 
+/* ----- sums in numpy's pairwise order ------------------------------------ */
+
+/* numpy's summation order for float64: its pairwise_sum, which add.reduce
+ * (so .sum() of a C-contiguous array of any shape) applies to the whole
+ * array.  Fewer than 8 terms are added in order; up to LEAF terms go into 8
+ * interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+ * and the rest is added in order; a longer range splits at half its
+ * length rounded down to a multiple of 8.  leaf_sum adds t's entries, or
+ * with squares set their squares, each formed as np.square forms it. */
+#define LEAF 128
+
+static inline double leaf_sum(const double *restrict t, idx n, int squares)
+{
+#define TERM(k) (squares ? t[k] * t[k] : t[k])
+    if (n < 8) {
+        double s = 0.0;
+        for (idx k = 0; k < n; k++)
+            s += TERM(k);
+        return s;
+    }
+    double r[8];
+    for (int q = 0; q < 8; q++)
+        r[q] = TERM(q);
+    idx k = 8;
+    for (; k < n - n % 8; k += 8)
+        for (int q = 0; q < 8; q++)
+            r[q] += TERM(k + q);
+    double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; k < n; k++)
+        s += TERM(k);
+    return s;
+#undef TERM
+}
+
+static inline idx left_half(idx n)
+{
+    idx h = n / 2;
+    return h - h % 8;
+}
+
+/* The leaves, of at most LEAF terms from lo on, each leaf-summed into s. */
+
+/* The terms of imaging.metrics' four sums at pixels lo..lo+n-1 of the
+ * job's (x, z, xh, p), with tv its s[0]: (x - z)^2, with tv the TV norm
+ * sqrt(g0*g0 + g1*g1) of grad x (else 0), (z - w)^2 with w = D* p, and
+ * (x - xh)^2, with numpy's operations in numpy's order.  D* runs row
+ * segment by row segment. */
+KERNEL static void metric_leaf(const Job *j, idx lo, idx n, double *s)
+{
+    const double *restrict x = j->a[0], *restrict z = j->a[1], *restrict xh = j->a[2];
+    idx n1 = j->n1, n2 = j->n2;
+    int tv = j->s[0] != 0.0;
+    double t[4][LEAF], w[LEAF];
+    if (tv)
+        STENCIL(x, n1, n2, lo, lo + n, t[1][k - lo] = sqrt(g0 * g0 + g1 * g1));
+    for (idx k = 0; k < n;) {
+        idx i = (lo + k) / n2, j0 = (lo + k) % n2, j1 = j0 + (n - k) < n2 ? j0 + (n - k) : n2;
+        grad_adjoint_row(j->a[3], j->a[3] + n1 * n2, w + k, n1, n2, i, j0, j1, 1.0);
+        k += j1 - j0;
+    }
+    x += lo;
+    z += lo;
+    xh += lo;
+    for (idx k = 0; k < n; k++) {
+        double r = x[k] - z[k], e = x[k] - xh[k], q = z[k] - w[k];
+        t[0][k] = r * r;
+        t[2][k] = q * q;
+        t[3][k] = e * e;
+    }
+    for (int q = 0; q < 4; q++)
+        s[q] = q == 1 && !tv ? 0.0 : leaf_sum(t[q], n, 0);
+}
+
+/* The squares of entries lo..lo+n-1 of the job's array, as
+ * np.square(a).sum() adds them. */
+KERNEL static void sumsq_leaf(const Job *j, idx lo, idx n, double *s)
+{
+    *s = leaf_sum(j->a[0] + lo, n, 1);
+}
+
+/* The squares of entries lo..lo+n-1 of grad v in planar (2, n1, n2)
+ * order, v the job's (n1, n2) array, as np.square(_grad(v)).sum() adds
+ * them.  The leaf may straddle the planes: its first m entries are plane
+ * 0's at pixels lo..lo+m-1, the rest plane 1's. */
+KERNEL static void grad_sumsq_leaf(const Job *j, idx lo, idx n, double *s)
+{
+    const double *restrict v = j->a[0];
+    idx n1 = j->n1, n2 = j->n2, p = n1 * n2, m = lo >= p ? 0 : lo + n <= p ? n : p - lo;
+    double t[LEAF];
+    if (m > 0)
+        STENCIL(v, n1, n2, lo, lo + m, t[k - lo] = g0);
+    if (m < n)
+        STENCIL(v, n1, n2, lo + m - p, lo + n - p, t[k - lo + p] = g1);
+    *s = leaf_sum(t, n, 1);
+}
+
+/* Defines NAME(j, lo, n, s), the NS sums of terms lo..lo+n-1, a node of
+ * numpy's pairwise tree, from LEAF_FN's sums at its leaves.  One walker per
+ * leaf, so that each calls its leaf directly: one walker calling its leaf
+ * through a function pointer made sumsq and grad_sumsq 2-8 % slower at
+ * 256 x 256 on one CPU. */
+#define WALKER(NAME, LEAF_FN, NS)                                               \
+    static void NAME(const Job *j, idx lo, idx n, double *s)                    \
+    {                                                                           \
+        if (n <= LEAF) {                                                        \
+            LEAF_FN(j, lo, n, s);                                               \
+            return;                                                             \
+        }                                                                       \
+        double a[NS], b[NS];                                                    \
+        idx h = left_half(n);                                                   \
+        NAME(j, lo, h, a);                                                      \
+        NAME(j, lo + h, n - h, b);                                              \
+        for (int q = 0; q < NS; q++)                                            \
+            s[q] = a[q] + b[q];                                                 \
+    }
+
+WALKER(walk_metric, metric_leaf, 4)
+WALKER(walk_sumsq, sumsq_leaf, 1)
+WALKER(walk_grad_sumsq, grad_sumsq_leaf, 1)
+
 /* Puts into node the bounds of the subtrees of numpy's pairwise tree over
  * terms lo..lo+n-1 that lie depth levels down, or of the leaves above
  * them, in order; returns their number. */
@@ -632,22 +593,30 @@ static double join(const double *sum, idx n, int depth, int *u)
     return a + join(sum, n - h, depth - 1, u);
 }
 
+static void t_sum(Job *j, idx lo, idx hi, int c)
+{
+    for (idx u = lo; u < hi; u++)
+        j->walk(j, j->node[u], j->node[u + 1] - j->node[u], &j->sum[u]);
+}
+
 /* The sum of n terms in numpy's pairwise order, which covers the given
- * number of pixels: task sums the terms of the tree's nodes NODE_DEPTH
+ * number of pixels: walk sums the terms of the tree's nodes NODE_DEPTH
  * levels down, each as a unit of run, and the caller adds the node sums in
  * the tree's order.  Each node's sum is the same on any thread, so the
  * result is bit for bit the whole tree's for any thread count. */
-static double pairwise(Job *j, Task *task, idx n, idx pixels)
+static double pairwise(Job *j, Walk *walk, idx n, idx pixels)
 {
     int nodes = split(j->node, 0, n, NODE_DEPTH), u = 0;
     j->node[nodes] = n;
-    run(j, task, nodes, pixels);
+    j->walk = walk;
+    run(j, t_sum, nodes, pixels);
     return join(j->sum, n, NODE_DEPTH, &u);
 }
 
-/* The tasks: units are rows for the gradient pair, tv_dual and h1_write,
- * nodes of a pairwise tree for the sums, and elements or tails for the
- * rest. */
+/* ----- tasks ------------------------------------------------------------- */
+
+/* Units are rows for the gradient pair, tv_dual and h1_write, and elements
+ * or tails for the rest. */
 static void t_grad(Job *j, idx lo, idx hi, int c)
 {
     idx n = j->n1 * j->n2;
@@ -666,6 +635,13 @@ static void t_tv_dual(Job *j, idx lo, idx hi, int c)
     idx n = j->n1 * j->n2;
     tv_dual(j->a[0], j->a[1], j->a[1] + n, j->a[2], j->a[3], j->a[3] + n, j->n1, j->n2, lo, hi,
             j->s[0], j->s[1], j->s[2] != 0.0, &j->lo[c], &j->hi[c]);
+}
+
+static void t_h1_write(Job *j, idx lo, idx hi, int c)
+{
+    idx n = j->n1 * j->n2;
+    h1_write(j->a[0], j->a[1], j->a[1] + n, j->a[3], j->a[3] + n, j->n1, j->n2, lo, hi, j->s[0],
+             j->s[2] != 0.0);
 }
 
 static void t_prox(Job *j, idx lo, idx hi, int c)
@@ -687,25 +663,6 @@ static void t_pdhgm_primal(Job *j, idx lo, idx hi, int c)
 static void t_scale(Job *j, idx lo, idx hi, int c)
 {
     scale(j->a[0] + lo, j->a[1] + lo, hi - lo, j->s[0]);
-}
-
-static void t_sumsq(Job *j, idx lo, idx hi, int c)
-{
-    for (idx u = lo; u < hi; u++)
-        j->sum[u] = sumsq_tree(j->a[0] + j->node[u], j->node[u + 1] - j->node[u]);
-}
-
-static void t_grad_sumsq(Job *j, idx lo, idx hi, int c)
-{
-    for (idx u = lo; u < hi; u++)
-        j->sum[u] = grad_sumsq_tree(j->a[0], j->n1, j->n2, j->node[u], j->node[u + 1] - j->node[u]);
-}
-
-static void t_h1_write(Job *j, idx lo, idx hi, int c)
-{
-    idx n = j->n1 * j->n2;
-    h1_write(j->a[0], j->a[1], j->a[1] + n, j->a[3], j->a[3] + n, j->n1, j->n2, lo, hi, j->s[0],
-             j->s[2] != 0.0);
 }
 
 /* ----- wrappers ---------------------------------------------------------- */
@@ -779,6 +736,19 @@ static int planar(const Bufs *bs, int i)
     return (b->ndim >= 2 && b->shape[0] == 2 && b->len > 0) || fail("expected a planar (2, ...) array");
 }
 
+/* 1 if buffer i is a nonempty (n1, n2) image and buffer f a (2, n1, n2)
+ * field, which sets the job's n1 and n2; else 0 with ValueError. */
+static int image_and_field(const Bufs *bs, int i, int f, Job *j)
+{
+    const Py_buffer *v = &bs->b[i], *g = &bs->b[f];
+    if (v->ndim != 2 || v->len == 0 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != v->shape[0] ||
+        g->shape[2] != v->shape[1])
+        return fail("expected an (n1, n2) image and a (2, n1, n2) field");
+    j->n1 = v->shape[0];
+    j->n2 = v->shape[1];
+    return 1;
+}
+
 static idx size(const Bufs *bs, int i)
 {
     return bs->b[i].len / 8;
@@ -810,19 +780,9 @@ WRAPPER(grad)
     Job j;
     j.a[2] = NULL;
     j.s[0] = 1.0;
-    if (unpack(&bs, &j, args, nargs, nargs == 4 ? "rwr" : "rw", nargs == 4 ? 1 : 0)) {
-        const Py_buffer *v = &bs.b[0], *g = &bs.b[1];
-        if (v->ndim != 2 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != v->shape[0] ||
-            g->shape[2] != v->shape[1] || v->len == 0)
-            fail("grad needs an (n1, n2) array and a (2, n1, n2) out");
-        else if (bs.n == 3 && (bs.b[2].ndim != 3 || memcmp(bs.b[2].shape, g->shape, 3 * sizeof *g->shape)))
-            fail("the addend must have the shape of out");
-        else {
-            j.n1 = v->shape[0];
-            j.n2 = v->shape[1];
-            run(&j, t_grad, j.n1, j.n1 * j.n2);
-        }
-    }
+    if (unpack(&bs, &j, args, nargs, nargs == 4 ? "rwr" : "rw", nargs == 4 ? 1 : 0) &&
+        image_and_field(&bs, 0, 1, &j) && (bs.n < 3 || image_and_field(&bs, 0, 2, &j)))
+        run(&j, t_grad, j.n1, j.n1 * j.n2);
     return finish(&bs);
 }
 
@@ -834,19 +794,9 @@ WRAPPER(grad_adjoint)
     Job j;
     j.a[2] = NULL;
     j.s[1] = 1.0;
-    if (unpack(&bs, &j, args, nargs, nargs == 5 ? "rwr" : "rw", nargs == 5 ? 2 : 1)) {
-        const Py_buffer *g = &bs.b[0], *o = &bs.b[1];
-        if (o->ndim != 2 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != o->shape[0] ||
-            g->shape[2] != o->shape[1] || o->len == 0)
-            fail("grad_adjoint needs a (2, n1, n2) array and an (n1, n2) out");
-        else if (bs.n == 3 && (bs.b[2].ndim != 2 || memcmp(bs.b[2].shape, o->shape, 2 * sizeof *o->shape)))
-            fail("the minuend must have the shape of out");
-        else {
-            j.n1 = o->shape[0];
-            j.n2 = o->shape[1];
-            run(&j, t_grad_adjoint, j.n1, j.n1 * j.n2);
-        }
-    }
+    if (unpack(&bs, &j, args, nargs, nargs == 5 ? "rwr" : "rw", nargs == 5 ? 2 : 1) &&
+        image_and_field(&bs, 1, 0, &j) && (bs.n < 3 || image_and_field(&bs, 2, 0, &j)))
+        run(&j, t_grad_adjoint, j.n1, j.n1 * j.n2);
     return finish(&bs);
 }
 
@@ -859,16 +809,12 @@ WRAPPER(tv_dual)
     Bufs bs = {.n = 0};
     Job j;
     double m = 0.0;
-    if (unpack(&bs, &j, args, nargs, "rwww", 3)) {
-        const Py_buffer *v = &bs.b[0], *g = &bs.b[1], *d = &bs.b[2], *y = &bs.b[3];
+    if (unpack(&bs, &j, args, nargs, "rwww", 3) && image_and_field(&bs, 0, 1, &j)) {
+        const Py_buffer *d = &bs.b[2], *y = &bs.b[3];
         idx n = size(&bs, 0);
-        if (v->ndim != 2 || n == 0 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != v->shape[0] ||
-            g->shape[2] != v->shape[1] || d->ndim != 1 || size(&bs, 2) != n || y->ndim != 2 ||
-            y->shape[0] != 2 || y->shape[1] != n)
-            fail("tv_dual needs an (n1, n2) v, a (2, n1, n2) kx, an (n,) d0 and (2, n) y, n = n1 n2");
+        if (d->ndim != 1 || size(&bs, 2) != n || y->ndim != 2 || y->shape[0] != 2 || y->shape[1] != n)
+            fail("tv_dual needs an (n,) d0 and (2, n) y, n = n1 n2");
         else {
-            j.n1 = v->shape[0];
-            j.n2 = v->shape[1];
             run(&j, t_tv_dual, j.n1, n);
             uint64_t lo = UINT64_MAX, hi = 0;
             for (int c = 0; c < j.chunks; c++) {
@@ -939,18 +885,14 @@ WRAPPER(h1_dual)
     Bufs bs = {.n = 0};
     Job j;
     double t = 0.0;
-    if (unpack(&bs, &j, args, nargs, "rwww", 3)) {
-        const Py_buffer *v = &bs.b[0], *g = &bs.b[1], *d = &bs.b[2], *y = &bs.b[3];
+    if (unpack(&bs, &j, args, nargs, "rwww", 3) && image_and_field(&bs, 0, 1, &j)) {
+        const Py_buffer *d = &bs.b[2], *y = &bs.b[3];
         idx n = size(&bs, 0);
-        if (v->ndim != 2 || n == 0 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != v->shape[0] ||
-            g->shape[2] != v->shape[1] || d->ndim != 1 || size(&bs, 2) != 1 || y->ndim != 2 ||
-            y->shape[0] != 1 || y->shape[1] != 2 * n)
-            fail("h1_dual needs an (n1, n2) v, a (2, n1, n2) kx, a (1,) d0 and a (1, 2 n) y, n = n1 n2");
+        if (d->ndim != 1 || size(&bs, 2) != 1 || y->ndim != 2 || y->shape[0] != 1 || y->shape[1] != 2 * n)
+            fail("h1_dual needs a (1,) d0 and a (1, 2 n) y, n = n1 n2");
         else {
-            j.n1 = v->shape[0];
-            j.n2 = v->shape[1];
             /* add.reduce starts from its identity, 0 */
-            t = 0.0 + pairwise(&j, t_grad_sumsq, 2 * n, n);
+            t = 0.0 + pairwise(&j, walk_grad_sumsq, 2 * n, n);
             double b0 = j.s[0], mu = j.s[1];
             double dh = (sqrt(t * (b0 * b0) + mu * mu) + mu) / b0, q = (b0 / 2.0) / dh;
             if (j.s[2] != 0.0)
@@ -976,7 +918,7 @@ WRAPPER(sumsq)
     if (unpack(&bs, &j, args, nargs, "r", 0) && size(&bs, 0) > 0) {
         const Py_buffer *a = &bs.b[0];
         idx n = size(&bs, 0);
-        s = pairwise(&j, t_sumsq, n, a->ndim >= 2 && a->shape[0] == 2 ? n / 2 : n);
+        s = pairwise(&j, walk_sumsq, n, a->ndim >= 2 && a->shape[0] == 2 ? n / 2 : n);
     }
     release(&bs);
     /* add.reduce starts from its identity, 0 */
@@ -998,7 +940,7 @@ WRAPPER(grad_sumsq)
         else {
             j.n1 = v->shape[0];
             j.n2 = v->shape[1];
-            s = pairwise(&j, t_grad_sumsq, 2 * j.n1 * j.n2, j.n1 * j.n2);
+            s = pairwise(&j, walk_grad_sumsq, 2 * j.n1 * j.n2, j.n1 * j.n2);
         }
     }
     release(&bs);
@@ -1022,9 +964,9 @@ WRAPPER(metric_sums)
         if (!ok)
             fail("metric_sums needs x, z and xhat of one shape and a planar (2, n1, n2) p of their size");
         else {
-            idx n1 = p->shape[1], n2 = p->shape[2];
-            metric_tree(j.a[0], j.a[1], j.a[2], j.a[3], j.a[3] + n1 * n2, n1, n2, j.s[0] != 0.0, 0,
-                        n1 * n2, s);
+            j.n1 = p->shape[1];
+            j.n2 = p->shape[2];
+            walk_metric(&j, 0, j.n1 * j.n2, s);
         }
     }
     release(&bs);

@@ -115,7 +115,7 @@ def _atomic_write_bytes(path: Path, data: bytes):
         raise
 
 
-def _configure(solver, problem, iters, tau0_override, gamma, zeta, theta):
+def _configure(solver, problem, iters, gamma, zeta, theta):
     """Build and check one solver's configuration before anything runs.
 
     solver must be one of SOLVERS.  Returns (run, opnorm): run(log) runs the
@@ -126,8 +126,6 @@ def _configure(solver, problem, iters, tau0_override, gamma, zeta, theta):
     if solver in PEDI_RULES:
         sp = problem.saddle_problem()
         cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=problem.alpha, gamma=gamma, zeta=zeta, theta=theta)
-        if tau0_override is not None:
-            cfg = cfg.with_tau0(tau0_override)
         rule = PEDI_RULES[solver]
         check_config(sp, cfg, rule)
 
@@ -183,13 +181,12 @@ def _common_problem_options(fn):
 @_common_problem_options
 @click.option("--solvers", default="pedi-general", show_default=True, help="Comma-separated subset of " + ",".join(SOLVERS))
 @click.option("--iters", default=1000, type=int, show_default=True)
-@click.option("--tau0-override", default=None, type=float)
 @click.option("--gamma", default=0.9, type=float, show_default=True)
 @click.option("--zeta", default=None, type=float)
 @click.option("--theta", default=None, type=float)
 @click.option("--target", "target_policy", default="compute", type=click.Choice(["load", "compute"]), show_default=True)
 @click.option("--target-iters", default=100000, type=int, show_default=True)
-def run(image, variant, alpha, sigma, seed, out, solvers, iters, tau0_override, gamma, zeta, theta, target_policy, target_iters):
+def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, theta, target_policy, target_iters):
     """Run solver(s) and write one CSV log per solver."""
     solver_list = [s.strip() for s in solvers.split(",") if s.strip()]
     if not solver_list:
@@ -201,13 +198,11 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, tau0_override, 
         raise click.ClickException("--iters must be >= 1")
     if target_iters < 1:
         raise click.ClickException("--target-iters must be >= 1")
-    if theta is not None and tau0_override is not None:
-        raise click.ClickException("--theta and --tau0-override both set theta; give at most one")
 
     problem = _build(image, variant, alpha, sigma, seed)
     try:
         plans = [
-            _configure(solver, problem, iters, tau0_override, gamma, zeta, theta)
+            _configure(solver, problem, iters, gamma, zeta, theta)
             for solver in solver_list
         ]
     except ConfigError as exc:
@@ -236,7 +231,6 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, tau0_override, 
             "problem": key,
             "iters": iters,
             "step_rule": PEDI_RULES.get(solver),
-            "tau0_override": tau0_override,
             "gamma": gamma,
             "zeta": zeta,
             "theta": theta,

@@ -415,10 +415,9 @@ class DenoiseProblem:
                 try:
                     # the least squared tail norm: TV's minimum, H1's one norm
                     if m == 2:
-                        tn2_min = kernels.ext.tv_dual(v, planes, d0, y_tails.T, dual.b0, dual.mu, dual.keep)
+                        dual.minimum = kernels.ext.tv_dual(v, planes, d0, y_tails.T, dual.b0, dual.mu, dual.keep)
                     else:
-                        tn2_min = kernels.ext.h1_dual(v, planes, d0, y_tails, dual.b0, dual.mu, dual.keep)
-                    dual.minimum = tn2_min if dual.need_min else None
+                        dual.minimum = kernels.ext.h1_dual(v, planes, d0, y_tails, dual.b0, dual.mu, dual.keep)
                     return tails
                 except ValueError:
                     pass

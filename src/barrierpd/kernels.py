@@ -27,7 +27,9 @@ order, and the kernels that sum -- imaging.metrics' pass, the sum of
 squares behind H1's norms and pedi's finiteness check on ||x||^2, and the
 sum of squares of a gradient formed on the fly (h1_dual's norm and H1's
 regularizer) -- add their terms in the pairwise order in which numpy's
-.sum() adds a float64 array, so no BLAS takes part.
+.sum() adds a float64 array, so no BLAS takes part.  In the C source one
+stencil forms D for every kernel that needs it, and one tree walker,
+specialised per leaf, adds every sum.
 
 THREADS is the number of threads a large kernel call is split across,
 the caller included: one per CPU in the process's affinity mask (so

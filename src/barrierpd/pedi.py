@@ -24,7 +24,7 @@ nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,13 +104,6 @@ class StepConfig:
             object.__setattr__(self, "theta", 1.0 / self.zeta)
         if self.zeta <= 0 or self.theta <= 0:
             raise ConfigError("zeta and theta must be positive")
-
-    def with_tau0(self, tau0: float) -> "StepConfig":
-        """Rescale theta so the first step (with K x^0 = 0) equals tau0."""
-        if tau0 <= 0:
-            raise ConfigError("tau0 must be positive")
-        theta = tau0 * self.opnorm_K**2 / (2.0 * self.zeta)
-        return replace(self, theta=theta)
 
 
 def _barrier_weight(state: StepState, config: StepConfig) -> float:
@@ -276,19 +269,19 @@ class DualSolve:
 
     With barrier weight mu and c_b = -(Kx)_b, each block gets the closed
     form of _dual_update: the tails of y go into y_tails and the heads of d
-    into d0, both allocated on first use (buffers), and, if need_min, the
-    least squared tail norm min_b ||(Kx)_b||^2, the soc rule's input, into
-    minimum (NaN if any norm is NaN, like np.min).  Only the final
-    iteration's K x and d are read, so unless keep is set an implementation
-    may leave d0 and K x's tails unwritten.  solve() is the reference: it
-    runs _tail_norms and _dual_update, both numpy-only but for _sumsq, on a
-    K x already formed, which is what apply_K does on the numpy path.  With
-    the compiled kernels DenoiseProblem's apply_K does it all in one call:
-    tv_dual on TV, h1_dual on H1, whose one block's minimum is its norm.
+    into d0, both allocated on first use (buffers), and the least squared
+    tail norm min_b ||(Kx)_b||^2, the soc rule's input, into minimum (NaN
+    if any norm is NaN, like np.min), which the fused passes find anyway.
+    Only the final iteration's K x and d are read, so unless keep is set an
+    implementation may leave d0 and K x's tails unwritten.  solve() is the
+    reference: it runs _tail_norms and _dual_update, both numpy-only but for
+    _sumsq, on a K x already formed, which is what apply_K does on the
+    numpy path.  With the compiled kernels DenoiseProblem's apply_K does it
+    all in one call: tv_dual on TV, h1_dual on H1, whose one block's minimum
+    is its norm.
     """
 
     b0: float
-    need_min: bool
     mu: float = 0.0
     keep: bool = True
     d0: Optional[np.ndarray] = field(default=None, init=False)
@@ -308,7 +301,7 @@ class DualSolve:
         """The dual solve from the tails of K x, with _tail_norms and _dual_update."""
         d0, y_tails = self.buffers(kx_tails)
         tn2 = _tail_norms(kx_tails, self._tn2)
-        self.minimum = float(np.min(tn2)) if self.need_min else None
+        self.minimum = float(np.min(tn2))
         _dual_update(kx_tails, tn2, self.b0, self.mu, d0, y_tails)
 
 
@@ -360,8 +353,8 @@ def pedi_run(
     in place.
 
     An iteration runs: mu_{i+1} (_barrier_weight, which both rules use);
-    apply_K with a DualSolve, which forms K x^i, the dual solve and, for
-    the soc rule, min_b ||(Kx)_b||^2; the step rule; K*, which forms
+    apply_K with a DualSolve, which forms K x^i, the dual solve and
+    min_b ||(Kx)_b||^2, the soc rule's input; the step rule; K*, which forms
     x - tau K* y in its own pass (apply_K_adjoint's minuend= and step=);
     the prox; and ||x||^2.  With the compiled kernels (barrierpd.kernels),
     DenoiseProblem's apply_K makes K, the dual solve and the minimum one
@@ -401,7 +394,7 @@ def pedi_run(
     state = initial_state()
     states = []
     b0 = problem.b0
-    dual = DualSolve(b0, step_rule == "soc")
+    dual = DualSolve(b0)
     kx_tails = y_view = None
     v = np.empty_like(x)
     x_view = _readonly(x)

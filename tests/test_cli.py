@@ -152,14 +152,13 @@ def test_solver_name_picks_the_step_rule(workdir, tmp_path):
     assert general != soc
 
 
-def test_run_rejects_theta_with_tau0_override(workdir, tmp_path):
-    # both set theta, so accepting the pair would leave a sidecar naming a theta the run did not use
+def test_run_has_no_tau0_override(workdir, tmp_path):
+    # --theta is the one way to set theta
     out = tmp_path / "out"
     r = invoke(["run", "--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5",
                 "--seed", "1", "--out", str(out), "--solvers", "pedi-general", "--iters", "5",
-                "--target-iters", "20000", "--theta", "5", "--tau0-override", "0.01"])
-    assert r.exit_code != 0
-    assert isinstance(r.exception, SystemExit), r.exception
+                "--target-iters", "20000", "--tau0-override", "0.1"])
+    assert r.exit_code == 2, r.output
     assert "--tau0-override" in r.output
     assert not out.exists()
 

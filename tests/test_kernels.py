@@ -131,12 +131,12 @@ def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
     assert identical(c[1], m.reshape(-1) - 0.3 * sp.apply_K_adjoint(c[0]))
 
 
-def dual_step(sp, x, b0=0.7, mu=0.3, need_min=True, keep=True, fill=7.0):
+def dual_step(sp, x, b0=0.7, mu=0.3, keep=True, fill=7.0):
     """K x through apply_K with a DualSolve, its buffers and K x's prefilled with fill.
 
     Returns (K x's tails, d0, y_tails, minimum), the arrays apply_K wrote into.
     """
-    dual = pedi.DualSolve(b0, need_min, mu=mu, keep=keep)
+    dual = pedi.DualSolve(b0, mu=mu, keep=keep)
     kx = np.full_like(sp.apply_K(x), fill)
     for a in dual.buffers(kx):
         a.fill(fill)
@@ -163,13 +163,9 @@ def test_tail_norms_and_min(monkeypatch, rng, shape):
         g = _grad(x.reshape(shape))
         with np.errstate(all="ignore"):
             norms = np.einsum("kij,kij->ij", g, g)
-        for need_min in (True, False):
-            c, ref = on_both_paths(monkeypatch, lambda x: dual_step(sp, x, need_min=need_min), x)
-            assert_identical(c[-1], ref[-1])
-            if need_min:
-                assert identical(ref[-1][3], np.min(norms))
-            else:
-                assert c[-1][3] is None and ref[-1][3] is None
+        c, ref = on_both_paths(monkeypatch, lambda x: dual_step(sp, x), x)
+        assert_identical(c[-1], ref[-1])
+        assert identical(ref[-1][3], np.min(norms))
     # np.min's answer with NaN present is NaN, and +0 is a minimum like any other
     x = np.zeros(n)
     assert dual_step(sp, x)[3] == 0.0
@@ -231,7 +227,7 @@ def test_h1_dual_solve(monkeypatch, rng, shape, mu):
         kx, d0, y, t = ref[-1]
         with np.errstate(all="ignore"):
             g = _grad(x.reshape(shape))
-            want = pedi.DualSolve(0.7, True, mu=mu)
+            want = pedi.DualSolve(0.7, mu=mu)
             want.solve(g.reshape(1, -1))
             assert identical(t, float(np.square(g).sum()))
         assert identical(kx, g.reshape(1, -1)) and identical(t, want.minimum)
@@ -684,7 +680,7 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     target = Target.of(dp, rng.standard_normal(30))
 
     def dual_update(x):
-        dual = pedi.DualSolve(0.4, True, mu=0.3)
+        dual = pedi.DualSolve(0.4, mu=0.3)
         kx = dp.saddle_problem().apply_K(x, dual=dual)
         return kx, dual.d0, dual.y_tails, dual.minimum
 
@@ -881,6 +877,66 @@ def test_numpy_path_runs_one_thread(tmp_path):
     shutil.copytree(ROOT / "src" / "barrierpd", pkg, ignore=shutil.ignore_patterns("__pycache__", "_kernels.c"))
     code = "from barrierpd import kernels; print(kernels.PATH[:5], kernels.THREADS)"
     assert run_python(code, tmp_path) == "numpy 1"
+
+
+# ---------------------------------------------------------------------------
+# the ISA clones
+
+
+def x86_64_gcc(cc) -> bool:
+    """Whether cc is x86-64 gcc, for which _kernels.c clones each kernel per ISA."""
+    try:
+        done = subprocess.run([*cc, "-dM", "-E", "-x", "c", "-"], input="", capture_output=True, text=True,
+                              timeout=60)
+    except OSError:
+        return False
+    macros = {line.split()[1] for line in done.stdout.splitlines() if line.startswith("#define ")}
+    return done.returncode == 0 and {"__x86_64__", "__GNUC__"} <= macros and "__clang__" not in macros
+
+
+def cpu_flags() -> set:
+    """The CPU feature flags Linux reports, or none where it reports none."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    found = re.search(r"^flags\s*:(.*)$", text, re.M)
+    return set(found.group(1).split()) if found else set()
+
+
+# what x86-64-v3 code may use, by the names Linux gives them
+X86_64_V3 = {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"}
+
+
+@needs_c
+def test_isa_clones_match_the_default_build(monkeypatch, tmp_path):
+    # a host runs only the clone its CPU picks; defining KERNEL builds the
+    # baseline ISA's code, or AVX2's, for every kernel
+    cc = kernels.compiler()
+    if not x86_64_gcc(cc):
+        pytest.skip(f"{' '.join(cc)!r} is not x86-64 gcc, so the kernels have no clones")
+    builds = {"baseline": ""}
+    if X86_64_V3 <= cpu_flags():
+        builds["x86-64-v3"] = '__attribute__((target("arch=x86-64-v3")))'
+    problems = [DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 3), alpha, variant)
+                for variant, alpha in (("tv", 0.3), ("h1", 5.0))]
+
+    def solve():
+        out = []
+        for dp in problems:
+            runs = run_all(dp, 20)
+            x, p = runs[2]
+            out += [*runs, dataclasses.astuple(metrics(x, p, dp, Target.of(dp, dp.z.flat()), 1.0))]
+        return out
+
+    want = solve()
+    for name, kernel in builds.items():
+        ext, path = kernels.load(tmp_path / name, [*cc, f"-DKERNEL={kernel}"])
+        assert path == "c", path
+        monkeypatch.setattr(kernels, "ext", ext)
+        for g, w in zip(solve(), want, strict=True):
+            for a, b in zip(g, w, strict=True):
+                assert a == b if isinstance(b, list) else identical(a, b), name
 
 
 # ---------------------------------------------------------------------------

@@ -79,14 +79,6 @@ def test_soc_rule_invariants():
         step_rule_soc(s, -1.0, cfg)
 
 
-def test_tau0_override():
-    cfg = StepConfig(opnorm_K=4.0, b0=1.0).with_tau0(0.125)
-    s = step_rule_general(initial_state(), cfg)
-    assert s.tau == pytest.approx(0.125)
-    with pytest.raises(ConfigError):
-        cfg.with_tau0(-1.0)
-
-
 def test_phi_growth_orders():
     # quadratic growth under the general rule, geometric under the soc rule
     # with a lower-bounded ||Kx||
