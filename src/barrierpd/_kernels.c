@@ -7,14 +7,15 @@
  * tv_dual's minimum is exact in any order, and metric_sums, sumsq,
  * grad_sumsq and h1_dual's norm add their terms in numpy's own pairwise
  * order.  Stages the numpy code makes as passes of their own ride in a
- * neighbouring kernel's pass: the baselines' ascent in grad and pedi's
- * x - tau K* y in grad_adjoint.  pedi's whole dual step is one kernel call:
- * on TV, tv_dual forms each pixel's tail of K x, its squared norm, the dual
- * solve and the soc rule's minimum in one visit; on H1, whose one block
- * needs the norm of all of K x first, h1_dual sums its squares formed on
- * the fly, solves for the block's scalars and then writes y.  Both store K
- * x and d's heads only when asked, since only the final iterate's are
- * read.  Every kernel that forms D does so through one stencil, STENCIL,
+ * neighbouring kernel's pass: the baselines' ascent in grad, and in
+ * grad_adjoint pedi's x - tau K* y, dual_fb's x = z - D* p and pdhgm's
+ * whole primal step, its prox and extrapolation.  pedi's whole dual step
+ * is one kernel call: on TV, tv_dual forms each pixel's tail of K x, its
+ * squared norm, the dual solve and the soc rule's minimum in one visit; on
+ * H1, whose one block needs the norm of all of K x first, h1_dual sums its
+ * squares formed on the fly, solves for the block's scalars and then
+ * writes y.  Both store K x and d's heads only when asked, since only the
+ * final iterate's are read.  Every kernel that forms D does so through one stencil, STENCIL,
  * and every sum walks numpy's tree through one walker, WALKER, over a leaf.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
@@ -28,7 +29,8 @@
  * which is how the tests run the clones the host never picks.  The wrappers
  * below the kernels unpack C-contiguous float64 buffers, check shapes and
  * overlap, and raise ValueError for anything else: they never copy an
- * array.
+ * array.  An image may also come flat, as the primal vector it is, when a
+ * field in the same call gives its shape.
  *
  * Every element is computed independently of the others, so a call splits
  * into contiguous chunks without changing any result.  A sum splits by the
@@ -155,17 +157,31 @@ KERNEL static void grad(const double *restrict v, double *restrict o0, double *r
 
 /* Rows r0..r1-1 of c times the adjoint of grad into out, or, with a
  * minuend m, of m minus that times t: pedi's x - tau K* y and
- * baselines.dual_fb_run's x = z - D* p (t = 1). */
+ * baselines.dual_fb_run's x = z - D* p (t = 1).  With z as well, out is
+ * then pdhgm's primal step, the prox (out + z t) / (1 + t) of that point,
+ * and xb its extrapolation (out - m) theta + out. */
 KERNEL static void grad_adjoint(const double *restrict g0, const double *restrict g1,
-                                const double *restrict m, double *restrict out, idx n1, idx n2,
-                                idx r0, idx r1, double c, double t)
+                                const double *restrict m, const double *restrict z,
+                                double *restrict xb, double *restrict out, idx n1, idx n2, idx r0,
+                                idx r1, double c, double t, double theta)
 {
+    double s = 1.0 + t;
     for (idx i = r0; i < r1; i++) {
         double *restrict o = out + i * n2;
         grad_adjoint_row(g0, g1, o, n1, n2, i, 0, n2, c);
-        if (m)
+        if (z) {
+            const double *restrict mi = m + i * n2, *restrict zi = z + i * n2;
+            double *restrict bi = xb + i * n2;
+            for (idx j = 0; j < n2; j++) {
+                double w = ((mi[j] - o[j] * t) + zi[j] * t) / s;
+                o[j] = w;
+                bi[j] = (w - mi[j]) * theta + w;
+            }
+        } else if (m) {
+            const double *restrict mi = m + i * n2;
             for (idx j = 0; j < n2; j++)
-                o[j] = m[i * n2 + j] - o[j] * t;
+                o[j] = mi[j] - o[j] * t;
+        }
     }
 }
 
@@ -248,20 +264,6 @@ KERNEL static void project_tv(const double *restrict p0, const double *restrict 
     }
 }
 
-/* pdhgm's primal step and extrapolation, with w = D* p on entry:
- * w = ((x - w tau) + z tau) / (1 + tau), then xb = (w - x) theta + w. */
-KERNEL static void pdhgm_primal(const double *restrict x, double *restrict w,
-                                double *restrict xb, const double *restrict z, idx n, double tau,
-                                double theta)
-{
-    double s = 1.0 + tau;
-    for (idx k = 0; k < n; k++) {
-        double wn = ((x[k] - w[k] * tau) + z[k] * tau) / s;
-        w[k] = wn;
-        xb[k] = (wn - x[k]) * theta + wn;
-    }
-}
-
 /* out = p s, or a copy of p when s is 1: the H1 dual projection.  A
  * product with 1 differs from a copy only on a signalling NaN, which it
  * quiets. */
@@ -300,7 +302,7 @@ typedef struct Job Job;
 typedef void Task(Job *j, idx lo, idx hi, int c);
 typedef void Walk(const Job *j, idx lo, idx n, double *s);
 struct Job {
-    double *a[4];
+    double *a[5];
     double s[3];
     idx n1, n2;
     Task *task;
@@ -626,8 +628,8 @@ static void t_grad(Job *j, idx lo, idx hi, int c)
 
 static void t_grad_adjoint(Job *j, idx lo, idx hi, int c)
 {
-    grad_adjoint(j->a[0], j->a[0] + j->n1 * j->n2, j->a[2], j->a[1], j->n1, j->n2, lo, hi, j->s[0],
-                 j->s[1]);
+    grad_adjoint(j->a[0], j->a[0] + j->n1 * j->n2, j->a[2], j->a[3], j->a[4], j->a[1], j->n1, j->n2, lo,
+                 hi, j->s[0], j->s[1], j->s[2]);
 }
 
 static void t_tv_dual(Job *j, idx lo, idx hi, int c)
@@ -655,11 +657,6 @@ static void t_project_tv(Job *j, idx lo, idx hi, int c)
     project_tv(j->a[0] + lo, j->a[0] + n + lo, j->a[1] + lo, j->a[1] + n + lo, hi - lo, j->s[0], j->s[1]);
 }
 
-static void t_pdhgm_primal(Job *j, idx lo, idx hi, int c)
-{
-    pdhgm_primal(j->a[0] + lo, j->a[1] + lo, j->a[2] + lo, j->a[3] + lo, hi - lo, j->s[0], j->s[1]);
-}
-
 static void t_scale(Job *j, idx lo, idx hi, int c)
 {
     scale(j->a[0] + lo, j->a[1] + lo, hi - lo, j->s[0]);
@@ -669,7 +666,7 @@ static void t_scale(Job *j, idx lo, idx hi, int c)
 
 /* The buffers of one call, released together by finish. */
 typedef struct {
-    Py_buffer b[4];
+    Py_buffer b[5];
     int n;
 } Bufs;
 
@@ -736,16 +733,19 @@ static int planar(const Bufs *bs, int i)
     return (b->ndim >= 2 && b->shape[0] == 2 && b->len > 0) || fail("expected a planar (2, ...) array");
 }
 
-/* 1 if buffer i is a nonempty (n1, n2) image and buffer f a (2, n1, n2)
- * field, which sets the job's n1 and n2; else 0 with ValueError. */
+/* 1 if buffer f is a nonempty (2, n1, n2) field, which sets the job's n1
+ * and n2, and buffer i an image on it: an (n1, n2) array or its row-major
+ * flattening, (n1 n2,), the layout of a primal vector; else 0 with
+ * ValueError. */
 static int image_and_field(const Bufs *bs, int i, int f, Job *j)
 {
     const Py_buffer *v = &bs->b[i], *g = &bs->b[f];
-    if (v->ndim != 2 || v->len == 0 || g->ndim != 3 || g->shape[0] != 2 || g->shape[1] != v->shape[0] ||
-        g->shape[2] != v->shape[1])
-        return fail("expected an (n1, n2) image and a (2, n1, n2) field");
-    j->n1 = v->shape[0];
-    j->n2 = v->shape[1];
+    if (g->ndim != 3 || g->shape[0] != 2 || g->len == 0 ||
+        !(v->ndim == 2 ? v->shape[0] == g->shape[1] && v->shape[1] == g->shape[2]
+                       : v->ndim == 1 && v->shape[0] == g->shape[1] * g->shape[2]))
+        return fail("expected a (2, n1, n2) field and an (n1, n2) image or its flattening");
+    j->n1 = g->shape[1];
+    j->n2 = g->shape[2];
     return 1;
 }
 
@@ -772,7 +772,7 @@ static PyObject *finish(Bufs *bs)
 #define WRAPPER(name) \
     static PyObject *w_##name(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 
-/* grad(v, out) or grad(v, out, p, s): v an (n1, n2) array, out and the
+/* grad(v, out) or grad(v, out, p, s): v an (n1, n2) image, out and the
  * addend p (2, n1, n2) arrays; with p, out = (D v) s + p. */
 WRAPPER(grad)
 {
@@ -786,17 +786,26 @@ WRAPPER(grad)
     return finish(&bs);
 }
 
-/* grad_adjoint(g, out, c) or grad_adjoint(g, out, m, c, t): g a (2, n1, n2)
- * array, out and the minuend m (n1, n2) arrays; with m, out = m - (c D* g) t. */
+/* grad_adjoint(g, out, c), grad_adjoint(g, out, m, c, t) or
+ * grad_adjoint(g, out, m, z, xb, c, t, theta): g a (2, n1, n2) array, out,
+ * the minuend m, z and xb (n1, n2) images; with m, out = m - (c D* g) t, and
+ * with z and xb also pdhgm's primal step, out = (out + z t) / (1 + t) and
+ * xb = (out - m) theta + out. */
 WRAPPER(grad_adjoint)
 {
     Bufs bs = {.n = 0};
     Job j;
-    j.a[2] = NULL;
+    j.a[2] = j.a[3] = j.a[4] = NULL;
     j.s[1] = 1.0;
-    if (unpack(&bs, &j, args, nargs, nargs == 5 ? "rwr" : "rw", nargs == 5 ? 2 : 1) &&
-        image_and_field(&bs, 1, 0, &j) && (bs.n < 3 || image_and_field(&bs, 2, 0, &j)))
-        run(&j, t_grad_adjoint, j.n1, j.n1 * j.n2);
+    const char *spec = nargs == 8 ? "rwrrw" : nargs == 5 ? "rwr" : "rw";
+    if (unpack(&bs, &j, args, nargs, spec, nargs == 8 ? 3 : nargs == 5 ? 2 : 1) &&
+        image_and_field(&bs, 1, 0, &j)) {
+        int ok = 1;
+        for (int i = 2; i < bs.n && ok; i++)
+            ok = image_and_field(&bs, i, 0, &j);
+        if (ok)
+            run(&j, t_grad_adjoint, j.n1, j.n1 * j.n2);
+    }
     return finish(&bs);
 }
 
@@ -848,16 +857,6 @@ WRAPPER(project_tv)
     Job j;
     if (unpack(&bs, &j, args, nargs, "rw", 2) && same_shape(&bs) && planar(&bs, 0))
         run(&j, t_project_tv, size(&bs, 0) / 2, size(&bs, 0) / 2);
-    return finish(&bs);
-}
-
-/* pdhgm_primal(x, w, xb, z, tau, theta). */
-WRAPPER(pdhgm_primal)
-{
-    Bufs bs = {.n = 0};
-    Job j;
-    if (unpack(&bs, &j, args, nargs, "rwwr", 2) && same_shape(&bs))
-        run(&j, t_pdhgm_primal, size(&bs, 0), size(&bs, 0));
     return finish(&bs);
 }
 
@@ -979,14 +978,12 @@ WRAPPER(metric_sums)
 static PyMethodDef methods[] = {
     {"grad", (PyCFunction)(void (*)(void))w_grad, METH_FASTCALL, "grad(v, out[, p, s])"},
     {"grad_adjoint", (PyCFunction)(void (*)(void))w_grad_adjoint, METH_FASTCALL,
-     "grad_adjoint(g, out, c) or grad_adjoint(g, out, m, c, t)"},
+     "grad_adjoint(g, out, c), grad_adjoint(g, out, m, c, t) or grad_adjoint(g, out, m, z, xb, c, t, theta)"},
     {"tv_dual", (PyCFunction)(void (*)(void))w_tv_dual, METH_FASTCALL,
      "tv_dual(v, kx, d0, y, b0, mu, keep) -> min"},
     {"prox", (PyCFunction)(void (*)(void))w_prox, METH_FASTCALL, "prox(z, v, out, tau)"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
      "project_tv(p, out, alpha, floor)"},
-    {"pdhgm_primal", (PyCFunction)(void (*)(void))w_pdhgm_primal, METH_FASTCALL,
-     "pdhgm_primal(x, w, xb, z, tau, theta)"},
     {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL, "scale(p, out, s)"},
     {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,
      "h1_dual(v, kx, d0, y, b0, mu, keep) -> t"},

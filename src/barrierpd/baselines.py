@@ -7,11 +7,14 @@ and serve as references in the benchmark harness.  Like the interior method
 they keep the dual field in a planar (2, n1, n2) buffer and the primal
 iterates in vectors allocated once, updated in place through the same
 gradient kernels (_grad, _grad_adjoint) and DenoiseProblem.project_dual.
-Those and pdhgm's primal update run compiled (barrierpd.kernels) whenever
-pedi's stages do, so timings compare the algorithms, not their
-implementations.  As pedi's x - tau K* y rides in K*'s pass, the ascent
-g = (D v) s + p rides in D's (_grad's scale= and addend=), and dual_fb's
-x = z - D* p in D*'s.
+Those run compiled (barrierpd.kernels) whenever pedi's stages do, so
+timings compare the algorithms, not their implementations.  As pedi's
+x - tau K* y rides in K*'s pass, the ascent g = (D v) s + p rides in D's
+(_grad's scale= and addend=), and in D*'s dual_fb's x = z - D* p
+(minuend=) and pdhgm's whole primal step, the prox of G and the
+extrapolation (minuend=, z=, x_bar= and theta=).  Each run makes the
+views its loop passes once, so an iteration costs its three kernel calls
+and little more.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .imaging import DenoiseProblem, ImageGrid, _field, _grad, _grad_adjoint
 from .pedi import ConfigError, _readonly
 
@@ -75,27 +77,6 @@ class BaselineConfig:
         return cls(tau0=0.52 / L, sigma0=1.9 / L, gamma=gamma, max_iters=max_iters, opnorm=problem.opnorm_D)
 
 
-def _pdhgm_primal(x, w, x_bar, zf, tau: float, theta: float):
-    """pdhgm's primal prox step into w, which holds D* p on entry, and its extrapolation into x_bar.
-
-    w = (x - tau D* p + tau z) / (1 + tau), then x_bar = w + theta (w - x).
-    """
-    if kernels.PATH == "c":
-        try:
-            kernels.ext.pdhgm_primal(x, w, x_bar, zf, tau, theta)
-            return
-        except ValueError:
-            pass
-    w *= tau
-    np.subtract(x, w, out=w)
-    np.multiply(zf, tau, out=x_bar)
-    w += x_bar
-    w /= 1.0 + tau
-    np.subtract(w, x, out=x_bar)
-    x_bar *= theta
-    x_bar += w
-
-
 @dataclass
 class BaselineResult:
     x: np.ndarray
@@ -121,28 +102,30 @@ def pdhgm_run(
     """
     n1, n2 = problem.shape
     zf = problem.z.flat()
-    x = np.zeros_like(zf)
-    x_bar = np.zeros_like(zf)
-    w = np.empty_like(zf)
+    z = zf.reshape(n1, n2)
+    x_bar = np.zeros((n1, n2))
     p = np.zeros((2, n1, n2))
     g = np.empty_like(p)
     p_field, g_field = _field(p), _field(g)
     p_view = _readonly(p_field)
-    tau, sigma = config.tau0, config.sigma0
+    # x and the buffer of the next x swap roles every iteration, each with
+    # its (n1, n2) view and the read-only view the callback gets
+    cur, nxt = [(a.reshape(n1, n2), a, _readonly(a)) for a in (np.zeros_like(zf), np.empty_like(zf))]
+    tau, sigma, gamma = config.tau0, config.sigma0, config.gamma
 
     for i in range(config.max_iters):
         # p = P(p + sigma D x_bar)
-        _grad(x_bar.reshape(n1, n2), out=g, scale=sigma, addend=p)
+        _grad(x_bar, out=g, scale=sigma, addend=p)
         problem.project_dual(g_field, out=p_field)
-        _grad_adjoint(p, out=w.reshape(n1, n2))
-        theta = 1.0 / math.sqrt(1.0 + 2.0 * config.gamma * tau)
-        _pdhgm_primal(x, w, x_bar, zf, tau, theta)
-        x, w = w, x
+        theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
+        # the prox at x - tau D* p and the extrapolation x_bar, in D*'s pass
+        _grad_adjoint(p, out=nxt[0], minuend=cur[0], step=tau, z=z, x_bar=x_bar, theta=theta)
+        cur, nxt = nxt, cur
         tau, sigma = theta * tau, sigma / theta
         if callback is not None:
-            callback(i, _readonly(x), p_view, {"tau": tau, "sigma": sigma, "theta": theta})
+            callback(i, cur[2], p_view, {"tau": tau, "sigma": sigma, "theta": theta})
 
-    return BaselineResult(x=x, p=p_field)
+    return BaselineResult(x=cur[1], p=p_field)
 
 
 def dual_fb_run(
@@ -168,20 +151,21 @@ def dual_fb_run(
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     n1, n2 = problem.shape
-    zf = problem.z.flat()
+    z = problem.z.values
     p = np.zeros((2, n1, n2))
     g = np.empty_like(p)
     p_field, g_field = _field(p), _field(g)
-    # x = z - D* 0
-    x = zf.copy()
+    # x = z - D* 0, with its (n1, n2) view
+    x = problem.z.flat().copy()
+    x2 = x.reshape(n1, n2)
     x_view, p_view = _readonly(x), _readonly(p_field)
     tau = 1.0 / DUAL_FB_L**2
 
     for i in range(max_iters):
-        _grad(x.reshape(n1, n2), out=g, scale=tau, addend=p)
+        _grad(x2, out=g, scale=tau, addend=p)
         problem.project_dual(g_field, out=p_field)
         # x = z - D* p
-        _grad_adjoint(p, out=x.reshape(n1, n2), minuend=zf.reshape(n1, n2))
+        _grad_adjoint(p, out=x2, minuend=z)
         if callback is not None:
             callback(i, x_view, p_view, {"tau": tau})
 

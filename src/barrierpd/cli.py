@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -98,21 +99,18 @@ def _load_target(out: Path, key: dict):
 def _atomic_write_bytes(path: Path, data: bytes):
     """Write data to path through a temporary file renamed into place.
 
-    The file gets the mode open() would give it, 0o666 less the umask;
-    mkstemp alone would leave it 0o600.
+    The temporary file is opened by open() in a fresh private directory
+    next to path, so it gets open()'s mode, 0o666 less the umask, without
+    the umask being changed; mkstemp's file would be 0o600.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmpdir = tempfile.mkdtemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
+        tmp = os.path.join(tmpdir, path.name)
+        with open(tmp, "wb") as f:
             f.write(data)
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
 
 
 def _configure(solver, problem, iters, gamma, zeta, theta):

@@ -20,15 +20,19 @@ Conventions fixed here and relied on by every solver:
   C-contiguous float64 buffers, split across threads on large images and
   bit-identical to the numpy passes, which run for any other array.  D's
   pass also makes the baselines' ascent (D v) s + p, and D*'s pedi's
-  x - tau K* y and dual_fb's z - D* p.  The lifted K's kernel call also
-  makes pedi's dual solve and the soc rule's minimum of the tail norms
-  (apply_K's dual=): on TV in the same pass, on H1 by summing the squares
-  of K x formed on the fly before a pass that writes y.  So K x is never
-  stored but on pedi's final iteration.  The sums -- metrics' four, the
-  sum of squares behind H1's global norm and H1's regularizer, which sums
-  the squares of a gradient it never stores -- add their terms in numpy's
-  pairwise summation order; all but metrics' split across threads by the
-  subtrees of that order, which changes no bit;
+  x - tau K* y, dual_fb's z - D* p and pdhgm's prox and extrapolation.
+  The lifted K's kernel call also makes pedi's dual solve and the soc
+  rule's minimum of the tail norms (apply_K's dual=): on TV in the same
+  pass, on H1 by summing the squares of K x formed on the fly before a
+  pass that writes y.  So K x is never stored but on pedi's final
+  iteration.  The operators pedi_run calls hand the kernels the solver's
+  own buffers, flat primal vectors included, and make no view a kernel
+  does not need, so each costs its kernel call and little more.  The
+  sums -- metrics' four, the sum of squares behind H1's global norm and
+  H1's regularizer, which sums the squares of a gradient it never
+  stores -- add their terms in numpy's pairwise summation order; all but
+  metrics' split across threads by the subtrees of that order, which
+  changes no bit;
 * H1's global norm is sqrt(sum g^2) over the planar field, summed in
   component-major order whatever the field's layout, so its roundoff
   depends on neither the layout nor BLAS;
@@ -92,6 +96,7 @@ class ImageGrid:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_flat", arr.reshape(-1))
 
     @property
     def n1(self) -> int:
@@ -106,8 +111,8 @@ class ImageGrid:
         return self.values.shape
 
     def flat(self) -> np.ndarray:
-        """Row-major flattening to a primal vector: a read-only view, no copy."""
-        return self.values.reshape(-1)
+        """Row-major flattening to a primal vector: a read-only view, no copy, the same on every call."""
+        return self._flat
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -161,6 +166,9 @@ def _grad_adjoint(
     scale: float = 1.0,
     minuend: Optional[np.ndarray] = None,
     step: float = 1.0,
+    z: Optional[np.ndarray] = None,
+    x_bar: Optional[np.ndarray] = None,
+    theta: float = 0.0,
 ) -> np.ndarray:
     """scale times the adjoint of _grad on a planar (2, n1, n2) field, an (n1, n2) array, into out if given.
 
@@ -172,21 +180,29 @@ def _grad_adjoint(
     field, whatever its boundary columns hold.  The product with scale comes
     last; with an (n1, n2) minuend m, which must not overlap out, out is
     then m minus that product times step: pedi's x - tau K* y and
-    dual_fb's x = z - D* p.  The compiled kernel makes both in the same
-    pass.
+    dual_fb's x = z - D* p.  With z and x_bar as well, out is then pdhgm's
+    primal step, the prox ((m - step D* p) + z step) / (1 + step) of that
+    point, and x_bar its extrapolation (out - m) theta + out; x_bar may
+    overlap no other argument.  out, the minuend, z and x_bar may also be
+    flat, the row-major flattening of an (n1, n2) array.  The compiled
+    kernel makes all of it in D*'s pass.
     """
-    g0, g1 = planes[0], planes[1]
     if out is None:
-        out = np.empty(g0.shape)
+        out = np.empty(planes.shape[1:])
     if kernels.PATH == "c":
         try:
             if minuend is None:
                 kernels.ext.grad_adjoint(planes, out, scale)
-            else:
+            elif z is None:
                 kernels.ext.grad_adjoint(planes, out, minuend, scale, step)
+            else:
+                kernels.ext.grad_adjoint(planes, out, minuend, z, x_bar, scale, step, theta)
             return out
         except ValueError:
             pass
+    g0, g1 = planes[0], planes[1]
+    flat = out
+    out = out.reshape(g0.shape) if out.ndim == 1 else out
     of = _flat(out)
     g1f = g1.reshape(-1)
     out[0, :] = 0.0
@@ -203,8 +219,16 @@ def _grad_adjoint(
     if minuend is not None:
         if step != 1.0:
             out *= step
-        np.subtract(minuend, out, out=out)
-    return out
+        np.subtract(minuend.reshape(out.shape), out, out=out)
+        if z is not None:
+            xb = x_bar.reshape(out.shape)
+            np.multiply(z.reshape(out.shape), step, out=xb)
+            out += xb
+            out /= 1.0 + step
+            np.subtract(out, minuend.reshape(out.shape), out=xb)
+            xb *= theta
+            xb += out
+    return flat
 
 
 def _planes(gfield: np.ndarray) -> np.ndarray:
@@ -338,10 +362,16 @@ class DenoiseProblem:
         same shape that may be p itself, if given; planar-backed fields
         (views of (2, n1, n2) buffers) are the fast layout.
         """
-        p = np.asarray(p, dtype=float).reshape(self.shape + (2,))
+        p = np.asarray(p, dtype=float)
+        shape = self.z.values.shape + (2,)
+        if p.shape != shape:
+            p = p.reshape(shape)
         planes = _planes(p)
-        out_planes = np.empty(planes.shape) if out is None else _planes(out)
-        result = _field(out_planes) if out is None else out
+        if out is None:
+            out_planes = np.empty(planes.shape)
+            result = _field(out_planes)
+        else:
+            out_planes, result = _planes(out), out
         if self.variant == "tv":
             # flooring the norm at alpha caps alpha/norm at 1 without a
             # second pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
@@ -392,60 +422,71 @@ class DenoiseProblem:
         block's tail and solves it in one pass; h1_dual on H1 sums the one
         block's squared norm over K x formed on the fly, solves for the
         block and then writes y.  Otherwise apply_K runs dual.solve, the
-        reference, on the K x it wrote.  apply_K_adjoint with a primal
-        minuend m and a step t gives m - t K* y, in K*'s own pass.
+        reference, on the K x it wrote.  The views that call takes are made
+        on the first iteration and kept in dual.operands with the out they
+        came from, so a run makes them once.  apply_K_adjoint with a primal
+        minuend m and a step t gives m - t K* y, in K*'s own pass.  prox_G
+        leaves the check that out does not overlap v to the kernel, which
+        rejects such arrays before writing, and checks it itself only on the
+        numpy code's way.
         opnorm_K = sqrt(2) opnorm_D, an upper bound on ||K|| since opnorm_D
         is one with a margin far above the roundoff of that product.
         """
         n1, n2 = self.shape
-        m, n_blocks = (2, self.n_pixels) if self.variant == "tv" else (2 * self.n_pixels, 1)
+        n = self.n_pixels
+        m, n_blocks = (2, n) if self.variant == "tv" else (2 * n, 1)
         zf = self.z.flat()
 
-        def apply_K(x, out=None, dual=None):
+        def planes_of(out):
+            """(tails, planes): out, or a new tails array if None, and its planar (2, n1, n2) view."""
             if out is None:
                 planes = np.empty((2, n1, n2))
-            elif out.shape != (n_blocks, m) or not out.T.flags.c_contiguous:
+                return planes.reshape(m, n_blocks).T, planes
+            if out.shape != (n_blocks, m) or not out.T.flags.c_contiguous:
                 raise ValueError("out must be a tails array returned by apply_K")
-            else:
-                planes = out.T.reshape(2, n1, n2)
-            tails = planes.reshape(m, n_blocks).T
-            v = x.reshape(n1, n2)
+            return out, out.T.reshape(2, n1, n2)
+
+        def apply_K(x, out=None, dual=None):
             if dual is not None and kernels.PATH == "c":
-                d0, y_tails = dual.buffers(tails)
+                ops = dual.operands
+                if ops is None or ops[0] is not out:
+                    out, planes = planes_of(out)
+                    d0, y_tails = dual.buffers(out)
+                    # y's planar view on TV, the one (1, 2 n) tail on H1
+                    ops = dual.operands = (out, planes, d0, y_tails.T if m == 2 else y_tails)
                 try:
                     # the least squared tail norm: TV's minimum, H1's one norm
-                    if m == 2:
-                        dual.minimum = kernels.ext.tv_dual(v, planes, d0, y_tails.T, dual.b0, dual.mu, dual.keep)
-                    else:
-                        dual.minimum = kernels.ext.h1_dual(v, planes, d0, y_tails, dual.b0, dual.mu, dual.keep)
-                    return tails
+                    fused = kernels.ext.tv_dual if m == 2 else kernels.ext.h1_dual
+                    dual.minimum = fused(x, *ops[1:], dual.b0, dual.mu, dual.keep)
+                    return ops[0]
                 except ValueError:
                     pass
-            _grad(v, out=planes)
+            out, planes = planes_of(out)
+            _grad(x.reshape(n1, n2), out=planes)
             if dual is not None:
-                dual.solve(tails)
-            return tails
+                dual.solve(out)
+            return out
 
         def apply_K_adjoint(y_tails, out=None, minuend=None, step=1.0):
             if out is None:
-                out = np.empty(self.n_pixels)
-            elif out.shape != (self.n_pixels,) or not out.flags.c_contiguous:
+                out = np.empty(n)
+            elif out.shape != (n,) or not out.flags.c_contiguous:
                 raise ValueError("out must be a contiguous primal vector")
-            m = None if minuend is None else minuend.reshape(n1, n2)
-            _grad_adjoint(y_tails.T.reshape(2, n1, n2), out=out.reshape(n1, n2), scale=2.0, minuend=m, step=step)
+            _grad_adjoint(y_tails.T.reshape(2, n1, n2), out, 2.0, minuend, step)
             return out
 
         def prox_G(v, tau, out=None):
-            if out is not None and np.may_share_memory(out, v):
-                raise ValueError("prox_G cannot write over v")
             if kernels.PATH == "c":
                 if out is None:
-                    out = np.empty(self.n_pixels)
+                    out = np.empty(n)
+                # the kernel rejects an out that overlaps v before writing
                 try:
                     kernels.ext.prox(zf, v, out, tau)
                     return out
                 except ValueError:
                     pass
+            if out is not None and np.may_share_memory(out, v):
+                raise ValueError("prox_G cannot write over v")
             out = np.multiply(zf, tau, out=out)
             out += v
             out /= 1.0 + tau
@@ -465,8 +506,20 @@ class DenoiseProblem:
         """Portable dual field p = 2 tail(y); satisfies ||p|| <= alpha.
 
         Writes into out, an (n1, n2, 2) field, if given; planar-backed fields
-        (views of (2, n1, n2) buffers) are the fast layout.
+        (views of (2, n1, n2) buffers) are the fast layout.  With the
+        compiled kernels, tails in pedi_run's planar layout (the transpose of
+        a C-contiguous (m, n_blocks) array) and a planar-backed out take one
+        scale pass over the planes, which multiplies each entry by 2 as the
+        multiplication over the (n1, n2, 2) views does for any other layout.
         """
+        tails = y.tails.T
+        if out is not None and kernels.PATH == "c" and tails.flags.c_contiguous:
+            try:
+                planes = _planes(out)
+                kernels.ext.scale(tails.reshape(planes.shape), planes, 2.0)
+                return out
+            except ValueError:
+                pass
         return np.multiply(unlift(y, self.shape), 2.0, out=out)
 
 
@@ -546,7 +599,7 @@ def _metric_sums(x, p, problem: DenoiseProblem, target: Target):
     if kernels.PATH != "c":
         return None
     p = np.asarray(p)
-    if p.shape != problem.shape + (2,):
+    if p.shape != problem.z.values.shape + (2,):
         return None
     tv = problem.variant == "tv"
     try:
@@ -600,4 +653,4 @@ def metrics(
     gap_db = _db(gap, gap0)
     target_db = _db(dist2, target.norm2)
     value_db = _db((val - val_hat) ** 2, val_hat**2) if val_hat != 0.0 else DB_CLAMP
-    return IterationRecord(iter=iter, wall_seconds=wall_seconds, gap_db=gap_db, target_db=target_db, value_db=value_db)
+    return IterationRecord(iter, wall_seconds, gap_db, target_db, value_db)

@@ -7,7 +7,9 @@ the compiler's resolved path and file stat (in place of its version, so that
 a cache hit starts no process), the flags and the extension suffix.  A build
 writes a temporary file and renames it into place, so processes importing at
 the same time each load a complete file, and a successful build removes
-the builds left under other keys.
+the builds left under other keys.  The build gets the mode open() would
+give it, 0o666 less the umask, which is read from the file the linker
+creates in a private directory, never by changing the umask.
 
 PATH names the path the solvers take: "c" when the extension loaded, and
 otherwise "numpy (<reason>)", the reason being a missing compiler, the
@@ -16,7 +18,10 @@ selects the path.  Every function that calls a kernel keeps the numpy code
 it replaces, which runs on the numpy path and for arrays a kernel rejects
 (non-contiguous, not float64, overlapping), and which the tests use as the
 reference: both compute every element with the same operations in the same
-order, so their results are bit-identical.  The fused passes of pedi's
+order, so their results are bit-identical.  Kernels fold neighbouring
+elementwise passes into their own: grad makes the baselines' dual ascent,
+and grad_adjoint pedi's x - tau K* y, dual_fb's x = z - D* p and pdhgm's
+whole primal step, its prox and extrapolation.  The fused passes of pedi's
 dual step (tv_dual on TV, h1_dual on H1) replace several such functions
 at once: K's _grad, then pedi's _tail_norms and _dual_update and the soc
 rule's np.min, which the lifted apply_K runs in that order on the numpy
@@ -106,21 +111,23 @@ def load(cache: Path, cc: list):
     if not path.exists():
         try:
             cache.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache, prefix=path.name, suffix=".tmp")
+            tmpdir = tempfile.mkdtemp(dir=cache, prefix=path.name, suffix=".tmp")
         except OSError as exc:
             return None, f"numpy (cache directory not writable: {exc})"
-        os.close(fd)
+        # a file the linker creates gets 0o777 less the umask; without the
+        # execute bits that is the mode open() gives, and the umask is never
+        # changed, not even to read it
+        tmp = os.path.join(tmpdir, path.name)
         try:
             error = _compile(cc, tmp)
             if error is not None:
                 return None, f"numpy (build failed: {error})"
-            mask = os.umask(0)
-            os.umask(mask)
-            os.chmod(tmp, 0o666 & ~mask)
+            os.chmod(tmp, os.stat(tmp).st_mode & 0o666)
             os.replace(tmp, path)
+        except OSError as exc:
+            return None, f"numpy (build failed: {exc})"
         finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            shutil.rmtree(tmpdir, ignore_errors=True)
         for old in cache.glob("_kernels.*" + suffix):
             if old != path:
                 try:

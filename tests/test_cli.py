@@ -254,6 +254,30 @@ def test_written_files_follow_the_umask(workdir, tmp_path):
     assert all(p.stat().st_mode & 0o777 == 0o644 for p in files), [oct(p.stat().st_mode) for p in files]
 
 
+def test_written_files_leave_the_umask_alone(workdir, tmp_path, monkeypatch):
+    # the files get 0o666 less the umask without the CLI reading or setting
+    # it: a umask changed for a moment applies to every thread's files
+    out = tmp_path / "modes"
+    args = ["--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5", "--seed", "1",
+            "--out", str(out)]
+
+    def no_umask(*_):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", no_umask)
+        assert invoke(["make-target", *args, "--target-iters", "20000"]).exit_code == 0
+        r = invoke(["run", *args, "--solvers", "dual-fb", "--iters", "3", "--target", "load"])
+        assert r.exit_code == 0, r.output
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    files = sorted(out.iterdir())
+    assert [p.suffix for p in files] == [".csv", ".json", ".npz"]
+    assert all(p.stat().st_mode & 0o777 == 0o640 for p in files), [oct(p.stat().st_mode) for p in files]
+
+
 def test_sidecar_names_the_kernel_path(workdir, tmp_path, monkeypatch):
     args = base_args(workdir, ["--solvers", "dual-fb", "--iters", "3", "--target-iters", "20000"])
     args[args.index("--out") + 1] = str(tmp_path)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from barrierpd import baselines, imaging, kernels, pedi
+from barrierpd import imaging, kernels, pedi
 from barrierpd.baselines import BaselineConfig, dual_fb_run, pdhgm_run
 from barrierpd.imaging import (
     VARIANTS,
@@ -35,6 +35,7 @@ from barrierpd.imaging import (
     metrics,
     synthetic_image,
 )
+from barrierpd.jordan import BlockConeVector
 from barrierpd.pedi import StepConfig, pedi_run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,6 +197,23 @@ def test_dual_solve(monkeypatch, rng, shape, mu):
         assert identical(got[2], y) and np.all(got[0] == 7.0) and np.all(got[1] == 7.0)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dual_solve_follows_its_out(rng, variant):
+    # apply_K keeps its kernel's views in the DualSolve with the out they
+    # came from; another out, or none, gets K x written into it
+    sp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((5, 7))), 0.7, variant).saddle_problem()
+    dual = pedi.DualSolve(0.7, mu=0.3, keep=True)
+    x = rng.standard_normal(35)
+    first = sp.apply_K(x, dual=dual)
+    again = sp.apply_K(x, dual=dual)
+    assert again is not first and np.array_equal(again, first)
+    other = np.full_like(first, 7.0)
+    assert sp.apply_K(x, out=other, dual=dual) is other and np.array_equal(other, first)
+    # a new x into the first out, K x as apply_K without a dual solve forms it
+    for x in (rng.standard_normal(35), 2.0 * x):
+        assert sp.apply_K(x, out=first, dual=dual) is first and np.array_equal(first, sp.apply_K(x))
+
+
 @needs_c
 def test_dual_solve_zero_heads(monkeypatch, rng):
     # b0^2 underflows to 0 and mu = 0, so every head d0 is 0: the tails must be 0, not NaN
@@ -250,19 +268,43 @@ def test_h1_dual_solve_zero_head(monkeypatch, shape):
     assert_identical(c[-1], ref[-1])
 
 
+def pdhgm_primal_reference(planes, x, z, tau, theta):
+    """pdhgm's primal step as its own passes after D*: (w, x_bar) with w = D* p, then
+    w = ((x - w tau) + z tau) / (1 + tau) and x_bar = (w - x) theta + w."""
+    w = _grad_adjoint(planes)
+    w *= tau
+    np.subtract(x, w, out=w)
+    x_bar = np.multiply(z, tau)
+    w += x_bar
+    w /= 1.0 + tau
+    np.subtract(w, x, out=x_bar)
+    x_bar *= theta
+    x_bar += w
+    return w, x_bar
+
+
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_primal_stages(monkeypatch, rng, shape):
     n = shape[0] * shape[1]
     x, v, z = special(rng, n), special(rng, n), special(rng, n)
+    planes = special(rng, (2,) + shape)
     dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, "tv")
     for tau in (0.3, 1e-300, 7.0):
         # prox_G reads the problem's own z, finite by construction
         c, ref = on_both_paths(monkeypatch, lambda v, out: dp.saddle_problem().prox_G(v, tau, out=out), v, np.empty(n))
         assert_identical(c, ref)
-        stage = lambda x, w, xb, z: baselines._pdhgm_primal(x, w, xb, z, tau, 0.8)  # noqa: E731
-        c, ref = on_both_paths(monkeypatch, stage, x, v, np.empty(n), z)
-        assert_identical(c, ref)
+        # pdhgm's prox and extrapolation in D*'s pass, with (n1, n2) and flat arrays
+        for layout in (shape, (n,)):
+            def stage(g, w, x, z, xb):
+                return _grad_adjoint(g, out=w, minuend=x, step=tau, z=z, x_bar=xb, theta=0.8)
+
+            arrays = (planes, np.full(layout, 7.0), x.reshape(layout), z.reshape(layout), np.full(layout, 7.0))
+            c, ref = on_both_paths(monkeypatch, stage, *arrays)
+            assert_identical(c, ref)
+            with np.errstate(all="ignore"):
+                w, x_bar = pdhgm_primal_reference(planes, x.reshape(shape), z.reshape(shape), tau, 0.8)
+            assert identical(c[1], w.reshape(layout)) and identical(c[4], x_bar.reshape(layout))
 
 
 @needs_c
@@ -276,6 +318,29 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
     stage = lambda p, out: dp.project_dual(imaging._field(p), out=imaging._field(out))  # noqa: E731
     c, ref = on_both_paths(monkeypatch, stage, planes, np.empty_like(planes))
     assert_identical(c[:2], ref[:2])
+
+
+@needs_c
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_unlifted_dual_on_both_layouts(monkeypatch, rng, shape, variant):
+    # pedi_run's planar tails take the scale pass, a from_arrays copy the
+    # multiplication over the field views; both give 2 tail(y) bit for bit
+    dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, variant)
+    kx = dp.saddle_problem().apply_K(np.zeros(dp.n_pixels))
+    kx[...] = special(rng, kx.shape)
+    heads = np.ones(kx.shape[0])
+    for y in (BlockConeVector.view_of(heads, kx), BlockConeVector.from_arrays(heads, kx)):
+        def stage(out):
+            return dp.unlifted_dual(y, out=imaging._field(out))
+
+        rec = Recorder(kernels.ext)
+        monkeypatch.setattr(kernels, "ext", rec)
+        c, ref = on_both_paths(monkeypatch, stage, np.full((2,) + shape, 7.0))
+        monkeypatch.setattr(kernels, "ext", rec.ext)
+        assert identical(c[0], ref[0]) and identical(c[0], 2.0 * imaging._planes(imaging.unlift(y, shape)))
+        assert rec.calls.get("scale", 0) == (1 if y.tails.T.flags.c_contiguous else 0)
+        assert rec.rejected == []
 
 
 @needs_c
@@ -559,10 +624,11 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     dual_fb_run(dp, 5)
     assert rec.rejected == []
     # pedi's K, dual solve and soc minimum are one tv_dual pass, and grad is
-    # the baselines'; sumsq is pedi's ||x||^2 check
+    # the baselines'; pdhgm's primal step rides in its grad_adjoint; sumsq
+    # is pedi's ||x||^2 check
     assert rec.calls == {
         "grad": 10, "grad_adjoint": 2 * 5 + 2 * 5, "tv_dual": 10,
-        "prox": 10, "project_tv": 10, "pdhgm_primal": 5, "sumsq": 10,
+        "prox": 10, "project_tv": 10, "sumsq": 10,
     }
 
 
@@ -578,10 +644,11 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     dual_fb_run(dp, 5)
     assert rec.rejected == []
     # pedi's K, tail norm and dual solve are one h1_dual call, and grad and
-    # scale are the baselines'; sumsq is pedi's ||x||^2 check and the
-    # baselines' projection norm
+    # scale are the baselines'; pdhgm's primal step rides in its
+    # grad_adjoint; sumsq is pedi's ||x||^2 check and the baselines'
+    # projection norm
     assert rec.calls == {
-        "grad": 10, "grad_adjoint": 20, "h1_dual": 10, "prox": 10, "pdhgm_primal": 5,
+        "grad": 10, "grad_adjoint": 20, "h1_dual": 10, "prox": 10,
         "sumsq": 10 + 10, "scale": 10,
     }
 
@@ -626,6 +693,14 @@ def test_kernels_reject_without_writing(rng):
         assert np.array_equal(out, before), why
     with pytest.raises(ValueError):
         ext.grad(v.T, np.empty((2, 5, 4)))
+    # an image may be flat, of n1 n2 entries exactly
+    for flat in (v.reshape(-1)[:19].copy(), rng.standard_normal(21), v.reshape(1, -1)):
+        out = np.full((2, 4, 5), 7.0)
+        with pytest.raises(ValueError):
+            ext.grad(flat, out)
+        with pytest.raises(ValueError):
+            ext.grad_adjoint(rng.standard_normal((2, 4, 5)), flat.copy(), 1.0)
+        assert np.all(out == 7.0)
     with pytest.raises(ValueError):
         ext.grad(v.astype(np.float32), np.empty((2, 4, 5)))
     # an output overlapping an input
@@ -931,8 +1006,14 @@ def test_isa_clones_match_the_default_build(monkeypatch, tmp_path):
 
     want = solve()
     for name, kernel in builds.items():
-        ext, path = kernels.load(tmp_path / name, [*cc, f"-DKERNEL={kernel}"])
+        old = os.umask(0o027)
+        try:
+            ext, path = kernels.load(tmp_path / name, [*cc, f"-DKERNEL={kernel}"])
+        finally:
+            os.umask(old)
         assert path == "c", path
+        # the linker's output, less its execute bits: open()'s mode
+        assert Path(ext.__file__).stat().st_mode & 0o777 == 0o640
         monkeypatch.setattr(kernels, "ext", ext)
         for g, w in zip(solve(), want, strict=True):
             for a, b in zip(g, w, strict=True):
@@ -943,8 +1024,27 @@ def test_isa_clones_match_the_default_build(monkeypatch, tmp_path):
 # build cache
 
 
+@pytest.fixture(scope="session")
+def prebuilt():
+    """A stand-in for kernels._compile that copies the build this session loaded.
+
+    The cache tests check the cache's logic, not the compiler, so they get
+    this build instead of one gcc run each.  The copy is a file open()
+    creates, as a compiler's output would be.
+    """
+    if kernels.PATH != "c":
+        pytest.skip(f"kernels: {kernels.PATH}")
+    build = Path(kernels.ext.__file__).read_bytes()
+
+    def copy_build(cc, out):
+        Path(out).write_bytes(build)
+
+    return copy_build
+
+
 @needs_c
-def test_second_load_compiles_nothing(monkeypatch, tmp_path):
+def test_second_load_compiles_nothing(monkeypatch, tmp_path, prebuilt):
+    monkeypatch.setattr(kernels, "_compile", prebuilt)
     old = os.umask(0o022)
     try:
         ext, path = kernels.load(tmp_path, kernels.compiler())
@@ -1012,7 +1112,7 @@ def test_package_data_ships_the_kernel_source(tmp_path):
 
 
 @needs_c
-def test_a_new_build_removes_stale_builds(monkeypatch, tmp_path):
+def test_a_new_build_removes_stale_builds(monkeypatch, tmp_path, prebuilt):
     suffix = kernels.sysconfig.get_config_var("EXT_SUFFIX")
     stale = tmp_path / f"_kernels.0123456789abcdef{suffix}"
     stale.write_bytes(b"an old build")
@@ -1020,9 +1120,33 @@ def test_a_new_build_removes_stale_builds(monkeypatch, tmp_path):
     assert kernels.load(tmp_path, [sys.executable, "-c", "import sys; sys.exit(1)"])[0] is None
     assert stale.exists()
     # a successful one removes the builds under other keys
+    monkeypatch.setattr(kernels, "_compile", prebuilt)
     ext, _ = kernels.load(tmp_path, kernels.compiler())
     assert sorted(tmp_path.iterdir()) == [Path(ext.__file__)]
     # a cache hit removes nothing
     stale.write_bytes(b"an old build")
     assert kernels.load(tmp_path, kernels.compiler())[1] == "c"
     assert stale.exists()
+
+
+@needs_c
+def test_a_build_leaves_the_umask_alone(monkeypatch, tmp_path, prebuilt):
+    # a linker creates its output with mode 0o777 less the umask; the build
+    # must get 0o666 less the umask without load reading or setting it
+    def link(cc, out):
+        prebuilt(cc, out)
+        os.chmod(out, 0o777 & ~0o027)
+
+    def no_umask(*_):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o027)
+    try:
+        monkeypatch.setattr(kernels, "_compile", link)
+        monkeypatch.setattr(os, "umask", no_umask)
+        ext, path = kernels.load(tmp_path, kernels.compiler())
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert path == "c"
+    assert [(p.name, p.stat().st_mode & 0o777) for p in tmp_path.iterdir()] == [(Path(ext.__file__).name, 0o640)]

@@ -8,10 +8,12 @@ from barrierpd.barrier import RankOneConstraint, central_path_solve
 from barrierpd.baselines import dual_fb_run
 from barrierpd.imaging import DenoiseProblem, ImageGrid, add_gaussian_noise, synthetic_image
 from barrierpd.jordan import SpinElement, identity, is_interior, lambda_min
+from barrierpd import pedi
 from barrierpd.pedi import (
     ConfigError,
     _dual_update,
     StepConfig,
+    StepState,
     initial_state,
     pedi_run,
     step_rule_general,
@@ -77,6 +79,24 @@ def test_soc_rule_invariants():
     assert s.omega_lb == pytest.approx(s.mu * cfg.zeta + kx / (np.sqrt(2.0) * cfg.b0))
     with pytest.raises(ValueError):
         step_rule_soc(s, -1.0, cfg)
+
+
+def test_rules_take_the_barrier_weight_the_loop_computed():
+    # pedi_run computes mu_{i+1} once and passes it to the rule; the state
+    # is the one the rule reaches by computing mu itself, bit for bit
+    cfg = StepConfig(opnorm_K=2.0, b0=1.5, zeta=0.3)
+    for rule in (lambda s, **kw: step_rule_general(s, cfg, **kw), lambda s, **kw: step_rule_soc(s, 3.7, cfg, **kw)):
+        s = initial_state()
+        for _ in range(20):
+            given = rule(s, mu=pedi._barrier_weight(s, cfg))
+            s = rule(s)
+            assert given == s and isinstance(s, StepState)
+    # the rules check the config whether or not mu is given
+    bad = StepConfig(opnorm_K=1.0, b0=2.0, zeta=0.6)
+    with pytest.raises(ConfigError):
+        step_rule_general(initial_state(), bad, mu=1.0)
+    with pytest.raises(ConfigError):
+        step_rule_soc(initial_state(), 1.0, bad, mu=1.0)
 
 
 def test_phi_growth_orders():
