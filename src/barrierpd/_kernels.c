@@ -7,16 +7,21 @@
  * tv_dual's minimum is exact in any order, and metric_sums, sumsq,
  * grad_sumsq and h1_dual's norm add their terms in numpy's own pairwise
  * order.  Stages the numpy code makes as passes of their own ride in a
- * neighbouring kernel's pass: the baselines' ascent in grad, and in
- * grad_adjoint pedi's x - tau K* y, dual_fb's x = z - D* p and pdhgm's
- * whole primal step, its prox and extrapolation.  pedi's whole dual step
- * is one kernel call: on TV, tv_dual forms each pixel's tail of K x, its
- * squared norm, the dual solve and the soc rule's minimum in one visit; on
- * H1, whose one block needs the norm of all of K x first, h1_dual sums its
- * squares formed on the fly, solves for the block's scalars and then
- * writes y.  Both store K x and d's heads only when asked, since only the
- * final iterate's are read.  Every kernel that forms D does so through one stencil, STENCIL,
- * and every sum walks numpy's tree through one walker, WALKER, over a leaf.
+ * neighbouring kernel's pass: in grad_adjoint pedi's x - tau K* y,
+ * dual_fb's x = z - D* p and pdhgm's whole primal step, its prox and
+ * extrapolation.  pedi's whole dual step is one kernel call: on TV,
+ * tv_dual forms each pixel's tail of K x, its squared norm, the dual solve
+ * and the soc rule's minimum in one visit; on H1, whose one block needs
+ * the norm of all of K x first, h1_dual sums its squares formed on the
+ * fly, solves for the block's scalars and then writes y.  Both store K x
+ * and d's heads only when asked, since only the final iterate's are read.
+ * The baselines' whole dual step, the projection of the ascent
+ * p + s D v, is one call in the same way, writing p in place and storing
+ * no ascent: on TV project_tv forms and projects each pixel's ascent in
+ * one visit; on H1 scale sums the ascent's squares formed on the fly and
+ * then writes it, scaled, with ascend.  Every kernel that forms D does so
+ * through one stencil, STENCIL, and every sum walks numpy's tree through
+ * one walker, WALKER, over a leaf.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; the sums' leaves read theirs from a job.  On x86-64 each
@@ -138,21 +143,25 @@ static inline void grad_adjoint_row(const double *restrict g0, const double *res
         o[n2 - 1 - j0] = (o[n2 - 1 - j0] + h[n2 - 2]) * c;
 }
 
-/* Rows r0..r1-1 of the gradient of v into the planes o0 and o1, or with an
- * addend (p0, p1) of the gradient times s plus the addend: the baselines'
- * dual ascent, as imaging._grad makes it after D. */
-KERNEL static void grad(const double *restrict v, double *restrict o0, double *restrict o1,
-                        const double *restrict p0, const double *restrict p1, double s, idx n1,
+/* Rows r0..r1-1 of the gradient of v into the planes o0 and o1. */
+KERNEL static void grad(const double *restrict v, double *restrict o0, double *restrict o1, idx n1,
                         idx n2, idx r0, idx r1)
 {
     idx lo = r0 * n2, hi = r1 * n2;
-    if (p0) {
-        STENCIL(v, n1, n2, lo, hi, o0[k] = g0 * s + p0[k]);
-        STENCIL(v, n1, n2, lo, hi, o1[k] = g1 * s + p1[k]);
-    } else {
-        STENCIL(v, n1, n2, lo, hi, o0[k] = g0);
-        STENCIL(v, n1, n2, lo, hi, o1[k] = g1);
-    }
+    STENCIL(v, n1, n2, lo, hi, o0[k] = g0);
+    STENCIL(v, n1, n2, lo, hi, o1[k] = g1);
+}
+
+/* Rows r0..r1-1 of the baselines' dual ascent a = (grad v) s + p, as
+ * imaging._grad makes it with an addend, times f, written over the planes
+ * (p0, p1) of p: the write of the H1 projection, f being 1 inside the
+ * ball, where the numpy code copies a. */
+KERNEL static void ascend(const double *restrict v, double *restrict p0, double *restrict p1, idx n1,
+                          idx n2, idx r0, idx r1, double s, double f)
+{
+    idx lo = r0 * n2, hi = r1 * n2;
+    STENCIL(v, n1, n2, lo, hi, p0[k] = (g0 * s + p0[k]) * f);
+    STENCIL(v, n1, n2, lo, hi, p1[k] = (g1 * s + p1[k]) * f);
 }
 
 /* Rows r0..r1-1 of c times the adjoint of grad into out, or, with a
@@ -249,19 +258,31 @@ KERNEL static void prox(const double *restrict z, const double *restrict v, doub
         out[k] = (z[k] * tau + v[k]) / s;
 }
 
-/* Per-pixel projection of (p0, p1) onto the ball of radius alpha:
- * p alpha / max(||p||, floor), as DenoiseProblem.project_dual for TV. */
-KERNEL static void project_tv(const double *restrict p0, const double *restrict p1,
-                              double *restrict o0, double *restrict o1, idx n, double alpha,
-                              double floor)
-{
-    for (idx k = 0; k < n; k++) {
-        double s = sqrt(p0[k] * p0[k] + p1[k] * p1[k]);
-        s = s < floor ? floor : s;
-        s = alpha / s;
-        o0[k] = p0[k] * s;
-        o1[k] = p1[k] * s;
+/* The per-pixel projection of a = (A0, A1) onto the ball of radius alpha,
+ * a alpha / max(||a||, floor) as DenoiseProblem.project_dual makes it for
+ * TV, into (O0, O1), with the alpha and floor of the kernel it runs in. */
+#define PROJECT_TV(A0, A1, O0, O1)                                              \
+    {                                                                           \
+        double a0 = (A0), a1 = (A1), r = sqrt(a0 * a0 + a1 * a1);               \
+        r = r < floor ? floor : r;                                              \
+        r = alpha / r;                                                          \
+        O0 = a0 * r;                                                            \
+        O1 = a1 * r;                                                            \
     }
+
+/* Pixels lo..hi-1 of the TV projection of (p0, p1) into (o0, o1), or with
+ * an (n1, n2) image v, of the baselines' dual ascent a = (grad v) s + p,
+ * formed as imaging._grad forms it with an addend, back into (p0, p1):
+ * their whole dual step p = P(p + s D v) in one visit per pixel. */
+KERNEL static void project_tv(const double *restrict v, double *restrict p0, double *restrict p1,
+                              double *restrict o0, double *restrict o1, idx n1, idx n2, idx lo,
+                              idx hi, double alpha, double floor, double s)
+{
+    if (v)
+        STENCIL(v, n1, n2, lo, hi, PROJECT_TV(g0 * s + p0[k], g1 * s + p1[k], p0[k], p1[k]))
+    else
+        for (idx k = lo; k < hi; k++)
+            PROJECT_TV(p0[k], p1[k], o0[k], o1[k])
 }
 
 /* out = p s, or a copy of p when s is 1: the H1 dual projection.  A
@@ -546,6 +567,22 @@ KERNEL static void grad_sumsq_leaf(const Job *j, idx lo, idx n, double *s)
     *s = leaf_sum(t, n, 1);
 }
 
+/* The same for the baselines' dual ascent a = (grad v) s + p, the job's
+ * (v, p, s[1]), as np.square(a).sum() adds the entries imaging._grad
+ * forms. */
+KERNEL static void ascent_sumsq_leaf(const Job *j, idx lo, idx n, double *s)
+{
+    const double *restrict v = j->a[0], *restrict a = j->a[1];
+    double c = j->s[1];
+    idx n1 = j->n1, n2 = j->n2, p = n1 * n2, m = lo >= p ? 0 : lo + n <= p ? n : p - lo;
+    double t[LEAF];
+    if (m > 0)
+        STENCIL(v, n1, n2, lo, lo + m, t[k - lo] = g0 * c + a[k]);
+    if (m < n)
+        STENCIL(v, n1, n2, lo + m - p, lo + n - p, t[k - lo + p] = g1 * c + a[k + p]);
+    *s = leaf_sum(t, n, 1);
+}
+
 /* Defines NAME(j, lo, n, s), the NS sums of terms lo..lo+n-1, a node of
  * numpy's pairwise tree, from LEAF_FN's sums at its leaves.  One walker per
  * leaf, so that each calls its leaf directly: one walker calling its leaf
@@ -569,6 +606,7 @@ KERNEL static void grad_sumsq_leaf(const Job *j, idx lo, idx n, double *s)
 WALKER(walk_metric, metric_leaf, 4)
 WALKER(walk_sumsq, sumsq_leaf, 1)
 WALKER(walk_grad_sumsq, grad_sumsq_leaf, 1)
+WALKER(walk_ascent_sumsq, ascent_sumsq_leaf, 1)
 
 /* Puts into node the bounds of the subtrees of numpy's pairwise tree over
  * terms lo..lo+n-1 that lie depth levels down, or of the leaves above
@@ -617,13 +655,16 @@ static double pairwise(Job *j, Walk *walk, idx n, idx pixels)
 
 /* ----- tasks ------------------------------------------------------------- */
 
-/* Units are rows for the gradient pair, tv_dual and h1_write, and elements
- * or tails for the rest. */
+/* Units are rows for the gradient pair, ascend, tv_dual and h1_write, and
+ * elements or tails for the rest. */
 static void t_grad(Job *j, idx lo, idx hi, int c)
 {
-    idx n = j->n1 * j->n2;
-    grad(j->a[0], j->a[1], j->a[1] + n, j->a[2], j->a[2] ? j->a[2] + n : NULL, j->s[0], j->n1,
-         j->n2, lo, hi);
+    grad(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi);
+}
+
+static void t_ascend(Job *j, idx lo, idx hi, int c)
+{
+    ascend(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[1], j->s[2]);
 }
 
 static void t_grad_adjoint(Job *j, idx lo, idx hi, int c)
@@ -651,10 +692,15 @@ static void t_prox(Job *j, idx lo, idx hi, int c)
     prox(j->a[0] + lo, j->a[1] + lo, j->a[2] + lo, hi - lo, j->s[0]);
 }
 
+/* Units are rows with the ascent, whose image is a[2], and pixels without. */
 static void t_project_tv(Job *j, idx lo, idx hi, int c)
 {
-    idx n = j->units;
-    project_tv(j->a[0] + lo, j->a[0] + n + lo, j->a[1] + lo, j->a[1] + n + lo, hi - lo, j->s[0], j->s[1]);
+    idx n = j->n1 * j->n2;
+    if (j->a[2])
+        project_tv(j->a[2], j->a[1], j->a[1] + n, NULL, NULL, j->n1, j->n2, lo * j->n2, hi * j->n2,
+                   j->s[0], j->s[1], j->s[2]);
+    else
+        project_tv(NULL, j->a[0], j->a[0] + n, j->a[1], j->a[1] + n, 1, n, lo, hi, j->s[0], j->s[1], 0.0);
 }
 
 static void t_scale(Job *j, idx lo, idx hi, int c)
@@ -772,16 +818,12 @@ static PyObject *finish(Bufs *bs)
 #define WRAPPER(name) \
     static PyObject *w_##name(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 
-/* grad(v, out) or grad(v, out, p, s): v an (n1, n2) image, out and the
- * addend p (2, n1, n2) arrays; with p, out = (D v) s + p. */
+/* grad(v, out): v an (n1, n2) image, out a (2, n1, n2) array. */
 WRAPPER(grad)
 {
     Bufs bs = {.n = 0};
     Job j;
-    j.a[2] = NULL;
-    j.s[0] = 1.0;
-    if (unpack(&bs, &j, args, nargs, nargs == 4 ? "rwr" : "rw", nargs == 4 ? 1 : 0) &&
-        image_and_field(&bs, 0, 1, &j) && (bs.n < 3 || image_and_field(&bs, 0, 2, &j)))
+    if (unpack(&bs, &j, args, nargs, "rw", 0) && image_and_field(&bs, 0, 1, &j))
         run(&j, t_grad, j.n1, j.n1 * j.n2);
     return finish(&bs);
 }
@@ -850,23 +892,49 @@ WRAPPER(prox)
     return finish(&bs);
 }
 
-/* project_tv(p, out, alpha, floor): p and out planar (2, ...) fields. */
+/* project_tv(p, out, alpha, floor): p and out planar (2, ...) fields; or
+ * project_tv(v, p, alpha, floor, s), the baselines' dual step, which
+ * projects p + s D v into p itself: v an (n1, n2) image, p a (2, n1, n2)
+ * field. */
 WRAPPER(project_tv)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 2) && same_shape(&bs) && planar(&bs, 0))
-        run(&j, t_project_tv, size(&bs, 0) / 2, size(&bs, 0) / 2);
+    j.a[2] = NULL;
+    if (nargs == 5) {
+        if (unpack(&bs, &j, args, nargs, "rw", 3) && image_and_field(&bs, 0, 1, &j)) {
+            j.a[2] = j.a[0];
+            run(&j, t_project_tv, j.n1, j.n1 * j.n2);
+        }
+    } else if (unpack(&bs, &j, args, nargs, "rw", 2) && same_shape(&bs) && planar(&bs, 0)) {
+        j.n1 = 1;
+        j.n2 = size(&bs, 0) / 2;
+        run(&j, t_project_tv, j.n2, j.n2);
+    }
     return finish(&bs);
 }
 
 /* scale(p, out, s): out = p s, a copy of p when s is 1, on gradient fields
- * of two entries per pixel. */
+ * of two entries per pixel; or scale(v, p, alpha, s), the baselines' dual
+ * step on H1, which projects a = p + s D v onto the ball of radius alpha
+ * into p itself: v an (n1, n2) image, p a (2, n1, n2) field.  It sums the
+ * squares of a formed on the fly, as np.square(a).sum() adds them, and
+ * then writes a times alpha / ||a||, or a itself when ||a|| <= alpha, as
+ * DenoiseProblem.project_dual does. */
 WRAPPER(scale)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 1) && same_shape(&bs))
+    if (nargs == 4) {
+        if (unpack(&bs, &j, args, nargs, "rw", 2) && image_and_field(&bs, 0, 1, &j)) {
+            idx n = j.n1 * j.n2;
+            /* add.reduce starts from its identity, 0 */
+            double r = sqrt(0.0 + pairwise(&j, walk_ascent_sumsq, 2 * n, n)), alpha = j.s[0];
+            /* the factor t_ascend reads */
+            j.s[2] = r <= alpha ? 1.0 : alpha / r;
+            run(&j, t_ascend, j.n1, n);
+        }
+    } else if (unpack(&bs, &j, args, nargs, "rw", 1) && same_shape(&bs))
         run(&j, t_scale, size(&bs, 0), size(&bs, 0) / 2);
     return finish(&bs);
 }
@@ -976,15 +1044,16 @@ WRAPPER(metric_sums)
 }
 
 static PyMethodDef methods[] = {
-    {"grad", (PyCFunction)(void (*)(void))w_grad, METH_FASTCALL, "grad(v, out[, p, s])"},
+    {"grad", (PyCFunction)(void (*)(void))w_grad, METH_FASTCALL, "grad(v, out)"},
     {"grad_adjoint", (PyCFunction)(void (*)(void))w_grad_adjoint, METH_FASTCALL,
      "grad_adjoint(g, out, c), grad_adjoint(g, out, m, c, t) or grad_adjoint(g, out, m, z, xb, c, t, theta)"},
     {"tv_dual", (PyCFunction)(void (*)(void))w_tv_dual, METH_FASTCALL,
      "tv_dual(v, kx, d0, y, b0, mu, keep) -> min"},
     {"prox", (PyCFunction)(void (*)(void))w_prox, METH_FASTCALL, "prox(z, v, out, tau)"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
-     "project_tv(p, out, alpha, floor)"},
-    {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL, "scale(p, out, s)"},
+     "project_tv(p, out, alpha, floor) or project_tv(v, p, alpha, floor, s)"},
+    {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL,
+     "scale(p, out, s) or scale(v, p, alpha, s)"},
     {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,
      "h1_dual(v, kx, d0, y, b0, mu, keep) -> t"},
     {"sumsq", (PyCFunction)(void (*)(void))w_sumsq, METH_FASTCALL, "sumsq(a) -> sum of squares"},

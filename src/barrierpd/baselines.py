@@ -6,14 +6,16 @@ lifting.  They converge to the same primal solution as the interior method
 and serve as references in the benchmark harness.  Like the interior method
 they keep the dual field in a planar (2, n1, n2) buffer and the primal
 iterates in vectors allocated once, updated in place through the same
-gradient kernels (_grad, _grad_adjoint) and DenoiseProblem.project_dual.
-Those run compiled (barrierpd.kernels) whenever pedi's stages do, so
-timings compare the algorithms, not their implementations.  As pedi's
-x - tau K* y rides in K*'s pass, the ascent g = (D v) s + p rides in D's
-(_grad's scale= and addend=), and in D*'s dual_fb's x = z - D* p
-(minuend=) and pdhgm's whole primal step, the prox of G and the
-extrapolation (minuend=, z=, x_bar= and theta=).  Each run makes the
-views its loop passes once, so an iteration costs its three kernel calls
+gradient code (_grad_adjoint and DenoiseProblem.project_dual).  Those run
+compiled (barrierpd.kernels) whenever pedi's stages do, so timings compare
+the algorithms, not their implementations.  An iteration is two stages.
+The dual step p = P(p + s D v) is one project_dual call with ascent=,
+which on TV projects each pixel's ascent as it forms it, in place, and on
+H1 sums the ascent's squares on the fly before writing its projection
+over p: no ascent field is stored.  D*'s pass then makes dual_fb's
+x = z - D* p (minuend=) or pdhgm's whole primal step, the prox of G and
+the extrapolation (minuend=, z=, x_bar= and theta=).  Each run makes the
+views its loop passes once, so an iteration costs its two kernel calls
 and little more.
 """
 
@@ -25,7 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .imaging import DenoiseProblem, ImageGrid, _field, _grad, _grad_adjoint
+from .imaging import DenoiseProblem, _field, _grad_adjoint
+# unused here; kept as a module attribute for perfbench's layer trace
+from .imaging import _grad  # noqa: F401
 from .pedi import ConfigError, _readonly
 
 __all__ = [
@@ -49,6 +53,7 @@ class BaselineConfig:
     The classical step condition tau0*sigma0*||K||^2 <= 1 is enforced at
     construction against the supplied operator norm, which must be an upper
     bound on ||D||: use the problem's closed-form DenoiseProblem.opnorm_D.
+    Every parameter must be finite, and a NaN fails every check.
     """
 
     tau0: float
@@ -58,13 +63,15 @@ class BaselineConfig:
     opnorm: float
 
     def __post_init__(self):
-        if self.tau0 <= 0 or self.sigma0 <= 0:
-            raise ConfigError("tau0 and sigma0 must be positive")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
+        if not (0 < self.tau0 < math.inf and 0 < self.sigma0 < math.inf):
+            raise ConfigError("tau0 and sigma0 must be positive and finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError("gamma must be nonnegative and finite")
+        if not (self.opnorm >= 0 and self.opnorm * self.opnorm < math.inf):
+            raise ConfigError("opnorm must be nonnegative, with a finite square")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.tau0 * self.sigma0 * self.opnorm**2 > 1.0 + 1e-12:
+        if not self.tau0 * self.sigma0 * self.opnorm**2 <= 1.0 + 1e-12:
             raise ConfigError(
                 f"step condition violated: tau0*sigma0*||K||^2 = "
                 f"{self.tau0 * self.sigma0 * self.opnorm**2:g} > 1"
@@ -105,8 +112,7 @@ def pdhgm_run(
     z = zf.reshape(n1, n2)
     x_bar = np.zeros((n1, n2))
     p = np.zeros((2, n1, n2))
-    g = np.empty_like(p)
-    p_field, g_field = _field(p), _field(g)
+    p_field = _field(p)
     p_view = _readonly(p_field)
     # x and the buffer of the next x swap roles every iteration, each with
     # its (n1, n2) view and the read-only view the callback gets
@@ -114,9 +120,7 @@ def pdhgm_run(
     tau, sigma, gamma = config.tau0, config.sigma0, config.gamma
 
     for i in range(config.max_iters):
-        # p = P(p + sigma D x_bar)
-        _grad(x_bar, out=g, scale=sigma, addend=p)
-        problem.project_dual(g_field, out=p_field)
+        problem.project_dual(p_field, out=p_field, ascent=(x_bar, sigma))
         theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
         # the prox at x - tau D* p and the extrapolation x_bar, in D*'s pass
         _grad_adjoint(p, out=nxt[0], minuend=cur[0], step=tau, z=z, x_bar=x_bar, theta=theta)
@@ -153,8 +157,7 @@ def dual_fb_run(
     n1, n2 = problem.shape
     z = problem.z.values
     p = np.zeros((2, n1, n2))
-    g = np.empty_like(p)
-    p_field, g_field = _field(p), _field(g)
+    p_field = _field(p)
     # x = z - D* 0, with its (n1, n2) view
     x = problem.z.flat().copy()
     x2 = x.reshape(n1, n2)
@@ -162,8 +165,7 @@ def dual_fb_run(
     tau = 1.0 / DUAL_FB_L**2
 
     for i in range(max_iters):
-        _grad(x2, out=g, scale=tau, addend=p)
-        problem.project_dual(g_field, out=p_field)
+        problem.project_dual(p_field, out=p_field, ascent=(x2, tau))
         # x = z - D* p
         _grad_adjoint(p, out=x2, minuend=z)
         if callback is not None:

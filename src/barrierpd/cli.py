@@ -58,9 +58,13 @@ def _key_hash(key: dict) -> str:
 
 
 def _build(image, variant, alpha, sigma, seed):
-    grid = read_pgm(image)
-    noisy = add_gaussian_noise(grid, sigma, seed)
-    return DenoiseProblem(noisy, alpha, variant)
+    """The denoising problem of the options; a click error for one it rejects."""
+    try:
+        grid = read_pgm(image)
+        noisy = add_gaussian_noise(grid, sigma, seed)
+        return DenoiseProblem(noisy, alpha, variant)
+    except ValueError as exc:
+        raise click.ClickException(f"invalid problem: {exc}")
 
 
 def _target_path(out: Path, key_hash: str) -> Path:
@@ -249,6 +253,7 @@ def make_target(image, variant, alpha, sigma, seed, out, target_iters):
     """Compute and cache a long-run reference solution for a configuration."""
     if target_iters < 1:
         raise click.ClickException("--target-iters must be >= 1")
+    problem = _build(image, variant, alpha, sigma, seed)
     out.mkdir(parents=True, exist_ok=True)
     key = _problem_key(image, variant, alpha, sigma, seed)
     path = _target_path(out, _key_hash(key))
@@ -256,7 +261,6 @@ def make_target(image, variant, alpha, sigma, seed, out, target_iters):
     if cached is not None:
         click.echo(f"cache hit: {path}")
         return
-    problem = _build(image, variant, alpha, sigma, seed)
     x = _compute_target(problem, target_iters)
     buf = io.BytesIO()
     np.savez(buf, x=x, config=json.dumps(key, sort_keys=True))

@@ -18,9 +18,12 @@ Conventions fixed here and relied on by every solver:
   compiled kernels (barrierpd.kernels) each of them, K*'s factor 2, the
   prox, the TV projection and the H1 projection's scaling is one pass over
   C-contiguous float64 buffers, split across threads on large images and
-  bit-identical to the numpy passes, which run for any other array.  D's
-  pass also makes the baselines' ascent (D v) s + p, and D*'s pedi's
-  x - tau K* y, dual_fb's z - D* p and pdhgm's prox and extrapolation.
+  bit-identical to the numpy passes, which run for any other array.  D*'s
+  pass also makes pedi's x - tau K* y, dual_fb's z - D* p and pdhgm's prox
+  and extrapolation.  The baselines' whole dual step, the projection of
+  the ascent p + s D v (project_dual's ascent=), is one kernel call that
+  stores no ascent: on TV one pass, on H1 a sum of the ascent's squares
+  formed on the fly before the pass that writes p.
   The lifted K's kernel call also makes pedi's dual solve and the soc
   rule's minimum of the tail norms (apply_K's dual=): on TV in the same
   pass, on H1 by summing the squares of K x formed on the fly before a
@@ -132,18 +135,16 @@ def _grad(
     The axis-1 difference is one shifted pass over the flattened plane; the
     entries it computes across row ends fall in the last column, which the
     Neumann boundary then zeroes.  out is then (D values) scale, plus a
-    planar addend p if given: the baselines' dual ascent.  The compiled
-    kernel makes the same passes, and the ascent in D's own pass.
+    planar addend p if given: the baselines' dual ascent, which this numpy
+    code makes for DenoiseProblem.project_dual's reference and fallback.
+    The compiled kernel makes D alone; the kernels that project the ascent
+    form it on the fly with these operations.
     """
     if out is None:
         out = np.empty((2,) + values.shape)
-    # the kernel scales only together with an addend
-    if kernels.PATH == "c" and (addend is not None or scale == 1.0):
+    if kernels.PATH == "c" and addend is None and scale == 1.0:
         try:
-            if addend is None:
-                kernels.ext.grad(values, out)
-            else:
-                kernels.ext.grad(values, out, addend, scale)
+            kernels.ext.grad(values, out)
             return out
         except ValueError:
             pass
@@ -284,8 +285,8 @@ class DenoiseProblem:
 
     def __post_init__(self):
         _check_variant(self.variant)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def shape(self):
@@ -355,13 +356,26 @@ class DenoiseProblem:
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
         return self.objective(x) - self.dual_value(p)
 
-    def project_dual(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def project_dual(
+        self,
+        p: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        ascent: Optional[tuple] = None,
+    ) -> np.ndarray:
         """Project a field (n1, n2, 2) onto the dual constraint ||p|| <= alpha.
 
         Per-pixel for TV, globally for H1.  Writes into out, a field of the
         same shape that may be p itself, if given; planar-backed fields
-        (views of (2, n1, n2) buffers) are the fast layout.
+        (views of (2, n1, n2) buffers) are the fast layout.  With
+        ascent = (v, s), v an (n1, n2) image and s a step, it projects the
+        ascent p + s D v instead, formed as _grad(v, scale=s, addend=p)
+        forms it: the baselines' whole dual step.  In place, out=p, the
+        compiled kernels make that step storing no ascent: one pass on TV,
+        and on H1 a sum of the ascent's squares formed on the fly followed
+        by the write.  Any other out, and the numpy path, take the
+        reference: the ascent in a field of its own, then its projection.
         """
+        in_place = out is p
         p = np.asarray(p, dtype=float)
         shape = self.z.values.shape + (2,)
         if p.shape != shape:
@@ -372,10 +386,22 @@ class DenoiseProblem:
             result = _field(out_planes)
         else:
             out_planes, result = _planes(out), out
+        # flooring the norm at alpha caps alpha/norm at 1 without a second
+        # pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
+        floor = max(self.alpha, 1e-300)
+        if ascent is not None:
+            v, s = ascent
+            if in_place and kernels.PATH == "c":
+                try:
+                    if self.variant == "tv":
+                        kernels.ext.project_tv(v, out_planes, self.alpha, floor, s)
+                    else:
+                        kernels.ext.scale(v, out_planes, self.alpha, s)
+                    return result
+                except ValueError:
+                    pass
+            planes = _grad(v, scale=s, addend=planes)
         if self.variant == "tv":
-            # flooring the norm at alpha caps alpha/norm at 1 without a
-            # second pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
-            floor = max(self.alpha, 1e-300)
             if kernels.PATH == "c":
                 try:
                     kernels.ext.project_tv(planes, out_planes, self.alpha, floor)
@@ -529,8 +555,8 @@ def add_gaussian_noise(img: ImageGrid, sigma: float, seed: int) -> ImageGrid:
     The seed is mandatory: identical (image, sigma, seed) gives identical
     output on any platform with the same numpy generator algorithm.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     if seed is None:
         raise ValueError("seed is mandatory")
     if sigma == 0:

@@ -86,7 +86,10 @@ class StepConfig:
     the testing-parameter update and may not exceed the problem's; b0 is the
     right-hand side of the per-block constraint <e, y_b> = b0 and must equal
     the problem's; opnorm_K is an upper bound on the operator norm of K in
-    the trace inner product, at least the problem's.
+    the trace inner product, at least the problem's.  Each must be finite,
+    as must the squares of opnorm_K and b0, which the rules divide by, and
+    a NaN fails every check, so a configuration the rules could not use
+    raises ConfigError here rather than a FloatingPointError mid-run.
     """
 
     opnorm_K: float
@@ -96,16 +99,21 @@ class StepConfig:
     theta: Optional[float] = None
 
     def __post_init__(self):
-        if self.opnorm_K <= 0 or self.b0 <= 0:
-            raise ConfigError("opnorm_K and b0 must be positive")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
+        if not (_positive_square(self.opnorm_K) and _positive_square(self.b0)):
+            raise ConfigError("opnorm_K and b0 must be positive, with finite nonzero squares")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError("gamma must be nonnegative and finite")
         if self.zeta is None:
             object.__setattr__(self, "zeta", 0.9 / self.b0**2)
         if self.theta is None:
             object.__setattr__(self, "theta", 1.0 / self.zeta)
-        if self.zeta <= 0 or self.theta <= 0:
-            raise ConfigError("zeta and theta must be positive")
+        if not (0 < self.zeta < math.inf and 0 < self.theta < math.inf):
+            raise ConfigError("zeta and theta must be positive and finite")
+
+
+def _positive_square(x: float) -> bool:
+    """x > 0 with x^2 finite and nonzero; False for NaN."""
+    return x > 0 and 0 < x * x < math.inf
 
 
 def _barrier_weight(state: StepState, config: StepConfig) -> float:

@@ -37,6 +37,16 @@ def test_step_condition_uses_the_exact_bound():
         BaselineConfig(tau0=1.0 / est, sigma0=1.0 / est, gamma=0.9, max_iters=10, opnorm=dp.opnorm_D)
 
 
+@pytest.mark.parametrize("bad", [
+    {"tau0": np.nan}, {"tau0": np.inf}, {"sigma0": np.nan}, {"sigma0": np.inf}, {"gamma": np.nan},
+    {"gamma": np.inf}, {"opnorm": np.nan}, {"opnorm": np.inf}, {"opnorm": 1e200}, {"opnorm": -1.0},
+])
+def test_config_rejects_non_finite_values(bad):
+    # a NaN passed every check, the step condition's too
+    with pytest.raises(ConfigError):
+        BaselineConfig(**{"tau0": 0.1, "sigma0": 0.1, "gamma": 0.9, "max_iters": 10, "opnorm": 2.0, **bad})
+
+
 def test_config_error_is_shared_with_pedi():
     # one exception class, so `except pedi.ConfigError` also catches a
     # baseline step-condition failure

@@ -114,8 +114,11 @@ def test_run_rejects_bad_flags(workdir):
 @pytest.mark.parametrize(
     "solvers,flags",
     [("dual-fb,pedi-soc", ["--gamma", "1.5"]), ("dual-fb,pedi-soc", ["--zeta", "-1"]),
-     ("dual-fb,pdhgm", ["--gamma", "-1"])],
-    ids=["pedi-gamma", "pedi-zeta", "pdhgm-gamma"],
+     ("dual-fb,pdhgm", ["--gamma", "-1"]), ("dual-fb,pedi-soc", ["--theta", "nan"]),
+     ("dual-fb,pedi-general", ["--gamma", "nan"]), ("dual-fb,pedi-soc", ["--zeta", "nan"]),
+     ("dual-fb,pdhgm", ["--gamma", "nan"])],
+    ids=["pedi-gamma", "pedi-zeta", "pdhgm-gamma", "pedi-theta-nan", "pedi-gamma-nan", "pedi-zeta-nan",
+         "pdhgm-gamma-nan"],
 )
 def test_run_rejects_bad_solver_config_before_output(workdir, tmp_path, solvers, flags):
     # a ConfigError used to escape as a traceback after earlier solvers had
@@ -127,6 +130,22 @@ def test_run_rejects_bad_solver_config_before_output(workdir, tmp_path, solvers,
     assert isinstance(r.exception, SystemExit), r.exception
     assert "invalid solver configuration" in r.output
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "inf"], ["--alpha", "0"], ["--alpha", "nan"], ["--sigma", "nan"]],
+                         ids=["alpha-inf", "alpha-0", "alpha-nan", "sigma-nan"])
+@pytest.mark.parametrize("command", ["run", "make-target"])
+def test_bad_problem_option_is_a_click_error(workdir, tmp_path, flags, command):
+    # these used to stop mid-run with a ZeroDivisionError or ValueError traceback
+    args = ["--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5", "--sigma", "6.15",
+            "--seed", "1", "--out", str(tmp_path / "out"), "--target-iters", "20000", *flags]
+    if command == "run":
+        args += ["--solvers", ",".join(SOLVERS), "--iters", "5"]
+    r = invoke([command, *args])
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "invalid problem" in r.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_has_no_step_rule_option(workdir, tmp_path):

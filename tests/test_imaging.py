@@ -36,6 +36,18 @@ def test_image_grid_validation():
         g.values[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_problem_rejects_alpha_that_is_not_positive_and_finite(alpha):
+    with pytest.raises(ValueError):
+        DenoiseProblem(ImageGrid(np.ones((2, 3))), alpha, "tv")
+
+
+@pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+def test_noise_rejects_sigma_that_is_not_nonnegative_and_finite(sigma):
+    with pytest.raises(ValueError):
+        add_gaussian_noise(ImageGrid(np.ones((2, 3))), sigma, 1)
+
+
 def test_constant_image_zero_gradient():
     g = _grad(np.full((4, 7), 3.5))
     assert np.all(g == 0.0)

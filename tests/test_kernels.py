@@ -111,8 +111,8 @@ def test_gradient_pair(monkeypatch, rng, shape):
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
-    # the baselines' ascent (D v) s + p in D's pass, and pedi's x - tau K* y
-    # in D*'s, on special values in every argument
+    # the ascent (D v) s + p, which the projection kernels form on the fly,
+    # and pedi's x - tau K* y in D*'s pass, on special values in every argument
     v, planes, p, m = special(rng, shape), special(rng, (2,) + shape), special(rng, (2,) + shape), special(rng, shape)
     for s in (0.3, 1.0, 1e-300, 7.0, np.inf):
         stage = lambda v, out, p: _grad(v, out, scale=s, addend=p)  # noqa: E731
@@ -318,6 +318,39 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
     stage = lambda p, out: dp.project_dual(imaging._field(p), out=imaging._field(out))  # noqa: E731
     c, ref = on_both_paths(monkeypatch, stage, planes, np.empty_like(planes))
     assert_identical(c[:2], ref[:2])
+    check_ascent(monkeypatch, dp, special(rng, shape), planes, {"project_tv": 2})
+
+
+def check_ascent(monkeypatch, dp, v, planes, calls):
+    """The baselines' dual step P(p + s D v) through project_dual on both paths, in place and into another out.
+
+    Both must give the projection of _grad's ascent bit for bit.  The
+    compiled path makes the step in place with one kernel call, and
+    another out with the ascent's numpy code and the projection's kernels:
+    calls, per step s, without a rejected array.
+    """
+    rec = Recorder(kernels.ext)
+    monkeypatch.setattr(kernels, "ext", rec)
+    scales = (0.3, 1.0, 1e-300, 7.0, np.inf)
+    for s in scales:
+        def in_place(v, p):
+            field = imaging._field(p)
+            assert dp.project_dual(field, out=field, ascent=(v, s)) is field
+
+        def separate(v, p, out):
+            field = imaging._field(out)
+            assert dp.project_dual(imaging._field(p), out=field, ascent=(v, s)) is field
+
+        c, ref = on_both_paths(monkeypatch, in_place, v, planes)
+        assert_identical(c[:2], ref[:2])
+        with np.errstate(all="ignore"):
+            want = imaging._planes(dp.project_dual(imaging._field(_grad(v, scale=s, addend=planes))))
+        assert identical(c[1], want)
+        c, ref = on_both_paths(monkeypatch, separate, v, planes, np.full_like(planes, 7.0))
+        assert_identical(c[:3], ref[:3])
+        assert identical(c[1], planes) and identical(c[2], want)
+    monkeypatch.setattr(kernels, "ext", rec.ext)
+    assert rec.rejected == [] and rec.calls == {k: n * len(scales) for k, n in calls.items()}
 
 
 @needs_c
@@ -380,6 +413,19 @@ def test_h1_elementwise_passes(monkeypatch, rng, shape):
         c, ref = on_both_paths(monkeypatch, stage, kx, np.empty(1))
         with np.errstate(over="ignore"):
             assert identical(c[1], ref[1]) and identical(ref[1], [np.square(kx).sum()])
+
+
+@needs_c
+@pytest.mark.parametrize("shape", H1_SHAPES, ids=shape_ids)
+def test_h1_project_dual_ascent(monkeypatch, rng, shape):
+    # H1's dual step: the sum of the ascent's squares, formed on the fly,
+    # then its write, inside the ball and outside, and on special values
+    v, planes = rng.standard_normal(shape), rng.standard_normal((2,) + shape)
+    norm = imaging._field_norm(_grad(v, scale=0.3, addend=planes))
+    for alpha in (0.5 * norm, 2.0 * norm):
+        dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
+        for args in ((v, planes), (special(rng, shape), planes), (v, special(rng, (2,) + shape))):
+            check_ascent(monkeypatch, dp, *args, {"scale": 2, "sumsq": 1})
 
 
 @needs_c
@@ -623,11 +669,11 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
-    # pedi's K, dual solve and soc minimum are one tv_dual pass, and grad is
-    # the baselines'; pdhgm's primal step rides in its grad_adjoint; sumsq
-    # is pedi's ||x||^2 check
+    # pedi's K, dual solve and soc minimum are one tv_dual pass, and the
+    # baselines' ascent and projection one project_tv pass; pdhgm's primal
+    # step rides in its grad_adjoint; sumsq is pedi's ||x||^2 check
     assert rec.calls == {
-        "grad": 10, "grad_adjoint": 2 * 5 + 2 * 5, "tv_dual": 10,
+        "grad_adjoint": 2 * 5 + 2 * 5, "tv_dual": 10,
         "prox": 10, "project_tv": 10, "sumsq": 10,
     }
 
@@ -643,13 +689,11 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
-    # pedi's K, tail norm and dual solve are one h1_dual call, and grad and
-    # scale are the baselines'; pdhgm's primal step rides in its
-    # grad_adjoint; sumsq is pedi's ||x||^2 check and the baselines'
-    # projection norm
+    # pedi's K, tail norm and dual solve are one h1_dual call, and the
+    # baselines' ascent, its norm and projection one scale call; pdhgm's
+    # primal step rides in its grad_adjoint; sumsq is pedi's ||x||^2 check
     assert rec.calls == {
-        "grad": 10, "grad_adjoint": 20, "h1_dual": 10, "prox": 10,
-        "sumsq": 10 + 10, "scale": 10,
+        "grad_adjoint": 20, "h1_dual": 10, "prox": 10, "sumsq": 10, "scale": 10,
     }
 
 
@@ -711,8 +755,21 @@ def test_kernels_reject_without_writing(rng):
         ext.project_tv(buf[:40].reshape(2, 20), buf[20:60].reshape(2, 20), 1.0, 1.0)
     with pytest.raises(ValueError):
         ext.grad_adjoint(buf[:40].reshape(2, 4, 5), buf[30:50].reshape(4, 5), buf[:20].reshape(4, 5), 2.0, 0.5)
-    with pytest.raises(ValueError):
-        ext.grad(v, np.empty((2, 4, 5)), np.empty((2, 5, 4)), 0.5)
+    # the baselines' dual step writes p in place: each of these leaves it unwritten
+    p = np.full((2, 4, 5), 7.0)
+    for project in (lambda v, p: ext.project_tv(v, p, 1.0, 1.0, 0.5), lambda v, p: ext.scale(v, p, 1.0, 0.5)):
+        for why, (w, q) in {
+            "v overlapping p": (p[1], p),
+            "p of the wrong shape": (v, np.full((2, 5, 4), 7.0)),
+            "v of the wrong shape": (v.reshape(5, 4), p),
+            "float32 p": (v, np.full((2, 4, 5), 7.0, dtype=np.float32)),
+            "float32 v": (v.astype(np.float32), p),
+            "non-contiguous p": (v, np.full((2, 4, 6), 7.0)[:, :, :5]),
+            "non-contiguous v": (np.repeat(v, 2, axis=1)[:, ::2], p),
+        }.items():
+            with pytest.raises(ValueError):
+                project(w, q)
+            assert np.all(q == 7.0) and np.all(p == 7.0), why
     with pytest.raises(ValueError):
         ext.prox(np.empty(4), np.empty((2, 2)), np.empty(4), 0.5)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -45,6 +46,18 @@ def test_config_rejects_bad_values():
         StepConfig(opnorm_K=1.0, b0=1.0, gamma=-0.1)
     with pytest.raises(ConfigError):
         StepConfig(opnorm_K=1.0, b0=1.0, zeta=-1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"theta": math.nan}, {"theta": math.inf}, {"gamma": math.nan}, {"gamma": math.inf}, {"zeta": math.nan},
+    {"zeta": math.inf}, {"opnorm_K": math.nan}, {"opnorm_K": math.inf}, {"opnorm_K": 1e200}, {"b0": math.nan},
+    {"b0": math.inf}, {"b0": 1e-170}, {"b0": 1e200}, {"b0": -1.0},
+])
+def test_config_rejects_non_finite_values(bad):
+    # a NaN passed every positivity check, and a square that overflows or
+    # underflows left a step rule to fail mid-run
+    with pytest.raises(ConfigError):
+        StepConfig(**{"opnorm_K": 1.0, "b0": 1.0, **bad})
 
 
 def test_general_rule_invariants():
