@@ -4,14 +4,17 @@
  * replaces in the same order, so its results are bit-identical to that
  * code's.  The build flags keep it so: -ffp-contract=off stops a*b + c from
  * becoming a fused multiply-add, and no -ffast-math.  Of the reductions,
- * tv_dual's minimum is exact in any order, and metric_sums, sumsq,
+ * tv_dual's minimum is exact in any order, and metric_sums, primal_step,
  * grad_sumsq and h1_dual's norm add their terms in numpy's own pairwise
  * order.  Stages the numpy code makes as passes of their own ride in a
- * neighbouring kernel's pass: in grad_adjoint pedi's x - tau K* y,
- * dual_fb's x = z - D* p and pdhgm's whole primal step, its prox and
- * extrapolation.  pedi's whole dual step is one kernel call: on TV,
- * tv_dual forms each pixel's tail of K x, its squared norm, the dual solve
- * and the soc rule's minimum in one visit; on H1, whose one block needs
+ * neighbouring kernel's pass: in grad_adjoint dual_fb's x = z - D* p and
+ * pdhgm's whole primal step, its prox and extrapolation.  pedi's whole
+ * primal step is one call, primal_step, whose leaves of numpy's tree each
+ * form x - tau K* y row segment by row segment, take the prox, write x in
+ * place and square the new x for the solver's finiteness check.  pedi's
+ * whole dual step is one kernel call: on TV, tv_dual forms each pixel's
+ * tail of K x, its squared norm, the dual solve and the soc rule's minimum
+ * in one visit; on H1, whose one block needs
  * the norm of all of K x first, h1_dual sums its squares formed on the
  * fly, solves for the block's scalars and then writes y.  Both store K x
  * and d's heads only when asked, since only the final iterate's are read.
@@ -247,15 +250,6 @@ KERNEL static void h1_write(const double *restrict v, double *restrict k0, doubl
         STENCIL(v, n1, n2, lo, hi, k0[k] = g0);
         STENCIL(v, n1, n2, lo, hi, k1[k] = g1);
     }
-}
-
-/* out = (z tau + v) / (1 + tau), the prox of tau G(x) = tau ||x - z||^2 / 2. */
-KERNEL static void prox(const double *restrict z, const double *restrict v, double *restrict out,
-                        idx n, double tau)
-{
-    double s = 1.0 + tau;
-    for (idx k = 0; k < n; k++)
-        out[k] = (z[k] * tau + v[k]) / s;
 }
 
 /* The per-pixel projection of a = (A0, A1) onto the ball of radius alpha,
@@ -544,11 +538,26 @@ KERNEL static void metric_leaf(const Job *j, idx lo, idx n, double *s)
         s[q] = q == 1 && !tv ? 0.0 : leaf_sum(t[q], n, 0);
 }
 
-/* The squares of entries lo..lo+n-1 of the job's array, as
- * np.square(a).sum() adds them. */
-KERNEL static void sumsq_leaf(const Job *j, idx lo, idx n, double *s)
+/* Pixels lo..lo+n-1 of pedi's primal step on the job's (y, z, x) with
+ * tau its s[0]: the point m = x - (2 D* y) tau, as imaging._grad_adjoint
+ * makes it with a minuend, then the prox (z tau + m) / (1 + tau) of
+ * G(x) = ||x - z||^2 / 2, as DenoiseProblem's prox_G makes it, written
+ * over x, and the squares of the new x, as np.square(x).sum() adds them.
+ * D* runs row segment by row segment. */
+KERNEL static void primal_leaf(const Job *j, idx lo, idx n, double *s)
 {
-    *s = leaf_sum(j->a[0] + lo, n, 1);
+    const double *restrict y = j->a[0], *restrict z = j->a[1] + lo;
+    double *restrict x = j->a[2] + lo;
+    idx n1 = j->n1, n2 = j->n2;
+    double t = j->s[0], d = 1.0 + t, w[LEAF];
+    for (idx k = 0; k < n;) {
+        idx i = (lo + k) / n2, j0 = (lo + k) % n2, j1 = j0 + (n - k) < n2 ? j0 + (n - k) : n2;
+        grad_adjoint_row(y, y + n1 * n2, w + k, n1, n2, i, j0, j1, 2.0);
+        k += j1 - j0;
+    }
+    for (idx k = 0; k < n; k++)
+        x[k] = (z[k] * t + (x[k] - w[k] * t)) / d;
+    *s = leaf_sum(x, n, 1);
 }
 
 /* The squares of entries lo..lo+n-1 of grad v in planar (2, n1, n2)
@@ -586,8 +595,8 @@ KERNEL static void ascent_sumsq_leaf(const Job *j, idx lo, idx n, double *s)
 /* Defines NAME(j, lo, n, s), the NS sums of terms lo..lo+n-1, a node of
  * numpy's pairwise tree, from LEAF_FN's sums at its leaves.  One walker per
  * leaf, so that each calls its leaf directly: one walker calling its leaf
- * through a function pointer made sumsq and grad_sumsq 2-8 % slower at
- * 256 x 256 on one CPU. */
+ * through a function pointer made a sum of squares and grad_sumsq 2-8 %
+ * slower at 256 x 256 on one CPU. */
 #define WALKER(NAME, LEAF_FN, NS)                                               \
     static void NAME(const Job *j, idx lo, idx n, double *s)                    \
     {                                                                           \
@@ -604,7 +613,7 @@ KERNEL static void ascent_sumsq_leaf(const Job *j, idx lo, idx n, double *s)
     }
 
 WALKER(walk_metric, metric_leaf, 4)
-WALKER(walk_sumsq, sumsq_leaf, 1)
+WALKER(walk_primal, primal_leaf, 1)
 WALKER(walk_grad_sumsq, grad_sumsq_leaf, 1)
 WALKER(walk_ascent_sumsq, ascent_sumsq_leaf, 1)
 
@@ -685,11 +694,6 @@ static void t_h1_write(Job *j, idx lo, idx hi, int c)
     idx n = j->n1 * j->n2;
     h1_write(j->a[0], j->a[1], j->a[1] + n, j->a[3], j->a[3] + n, j->n1, j->n2, lo, hi, j->s[0],
              j->s[2] != 0.0);
-}
-
-static void t_prox(Job *j, idx lo, idx hi, int c)
-{
-    prox(j->a[0] + lo, j->a[1] + lo, j->a[2] + lo, hi - lo, j->s[0]);
 }
 
 /* Units are rows with the ascent, whose image is a[2], and pixels without. */
@@ -882,16 +886,6 @@ WRAPPER(tv_dual)
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(m);
 }
 
-/* prox(z, v, out, tau): out = (z tau + v) / (1 + tau). */
-WRAPPER(prox)
-{
-    Bufs bs = {.n = 0};
-    Job j;
-    if (unpack(&bs, &j, args, nargs, "rrw", 1) && same_shape(&bs))
-        run(&j, t_prox, size(&bs, 0), size(&bs, 0));
-    return finish(&bs);
-}
-
 /* project_tv(p, out, alpha, floor): p and out planar (2, ...) fields; or
  * project_tv(v, p, alpha, floor, s), the baselines' dual step, which
  * projects p + s D v into p itself: v an (n1, n2) image, p a (2, n1, n2)
@@ -973,20 +967,20 @@ WRAPPER(h1_dual)
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(t);
 }
 
-/* sumsq(a) -> the sum of the squares of a's entries in numpy's summation
- * order, bit for bit np.square(a).sum() of a C-contiguous float64 a.  It
- * splits by the tree's subtrees, a planar (2, ...) array counting two
- * entries per pixel and any other one entry. */
-WRAPPER(sumsq)
+/* primal_step(y, z, x, tau) -> the sum of the squares of the new x, in
+ * numpy's summation order: pedi's whole primal step, y a (2, n1, n2)
+ * field, z and x (n1, n2) images or their flattenings.  It writes
+ * x = (z tau + (x - (2 D* y) tau)) / (1 + tau) in place, the prox step of
+ * DenoiseProblem's G at x - tau K* y, and sums the squares of the new x as
+ * np.square(x).sum() adds them, storing no other array. */
+WRAPPER(primal_step)
 {
     Bufs bs = {.n = 0};
     Job j;
     double s = 0.0;
-    if (unpack(&bs, &j, args, nargs, "r", 0) && size(&bs, 0) > 0) {
-        const Py_buffer *a = &bs.b[0];
-        idx n = size(&bs, 0);
-        s = pairwise(&j, walk_sumsq, n, a->ndim >= 2 && a->shape[0] == 2 ? n / 2 : n);
-    }
+    if (unpack(&bs, &j, args, nargs, "rrw", 1) && image_and_field(&bs, 1, 0, &j) &&
+        image_and_field(&bs, 2, 0, &j))
+        s = pairwise(&j, walk_primal, j.n1 * j.n2, j.n1 * j.n2);
     release(&bs);
     /* add.reduce starts from its identity, 0 */
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(0.0 + s);
@@ -1049,14 +1043,14 @@ static PyMethodDef methods[] = {
      "grad_adjoint(g, out, c), grad_adjoint(g, out, m, c, t) or grad_adjoint(g, out, m, z, xb, c, t, theta)"},
     {"tv_dual", (PyCFunction)(void (*)(void))w_tv_dual, METH_FASTCALL,
      "tv_dual(v, kx, d0, y, b0, mu, keep) -> min"},
-    {"prox", (PyCFunction)(void (*)(void))w_prox, METH_FASTCALL, "prox(z, v, out, tau)"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
      "project_tv(p, out, alpha, floor) or project_tv(v, p, alpha, floor, s)"},
     {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL,
      "scale(p, out, s) or scale(v, p, alpha, s)"},
     {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,
      "h1_dual(v, kx, d0, y, b0, mu, keep) -> t"},
-    {"sumsq", (PyCFunction)(void (*)(void))w_sumsq, METH_FASTCALL, "sumsq(a) -> sum of squares"},
+    {"primal_step", (PyCFunction)(void (*)(void))w_primal_step, METH_FASTCALL,
+     "primal_step(y, z, x, tau) -> sum of the squares of the new x"},
     {"grad_sumsq", (PyCFunction)(void (*)(void))w_grad_sumsq, METH_FASTCALL,
      "grad_sumsq(v) -> sum of the squares of grad v"},
     {"metric_sums", (PyCFunction)(void (*)(void))w_metric_sums, METH_FASTCALL,

@@ -16,11 +16,13 @@ Conventions fixed here and relied on by every solver:
   (or its plane) must therefore flatten to a view: one that would need a
   copy raises ValueError rather than leaving out unwritten.  With the
   compiled kernels (barrierpd.kernels) each of them, K*'s factor 2, the
-  prox, the TV projection and the H1 projection's scaling is one pass over
+  TV projection and the H1 projection's scaling is one pass over
   C-contiguous float64 buffers, split across threads on large images and
   bit-identical to the numpy passes, which run for any other array.  D*'s
-  pass also makes pedi's x - tau K* y, dual_fb's z - D* p and pdhgm's prox
-  and extrapolation.  The baselines' whole dual step, the projection of
+  pass also makes dual_fb's z - D* p and pdhgm's prox and extrapolation,
+  and the lifted K*'s kernel call pedi's whole primal step, x - tau K* y,
+  its prox and ||x||^2 (apply_K_adjoint's primal=), storing nothing but
+  the new x.  The baselines' whole dual step, the projection of
   the ascent p + s D v (project_dual's ascent=), is one kernel call that
   stores no ascent: on TV one pass, on H1 a sum of the ascent's squares
   formed on the fly before the pass that writes p.
@@ -31,9 +33,9 @@ Conventions fixed here and relied on by every solver:
   iteration.  The operators pedi_run calls hand the kernels the solver's
   own buffers, flat primal vectors included, and make no view a kernel
   does not need, so each costs its kernel call and little more.  The
-  sums -- metrics' four, the sum of squares behind H1's global norm and
-  H1's regularizer, which sums the squares of a gradient it never
-  stores -- add their terms in numpy's pairwise summation order; all but
+  sums -- metrics' four, pedi's ||x||^2, the sum of squares behind H1's
+  global norm and H1's regularizer, which sums the squares of a gradient
+  it never stores -- add their terms in numpy's pairwise summation order; all but
   metrics' split across threads by the subtrees of that order, which
   changes no bit;
 * H1's global norm is sqrt(sum g^2) over the planar field, summed in
@@ -450,11 +452,16 @@ class DenoiseProblem:
         block and then writes y.  Otherwise apply_K runs dual.solve, the
         reference, on the K x it wrote.  The views that call takes are made
         on the first iteration and kept in dual.operands with the out they
-        came from, so a run makes them once.  apply_K_adjoint with a primal
-        minuend m and a step t gives m - t K* y, in K*'s own pass.  prox_G
-        leaves the check that out does not overlap v to the kernel, which
-        rejects such arrays before writing, and checks it itself only on the
-        numpy code's way.
+        came from, so a run makes them once.  apply_K_adjoint with a
+        pedi.PrimalStep takes pedi's whole primal step on the x given as
+        out: x = prox_G(x - tau K* y, tau) and ||x||^2 of the new x.  With
+        the compiled kernels it is one call, primal_step, which writes
+        nothing but x; otherwise, and for arrays the kernel rejects, it runs
+        the reference, K* with x as the minuend into the record's buffer,
+        prox_G back into x and pedi._sumsq, whose results are the kernel's
+        bit for bit.  y's planar view is kept in primal.operands, the
+        per-run record, and never on the problem.  prox_G is numpy code;
+        pedi_run reaches it only through that reference.
         opnorm_K = sqrt(2) opnorm_D, an upper bound on ||K|| since opnorm_D
         is one with a margin far above the roundoff of that product.
         """
@@ -493,24 +500,30 @@ class DenoiseProblem:
                 dual.solve(out)
             return out
 
-        def apply_K_adjoint(y_tails, out=None, minuend=None, step=1.0):
-            if out is None:
+        def apply_K_adjoint(y_tails, out=None, primal=None):
+            if out is None and primal is None:
                 out = np.empty(n)
-            elif out.shape != (n,) or not out.flags.c_contiguous:
+            elif out is None or out.shape != (n,) or not out.flags.c_contiguous:
                 raise ValueError("out must be a contiguous primal vector")
-            _grad_adjoint(y_tails.T.reshape(2, n1, n2), out, 2.0, minuend, step)
-            return out
-
-        def prox_G(v, tau, out=None):
+            if primal is None:
+                return _grad_adjoint(y_tails.T.reshape(2, n1, n2), out, 2.0)
+            ops = primal.operands
+            if ops is None or ops[0] is not y_tails:
+                ops = primal.operands = (y_tails, y_tails.T.reshape(2, n1, n2))
+            tau = primal.tau
             if kernels.PATH == "c":
-                if out is None:
-                    out = np.empty(n)
-                # the kernel rejects an out that overlaps v before writing
                 try:
-                    kernels.ext.prox(zf, v, out, tau)
+                    primal.norm2 = kernels.ext.primal_step(ops[1], zf, out, tau)
                     return out
                 except ValueError:
                     pass
+            v = primal.buffer(out)
+            _grad_adjoint(ops[1], v, 2.0, out, tau)
+            prox_G(v, tau, out=out)
+            primal.norm2 = _sumsq(out)
+            return out
+
+        def prox_G(v, tau, out=None):
             if out is not None and np.may_share_memory(out, v):
                 raise ValueError("prox_G cannot write over v")
             out = np.multiply(zf, tau, out=out)

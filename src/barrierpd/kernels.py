@@ -19,9 +19,11 @@ it replaces, which runs on the numpy path and for arrays a kernel rejects
 (non-contiguous, not float64, overlapping), and which the tests use as the
 reference: both compute every element with the same operations in the same
 order, so their results are bit-identical.  Kernels fold neighbouring
-elementwise passes into their own: grad_adjoint makes pedi's x - tau K* y,
-dual_fb's x = z - D* p and pdhgm's whole primal step, its prox and
-extrapolation.  The fused passes of pedi's dual step (tv_dual on TV,
+elementwise passes into their own: grad_adjoint makes dual_fb's
+x = z - D* p and pdhgm's whole primal step, its prox and extrapolation, and
+primal_step makes pedi's whole primal step, which the numpy code runs as
+_grad_adjoint's x - tau K* y, then prox_G and _sumsq's ||x||^2.  The fused
+passes of pedi's dual step (tv_dual on TV,
 h1_dual on H1) replace several such functions at once: K's _grad, then
 pedi's _tail_norms and _dual_update and the soc rule's np.min, which the
 lifted apply_K runs in that order on the numpy path.  tv_dual keeps K x in
@@ -32,11 +34,11 @@ folds the same way: the numpy code's _grad with scale= and addend= and
 then the projection become one call that writes p in place, project_tv's
 one pass on TV, and on H1 scale's sum of the ascent's squares formed on
 the fly followed by its write.  tv_dual's minimum is exact in any
-order, and the kernels that sum -- imaging.metrics' pass, the sum of
-squares behind H1's norms and pedi's finiteness check on ||x||^2, and the
-sum of squares of a gradient formed on the fly (h1_dual's norm, H1's
-regularizer and the baselines' H1 ascent) -- add their terms in the pairwise order in which numpy's
-.sum() adds a float64 array, so no BLAS takes part.  In the C source one
+order, and the kernels that sum -- imaging.metrics' pass,
+primal_step's ||x||^2 for pedi's finiteness check, and the sum of squares
+of a gradient formed on the fly (h1_dual's norm, H1's regularizer and the
+baselines' H1 ascent) -- add their terms in the pairwise order in which
+numpy's .sum() adds a float64 array, so no BLAS takes part.  In the C source one
 stencil forms D for every kernel that needs it, and one tree walker,
 specialised per leaf, adds every sum.
 

@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import kernels
 # unused here; kept as a module attribute for perfbench's layer trace
 from .barrier import central_path_solve  # noqa: F401
 from .jordan import BlockConeVector
@@ -39,6 +38,7 @@ __all__ = [
     "StepConfig",
     "SaddleProblem",
     "DualSolve",
+    "PrimalStep",
     "PEDIResult",
     "initial_state",
     "step_rule_general",
@@ -180,10 +180,11 @@ class SaddleProblem:
     K's own pass, or by calling dual.solve on its result.  Unless dual.keep
     is set, it may then leave out unwritten (K x's tails are read by the
     dual solve only), so the array it returns holds K x only when keep is
-    set.  apply_K_adjoint also takes minuend= and step=: with a primal
-    vector m that does not overlap out, it returns m - step K* y, the point
-    pedi_run takes the prox at, which an implementation may form in K*'s
-    own pass.
+    set.  apply_K_adjoint also takes primal=: with a PrimalStep and the
+    iterate x as out, it takes pedi_run's whole primal step in place,
+    x = prox_G(x - tau K* y, tau) with tau = primal.tau, and puts ||x||^2 of
+    the new x into primal.norm2; an implementation may do all of it in K*'s
+    own pass, so pedi_run calls neither prox_G nor a norm of its own.
     """
 
     primal_dim: int
@@ -210,19 +211,14 @@ _SLICE = 8192
 def _sumsq(a: np.ndarray) -> float:
     """Sum of the squares of a's entries in C order, as np.square(a).sum() adds those of a C-contiguous a.
 
-    Both paths add them in numpy's pairwise order.  The compiled kernel
-    splits large arrays by the order's subtrees across threads and adds
-    the subtrees' sums in the order's own tree, so the thread count changes
-    no bit.  The numpy path sums the same subtrees down to slices of at most
-    _SLICE entries, each squared into a small buffer and summed by numpy,
-    so it allocates no array of a's size unless a must be copied into C
-    order.  A sum that overflows is inf, with no warning on either path.
+    It adds them in numpy's pairwise order, summing the order's subtrees
+    down to slices of at most _SLICE entries, each squared into a small
+    buffer and summed by numpy, so it allocates no array of a's size unless
+    a must be copied into C order.  A sum that overflows is inf, with no
+    warning.  This is the numpy reference of the compiled kernels that sum
+    squares in the same order (grad_sumsq, h1_dual's norm, primal_step's
+    ||x||^2), which the solvers call on the compiled path in its place.
     """
-    if kernels.PATH == "c":
-        try:
-            return kernels.ext.sumsq(a)
-        except ValueError:
-            pass
     flat = np.ravel(a)
     with np.errstate(over="ignore"):
         return _pairwise_sumsq(flat, np.empty(min(flat.size, _SLICE)))
@@ -290,13 +286,13 @@ class DualSolve:
     if any norm is NaN, like np.min), which the fused passes find anyway.
     Only the final iteration's K x and d are read, so unless keep is set an
     implementation may leave d0 and K x's tails unwritten.  solve() is the
-    reference: it runs _tail_norms and _dual_update, both numpy-only but for
-    _sumsq, on a K x already formed, which is what apply_K does on the
-    numpy path.  With the compiled kernels DenoiseProblem's apply_K does it
-    all in one call: tv_dual on TV, h1_dual on H1, whose one block's minimum
-    is its norm.  operands is apply_K's to keep: the arguments of that call
-    made from the out they came from, which pedi_run passes on every
-    iteration, so the views are made once per run.
+    reference: it runs _tail_norms and _dual_update, both numpy-only, on a
+    K x already formed, which is what apply_K does on the numpy path.  With
+    the compiled kernels DenoiseProblem's apply_K does it all in one call:
+    tv_dual on TV, h1_dual on H1, whose one block's minimum is its norm.
+    operands is apply_K's to keep: the arguments of that call made from the
+    out they came from, which pedi_run passes on every iteration, so the
+    views are made once per run.
     """
 
     b0: float
@@ -322,6 +318,35 @@ class DualSolve:
         tn2 = _tail_norms(kx_tails, self._tn2)
         self.minimum = float(np.min(tn2))
         _dual_update(kx_tails, tn2, self.b0, self.mu, d0, y_tails)
+
+
+@dataclass(eq=False)
+class PrimalStep:
+    """The primal step pedi_run asks SaddleProblem.apply_K_adjoint to take on the x it passes as out.
+
+    With step tau, apply_K_adjoint(y_tails, out=x, primal=step) writes
+    x = prox_G(x - tau K* y, tau) over x and puts ||x||^2 of the new x,
+    summed as _sumsq sums it, into norm2, which pedi_run checks is finite.
+    The reference, which DenoiseProblem's apply_K_adjoint runs on the
+    numpy path and for arrays its kernel rejects, is the three operations
+    K* with a minuend into the buffer v (allocated on first use by
+    buffer), prox_G from v back into x, and _sumsq over x.  With the
+    compiled kernels it is one call, primal_step.  operands is
+    apply_K_adjoint's to keep: y's view that call takes, made from the
+    y_tails it came from, which pedi_run passes on every iteration, so the
+    view is made once per run and dies with the run.
+    """
+
+    tau: float = 0.0
+    norm2: Optional[float] = field(default=None, init=False)
+    v: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    operands: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def buffer(self, x: np.ndarray) -> np.ndarray:
+        """v, the reference's x - tau K* y, allocated on first use in x's shape."""
+        if self.v is None:
+            self.v = np.empty_like(x)
+        return self.v
 
 
 def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):
@@ -365,25 +390,27 @@ def pedi_run(
     must fit the problem: the same b0, a gamma no larger and an opnorm_K no
     smaller than the problem's, and a zeta in the step rule's range, and
     max_iters must be at least 1; otherwise ConfigError is raised before the
-    first iteration (see check_config).  After each prox step the sum of
-    squares of x is taken in one pass; if it is not finite (a non-finite x,
-    or a finite x whose norm overflows) FloatingPointError is raised.  The
-    iterates live in buffers allocated on the first iteration and updated
-    in place.
+    first iteration (see check_config).  Each prox step also gives the sum
+    of squares of the new x; if it is not finite (a non-finite x, or a
+    finite x whose norm overflows) FloatingPointError is raised, on either
+    kernel path.  The iterates live in buffers allocated on the first
+    iteration and updated in place.
 
     An iteration runs: mu_{i+1} (_barrier_weight, computed once and passed
     to the dual solve and the rule); apply_K with a DualSolve, which forms
     K x^i, the dual solve and min_b ||(Kx)_b||^2, the soc rule's input; the
-    step rule, which returns the next StepState; K*, which forms
-    x - tau K* y in its own pass (apply_K_adjoint's minuend= and step=);
-    the prox; and ||x||^2.  With the compiled kernels (barrierpd.kernels),
-    DenoiseProblem's apply_K makes K, the dual solve and the minimum one
-    kernel call, which stores K x and d's heads only on the final
-    iteration, the one the result reads.  On TV it is one pass that keeps
-    K x in registers.  On H1 the one block's squared norm is summed over K
-    x formed on the fly, in numpy's pairwise order as ||x||^2 is summed;
-    the block's head and factor follow in closed form, and a second pass
-    writes y.  Kernels split large images, and these sums, across threads.
+    step rule, which returns the next StepState; and apply_K_adjoint with
+    a PrimalStep, which forms x - tau K* y, takes the prox over x in place
+    and sums ||x||^2.  With the compiled kernels (barrierpd.kernels),
+    DenoiseProblem makes each of the two operator calls one kernel call.
+    apply_K's stores K x and d's heads only on the final iteration, the one
+    the result reads; on TV it is one pass that keeps K x in registers, and
+    on H1 the one block's squared norm is summed over K x formed on the
+    fly, in numpy's pairwise order as ||x||^2 is summed, the block's head
+    and factor follow in closed form, and a second pass writes y.
+    apply_K_adjoint's is one pass over numpy's pairwise tree of x, whose
+    leaves form K* y, the prox and the squares, and which stores nothing
+    but x.  Kernels split large images, and these sums, across threads.
     Both paths and every thread count give bit-identical iterates.  The
     loop binds the problem's operators once per run and calls each once
     per iteration; besides the kernels an iteration runs a few scalar
@@ -417,13 +444,12 @@ def pedi_run(
     state = initial_state()
     states = []
     b0 = problem.b0
-    dual = DualSolve(b0)
+    dual, primal = DualSolve(b0), PrimalStep()
     kx_tails = y_view = kx_norm = None
-    v = np.empty_like(x)
     x_view = _readonly(x)
-    # the operators are bound once per run; the step rules and _sumsq's
-    # kernel are looked up on every call, so that a patched one is seen
-    apply_K, apply_K_adjoint, prox_G = problem.apply_K, problem.apply_K_adjoint, problem.prox_G
+    # the operators are bound once per run; the step rules are looked up on
+    # every call, so that a patched one is seen
+    apply_K, apply_K_adjoint = problem.apply_K, problem.apply_K_adjoint
     soc, last = step_rule == "soc", max_iters - 1
 
     for i in range(max_iters):
@@ -442,11 +468,11 @@ def pedi_run(
         else:
             state = step_rule_general(state, config, mu)
 
-        # v = x - tau K* y, the point the primal prox is taken at
-        apply_K_adjoint(dual.y_tails, out=v, minuend=x, step=state.tau)
-        prox_G(v, state.tau, out=x)
-        # one pass covers a non-finite x and a finite x whose ||x||^2 overflows (no warning)
-        if not math.isfinite(_sumsq(x)):
+        # x = prox_G(x - tau K* y, tau) in place, with ||x||^2 of the new x
+        primal.tau = state.tau
+        apply_K_adjoint(dual.y_tails, out=x, primal=primal)
+        # one sum covers a non-finite x and a finite x whose ||x||^2 overflows
+        if not math.isfinite(primal.norm2):
             raise FloatingPointError(f"non-finite primal iterate or norm at iteration {i}")
 
         states.append(state)

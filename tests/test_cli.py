@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +65,30 @@ def test_run_deterministic_modulo_wall(workdir):
     invoke(["run"] + args)
     second = strip_wall((workdir / "bench" / "dual-fb.csv").read_text())
     assert first == second
+
+
+def test_wall_seconds_leave_the_logging_out(workdir, tmp_path, monkeypatch):
+    # each row's metrics sleeps 10 ms: 30 rows sleep 0.3 s, far more than
+    # 30 iterations of the solver at 16 x 16 take
+    from barrierpd import cli
+
+    real = cli.metrics
+
+    def slow_metrics(*args, **kwargs):
+        time.sleep(0.01)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "metrics", slow_metrics)
+    args = base_args(workdir, ["--target-iters", "20000"])
+    args[args.index("--out") + 1] = str(tmp_path)
+    for solver in ("pedi-general", "dual-fb"):
+        res = invoke(["run", *args, "--solvers", solver, "--iters", "30"])
+        assert res.exit_code == 0, res.output
+        rows = (tmp_path / f"{solver}.csv").read_text().strip().splitlines()[1:]
+        wall = [float(r.split(",")[1]) for r in rows]
+        assert len(wall) == 30 and wall == sorted(wall)
+        # under half of the 0.3 s the rows slept
+        assert wall[-1] < 0.15, wall[-1]
 
 
 def test_make_target_cache(workdir):

@@ -18,6 +18,7 @@ from barrierpd.imaging import (
     unlift,
 )
 from barrierpd.jordan import BlockConeVector
+from barrierpd.pedi import PrimalStep
 from test_golden_trajectory import ref_grad, ref_grad_adjoint, ref_project
 
 
@@ -114,11 +115,13 @@ def test_kernels_allocate_no_array_copy(rng, variant):
     y = np.empty_like(kx)
     y[...] = rng.standard_normal(y.shape)
     x = np.empty(n * n)
+    x2, step = np.zeros(n * n), PrimalStep(0.3)
     calls = {
         "_grad": lambda: _grad(v, out=G),
         "_grad_adjoint": lambda: _grad_adjoint(G, out=img),
         "apply_K": lambda: sp.apply_K(v.reshape(-1), out=kx),
         "apply_K_adjoint": lambda: sp.apply_K_adjoint(y, out=x),
+        "primal step": lambda: sp.apply_K_adjoint(y, out=x2, primal=step),
     }
     for call in calls.values():
         call()
@@ -172,6 +175,9 @@ def test_operators_write_into_out(rng, variant):
     assert np.array_equal(v, sp.prox_G(x, 0.3))
     with pytest.raises(ValueError):
         sp.prox_G(v, 0.3, out=v)
+    # the primal step writes over the x it is given, and needs one
+    with pytest.raises(ValueError):
+        sp.apply_K_adjoint(buf, primal=PrimalStep(0.3))
     p = rng.standard_normal((4, 3, 2)) * 3.0
     q = p.copy()
     assert dp.project_dual(q, out=q) is q

@@ -121,15 +121,6 @@ def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
         stage = lambda g, out, m: _grad_adjoint(g, out, 2.0, minuend=m, step=s)  # noqa: E731
         c, ref = on_both_paths(monkeypatch, stage, planes, np.empty(shape), m)
         assert_identical(c, ref)
-    # through the operator pedi calls, on a tails array apply_K returned
-    dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, "tv")
-    sp = dp.saddle_problem()
-    y = sp.apply_K(rng.standard_normal(dp.n_pixels))
-    y[...] = special(rng, y.shape)
-    stage = lambda y, out, x: sp.apply_K_adjoint(y, out=out, minuend=x, step=0.3)  # noqa: E731
-    c, ref = on_both_paths(monkeypatch, stage, y, np.empty(dp.n_pixels), m.reshape(-1))
-    assert_identical(c, ref)
-    assert identical(c[1], m.reshape(-1) - 0.3 * sp.apply_K_adjoint(c[0]))
 
 
 def dual_step(sp, x, b0=0.7, mu=0.3, keep=True, fill=7.0):
@@ -268,6 +259,44 @@ def test_h1_dual_solve_zero_head(monkeypatch, shape):
     assert_identical(c[-1], ref[-1])
 
 
+def primal_step(sp, y, x, tau):
+    """pedi's primal step through apply_K_adjoint with a PrimalStep, in place on x: [x, ||x||^2]."""
+    step = pedi.PrimalStep(tau)
+    assert sp.apply_K_adjoint(y, out=x, primal=step) is x
+    return [x, step.norm2]
+
+
+def primal_reference(sp, shape, y, x, tau):
+    """The three operations pedi's primal step folds, each its own call: K* with x as the
+    minuend into v, prox_G from v back into x, then the sum of squares of the new x."""
+    v = _grad_adjoint(y.T.reshape((2,) + shape), np.empty_like(x), 2.0, minuend=x, step=tau)
+    sp.prox_G(v, tau, out=x)
+    return [x, float(np.square(x).sum())]
+
+
+@needs_c
+@pytest.mark.parametrize("shape", H1_SHAPES, ids=shape_ids)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_primal_step(monkeypatch, rng, shape, variant):
+    # the fused step against the three operations it folds, on y tails in
+    # the layout pedi_run passes, with special values in y and in x
+    n = shape[0] * shape[1]
+    dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, variant)
+    sp = dp.saddle_problem()
+    dual = pedi.DualSolve(0.5, mu=0.3)
+    sp.apply_K(rng.standard_normal(n), dual=dual)
+    for y, x in ((rng.standard_normal(dual.y_tails.shape), rng.standard_normal(n)),
+                 (special(rng, dual.y_tails.shape), rng.standard_normal(n)),
+                 (rng.standard_normal(dual.y_tails.shape), special(rng, n))):
+        dual.y_tails[...] = y
+        for tau in (0.3, 1.0, 1e-300, 7.0):
+            c, ref = on_both_paths(monkeypatch, lambda x: primal_step(sp, dual.y_tails, x, tau), x)
+            assert_identical(c[-1], ref[-1])
+            with np.errstate(all="ignore"):
+                want = primal_reference(sp, shape, dual.y_tails, x.copy(), tau)
+            assert_identical(c[-1], want)
+
+
 def pdhgm_primal_reference(planes, x, z, tau, theta):
     """pdhgm's primal step as its own passes after D*: (w, x_bar) with w = D* p, then
     w = ((x - w tau) + z tau) / (1 + tau) and x_bar = (w - x) theta + w."""
@@ -287,13 +316,9 @@ def pdhgm_primal_reference(planes, x, z, tau, theta):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_primal_stages(monkeypatch, rng, shape):
     n = shape[0] * shape[1]
-    x, v, z = special(rng, n), special(rng, n), special(rng, n)
+    x, z = special(rng, n), special(rng, n)
     planes = special(rng, (2,) + shape)
-    dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, "tv")
     for tau in (0.3, 1e-300, 7.0):
-        # prox_G reads the problem's own z, finite by construction
-        c, ref = on_both_paths(monkeypatch, lambda v, out: dp.saddle_problem().prox_G(v, tau, out=out), v, np.empty(n))
-        assert_identical(c, ref)
         # pdhgm's prox and extrapolation in D*'s pass, with (n1, n2) and flat arrays
         for layout in (shape, (n,)):
             def stage(g, w, x, z, xb):
@@ -425,7 +450,7 @@ def test_h1_project_dual_ascent(monkeypatch, rng, shape):
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
         for args in ((v, planes), (special(rng, shape), planes), (v, special(rng, (2,) + shape))):
-            check_ascent(monkeypatch, dp, *args, {"scale": 2, "sumsq": 1})
+            check_ascent(monkeypatch, dp, *args, {"scale": 2})
 
 
 @needs_c
@@ -477,19 +502,25 @@ def test_metric_sums_follow_numpys_summation_order(monkeypatch, rng):
 
 @needs_c
 def test_sumsq_follows_numpys_summation_order(monkeypatch, rng):
-    # numpy's square-then-sum order, which fixes H1's norms: a numpy release
-    # that changed it fails here first.  The kernel's sum splits across
-    # threads from 65,536 entries on two CPUs, and the numpy path's slices
-    # hold 8,192 entries
+    # numpy's square-then-sum order, which fixes H1's norms and pedi's
+    # ||x||^2: a numpy release that changed it fails here first.  The fused
+    # primal step's sum splits across threads from 65,536 pixels on two
+    # CPUs, and the numpy path's slices hold 8,192 entries
     sizes = [*range(1, 301), 4095, 4096, 4097, 8191, 8192, 8193, 65535, 65536, 65537, 131072, 262147]
+    images = [(1, n) for n in sizes[:-1]] + [(1, 262145), (512, 512)] + SHAPES
+    for shape in images:
+        sp = tv_saddle(rng, shape)
+        y = sp.apply_K(np.zeros(shape[0] * shape[1]))
+        for x in (rng.standard_normal(y.shape[0]), special(rng, y.shape[0])):
+            y[...] = rng.standard_normal(y.shape)
+            got, norm2 = primal_step(sp, y, x.copy(), 0.3)
+            with np.errstate(over="ignore"):
+                want = float(np.square(got).sum())
+            assert identical(norm2, want), (shape, norm2, want)
     arrays = [rng.standard_normal(n) for n in sizes]
     arrays += [rng.standard_normal((2,) + shape) for shape in SHAPES]
     arrays += [special(rng, (2,) + shape) for shape in SHAPES]
     for a in arrays:
-        with np.errstate(over="ignore"):
-            want = float(np.square(a).sum())
-        got = kernels.ext.sumsq(a)
-        assert identical(got, want), (a.shape, got, want)
         with np.errstate(all="ignore"):
             assert identical(kernels.ext.grad_sumsq(a.reshape(-1, a.shape[-1])),
                              float(np.square(_grad(a.reshape(-1, a.shape[-1]))).sum())), a.shape
@@ -515,15 +546,16 @@ def test_overflowing_norm_of_a_finite_iterate_on_both_paths(monkeypatch, path):
     dp = DenoiseProblem(add_gaussian_noise(synthetic_image(8, 8), 6.15, 3), 0.3, "tv")
     sp = dp.saddle_problem()
 
-    def prox_G(v, tau, out=None):
-        out = sp.prox_G(v, tau, out=out)
+    def apply_K_adjoint(y, out=None, primal=None):
+        # the primal step leaves this entry near 1e200, so ||x||^2 overflows
         out[3] = 1e200
-        return out
+        return sp.apply_K_adjoint(y, out=out, primal=primal)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="at iteration 0$"):
-            pedi_run(dataclasses.replace(sp, prox_G=prox_G), StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 1)
+            pedi_run(dataclasses.replace(sp, apply_K_adjoint=apply_K_adjoint),
+                     StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 1)
 
 
 def identical_records(a: IterationRecord, b: IterationRecord) -> bool:
@@ -669,13 +701,11 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
-    # pedi's K, dual solve and soc minimum are one tv_dual pass, and the
-    # baselines' ascent and projection one project_tv pass; pdhgm's primal
-    # step rides in its grad_adjoint; sumsq is pedi's ||x||^2 check
-    assert rec.calls == {
-        "grad_adjoint": 2 * 5 + 2 * 5, "tv_dual": 10,
-        "prox": 10, "project_tv": 10, "sumsq": 10,
-    }
+    # pedi's K, dual solve and soc minimum are one tv_dual pass, and its
+    # K*, prox and ||x||^2 one primal_step call; the baselines' ascent and
+    # projection are one project_tv pass, and pdhgm's primal step rides in
+    # its grad_adjoint
+    assert rec.calls == {"grad_adjoint": 2 * 5, "tv_dual": 10, "primal_step": 10, "project_tv": 10}
 
 
 @needs_c
@@ -689,12 +719,11 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     pdhgm_run(dp, BaselineConfig.default_for(dp, 5))
     dual_fb_run(dp, 5)
     assert rec.rejected == []
-    # pedi's K, tail norm and dual solve are one h1_dual call, and the
-    # baselines' ascent, its norm and projection one scale call; pdhgm's
-    # primal step rides in its grad_adjoint; sumsq is pedi's ||x||^2 check
-    assert rec.calls == {
-        "grad_adjoint": 20, "h1_dual": 10, "prox": 10, "sumsq": 10, "scale": 10,
-    }
+    # pedi's K, tail norm and dual solve are one h1_dual call, and its K*,
+    # prox and ||x||^2 one primal_step call; the baselines' ascent, its norm
+    # and projection are one scale call, and pdhgm's primal step rides in
+    # its grad_adjoint
+    assert rec.calls == {"grad_adjoint": 10, "h1_dual": 10, "primal_step": 10, "scale": 10}
 
 
 @needs_c
@@ -750,8 +779,6 @@ def test_kernels_reject_without_writing(rng):
     # an output overlapping an input
     buf = rng.standard_normal(3 * 20)
     with pytest.raises(ValueError):
-        ext.prox(buf[:20], buf[10:30], buf[20:40], 0.5)
-    with pytest.raises(ValueError):
         ext.project_tv(buf[:40].reshape(2, 20), buf[20:60].reshape(2, 20), 1.0, 1.0)
     with pytest.raises(ValueError):
         ext.grad_adjoint(buf[:40].reshape(2, 4, 5), buf[30:50].reshape(4, 5), buf[:20].reshape(4, 5), 2.0, 0.5)
@@ -771,9 +798,27 @@ def test_kernels_reject_without_writing(rng):
                 project(w, q)
             assert np.all(q == 7.0) and np.all(p == 7.0), why
     with pytest.raises(ValueError):
-        ext.prox(np.empty(4), np.empty((2, 2)), np.empty(4), 0.5)
-    with pytest.raises(ValueError):
         ext.project_tv(np.empty((4, 5)), np.empty((4, 5)), 1.0, 1.0)
+    # pedi's primal step writes x in place: each of these leaves it unwritten
+    y, z = rng.standard_normal((2, 4, 5)), rng.standard_normal(20)
+    x = np.full(20, 7.0)
+    for why, (w, q, u) in {
+        "x overlapping y": (y, z, y[1].reshape(-1)),
+        "x overlapping z": (y, x, x),
+        "x of the wrong shape": (y, z, np.full(21, 7.0)),
+        "z of the wrong shape": (y, z[:19].copy(), x),
+        "y of the wrong shape": (y.reshape(2, 5, 4), z.reshape(4, 5), x.reshape(4, 5)),
+        "y not a field": (y.reshape(40), z, x),
+        "float32 x": (y, z, np.full(20, 7.0, dtype=np.float32)),
+        "float32 y": (y.astype(np.float32), z, x),
+        "non-contiguous x": (y, z, np.full(40, 7.0)[::2]),
+        "read-only x": (y, z, np.full(20, 7.0)),
+    }.items():
+        u.flags.writeable = why != "read-only x"
+        before = u.copy()
+        with pytest.raises(ValueError):
+            ext.primal_step(w, q, u, 0.5)
+        assert identical(u, before) and np.all(x == 7.0), why
     # tv_dual: the shapes, the dtype and an output overlapping another array
     kx, d0, y = np.full((2, 4, 5), 7.0), np.full(20, 7.0), np.full((2, 20), 7.0)
     wide = np.full((2, 40), 7.0)
@@ -794,8 +839,6 @@ def test_kernels_reject_without_writing(rng):
         with pytest.raises(ValueError):
             ext.h1_dual(*args, 1.0, 0.5, True)
     assert all(np.all(a == 7.0) for a in (kx, d0, y, wide))
-    with pytest.raises(ValueError):
-        ext.sumsq(np.empty((4, 6))[:, :5])
     for bad in (np.empty((4, 6))[:, :5], np.empty(20), np.empty((2, 4, 5)), np.empty((4, 5), dtype=np.float32),
                 np.empty((0, 5))):
         with pytest.raises(ValueError):
@@ -816,6 +859,8 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
         kx = dp.saddle_problem().apply_K(x, dual=dual)
         return kx, dual.d0, dual.y_tails, dual.minimum
 
+    y32 = dp.saddle_problem().apply_K(x).astype(np.float32)
+
     def rejected():
         q = p.copy()
         return [
@@ -827,6 +872,9 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
             # a reversed x, not C-contiguous: the fused pass and D reject it
             *dual_update(x[::-1]),
             dp.saddle_problem().prox_G(v.reshape(-1)[::-1], 0.3),
+            # float32 y tails: the fused primal step and the reference's D*
+            # kernel reject them, and numpy's D* runs
+            *primal_step(dp.saddle_problem(), y32, x.copy(), 0.3),
             # the norm of an interleaved field, summed in planar order
             imaging._field_norm(imaging._planes(p)),
             # an interleaved field, a float32 planar one and a strided planar one
@@ -839,7 +887,7 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     monkeypatch.setattr(kernels, "ext", rec)
     got = rejected()
     assert [name for name, _ in rec.rejected] == [
-        "grad", "grad", "grad_adjoint", "project_tv", "tv_dual", "grad", "prox", "sumsq",
+        "grad", "grad", "grad_adjoint", "project_tv", "tv_dual", "grad", "primal_step", "grad_adjoint",
         # dual_value's D* rejects the interleaved and strided fields; it
         # takes a float64 copy of the float32 one, planar like the field
         "metric_sums", "grad_adjoint", "metric_sums", "metric_sums", "grad_adjoint"]
@@ -949,8 +997,13 @@ from barrierpd.imaging import DenoiseProblem, add_gaussian_noise, synthetic_imag
 from barrierpd.pedi import StepConfig, pedi_run
 
 rng = np.random.default_rng(5)
-sums = [kernels.ext.sumsq(rng.standard_normal(n)) for n in (65535, 65536, 131071, 262144, 262145)]
-sums += [kernels.ext.sumsq(rng.standard_normal(shape)) for shape in ((2, 181, 181), (2, 256, 256), (2, 257, 263))]
+# the fused primal step's ||x||^2 over images of 65,535 to 262,145 pixels
+sums = []
+for shape in ((1, 65535), (256, 256), (1, 65537), (1, 131071), (257, 263), (512, 512), (262145, 1)):
+    n = shape[0] * shape[1]
+    x = rng.standard_normal(n)
+    sums.append(kernels.ext.primal_step(rng.standard_normal((2,) + shape), rng.standard_normal(n), x, 0.3))
+    sums.append(float(np.square(x).sum()))
 sums += [kernels.ext.grad_sumsq(rng.standard_normal(shape)) for shape in ((181, 181), (257, 263), (1, 70001))]
 dp = DenoiseProblem(add_gaussian_noise(synthetic_image(256, 256), 6.15, 3), 5.0, "h1")
 sp = dp.saddle_problem()

@@ -303,15 +303,16 @@ def test_pedi_x0_and_watchdog():
     assert np.array_equal(x0, dp.z.flat())
 
 
-def _with_prox_entry(sp, value):
-    """sp whose prox step writes value into one entry of its result."""
+def _with_x_entry(sp, value):
+    """sp whose primal step starts from an x with value in one entry, which the step
+    carries into the new x: NaN and +-inf stay, and 1e200 stays finite with
+    ||x||^2 overflowing."""
 
-    def prox_G(v, tau, out=None):
-        out = sp.prox_G(v, tau, out=out)
+    def apply_K_adjoint(y, out=None, primal=None):
         out[3] = value
-        return out
+        return sp.apply_K_adjoint(y, out=out, primal=primal)
 
-    return dataclasses.replace(sp, prox_G=prox_G)
+    return dataclasses.replace(sp, apply_K_adjoint=apply_K_adjoint)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -320,7 +321,7 @@ def test_non_finite_iterate_raises(value):
     sp = dp.saddle_problem()
     cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
     with pytest.raises(FloatingPointError, match="at iteration 0$"):
-        pedi_run(_with_prox_entry(sp, value), cfg, 3)
+        pedi_run(_with_x_entry(sp, value), cfg, 3)
 
 
 def test_finite_iterate_with_overflowing_norm_trips_watchdog():
@@ -332,7 +333,7 @@ def test_finite_iterate_with_overflowing_norm_trips_watchdog():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="at iteration 0$"):
-            pedi_run(_with_prox_entry(sp, 1e200), cfg, 1)
+            pedi_run(_with_x_entry(sp, 1e200), cfg, 1)
 
 
 def test_callback_views_are_read_only():
