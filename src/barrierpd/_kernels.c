@@ -1,30 +1,33 @@
 /* Compiled per-stage kernels of the four solvers, split across the host's CPUs.
  *
- * Each kernel does, on every element, the operations of the numpy code it
- * replaces in the same order, so its results are bit-identical to that
- * code's.  The build flags keep it so: -ffp-contract=off stops a*b + c from
- * becoming a fused multiply-add, and no -ffast-math.  Of the reductions,
- * tv_dual's minimum is exact in any order, and metric_sums, primal_step,
- * grad_sumsq and h1_dual's norm add their terms in numpy's own pairwise
- * order.  Stages the numpy code makes as passes of their own ride in a
- * neighbouring kernel's pass: in grad_adjoint dual_fb's x = z - D* p and
- * pdhgm's whole primal step, its prox and extrapolation.  pedi's whole
- * primal step is one call, primal_step, whose leaves of numpy's tree each
- * form x - tau K* y row segment by row segment, take the prox, write x in
- * place and square the new x for the solver's finiteness check.  pedi's
- * whole dual step is one kernel call: on TV, tv_dual forms each pixel's
- * tail of K x, its squared norm, the dual solve and the soc rule's minimum
- * in one visit; on H1, whose one block needs
- * the norm of all of K x first, h1_dual sums its squares formed on the
- * fly, solves for the block's scalars and then writes y.  Both store K x
- * and d's heads only when asked, since only the final iterate's are read.
- * The baselines' whole dual step, the projection of the ascent
- * p + s D v, is one call in the same way, writing p in place and storing
- * no ascent: on TV project_tv forms and projects each pixel's ascent in
- * one visit; on H1 scale sums the ascent's squares formed on the fly and
- * then writes it, scaled, with ascend.  Every kernel that forms D does so
- * through one stencil, STENCIL, and every sum walks numpy's tree through
- * one walker, WALKER, over a leaf.
+ * A kernel, and each form of one, exists only for a stage that a solver
+ * iteration or a logged row runs; a one-off evaluation, such as D or D*
+ * alone, runs the numpy code unless it shares such a form, as a dual value
+ * shares dual_fb's z - D* p.  Each kernel does, on every element, the
+ * operations of the numpy code it replaces in the same order, so its
+ * results are bit-identical to that code's.  The build flags keep it so:
+ * -ffp-contract=off stops a*b + c from becoming a fused multiply-add, and
+ * no -ffast-math.  Of the reductions, tv_dual's minimum is exact in any
+ * order, and metric_sums, primal_step, grad_sumsq and h1_dual's norm add
+ * their terms in numpy's own pairwise order.  Stages the numpy code makes
+ * as passes of their own ride in a neighbouring kernel's pass: in
+ * grad_adjoint dual_fb's x = z - D* p and pdhgm's whole primal step, its
+ * prox and extrapolation.  pedi's whole primal step is one call,
+ * primal_step, whose leaves of numpy's tree each form x - tau K* y row
+ * segment by row segment, take the prox, write x in place and square the
+ * new x for the solver's finiteness check.  pedi's whole dual step is one
+ * kernel call: on TV, tv_dual forms each pixel's tail of K x, its squared
+ * norm, the dual solve and the soc rule's minimum in one visit; on H1,
+ * whose one block needs the norm of all of K x first, h1_dual sums its
+ * squares formed on the fly, solves for the block's scalars and then
+ * writes y.  Both store K x and d's heads only when asked, since only the
+ * final iterate's are read.  The baselines' whole dual step, the projection
+ * of the ascent p + s D v, is one call in the same way, writing p in place
+ * and storing no ascent: on TV project_tv forms and projects each pixel's
+ * ascent in one visit; on H1 scale sums the ascent's squares formed on the
+ * fly and then writes it, scaled, with ascend.  Every kernel that forms D
+ * does so through one stencil, STENCIL, and every sum walks numpy's tree
+ * through one walker, WALKER, over a leaf.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; the sums' leaves read theirs from a job.  On x86-64 each
@@ -81,8 +84,9 @@ typedef Py_ssize_t idx;
  * entries of the forward differences with Neumann boundary: the entries
  * imaging._grad gives, zero in the last row (g0) and the last column (g1).
  * A kernel whose planar outputs each need one entry runs it once per
- * plane, reading g0 or g1 alone: pairing the planes per pixel made grad
- * 2.1 times as slow at 256 x 256 on one CPU, and h1_dual 1.6 times. */
+ * plane, reading g0 or g1 alone: pairing the planes per pixel made a plain
+ * gradient pass 2.1 times as slow at 256 x 256 on one CPU, and h1_dual 1.6
+ * times. */
 #define STENCIL(v, n1, n2, lo, hi, ...)                                         \
     for (idx k = (lo), i_ = k / (n2); k < (hi); i_++) {                         \
         /* the row ends at r_; pixels before m_ have a right neighbour, and     \
@@ -146,15 +150,6 @@ static inline void grad_adjoint_row(const double *restrict g0, const double *res
         o[n2 - 1 - j0] = (o[n2 - 1 - j0] + h[n2 - 2]) * c;
 }
 
-/* Rows r0..r1-1 of the gradient of v into the planes o0 and o1. */
-KERNEL static void grad(const double *restrict v, double *restrict o0, double *restrict o1, idx n1,
-                        idx n2, idx r0, idx r1)
-{
-    idx lo = r0 * n2, hi = r1 * n2;
-    STENCIL(v, n1, n2, lo, hi, o0[k] = g0);
-    STENCIL(v, n1, n2, lo, hi, o1[k] = g1);
-}
-
 /* Rows r0..r1-1 of the baselines' dual ascent a = (grad v) s + p, as
  * imaging._grad makes it with an addend, times f, written over the planes
  * (p0, p1) of p: the write of the H1 projection, f being 1 inside the
@@ -167,33 +162,31 @@ KERNEL static void ascend(const double *restrict v, double *restrict p0, double 
     STENCIL(v, n1, n2, lo, hi, p1[k] = (g1 * s + p1[k]) * f);
 }
 
-/* Rows r0..r1-1 of c times the adjoint of grad into out, or, with a
- * minuend m, of m minus that times t: pedi's x - tau K* y and
- * baselines.dual_fb_run's x = z - D* p (t = 1).  With z as well, out is
- * then pdhgm's primal step, the prox (out + z t) / (1 + t) of that point,
- * and xb its extrapolation (out - m) theta + out. */
+/* Rows r0..r1-1 of a minuend m minus the adjoint of grad, into out:
+ * baselines.dual_fb_run's x = z - D* p.  With z as well, out is instead
+ * pdhgm's primal step, the prox ((m - (D* g) t) + z t) / (1 + t) of the
+ * point m - (D* g) t, and xb its extrapolation (out - m) theta + out. */
 KERNEL static void grad_adjoint(const double *restrict g0, const double *restrict g1,
                                 const double *restrict m, const double *restrict z,
                                 double *restrict xb, double *restrict out, idx n1, idx n2, idx r0,
-                                idx r1, double c, double t, double theta)
+                                idx r1, double t, double theta)
 {
     double s = 1.0 + t;
     for (idx i = r0; i < r1; i++) {
         double *restrict o = out + i * n2;
-        grad_adjoint_row(g0, g1, o, n1, n2, i, 0, n2, c);
+        const double *restrict mi = m + i * n2;
+        grad_adjoint_row(g0, g1, o, n1, n2, i, 0, n2, 1.0);
         if (z) {
-            const double *restrict mi = m + i * n2, *restrict zi = z + i * n2;
+            const double *restrict zi = z + i * n2;
             double *restrict bi = xb + i * n2;
             for (idx j = 0; j < n2; j++) {
                 double w = ((mi[j] - o[j] * t) + zi[j] * t) / s;
                 o[j] = w;
                 bi[j] = (w - mi[j]) * theta + w;
             }
-        } else if (m) {
-            const double *restrict mi = m + i * n2;
+        } else
             for (idx j = 0; j < n2; j++)
-                o[j] = mi[j] - o[j] * t;
-        }
+                o[j] = mi[j] - o[j];
     }
 }
 
@@ -252,42 +245,26 @@ KERNEL static void h1_write(const double *restrict v, double *restrict k0, doubl
     }
 }
 
-/* The per-pixel projection of a = (A0, A1) onto the ball of radius alpha,
- * a alpha / max(||a||, floor) as DenoiseProblem.project_dual makes it for
- * TV, into (O0, O1), with the alpha and floor of the kernel it runs in. */
-#define PROJECT_TV(A0, A1, O0, O1)                                              \
-    {                                                                           \
-        double a0 = (A0), a1 = (A1), r = sqrt(a0 * a0 + a1 * a1);               \
-        r = r < floor ? floor : r;                                              \
-        r = alpha / r;                                                          \
-        O0 = a0 * r;                                                            \
-        O1 = a1 * r;                                                            \
-    }
-
-/* Pixels lo..hi-1 of the TV projection of (p0, p1) into (o0, o1), or with
- * an (n1, n2) image v, of the baselines' dual ascent a = (grad v) s + p,
- * formed as imaging._grad forms it with an addend, back into (p0, p1):
- * their whole dual step p = P(p + s D v) in one visit per pixel. */
+/* Rows r0..r1-1 of the baselines' whole dual step on TV, p = P(p + s D v),
+ * in one visit per pixel: the ascent a = (grad v) s + p, formed as
+ * imaging._grad forms it with an addend, and its projection onto the ball
+ * of radius alpha, a alpha / max(||a||, floor) as
+ * DenoiseProblem.project_dual makes it, written back over (p0, p1). */
 KERNEL static void project_tv(const double *restrict v, double *restrict p0, double *restrict p1,
-                              double *restrict o0, double *restrict o1, idx n1, idx n2, idx lo,
-                              idx hi, double alpha, double floor, double s)
+                              idx n1, idx n2, idx r0, idx r1, double alpha, double floor, double s)
 {
-    if (v)
-        STENCIL(v, n1, n2, lo, hi, PROJECT_TV(g0 * s + p0[k], g1 * s + p1[k], p0[k], p1[k]))
-    else
-        for (idx k = lo; k < hi; k++)
-            PROJECT_TV(p0[k], p1[k], o0[k], o1[k])
+    STENCIL(v, n1, n2, r0 * n2, r1 * n2, {
+        double a0 = g0 * s + p0[k], a1 = g1 * s + p1[k], r = sqrt(a0 * a0 + a1 * a1);
+        r = r < floor ? floor : r;
+        r = alpha / r;
+        p0[k] = a0 * r;
+        p1[k] = a1 * r;
+    });
 }
 
-/* out = p s, or a copy of p when s is 1: the H1 dual projection.  A
- * product with 1 differs from a copy only on a signalling NaN, which it
- * quiets. */
+/* out = p s: unlifted_dual's p = 2 tail(y). */
 KERNEL static void scale(const double *restrict p, double *restrict out, idx n, double s)
 {
-    if (s == 1.0) {
-        memcpy(out, p, n * sizeof *out);
-        return;
-    }
     for (idx k = 0; k < n; k++)
         out[k] = p[k] * s;
 }
@@ -664,13 +641,7 @@ static double pairwise(Job *j, Walk *walk, idx n, idx pixels)
 
 /* ----- tasks ------------------------------------------------------------- */
 
-/* Units are rows for the gradient pair, ascend, tv_dual and h1_write, and
- * elements or tails for the rest. */
-static void t_grad(Job *j, idx lo, idx hi, int c)
-{
-    grad(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi);
-}
-
+/* Units are rows, but entries for scale. */
 static void t_ascend(Job *j, idx lo, idx hi, int c)
 {
     ascend(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[1], j->s[2]);
@@ -679,7 +650,7 @@ static void t_ascend(Job *j, idx lo, idx hi, int c)
 static void t_grad_adjoint(Job *j, idx lo, idx hi, int c)
 {
     grad_adjoint(j->a[0], j->a[0] + j->n1 * j->n2, j->a[2], j->a[3], j->a[4], j->a[1], j->n1, j->n2, lo,
-                 hi, j->s[0], j->s[1], j->s[2]);
+                 hi, j->s[0], j->s[1]);
 }
 
 static void t_tv_dual(Job *j, idx lo, idx hi, int c)
@@ -696,15 +667,10 @@ static void t_h1_write(Job *j, idx lo, idx hi, int c)
              j->s[2] != 0.0);
 }
 
-/* Units are rows with the ascent, whose image is a[2], and pixels without. */
 static void t_project_tv(Job *j, idx lo, idx hi, int c)
 {
-    idx n = j->n1 * j->n2;
-    if (j->a[2])
-        project_tv(j->a[2], j->a[1], j->a[1] + n, NULL, NULL, j->n1, j->n2, lo * j->n2, hi * j->n2,
-                   j->s[0], j->s[1], j->s[2]);
-    else
-        project_tv(NULL, j->a[0], j->a[0] + n, j->a[1], j->a[1] + n, 1, n, lo, hi, j->s[0], j->s[1], 0.0);
+    project_tv(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[0], j->s[1],
+               j->s[2]);
 }
 
 static void t_scale(Job *j, idx lo, idx hi, int c)
@@ -776,13 +742,6 @@ static int same_shape(const Bufs *bs)
     return a->len > 0 || fail("empty arrays");
 }
 
-/* 1 if buffer i is a nonempty planar (2, ...) array, else 0 with ValueError. */
-static int planar(const Bufs *bs, int i)
-{
-    const Py_buffer *b = &bs->b[i];
-    return (b->ndim >= 2 && b->shape[0] == 2 && b->len > 0) || fail("expected a planar (2, ...) array");
-}
-
 /* 1 if buffer f is a nonempty (2, n1, n2) field, which sets the job's n1
  * and n2, and buffer i an image on it: an (n1, n2) array or its row-major
  * flattening, (n1 n2,), the layout of a primal vector; else 0 with
@@ -822,32 +781,20 @@ static PyObject *finish(Bufs *bs)
 #define WRAPPER(name) \
     static PyObject *w_##name(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 
-/* grad(v, out): v an (n1, n2) image, out a (2, n1, n2) array. */
-WRAPPER(grad)
-{
-    Bufs bs = {.n = 0};
-    Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 0) && image_and_field(&bs, 0, 1, &j))
-        run(&j, t_grad, j.n1, j.n1 * j.n2);
-    return finish(&bs);
-}
-
-/* grad_adjoint(g, out, c), grad_adjoint(g, out, m, c, t) or
- * grad_adjoint(g, out, m, z, xb, c, t, theta): g a (2, n1, n2) array, out,
- * the minuend m, z and xb (n1, n2) images; with m, out = m - (c D* g) t, and
- * with z and xb also pdhgm's primal step, out = (out + z t) / (1 + t) and
- * xb = (out - m) theta + out. */
+/* grad_adjoint(g, out, m) or grad_adjoint(g, out, m, z, xb, t, theta): g a
+ * (2, n1, n2) array, out, the minuend m, z and xb (n1, n2) images or their
+ * flattenings; out = m - D* g, or with z and xb pdhgm's primal step,
+ * out = ((m - (D* g) t) + z t) / (1 + t) and xb = (out - m) theta + out. */
 WRAPPER(grad_adjoint)
 {
     Bufs bs = {.n = 0};
     Job j;
-    j.a[2] = j.a[3] = j.a[4] = NULL;
-    j.s[1] = 1.0;
-    const char *spec = nargs == 8 ? "rwrrw" : nargs == 5 ? "rwr" : "rw";
-    if (unpack(&bs, &j, args, nargs, spec, nargs == 8 ? 3 : nargs == 5 ? 2 : 1) &&
-        image_and_field(&bs, 1, 0, &j)) {
+    j.a[3] = j.a[4] = NULL;
+    j.s[0] = j.s[1] = 0.0;
+    int pdhgm = nargs == 7;
+    if (unpack(&bs, &j, args, nargs, pdhgm ? "rwrrw" : "rwr", pdhgm ? 2 : 0)) {
         int ok = 1;
-        for (int i = 2; i < bs.n && ok; i++)
+        for (int i = 1; i < bs.n && ok; i++)
             ok = image_and_field(&bs, i, 0, &j);
         if (ok)
             run(&j, t_grad_adjoint, j.n1, j.n1 * j.n2);
@@ -886,32 +833,21 @@ WRAPPER(tv_dual)
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(m);
 }
 
-/* project_tv(p, out, alpha, floor): p and out planar (2, ...) fields; or
- * project_tv(v, p, alpha, floor, s), the baselines' dual step, which
- * projects p + s D v into p itself: v an (n1, n2) image, p a (2, n1, n2)
- * field. */
+/* project_tv(v, p, alpha, floor, s), the baselines' dual step on TV,
+ * which projects p + s D v into p itself: v an (n1, n2) image, p a
+ * (2, n1, n2) field. */
 WRAPPER(project_tv)
 {
     Bufs bs = {.n = 0};
     Job j;
-    j.a[2] = NULL;
-    if (nargs == 5) {
-        if (unpack(&bs, &j, args, nargs, "rw", 3) && image_and_field(&bs, 0, 1, &j)) {
-            j.a[2] = j.a[0];
-            run(&j, t_project_tv, j.n1, j.n1 * j.n2);
-        }
-    } else if (unpack(&bs, &j, args, nargs, "rw", 2) && same_shape(&bs) && planar(&bs, 0)) {
-        j.n1 = 1;
-        j.n2 = size(&bs, 0) / 2;
-        run(&j, t_project_tv, j.n2, j.n2);
-    }
+    if (unpack(&bs, &j, args, nargs, "rw", 3) && image_and_field(&bs, 0, 1, &j))
+        run(&j, t_project_tv, j.n1, j.n1 * j.n2);
     return finish(&bs);
 }
 
-/* scale(p, out, s): out = p s, a copy of p when s is 1, on gradient fields
- * of two entries per pixel; or scale(v, p, alpha, s), the baselines' dual
- * step on H1, which projects a = p + s D v onto the ball of radius alpha
- * into p itself: v an (n1, n2) image, p a (2, n1, n2) field.  It sums the
+/* scale(p, out, s): out = p s on gradient fields of two entries per pixel;
+ * or scale(v, p, alpha, s), the baselines' dual step on H1, which projects
+ * a = p + s D v onto the ball of radius alpha into p itself: v an (n1, n2) image, p a (2, n1, n2) field.  It sums the
  * squares of a formed on the fly, as np.square(a).sum() adds them, and
  * then writes a times alpha / ||a||, or a itself when ||a|| <= alpha, as
  * DenoiseProblem.project_dual does. */
@@ -1038,13 +974,12 @@ WRAPPER(metric_sums)
 }
 
 static PyMethodDef methods[] = {
-    {"grad", (PyCFunction)(void (*)(void))w_grad, METH_FASTCALL, "grad(v, out)"},
     {"grad_adjoint", (PyCFunction)(void (*)(void))w_grad_adjoint, METH_FASTCALL,
-     "grad_adjoint(g, out, c), grad_adjoint(g, out, m, c, t) or grad_adjoint(g, out, m, z, xb, c, t, theta)"},
+     "grad_adjoint(g, out, m) or grad_adjoint(g, out, m, z, xb, t, theta)"},
     {"tv_dual", (PyCFunction)(void (*)(void))w_tv_dual, METH_FASTCALL,
      "tv_dual(v, kx, d0, y, b0, mu, keep) -> min"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
-     "project_tv(p, out, alpha, floor) or project_tv(v, p, alpha, floor, s)"},
+     "project_tv(v, p, alpha, floor, s)"},
     {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL,
      "scale(p, out, s) or scale(v, p, alpha, s)"},
     {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,

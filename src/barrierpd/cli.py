@@ -79,7 +79,8 @@ def _compute_target(problem: DenoiseProblem, iters: int) -> np.ndarray:
     res = pdhgm_run(problem, cfg)
     gap0 = problem.half_z2
     gap = problem.duality_gap(res.x, res.p)
-    if gap > 1e-8 * gap0:
+    # a NaN gap fails the gate too
+    if not gap <= 1e-8 * gap0:
         raise click.ClickException(
             f"reference solution fails quality gate: gap {gap:g} > 1e-8*gap0 {1e-8 * gap0:g}; "
             f"increase --target-iters"
@@ -87,18 +88,26 @@ def _compute_target(problem: DenoiseProblem, iters: int) -> np.ndarray:
     return res.x
 
 
-def _load_target(out: Path, key: dict):
+def _load_target(out: Path, key: dict, n_pixels: int):
+    """The cached target x of key as a primal vector, None if there is none; a click error for a bad cache file."""
     path = _target_path(out, _key_hash(key))
     if not path.exists():
         return None
     with np.load(path, allow_pickle=False) as npz:
+        if not {"config", "x"} <= set(npz.files):
+            raise click.ClickException(f"cached target at {path} lacks its config or x; remove the file")
         stored_key = json.loads(str(npz["config"]))
         if stored_key != key:
             raise click.ClickException(
                 f"target cache collision at {path}: stored config {stored_key} "
                 f"does not match requested {key}; remove the file or change --out"
             )
-        return npz["x"]
+        x = npz["x"]
+    if x.size != n_pixels:
+        raise click.ClickException(
+            f"cached target at {path} holds {x.size} entries, expected {n_pixels}; remove the file"
+        )
+    return x.reshape(-1)
 
 
 def _atomic_write_bytes(path: Path, data: bytes):
@@ -223,16 +232,17 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, th
     out.mkdir(parents=True, exist_ok=True)
     key = _problem_key(image, variant, alpha, sigma, seed)
     if target_policy == "load":
-        target_x = _load_target(out, key)
+        target_x = _load_target(out, key, problem.n_pixels)
         if target_x is None:
             raise click.ClickException(
                 f"no cached target for this configuration in {out}; run make-target first"
             )
     else:
         target_x = _compute_target(problem, target_iters)
-    if not np.any(target_x):
-        raise click.ClickException("degenerate reference solution (all zero)")
-    target = Target.of(problem, target_x)
+    try:
+        target = Target.of(problem, target_x)
+    except ValueError as exc:
+        raise click.ClickException(f"bad reference solution: {exc}")
     gap0 = problem.half_z2
 
     for solver, (run_solver, opnorm) in zip(solver_list, plans):
@@ -268,7 +278,7 @@ def make_target(image, variant, alpha, sigma, seed, out, target_iters):
     out.mkdir(parents=True, exist_ok=True)
     key = _problem_key(image, variant, alpha, sigma, seed)
     path = _target_path(out, _key_hash(key))
-    cached = _load_target(out, key)
+    cached = _load_target(out, key, problem.n_pixels)
     if cached is not None:
         click.echo(f"cache hit: {path}")
         return

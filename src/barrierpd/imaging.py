@@ -10,34 +10,36 @@ Conventions fixed here and relied on by every solver:
   plane 1 the axis-1 difference; the solvers allocate these buffers once and
   update them in place (``out=``).  The public (n1, n2, 2) field is the view
   G.transpose(1, 2, 0) of a planar buffer G;
-* D and D* (_grad, _grad_adjoint) run each axis-1 difference as one shifted
-  pass over the flattened (n1, n2) plane, which is several times faster than
-  2-d column slices and rounds every element the same way.  An out= array
-  (or its plane) must therefore flatten to a view: one that would need a
-  copy raises ValueError rather than leaving out unwritten.  With the
-  compiled kernels (barrierpd.kernels) each of them, K*'s factor 2, the
-  TV projection and the H1 projection's scaling is one pass over
+* D and D* (_grad, _grad_adjoint) run each axis-1 difference as one
+  shifted pass over the flattened (n1, n2) plane, which is several times
+  faster than 2-d column slices and rounds every element the same way.  An
+  out= array (or its plane) must therefore flatten to a view: one that
+  would need a copy raises ValueError rather than leaving out
+  unwritten.  The compiled kernels (barrierpd.kernels) take only the stages
+  the solver loops and the logged metrics run, each one call over
   C-contiguous float64 buffers, split across threads on large images and
-  bit-identical to the numpy passes, which run for any other array.  D*'s
-  pass also makes dual_fb's z - D* p and pdhgm's prox and extrapolation,
-  and the lifted K*'s kernel call pedi's whole primal step, x - tau K* y,
-  its prox and ||x||^2 (apply_K_adjoint's primal=), storing nothing but
-  the new x.  The baselines' whole dual step, the projection of
-  the ascent p + s D v (project_dual's ascent=), is one kernel call that
-  stores no ascent: on TV one pass, on H1 a sum of the ascent's squares
-  formed on the fly before the pass that writes p.
-  The lifted K's kernel call also makes pedi's dual solve and the soc
+  bit-identical to the numpy code, which runs on the numpy path, for any
+  array a kernel rejects and for every one-off evaluation that shares no
+  loop's kernel (D alone, D* alone, a projection into another out).  D*'s
+  kernel makes dual_fb's z - D* p, which dual_value shares, and pdhgm's
+  prox and extrapolation.  The lifted K*'s kernel call makes pedi's whole
+  primal step, x - tau K* y, its prox and ||x||^2 (apply_K_adjoint's
+  primal=), storing nothing but the new x.  The baselines' whole dual step,
+  the projection of the ascent p + s D v (project_dual's ascent= in
+  place), is one kernel call that stores no ascent: on TV one pass, on H1
+  a sum of the ascent's squares formed on the fly before the pass that
+  writes p.  The lifted K's kernel call makes pedi's dual solve and the soc
   rule's minimum of the tail norms (apply_K's dual=): on TV in the same
   pass, on H1 by summing the squares of K x formed on the fly before a
-  pass that writes y.  So K x is never stored but on pedi's final
-  iteration.  The operators pedi_run calls hand the kernels the solver's
-  own buffers, flat primal vectors included, and make no view a kernel
-  does not need, so each costs its kernel call and little more.  The
-  sums -- metrics' four, pedi's ||x||^2, the sum of squares behind H1's
-  global norm and H1's regularizer, which sums the squares of a gradient
-  it never stores -- add their terms in numpy's pairwise summation order; all but
-  metrics' split across threads by the subtrees of that order, which
-  changes no bit;
+  pass that writes y.  So no loop stores D v, and K x is stored only on
+  pedi's final iteration.  The operators pedi_run calls hand the kernels
+  the solver's own buffers, flat primal vectors included, and make no view
+  a kernel does not need, so each costs its kernel call and little
+  more.  The compiled sums -- metrics' four, pedi's ||x||^2, H1's ascent
+  norm and dual-solve norm, and H1's regularizer, which sums the squares
+  of a gradient it never stores -- add their terms in numpy's pairwise
+  summation order; all but metrics' split across threads by the subtrees
+  of that order, which changes no bit;
 * H1's global norm is sqrt(sum g^2) over the planar field, summed in
   component-major order whatever the field's layout, so its roundoff
   depends on neither the layout nor BLAS;
@@ -139,17 +141,12 @@ def _grad(
     Neumann boundary then zeroes.  out is then (D values) scale, plus a
     planar addend p if given: the baselines' dual ascent, which this numpy
     code makes for DenoiseProblem.project_dual's reference and fallback.
-    The compiled kernel makes D alone; the kernels that project the ascent
-    form it on the fly with these operations.
+    It is numpy code only: no loop stores D v, and the kernels that need
+    it (pedi's dual step, the baselines' projections, the metric and H1
+    sums) form it on the fly with these operations.
     """
     if out is None:
         out = np.empty((2,) + values.shape)
-    if kernels.PATH == "c" and addend is None and scale == 1.0:
-        try:
-            kernels.ext.grad(values, out)
-            return out
-        except ValueError:
-            pass
     g1f = _flat(out[1])
     vf = values.reshape(-1)
     np.subtract(values[1:, :], values[:-1, :], out=out[0, :-1, :])
@@ -182,25 +179,27 @@ def _grad_adjoint(
     same order as the 2-d column slices, so the result is exact for any
     field, whatever its boundary columns hold.  The product with scale comes
     last; with an (n1, n2) minuend m, which must not overlap out, out is
-    then m minus that product times step: pedi's x - tau K* y and
-    dual_fb's x = z - D* p.  With z and x_bar as well, out is then pdhgm's
+    then m minus that product times step: pedi's x - tau K* y (the
+    reference of its fused primal step), and dual_fb's x = z - D* p and
+    dual_value's z - D* p.  With z and x_bar as well, out is then pdhgm's
     primal step, the prox ((m - step D* p) + z step) / (1 + step) of that
     point, and x_bar its extrapolation (out - m) theta + out; x_bar may
     overlap no other argument.  out, the minuend, z and x_bar may also be
     flat, the row-major flattening of an (n1, n2) array.  The compiled
-    kernel makes all of it in D*'s pass.
+    kernel runs the two forms the baselines' loops take, in D*'s pass:
+    m - D* p (scale and step 1) and pdhgm's step (scale 1).  Every other
+    form is numpy code only.
     """
     if out is None:
         out = np.empty(planes.shape[1:])
-    if kernels.PATH == "c":
+    if kernels.PATH == "c" and minuend is not None and scale == 1.0:
         try:
-            if minuend is None:
-                kernels.ext.grad_adjoint(planes, out, scale)
-            elif z is None:
-                kernels.ext.grad_adjoint(planes, out, minuend, scale, step)
-            else:
-                kernels.ext.grad_adjoint(planes, out, minuend, z, x_bar, scale, step, theta)
-            return out
+            if z is not None:
+                kernels.ext.grad_adjoint(planes, out, minuend, z, x_bar, step, theta)
+                return out
+            if step == 1.0:
+                kernels.ext.grad_adjoint(planes, out, minuend)
+                return out
         except ValueError:
             pass
     g0, g1 = planes[0], planes[1]
@@ -348,11 +347,11 @@ class DenoiseProblem:
     def dual_value(self, p: np.ndarray) -> float:
         """Dual objective (1/2)||z||^2 - (1/2)||z - D* p||^2 at a field p.
 
-        (1/2)||z||^2 is the cached half_z2.
+        (1/2)||z||^2 is the cached half_z2, and z - D* p is _grad_adjoint's
+        minuend form, the one dual_fb's loop takes.
         """
         planes = _planes(np.asarray(p, dtype=float).reshape(self.shape + (2,)))
-        r = _grad_adjoint(planes).reshape(-1)
-        np.subtract(self.z.flat(), r, out=r)
+        r = _grad_adjoint(planes, minuend=self.z.values).reshape(-1)
         return self.half_z2 - 0.5 * float(np.square(r, out=r).sum())
 
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
@@ -367,15 +366,15 @@ class DenoiseProblem:
         """Project a field (n1, n2, 2) onto the dual constraint ||p|| <= alpha.
 
         Per-pixel for TV, globally for H1.  Writes into out, a field of the
-        same shape that may be p itself, if given; planar-backed fields
-        (views of (2, n1, n2) buffers) are the fast layout.  With
-        ascent = (v, s), v an (n1, n2) image and s a step, it projects the
-        ascent p + s D v instead, formed as _grad(v, scale=s, addend=p)
-        forms it: the baselines' whole dual step.  In place, out=p, the
-        compiled kernels make that step storing no ascent: one pass on TV,
-        and on H1 a sum of the ascent's squares formed on the fly followed
-        by the write.  Any other out, and the numpy path, take the
-        reference: the ascent in a field of its own, then its projection.
+        same shape that may be p itself, if given.  With ascent = (v, s), v
+        an (n1, n2) image and s a step, it projects the ascent p + s D v
+        instead, formed as _grad(v, scale=s, addend=p) forms it: the
+        baselines' whole dual step.  Only that step in place, out=p on a
+        planar-backed field (a view of a (2, n1, n2) buffer), calls a
+        kernel, which stores no ascent: one pass on TV, and on H1 a sum of
+        the ascent's squares formed on the fly followed by the write.  Every
+        other call, and the numpy path, take the numpy reference: the
+        ascent in a field of its own, then its projection.
         """
         in_place = out is p
         p = np.asarray(p, dtype=float)
@@ -404,12 +403,6 @@ class DenoiseProblem:
                     pass
             planes = _grad(v, scale=s, addend=planes)
         if self.variant == "tv":
-            if kernels.PATH == "c":
-                try:
-                    kernels.ext.project_tv(planes, out_planes, self.alpha, floor)
-                    return result
-                except ValueError:
-                    pass
             scale = np.einsum("kij,kij->ij", planes, planes)
             np.sqrt(scale, out=scale)
             np.maximum(scale, floor, out=scale)
@@ -417,15 +410,7 @@ class DenoiseProblem:
             np.multiply(planes, scale, out=out_planes)
         else:
             nrm = _field_norm(planes)
-            inside = nrm <= self.alpha
-            if kernels.PATH == "c":
-                try:
-                    # scale copies when its factor is 1, as copyto does
-                    kernels.ext.scale(planes, out_planes, 1.0 if inside else self.alpha / nrm)
-                    return result
-                except ValueError:
-                    pass
-            if inside:
+            if nrm <= self.alpha:
                 np.copyto(out_planes, planes)
             else:
                 np.multiply(planes, self.alpha / nrm, out=out_planes)
@@ -594,7 +579,7 @@ def synthetic_image(n1: int, n2: int) -> ImageGrid:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One logged solver iteration, dB values clamped at DB_CLAMP."""
+    """One logged solver iteration, dB values clamped at DB_CLAMP and NaN where the metric is NaN."""
 
     iter: int
     wall_seconds: float
@@ -604,14 +589,24 @@ class IterationRecord:
 
 
 def _db(ratio_num: float, ratio_den: float) -> float:
+    """10 log10(num / den), clamped below at DB_CLAMP; DB_CLAMP for a ratio not positive, NaN for a NaN one."""
     if ratio_num <= 0.0 or ratio_den <= 0.0:
         return DB_CLAMP
-    return max(DB_CLAMP, 10.0 * math.log10(ratio_num / ratio_den))
+    ratio = ratio_num / ratio_den
+    if ratio == 0.0:
+        # underflowed, far below the clamp; log10 would raise
+        return DB_CLAMP
+    db = 10.0 * math.log10(ratio)
+    # max(DB_CLAMP, db) would clamp a NaN too, logging it as convergence
+    return DB_CLAMP if db < DB_CLAMP else db
 
 
 @dataclass(frozen=True)
 class Target:
-    """The per-run constants of metrics: a target solution x, ||x||^2 and its objective value."""
+    """The per-run constants of metrics: a target solution x, ||x||^2 and its objective value.
+
+    Target.of rejects an x that is not finite or whose norm is 0.
+    """
 
     x: np.ndarray
     norm2: float
@@ -620,6 +615,8 @@ class Target:
     @classmethod
     def of(cls, problem: DenoiseProblem, x: np.ndarray) -> "Target":
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("target x must be finite")
         norm2 = float(np.sum(x**2))
         if norm2 == 0.0:
             raise ValueError("degenerate target: ||target_x|| = 0")
@@ -674,8 +671,8 @@ def metrics(
     that allocates no image-sized array; otherwise objective, dual_value
     and a residual compute them.  Both give the same record bit for bit.
     """
-    if gap0 <= 0.0:
-        raise ValueError("gap0 must be positive")
+    if not 0.0 < gap0 < math.inf:
+        raise ValueError("gap0 must be positive and finite")
     sums = _metric_sums(x, p, problem, target)
     if sums is None:
         val = problem.objective(x)

@@ -14,33 +14,45 @@ creates in a private directory, never by changing the umask.
 PATH names the path the solvers take: "c" when the extension loaded, and
 otherwise "numpy (<reason>)", the reason being a missing compiler, the
 compiler's error text or a cache directory that is not writable.  No option
-selects the path.  Every function that calls a kernel keeps the numpy code
-it replaces, which runs on the numpy path and for arrays a kernel rejects
-(non-contiguous, not float64, overlapping), and which the tests use as the
-reference: both compute every element with the same operations in the same
-order, so their results are bit-identical.  Kernels fold neighbouring
-elementwise passes into their own: grad_adjoint makes dual_fb's
-x = z - D* p and pdhgm's whole primal step, its prox and extrapolation, and
-primal_step makes pedi's whole primal step, which the numpy code runs as
-_grad_adjoint's x - tau K* y, then prox_G and _sumsq's ||x||^2.  The fused
-passes of pedi's dual step (tv_dual on TV,
-h1_dual on H1) replace several such functions at once: K's _grad, then
-pedi's _tail_norms and _dual_update and the soc rule's np.min, which the
-lifted apply_K runs in that order on the numpy path.  tv_dual keeps K x in
-registers; h1_dual forms it twice, once for its one block's norm and once
-to write y.  Both store K x, with d's heads, only on the final iteration.
-The baselines' dual step, DenoiseProblem.project_dual with an ascent,
-folds the same way: the numpy code's _grad with scale= and addend= and
-then the projection become one call that writes p in place, project_tv's
-one pass on TV, and on H1 scale's sum of the ascent's squares formed on
-the fly followed by its write.  tv_dual's minimum is exact in any
-order, and the kernels that sum -- imaging.metrics' pass,
-primal_step's ||x||^2 for pedi's finiteness check, and the sum of squares
-of a gradient formed on the fly (h1_dual's norm, H1's regularizer and the
-baselines' H1 ascent) -- add their terms in the pairwise order in which
-numpy's .sum() adds a float64 array, so no BLAS takes part.  In the C source one
-stencil forms D for every kernel that needs it, and one tree walker,
-specialised per leaf, adds every sum.
+selects the path.  A kernel form exists only for a stage that a solver
+iteration or a logged row runs, and a one-off evaluation (D alone, D*
+alone, a projection into another out) runs the numpy reference unless it
+shares such a form, as dual_value shares dual_fb's z - D* p.  Every
+function that calls a kernel keeps the numpy code it replaces, which runs
+on the numpy path and for arrays a kernel rejects (non-contiguous, not
+float64, overlapping), and which the tests use as the reference: both
+compute every element with the same operations in the same order, so their
+results are bit-identical.  The eight kernels, ten forms in all, each make
+one stage whole, folding neighbouring elementwise passes into their own:
+
+* grad_adjoint(g, out, m) makes dual_fb's x = z - D* p, which dual_value
+  shares, and grad_adjoint(g, out, m, z, xb, t, theta) pdhgm's whole
+  primal step, its prox and extrapolation, in D*'s pass;
+* primal_step makes pedi's whole primal step, which the numpy code runs
+  as _grad_adjoint's x - tau K* y, then prox_G and _sumsq's ||x||^2;
+* tv_dual (TV) and h1_dual (H1) make pedi's whole dual step, which the
+  lifted apply_K runs on the numpy path as K's _grad, then pedi's
+  _tail_norms and _dual_update and the soc rule's np.min.  tv_dual keeps
+  K x in registers; h1_dual forms it twice, once for its one block's norm
+  and once to write y.  Both store K x, with d's heads, only on the final
+  iteration;
+* project_tv(v, p, alpha, floor, s) (TV) and scale(v, p, alpha, s) (H1)
+  make the baselines' dual step, DenoiseProblem.project_dual with an
+  ascent in place, which the numpy code runs as _grad with scale= and
+  addend= and then the projection: project_tv in one pass, scale as a sum
+  of the ascent's squares formed on the fly followed by its write;
+* scale(p, out, s) makes unlifted_dual's p = 2 tail(y), the CLI's logged
+  pedi dual field;
+* grad_sumsq makes H1's regularizer, and metric_sums a logged row's four
+  sums (imaging.metrics).
+
+tv_dual's minimum is exact in any order, and the kernels that sum --
+metric_sums, primal_step's ||x||^2 for pedi's finiteness check, and the
+sum of squares of a gradient formed on the fly (h1_dual's norm, H1's
+regularizer and the baselines' H1 ascent) -- add their terms in the
+pairwise order in which numpy's .sum() adds a float64 array, so no BLAS
+takes part.  In the C source one stencil forms D for every kernel that
+needs it, and one tree walker, specialised per leaf, adds every sum.
 
 THREADS is the number of threads a large kernel call is split across,
 the caller included: one per CPU in the process's affinity mask (so

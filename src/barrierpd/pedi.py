@@ -15,8 +15,9 @@ the first iteration and updated in place, and builds
 :class:`~barrierpd.jordan.BlockConeVector` values only at its edge: one
 read-only view for the callback and copies for the result.
 
-Two step-size regimes are provided: a general rule giving O(1/N)
-squared-distance decay, and a second-order-cone rule whose monotonicity lower
+Two step-size regimes are provided: a general rule giving O(1/N^2)
+squared-distance decay (phi_N grows like N^2 and bounds ||x^N - x_hat||^2
+by O(1/phi_N)), and a second-order-cone rule whose monotonicity lower
 bound grows with ||K x^i||, giving linear convergence when the optimal K x is
 nonzero.
 """
@@ -386,7 +387,10 @@ def pedi_run(
     weight mu_{i+1} and c = -K x^i, advance the step scalars with the
     configured rule, then take the primal proximal step
     x^{i+1} = prox_{tau_i G}(x^i - tau_i K* y^{i+1}).  The dual iterates are
-    strictly interior and exactly feasible at every iteration.  The config
+    exactly feasible at every iteration, and strictly interior while
+    mu_{i+1} > 0: once mu underflows to 0 the solve may land on the cone's
+    boundary (at 256 x 256 H1 the soc rule reaches lambda_min(y) = 0.0),
+    and nothing checks or prevents it.  The config
     must fit the problem: the same b0, a gamma no larger and an opnorm_K no
     smaller than the problem's, and a zeta in the step rule's range, and
     max_iters must be at least 1; otherwise ConfigError is raised before the

@@ -1,14 +1,16 @@
 import json
+import math
 import os
 import time
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from barrierpd import kernels
+from barrierpd import cli, kernels
 from barrierpd.cli import SOLVERS, main
-from barrierpd.imaging import synthetic_image
+from barrierpd.imaging import DenoiseProblem, synthetic_image
 from barrierpd.pgm import write_pgm
 
 
@@ -115,6 +117,69 @@ def test_target_cache_collision_refused(workdir):
     assert r.exit_code != 0
     assert "collision" in r.output
     path.unlink()
+
+
+def write_target(out, image, x):
+    """A cached target x under the key of the problem target_args names, written by hand."""
+    key = cli._problem_key(image, "tv", 0.01, 0.0, 1)
+    out.mkdir(parents=True, exist_ok=True)
+    np.savez(cli._target_path(out, cli._key_hash(key)), x=x, config=json.dumps(key, sort_keys=True))
+
+
+def target_args(image, out):
+    return ["--image", str(image), "--variant", "tv", "--alpha", "0.01", "--seed", "1", "--out", str(out)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.ones(10), "holds 10 entries, expected 64"),
+    (np.ones(65), "holds 65 entries, expected 64"),
+    (np.where(np.arange(64) == 5, np.nan, 1.0), "must be finite"),
+    (np.where(np.arange(64) == 5, np.inf, 1.0), "must be finite"),
+], ids=["short", "long", "nan", "inf"])
+def test_a_bad_cached_target_is_a_click_error(tmp_path, bad, message):
+    # a short target ended run with a broadcasting traceback, and a NaN one
+    # was accepted and logged -320 dB, perfect convergence, on every row
+    write_pgm(synthetic_image(8, 8), tmp_path / "img.pgm")
+    out = tmp_path / "out"
+    write_target(out, tmp_path / "img.pgm", bad)
+    r = invoke(["run", *target_args(tmp_path / "img.pgm", out), "--solvers", "dual-fb", "--iters", "5",
+                "--target", "load"])
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert message in r.output
+    assert list(out.glob("*.csv")) == []
+    # a good target of the right size runs, and an (8, 8) one is read as the primal vector it holds
+    for good in (np.ones(64), np.ones((8, 8))):
+        write_target(out, tmp_path / "img.pgm", good)
+        r = invoke(["run", *target_args(tmp_path / "img.pgm", out), "--solvers", "dual-fb", "--iters", "5",
+                    "--target", "load"])
+        assert r.exit_code == 0, r.output
+    if bad.size != 64:
+        write_target(out, tmp_path / "img.pgm", bad)
+        r = invoke(["make-target", *target_args(tmp_path / "img.pgm", out)])
+        assert isinstance(r.exception, SystemExit) and message in r.output
+
+
+def test_a_cached_target_without_x_is_a_click_error(tmp_path):
+    # it used to end run with a KeyError traceback
+    write_pgm(synthetic_image(8, 8), tmp_path / "img.pgm")
+    out = tmp_path / "out"
+    write_target(out, tmp_path / "img.pgm", np.ones(64))
+    (path,) = out.glob("target_*.npz")
+    with np.load(path) as npz:
+        config = str(npz["config"])
+    np.savez(path, config=config)
+    r = invoke(["run", *target_args(tmp_path / "img.pgm", out), "--solvers", "dual-fb", "--iters", "5",
+                "--target", "load"])
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "lacks its config or x" in r.output
+
+
+def test_target_gate_fails_a_nan_gap(monkeypatch):
+    dp = DenoiseProblem(synthetic_image(8, 8), 0.01, "tv")
+    monkeypatch.setattr(DenoiseProblem, "duality_gap", lambda self, x, p: math.nan)
+    with pytest.raises(click.ClickException, match="quality gate"):
+        cli._compute_target(dp, 5)
 
 
 def test_load_without_cache_fails(workdir, tmp_path):

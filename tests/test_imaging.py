@@ -436,6 +436,28 @@ def test_metrics_rejects_degenerate_target(rng):
         metrics(np.zeros(16), np.zeros((4, 4, 2)), dp, Target.of(dp, np.ones(16)), 0.0)
 
 
+def test_metrics_log_a_nan_as_nan(rng):
+    # max(DB_CLAMP, nan) is DB_CLAMP: a NaN metric used to read -320 dB,
+    # perfect convergence
+    dp = DenoiseProblem(rand_grid(rng, 4, 4, scale=10.0), 0.5, "tv")
+    target = Target.of(dp, dp.z.flat() * 0.9)
+    x = dp.z.flat() * 0.9
+    x[5] = np.nan
+    rec = metrics(x, np.zeros((4, 4, 2)), dp, target, 1.0)
+    assert math.isnan(rec.gap_db) and math.isnan(rec.target_db) and math.isnan(rec.value_db)
+    assert imaging._db(math.nan, 1.0) != imaging._db(math.nan, 1.0)
+    assert imaging._db(1e-40, 1.0) == DB_CLAMP and imaging._db(0.0, 1.0) == DB_CLAMP
+    # a quotient that underflows to 0 used to raise from math.log10
+    assert imaging._db(5e-324, 4.0) == DB_CLAMP
+    for gap0 in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="gap0"):
+            metrics(x, np.zeros((4, 4, 2)), dp, target, gap0)
+    for bad in (np.nan, np.inf, -np.inf):
+        x[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Target.of(dp, x)
+
+
 def test_synthetic_image_range():
     img = synthetic_image(32, 32)
     assert img.values.min() == 0.0

@@ -96,30 +96,47 @@ def assert_identical(c, ref):
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_gradient_pair(monkeypatch, rng, shape):
-    v, planes = special(rng, shape), special(rng, (2,) + shape)
-    c, ref = on_both_paths(monkeypatch, lambda v, out: _grad(v, out), v, np.full((2,) + shape, 7.0))
-    assert_identical(c, ref)
-    for scale in (1.0, 2.0):
-        c, ref = on_both_paths(monkeypatch, lambda g, out: _grad_adjoint(g, out, scale), planes, np.empty(shape))
+    # D*'s minuend form, dual_fb's x = z - D* p, with (n1, n2) and flat
+    # arrays; then dual_value's z - D* p and the duality gap, which take
+    # that form too, on special values in p and x
+    n = shape[0] * shape[1]
+    planes, m = special(rng, (2,) + shape), special(rng, shape)
+    with np.errstate(all="ignore"):
+        want = m - _grad_adjoint(planes)
+    for layout in (shape, (n,)):
+        stage = lambda g, out, m: _grad_adjoint(g, out, minuend=m)  # noqa: E731
+        c, ref = on_both_paths(monkeypatch, stage, planes, np.full(layout, 7.0), m.reshape(layout))
         assert_identical(c, ref)
-        # dual_fb's x = z - D* p in the same pass
-        stage = lambda g, out, m: _grad_adjoint(g, out, scale, minuend=m)  # noqa: E731
-        c, ref = on_both_paths(monkeypatch, stage, planes, np.empty(shape), special(rng, shape))
-        assert_identical(c, ref)
+        assert identical(c[1], want.reshape(layout))
+    rec = Recorder(kernels.ext)
+    monkeypatch.setattr(kernels, "ext", rec)
+    for variant in VARIANTS:
+        dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.4, variant)
+        for x, p in ((rng.standard_normal(n), special(rng, (2,) + shape)),
+                     (special(rng, n), rng.standard_normal((2,) + shape))):
+            # planar-backed fields, as the solvers' results are
+            c, ref = on_both_paths(monkeypatch, lambda p: dp.dual_value(imaging._field(p)), p)
+            assert_identical(c[-1:], ref[-1:])
+            with np.errstate(all="ignore"):
+                r = dp.z.values - _grad_adjoint(p)
+                assert identical(c[-1], dp.half_z2 - 0.5 * float(np.square(r).sum()))
+            c, ref = on_both_paths(monkeypatch, lambda x, p: dp.duality_gap(x, imaging._field(p)), x, p)
+            assert_identical(c[-1:], ref[-1:])
+    monkeypatch.setattr(kernels, "ext", rec.ext)
+    # on the compiled path every dual value's D* and H1's regularizer ran compiled
+    assert rec.rejected == [] and rec.calls == {"grad_adjoint": 8, "grad_sumsq": 2}
 
 
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
-    # the ascent (D v) s + p, which the projection kernels form on the fly,
-    # and pedi's x - tau K* y in D*'s pass, on special values in every argument
-    v, planes, p, m = special(rng, shape), special(rng, (2,) + shape), special(rng, (2,) + shape), special(rng, shape)
+    # pdhgm's prox and extrapolation in D*'s pass, on special values in
+    # every argument, at steps that include 1, whose product the numpy code
+    # skips, and inf
+    planes, m, z = special(rng, (2,) + shape), special(rng, shape), special(rng, shape)
     for s in (0.3, 1.0, 1e-300, 7.0, np.inf):
-        stage = lambda v, out, p: _grad(v, out, scale=s, addend=p)  # noqa: E731
-        c, ref = on_both_paths(monkeypatch, stage, v, np.full((2,) + shape, 7.0), p)
-        assert_identical(c, ref)
-        stage = lambda g, out, m: _grad_adjoint(g, out, 2.0, minuend=m, step=s)  # noqa: E731
-        c, ref = on_both_paths(monkeypatch, stage, planes, np.empty(shape), m)
+        stage = lambda g, out, m, z, xb: _grad_adjoint(g, out, minuend=m, step=s, z=z, x_bar=xb, theta=0.8)  # noqa: E731
+        c, ref = on_both_paths(monkeypatch, stage, planes, np.empty(shape), m, z, np.full(shape, 7.0))
         assert_identical(c, ref)
 
 
@@ -343,16 +360,16 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
     stage = lambda p, out: dp.project_dual(imaging._field(p), out=imaging._field(out))  # noqa: E731
     c, ref = on_both_paths(monkeypatch, stage, planes, np.empty_like(planes))
     assert_identical(c[:2], ref[:2])
-    check_ascent(monkeypatch, dp, special(rng, shape), planes, {"project_tv": 2})
+    check_ascent(monkeypatch, dp, special(rng, shape), planes, {"project_tv": 1})
 
 
 def check_ascent(monkeypatch, dp, v, planes, calls):
     """The baselines' dual step P(p + s D v) through project_dual on both paths, in place and into another out.
 
     Both must give the projection of _grad's ascent bit for bit.  The
-    compiled path makes the step in place with one kernel call, and
-    another out with the ascent's numpy code and the projection's kernels:
-    calls, per step s, without a rejected array.
+    compiled path makes the step in place with one kernel call, calls per
+    step s, without a rejected array; another out takes the numpy
+    reference, the ascent and then its projection.
     """
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
@@ -450,7 +467,7 @@ def test_h1_project_dual_ascent(monkeypatch, rng, shape):
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
         for args in ((v, planes), (special(rng, shape), planes), (v, special(rng, (2,) + shape))):
-            check_ascent(monkeypatch, dp, *args, {"scale": 2})
+            check_ascent(monkeypatch, dp, *args, {"scale": 1})
 
 
 @needs_c
@@ -576,7 +593,9 @@ def test_metrics_on_both_paths(monkeypatch, rng, shape, variant):
              (x, planes, special(rng, n))]
     for x, planes, xhat in cases:
         with np.errstate(all="ignore"):
-            target = Target.of(dp, xhat)
+            # Target.of rejects a non-finite x; the record is built directly
+            # so that the kernel still meets special values in the target
+            target = Target(xhat, float(np.sum(xhat**2)), dp.objective(xhat))
 
         def stage(x, planes):
             return metrics(x, imaging._field(planes), dp, target, 3.0, iter=7, wall_seconds=0.5)
@@ -662,13 +681,14 @@ class Recorder:
     """Stands in for the extension module, counting calls and rejected arguments."""
 
     def __init__(self, ext):
-        self.ext, self.calls, self.rejected = ext, {}, []
+        self.ext, self.calls, self.rejected, self.forms = ext, {}, [], set()
 
     def __getattr__(self, name):
         fn = getattr(self.ext, name)
 
         def call(*args):
             self.calls[name] = self.calls.get(name, 0) + 1
+            self.forms.add((name, len(args)))
             try:
                 return fn(*args)
             except ValueError as exc:
@@ -726,22 +746,38 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     assert rec.calls == {"grad_adjoint": 10, "h1_dual": 10, "primal_step": 10, "scale": 10}
 
 
+def documented_forms(ext) -> set:
+    """(kernel, argument count) of every call form the kernels' docstrings list."""
+    forms = set()
+    for name in dir(ext):
+        fn = getattr(ext, name)
+        if callable(fn) and not name.startswith("_"):
+            forms |= {(name, len(args.split(","))) for args in re.findall(rf"\b{name}\(([^)]*)\)", fn.__doc__)}
+    return forms
+
+
 @needs_c
 def test_every_kernel_is_reached(monkeypatch):
-    # a kernel that no stage calls any more is dead code: fold or delete it
+    # a kernel, or a form of one, that no loop or logged row calls is dead
+    # code: fold or delete it.  The workload is the CLI's: all four solvers,
+    # pedi's dual field unlifted as its callback does, and the metrics
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
     for variant, alpha in (("tv", 0.3), ("h1", 5.0)):
         dp = DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 3), alpha, variant)
         sp = dp.saddle_problem()
+        p = imaging._field(np.empty((2,) + dp.shape))
         for rule in ("general", "soc"):
-            pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 3, step_rule=rule)
+            pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 3, step_rule=rule,
+                     callback=lambda i, x, y, *_: dp.unlifted_dual(y, out=p))
         res = pdhgm_run(dp, BaselineConfig.default_for(dp, 3))
         dual_fb_run(dp, 3)
         metrics(res.x, res.p, dp, Target.of(dp, dp.z.flat()), 1.0)
     exported = {name for name in dir(rec.ext) if callable(getattr(rec.ext, name)) and not name.startswith("_")}
+    forms = documented_forms(rec.ext)
     assert rec.rejected == []
-    assert set(rec.calls) == exported
+    assert {name for name, _ in forms} == exported
+    assert rec.forms == forms
 
 
 # ---------------------------------------------------------------------------
@@ -752,36 +788,42 @@ def test_every_kernel_is_reached(monkeypatch):
 def test_kernels_reject_without_writing(rng):
     ext = kernels.ext
     v = rng.standard_normal((4, 5))
-    bad_outs = {
-        "not contiguous": np.full((2, 4, 6), 7.0)[:, :, :5],
-        "float32": np.full((2, 4, 5), 7.0, dtype=np.float32),
-        "read-only": np.full((2, 4, 5), 7.0),
-        "wrong shape": np.full((2, 5, 4), 7.0),
-    }
-    bad_outs["read-only"].flags.writeable = False
-    for why, out in bad_outs.items():
-        before = out.copy()
-        with pytest.raises(ValueError):
-            ext.grad(v, out)
-        assert np.array_equal(out, before), why
-    with pytest.raises(ValueError):
-        ext.grad(v.T, np.empty((2, 5, 4)))
+    # the checks every wrapper shares, on tv_dual's K x and on the
+    # baselines' p, which project_tv writes in place
+    d0, y = np.full(20, 7.0), np.full((2, 20), 7.0)
+    writes = {"tv_dual's kx": lambda out: ext.tv_dual(v, out, d0, y, 1.0, 0.5, True),
+              "project_tv's p": lambda out: ext.project_tv(v, out, 1.0, 1.0, 0.5)}
+    for what, write in writes.items():
+        bad_outs = {
+            "not contiguous": np.full((2, 4, 6), 7.0)[:, :, :5],
+            "float32": np.full((2, 4, 5), 7.0, dtype=np.float32),
+            "read-only": np.full((2, 4, 5), 7.0),
+            "wrong shape": np.full((2, 5, 4), 7.0),
+        }
+        bad_outs["read-only"].flags.writeable = False
+        for why, out in bad_outs.items():
+            before = out.copy()
+            with pytest.raises(ValueError):
+                write(out)
+            assert np.array_equal(out, before), (what, why)
+    assert np.all(d0 == 7.0) and np.all(y == 7.0)
     # an image may be flat, of n1 n2 entries exactly
+    g = rng.standard_normal((2, 4, 5))
     for flat in (v.reshape(-1)[:19].copy(), rng.standard_normal(21), v.reshape(1, -1)):
-        out = np.full((2, 4, 5), 7.0)
+        p, x = np.full((2, 4, 5), 7.0), np.full((4, 5), 7.0)
         with pytest.raises(ValueError):
-            ext.grad(flat, out)
+            ext.project_tv(flat, p, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            ext.grad_adjoint(rng.standard_normal((2, 4, 5)), flat.copy(), 1.0)
-        assert np.all(out == 7.0)
-    with pytest.raises(ValueError):
-        ext.grad(v.astype(np.float32), np.empty((2, 4, 5)))
+            ext.grad_adjoint(g, flat.copy(), v)
+        with pytest.raises(ValueError):
+            ext.grad_adjoint(g, x, flat)
+        assert np.all(p == 7.0) and np.all(x == 7.0)
     # an output overlapping an input
     buf = rng.standard_normal(3 * 20)
     with pytest.raises(ValueError):
-        ext.project_tv(buf[:40].reshape(2, 20), buf[20:60].reshape(2, 20), 1.0, 1.0)
+        ext.grad_adjoint(buf[:40].reshape(2, 4, 5), buf[30:50].reshape(4, 5), buf[40:60].reshape(4, 5))
     with pytest.raises(ValueError):
-        ext.grad_adjoint(buf[:40].reshape(2, 4, 5), buf[30:50].reshape(4, 5), buf[:20].reshape(4, 5), 2.0, 0.5)
+        ext.grad_adjoint(g, buf[:20].reshape(4, 5), buf[10:30].reshape(4, 5))
     # the baselines' dual step writes p in place: each of these leaves it unwritten
     p = np.full((2, 4, 5), 7.0)
     for project in (lambda v, p: ext.project_tv(v, p, 1.0, 1.0, 0.5), lambda v, p: ext.scale(v, p, 1.0, 0.5)):
@@ -797,8 +839,6 @@ def test_kernels_reject_without_writing(rng):
             with pytest.raises(ValueError):
                 project(w, q)
             assert np.all(q == 7.0) and np.all(p == 7.0), why
-    with pytest.raises(ValueError):
-        ext.project_tv(np.empty((4, 5)), np.empty((4, 5)), 1.0, 1.0)
     # pedi's primal step writes x in place: each of these leaves it unwritten
     y, z = rng.standard_normal((2, 4, 5)), rng.standard_normal(20)
     x = np.full(20, 7.0)
@@ -864,16 +904,15 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     def rejected():
         q = p.copy()
         return [
-            _grad(v.astype(np.float32)),
-            _grad(np.asfortranarray(v)),
-            _grad_adjoint(planes[:, :, ::-1].copy()[:, :, ::-1], scale=2.0),
-            # an interleaved field, projected in place
-            dp.project_dual(q, out=q),
-            # a reversed x, not C-contiguous: the fused pass and D reject it
+            # strided planes, x = z - D* p as dual_fb makes it
+            _grad_adjoint(planes[:, :, ::-1].copy()[:, :, ::-1], minuend=v),
+            # the baselines' dual step in place on an interleaved field
+            dp.project_dual(q, out=q, ascent=(v, 0.3)),
+            # a reversed x, not C-contiguous: the fused pass rejects it
             *dual_update(x[::-1]),
             dp.saddle_problem().prox_G(v.reshape(-1)[::-1], 0.3),
-            # float32 y tails: the fused primal step and the reference's D*
-            # kernel reject them, and numpy's D* runs
+            # float32 y tails: the fused primal step rejects them, and the
+            # numpy reference runs
             *primal_step(dp.saddle_problem(), y32, x.copy(), 0.3),
             # the norm of an interleaved field, summed in planar order
             imaging._field_norm(imaging._planes(p)),
@@ -887,7 +926,7 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     monkeypatch.setattr(kernels, "ext", rec)
     got = rejected()
     assert [name for name, _ in rec.rejected] == [
-        "grad", "grad", "grad_adjoint", "project_tv", "tv_dual", "grad", "primal_step", "grad_adjoint",
+        "grad_adjoint", "project_tv", "tv_dual", "primal_step",
         # dual_value's D* rejects the interleaved and strided fields; it
         # takes a float64 copy of the float32 one, planar like the field
         "metric_sums", "grad_adjoint", "metric_sums", "metric_sums", "grad_adjoint"]
