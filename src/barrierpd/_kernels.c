@@ -24,8 +24,8 @@
  * final iterate's are read.  The baselines' whole dual step, the projection
  * of the ascent p + s D v, is one call in the same way, writing p in place
  * and storing no ascent: on TV project_tv forms and projects each pixel's
- * ascent in one visit; on H1 scale sums the ascent's squares formed on the
- * fly and then writes it, scaled, with ascend.  Every kernel that forms D
+ * ascent in one visit; on H1 project_h1 sums the ascent's squares formed on
+ * the fly and then writes it, scaled, with ascend.  Every kernel that forms D
  * does so through one stencil, STENCIL, and every sum walks numpy's tree
  * through one walker, WALKER, over a leaf.
  *
@@ -260,13 +260,6 @@ KERNEL static void project_tv(const double *restrict v, double *restrict p0, dou
         p0[k] = a0 * r;
         p1[k] = a1 * r;
     });
-}
-
-/* out = p s: unlifted_dual's p = 2 tail(y). */
-KERNEL static void scale(const double *restrict p, double *restrict out, idx n, double s)
-{
-    for (idx k = 0; k < n; k++)
-        out[k] = p[k] * s;
 }
 
 /* ----- the worker pool --------------------------------------------------- */
@@ -641,7 +634,7 @@ static double pairwise(Job *j, Walk *walk, idx n, idx pixels)
 
 /* ----- tasks ------------------------------------------------------------- */
 
-/* Units are rows, but entries for scale. */
+/* Units are rows. */
 static void t_ascend(Job *j, idx lo, idx hi, int c)
 {
     ascend(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[1], j->s[2]);
@@ -671,11 +664,6 @@ static void t_project_tv(Job *j, idx lo, idx hi, int c)
 {
     project_tv(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[0], j->s[1],
                j->s[2]);
-}
-
-static void t_scale(Job *j, idx lo, idx hi, int c)
-{
-    scale(j->a[0] + lo, j->a[1] + lo, hi - lo, j->s[0]);
 }
 
 /* ----- wrappers ---------------------------------------------------------- */
@@ -728,18 +716,6 @@ static int unpack(Bufs *bs, Job *j, PyObject *const *args, Py_ssize_t nargs, con
             return 0;
     }
     return 1;
-}
-
-/* 1 if all buffers have one nonempty shape, else 0 with ValueError. */
-static int same_shape(const Bufs *bs)
-{
-    const Py_buffer *a = &bs->b[0];
-    for (int i = 1; i < bs->n; i++) {
-        const Py_buffer *b = &bs->b[i];
-        if (b->ndim != a->ndim || (a->ndim && memcmp(b->shape, a->shape, a->ndim * sizeof *a->shape)))
-            return fail("array shapes differ");
-    }
-    return a->len > 0 || fail("empty arrays");
 }
 
 /* 1 if buffer f is a nonempty (2, n1, n2) field, which sets the job's n1
@@ -845,27 +821,24 @@ WRAPPER(project_tv)
     return finish(&bs);
 }
 
-/* scale(p, out, s): out = p s on gradient fields of two entries per pixel;
- * or scale(v, p, alpha, s), the baselines' dual step on H1, which projects
- * a = p + s D v onto the ball of radius alpha into p itself: v an (n1, n2) image, p a (2, n1, n2) field.  It sums the
- * squares of a formed on the fly, as np.square(a).sum() adds them, and
- * then writes a times alpha / ||a||, or a itself when ||a|| <= alpha, as
+/* project_h1(v, p, alpha, s), the baselines' dual step on H1, which
+ * projects a = p + s D v onto the ball of radius alpha into p itself: v an
+ * (n1, n2) image, p a (2, n1, n2) field.  It sums the squares of a formed
+ * on the fly, as np.square(a).sum() adds them, and then writes a times
+ * alpha / ||a||, or a itself when ||a|| <= alpha, as
  * DenoiseProblem.project_dual does. */
-WRAPPER(scale)
+WRAPPER(project_h1)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (nargs == 4) {
-        if (unpack(&bs, &j, args, nargs, "rw", 2) && image_and_field(&bs, 0, 1, &j)) {
-            idx n = j.n1 * j.n2;
-            /* add.reduce starts from its identity, 0 */
-            double r = sqrt(0.0 + pairwise(&j, walk_ascent_sumsq, 2 * n, n)), alpha = j.s[0];
-            /* the factor t_ascend reads */
-            j.s[2] = r <= alpha ? 1.0 : alpha / r;
-            run(&j, t_ascend, j.n1, n);
-        }
-    } else if (unpack(&bs, &j, args, nargs, "rw", 1) && same_shape(&bs))
-        run(&j, t_scale, size(&bs, 0), size(&bs, 0) / 2);
+    if (unpack(&bs, &j, args, nargs, "rw", 2) && image_and_field(&bs, 0, 1, &j)) {
+        idx n = j.n1 * j.n2;
+        /* add.reduce starts from its identity, 0 */
+        double r = sqrt(0.0 + pairwise(&j, walk_ascent_sumsq, 2 * n, n)), alpha = j.s[0];
+        /* the factor t_ascend reads */
+        j.s[2] = r <= alpha ? 1.0 : alpha / r;
+        run(&j, t_ascend, j.n1, n);
+    }
     return finish(&bs);
 }
 
@@ -980,8 +953,8 @@ static PyMethodDef methods[] = {
      "tv_dual(v, kx, d0, y, b0, mu, keep) -> min"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
      "project_tv(v, p, alpha, floor, s)"},
-    {"scale", (PyCFunction)(void (*)(void))w_scale, METH_FASTCALL,
-     "scale(p, out, s) or scale(v, p, alpha, s)"},
+    {"project_h1", (PyCFunction)(void (*)(void))w_project_h1, METH_FASTCALL,
+     "project_h1(v, p, alpha, s)"},
     {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,
      "h1_dual(v, kx, d0, y, b0, mu, keep) -> t"},
     {"primal_step", (PyCFunction)(void (*)(void))w_primal_step, METH_FASTCALL,

@@ -4,9 +4,10 @@ Both methods iterate directly on the gradient-field dual variable p with the
 ball constraint ||p|| <= alpha (per pixel for TV, global for H1) -- no cone
 lifting.  They converge to the same primal solution as the interior method
 and serve as references in the benchmark harness.  Like the interior method
-they keep the dual field in a planar (2, n1, n2) buffer and the primal
-iterates in vectors allocated once, updated in place through the same
-gradient code (_grad_adjoint and DenoiseProblem.project_dual).  Those run
+they keep the dual field in a planar (2, n1, n2) buffer, the layout their
+callbacks and results hand out, and the primal iterates in vectors
+allocated once, all updated in place through the same gradient code
+(_grad_adjoint and DenoiseProblem.project_dual).  Those run
 compiled (barrierpd.kernels) whenever pedi's stages do, so timings compare
 the algorithms, not their implementations.  An iteration is two stages.
 The dual step p = P(p + s D v) is one project_dual call with ascent=,
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .imaging import DenoiseProblem, _field, _grad_adjoint
+from .imaging import DenoiseProblem, _grad_adjoint
 # unused here; kept as a module attribute for perfbench's layer trace
 from .imaging import _grad  # noqa: F401
 from .pedi import ConfigError, _readonly
@@ -86,6 +87,8 @@ class BaselineConfig:
 
 @dataclass
 class BaselineResult:
+    """The final primal vector x and planar (2, n1, n2) dual field p."""
+
     x: np.ndarray
     p: np.ndarray
 
@@ -103,24 +106,23 @@ def pdhgm_run(
     the product sigma_i tau_i invariant.
 
     The callback, if given, is invoked as callback(i, x, p, info) after each
-    iteration, with p the (n1, n2, 2) dual field; x and p are borrowed
-    read-only views of the solver's buffers, valid until the callback
-    returns: copy them to keep them.
+    iteration, with p the planar (2, n1, n2) dual field; x and p are
+    borrowed read-only views of the solver's buffers, valid until the
+    callback returns: copy them to keep them.
     """
     n1, n2 = problem.shape
     zf = problem.z.flat()
     z = zf.reshape(n1, n2)
     x_bar = np.zeros((n1, n2))
     p = np.zeros((2, n1, n2))
-    p_field = _field(p)
-    p_view = _readonly(p_field)
+    p_view = _readonly(p)
     # x and the buffer of the next x swap roles every iteration, each with
     # its (n1, n2) view and the read-only view the callback gets
     cur, nxt = [(a.reshape(n1, n2), a, _readonly(a)) for a in (np.zeros_like(zf), np.empty_like(zf))]
     tau, sigma, gamma = config.tau0, config.sigma0, config.gamma
 
     for i in range(config.max_iters):
-        problem.project_dual(p_field, out=p_field, ascent=(x_bar, sigma))
+        problem.project_dual(p, out=p, ascent=(x_bar, sigma))
         theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
         # the prox at x - tau D* p and the extrapolation x_bar, in D*'s pass
         _grad_adjoint(p, out=nxt[0], minuend=cur[0], step=tau, z=z, x_bar=x_bar, theta=theta)
@@ -129,7 +131,7 @@ def pdhgm_run(
         if callback is not None:
             callback(i, cur[2], p_view, {"tau": tau, "sigma": sigma, "theta": theta})
 
-    return BaselineResult(x=cur[1], p=p_field)
+    return BaselineResult(x=cur[1], p=p)
 
 
 def dual_fb_run(
@@ -147,28 +149,27 @@ def dual_fb_run(
     gradient step.
 
     The callback, if given, is invoked as callback(i, x, p, info) after each
-    iteration, with p the (n1, n2, 2) dual field; x and p are borrowed
-    read-only views of the solver's buffers, valid until the callback
-    returns: copy them to keep them.  max_iters must be at least 1, or
-    ConfigError is raised, as BaselineConfig raises it for pdhgm_run.
+    iteration, with p the planar (2, n1, n2) dual field; x and p are
+    borrowed read-only views of the solver's buffers, valid until the
+    callback returns: copy them to keep them.  max_iters must be at least
+    1, or ConfigError is raised, as BaselineConfig raises it for pdhgm_run.
     """
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     n1, n2 = problem.shape
     z = problem.z.values
     p = np.zeros((2, n1, n2))
-    p_field = _field(p)
     # x = z - D* 0, with its (n1, n2) view
     x = problem.z.flat().copy()
     x2 = x.reshape(n1, n2)
-    x_view, p_view = _readonly(x), _readonly(p_field)
+    x_view, p_view = _readonly(x), _readonly(p)
     tau = 1.0 / DUAL_FB_L**2
 
     for i in range(max_iters):
-        problem.project_dual(p_field, out=p_field, ascent=(x2, tau))
+        problem.project_dual(p, out=p, ascent=(x2, tau))
         # x = z - D* p
         _grad_adjoint(p, out=x2, minuend=z)
         if callback is not None:
             callback(i, x_view, p_view, {"tau": tau})
 
-    return BaselineResult(x=x, p=p_field)
+    return BaselineResult(x=x, p=p)

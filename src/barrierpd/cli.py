@@ -142,8 +142,8 @@ def _configure(solver, problem, iters, gamma, zeta, theta):
         check_config(sp, cfg, rule)
 
         def run(log):
-            # one planar-backed field per run receives p = 2 tail(y)
-            p = np.empty((2,) + problem.shape).transpose(1, 2, 0)
+            # one planar field per run receives p = 2 tail(y)
+            p = np.empty((2,) + problem.shape)
             pedi_run(sp, cfg, iters, step_rule=rule,
                      callback=lambda i, x, y, *_: log(i, x, problem.unlifted_dual(y, out=p)))
 

@@ -8,8 +8,9 @@ Conventions fixed here and relied on by every solver:
   (last difference along each axis is zero).  Gradient fields are stored
   planar, as (2, n1, n2) arrays with plane 0 the axis-0 difference and
   plane 1 the axis-1 difference; the solvers allocate these buffers once and
-  update them in place (``out=``).  The public (n1, n2, 2) field is the view
-  G.transpose(1, 2, 0) of a planar buffer G;
+  update them in place (``out=``).  Every public function takes and returns
+  an unlifted dual field in this layout alone, and raises ValueError for an
+  array of any other shape;
 * D and D* (_grad, _grad_adjoint) run each axis-1 difference as one
   shifted pass over the flattened (n1, n2) plane, which is several times
   faster than 2-d column slices and rounds every element the same way.  An
@@ -41,8 +42,8 @@ Conventions fixed here and relied on by every solver:
   summation order; all but metrics' split across threads by the subtrees
   of that order, which changes no bit;
 * H1's global norm is sqrt(sum g^2) over the planar field, summed in
-  component-major order whatever the field's layout, so its roundoff
-  depends on neither the layout nor BLAS;
+  component-major order whatever the field's strides, so its roundoff
+  depends on neither the strides nor BLAS;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
   for H1.  Since the heads are zero, the lifted operator K carries only the
@@ -233,21 +234,17 @@ def _grad_adjoint(
     return flat
 
 
-def _planes(gfield: np.ndarray) -> np.ndarray:
-    """Planar (2, n1, n2) view of an (n1, n2, 2) field."""
-    return gfield.transpose(2, 0, 1)
-
-
-def _field(planes: np.ndarray) -> np.ndarray:
-    """(n1, n2, 2) field view of a planar (2, n1, n2) array."""
-    return planes.transpose(1, 2, 0)
+def _check_field(p: np.ndarray, shape) -> None:
+    """ValueError unless the array p is a planar (2, n1, n2) dual field on the (n1, n2) grid shape."""
+    if p.shape != (2,) + shape:
+        raise ValueError(f"a dual field on this grid is a planar {(2,) + shape} array, got shape {p.shape}")
 
 
 def _field_norm(planes: np.ndarray) -> float:
     """Euclidean norm of a planar field, sqrt(sum g^2) summed in (2, n1, n2) element order.
 
     The order fixes the roundoff of the H1 regularizer and of the H1 dual
-    projection, and it is the same whatever the layout of planes: _sumsq
+    projection, and it is the same whatever the strides of planes: _sumsq
     adds the squares of a contiguous field as they lie, in numpy's pairwise
     order, and those of any other field from a contiguous copy.
     """
@@ -255,7 +252,7 @@ def _field_norm(planes: np.ndarray) -> float:
 
 
 def unlift(y: BlockConeVector, shape) -> np.ndarray:
-    """The (n1, n2, 2) gradient field carried by the tails of y, discarding heads.
+    """The planar (2, n1, n2) gradient field carried by the tails of y, discarding heads.
 
     Inverts the layout of apply_K: a view of y.tails where the layout allows.
     """
@@ -263,7 +260,7 @@ def unlift(y: BlockConeVector, shape) -> np.ndarray:
     expected = n1 * n2 * 2
     if y.tails.size != expected:
         raise ValueError(f"block vector carries {y.tails.size} tail entries, expected {expected}")
-    return _field(y.tails.T.reshape(2, n1, n2))
+    return y.tails.T.reshape(2, n1, n2)
 
 
 def _check_variant(variant: str):
@@ -282,7 +279,7 @@ class DenoiseProblem:
     z: ImageGrid
     alpha: float
     variant: str
-    _half_z2: Optional[float] = field(default=None, repr=False)
+    _half_z2: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _check_variant(self.variant)
@@ -345,13 +342,14 @@ class DenoiseProblem:
         return 0.5 * float(np.square(r, out=r).sum()) + self.alpha * self.regularizer(x)
 
     def dual_value(self, p: np.ndarray) -> float:
-        """Dual objective (1/2)||z||^2 - (1/2)||z - D* p||^2 at a field p.
+        """Dual objective (1/2)||z||^2 - (1/2)||z - D* p||^2 at a planar (2, n1, n2) field p.
 
         (1/2)||z||^2 is the cached half_z2, and z - D* p is _grad_adjoint's
         minuend form, the one dual_fb's loop takes.
         """
-        planes = _planes(np.asarray(p, dtype=float).reshape(self.shape + (2,)))
-        r = _grad_adjoint(planes, minuend=self.z.values).reshape(-1)
+        p = np.asarray(p, dtype=float)
+        _check_field(p, self.shape)
+        r = _grad_adjoint(p, minuend=self.z.values).reshape(-1)
         return self.half_z2 - 0.5 * float(np.square(r, out=r).sum())
 
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
@@ -363,14 +361,13 @@ class DenoiseProblem:
         out: Optional[np.ndarray] = None,
         ascent: Optional[tuple] = None,
     ) -> np.ndarray:
-        """Project a field (n1, n2, 2) onto the dual constraint ||p|| <= alpha.
+        """Project a planar (2, n1, n2) field p onto the dual constraint ||p|| <= alpha.
 
         Per-pixel for TV, globally for H1.  Writes into out, a field of the
         same shape that may be p itself, if given.  With ascent = (v, s), v
         an (n1, n2) image and s a step, it projects the ascent p + s D v
         instead, formed as _grad(v, scale=s, addend=p) forms it: the
-        baselines' whole dual step.  Only that step in place, out=p on a
-        planar-backed field (a view of a (2, n1, n2) buffer), calls a
+        baselines' whole dual step.  Only that step in place, out=p, calls a
         kernel, which stores no ascent: one pass on TV, and on H1 a sum of
         the ascent's squares formed on the fly followed by the write.  Every
         other call, and the numpy path, take the numpy reference: the
@@ -378,15 +375,11 @@ class DenoiseProblem:
         """
         in_place = out is p
         p = np.asarray(p, dtype=float)
-        shape = self.z.values.shape + (2,)
-        if p.shape != shape:
-            p = p.reshape(shape)
-        planes = _planes(p)
+        _check_field(p, self.z.values.shape)
         if out is None:
-            out_planes = np.empty(planes.shape)
-            result = _field(out_planes)
-        else:
-            out_planes, result = _planes(out), out
+            out = np.empty(p.shape)
+        elif not in_place:
+            _check_field(out, self.z.values.shape)
         # flooring the norm at alpha caps alpha/norm at 1 without a second
         # pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
         floor = max(self.alpha, 1e-300)
@@ -395,26 +388,26 @@ class DenoiseProblem:
             if in_place and kernels.PATH == "c":
                 try:
                     if self.variant == "tv":
-                        kernels.ext.project_tv(v, out_planes, self.alpha, floor, s)
+                        kernels.ext.project_tv(v, out, self.alpha, floor, s)
                     else:
-                        kernels.ext.scale(v, out_planes, self.alpha, s)
-                    return result
+                        kernels.ext.project_h1(v, out, self.alpha, s)
+                    return out
                 except ValueError:
                     pass
-            planes = _grad(v, scale=s, addend=planes)
+            p = _grad(v, scale=s, addend=p)
         if self.variant == "tv":
-            scale = np.einsum("kij,kij->ij", planes, planes)
+            scale = np.einsum("kij,kij->ij", p, p)
             np.sqrt(scale, out=scale)
             np.maximum(scale, floor, out=scale)
             np.divide(self.alpha, scale, out=scale)
-            np.multiply(planes, scale, out=out_planes)
+            np.multiply(p, scale, out=out)
         else:
-            nrm = _field_norm(planes)
+            nrm = _field_norm(p)
             if nrm <= self.alpha:
-                np.copyto(out_planes, planes)
+                np.copyto(out, p)
             else:
-                np.multiply(planes, self.alpha / nrm, out=out_planes)
-        return result
+                np.multiply(p, self.alpha / nrm, out=out)
+        return out
 
     # ----- conic form ----------------------------------------------------
 
@@ -527,24 +520,15 @@ class DenoiseProblem:
         )
 
     def unlifted_dual(self, y: BlockConeVector, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Portable dual field p = 2 tail(y); satisfies ||p|| <= alpha.
+        """Portable dual field p = 2 tail(y), planar (2, n1, n2); satisfies ||p|| <= alpha.
 
-        Writes into out, an (n1, n2, 2) field, if given; planar-backed fields
-        (views of (2, n1, n2) buffers) are the fast layout.  With the
-        compiled kernels, tails in pedi_run's planar layout (the transpose of
-        a C-contiguous (m, n_blocks) array) and a planar-backed out take one
-        scale pass over the planes, which multiplies each entry by 2 as the
-        multiplication over the (n1, n2, 2) views does for any other layout.
+        Writes into out, a planar field, if given.  The product with 2 is
+        exact, so it is one numpy multiplication on any path.
         """
-        tails = y.tails.T
-        if out is not None and kernels.PATH == "c" and tails.flags.c_contiguous:
-            try:
-                planes = _planes(out)
-                kernels.ext.scale(tails.reshape(planes.shape), planes, 2.0)
-                return out
-            except ValueError:
-                pass
-        return np.multiply(unlift(y, self.shape), 2.0, out=out)
+        shape = self.z.values.shape
+        if out is not None:
+            _check_field(out, shape)
+        return np.multiply(unlift(y, shape), 2.0, out=out)
 
 
 def add_gaussian_noise(img: ImageGrid, sigma: float, seed: int) -> ImageGrid:
@@ -567,14 +551,18 @@ def synthetic_image(n1: int, n2: int) -> ImageGrid:
     """Deterministic smooth test pattern in [0, 255]: ramp plus a Gaussian bump.
 
     Used by the test-suite and as a stand-in when no photograph is at hand;
-    any grayscale PGM works equally well with the CLI.
+    any grayscale PGM works equally well with the CLI.  A 1 x 1 pattern is
+    constant and has no range to stretch, so it is the image of zeros.
     """
     i = np.arange(n1)[:, None] / max(n1 - 1, 1)
     j = np.arange(n2)[None, :] / max(n2 - 1, 1)
     ramp = 0.55 * i + 0.25 * j
     bump = 0.6 * np.exp(-(((i - 0.4) ** 2 + (j - 0.6) ** 2) / 0.05))
     vals = ramp + bump
-    return ImageGrid(255.0 * (vals - vals.min()) / (vals.max() - vals.min()))
+    span = vals.max() - vals.min()
+    if span == 0.0:
+        return ImageGrid(np.zeros_like(vals))
+    return ImageGrid(255.0 * (vals - vals.min()) / span)
 
 
 @dataclass(frozen=True)
@@ -628,18 +616,15 @@ def _metric_sums(x, p, problem: DenoiseProblem, target: Target):
 
     Returns (sum (x - z)^2, R(x), sum (z - D* p)^2, sum (x - target.x)^2),
     each equal to the numpy code's: the kernel forms every term with that
-    code's operations and adds the terms in numpy's pairwise order.  p must
-    be a planar-backed (n1, n2, 2) field.  H1's R(x) is regularizer(x),
-    whose planar sum of squares fixes its roundoff.
+    code's operations and adds the terms in numpy's pairwise order.  p is
+    a planar (2, n1, n2) field.  H1's R(x) is regularizer(x), whose planar
+    sum of squares fixes its roundoff.
     """
     if kernels.PATH != "c":
         return None
-    p = np.asarray(p)
-    if p.shape != problem.z.values.shape + (2,):
-        return None
     tv = problem.variant == "tv"
     try:
-        xz2, reg, zp2, dist2 = kernels.ext.metric_sums(x, problem.z.flat(), target.x, _planes(p), tv)
+        xz2, reg, zp2, dist2 = kernels.ext.metric_sums(x, problem.z.flat(), target.x, p, tv)
     except ValueError:
         return None
     if not tv:
@@ -658,21 +643,25 @@ def metrics(
 ) -> IterationRecord:
     """Per-iteration error report against a precomputed target solution.
 
-    p is the unlifted dual field (use DenoiseProblem.unlifted_dual for
-    interior-solver iterates, whose exact feasibility keeps the gap finite).
+    p is the unlifted dual field, planar (2, n1, n2) (use
+    DenoiseProblem.unlifted_dual for interior-solver iterates, whose exact
+    feasibility keeps the gap finite); any other shape raises ValueError.
     gap_db is the duality gap relative to gap0, target_db the squared
     distance to target.x relative to ||target.x||^2, value_db the squared
     relative objective error.  The objective at x is evaluated once and
     serves both the gap and value_db; the dual value uses the problem's
     cached (1/2)||z||^2 (DenoiseProblem.half_z2).
 
-    With the compiled kernels and a planar-backed p (as every solver's
-    callback passes) the four sums behind these numbers come from one pass
-    that allocates no image-sized array; otherwise objective, dual_value
-    and a residual compute them.  Both give the same record bit for bit.
+    With the compiled kernels and a C-contiguous float64 p (as every
+    solver's callback passes) the four sums behind these numbers come from
+    one pass that allocates no image-sized array; otherwise objective,
+    dual_value and a residual compute them.  Both give the same record bit
+    for bit.
     """
     if not 0.0 < gap0 < math.inf:
         raise ValueError("gap0 must be positive and finite")
+    p = np.asarray(p)
+    _check_field(p, problem.z.values.shape)
     sums = _metric_sums(x, p, problem, target)
     if sums is None:
         val = problem.objective(x)

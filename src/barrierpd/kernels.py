@@ -22,8 +22,11 @@ function that calls a kernel keeps the numpy code it replaces, which runs
 on the numpy path and for arrays a kernel rejects (non-contiguous, not
 float64, overlapping), and which the tests use as the reference: both
 compute every element with the same operations in the same order, so their
-results are bit-identical.  The eight kernels, ten forms in all, each make
-one stage whole, folding neighbouring elementwise passes into their own:
+results are bit-identical.  Every gradient field or cone tail a kernel
+takes is stored planar, all of plane 0 (the axis-0 differences) before
+plane 1, the one layout of the package's dual fields.  The eight kernels,
+nine forms in all, each make one stage whole, folding neighbouring
+elementwise passes into their own:
 
 * grad_adjoint(g, out, m) makes dual_fb's x = z - D* p, which dual_value
   shares, and grad_adjoint(g, out, m, z, xb, t, theta) pdhgm's whole
@@ -36,13 +39,11 @@ one stage whole, folding neighbouring elementwise passes into their own:
   K x in registers; h1_dual forms it twice, once for its one block's norm
   and once to write y.  Both store K x, with d's heads, only on the final
   iteration;
-* project_tv(v, p, alpha, floor, s) (TV) and scale(v, p, alpha, s) (H1)
-  make the baselines' dual step, DenoiseProblem.project_dual with an
+* project_tv(v, p, alpha, floor, s) (TV) and project_h1(v, p, alpha, s)
+  (H1) make the baselines' dual step, DenoiseProblem.project_dual with an
   ascent in place, which the numpy code runs as _grad with scale= and
-  addend= and then the projection: project_tv in one pass, scale as a sum
-  of the ascent's squares formed on the fly followed by its write;
-* scale(p, out, s) makes unlifted_dual's p = 2 tail(y), the CLI's logged
-  pedi dual field;
+  addend= and then the projection: project_tv in one pass, project_h1 as a
+  sum of the ascent's squares formed on the fly followed by its write;
 * grad_sumsq makes H1's regularizer, and metric_sums a logged row's four
   sums (imaging.metrics).
 

@@ -340,7 +340,9 @@ def test_acceptance_10_cli_round_trip(tmp_path):
         stripped_csvs = []
         for log in logs:
             rows = []
-            for line in open(log).read().strip().splitlines()[1:]:
+            with open(log) as f:
+                lines = f.read().strip().splitlines()[1:]
+            for line in lines:
                 parts = line.split(",")
                 rows.append((parts[0], parts[2], parts[3], parts[4]))
             stripped_csvs.append(rows)

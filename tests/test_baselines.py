@@ -93,7 +93,8 @@ def test_dual_ball_constraint_holds():
     dp = make_problem(variant="tv", alpha=0.3)
 
     def cb(i, x, p, info):
-        norms = np.sqrt(np.sum(p**2, axis=2))
+        assert p.shape == (2,) + dp.shape
+        norms = np.sqrt(np.sum(p**2, axis=0))
         assert np.all(norms <= dp.alpha * (1 + 1e-14))
 
     pdhgm_run(dp, BaselineConfig.default_for(dp, max_iters=50), callback=cb)

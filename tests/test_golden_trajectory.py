@@ -4,6 +4,8 @@ The reference keeps the gradient field interleaved, (n1, n2, 2), and
 allocates every intermediate, as the solvers did before they moved to planar
 buffers updated in place.  Elementwise arithmetic is unchanged by that move,
 so TV trajectories and the baselines' H1 trajectories must agree bit for bit.
+The solvers hand out planar (2, n1, n2) fields, so each reference field is
+compared in that layout (planar).
 pedi's H1 tail is one component-major block, whose squared norm sums in
 another order, so there only roundoff may move.
 """
@@ -36,11 +38,16 @@ def ref_grad_adjoint(g):
     return out
 
 
+def planar(field):
+    """The planar (2, n1, n2) array of an interleaved (n1, n2, 2) reference field."""
+    return np.ascontiguousarray(np.moveaxis(field, -1, 0))
+
+
 def ref_project(dp, p):
     if dp.variant == "tv":
         return p * np.minimum(1.0, dp.alpha / np.maximum(np.sqrt(np.sum(p**2, axis=2)), 1e-300))[..., None]
     # the global norm sums the squares in planar, component-major order
-    nrm = math.sqrt(float(np.square(np.ascontiguousarray(p.transpose(2, 0, 1))).sum()))
+    nrm = math.sqrt(float(np.square(planar(p)).sum()))
     return p.copy() if nrm <= dp.alpha else p * (dp.alpha / nrm)
 
 
@@ -97,7 +104,7 @@ def test_pedi_matches_reference(variant, rule):
     res = pedi_run(sp, cfg, ITERS, step_rule=rule)
     x, y, d0 = ref_pedi(dp, cfg, rule)
     got = (res.x, unlift(res.y, dp.shape), res.d.heads)
-    for a, b in zip(got, (x, y, d0)):
+    for a, b in zip(got, (x, planar(y), d0)):
         if variant == "tv":
             assert np.array_equal(a, b)
         else:
@@ -110,4 +117,4 @@ def test_baselines_match_reference(variant):
     cfg = BaselineConfig.default_for(dp, ITERS)
     for res, (x, p) in ((pdhgm_run(dp, cfg), ref_pdhgm(dp, cfg)), (dual_fb_run(dp, ITERS), ref_dual_fb(dp))):
         assert np.array_equal(res.x, x)
-        assert np.array_equal(res.p, p)
+        assert np.array_equal(res.p, planar(p))

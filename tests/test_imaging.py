@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from barrierpd.imaging import (
 )
 from barrierpd.jordan import BlockConeVector
 from barrierpd.pedi import PrimalStep
-from test_golden_trajectory import ref_grad, ref_grad_adjoint, ref_project
+from test_golden_trajectory import planar, ref_grad, ref_grad_adjoint, ref_project
 
 
 def rand_grid(rng, n1=6, n2=5, scale=1.0):
@@ -142,7 +144,7 @@ def test_lift_unlift(rng):
     # K x carries the gradient tails, (n_blocks, m); the heads are zero
     z = rand_grid(rng, 4, 3)
     x = rng.standard_normal(12)
-    field = np.moveaxis(_grad(x.reshape(4, 3)), 0, -1)
+    field = _grad(x.reshape(4, 3))
     for variant, shape in (("tv", (12, 2)), ("h1", (1, 24))):
         tails = DenoiseProblem(z, 1.0, variant).saddle_problem().apply_K(x)
         assert tails.shape == shape
@@ -178,7 +180,7 @@ def test_operators_write_into_out(rng, variant):
     # the primal step writes over the x it is given, and needs one
     with pytest.raises(ValueError):
         sp.apply_K_adjoint(buf, primal=PrimalStep(0.3))
-    p = rng.standard_normal((4, 3, 2)) * 3.0
+    p = rng.standard_normal((2, 4, 3)) * 3.0
     q = p.copy()
     assert dp.project_dual(q, out=q) is q
     assert np.array_equal(q, dp.project_dual(p))
@@ -188,8 +190,8 @@ def test_operators_write_into_out(rng, variant):
 def test_unlift_round_trip(rng, variant):
     # field -> tails in apply_K's layout -> field, through both entry points
     dp = DenoiseProblem(rand_grid(rng, 4, 3), 0.7, variant)
-    field = rng.standard_normal((4, 3, 2))
-    tails = np.moveaxis(field, -1, 0).reshape(-1, 12 if variant == "tv" else 1).T
+    field = rng.standard_normal((2, 4, 3))
+    tails = field.reshape(-1, 12 if variant == "tv" else 1).T
     assert tails.shape == dp.saddle_problem().apply_K(np.zeros(12)).shape
     for y in (BlockConeVector.from_arrays(np.ones(tails.shape[0]), tails),
               BlockConeVector.view_of(np.ones(tails.shape[0]), tails)):
@@ -203,11 +205,57 @@ def test_unlifted_dual_writes_into_out(rng, variant):
     tails = np.empty_like(dp.saddle_problem().apply_K(np.zeros(12)))
     tails[...] = rng.standard_normal(tails.shape)
     y = BlockConeVector.view_of(np.ones(tails.shape[0]), tails)
-    out = np.full((2, 4, 3), np.nan).transpose(1, 2, 0)
+    out = np.full((2, 4, 3), np.nan)
     got = dp.unlifted_dual(y, out=out)
     assert got is out and np.shares_memory(got, out)
     assert np.array_equal(out, dp.unlifted_dual(y))
     assert np.array_equal(out, 2.0 * unlift(y, (4, 3)))
+
+
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+def test_dual_fields_are_planar_only(rng, variant):
+    # every dual-field entry point takes the planar (2, n1, n2) layout alone:
+    # an interleaved (n1, n2, 2) array of the same size, or any other shape,
+    # raises before anything is written
+    dp = DenoiseProblem(rand_grid(rng, 4, 3), 0.7, variant)
+    x, v = rng.standard_normal(12), rng.standard_normal((4, 3))
+    target = Target.of(dp, rng.standard_normal(12))
+    y = BlockConeVector.view_of(np.ones(12 if variant == "tv" else 1), dp.saddle_problem().apply_K(x))
+    good = rng.standard_normal((2, 4, 3))
+    for shape in ((4, 3, 2), (2, 3, 4), (24,), (1, 2, 4, 3)):
+        bad = np.full(shape, 7.0)
+        calls = {
+            "project_dual's p": lambda: dp.project_dual(bad),
+            "project_dual's out": lambda: dp.project_dual(good, out=bad),
+            "project_dual in place": lambda: dp.project_dual(bad, out=bad),
+            "project_dual's ascent in place": lambda: dp.project_dual(bad, out=bad, ascent=(v, 0.3)),
+            "dual_value": lambda: dp.dual_value(bad),
+            "duality_gap": lambda: dp.duality_gap(x, bad),
+            "metrics": lambda: metrics(x, bad, dp, target, 1.0),
+            "unlifted_dual's out": lambda: dp.unlifted_dual(y, out=bad),
+        }
+        for what, call in calls.items():
+            with pytest.raises(ValueError, match="planar"):
+                call()
+            assert np.all(bad == 7.0), (what, shape)
+    # the planar field itself passes every one of them
+    assert dp.project_dual(good).shape == good.shape and dp.unlifted_dual(y).shape == good.shape
+    assert math.isfinite(dp.duality_gap(x, good)) and math.isfinite(metrics(x, good, dp, target, 1.0).gap_db)
+
+
+def test_half_z2_is_not_an_init_field(rng):
+    # (1/2)||z||^2 is derived from z: the constructor must not take it, and
+    # a problem built from another one's fields computes its own
+    z = rand_grid(rng, 4, 3)
+    with pytest.raises(TypeError):
+        DenoiseProblem(z, 0.5, "tv", 123.0)
+    with pytest.raises(TypeError):
+        DenoiseProblem(z, 0.5, "tv", _half_z2=123.0)
+    dp = DenoiseProblem(z, 0.5, "tv")
+    assert dp.half_z2 == 0.5 * float(np.square(z.flat()).sum())
+    other = rand_grid(rng, 4, 3)
+    assert dataclasses.replace(dp, z=other).half_z2 == 0.5 * float(np.square(other.flat()).sum())
+    assert dp.duality_gap(dp.z.flat(), np.zeros((2, 4, 3))) == pytest.approx(0.5 * dp.regularizer(dp.z.flat()))
 
 
 def test_zero_field_lifts_to_zero():
@@ -370,12 +418,12 @@ def test_noise_statistics():
 
 def test_project_dual(rng):
     dp = DenoiseProblem(rand_grid(rng, 5, 5), 0.4, "tv")
-    p = dp.project_dual(rng.standard_normal((5, 5, 2)) * 3.0)
-    assert np.all(np.sqrt(np.sum(p**2, axis=2)) <= 0.4 * (1 + 1e-14))
+    p = dp.project_dual(rng.standard_normal((2, 5, 5)) * 3.0)
+    assert np.all(np.sqrt(np.sum(p**2, axis=0)) <= 0.4 * (1 + 1e-14))
     dph = DenoiseProblem(rand_grid(rng, 5, 5), 0.4, "h1")
-    ph = dph.project_dual(rng.standard_normal((5, 5, 2)) * 3.0)
+    ph = dph.project_dual(rng.standard_normal((2, 5, 5)) * 3.0)
     assert np.linalg.norm(ph) <= 0.4 * (1 + 1e-14)
-    small = 0.01 * rng.standard_normal((5, 5, 2))
+    small = 0.01 * rng.standard_normal((2, 5, 5))
     assert np.allclose(dph.project_dual(small), small)
 
 
@@ -383,12 +431,13 @@ def test_project_dual(rng):
 def test_project_dual_edges_match_reference(rng, alpha):
     # bit for bit against the clamp min(1, alpha / max(||p||, 1e-300)) on a
     # zero pixel, pixels of norm exactly alpha and one ulp either side of
-    # it, and norms at and below the 1e-300 floor
+    # it, and norms at and below the 1e-300 floor; p is laid out as the
+    # reference's interleaved field, then projected in the planar layout
     dp = DenoiseProblem(rand_grid(rng, 4, 4), alpha, "tv")
     p = alpha * rng.standard_normal((4, 4, 2))
     p[0] = [[0.0, 0.0], [alpha, 0.0], [0.0, -alpha], [np.nextafter(alpha, 0.0), 0.0]]
     p[1] = [[np.nextafter(alpha, np.inf), 0.0], [1e-301, 0.0], [5e-324, 0.0], [1e-300, 1e-300]]
-    got = dp.project_dual(p)
+    got = np.moveaxis(dp.project_dual(planar(p)), 0, -1)
     assert np.array_equal(got, ref_project(dp, p))
     assert np.all(got[0, 0] == 0.0)
     if alpha > 1e-150:
@@ -404,7 +453,7 @@ def test_metrics_clamp_at_target(rng):
     dp = DenoiseProblem(rand_grid(rng, 4, 4, scale=10.0), 0.5, "tv")
     target = dp.z.flat() * 0.9
     gap0 = 0.5 * float(np.sum(dp.z.flat() ** 2))
-    rec = metrics(target, np.zeros((4, 4, 2)), dp, Target.of(dp, target), gap0, iter=3)
+    rec = metrics(target, np.zeros((2, 4, 4)), dp, Target.of(dp, target), gap0, iter=3)
     assert rec.target_db == DB_CLAMP
     assert rec.value_db == DB_CLAMP
     assert rec.iter == 3
@@ -414,7 +463,7 @@ def test_metrics_gap_at_data(rng):
     # x = z, p = 0: the gap is exactly alpha R(z)
     dp = DenoiseProblem(rand_grid(rng, 4, 4, scale=10.0), 0.5, "tv")
     zf = dp.z.flat()
-    assert dp.duality_gap(zf, np.zeros((4, 4, 2))) == pytest.approx(
+    assert dp.duality_gap(zf, np.zeros((2, 4, 4))) == pytest.approx(
         0.5 * dp.regularizer(zf)
     )
 
@@ -423,7 +472,7 @@ def test_weak_duality(rng):
     dp = DenoiseProblem(rand_grid(rng, 5, 5, scale=10.0), 0.5, "tv")
     for _ in range(50):
         x = rng.standard_normal(25)
-        p = dp.project_dual(rng.standard_normal((5, 5, 2)))
+        p = dp.project_dual(rng.standard_normal((2, 5, 5)))
         gap = dp.duality_gap(x, p)
         assert gap >= -1e-9 * (1.0 + abs(dp.objective(x)))
 
@@ -433,7 +482,7 @@ def test_metrics_rejects_degenerate_target(rng):
     with pytest.raises(ValueError):
         Target.of(dp, np.zeros(16))
     with pytest.raises(ValueError):
-        metrics(np.zeros(16), np.zeros((4, 4, 2)), dp, Target.of(dp, np.ones(16)), 0.0)
+        metrics(np.zeros(16), np.zeros((2, 4, 4)), dp, Target.of(dp, np.ones(16)), 0.0)
 
 
 def test_metrics_log_a_nan_as_nan(rng):
@@ -443,7 +492,7 @@ def test_metrics_log_a_nan_as_nan(rng):
     target = Target.of(dp, dp.z.flat() * 0.9)
     x = dp.z.flat() * 0.9
     x[5] = np.nan
-    rec = metrics(x, np.zeros((4, 4, 2)), dp, target, 1.0)
+    rec = metrics(x, np.zeros((2, 4, 4)), dp, target, 1.0)
     assert math.isnan(rec.gap_db) and math.isnan(rec.target_db) and math.isnan(rec.value_db)
     assert imaging._db(math.nan, 1.0) != imaging._db(math.nan, 1.0)
     assert imaging._db(1e-40, 1.0) == DB_CLAMP and imaging._db(0.0, 1.0) == DB_CLAMP
@@ -451,7 +500,7 @@ def test_metrics_log_a_nan_as_nan(rng):
     assert imaging._db(5e-324, 4.0) == DB_CLAMP
     for gap0 in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="gap0"):
-            metrics(x, np.zeros((4, 4, 2)), dp, target, gap0)
+            metrics(x, np.zeros((2, 4, 4)), dp, target, gap0)
     for bad in (np.nan, np.inf, -np.inf):
         x[5] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -463,3 +512,13 @@ def test_synthetic_image_range():
     assert img.values.min() == 0.0
     assert img.values.max() == 255.0
     assert np.array_equal(img.values, synthetic_image(32, 32).values)
+
+
+def test_synthetic_image_of_one_pixel():
+    # a constant pattern has no range to stretch: it used to divide 0 by 0,
+    # warn, and then fail ImageGrid's finiteness check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        img = synthetic_image(1, 1)
+    assert img.values.tolist() == [[0.0]]
+    assert synthetic_image(1, 2).values.tolist() == [[0.0, 255.0]]

@@ -114,13 +114,12 @@ def test_gradient_pair(monkeypatch, rng, shape):
         dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.4, variant)
         for x, p in ((rng.standard_normal(n), special(rng, (2,) + shape)),
                      (special(rng, n), rng.standard_normal((2,) + shape))):
-            # planar-backed fields, as the solvers' results are
-            c, ref = on_both_paths(monkeypatch, lambda p: dp.dual_value(imaging._field(p)), p)
+            c, ref = on_both_paths(monkeypatch, dp.dual_value, p)
             assert_identical(c[-1:], ref[-1:])
             with np.errstate(all="ignore"):
                 r = dp.z.values - _grad_adjoint(p)
                 assert identical(c[-1], dp.half_z2 - 0.5 * float(np.square(r).sum()))
-            c, ref = on_both_paths(monkeypatch, lambda x, p: dp.duality_gap(x, imaging._field(p)), x, p)
+            c, ref = on_both_paths(monkeypatch, dp.duality_gap, x, p)
             assert_identical(c[-1:], ref[-1:])
     monkeypatch.setattr(kernels, "ext", rec.ext)
     # on the compiled path every dual value's D* and H1's regularizer ran compiled
@@ -356,8 +355,7 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
     dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), alpha, "tv")
     planes = special(rng, (2,) + shape)
     planes[0].reshape(-1)[0] = alpha
-    # planar-backed fields, the layout the baselines iterate on
-    stage = lambda p, out: dp.project_dual(imaging._field(p), out=imaging._field(out))  # noqa: E731
+    stage = lambda p, out: dp.project_dual(p, out=out)  # noqa: E731
     c, ref = on_both_paths(monkeypatch, stage, planes, np.empty_like(planes))
     assert_identical(c[:2], ref[:2])
     check_ascent(monkeypatch, dp, special(rng, shape), planes, {"project_tv": 1})
@@ -376,17 +374,15 @@ def check_ascent(monkeypatch, dp, v, planes, calls):
     scales = (0.3, 1.0, 1e-300, 7.0, np.inf)
     for s in scales:
         def in_place(v, p):
-            field = imaging._field(p)
-            assert dp.project_dual(field, out=field, ascent=(v, s)) is field
+            assert dp.project_dual(p, out=p, ascent=(v, s)) is p
 
         def separate(v, p, out):
-            field = imaging._field(out)
-            assert dp.project_dual(imaging._field(p), out=field, ascent=(v, s)) is field
+            assert dp.project_dual(p, out=out, ascent=(v, s)) is out
 
         c, ref = on_both_paths(monkeypatch, in_place, v, planes)
         assert_identical(c[:2], ref[:2])
         with np.errstate(all="ignore"):
-            want = imaging._planes(dp.project_dual(imaging._field(_grad(v, scale=s, addend=planes))))
+            want = dp.project_dual(_grad(v, scale=s, addend=planes))
         assert identical(c[1], want)
         c, ref = on_both_paths(monkeypatch, separate, v, planes, np.full_like(planes, 7.0))
         assert_identical(c[:3], ref[:3])
@@ -399,23 +395,20 @@ def check_ascent(monkeypatch, dp, v, planes, calls):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_unlifted_dual_on_both_layouts(monkeypatch, rng, shape, variant):
-    # pedi_run's planar tails take the scale pass, a from_arrays copy the
-    # multiplication over the field views; both give 2 tail(y) bit for bit
+    # pedi_run's planar tails into a planar out, the CLI's call, on special
+    # values: one numpy multiplication on either kernel path, 2 tail(y) bit
+    # for bit, and no kernel call
     dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, variant)
     kx = dp.saddle_problem().apply_K(np.zeros(dp.n_pixels))
     kx[...] = special(rng, kx.shape)
-    heads = np.ones(kx.shape[0])
-    for y in (BlockConeVector.view_of(heads, kx), BlockConeVector.from_arrays(heads, kx)):
-        def stage(out):
-            return dp.unlifted_dual(y, out=imaging._field(out))
-
-        rec = Recorder(kernels.ext)
-        monkeypatch.setattr(kernels, "ext", rec)
-        c, ref = on_both_paths(monkeypatch, stage, np.full((2,) + shape, 7.0))
-        monkeypatch.setattr(kernels, "ext", rec.ext)
-        assert identical(c[0], ref[0]) and identical(c[0], 2.0 * imaging._planes(imaging.unlift(y, shape)))
-        assert rec.calls.get("scale", 0) == (1 if y.tails.T.flags.c_contiguous else 0)
-        assert rec.rejected == []
+    y = BlockConeVector.view_of(np.ones(kx.shape[0]), kx)
+    rec = Recorder(kernels.ext)
+    monkeypatch.setattr(kernels, "ext", rec)
+    c, ref = on_both_paths(monkeypatch, lambda out: dp.unlifted_dual(y, out=out), np.full((2,) + shape, 7.0))
+    monkeypatch.setattr(kernels, "ext", rec.ext)
+    assert c[1] is c[0] and identical(c[0], ref[0])
+    assert identical(c[0], 2.0 * imaging.unlift(y, shape)) and identical(c[0], 2.0 * kx.T.reshape((2,) + shape))
+    assert rec.calls == {}
 
 
 @needs_c
@@ -437,7 +430,7 @@ def test_h1_elementwise_passes(monkeypatch, rng, shape):
     norm = imaging._field_norm(finite)
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
-        stage = lambda p, out: dp.project_dual(imaging._field(p), out=imaging._field(out))  # noqa: E731
+        stage = lambda p, out: dp.project_dual(p, out=out)  # noqa: E731
         for field in (finite, planes):
             c, ref = on_both_paths(monkeypatch, stage, field, np.empty_like(field))
             assert_identical(c[:2], ref[:2])
@@ -467,7 +460,7 @@ def test_h1_project_dual_ascent(monkeypatch, rng, shape):
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
         for args in ((v, planes), (special(rng, shape), planes), (v, special(rng, (2,) + shape))):
-            check_ascent(monkeypatch, dp, *args, {"scale": 1})
+            check_ascent(monkeypatch, dp, *args, {"project_h1": 1})
 
 
 @needs_c
@@ -546,10 +539,11 @@ def test_sumsq_follows_numpys_summation_order(monkeypatch, rng):
         with np.errstate(over="ignore"):
             want = float(np.square(a).sum())
         assert identical(pedi._sumsq(a), want), a.shape
-    # H1's field norm is the same whatever the field's layout
+    # H1's field norm is the same whatever the field's strides: here the
+    # planar field over interleaved (n1, n2, 2) memory
     planes = rng.standard_normal((2, 5, 7))
     norm = imaging._field_norm(planes)
-    assert norm == imaging._field_norm(imaging._planes(np.ascontiguousarray(imaging._field(planes))))
+    assert norm == imaging._field_norm(np.ascontiguousarray(np.moveaxis(planes, 0, -1)).transpose(2, 0, 1))
     assert norm == np.sqrt(np.square(planes).sum())
 
 
@@ -598,7 +592,7 @@ def test_metrics_on_both_paths(monkeypatch, rng, shape, variant):
             target = Target(xhat, float(np.sum(xhat**2)), dp.objective(xhat))
 
         def stage(x, planes):
-            return metrics(x, imaging._field(planes), dp, target, 3.0, iter=7, wall_seconds=0.5)
+            return metrics(x, planes, dp, target, 3.0, iter=7, wall_seconds=0.5)
 
         c, ref = on_both_paths(monkeypatch, stage, x, planes)
         assert identical_records(c[-1], ref[-1]), (c[-1], ref[-1])
@@ -611,7 +605,7 @@ def test_metrics_allocates_no_image(rng):
     # here; H1's regularizer sums its gradient without storing it
     for variant in VARIANTS:
         dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((64, 64))), 0.4, variant)
-        x, p = rng.standard_normal(64 * 64), imaging._field(rng.standard_normal((2, 64, 64)))
+        x, p = rng.standard_normal(64 * 64), rng.standard_normal((2, 64, 64))
         target = Target.of(dp, rng.standard_normal(64 * 64))
         metrics(x, p, dp, target, 3.0)
         tracemalloc.start()
@@ -741,9 +735,9 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     assert rec.rejected == []
     # pedi's K, tail norm and dual solve are one h1_dual call, and its K*,
     # prox and ||x||^2 one primal_step call; the baselines' ascent, its norm
-    # and projection are one scale call, and pdhgm's primal step rides in
-    # its grad_adjoint
-    assert rec.calls == {"grad_adjoint": 10, "h1_dual": 10, "primal_step": 10, "scale": 10}
+    # and projection are one project_h1 call, and pdhgm's primal step rides
+    # in its grad_adjoint
+    assert rec.calls == {"grad_adjoint": 10, "h1_dual": 10, "primal_step": 10, "project_h1": 10}
 
 
 def documented_forms(ext) -> set:
@@ -766,7 +760,7 @@ def test_every_kernel_is_reached(monkeypatch):
     for variant, alpha in (("tv", 0.3), ("h1", 5.0)):
         dp = DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 3), alpha, variant)
         sp = dp.saddle_problem()
-        p = imaging._field(np.empty((2,) + dp.shape))
+        p = np.empty((2,) + dp.shape)
         for rule in ("general", "soc"):
             pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 3, step_rule=rule,
                      callback=lambda i, x, y, *_: dp.unlifted_dual(y, out=p))
@@ -826,7 +820,7 @@ def test_kernels_reject_without_writing(rng):
         ext.grad_adjoint(g, buf[:20].reshape(4, 5), buf[10:30].reshape(4, 5))
     # the baselines' dual step writes p in place: each of these leaves it unwritten
     p = np.full((2, 4, 5), 7.0)
-    for project in (lambda v, p: ext.project_tv(v, p, 1.0, 1.0, 0.5), lambda v, p: ext.scale(v, p, 1.0, 0.5)):
+    for project in (lambda v, p: ext.project_tv(v, p, 1.0, 1.0, 0.5), lambda v, p: ext.project_h1(v, p, 1.0, 0.5)):
         for why, (w, q) in {
             "v overlapping p": (p[1], p),
             "p of the wrong shape": (v, np.full((2, 5, 4), 7.0)),
@@ -890,7 +884,8 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     v = rng.standard_normal((6, 5))
     planes = rng.standard_normal((2, 6, 5))
     dp = DenoiseProblem(imaging.ImageGrid(v), 0.4, "tv")
-    p = 3.0 * rng.standard_normal((6, 5, 2))
+    # a planar field over interleaved (n1, n2, 2) memory, not C-contiguous
+    p = (3.0 * rng.standard_normal((6, 5, 2))).transpose(2, 0, 1)
     x = rng.standard_normal(30)
     target = Target.of(dp, rng.standard_normal(30))
 
@@ -902,11 +897,11 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     y32 = dp.saddle_problem().apply_K(x).astype(np.float32)
 
     def rejected():
-        q = p.copy()
+        q = p.copy(order="K")
         return [
             # strided planes, x = z - D* p as dual_fb makes it
             _grad_adjoint(planes[:, :, ::-1].copy()[:, :, ::-1], minuend=v),
-            # the baselines' dual step in place on an interleaved field
+            # the baselines' dual step in place on that field
             dp.project_dual(q, out=q, ascent=(v, 0.3)),
             # a reversed x, not C-contiguous: the fused pass rejects it
             *dual_update(x[::-1]),
@@ -914,12 +909,12 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
             # float32 y tails: the fused primal step rejects them, and the
             # numpy reference runs
             *primal_step(dp.saddle_problem(), y32, x.copy(), 0.3),
-            # the norm of an interleaved field, summed in planar order
-            imaging._field_norm(imaging._planes(p)),
-            # an interleaved field, a float32 planar one and a strided planar one
+            # the norm of that field, summed in planar order
+            imaging._field_norm(p),
+            # that field, a float32 one and a strided one
             *dataclasses.astuple(metrics(x, p, dp, target, 3.0)),
-            *dataclasses.astuple(metrics(x, imaging._field(planes.astype(np.float32)), dp, target, 3.0)),
-            *dataclasses.astuple(metrics(x, imaging._field(np.repeat(planes, 2, axis=2)[:, :, ::2]), dp, target, 3.0)),
+            *dataclasses.astuple(metrics(x, planes.astype(np.float32), dp, target, 3.0)),
+            *dataclasses.astuple(metrics(x, np.repeat(planes, 2, axis=2)[:, :, ::2], dp, target, 3.0)),
         ]
 
     rec = Recorder(kernels.ext)
@@ -928,7 +923,7 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     assert [name for name, _ in rec.rejected] == [
         "grad_adjoint", "project_tv", "tv_dual", "primal_step",
         # dual_value's D* rejects the interleaved and strided fields; it
-        # takes a float64 copy of the float32 one, planar like the field
+        # takes a float64 copy of the float32 one, C-contiguous like it
         "metric_sums", "grad_adjoint", "metric_sums", "metric_sums", "grad_adjoint"]
     monkeypatch.setattr(kernels, "PATH", NUMPY)
     for a, b in zip(got, rejected()):
