@@ -3,7 +3,7 @@
  * A kernel, and each form of one, exists only for a stage that a solver
  * iteration or a logged row runs; a one-off evaluation, such as D or D*
  * alone, runs the numpy code unless it shares such a form, as a dual value
- * shares dual_fb's z - D* p.  Each kernel does, on every element, the
+ * shares H1 dual_fb's z - D* p.  Each kernel does, on every element, the
  * operations of the numpy code it replaces in the same order, so its
  * results are bit-identical to that code's.  The build flags keep it so:
  * -ffp-contract=off stops a*b + c from becoming a fused multiply-add, and
@@ -11,8 +11,10 @@
  * order, and metric_sums, primal_step, grad_sumsq and h1_dual's norm add
  * their terms in numpy's own pairwise order.  Stages the numpy code makes
  * as passes of their own ride in a neighbouring kernel's pass: in
- * grad_adjoint dual_fb's x = z - D* p and pdhgm's whole primal step, its
- * prox and extrapolation.  pedi's whole primal step is one call,
+ * grad_adjoint H1 dual_fb's x = z - D* p and pdhgm's whole primal step, its
+ * prox and extrapolation; in project_tv's sweep TV dual_fb's x = z - D* p,
+ * written tile by tile behind the projection, which makes a whole dual_fb
+ * iteration one call.  pedi's whole primal step is one call,
  * primal_step, whose leaves of numpy's tree each form x - tau K* y row
  * segment by row segment, take the prox, write x in place and square the
  * new x for the solver's finiteness check.  pedi's whole dual step is one
@@ -44,9 +46,11 @@
  * field in the same call gives its shape.
  *
  * Every element is computed independently of the others, so a call splits
- * into contiguous chunks without changing any result.  A sum splits by the
- * subtrees of its pairwise tree, whose sums the caller adds in the tree's
- * order (see pairwise), so it too is the same for any thread count.  A
+ * into contiguous chunks without changing any result.  The one element
+ * that reads another chunk's output, x in the first row of a chunk of
+ * project_tv's sweep, is made by the caller after the join.  A sum splits
+ * by the subtrees of its pairwise tree, whose sums the caller adds in the
+ * tree's order (see pairwise), so it too is the same for any thread count.  A
  * call whose parts would each cover at least MIN_PART pixels runs on a
  * pool of worker threads (see run); a smaller one, and every metric_sums
  * call, runs on the calling thread alone.  The pool has one thread per
@@ -245,21 +249,49 @@ KERNEL static void h1_write(const double *restrict v, double *restrict k0, doubl
     }
 }
 
+/* The pixels of one tile of project_tv's sweep with z.  At 256 x 256 on
+ * one CPU the sweep took 121-139 us in tiles of 64 pixels and about as
+ * long in tiles of 32, 146-150 us in tiles of 128 and 149-177 us in whole
+ * rows, against 159-177 us for its two calls before. */
+#define TILE 64
+
 /* Rows r0..r1-1 of the baselines' whole dual step on TV, p = P(p + s D v),
  * in one visit per pixel: the ascent a = (grad v) s + p, formed as
  * imaging._grad forms it with an addend, and its projection onto the ball
  * of radius alpha, a alpha / max(||a||, floor) as
- * DenoiseProblem.project_dual makes it, written back over (p0, p1). */
-KERNEL static void project_tv(const double *restrict v, double *restrict p0, double *restrict p1,
-                              idx n1, idx n2, idx r0, idx r1, double alpha, double floor, double s)
+ * DenoiseProblem.project_dual makes it, written back over (p0, p1).
+ *
+ * With z, the rows are swept in tiles of TILE pixels, and after each
+ * tile's projection v = z - D* p is written over the same tile, as
+ * grad_adjoint makes it: dual_fb's whole iteration.  p at pixel k reads v
+ * at k, k+1 and k+n2, and v at k reads p at k-n2, k-1 and k, so no v is
+ * read after it is overwritten and D* reads only the new p.  Except in the
+ * first chunk, r0 > 0, row r0's v is left to the caller: its D* reads row
+ * r0-1's p, and the chunk before reads row r0's old v. */
+KERNEL static void project_tv(double *restrict v, double *restrict p0, double *restrict p1,
+                              const double *restrict z, idx n1, idx n2, idx r0, idx r1,
+                              double alpha, double floor, double s)
 {
-    STENCIL(v, n1, n2, r0 * n2, r1 * n2, {
-        double a0 = g0 * s + p0[k], a1 = g1 * s + p1[k], r = sqrt(a0 * a0 + a1 * a1);
-        r = r < floor ? floor : r;
-        r = alpha / r;
-        p0[k] = a0 * r;
-        p1[k] = a1 * r;
-    });
+    idx hi = r1 * n2, tile = z ? TILE : hi - r0 * n2, from = (r0 > 0 ? r0 + 1 : r0) * n2;
+    for (idx lo = r0 * n2; lo < hi; lo += tile) {
+        idx e = hi - lo < tile ? hi : lo + tile;
+        STENCIL(v, n1, n2, lo, e, {
+            double a0 = g0 * s + p0[k], a1 = g1 * s + p1[k], r = sqrt(a0 * a0 + a1 * a1);
+            r = r < floor ? floor : r;
+            r = alpha / r;
+            p0[k] = a0 * r;
+            p1[k] = a1 * r;
+        });
+        if (!z)
+            continue;
+        for (idx k = lo > from ? lo : from; k < e;) {
+            idx i = k / n2, j0 = k % n2, j1 = j0 + (e - k) < n2 ? j0 + (e - k) : n2;
+            grad_adjoint_row(p0, p1, v + k, n1, n2, i, j0, j1, 1.0);
+            for (idx q = k; q < k + (j1 - j0); q++)
+                v[q] = z[q] - v[q];
+            k += j1 - j0;
+        }
+    }
 }
 
 /* ----- the worker pool --------------------------------------------------- */
@@ -662,8 +694,8 @@ static void t_h1_write(Job *j, idx lo, idx hi, int c)
 
 static void t_project_tv(Job *j, idx lo, idx hi, int c)
 {
-    project_tv(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[0], j->s[1],
-               j->s[2]);
+    project_tv(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->a[2], j->n1, j->n2, lo, hi, j->s[0],
+               j->s[1], j->s[2]);
 }
 
 /* ----- wrappers ---------------------------------------------------------- */
@@ -811,13 +843,26 @@ WRAPPER(tv_dual)
 
 /* project_tv(v, p, alpha, floor, s), the baselines' dual step on TV,
  * which projects p + s D v into p itself: v an (n1, n2) image, p a
- * (2, n1, n2) field. */
+ * (2, n1, n2) field.  project_tv(v, p, z, alpha, floor, s), with z an
+ * image too, is dual_fb's whole iteration: it also writes v = z - D* p
+ * of the new p over v, in the same sweep. */
 WRAPPER(project_tv)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 3) && image_and_field(&bs, 0, 1, &j))
-        run(&j, t_project_tv, j.n1, j.n1 * j.n2);
+    int recover = nargs == 6;
+    j.a[2] = NULL;
+    if (unpack(&bs, &j, args, nargs, recover ? "wwr" : "rw", 3) && image_and_field(&bs, 0, 1, &j) &&
+        (!recover || image_and_field(&bs, 2, 1, &j))) {
+        idx n = j.n1 * j.n2;
+        run(&j, t_project_tv, j.n1, n);
+        /* the first row of each chunk after the first, which its sweep
+         * left, from the p of all chunks */
+        for (int c = 1; recover && c < j.chunks; c++) {
+            idx r = j.n1 * c / j.chunks;
+            grad_adjoint(j.a[1], j.a[1] + n, j.a[2], NULL, NULL, j.a[0], j.n1, j.n2, r, r + 1, 0.0, 0.0);
+        }
+    }
     return finish(&bs);
 }
 
@@ -952,7 +997,7 @@ static PyMethodDef methods[] = {
     {"tv_dual", (PyCFunction)(void (*)(void))w_tv_dual, METH_FASTCALL,
      "tv_dual(v, kx, d0, y, b0, mu, keep) -> min"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
-     "project_tv(v, p, alpha, floor, s)"},
+     "project_tv(v, p, alpha, floor, s) or project_tv(v, p, z, alpha, floor, s)"},
     {"project_h1", (PyCFunction)(void (*)(void))w_project_h1, METH_FASTCALL,
      "project_h1(v, p, alpha, s)"},
     {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,

@@ -13,11 +13,14 @@ the algorithms, not their implementations.  An iteration is two stages.
 The dual step p = P(p + s D v) is one project_dual call with ascent=,
 which on TV projects each pixel's ascent as it forms it, in place, and on
 H1 sums the ascent's squares on the fly before writing its projection
-over p: no ascent field is stored.  D*'s pass then makes dual_fb's
-x = z - D* p (minuend=) or pdhgm's whole primal step, the prox of G and
-the extrapolation (minuend=, z=, x_bar= and theta=).  Each run makes the
-views its loop passes once, so an iteration costs its two kernel calls
-and little more.
+over p: no ascent field is stored.  D*'s pass then makes pdhgm's whole
+primal step, the prox of G and the extrapolation (_grad_adjoint's
+minuend=, z=, x_bar= and theta=).  dual_fb's primal step, x = z - D* p,
+is asked of the same project_dual call (recover=): on TV it rides in the
+projection's sweep, tile by tile, so the whole iteration is one kernel
+call, and on H1 it is D*'s pass after the projection.  Each run makes the
+views its loop passes once, so an iteration costs its kernel calls and
+little more.
 """
 
 from __future__ import annotations
@@ -144,9 +147,11 @@ def dual_fb_run(
     The dual objective (1/2)||z - D* p||^2 - (1/2)||z||^2 is 1/tau-smooth
     for tau = 1/L^2 with the analytic L = sqrt(8); each step is a gradient
     step followed by ball projection.  The primal is recovered through the
-    optimality relation x = z - D* p, once per iteration and in D*'s own
-    pass: it is both the iterate reported for p and the point of the next
-    gradient step.
+    optimality relation x = z - D* p, once per iteration, by the
+    projection's own call (project_dual's recover=): it is both the
+    iterate reported for p and the point of the next gradient step.  On TV
+    the call is one sweep that writes x tile by tile right behind the
+    projection; on H1, and on the numpy path, D*'s pass follows it.
 
     The callback, if given, is invoked as callback(i, x, p, info) after each
     iteration, with p the planar (2, n1, n2) dual field; x and p are
@@ -166,9 +171,8 @@ def dual_fb_run(
     tau = 1.0 / DUAL_FB_L**2
 
     for i in range(max_iters):
-        problem.project_dual(p, out=p, ascent=(x2, tau))
-        # x = z - D* p
-        _grad_adjoint(p, out=x2, minuend=z)
+        # p = P(p + tau D x), then x = z - D* p: on TV one sweep
+        problem.project_dual(p, out=p, ascent=(x2, tau), recover=z)
         if callback is not None:
             callback(i, x_view, p_view, {"tau": tau})
 

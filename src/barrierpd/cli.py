@@ -19,6 +19,7 @@ except for the wall_seconds column.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -133,7 +134,9 @@ def _configure(solver, problem, iters, gamma, zeta, theta):
     solver must be one of SOLVERS.  Returns (run, opnorm): run(log) runs the
     solver and calls log(i, x, p, ...) after each iteration with the
     unlifted dual field p; the baselines pass it their info dict as well.
-    Raises ConfigError for a configuration the solver would reject.
+    pedi passes its lifted y with unlift=, the function that makes p of it,
+    so that log times the unlifting with the logging.  Raises ConfigError
+    for a configuration the solver would reject.
     """
     if solver in PEDI_RULES:
         sp = problem.saddle_problem()
@@ -144,8 +147,8 @@ def _configure(solver, problem, iters, gamma, zeta, theta):
         def run(log):
             # one planar field per run receives p = 2 tail(y)
             p = np.empty((2,) + problem.shape)
-            pedi_run(sp, cfg, iters, step_rule=rule,
-                     callback=lambda i, x, y, *_: log(i, x, problem.unlifted_dual(y, out=p)))
+            unlift = functools.partial(problem.unlifted_dual, out=p)
+            pedi_run(sp, cfg, iters, step_rule=rule, callback=lambda i, x, y, *_: log(i, x, y, unlift=unlift))
 
         return run, sp.opnorm_K
     if solver == "pdhgm":
@@ -158,17 +161,19 @@ def _run_solver(run, problem, target, gap0):
     """Run one configured solver, collecting an IterationRecord per iteration.
 
     A record's wall_seconds is solver time: the time since the run started
-    less the time spent in earlier calls of log, the metrics that build the
-    records.
+    less the time spent in earlier calls of log, which unlift pedi's y
+    (unlift=) and build the records.
     """
     records = []
     clock = time.perf_counter
     # t0 moves on by each call of log, so clock() - t0 leaves the logging out
     t0 = clock()
 
-    def log(i, x, p, *_):
+    def log(i, x, p, *_, unlift=None):
         nonlocal t0
         start = clock()
+        if unlift is not None:
+            p = unlift(p)
         records.append(metrics(x, p, problem, target, gap0, iter=i, wall_seconds=start - t0))
         t0 += clock() - start
 

@@ -22,17 +22,19 @@ Conventions fixed here and relied on by every solver:
   bit-identical to the numpy code, which runs on the numpy path, for any
   array a kernel rejects and for every one-off evaluation that shares no
   loop's kernel (D alone, D* alone, a projection into another out).  D*'s
-  kernel makes dual_fb's z - D* p, which dual_value shares, and pdhgm's
+  kernel makes H1 dual_fb's z - D* p, which dual_value shares, and pdhgm's
   prox and extrapolation.  The lifted K*'s kernel call makes pedi's whole
   primal step, x - tau K* y, its prox and ||x||^2 (apply_K_adjoint's
   primal=), storing nothing but the new x.  The baselines' whole dual step,
   the projection of the ascent p + s D v (project_dual's ascent= in
   place), is one kernel call that stores no ascent: on TV one pass, on H1
   a sum of the ascent's squares formed on the fly before the pass that
-  writes p.  The lifted K's kernel call makes pedi's dual solve and the soc
-  rule's minimum of the tail norms (apply_K's dual=): on TV in the same
-  pass, on H1 by summing the squares of K x formed on the fly before a
-  pass that writes y.  So no loop stores D v, and K x is stored only on
+  writes p.  On TV that pass also makes dual_fb's x = z - D* p
+  (project_dual's recover=), tile by tile behind the projection, so a
+  dual_fb iteration is one call.  The lifted K's kernel call makes pedi's
+  dual solve and the soc rule's minimum of the tail norms (apply_K's
+  dual=): on TV in the same pass, on H1 by summing the squares of K x
+  formed on the fly before a pass that writes y.  So no loop stores D v, and K x is stored only on
   pedi's final iteration.  The operators pedi_run calls hand the kernels
   the solver's own buffers, flat primal vectors included, and make no view
   a kernel does not need, so each costs its kernel call and little
@@ -181,15 +183,16 @@ def _grad_adjoint(
     field, whatever its boundary columns hold.  The product with scale comes
     last; with an (n1, n2) minuend m, which must not overlap out, out is
     then m minus that product times step: pedi's x - tau K* y (the
-    reference of its fused primal step), and dual_fb's x = z - D* p and
-    dual_value's z - D* p.  With z and x_bar as well, out is then pdhgm's
+    reference of its fused primal step), and dual_fb's x = z - D* p (the
+    reference of TV's sweep, project_dual's recover=) and dual_value's
+    z - D* p.  With z and x_bar as well, out is then pdhgm's
     primal step, the prox ((m - step D* p) + z step) / (1 + step) of that
     point, and x_bar its extrapolation (out - m) theta + out; x_bar may
     overlap no other argument.  out, the minuend, z and x_bar may also be
     flat, the row-major flattening of an (n1, n2) array.  The compiled
     kernel runs the two forms the baselines' loops take, in D*'s pass:
-    m - D* p (scale and step 1) and pdhgm's step (scale 1).  Every other
-    form is numpy code only.
+    m - D* p (scale and step 1, H1 dual_fb's) and pdhgm's step (scale 1).
+    Every other form is numpy code only.
     """
     if out is None:
         out = np.empty(planes.shape[1:])
@@ -345,7 +348,7 @@ class DenoiseProblem:
         """Dual objective (1/2)||z||^2 - (1/2)||z - D* p||^2 at a planar (2, n1, n2) field p.
 
         (1/2)||z||^2 is the cached half_z2, and z - D* p is _grad_adjoint's
-        minuend form, the one dual_fb's loop takes.
+        minuend form, the one H1 dual_fb's loop takes.
         """
         p = np.asarray(p, dtype=float)
         _check_field(p, self.shape)
@@ -360,6 +363,7 @@ class DenoiseProblem:
         p: np.ndarray,
         out: Optional[np.ndarray] = None,
         ascent: Optional[tuple] = None,
+        recover: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Project a planar (2, n1, n2) field p onto the dual constraint ||p|| <= alpha.
 
@@ -367,11 +371,16 @@ class DenoiseProblem:
         same shape that may be p itself, if given.  With ascent = (v, s), v
         an (n1, n2) image and s a step, it projects the ascent p + s D v
         instead, formed as _grad(v, scale=s, addend=p) forms it: the
-        baselines' whole dual step.  Only that step in place, out=p, calls a
-        kernel, which stores no ascent: one pass on TV, and on H1 a sum of
-        the ascent's squares formed on the fly followed by the write.  Every
-        other call, and the numpy path, take the numpy reference: the
-        ascent in a field of its own, then its projection.
+        baselines' whole dual step.  With an ascent and recover = z, an
+        (n1, n2) image, it then writes the primal v = z - D* out over v, as
+        _grad_adjoint(out, out=v, minuend=z) makes it: dual_fb's whole
+        iteration.  Only the step in place, out=p, calls a kernel, which
+        stores no ascent: on TV one sweep, which with recover= also writes
+        v tile by tile behind the projection; on H1 a sum of the ascent's
+        squares formed on the fly followed by the write, and then recover='s
+        _grad_adjoint.  Every other call, and the numpy path, take the numpy
+        reference: the ascent in a field of its own, its projection, then
+        recover='s _grad_adjoint.
         """
         in_place = out is p
         p = np.asarray(p, dtype=float)
@@ -380,21 +389,35 @@ class DenoiseProblem:
             out = np.empty(p.shape)
         elif not in_place:
             _check_field(out, self.z.values.shape)
+        if recover is not None and ascent is None:
+            raise ValueError("recover= needs an ascent= to write the primal into")
         # flooring the norm at alpha caps alpha/norm at 1 without a second
         # pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
         floor = max(self.alpha, 1e-300)
+        compiled = False
         if ascent is not None:
             v, s = ascent
             if in_place and kernels.PATH == "c":
                 try:
-                    if self.variant == "tv":
+                    if self.variant == "h1":
+                        kernels.ext.project_h1(v, out, self.alpha, s)
+                    elif recover is None:
                         kernels.ext.project_tv(v, out, self.alpha, floor, s)
                     else:
-                        kernels.ext.project_h1(v, out, self.alpha, s)
-                    return out
+                        # v = z - D* out rides in the projection's sweep
+                        kernels.ext.project_tv(v, out, recover, self.alpha, floor, s)
+                        return out
+                    compiled = True
                 except ValueError:
                     pass
-            p = _grad(v, scale=s, addend=p)
+        if not compiled:
+            self._project(p if ascent is None else _grad(v, scale=s, addend=p), out, floor)
+        if recover is not None:
+            _grad_adjoint(out, out=v, minuend=recover)
+        return out
+
+    def _project(self, p: np.ndarray, out: np.ndarray, floor: float) -> None:
+        """The numpy projection of the field p into out, TV's norms floored at floor."""
         if self.variant == "tv":
             scale = np.einsum("kij,kij->ij", p, p)
             np.sqrt(scale, out=scale)
@@ -407,7 +430,6 @@ class DenoiseProblem:
                 np.copyto(out, p)
             else:
                 np.multiply(p, self.alpha / nrm, out=out)
-        return out
 
     # ----- conic form ----------------------------------------------------
 

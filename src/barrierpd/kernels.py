@@ -17,7 +17,7 @@ compiler's error text or a cache directory that is not writable.  No option
 selects the path.  A kernel form exists only for a stage that a solver
 iteration or a logged row runs, and a one-off evaluation (D alone, D*
 alone, a projection into another out) runs the numpy reference unless it
-shares such a form, as dual_value shares dual_fb's z - D* p.  Every
+shares such a form, as dual_value shares H1 dual_fb's z - D* p.  Every
 function that calls a kernel keeps the numpy code it replaces, which runs
 on the numpy path and for arrays a kernel rejects (non-contiguous, not
 float64, overlapping), and which the tests use as the reference: both
@@ -25,12 +25,12 @@ compute every element with the same operations in the same order, so their
 results are bit-identical.  Every gradient field or cone tail a kernel
 takes is stored planar, all of plane 0 (the axis-0 differences) before
 plane 1, the one layout of the package's dual fields.  The eight kernels,
-nine forms in all, each make one stage whole, folding neighbouring
+ten forms in all, each make one stage whole, folding neighbouring
 elementwise passes into their own:
 
-* grad_adjoint(g, out, m) makes dual_fb's x = z - D* p, which dual_value
-  shares, and grad_adjoint(g, out, m, z, xb, t, theta) pdhgm's whole
-  primal step, its prox and extrapolation, in D*'s pass;
+* grad_adjoint(g, out, m) makes H1 dual_fb's x = z - D* p, which
+  dual_value shares, and grad_adjoint(g, out, m, z, xb, t, theta) pdhgm's
+  whole primal step, its prox and extrapolation, in D*'s pass;
 * primal_step makes pedi's whole primal step, which the numpy code runs
   as _grad_adjoint's x - tau K* y, then prox_G and _sumsq's ||x||^2;
 * tv_dual (TV) and h1_dual (H1) make pedi's whole dual step, which the
@@ -43,7 +43,11 @@ elementwise passes into their own:
   (H1) make the baselines' dual step, DenoiseProblem.project_dual with an
   ascent in place, which the numpy code runs as _grad with scale= and
   addend= and then the projection: project_tv in one pass, project_h1 as a
-  sum of the ascent's squares formed on the fly followed by its write;
+  sum of the ascent's squares formed on the fly followed by its write.
+  project_tv(v, p, z, alpha, floor, s) makes TV dual_fb's whole
+  iteration, project_dual with recover=z as well, whose numpy code then
+  runs _grad_adjoint's v = z - D* p: one sweep that writes each tile's v
+  right behind its projection;
 * grad_sumsq makes H1's regularizer, and metric_sums a logged row's four
   sums (imaging.metrics).
 

@@ -85,10 +85,12 @@ def test_trace_sees_one_operator_call_per_iteration(variant):
         # only the result's y and d are built; the callback gets views
         assert calls.get(("jordan.from_arrays", rule)) == 2
     for tag in ("pdhgm", "dual-fb"):
-        for name in ("imaging.grad_adjoint", "imaging.project_dual"):
-            assert calls.get((name, tag)) == iters, name
+        assert calls.get(("imaging.project_dual", tag)) == iters, tag
         # the ascent p + s D v rides in project_dual's call
         assert calls.get(("imaging.grad", tag), 0) == 0
+    assert calls.get(("imaging.grad_adjoint", "pdhgm")) == iters
+    # and so does dual_fb's x = z - D* p
+    assert calls.get(("imaging.grad_adjoint", "dual-fb"), 0) == 0
 
 
 def test_traced_cli_run_sees_each_solver_once(tmp_path):

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from barrierpd import cli, kernels
 from barrierpd.cli import SOLVERS, main
-from barrierpd.imaging import DenoiseProblem, synthetic_image
+from barrierpd.imaging import DenoiseProblem, Target, add_gaussian_noise, synthetic_image
 from barrierpd.pgm import write_pgm
 
 
@@ -91,6 +91,27 @@ def test_wall_seconds_leave_the_logging_out(workdir, tmp_path, monkeypatch):
         assert len(wall) == 30 and wall == sorted(wall)
         # under half of the 0.3 s the rows slept
         assert wall[-1] < 0.15, wall[-1]
+
+
+@pytest.mark.parametrize("solver", ["pedi-general", "pedi-soc"])
+def test_wall_seconds_leave_the_unlifting_out(monkeypatch, solver):
+    # pedi's logged p = 2 tail(y) is logging work: an unlifting that sleeps
+    # 2 ms a row adds 10 ms over 5 rows, far more than 5 iterations take
+    real = DenoiseProblem.unlifted_dual
+    calls = []
+
+    def slow_unlifted_dual(self, y, out=None):
+        calls.append(y)
+        time.sleep(0.002)
+        return real(self, y, out=out)
+
+    monkeypatch.setattr(DenoiseProblem, "unlifted_dual", slow_unlifted_dual)
+    problem = DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 7), 5.0, "h1")
+    run, _ = cli._configure(solver, problem, 5, 0.9, None, None)
+    records = cli._run_solver(run, problem, Target.of(problem, problem.z.flat()), problem.half_z2)
+    assert len(calls) == len(records) == 5
+    # under half of the 10 ms the unlifting slept
+    assert records[-1].wall_seconds < 0.005, records[-1].wall_seconds
 
 
 def test_make_target_cache(workdir):

@@ -425,6 +425,11 @@ def test_project_dual(rng):
     assert np.linalg.norm(ph) <= 0.4 * (1 + 1e-14)
     small = 0.01 * rng.standard_normal((2, 5, 5))
     assert np.allclose(dph.project_dual(small), small)
+    # the primal recovery writes over the ascent's image, so it needs one
+    q = np.full((2, 5, 5), 7.0)
+    with pytest.raises(ValueError, match="ascent"):
+        dp.project_dual(q, out=q, recover=dp.z.values)
+    assert np.all(q == 7.0)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 1e-5, 1e3, 1e-305])

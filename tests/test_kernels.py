@@ -358,16 +358,17 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
     stage = lambda p, out: dp.project_dual(p, out=out)  # noqa: E731
     c, ref = on_both_paths(monkeypatch, stage, planes, np.empty_like(planes))
     assert_identical(c[:2], ref[:2])
-    check_ascent(monkeypatch, dp, special(rng, shape), planes, {"project_tv": 1})
+    check_ascent(monkeypatch, dp, special(rng, shape), planes, special(rng, shape), {"project_tv": 2})
 
 
-def check_ascent(monkeypatch, dp, v, planes, calls):
+def check_ascent(monkeypatch, dp, v, planes, z, calls):
     """The baselines' dual step P(p + s D v) through project_dual on both paths, in place and into another out.
 
-    Both must give the projection of _grad's ascent bit for bit.  The
-    compiled path makes the step in place with one kernel call, calls per
-    step s, without a rejected array; another out takes the numpy
-    reference, the ascent and then its projection.
+    Both must give the projection of _grad's ascent bit for bit, and in
+    place with recover=z also dual_fb's v = z - D* p of that projection
+    over v.  The compiled path makes each in-place step with its kernel
+    calls, calls per step s in all, without a rejected array; another out
+    takes the numpy reference, the ascent and then its projection.
     """
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
@@ -379,14 +380,21 @@ def check_ascent(monkeypatch, dp, v, planes, calls):
         def separate(v, p, out):
             assert dp.project_dual(p, out=out, ascent=(v, s)) is out
 
+        def recovering(v, p, z):
+            assert dp.project_dual(p, out=p, ascent=(v, s), recover=z) is p
+
         c, ref = on_both_paths(monkeypatch, in_place, v, planes)
         assert_identical(c[:2], ref[:2])
         with np.errstate(all="ignore"):
             want = dp.project_dual(_grad(v, scale=s, addend=planes))
+            primal = z - _grad_adjoint(want)
         assert identical(c[1], want)
         c, ref = on_both_paths(monkeypatch, separate, v, planes, np.full_like(planes, 7.0))
         assert_identical(c[:3], ref[:3])
         assert identical(c[1], planes) and identical(c[2], want)
+        c, ref = on_both_paths(monkeypatch, recovering, v, planes, z)
+        assert_identical(c[:3], ref[:3])
+        assert identical(c[0], primal) and identical(c[1], want) and identical(c[2], z)
     monkeypatch.setattr(kernels, "ext", rec.ext)
     assert rec.rejected == [] and rec.calls == {k: n * len(scales) for k, n in calls.items()}
 
@@ -460,7 +468,7 @@ def test_h1_project_dual_ascent(monkeypatch, rng, shape):
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
         for args in ((v, planes), (special(rng, shape), planes), (v, special(rng, (2,) + shape))):
-            check_ascent(monkeypatch, dp, *args, {"project_h1": 1})
+            check_ascent(monkeypatch, dp, *args, special(rng, shape), {"project_h1": 2, "grad_adjoint": 1})
 
 
 @needs_c
@@ -693,14 +701,22 @@ class Recorder:
 
 
 @needs_c
-@pytest.mark.parametrize("shape", [(256, 256), (257, 263)], ids=shape_ids)
+@pytest.mark.parametrize("shape", [(256, 256), (257, 263), (1, 1), (1, 7), (7, 1), (2, 2)], ids=shape_ids)
 def test_dual_fb_x_on_both_paths(monkeypatch, shape):
-    # x = z - D* p is made in D*'s pass, split across threads at these sizes
+    # on TV the projection and x = z - D* p are one sweep, split across
+    # threads at the first two sizes, whose chunks' first rows of x the
+    # caller makes after the join
     dp = DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), 0.3, "tv")
-    got = dual_fb_run(dp, 10)
-    monkeypatch.setattr(kernels, "PATH", NUMPY)
-    want = dual_fb_run(dp, 10)
-    assert identical(got.x, want.x) and identical(got.p, want.p)
+    for iters in (1, 20):
+        rec = Recorder(kernels.ext)
+        monkeypatch.setattr(kernels, "ext", rec)
+        got = dual_fb_run(dp, iters)
+        monkeypatch.setattr(kernels, "ext", rec.ext)
+        assert rec.rejected == [] and rec.forms == {("project_tv", 6)} and rec.calls == {"project_tv": iters}
+        monkeypatch.setattr(kernels, "PATH", NUMPY)
+        want = dual_fb_run(dp, iters)
+        monkeypatch.setattr(kernels, "PATH", "c")
+        assert identical(got.x, want.x) and identical(got.p, want.p)
 
 
 @needs_c
@@ -717,9 +733,9 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     assert rec.rejected == []
     # pedi's K, dual solve and soc minimum are one tv_dual pass, and its
     # K*, prox and ||x||^2 one primal_step call; the baselines' ascent and
-    # projection are one project_tv pass, and pdhgm's primal step rides in
-    # its grad_adjoint
-    assert rec.calls == {"grad_adjoint": 2 * 5, "tv_dual": 10, "primal_step": 10, "project_tv": 10}
+    # projection are one project_tv pass, pdhgm's primal step rides in its
+    # grad_adjoint, and dual_fb's x = z - D* p in its project_tv sweep
+    assert rec.calls == {"grad_adjoint": 5, "tv_dual": 10, "primal_step": 10, "project_tv": 10}
 
 
 @needs_c
@@ -771,7 +787,7 @@ def test_every_kernel_is_reached(monkeypatch):
     forms = documented_forms(rec.ext)
     assert rec.rejected == []
     assert {name for name, _ in forms} == exported
-    assert rec.forms == forms
+    assert rec.forms == forms and len(forms) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +849,21 @@ def test_kernels_reject_without_writing(rng):
             with pytest.raises(ValueError):
                 project(w, q)
             assert np.all(q == 7.0) and np.all(p == 7.0), why
+    # dual_fb's sweep also writes x = z - D* p over v: each of these leaves
+    # both unwritten
+    x, z = np.full((4, 5), 7.0), rng.standard_normal((4, 5))
+    for why, (w, q, u) in {
+        "x overlapping p": (p[1], p, z),
+        "z overlapping x": (x, p, x),
+        "z overlapping p": (x, p, p[0]),
+        "z of the wrong shape": (x, p, z.reshape(5, 4)),
+        "flat z of 19 entries": (x, p, z.reshape(-1)[:19].copy()),
+        "read-only x": (np.full((4, 5), 7.0), p, z),
+    }.items():
+        w.flags.writeable = why != "read-only x"
+        with pytest.raises(ValueError):
+            ext.project_tv(w, q, u, 1.0, 1.0, 0.5)
+        assert np.all(w == 7.0) and np.all(q == 7.0) and np.all(p == 7.0), why
     # pedi's primal step writes x in place: each of these leaves it unwritten
     y, z = rng.standard_normal((2, 4, 5)), rng.standard_normal(20)
     x = np.full(20, 7.0)
@@ -896,13 +927,21 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
 
     y32 = dp.saddle_problem().apply_K(x).astype(np.float32)
 
+    def fb_step(z):
+        q, x2 = planes.copy(), v.copy()
+        dp.project_dual(q, out=q, ascent=(x2, 0.3), recover=z)
+        return [q, x2]
+
     def rejected():
         q = p.copy(order="K")
         return [
-            # strided planes, x = z - D* p as dual_fb makes it
+            # strided planes, x = z - D* p as dual_value makes it
             _grad_adjoint(planes[:, :, ::-1].copy()[:, :, ::-1], minuend=v),
             # the baselines' dual step in place on that field
             dp.project_dual(q, out=q, ascent=(v, 0.3)),
+            # dual_fb's sweep with a reversed z: the reference, whose D*
+            # rejects it too
+            *fb_step(v[:, ::-1]),
             # a reversed x, not C-contiguous: the fused pass rejects it
             *dual_update(x[::-1]),
             dp.saddle_problem().prox_G(v.reshape(-1)[::-1], 0.3),
@@ -921,7 +960,7 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     monkeypatch.setattr(kernels, "ext", rec)
     got = rejected()
     assert [name for name, _ in rec.rejected] == [
-        "grad_adjoint", "project_tv", "tv_dual", "primal_step",
+        "grad_adjoint", "project_tv", "project_tv", "grad_adjoint", "tv_dual", "primal_step",
         # dual_value's D* rejects the interleaved and strided fields; it
         # takes a float64 copy of the float32 one, C-contiguous like it
         "metric_sums", "grad_adjoint", "metric_sums", "metric_sums", "grad_adjoint"]
@@ -1043,6 +1082,10 @@ dp = DenoiseProblem(add_gaussian_noise(synthetic_image(256, 256), 6.15, 3), 5.0,
 sp = dp.saddle_problem()
 xs = [pdhgm_run(dp, BaselineConfig.default_for(dp, 30)).x, dual_fb_run(dp, 30).x]
 xs += [pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 30, step_rule=r).x for r in ("general", "soc")]
+# TV dual_fb's sweep, whose chunks leave their first row of x to the caller
+for shape in ((256, 256), (257, 263)):
+    res = dual_fb_run(DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), 0.3, "tv"), 30)
+    xs += [res.x, res.p]
 print(kernels.THREADS, *(s.hex() for s in sums), *(hashlib.sha256(x.tobytes()).hexdigest() for x in xs))
 """
     one, all_cpus = (run_python(code.replace("sys.argv[1]", repr(n))) for n in ("1", "all"))
