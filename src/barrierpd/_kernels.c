@@ -31,6 +31,16 @@
  * does so through one stencil, STENCIL, and every sum walks numpy's tree
  * through one walker, WALKER, over a leaf.
  *
+ * The divider, not memory, bounds these passes: over 65,536 pixels on one
+ * thread of a 2-CPU AVX-512 Xeon, a sqrt and 2 divisions took 171-177 us, a
+ * sqrt and 1 division 121-126 us and a sqrt alone 73-78 us.  So a kernel
+ * makes only the divisions its algebra needs: a loop-invariant divisor
+ * becomes its reciprocal, taken once per call, and a per-pixel quotient is
+ * formed once.  tv_dual divides once per pixel, and once more only where it
+ * stores d's head; project_tv divides once; primal_step and grad_adjoint
+ * multiply by 1 / (1 + tau).  The numpy references use the same
+ * expressions.
+ *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; the sums' leaves read theirs from a job.  On x86-64 each
  * is cloned for AVX-512, AVX2 and the baseline ISA and picked at load
@@ -168,14 +178,15 @@ KERNEL static void ascend(const double *restrict v, double *restrict p0, double 
 
 /* Rows r0..r1-1 of a minuend m minus the adjoint of grad, into out:
  * baselines.dual_fb_run's x = z - D* p.  With z as well, out is instead
- * pdhgm's primal step, the prox ((m - (D* g) t) + z t) / (1 + t) of the
- * point m - (D* g) t, and xb its extrapolation (out - m) theta + out. */
+ * pdhgm's primal step, the prox ((m - (D* g) t) + z t) r of the point
+ * m - (D* g) t, r = 1 / (1 + t), and xb its extrapolation
+ * (out - m) theta + out. */
 KERNEL static void grad_adjoint(const double *restrict g0, const double *restrict g1,
                                 const double *restrict m, const double *restrict z,
                                 double *restrict xb, double *restrict out, idx n1, idx n2, idx r0,
                                 idx r1, double t, double theta)
 {
-    double s = 1.0 + t;
+    double r = 1.0 / (1.0 + t);
     for (idx i = r0; i < r1; i++) {
         double *restrict o = out + i * n2;
         const double *restrict mi = m + i * n2;
@@ -183,11 +194,14 @@ KERNEL static void grad_adjoint(const double *restrict g0, const double *restric
         if (z) {
             const double *restrict zi = z + i * n2;
             double *restrict bi = xb + i * n2;
-            for (idx j = 0; j < n2; j++) {
-                double w = ((mi[j] - o[j] * t) + zi[j] * t) / s;
-                o[j] = w;
-                bi[j] = (w - mi[j]) * theta + w;
-            }
+            /* the extrapolation in a loop of its own: in the prox's loop,
+             * the pass at 256 x 256 took 1.08-1.12 times as long as that
+             * loop with a division by 1 + t (one CPU, AVX-512); split, 0.95
+             * times on one CPU and 0.83 on two */
+            for (idx j = 0; j < n2; j++)
+                o[j] = ((mi[j] - o[j] * t) + zi[j] * t) * r;
+            for (idx j = 0; j < n2; j++)
+                bi[j] = (o[j] - mi[j]) * theta + o[j];
         } else
             for (idx j = 0; j < n2; j++)
                 o[j] = mi[j] - o[j];
@@ -196,26 +210,26 @@ KERNEL static void grad_adjoint(const double *restrict g0, const double *restric
 
 /* Rows r0..r1-1 of pedi's dual step on TV, each pixel in one visit: its
  * block's tail (g0, g1) of K x = grad v; the squared norm
- * t = g0^2 + g1^2; the closed-form dual solve of pedi._dual_update, the
- * head d = (sqrt(t b0^2 + mu^2) + mu) / b0 of d and the tail
- * (g0, g1) (b0/2) / d of y, zero where d is not positive.  It writes
- * y's tails into (y0, y1), and with keep also K x into (k0, k1) and d's heads
- * into d0.  The least and greatest bit patterns of the norms t go into *lo
- * and *hi: such a sum is +0 or positive unless NaN, and non-negative doubles
- * order like their bit patterns, so the minimum is an unsigned integer
- * reduction, exact in any order; NaN patterns of either sign lie above
- * +inf's. */
+ * t = g0^2 + g1^2; the closed-form dual solve of pedi._dual_update, with
+ * e = sqrt(t b0^2 + mu^2) + mu, the tail (g0, g1) s of y, s = (b0^2/2) / e
+ * and zero where e is not positive, and the head d = e / b0 of d.  It
+ * writes y's tails into (y0, y1), and with keep also K x into (k0, k1) and
+ * d's heads into d0, the pixel's one other division.  The least and
+ * greatest bit patterns of the norms t go into *lo and *hi: such a sum is
+ * +0 or positive unless NaN, and non-negative doubles order like their bit
+ * patterns, so the minimum is an unsigned integer reduction, exact in any
+ * order; NaN patterns of either sign lie above +inf's. */
 KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double *restrict k1,
                            double *restrict d0, double *restrict y0, double *restrict y1, idx n1,
                            idx n2, idx r0, idx r1, double b0, double mu, int keep, uint64_t *lo,
                            uint64_t *hi)
 {
-    double bb = b0 * b0, mm = mu * mu, hb = b0 / 2.0;
+    double bb = b0 * b0, mm = mu * mu, hbb = bb / 2.0;
     uint64_t l = UINT64_MAX, h = 0;
     STENCIL(v, n1, n2, r0 * n2, r1 * n2, {
         double t = g0 * g0 + g1 * g1;
-        double d = (sqrt(t * bb + mm) + mu) / b0, q = hb / d;
-        double s = d > 0.0 ? q : 0.0;
+        double e = sqrt(t * bb + mm) + mu, q = hbb / e;
+        double s = e > 0.0 ? q : 0.0;
         uint64_t b;
         memcpy(&b, &t, sizeof b);
         l = b < l ? b : l;
@@ -225,7 +239,7 @@ KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double
         if (keep) {
             k0[k] = g0;
             k1[k] = g1;
-            d0[k] = d;
+            d0[k] = e / b0;
         }
     });
     *lo = l;
@@ -233,7 +247,7 @@ KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double
 }
 
 /* Rows r0..r1-1 of the write of pedi's dual step on H1, whose one block
- * has the factor s = (b0/2) / d: y = (grad v) s into the planes (y0, y1),
+ * has the factor s = (b0^2/2) / e: y = (grad v) s into the planes (y0, y1),
  * as pedi._dual_update's product forms it, and with keep K x = grad v
  * itself into (k0, k1), each plane in a pass of its own. */
 KERNEL static void h1_write(const double *restrict v, double *restrict k0, double *restrict k1,
@@ -541,24 +555,25 @@ KERNEL static void metric_leaf(const Job *j, idx lo, idx n, double *s)
 }
 
 /* Pixels lo..lo+n-1 of pedi's primal step on the job's (y, z, x) with
- * tau its s[0]: the point m = x - (2 D* y) tau, as imaging._grad_adjoint
- * makes it with a minuend, then the prox (z tau + m) / (1 + tau) of
- * G(x) = ||x - z||^2 / 2, as DenoiseProblem's prox_G makes it, written
- * over x, and the squares of the new x, as np.square(x).sum() adds them.
- * D* runs row segment by row segment. */
+ * tau its s[0] and r = 1 / (1 + tau) its s[1]: the point
+ * m = x - (2 D* y) tau, as imaging._grad_adjoint makes it with a minuend,
+ * then the prox (z tau + m) r of G(x) = ||x - z||^2 / 2, as
+ * DenoiseProblem's prox_G makes it, written over x, and the squares of the
+ * new x, as np.square(x).sum() adds them.  D* runs row segment by row
+ * segment. */
 KERNEL static void primal_leaf(const Job *j, idx lo, idx n, double *s)
 {
     const double *restrict y = j->a[0], *restrict z = j->a[1] + lo;
     double *restrict x = j->a[2] + lo;
     idx n1 = j->n1, n2 = j->n2;
-    double t = j->s[0], d = 1.0 + t, w[LEAF];
+    double t = j->s[0], r = j->s[1], w[LEAF];
     for (idx k = 0; k < n;) {
         idx i = (lo + k) / n2, j0 = (lo + k) % n2, j1 = j0 + (n - k) < n2 ? j0 + (n - k) : n2;
         grad_adjoint_row(y, y + n1 * n2, w + k, n1, n2, i, j0, j1, 2.0);
         k += j1 - j0;
     }
     for (idx k = 0; k < n; k++)
-        x[k] = (z[k] * t + (x[k] - w[k] * t)) / d;
+        x[k] = (z[k] * t + (x[k] - w[k] * t)) * r;
     *s = leaf_sum(x, n, 1);
 }
 
@@ -792,7 +807,8 @@ static PyObject *finish(Bufs *bs)
 /* grad_adjoint(g, out, m) or grad_adjoint(g, out, m, z, xb, t, theta): g a
  * (2, n1, n2) array, out, the minuend m, z and xb (n1, n2) images or their
  * flattenings; out = m - D* g, or with z and xb pdhgm's primal step,
- * out = ((m - (D* g) t) + z t) / (1 + t) and xb = (out - m) theta + out. */
+ * out = ((m - (D* g) t) + z t) (1 / (1 + t)) and
+ * xb = (out - m) theta + out. */
 WRAPPER(grad_adjoint)
 {
     Bufs bs = {.n = 0};
@@ -891,10 +907,10 @@ WRAPPER(project_h1)
  * tail, pedi's whole dual step on H1: v an (n1, n2) image, kx a
  * (2, n1, n2) field, d0 a (1,) array and y the (1, 2 n) tail, n = n1 n2.
  * It sums t over grad v on the fly, as np.square(_grad(v)).sum() adds it,
- * storing no field; solves d = (sqrt(t b0^2 + mu^2) + mu) / b0 and the
- * factor s = (b0/2) / d, 0 where d is not positive, as pedi._dual_update
- * does; and then writes y = (grad v) s, and with keep true also kx = grad v
- * and d0 = d. */
+ * storing no field; solves e = sqrt(t b0^2 + mu^2) + mu and the factor
+ * s = (b0^2/2) / e, 0 where e is not positive, as pedi._dual_update does;
+ * and then writes y = (grad v) s, and with keep true also kx = grad v and
+ * d0 = e / b0. */
 WRAPPER(h1_dual)
 {
     Bufs bs = {.n = 0};
@@ -908,12 +924,12 @@ WRAPPER(h1_dual)
         else {
             /* add.reduce starts from its identity, 0 */
             t = 0.0 + pairwise(&j, walk_grad_sumsq, 2 * n, n);
-            double b0 = j.s[0], mu = j.s[1];
-            double dh = (sqrt(t * (b0 * b0) + mu * mu) + mu) / b0, q = (b0 / 2.0) / dh;
+            double b0 = j.s[0], mu = j.s[1], bb = b0 * b0;
+            double e = sqrt(t * bb + mu * mu) + mu, q = (bb / 2.0) / e;
             if (j.s[2] != 0.0)
-                *(double *)j.a[2] = dh;
+                *(double *)j.a[2] = e / b0;
             /* the factor t_h1_write reads */
-            j.s[0] = dh > 0.0 ? q : 0.0;
+            j.s[0] = e > 0.0 ? q : 0.0;
             run(&j, t_h1_write, j.n1, n);
         }
     }
@@ -924,17 +940,20 @@ WRAPPER(h1_dual)
 /* primal_step(y, z, x, tau) -> the sum of the squares of the new x, in
  * numpy's summation order: pedi's whole primal step, y a (2, n1, n2)
  * field, z and x (n1, n2) images or their flattenings.  It writes
- * x = (z tau + (x - (2 D* y) tau)) / (1 + tau) in place, the prox step of
- * DenoiseProblem's G at x - tau K* y, and sums the squares of the new x as
- * np.square(x).sum() adds them, storing no other array. */
+ * x = (z tau + (x - (2 D* y) tau)) r in place, r = 1 / (1 + tau) taken once,
+ * the prox step of DenoiseProblem's G at x - tau K* y, and sums the squares
+ * of the new x as np.square(x).sum() adds them, storing no other array. */
 WRAPPER(primal_step)
 {
     Bufs bs = {.n = 0};
     Job j;
     double s = 0.0;
     if (unpack(&bs, &j, args, nargs, "rrw", 1) && image_and_field(&bs, 1, 0, &j) &&
-        image_and_field(&bs, 2, 0, &j))
+        image_and_field(&bs, 2, 0, &j)) {
+        /* the prox's factor primal_leaf reads */
+        j.s[1] = 1.0 / (1.0 + j.s[0]);
         s = pairwise(&j, walk_primal, j.n1 * j.n2, j.n1 * j.n2);
+    }
     release(&bs);
     /* add.reduce starts from its identity, 0 */
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(0.0 + s);

@@ -51,6 +51,13 @@ elementwise passes into their own:
 * grad_sumsq makes H1's regularizer, and metric_sums a logged row's four
   sums (imaging.metrics).
 
+The kernels are bound by the divider, so each makes only the divisions
+its algebra needs, and the numpy code it replaces uses the same
+expressions: tv_dual and h1_dual form e = sqrt(t b0^2 + mu^2) + mu and the
+tail factor (b0^2/2) / e, one division per block, and d's head e / b0 only
+where they store it; primal_step and pdhgm's grad_adjoint multiply by
+1 / (1 + tau), taken once per call; project_tv divides once per pixel.
+
 tv_dual's minimum is exact in any order, and the kernels that sum --
 metric_sums, primal_step's ||x||^2 for pedi's finiteness check, and the
 sum of squares of a gradient formed on the fly (h1_dual's norm, H1's

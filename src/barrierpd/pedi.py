@@ -252,27 +252,28 @@ def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray) -> np.ndarray:
 def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0: np.ndarray, y_tails: np.ndarray):
     """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, in place.
 
-    tn2 holds the squared tail norms of Kx per block (see _tail_norms) and
-    is overwritten.  Writes the heads of d into d0 and the tails of y into
-    y_tails; head(y_b) = b0/2 and tail(d_b) = -tail(Kx)_b.  This is the
-    numpy reference of the compiled passes tv_dual and h1_dual (see
-    DualSolve).
+    tn2 holds the squared tail norms t of Kx per block (see _tail_norms) and
+    is overwritten.  With e = sqrt(t b0^2 + mu^2) + mu, the head of d_b is
+    e / b0 and the tail of y_b is tail(Kx)_b times s = (b0^2/2) / e: that
+    is (b0/2) / head(d_b), with one division in place of two.  Writes the
+    heads of d into d0 and the tails of y into y_tails; head(y_b) = b0/2
+    and tail(d_b) = -tail(Kx)_b.  This is the numpy reference of the
+    compiled passes tv_dual and h1_dual (see DualSolve).
     """
     np.multiply(tn2, b0 * b0, out=d0)
     d0 += mu * mu
     np.sqrt(d0, out=d0)
     d0 += mu
-    d0 /= b0
-    # (b0/2)/d0 and b0/(2 d0) are one rounding of the same quotient, since
-    # halving b0 and doubling d0 are exact; the first saves a pass
+    # d0 holds e here, and s = (b0^2/2) / e goes into tn2's buffer
     scale = tn2
     if d0.min() > 0.0:
-        np.divide(b0 / 2.0, d0, out=scale)
+        np.divide(b0 * b0 / 2.0, d0, out=scale)
     else:
-        # d0 = 0 only when mu underflowed and so did b0^2 ||tail||^2; such
+        # e = 0 only when mu underflowed and so did b0^2 ||tail||^2; such
         # a block gets a zero dual tail
         scale.fill(0.0)
-        np.divide(b0 / 2.0, d0, out=scale, where=d0 > 0.0)
+        np.divide(b0 * b0 / 2.0, d0, out=scale, where=d0 > 0.0)
+    d0 /= b0
     np.multiply(kx_tails, scale[:, None], out=y_tails)
 
 

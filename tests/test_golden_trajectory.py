@@ -61,10 +61,11 @@ def ref_pedi(dp, cfg, rule):
             state = step_rule_soc(state, math.sqrt(2.0 * float(np.min(tn2))), cfg)
         else:
             state = step_rule_general(state, cfg)
-        d0 = (state.mu + np.sqrt(state.mu * state.mu + b0 * b0 * tn2)) / b0
-        y = (b0 / (2.0 * d0))[:, None] * kx
+        e = state.mu + np.sqrt(state.mu * state.mu + b0 * b0 * tn2)
+        d0 = e / b0
+        y = (b0 * b0 / 2.0 / e)[:, None] * kx
         v = x - state.tau * (2.0 * ref_grad_adjoint(y.reshape(shape + (2,))).reshape(-1))
-        x = (v + state.tau * zf) / (1.0 + state.tau)
+        x = (v + state.tau * zf) * (1.0 / (1.0 + state.tau))
     return x, y.reshape(shape + (2,)), d0
 
 
@@ -75,7 +76,7 @@ def ref_pdhgm(dp, cfg):
     for _ in range(cfg.max_iters):
         p = ref_project(dp, p + sigma * ref_grad(x_bar.reshape(dp.shape)))
         x_old = x
-        x = (x - tau * ref_grad_adjoint(p).reshape(-1) + tau * zf) / (1.0 + tau)
+        x = (x - tau * ref_grad_adjoint(p).reshape(-1) + tau * zf) * (1.0 / (1.0 + tau))
         theta = 1.0 / math.sqrt(1.0 + 2.0 * cfg.gamma * tau)
         x_bar = x + theta * (x - x_old)
         tau, sigma = theta * tau, sigma / theta

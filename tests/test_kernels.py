@@ -305,7 +305,9 @@ def test_primal_step(monkeypatch, rng, shape, variant):
                  (special(rng, dual.y_tails.shape), rng.standard_normal(n)),
                  (rng.standard_normal(dual.y_tails.shape), special(rng, n))):
         dual.y_tails[...] = y
-        for tau in (0.3, 1.0, 1e-300, 7.0):
+        # both paths multiply by the prox's factor 1 / (1 + tau), also at
+        # the edge of the range: subnormal at 1e308, 0 at inf
+        for tau in (0.3, 1.0, 1e-300, 7.0, 1e308, np.inf):
             c, ref = on_both_paths(monkeypatch, lambda x: primal_step(sp, dual.y_tails, x, tau), x)
             assert_identical(c[-1], ref[-1])
             with np.errstate(all="ignore"):
@@ -315,13 +317,13 @@ def test_primal_step(monkeypatch, rng, shape, variant):
 
 def pdhgm_primal_reference(planes, x, z, tau, theta):
     """pdhgm's primal step as its own passes after D*: (w, x_bar) with w = D* p, then
-    w = ((x - w tau) + z tau) / (1 + tau) and x_bar = (w - x) theta + w."""
+    w = ((x - w tau) + z tau) (1 / (1 + tau)) and x_bar = (w - x) theta + w."""
     w = _grad_adjoint(planes)
     w *= tau
     np.subtract(x, w, out=w)
     x_bar = np.multiply(z, tau)
     w += x_bar
-    w /= 1.0 + tau
+    w *= 1.0 / (1.0 + tau)
     np.subtract(w, x, out=x_bar)
     x_bar *= theta
     x_bar += w
@@ -334,8 +336,10 @@ def test_primal_stages(monkeypatch, rng, shape):
     n = shape[0] * shape[1]
     x, z = special(rng, n), special(rng, n)
     planes = special(rng, (2,) + shape)
-    for tau in (0.3, 1e-300, 7.0):
-        # pdhgm's prox and extrapolation in D*'s pass, with (n1, n2) and flat arrays
+    for tau in (0.3, 1e-300, 7.0, 1e308, np.inf):
+        # pdhgm's prox and extrapolation in D*'s pass, with (n1, n2) and flat
+        # arrays; the last two steps make the prox's factor 1 / (1 + tau)
+        # subnormal and 0
         for layout in (shape, (n,)):
             def stage(g, w, x, z, xb):
                 return _grad_adjoint(g, out=w, minuend=x, step=tau, z=z, x_bar=xb, theta=0.8)
@@ -578,7 +582,7 @@ def test_overflowing_norm_of_a_finite_iterate_on_both_paths(monkeypatch, path):
 
 
 def identical_records(a: IterationRecord, b: IterationRecord) -> bool:
-    return all(identical(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(IterationRecord))
+    return all(identical(getattr(a, f), getattr(b, f)) for f in IterationRecord._fields)
 
 
 @needs_c
@@ -951,9 +955,9 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
             # the norm of that field, summed in planar order
             imaging._field_norm(p),
             # that field, a float32 one and a strided one
-            *dataclasses.astuple(metrics(x, p, dp, target, 3.0)),
-            *dataclasses.astuple(metrics(x, planes.astype(np.float32), dp, target, 3.0)),
-            *dataclasses.astuple(metrics(x, np.repeat(planes, 2, axis=2)[:, :, ::2], dp, target, 3.0)),
+            *metrics(x, p, dp, target, 3.0),
+            *metrics(x, planes.astype(np.float32), dp, target, 3.0),
+            *metrics(x, np.repeat(planes, 2, axis=2)[:, :, ::2], dp, target, 3.0),
         ]
 
     rec = Recorder(kernels.ext)
@@ -1188,7 +1192,7 @@ def test_isa_clones_match_the_default_build(monkeypatch, tmp_path):
         for dp in problems:
             runs = run_all(dp, 20)
             x, p = runs[2]
-            out += [*runs, dataclasses.astuple(metrics(x, p, dp, Target.of(dp, dp.z.flat()), 1.0))]
+            out += [*runs, tuple(metrics(x, p, dp, Target.of(dp, dp.z.flat()), 1.0))]
         return out
 
     want = solve()
