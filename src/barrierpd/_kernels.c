@@ -27,8 +27,13 @@
  * of the ascent p + s D v, is one call in the same way, writing p in place
  * and storing no ascent: on TV project_tv forms and projects each pixel's
  * ascent in one visit; on H1 project_h1 sums the ascent's squares formed on
- * the fly and then writes it, scaled, with ascend.  Every kernel that forms D
- * does so through one stencil, STENCIL, and every sum walks numpy's tree
+ * the fly and then writes it, scaled, with ascend.  A logged row's four sums
+ * are one call too, metric_sums, which visits each pixel once: on TV one
+ * loop per row segment forms all four terms, D* p among them, and D* p is
+ * multiplied last by a factor c, 2 for pedi's p = 2 tail(y), so the pass
+ * reads y's tails as they lie and nothing unlifts them.  Every kernel forms
+ * D through GRAD0 and GRAD1 and D* through GRAD_ADJOINT, walking pixels
+ * with STENCIL or row segments with ROW, and every sum walks numpy's tree
  * through one walker, WALKER, over a leaf.
  *
  * The divider, not memory, bounds these passes: over 65,536 pixels on one
@@ -93,14 +98,36 @@ typedef Py_ssize_t idx;
 
 /* ----- kernels ----------------------------------------------------------- */
 
+/* The entries (g0, g1) of grad v at pixel k of an (n1, n2) array v, the
+ * forward differences with Neumann boundary, as imaging._grad makes them:
+ * down and right say whether the pixel has a neighbour below and to its
+ * right, and an entry without one is zero.  Every kernel that forms D forms
+ * it here, with down and right constants in each copy of its loop body. */
+#define GRAD0(v, n2, k, down) ((down) ? (v)[(k) + (n2)] - (v)[k] : 0.0)
+#define GRAD1(v, k, right) ((right) ? (v)[(k) + 1] - (v)[k] : 0.0)
+
+/* The entry at pixel k of the adjoint of grad on the planes g0 and g1 of a
+ * field, with up and left saying as well whether the pixel has a neighbour
+ * above and to its left: the axis-0 terms g0[k-n2] - g0[k] first, then
+ * + g1[k-1] and - g1[k], as imaging._grad_adjoint adds them, each term
+ * without its neighbour left out; the first row starts from 0 - g0[k], as
+ * that code subtracts from zeros.  Every kernel that forms D* forms it
+ * here. */
+#define AXIS0_ADJOINT(g0, n2, k, up, down)                                      \
+    ((up) ? (down) ? (g0)[(k) - (n2)] - (g0)[k] : (g0)[(k) - (n2)]              \
+          : (down) ? 0.0 - (g0)[k] : 0.0)
+#define GRAD_ADJOINT(g0, g1, n2, k, up, down, left, right)                      \
+    ((left) ? (right) ? (AXIS0_ADJOINT(g0, n2, k, up, down) + (g1)[(k) - 1]) - (g1)[k] \
+                      : AXIS0_ADJOINT(g0, n2, k, up, down) + (g1)[(k) - 1]      \
+            : (right) ? AXIS0_ADJOINT(g0, n2, k, up, down) - (g1)[k]            \
+                      : AXIS0_ADJOINT(g0, n2, k, up, down))
+
 /* Runs the PIXEL body, the arguments after hi, on each pixel k = lo..hi-1
  * of the (n1, n2) array v in row-major order, with (g0, g1) the pixel's
- * entries of the forward differences with Neumann boundary: the entries
- * imaging._grad gives, zero in the last row (g0) and the last column (g1).
- * A kernel whose planar outputs each need one entry runs it once per
- * plane, reading g0 or g1 alone: pairing the planes per pixel made a plain
- * gradient pass 2.1 times as slow at 256 x 256 on one CPU, and h1_dual 1.6
- * times. */
+ * entries of grad v.  A kernel whose planar outputs each need one entry
+ * runs it once per plane, reading g0 or g1 alone: pairing the planes per
+ * pixel made a plain gradient pass 2.1 times as slow at 256 x 256 on one
+ * CPU, and h1_dual 1.6 times. */
 #define STENCIL(v, n1, n2, lo, hi, ...)                                         \
     for (idx k = (lo), i_ = k / (n2); k < (hi); i_++) {                         \
         /* the row ends at r_; pixels before m_ have a right neighbour, and     \
@@ -109,59 +136,75 @@ typedef Py_ssize_t idx;
         idx m_ = e_ < r_ - 1 ? e_ : r_ - 1;                                     \
         if (i_ < (n1) - 1) {                                                    \
             for (; k < m_; k++)                                                 \
-                PIXEL((v)[k + (n2)] - (v)[k], (v)[k + 1] - (v)[k], __VA_ARGS__) \
+                PIXEL(v, n2, 1, 1, __VA_ARGS__)                                 \
             if (k < e_)                                                         \
-                PIXEL((v)[k + (n2)] - (v)[k], 0.0, __VA_ARGS__)                 \
+                PIXEL(v, n2, 1, 0, __VA_ARGS__)                                 \
         } else {                                                                \
             for (; k < m_; k++)                                                 \
-                PIXEL(0.0, (v)[k + 1] - (v)[k], __VA_ARGS__)                    \
+                PIXEL(v, n2, 0, 1, __VA_ARGS__)                                 \
             if (k < e_)                                                         \
-                PIXEL(0.0, 0.0, __VA_ARGS__)                                    \
+                PIXEL(v, n2, 0, 0, __VA_ARGS__)                                 \
         }                                                                       \
         k = e_;                                                                 \
     }
-#define PIXEL(G0, G1, ...)                                                      \
+#define PIXEL(v, n2, down, right, ...)                                          \
     {                                                                           \
-        const double g0 = (G0), g1 = (G1);                                      \
+        const double g0 = GRAD0(v, n2, k, down), g1 = GRAD1(v, k, right);       \
         (void)g0, (void)g1;                                                     \
         __VA_ARGS__;                                                            \
     }
 
+/* Runs the AT body, the arguments after j1, on the pixels k of columns
+ * j0..j1-1 of row i of an (n1, n2) grid, with up, down, left and right
+ * saying whether k has a neighbour above, below, to its left and to its
+ * right, for GRAD0, GRAD1 and GRAD_ADJOINT.  They are constants in each
+ * copy of the body, so their branches fold away and the loop over the
+ * inner columns vectorises. */
+#define ROW(n1, n2, i, j0, j1, ...)                                             \
+    {                                                                           \
+        const idx b_ = (i) * (n2);                                              \
+        if ((i) == 0 && (n1) > 1)                                               \
+            COLUMNS(n2, j0, j1, 0, 1, __VA_ARGS__)                              \
+        else if ((i) == 0)                                                      \
+            COLUMNS(n2, j0, j1, 0, 0, __VA_ARGS__)                              \
+        else if ((i) < (n1) - 1)                                                \
+            COLUMNS(n2, j0, j1, 1, 1, __VA_ARGS__)                              \
+        else                                                                    \
+            COLUMNS(n2, j0, j1, 1, 0, __VA_ARGS__)                              \
+    }
+#define COLUMNS(n2, j0, j1, up, down, ...)                                      \
+    if ((n2) == 1)                                                              \
+        AT(b_, up, down, 0, 0, __VA_ARGS__)                                     \
+    else {                                                                      \
+        idx q_ = (j0), e_ = (j1) < (n2) - 1 ? (j1) : (n2) - 1;                  \
+        if (q_ == 0) {                                                          \
+            AT(b_, up, down, 0, 1, __VA_ARGS__)                                 \
+            q_ = 1;                                                             \
+        }                                                                       \
+        for (; q_ < e_; q_++)                                                   \
+            AT(b_ + q_, up, down, 1, 1, __VA_ARGS__)                            \
+        if ((j1) == (n2))                                                       \
+            AT(b_ + (n2) - 1, up, down, 1, 0, __VA_ARGS__)                      \
+    }
+#define AT(K, UP, DOWN, LEFT, RIGHT, ...)                                       \
+    {                                                                           \
+        const idx k = (K);                                                      \
+        const int up = (UP), down = (DOWN), left = (LEFT), right = (RIGHT);     \
+        (void)up, (void)down, (void)left, (void)right;                          \
+        __VA_ARGS__;                                                            \
+    }
+
 /* Columns j0..j1-1 of row i of c times the adjoint of grad on the planes
- * g0 and g1, into o: the axis-0 terms first, then + g1[j-1] and - g1[j],
- * then the product with c, as imaging._grad_adjoint followed by a
- * multiplication by c. */
+ * g0 and g1, into o, the product with c last, as imaging._grad_adjoint
+ * makes it with scale c.  Always inlined, so that each ISA clone of a
+ * kernel vectorises it for its own ISA. */
+__attribute__((always_inline))
 static inline void grad_adjoint_row(const double *restrict g0, const double *restrict g1,
                                     double *restrict o, idx n1, idx n2, idx i, idx j0, idx j1,
                                     double c)
 {
-    const double *restrict cur = g0 + i * n2;
-    const double *restrict h = g1 + i * n2;
-    if (i == 0 && n1 > 1)
-        for (idx j = j0; j < j1; j++)
-            o[j - j0] = 0.0 - cur[j];
-    else if (i == 0)
-        for (idx j = j0; j < j1; j++)
-            o[j - j0] = 0.0;
-    else if (i < n1 - 1)
-        for (idx j = j0; j < j1; j++)
-            o[j - j0] = cur[j - n2] - cur[j];
-    else
-        for (idx j = j0; j < j1; j++)
-            o[j - j0] = cur[j - n2];
-    if (n2 == 1) {
-        o[0] = o[0] * c;
-        return;
-    }
-    idx lo = j0, inner = j1 < n2 - 1 ? j1 : n2 - 1;
-    if (j0 == 0) {
-        o[0] = (o[0] - h[0]) * c;
-        lo = 1;
-    }
-    for (idx j = lo; j < inner; j++)
-        o[j - j0] = ((o[j - j0] + h[j - 1]) - h[j]) * c;
-    if (j1 == n2)
-        o[n2 - 1 - j0] = (o[n2 - 1 - j0] + h[n2 - 2]) * c;
+    const idx b = i * n2 + j0;
+    ROW(n1, n2, i, j0, j1, o[k - b] = GRAD_ADJOINT(g0, g1, n2, k, up, down, left, right) * c);
 }
 
 /* Rows r0..r1-1 of the baselines' dual ascent a = (grad v) s + p, as
@@ -524,35 +567,50 @@ static inline idx left_half(idx n)
 /* The leaves, of at most LEAF terms from lo on, each leaf-summed into s. */
 
 /* The terms of imaging.metrics' four sums at pixels lo..lo+n-1 of the
- * job's (x, z, xh, p), with tv its s[0]: (x - z)^2, with tv the TV norm
- * sqrt(g0*g0 + g1*g1) of grad x (else 0), (z - w)^2 with w = D* p, and
- * (x - xh)^2, with numpy's operations in numpy's order.  D* runs row
- * segment by row segment. */
+ * job's (x, z, xh, p), with tv its s[0] and c its s[1]: (x - z)^2, with tv
+ * the TV norm sqrt(g0*g0 + g1*g1) of grad x (else 0), (z - w)^2 with
+ * w = (D* p) c, and (x - xh)^2, with numpy's operations in numpy's order.
+ * With tv all four terms of a row segment are formed in one loop, D*
+ * included, in 0.80-0.95 times the time of separate passes for the TV
+ * norms, D* and the rest (32 x 32 to 256 x 256, one CPU, AVX-512).
+ * Without tv, which leaves the loop no square root, that fused loop took
+ * 1.0-1.3 times as long as storing w first, so there w is stored row
+ * segment by row segment and the other terms follow in one loop over the
+ * leaf.  tv picks the loop: a flag inside it kept gcc from vectorising
+ * it. */
+#define METRIC_TERMS(w)                                                         \
+    {                                                                           \
+        double r = x[k] - z[k], e = x[k] - xh[k], q = z[k] - (w);               \
+        t[0][k - lo] = r * r;                                                   \
+        t[2][k - lo] = q * q;                                                   \
+        t[3][k - lo] = e * e;                                                   \
+    }
 KERNEL static void metric_leaf(const Job *j, idx lo, idx n, double *s)
 {
-    const double *restrict x = j->a[0], *restrict z = j->a[1], *restrict xh = j->a[2];
     idx n1 = j->n1, n2 = j->n2;
+    const double *restrict x = j->a[0], *restrict z = j->a[1], *restrict xh = j->a[2];
+    const double *restrict p0 = j->a[3], *restrict p1 = p0 + n1 * n2;
     int tv = j->s[0] != 0.0;
-    double t[4][LEAF], w[LEAF];
-    if (tv)
-        STENCIL(x, n1, n2, lo, lo + n, t[1][k - lo] = sqrt(g0 * g0 + g1 * g1));
-    for (idx k = 0; k < n;) {
-        idx i = (lo + k) / n2, j0 = (lo + k) % n2, j1 = j0 + (n - k) < n2 ? j0 + (n - k) : n2;
-        grad_adjoint_row(j->a[3], j->a[3] + n1 * n2, w + k, n1, n2, i, j0, j1, 1.0);
-        k += j1 - j0;
+    double c = j->s[1], t[4][LEAF], w[LEAF];
+    for (idx m = lo; m < lo + n;) {
+        idx i = m / n2, j0 = m % n2, j1 = j0 + (lo + n - m) < n2 ? j0 + (lo + n - m) : n2;
+        if (tv)
+            ROW(n1, n2, i, j0, j1, {
+                double g0 = GRAD0(x, n2, k, down), g1 = GRAD1(x, k, right);
+                t[1][k - lo] = sqrt(g0 * g0 + g1 * g1);
+                METRIC_TERMS(GRAD_ADJOINT(p0, p1, n2, k, up, down, left, right) * c);
+            })
+        else
+            ROW(n1, n2, i, j0, j1, w[k - lo] = GRAD_ADJOINT(p0, p1, n2, k, up, down, left, right) * c);
+        m += j1 - j0;
     }
-    x += lo;
-    z += lo;
-    xh += lo;
-    for (idx k = 0; k < n; k++) {
-        double r = x[k] - z[k], e = x[k] - xh[k], q = z[k] - w[k];
-        t[0][k] = r * r;
-        t[2][k] = q * q;
-        t[3][k] = e * e;
-    }
+    if (!tv)
+        for (idx k = lo; k < lo + n; k++)
+            METRIC_TERMS(w[k - lo]);
     for (int q = 0; q < 4; q++)
         s[q] = q == 1 && !tv ? 0.0 : leaf_sum(t[q], n, 0);
 }
+#undef METRIC_TERMS
 
 /* Pixels lo..lo+n-1 of pedi's primal step on the job's (y, z, x) with
  * tau its s[0] and r = 1 / (1 + tau) its s[1]: the point
@@ -981,16 +1039,18 @@ WRAPPER(grad_sumsq)
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(0.0 + s);
 }
 
-/* metric_sums(x, z, xhat, p, tv) -> (sum (x - z)^2, the TV of x if tv else
- * 0, sum (z - D* p)^2, sum (x - xhat)^2), each in numpy's summation order:
- * x, z and xhat of one shape and n1 n2 entries, p a planar (2, n1, n2)
- * field.  It runs on the calling thread, as one chunk. */
+/* metric_sums(x, z, xhat, p, tv, c) -> (sum (x - z)^2, the TV of x if tv
+ * else 0, sum (z - (D* p) c)^2, sum (x - xhat)^2), each in numpy's summation
+ * order: x, z and xhat of one shape and n1 n2 entries, p a planar
+ * (2, n1, n2) field, c the factor by which D* p is multiplied last, 2 for
+ * pedi's p = 2 tail(y) read from y's tails as they lie.  It runs on the
+ * calling thread, as one chunk. */
 WRAPPER(metric_sums)
 {
     Bufs bs = {.n = 0};
     Job j;
     double s[4];
-    if (unpack(&bs, &j, args, nargs, "rrrr", 1)) {
+    if (unpack(&bs, &j, args, nargs, "rrrr", 2)) {
         const Py_buffer *x = &bs.b[0], *p = &bs.b[3];
         int ok = p->ndim == 3 && p->shape[0] == 2 && p->len > 0 && size(&bs, 0) * 2 == size(&bs, 3);
         for (int i = 1; i < 3 && ok; i++)
@@ -1026,7 +1086,7 @@ static PyMethodDef methods[] = {
     {"grad_sumsq", (PyCFunction)(void (*)(void))w_grad_sumsq, METH_FASTCALL,
      "grad_sumsq(v) -> sum of the squares of grad v"},
     {"metric_sums", (PyCFunction)(void (*)(void))w_metric_sums, METH_FASTCALL,
-     "metric_sums(x, z, xhat, p, tv) -> (xz2, tv, zp2, xxhat2)"},
+     "metric_sums(x, z, xhat, p, tv, c) -> (xz2, tv, zp2, xxhat2)"},
     {NULL, NULL, 0, NULL},
 };
 

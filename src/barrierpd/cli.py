@@ -19,13 +19,11 @@ except for the wall_seconds column.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
+import math
 import os
-import shutil
-import tempfile
 import time
 from pathlib import Path
 
@@ -114,43 +112,40 @@ def _load_target(out: Path, key: dict, n_pixels: int):
 def _atomic_write_bytes(path: Path, data: bytes):
     """Write data to path through a temporary file renamed into place.
 
-    The temporary file is opened by open() in a fresh private directory
-    next to path, so it gets open()'s mode, 0o666 less the umask, without
-    the umask being changed; mkstemp's file would be 0o600.
+    The temporary file sits next to path under a random name, created by
+    open() in exclusive mode, so it gets open()'s mode, 0o666 less the
+    umask, without the umask being read or changed (mkstemp's file would be
+    0o600).  It is removed if the write or the rename fails.
     """
-    tmpdir = tempfile.mkdtemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")
     try:
-        tmp = os.path.join(tmpdir, path.name)
-        with open(tmp, "wb") as f:
+        with f:
             f.write(data)
         os.replace(tmp, path)
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _configure(solver, problem, iters, gamma, zeta, theta):
     """Build and check one solver's configuration before anything runs.
 
     solver must be one of SOLVERS.  Returns (run, opnorm): run(log) runs the
-    solver and calls log(i, x, p, ...) after each iteration with the
-    unlifted dual field p; the baselines pass it their info dict as well.
-    pedi passes its lifted y with unlift=, the function that makes p of it,
-    so that log times the unlifting with the logging.  Raises ConfigError
-    for a configuration the solver would reject.
+    solver with log as its callback, which each solver calls after each
+    iteration as log(i, x, p, ...) with its dual iterate p: the baselines'
+    planar field, or pedi's lifted y, which metrics reads as it lies.
+    Raises ConfigError for a configuration the solver would reject.
     """
     if solver in PEDI_RULES:
         sp = problem.saddle_problem()
         cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=problem.alpha, gamma=gamma, zeta=zeta, theta=theta)
         rule = PEDI_RULES[solver]
         check_config(sp, cfg, rule)
-
-        def run(log):
-            # one planar field per run receives p = 2 tail(y)
-            p = np.empty((2,) + problem.shape)
-            unlift = functools.partial(problem.unlifted_dual, out=p)
-            pedi_run(sp, cfg, iters, step_rule=rule, callback=lambda i, x, y, *_: log(i, x, y, unlift=unlift))
-
-        return run, sp.opnorm_K
+        return (lambda log: pedi_run(sp, cfg, iters, step_rule=rule, callback=log)), sp.opnorm_K
     if solver == "pdhgm":
         cfg = BaselineConfig.default_for(problem, max_iters=iters, gamma=gamma)
         return (lambda log: pdhgm_run(problem, cfg, callback=log)), problem.opnorm_D
@@ -161,19 +156,16 @@ def _run_solver(run, problem, target, gap0):
     """Run one configured solver, collecting an IterationRecord per iteration.
 
     A record's wall_seconds is solver time: the time since the run started
-    less the time spent in earlier calls of log, which unlift pedi's y
-    (unlift=) and build the records.
+    less the time spent in earlier calls of log, which build the records.
     """
     records = []
     clock = time.perf_counter
     # t0 moves on by each call of log, so clock() - t0 leaves the logging out
     t0 = clock()
 
-    def log(i, x, p, *_, unlift=None):
+    def log(i, x, p, *_):
         nonlocal t0
         start = clock()
-        if unlift is not None:
-            p = unlift(p)
         records.append(metrics(x, p, problem, target, gap0, iter=i, wall_seconds=start - t0))
         t0 += clock() - start
 
@@ -182,10 +174,9 @@ def _run_solver(run, problem, target, gap0):
 
 
 def _write_csv(path: Path, records):
-    buf = ["iter,wall_seconds,gap_db,target_db,value_db"]
-    for r in records:
-        buf.append(f"{r.iter},{r.wall_seconds:.6f},{r.gap_db:.6f},{r.target_db:.6f},{r.value_db:.6f}")
-    _atomic_write_bytes(path, ("\n".join(buf) + "\n").encode())
+    # one %-format of each record, a named tuple in the CSV's column order
+    rows = "".join(["%d,%.6f,%.6f,%.6f,%.6f\n" % r for r in records])
+    _atomic_write_bytes(path, ("iter,wall_seconds,gap_db,target_db,value_db\n" + rows).encode())
 
 
 @click.group()
@@ -303,6 +294,9 @@ def _parse_threshold(spec: str):
         raise click.ClickException(f"bad threshold {spec!r}; expected metric:db, e.g. gap:-150")
     if metric not in ("gap", "target", "value"):
         raise click.ClickException(f"unknown metric {metric!r}; choose gap, target or value")
+    # NaN would never be crossed and inf always, at row 0
+    if not math.isfinite(val):
+        raise click.ClickException(f"bad threshold {spec!r}; the level must be a finite number of dB")
     return metric, val
 
 

@@ -59,7 +59,8 @@ Conventions fixed here and relied on by every solver:
   sup_y <Kx, y> = alpha * R(x) exactly the regularizer, and the portable
   (unlifted) dual variable is p = 2 tail(y) with ||p|| <= alpha, the same
   object the unlifted baseline solvers iterate on.  The solver returns y as
-  a BlockConeVector; unlift and DenoiseProblem.unlifted_dual read its tails.
+  a BlockConeVector; unlift and DenoiseProblem.unlifted_dual read its tails,
+  and metrics takes it in place of p and reads them as they lie.
 """
 
 from __future__ import annotations
@@ -344,15 +345,17 @@ class DenoiseProblem:
         r = np.subtract(x, self.z.flat())
         return 0.5 * float(np.square(r, out=r).sum()) + self.alpha * self.regularizer(x)
 
-    def dual_value(self, p: np.ndarray) -> float:
-        """Dual objective (1/2)||z||^2 - (1/2)||z - D* p||^2 at a planar (2, n1, n2) field p.
+    def dual_value(self, p: np.ndarray, scale: float = 1.0) -> float:
+        """Dual objective (1/2)||z||^2 - (1/2)||z - D* q||^2 at q = scale p, p a planar (2, n1, n2) field.
 
-        (1/2)||z||^2 is the cached half_z2, and z - D* p is _grad_adjoint's
-        minuend form, the one H1 dual_fb's loop takes.
+        (1/2)||z||^2 is the cached half_z2, and z - D* q is _grad_adjoint's
+        minuend form, the one H1 dual_fb's loop takes, with the product with
+        scale formed last, as (D* p) scale: metrics reads pedi's
+        q = 2 tail(y) from the tails with scale 2.
         """
         p = np.asarray(p, dtype=float)
         _check_field(p, self.shape)
-        r = _grad_adjoint(p, minuend=self.z.values).reshape(-1)
+        r = _grad_adjoint(p, scale=scale, minuend=self.z.values).reshape(-1)
         return self.half_z2 - 0.5 * float(np.square(r, out=r).sum())
 
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
@@ -638,20 +641,21 @@ class Target:
         return cls(x=x, norm2=norm2, value=problem.objective(x))
 
 
-def _metric_sums(x, p, problem: DenoiseProblem, target: Target):
-    """metrics' four sums in one compiled pass; None when the kernels are off or reject an array.
+def _metric_sums(x, p, problem: DenoiseProblem, target: Target, scale: float):
+    """metrics' four sums in one compiled visit per pixel; None when the kernels are off or reject an array.
 
-    Returns (sum (x - z)^2, R(x), sum (z - D* p)^2, sum (x - target.x)^2),
-    each equal to the numpy code's: the kernel forms every term with that
-    code's operations and adds the terms in numpy's pairwise order.  p is
-    a planar (2, n1, n2) field.  H1's R(x) is regularizer(x), whose planar
-    sum of squares fixes its roundoff.
+    Returns (sum (x - z)^2, R(x), sum (z - (D* p) scale)^2,
+    sum (x - target.x)^2), each equal to the numpy code's: the kernel forms
+    every term with that code's operations and adds the terms in numpy's
+    pairwise order.  p is a planar (2, n1, n2) field, and scale is 1 for a
+    baseline's p and 2 for the tails of pedi's y, read as they lie.  H1's
+    R(x) is regularizer(x), whose planar sum of squares fixes its roundoff.
     """
     if kernels.PATH != "c":
         return None
     tv = problem.variant == "tv"
     try:
-        xz2, reg, zp2, dist2 = kernels.ext.metric_sums(x, problem.z.flat(), target.x, p, tv)
+        xz2, reg, zp2, dist2 = kernels.ext.metric_sums(x, problem.z.flat(), target.x, p, tv, scale)
     except ValueError:
         return None
     if not tv:
@@ -661,7 +665,7 @@ def _metric_sums(x, p, problem: DenoiseProblem, target: Target):
 
 def metrics(
     x: np.ndarray,
-    p: np.ndarray,
+    p: np.ndarray | BlockConeVector,
     problem: DenoiseProblem,
     target: Target,
     gap0: float,
@@ -670,29 +674,38 @@ def metrics(
 ) -> IterationRecord:
     """Per-iteration error report against a precomputed target solution.
 
-    p is the unlifted dual field, planar (2, n1, n2) (use
-    DenoiseProblem.unlifted_dual for interior-solver iterates, whose exact
-    feasibility keeps the gap finite); any other shape raises ValueError.
+    p is the dual iterate: a baseline's planar (2, n1, n2) field, or pedi's
+    lifted y as a BlockConeVector, whose unlifted field 2 tail(y) is read
+    from the tails as they lie, unlift's view, with the product with 2 taken
+    last, as (D* tail(y)) 2.  That gives the record of
+    metrics(x, DenoiseProblem.unlifted_dual(y)) bit for bit whenever
+    2 tail(y) is finite, as it is for every feasible y, without forming
+    the field.  A field of any other shape, or a y whose tails do not fit
+    the grid, raises ValueError.
     gap_db is the duality gap relative to gap0, target_db the squared
     distance to target.x relative to ||target.x||^2, value_db the squared
     relative objective error.  The objective at x is evaluated once and
     serves both the gap and value_db; the dual value uses the problem's
     cached (1/2)||z||^2 (DenoiseProblem.half_z2).
 
-    With the compiled kernels and a C-contiguous float64 p (as every
+    With the compiled kernels and a C-contiguous float64 field (as every
     solver's callback passes) the four sums behind these numbers come from
-    one pass that allocates no image-sized array; otherwise objective,
-    dual_value and a residual compute them.  Both give the same record bit
-    for bit.
+    one visit per pixel that allocates no image-sized array; otherwise
+    objective, dual_value and a residual compute them.  Both give the same
+    record bit for bit.
     """
     if not 0.0 < gap0 < math.inf:
         raise ValueError("gap0 must be positive and finite")
-    p = np.asarray(p)
-    _check_field(p, problem.z.values.shape)
-    sums = _metric_sums(x, p, problem, target)
+    shape = problem.z.values.shape
+    if isinstance(p, BlockConeVector):
+        p, scale = unlift(p, shape), 2.0
+    else:
+        p, scale = np.asarray(p), 1.0
+        _check_field(p, shape)
+    sums = _metric_sums(x, p, problem, target, scale)
     if sums is None:
         val = problem.objective(x)
-        dual = problem.dual_value(p)
+        dual = problem.dual_value(p, scale)
         r = np.subtract(x, target.x)
         dist2 = float(np.square(r, out=r).sum())
     else:

@@ -48,8 +48,11 @@ elementwise passes into their own:
   iteration, project_dual with recover=z as well, whose numpy code then
   runs _grad_adjoint's v = z - D* p: one sweep that writes each tile's v
   right behind its projection;
-* grad_sumsq makes H1's regularizer, and metric_sums a logged row's four
-  sums (imaging.metrics).
+* grad_sumsq makes H1's regularizer, and metric_sums(x, z, xhat, p, tv, c)
+  a logged row's four sums (imaging.metrics) in one visit per pixel, D* p
+  times the factor c formed in the same loop as the other terms on TV: c
+  is 1 for a baseline's p and 2 for pedi's y, whose tails it reads as they
+  lie, so that no logged row unlifts y.
 
 The kernels are bound by the divider, so each makes only the divisions
 its algebra needs, and the numpy code it replaces uses the same

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -10,8 +11,11 @@ from click.testing import CliRunner
 
 from barrierpd import cli, kernels
 from barrierpd.cli import SOLVERS, main
-from barrierpd.imaging import DenoiseProblem, Target, add_gaussian_noise, synthetic_image
+from barrierpd.imaging import DB_CLAMP, DenoiseProblem, IterationRecord, Target, add_gaussian_noise, synthetic_image
+from barrierpd.jordan import BlockConeVector
 from barrierpd.pgm import write_pgm
+
+NUMPY = "numpy (selected by the test)"
 
 
 @pytest.fixture(scope="module")
@@ -94,24 +98,34 @@ def test_wall_seconds_leave_the_logging_out(workdir, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("solver", ["pedi-general", "pedi-soc"])
-def test_wall_seconds_leave_the_unlifting_out(monkeypatch, solver):
-    # pedi's logged p = 2 tail(y) is logging work: an unlifting that sleeps
-    # 2 ms a row adds 10 ms over 5 rows, far more than 5 iterations take
-    real = DenoiseProblem.unlifted_dual
-    calls = []
+def test_logged_pedi_rows_read_y_without_unlifting(monkeypatch, solver):
+    # the CLI hands metrics pedi's y as it lies: no row forms the unlifted
+    # field p = 2 tail(y), and every row is the one metrics makes of that
+    # field, on both kernel paths
+    real_metrics, real_unlifted_dual = cli.metrics, DenoiseProblem.unlifted_dual
+    rows = []
 
-    def slow_unlifted_dual(self, y, out=None):
-        calls.append(y)
-        time.sleep(0.002)
-        return real(self, y, out=out)
+    def no_unlifting(self, y, out=None):
+        raise AssertionError("unlifted_dual called")
 
-    monkeypatch.setattr(DenoiseProblem, "unlifted_dual", slow_unlifted_dual)
-    problem = DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 7), 5.0, "h1")
-    run, _ = cli._configure(solver, problem, 5, 0.9, None, None)
-    records = cli._run_solver(run, problem, Target.of(problem, problem.z.flat()), problem.half_z2)
-    assert len(calls) == len(records) == 5
-    # under half of the 10 ms the unlifting slept
-    assert records[-1].wall_seconds < 0.005, records[-1].wall_seconds
+    def checked_metrics(x, y, problem, *args, **kwargs):
+        assert isinstance(y, BlockConeVector)
+        record = real_metrics(x, y, problem, *args, **kwargs)
+        rows.append((record, real_metrics(x, real_unlifted_dual(problem, y), problem, *args, **kwargs)))
+        return record
+
+    monkeypatch.setattr(cli, "metrics", checked_metrics)
+    monkeypatch.setattr(DenoiseProblem, "unlifted_dual", no_unlifting)
+    paths = [kernels.PATH] + ([NUMPY] if kernels.PATH == "c" else [])
+    for path, (variant, alpha) in itertools.product(paths, (("tv", 0.3), ("h1", 5.0))):
+        monkeypatch.setattr(kernels, "PATH", path)
+        problem = DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 7), alpha, variant)
+        run, _ = cli._configure(solver, problem, 5, 0.9, None, None)
+        rows.clear()
+        records = cli._run_solver(run, problem, Target.of(problem, problem.z.flat()), problem.half_z2)
+        assert len(records) == len(rows) == 5
+        assert [got for got, _ in rows] == records
+        assert all(got == want for got, want in rows), (path, variant, rows)
 
 
 def test_make_target_cache(workdir):
@@ -359,6 +373,18 @@ def test_table_malformed_csv(tmp_path):
     assert r.exit_code != 0
 
 
+@pytest.mark.parametrize("spec", ["gap:nan", "gap:inf", "target:-inf", "value:NaN", "gap:+Infinity"])
+def test_table_rejects_a_non_finite_threshold(tmp_path, spec):
+    # a NaN level was never crossed and reported "--", an infinite one was
+    # crossed at row 0: neither is a level of dB
+    log = tmp_path / "a.csv"
+    log.write_text("iter,wall_seconds,gap_db,target_db,value_db\n0,0.0,-1,-1,-1\n")
+    r = invoke(["table", str(log), "--threshold", spec])
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert "finite" in r.output and spec in r.output
+
+
 def test_table_no_thresholds_header_only(tmp_path):
     log = tmp_path / "a.csv"
     log.write_text("iter,wall_seconds,gap_db,target_db,value_db\n0,0.0,-1,-1,-1\n")
@@ -406,6 +432,39 @@ def test_written_files_leave_the_umask_alone(workdir, tmp_path, monkeypatch):
     files = sorted(out.iterdir())
     assert [p.suffix for p in files] == [".csv", ".json", ".npz"]
     assert all(p.stat().st_mode & 0o777 == 0o640 for p in files), [oct(p.stat().st_mode) for p in files]
+
+
+def test_a_failed_atomic_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "log.csv"
+    cli._atomic_write_bytes(path, b"old\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        cli._atomic_write_bytes(path, b"new\n")
+    monkeypatch.undo()
+    # a write that fails before the rename cleans up too
+    with pytest.raises(TypeError):
+        cli._atomic_write_bytes(path, "not bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+    assert path.read_bytes() == b"old\n"
+
+
+def test_csv_rows_match_the_f_string_form(tmp_path):
+    # each row is one %-format of its record; the bytes are those of the
+    # f-strings the CSV was written with before, special values included
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, DB_CLAMP, -123.4567894, 1e-7, 5e-324, 1.0e300]
+    records = [IterationRecord(i, abs(v) if math.isfinite(v) else 0.25, v, values[i - 1], -v)
+               for i, v in enumerate(values)]
+    lines = ["iter,wall_seconds,gap_db,target_db,value_db"]
+    lines += [f"{r.iter},{r.wall_seconds:.6f},{r.gap_db:.6f},{r.target_db:.6f},{r.value_db:.6f}" for r in records]
+    cli._write_csv(tmp_path / "a.csv", records)
+    assert (tmp_path / "a.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    cli._write_csv(tmp_path / "empty.csv", [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"iter,wall_seconds,gap_db,target_db,value_db\n"
 
 
 def test_sidecar_names_the_kernel_path(workdir, tmp_path, monkeypatch):

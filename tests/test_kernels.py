@@ -407,9 +407,9 @@ def check_ascent(monkeypatch, dp, v, planes, z, calls):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_unlifted_dual_on_both_layouts(monkeypatch, rng, shape, variant):
-    # pedi_run's planar tails into a planar out, the CLI's call, on special
-    # values: one numpy multiplication on either kernel path, 2 tail(y) bit
-    # for bit, and no kernel call
+    # pedi_run's planar tails into a planar out, on special values: one
+    # numpy multiplication on either kernel path, 2 tail(y) bit for bit, and
+    # no kernel call
     dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, variant)
     kx = dp.saddle_problem().apply_K(np.zeros(dp.n_pixels))
     kx[...] = special(rng, kx.shape)
@@ -499,27 +499,33 @@ def test_tail_norm_min_in_the_last_chunk(monkeypatch, shape):
         x[-1] = 0.0
 
 
-def metric_terms(x, z, xhat, planes, tv):
+def metric_terms(x, z, xhat, planes, tv, c):
     """The four terms metric_sums adds, from the numpy path's own operations."""
     g = _grad(x.reshape(planes.shape[1:]))
     norms = np.sqrt(np.einsum("kij,kij->ij", g, g)) if tv else np.zeros(x.size)
-    w = _grad_adjoint(planes).reshape(-1)
+    w = _grad_adjoint(planes, scale=c).reshape(-1)
     return [np.square(x - z), norms, np.square(z - w), np.square(x - xhat)]
 
 
 @needs_c
 def test_metric_sums_follow_numpys_summation_order(monkeypatch, rng):
     # numpy sums float64 pairwise; the kernel repeats that order, so a numpy
-    # release that changed it fails here first
+    # release that changed it fails here first.  Rows of one pixel, single
+    # rows and rows whose length is no multiple of 8 each cut the leaves of
+    # the sum into row segments differently, and c = 2 is pedi's factor
     monkeypatch.setattr(kernels, "PATH", NUMPY)
     sizes = [*range(1, 301), 4095, 4096, 4097, 8191, 8192, 8193, 65536, 131072]
-    for n in sizes:
+    shapes = [(1, n) for n in sizes] + [(n, 1) for n in range(1, 301)] + [(n, 1) for n in (4097, 8193)]
+    shapes += [(3, 5), (7, 9), (13, 11), (5, 127), (17, 129), (63, 65), (129, 3), (37, 101), (255, 257)]
+    for shape in shapes:
+        n = shape[0] * shape[1]
         x, z, xhat = (rng.standard_normal(n) for _ in range(3))
-        planes = rng.standard_normal((2, 1, n))
+        planes = rng.standard_normal((2,) + shape)
         for tv in (True, False):
-            got = kernels.ext.metric_sums(x, z, xhat, planes, tv)
-            want = [float(t.sum()) for t in metric_terms(x, z, xhat, planes, tv)]
-            assert [float.hex(v) for v in got] == [float.hex(v) for v in want], (n, tv)
+            for c in (1.0, 2.0):
+                got = kernels.ext.metric_sums(x, z, xhat, planes, tv, c)
+                want = [float(t.sum()) for t in metric_terms(x, z, xhat, planes, tv, c)]
+                assert [float.hex(v) for v in got] == [float.hex(v) for v in want], (shape, tv, c)
 
 
 @needs_c
@@ -585,10 +591,20 @@ def identical_records(a: IterationRecord, b: IterationRecord) -> bool:
     return all(identical(getattr(a, f), getattr(b, f)) for f in IterationRecord._fields)
 
 
+def lifted(planes, variant):
+    """pedi's y over the planar field planes, laid out as pedi_run lays out its tails."""
+    n = planes[0].size
+    tails = planes.reshape(2, n).T if variant == "tv" else planes.reshape(1, 2 * n)
+    return BlockConeVector.view_of(np.ones(tails.shape[0]), tails)
+
+
 @needs_c
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_metrics_on_both_paths(monkeypatch, rng, shape, variant):
+    # each field is logged as a baseline's p and as the tails of pedi's y,
+    # which metrics reads as they lie, 2 D* tail(y) with the product last:
+    # for finite tails that is the record of the field 2 tail(y)
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
     dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.4, variant)
@@ -603,30 +619,41 @@ def test_metrics_on_both_paths(monkeypatch, rng, shape, variant):
             # so that the kernel still meets special values in the target
             target = Target(xhat, float(np.sum(xhat**2)), dp.objective(xhat))
 
-        def stage(x, planes):
-            return metrics(x, planes, dp, target, 3.0, iter=7, wall_seconds=0.5)
+        def stage(x, planes, lift):
+            dual = lifted(planes, variant) if lift else planes
+            return metrics(x, dual, dp, target, 3.0, iter=7, wall_seconds=0.5)
 
-        c, ref = on_both_paths(monkeypatch, stage, x, planes)
-        assert identical_records(c[-1], ref[-1]), (c[-1], ref[-1])
-    assert rec.rejected == [] and rec.calls["metric_sums"] == len(cases)
+        for lift in (False, True):
+            c, ref = on_both_paths(monkeypatch, lambda x, planes: stage(x, planes, lift), x, planes)
+            assert identical_records(c[-1], ref[-1]), (lift, c[-1], ref[-1])
+        if planes is not cases[2][1]:
+            for path in ("c", NUMPY):
+                monkeypatch.setattr(kernels, "PATH", path)
+                with np.errstate(all="ignore"):
+                    assert identical_records(stage(x, 2.0 * planes, False), c[-1]), path
+    assert rec.rejected == [] and rec.calls["metric_sums"] == 2 * len(cases) + len(cases) - 1
+    with pytest.raises(ValueError):
+        metrics(x, lifted(rng.standard_normal((2, shape[0] + 1, shape[1])), variant), dp, target, 3.0)
 
 
 @needs_c
 def test_metrics_allocates_no_image(rng):
     # the numpy path's objective, dual_value and residual peak at 133 KB
-    # here; H1's regularizer sums its gradient without storing it
+    # here; H1's regularizer sums its gradient without storing it, and
+    # pedi's y is read as it lies, with no unlifted field
     for variant in VARIANTS:
         dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((64, 64))), 0.4, variant)
         x, p = rng.standard_normal(64 * 64), rng.standard_normal((2, 64, 64))
         target = Target.of(dp, rng.standard_normal(64 * 64))
-        metrics(x, p, dp, target, 3.0)
-        tracemalloc.start()
-        try:
-            metrics(x, p, dp, target, 3.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4096, (variant, peak)
+        for dual in (p, lifted(p, variant)):
+            metrics(x, dual, dp, target, 3.0)
+            tracemalloc.start()
+            try:
+                metrics(x, dual, dp, target, 3.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096, (variant, type(dual), peak)
 
 
 # ---------------------------------------------------------------------------
@@ -774,19 +801,21 @@ def documented_forms(ext) -> set:
 def test_every_kernel_is_reached(monkeypatch):
     # a kernel, or a form of one, that no loop or logged row calls is dead
     # code: fold or delete it.  The workload is the CLI's: all four solvers,
-    # pedi's dual field unlifted as its callback does, and the metrics
+    # each logging its rows through metrics, pedi's y as it lies
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
     for variant, alpha in (("tv", 0.3), ("h1", 5.0)):
         dp = DenoiseProblem(add_gaussian_noise(synthetic_image(16, 16), 6.15, 3), alpha, variant)
         sp = dp.saddle_problem()
-        p = np.empty((2,) + dp.shape)
+        target = Target.of(dp, dp.z.flat())
+
+        def log(i, x, p, *_):
+            metrics(x, p, dp, target, 1.0)
+
         for rule in ("general", "soc"):
-            pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 3, step_rule=rule,
-                     callback=lambda i, x, y, *_: dp.unlifted_dual(y, out=p))
-        res = pdhgm_run(dp, BaselineConfig.default_for(dp, 3))
-        dual_fb_run(dp, 3)
-        metrics(res.x, res.p, dp, Target.of(dp, dp.z.flat()), 1.0)
+            pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 3, step_rule=rule, callback=log)
+        pdhgm_run(dp, BaselineConfig.default_for(dp, 3), callback=log)
+        dual_fb_run(dp, 3, callback=log)
     exported = {name for name in dir(rec.ext) if callable(getattr(rec.ext, name)) and not name.startswith("_")}
     forms = documented_forms(rec.ext)
     assert rec.rejected == []
