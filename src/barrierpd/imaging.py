@@ -25,7 +25,7 @@ Conventions fixed here and relied on by every solver:
   kernel makes H1 dual_fb's z - D* p, which dual_value shares, and pdhgm's
   prox and extrapolation.  The lifted K*'s kernel call makes pedi's whole
   primal step, x - tau K* y, its prox and ||x||^2 (apply_K_adjoint's
-  primal=), storing nothing but the new x.  The baselines' whole dual step,
+  step=), storing nothing but the new x.  The baselines' whole dual step,
   the projection of the ascent p + s D v (project_dual's ascent= in
   place), is one kernel call that stores no ascent: on TV one pass, on H1
   a sum of the ascent's squares formed on the fly before the pass that
@@ -33,7 +33,7 @@ Conventions fixed here and relied on by every solver:
   (project_dual's recover=), tile by tile behind the projection, so a
   dual_fb iteration is one call.  The lifted K's kernel call makes pedi's
   dual solve and the soc rule's minimum of the tail norms (apply_K's
-  dual=): on TV in the same pass, on H1 by summing the squares of K x
+  step=): on TV in the same pass, on H1 by summing the squares of K x
   formed on the fly before a pass that writes y.  So no loop stores D v, and K x is stored only on
   pedi's final iteration.  The operators pedi_run calls hand the kernels
   the solver's own buffers, flat primal vectors included, and make no view
@@ -444,87 +444,85 @@ class DenoiseProblem:
         <Kx, y> = 2 (Dx).tail(y) then represents alpha R(x) exactly.  apply_K
         returns the tails of K x, the planar gradient buffer viewed as an
         (n_blocks, m) array; the adjoint is K* y = 2 D* tail(y) on such an
-        array.  Each operator writes into out= when given: for apply_K an
-        array returned by an earlier apply_K call (or np.empty_like of one),
-        for apply_K_adjoint and prox_G a contiguous primal vector, which for
-        prox_G must not overlap v.  apply_K with a pedi.DualSolve also does
-        that dual solve.  With the compiled kernels it is K's own call,
-        which never stores K x unless dual.keep: tv_dual on TV forms each
-        block's tail and solves it in one pass; h1_dual on H1 sums the one
-        block's squared norm over K x formed on the fly, solves for the
-        block and then writes y.  Otherwise apply_K runs dual.solve, the
-        reference, on the K x it wrote.  The views that call takes are made
-        on the first iteration and kept in dual.operands with the out they
-        came from, so a run makes them once.  apply_K_adjoint with a
-        pedi.PrimalStep takes pedi's whole primal step on the x given as
-        out: x = prox_G(x - tau K* y, tau) and ||x||^2 of the new x.  With
-        the compiled kernels it is one call, primal_step, which writes
-        nothing but x; otherwise, and for arrays the kernel rejects, it runs
-        the reference, K* with x as the minuend into the record's buffer,
-        prox_G back into x and pedi._sumsq, whose results are the kernel's
-        bit for bit.  y's planar view is kept in primal.operands, the
-        per-run record, and never on the problem.  prox_G is numpy code,
-        (z tau + v) r with r = 1 / (1 + tau) taken once, as primal_step
-        forms it; pedi_run reaches it only through that reference.
-        opnorm_K = sqrt(2) opnorm_D, an upper bound on ||K|| since opnorm_D
-        is one with a margin far above the roundoff of that product.
+        array.  apply_K(x) writes K x into a new array, and apply_K_adjoint
+        and prox_G write into out= when given, a contiguous primal vector,
+        which for prox_G must not overlap v.  With step=, a pedi.LiftedStep,
+        the two operators run pedi's stages on the record.  apply_K's first
+        call allocates the record's kx, y and d0 and the views its kernels
+        take, and every call does the dual solve.  With the compiled kernels
+        it is K's own call, which never stores K x unless step.keep: tv_dual
+        on TV forms each block's tail and solves it in one pass; h1_dual on
+        H1 sums the one block's squared norm over K x formed on the fly,
+        solves for the block and then writes y.  Otherwise apply_K writes
+        K x into kx and runs step.solve, the reference.
+        apply_K_adjoint(y, out=x, step=s) takes pedi's whole primal step on
+        x: x = prox_G(x - tau K* y, tau) and ||x||^2 of the new x.  It reads
+        the record's planar view when y is s.y, and makes one for any other
+        y.  With the compiled kernels it is one call, primal_step, which
+        writes nothing but x; otherwise, and for arrays the kernel rejects,
+        it runs the reference, K* with x as the minuend into the record's
+        scratch v, prox_G back into x and pedi._sumsq, whose results are
+        the kernel's bit for bit.  prox_G is numpy code, (z tau + v) r with
+        r = 1 / (1 + tau) taken once, as primal_step forms it; pedi_run
+        reaches it only through that reference.  opnorm_K =
+        sqrt(2) opnorm_D, an upper bound on ||K|| since opnorm_D is one
+        with a margin far above the roundoff of that product.
         """
         n1, n2 = self.shape
         n = self.n_pixels
         m, n_blocks = (2, n) if self.variant == "tv" else (2 * n, 1)
         zf = self.z.flat()
 
-        def planes_of(out):
-            """(tails, planes): out, or a new tails array if None, and its planar (2, n1, n2) view."""
-            if out is None:
-                planes = np.empty((2, n1, n2))
-                return planes.reshape(m, n_blocks).T, planes
-            if out.shape != (n_blocks, m) or not out.T.flags.c_contiguous:
-                raise ValueError("out must be a tails array returned by apply_K")
-            return out, out.T.reshape(2, n1, n2)
+        def new_tails():
+            """(tails, planes): a new K x tails array and its planar (2, n1, n2) view."""
+            planes = np.empty((2, n1, n2))
+            return planes.reshape(m, n_blocks).T, planes
 
-        def apply_K(x, out=None, dual=None):
-            if dual is not None and kernels.PATH == "c":
-                ops = dual.operands
-                if ops is None or ops[0] is not out:
-                    out, planes = planes_of(out)
-                    d0, y_tails = dual.buffers(out)
-                    # y's planar view on TV, the one (1, 2 n) tail on H1
-                    ops = dual.operands = (out, planes, d0, y_tails.T if m == 2 else y_tails)
+        def apply_K(x, step=None):
+            if step is None:
+                kx, planes = new_tails()
+                _grad(x.reshape(n1, n2), out=planes)
+                return kx
+            if step.kx is None:
+                step.kx, step.kx_planes = new_tails()
+                step.y = np.empty_like(step.kx)
+                step.d0, step.tn2 = np.empty(n_blocks), np.empty(n_blocks)
+                # the dual kernel's y: planar (2, n) on TV, the one (1, 2 n) tail on H1
+                step.y_dual = step.y.T if m == 2 else step.y
+                step.y_planes = step.y.T.reshape(2, n1, n2)
+            if kernels.PATH == "c":
                 try:
                     # the least squared tail norm: TV's minimum, H1's one norm
                     fused = kernels.ext.tv_dual if m == 2 else kernels.ext.h1_dual
-                    dual.minimum = fused(x, *ops[1:], dual.b0, dual.mu, dual.keep)
-                    return ops[0]
+                    step.minimum = fused(x, step.kx_planes, step.d0, step.y_dual, step.b0, step.mu, step.keep)
+                    return step.kx
                 except ValueError:
                     pass
-            out, planes = planes_of(out)
-            _grad(x.reshape(n1, n2), out=planes)
-            if dual is not None:
-                dual.solve(out)
-            return out
+            _grad(x.reshape(n1, n2), out=step.kx_planes)
+            step.solve()
+            return step.kx
 
-        def apply_K_adjoint(y_tails, out=None, primal=None):
-            if out is None and primal is None:
+        def apply_K_adjoint(y_tails, out=None, step=None):
+            if out is None and step is None:
                 out = np.empty(n)
             elif out is None or out.shape != (n,) or not out.flags.c_contiguous:
                 raise ValueError("out must be a contiguous primal vector")
-            if primal is None:
+            if step is None:
                 return _grad_adjoint(y_tails.T.reshape(2, n1, n2), out, 2.0)
-            ops = primal.operands
-            if ops is None or ops[0] is not y_tails:
-                ops = primal.operands = (y_tails, y_tails.T.reshape(2, n1, n2))
-            tau = primal.tau
+            # the record's planar view of its own y; any other y gets one per call
+            planes = step.y_planes if y_tails is step.y else y_tails.T.reshape(2, n1, n2)
+            tau = step.tau
             if kernels.PATH == "c":
                 try:
-                    primal.norm2 = kernels.ext.primal_step(ops[1], zf, out, tau)
+                    step.norm2 = kernels.ext.primal_step(planes, zf, out, tau)
                     return out
                 except ValueError:
                     pass
-            v = primal.buffer(out)
-            _grad_adjoint(ops[1], v, 2.0, out, tau)
-            prox_G(v, tau, out=out)
-            primal.norm2 = _sumsq(out)
+            if step.v is None:
+                step.v = np.empty_like(out)
+            _grad_adjoint(planes, step.v, 2.0, out, tau)
+            prox_G(step.v, tau, out=out)
+            step.norm2 = _sumsq(out)
             return out
 
         def prox_G(v, tau, out=None):
@@ -545,16 +543,13 @@ class DenoiseProblem:
             opnorm_K=math.sqrt(2.0) * self.opnorm_D,
         )
 
-    def unlifted_dual(self, y: BlockConeVector, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Portable dual field p = 2 tail(y), planar (2, n1, n2); satisfies ||p|| <= alpha.
+    def unlifted_dual(self, y: BlockConeVector) -> np.ndarray:
+        """Portable dual field p = 2 tail(y), a new planar (2, n1, n2) array; satisfies ||p|| <= alpha.
 
-        Writes into out, a planar field, if given.  The product with 2 is
-        exact, so it is one numpy multiplication on any path.
+        The product with 2 is exact, so it is one numpy multiplication on
+        any path.
         """
-        shape = self.z.values.shape
-        if out is not None:
-            _check_field(out, shape)
-        return np.multiply(unlift(y, shape), 2.0, out=out)
+        return np.multiply(unlift(y, self.z.values.shape), 2.0)
 
 
 def add_gaussian_noise(img: ImageGrid, sigma: float, seed: int) -> ImageGrid:

@@ -241,8 +241,12 @@ class BlockConeVector:
 
     @classmethod
     def from_arrays(cls, heads, tails) -> "BlockConeVector":
-        """Vector holding C-contiguous copies of heads (n,) and tails (n, m)."""
-        return cls.view_of(np.array(heads, dtype=float), np.array(tails, dtype=float, order="C"))
+        """Vector holding copies of heads (n,) and tails (n, m), each laid out in memory as its source is.
+
+        A copy of pedi's planar tails stays planar, so that unlift's field
+        of it is a C-contiguous view, which the kernels take.
+        """
+        return cls.view_of(np.array(heads, dtype=float), np.array(tails, dtype=float, order="K"))
 
     @classmethod
     def view_of(cls, heads, tails) -> "BlockConeVector":

@@ -6,14 +6,16 @@ second-order cones E_{1+m} under the per-block constraint <e, y_b> = b0 (a = e,
 the constraint both denoising models lift with), so the dual solve is the
 closed form of :func:`barrierpd.barrier.central_path_solve` specialised to
 a = e and vectorised over blocks.  The solve needs only each block's
-(Kx)_b, so the solver hands it to K (a DualSolve passed to apply_K), which
-may do it in its own kernel call: one pass per pixel on TV, and on H1, the
-one-block case, a sum of K x's squares formed on the fly followed by the
-write of y.  K maps into cone elements with zero heads; the solver
-therefore passes plain (n, m) tail arrays between K and K*, allocated on
-the first iteration and updated in place, and builds
-:class:`~barrierpd.jordan.BlockConeVector` values only at its edge: one
-read-only view for the callback and copies for the result.
+(Kx)_b, so K does it: the solver keeps one LiftedStep per run, and
+apply_K(x, step=...) forms K x, solves and writes y into the record, one
+pass per pixel on TV, and on H1, the one-block case, a sum of K x's
+squares formed on the fly followed by the write of y.  K maps into cone
+elements with zero heads, so the record holds plain (n, m) tail arrays,
+which the first call allocates and every later one updates in place;
+apply_K_adjoint(y, out=x, step=...) takes the primal step from the record's
+y.  The solver builds :class:`~barrierpd.jordan.BlockConeVector` values
+only at its edge: one read-only view for the callback and copies for the
+result.
 
 Two step-size regimes are provided: a general rule giving O(1/N^2)
 squared-distance decay (phi_N grows like N^2 and bounds ||x^N - x_hat||^2
@@ -38,8 +40,7 @@ __all__ = [
     "StepState",
     "StepConfig",
     "SaddleProblem",
-    "DualSolve",
-    "PrimalStep",
+    "LiftedStep",
     "PEDIResult",
     "initial_state",
     "step_rule_general",
@@ -172,20 +173,14 @@ class SaddleProblem:
     the step tau_i = 2 omega_lb / ||K||^2 is admissible only for a bound, so
     an estimate from below (such as power iteration) is not enough.
 
-    Each operator takes an optional out= and writes its result there:
-    apply_K(x, out) into an array returned by an earlier apply_K call or
-    np.empty_like of one, apply_K_adjoint(y_tails, out) and
-    prox_G(v, tau, out) into a primal vector, which for prox_G must not
-    overlap v.  apply_K also takes dual=: with a DualSolve, it also does the
-    dual solve from the K x it forms, which an implementation may form in
-    K's own pass, or by calling dual.solve on its result.  Unless dual.keep
-    is set, it may then leave out unwritten (K x's tails are read by the
-    dual solve only), so the array it returns holds K x only when keep is
-    set.  apply_K_adjoint also takes primal=: with a PrimalStep and the
-    iterate x as out, it takes pedi_run's whole primal step in place,
-    x = prox_G(x - tau K* y, tau) with tau = primal.tau, and puts ||x||^2 of
-    the new x into primal.norm2; an implementation may do all of it in K*'s
-    own pass, so pedi_run calls neither prox_G nor a norm of its own.
+    apply_K(x) returns K x's tails in a new array, and
+    apply_K_adjoint(y_tails, out) and prox_G(v, tau, out) write into out,
+    a primal vector, when given; prox_G's must not overlap v.  pedi_run
+    calls the first two with step=, its LiftedStep, once per iteration
+    each: apply_K(x, step=s) runs the dual stage into s and returns s.kx,
+    and apply_K_adjoint(s.y, out=x, step=s) the primal stage in place on x.
+    An implementation may make each stage one pass of its own (see
+    LiftedStep), so pedi_run calls neither prox_G nor a norm of its own.
     """
 
     primal_dim: int
@@ -240,7 +235,7 @@ def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray) -> np.ndarray:
 
     A single block (H1) sums its squares with _sumsq, in component-major
     order; other tails use einsum, which for two-entry tails (TV) is the
-    reference of the compiled pass (see DualSolve).
+    reference of the compiled pass (see LiftedStep).
     """
     if kx_tails.shape[0] == 1:
         tn2[0] = _sumsq(kx_tails)
@@ -258,7 +253,7 @@ def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0
     is (b0/2) / head(d_b), with one division in place of two.  Writes the
     heads of d into d0 and the tails of y into y_tails; head(y_b) = b0/2
     and tail(d_b) = -tail(Kx)_b.  This is the numpy reference of the
-    compiled passes tv_dual and h1_dual (see DualSolve).
+    compiled passes tv_dual and h1_dual (see LiftedStep).
     """
     np.multiply(tn2, b0 * b0, out=d0)
     d0 += mu * mu
@@ -278,77 +273,50 @@ def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0
 
 
 @dataclass(eq=False)
-class DualSolve:
-    """The dual solve pedi_run asks SaddleProblem.apply_K to do with the K x it forms.
+class LiftedStep:
+    """One pedi_run's record of its two stages, whose buffers SaddleProblem's operators own.
 
-    With barrier weight mu and c_b = -(Kx)_b, each block gets the closed
-    form of _dual_update: the tails of y go into y_tails and the heads of d
-    into d0, both allocated on first use (buffers), and the least squared
-    tail norm min_b ||(Kx)_b||^2, the soc rule's input, into minimum (NaN
-    if any norm is NaN, like np.min), which the fused passes find anyway.
-    Only the final iteration's K x and d are read, so unless keep is set an
-    implementation may leave d0 and K x's tails unwritten.  solve() is the
-    reference: it runs _tail_norms and _dual_update, both numpy-only, on a
-    K x already formed, which is what apply_K does on the numpy path.  With
-    the compiled kernels DenoiseProblem's apply_K does it all in one call:
-    tv_dual on TV, h1_dual on H1, whose one block's minimum is its norm.
-    operands is apply_K's to keep: the arguments of that call made from the
-    out they came from, which pedi_run passes on every iteration, so the
-    views are made once per run.
+    pedi_run sets mu, keep and tau; b0 is the problem's.  The dual stage,
+    apply_K(x, step=s), gives each block the closed form of _dual_update
+    with barrier weight mu and c_b = -(Kx)_b: the tails of y go into y and
+    the heads of d into d0, and the least squared tail norm
+    min_b ||(Kx)_b||^2, the soc rule's input, into minimum (NaN if any norm
+    is NaN, like np.min), which the fused passes find anyway.  Its first
+    call allocates kx, y and d0 in the layout of its K x.  Only the final
+    iteration's K x and d are read, so unless keep is set it may leave kx
+    and d0 unwritten.  The primal stage, apply_K_adjoint(s.y, out=x,
+    step=s), writes x = prox_G(x - tau K* y, tau) over x and puts ||x||^2
+    of the new x, summed as _sumsq sums it, into norm2, which pedi_run
+    checks is finite.  The last five fields are the operators' own, filled
+    on first use: the kernels' views of kx and y, and the numpy
+    references' scratch.  solve() is the dual stage's reference: it runs
+    _tail_norms and _dual_update, both numpy-only, on the K x in kx, which
+    is what apply_K does on the numpy path.  With the compiled kernels
+    DenoiseProblem's operators make each stage one call: tv_dual on TV and
+    h1_dual on H1, whose one block's minimum is its norm, then
+    primal_step.
     """
 
     b0: float
     mu: float = 0.0
     keep: bool = True
-    d0: Optional[np.ndarray] = field(default=None, init=False)
-    y_tails: Optional[np.ndarray] = field(default=None, init=False)
-    minimum: Optional[float] = field(default=None, init=False)
-    _tn2: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    operands: Optional[tuple] = field(default=None, init=False, repr=False)
-
-    def buffers(self, kx_tails: np.ndarray):
-        """(d0, y_tails), allocated on first use for tails in kx_tails' shape and layout."""
-        if self.y_tails is None:
-            n_blocks = kx_tails.shape[0]
-            self.d0, self._tn2 = np.empty(n_blocks), np.empty(n_blocks)
-            self.y_tails = np.empty_like(kx_tails)
-        return self.d0, self.y_tails
-
-    def solve(self, kx_tails: np.ndarray):
-        """The dual solve from the tails of K x, with _tail_norms and _dual_update."""
-        d0, y_tails = self.buffers(kx_tails)
-        tn2 = _tail_norms(kx_tails, self._tn2)
-        self.minimum = float(np.min(tn2))
-        _dual_update(kx_tails, tn2, self.b0, self.mu, d0, y_tails)
-
-
-@dataclass(eq=False)
-class PrimalStep:
-    """The primal step pedi_run asks SaddleProblem.apply_K_adjoint to take on the x it passes as out.
-
-    With step tau, apply_K_adjoint(y_tails, out=x, primal=step) writes
-    x = prox_G(x - tau K* y, tau) over x and puts ||x||^2 of the new x,
-    summed as _sumsq sums it, into norm2, which pedi_run checks is finite.
-    The reference, which DenoiseProblem's apply_K_adjoint runs on the
-    numpy path and for arrays its kernel rejects, is the three operations
-    K* with a minuend into the buffer v (allocated on first use by
-    buffer), prox_G from v back into x, and _sumsq over x.  With the
-    compiled kernels it is one call, primal_step.  operands is
-    apply_K_adjoint's to keep: y's view that call takes, made from the
-    y_tails it came from, which pedi_run passes on every iteration, so the
-    view is made once per run and dies with the run.
-    """
-
     tau: float = 0.0
+    minimum: Optional[float] = field(default=None, init=False)
     norm2: Optional[float] = field(default=None, init=False)
+    kx: Optional[np.ndarray] = field(default=None, init=False)
+    y: Optional[np.ndarray] = field(default=None, init=False)
+    d0: Optional[np.ndarray] = field(default=None, init=False)
+    kx_planes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    y_dual: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    y_planes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    tn2: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     v: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    operands: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    def buffer(self, x: np.ndarray) -> np.ndarray:
-        """v, the reference's x - tau K* y, allocated on first use in x's shape."""
-        if self.v is None:
-            self.v = np.empty_like(x)
-        return self.v
+    def solve(self):
+        """The dual stage from the K x in kx, with _tail_norms and _dual_update."""
+        tn2 = _tail_norms(self.kx, self.tn2)
+        self.minimum = float(np.min(tn2))
+        _dual_update(self.kx, tn2, self.b0, self.mu, self.d0, self.y)
 
 
 def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):
@@ -398,28 +366,29 @@ def pedi_run(
     first iteration (see check_config).  Each prox step also gives the sum
     of squares of the new x; if it is not finite (a non-finite x, or a
     finite x whose norm overflows) FloatingPointError is raised, on either
-    kernel path.  The iterates live in buffers allocated on the first
-    iteration and updated in place.
+    kernel path.  The iterates besides x live in one LiftedStep, whose
+    buffers the first apply_K call allocates and every later call updates
+    in place.
 
     An iteration runs: mu_{i+1} (_barrier_weight, computed once and passed
-    to the dual solve and the rule); apply_K with a DualSolve, which forms
+    to the dual solve and the rule); apply_K(x, step=s), which forms
     K x^i, the dual solve and min_b ||(Kx)_b||^2, the soc rule's input; the
-    step rule, which returns the next StepState; and apply_K_adjoint with
-    a PrimalStep, which forms x - tau K* y, takes the prox over x in place
-    and sums ||x||^2.  With the compiled kernels (barrierpd.kernels),
-    DenoiseProblem makes each of the two operator calls one kernel call.
-    apply_K's stores K x and d's heads only on the final iteration, the one
-    the result reads; on TV it is one pass that keeps K x in registers, and
-    on H1 the one block's squared norm is summed over K x formed on the
-    fly, in numpy's pairwise order as ||x||^2 is summed, the block's head
-    and factor follow in closed form, and a second pass writes y.
-    apply_K_adjoint's is one pass over numpy's pairwise tree of x, whose
-    leaves form K* y, the prox and the squares, and which stores nothing
-    but x.  Kernels split large images, and these sums, across threads.
-    Both paths and every thread count give bit-identical iterates.  The
-    loop binds the problem's operators once per run and calls each once
-    per iteration; besides the kernels an iteration runs a few scalar
-    operations and builds one StepState.
+    step rule, which returns the next StepState; and
+    apply_K_adjoint(s.y, out=x, step=s), which forms x - tau K* y, takes
+    the prox over x in place and sums ||x||^2.  With the compiled kernels
+    (barrierpd.kernels), DenoiseProblem makes each of the two operator
+    calls one kernel call.  apply_K's stores K x and d's heads only on the
+    final iteration, the one the result reads; on TV it is one pass that
+    keeps K x in registers, and on H1 the one block's squared norm is
+    summed over K x formed on the fly, in numpy's pairwise order as
+    ||x||^2 is summed, the block's head and factor follow in closed form,
+    and a second pass writes y.  apply_K_adjoint's is one pass over numpy's
+    pairwise tree of x, whose leaves form K* y, the prox and the squares,
+    and which stores nothing but x.  Kernels split large images, and these
+    sums, across threads.  Both paths and every thread count give
+    bit-identical iterates.  The loop binds the problem's operators once
+    per run and calls each once per iteration; besides the kernels an
+    iteration runs a few scalar operations and builds one StepState.
 
     On TV the soc rule is the general rule: the Neumann boundary makes the
     corner pixel's block of K zero, so min_b ||(Kx)_b|| = 0 at every
@@ -449,8 +418,8 @@ def pedi_run(
     state = initial_state()
     states = []
     b0 = problem.b0
-    dual, primal = DualSolve(b0), PrimalStep()
-    kx_tails = y_view = kx_norm = None
+    step = LiftedStep(b0)
+    y_view = kx_norm = None
     x_view = _readonly(x)
     # the operators are bound once per run; the step rules are looked up on
     # every call, so that a patched one is seen
@@ -459,34 +428,34 @@ def pedi_run(
 
     for i in range(max_iters):
         # mu_{i+1}, which the dual solve and the rule share
-        dual.mu = mu = _barrier_weight(state, config)
+        step.mu = mu = _barrier_weight(state, config)
         # only the result's d reads K x and d's heads
-        dual.keep = i == last
-        # the first call allocates K x's buffer and sizes the dual's
-        kx_tails = apply_K(x, out=kx_tails, dual=dual)
+        step.keep = i == last
+        apply_K(x, step=step)
         if soc:
             # the enlarged monotonicity bound holds blockwise with the block's
             # own ||(Kx)_b||; the scalar rule can only use the worst block, so
             # a flat image region degrades it gracefully to the general rule
-            kx_norm = math.sqrt(2.0 * dual.minimum)
+            kx_norm = math.sqrt(2.0 * step.minimum)
             state = step_rule_soc(state, kx_norm, config, mu)
         else:
             state = step_rule_general(state, config, mu)
 
         # x = prox_G(x - tau K* y, tau) in place, with ||x||^2 of the new x
-        primal.tau = state.tau
-        apply_K_adjoint(dual.y_tails, out=x, primal=primal)
+        step.tau = state.tau
+        apply_K_adjoint(step.y, out=x, step=step)
         # one sum covers a non-finite x and a finite x whose ||x||^2 overflows
-        if not math.isfinite(primal.norm2):
+        if not math.isfinite(step.norm2):
             raise FloatingPointError(f"non-finite primal iterate or norm at iteration {i}")
 
         states.append(state)
         if callback is not None:
             if y_view is None:
-                y_view = BlockConeVector.view_of(np.full(kx_tails.shape[0], b0 / 2.0), dual.y_tails)
+                y_view = BlockConeVector.view_of(np.full(step.y.shape[0], b0 / 2.0), step.y)
             callback(i, x_view, y_view, state, {"kx_norm": kx_norm})
 
-    heads = np.full(kx_tails.shape[0], b0 / 2.0)
-    y = BlockConeVector.from_arrays(heads, dual.y_tails)
-    d = BlockConeVector.from_arrays(dual.d0, -kx_tails)
+    heads = np.full(step.y.shape[0], b0 / 2.0)
+    y = BlockConeVector.from_arrays(heads, step.y)
+    # d's tails are -tail(K x); the record ends with the run, so K x is negated in place
+    d = BlockConeVector.from_arrays(step.d0, np.negative(step.kx, out=step.kx))
     return PEDIResult(x=x, y=y, d=d, states=states)

@@ -20,7 +20,7 @@ from barrierpd.imaging import (
     unlift,
 )
 from barrierpd.jordan import BlockConeVector
-from barrierpd.pedi import PrimalStep
+from barrierpd.pedi import LiftedStep
 from test_golden_trajectory import planar, ref_grad, ref_grad_adjoint, ref_project
 
 
@@ -113,17 +113,16 @@ def test_kernels_allocate_no_array_copy(rng, variant):
     sp = dp.saddle_problem()
     v = rng.standard_normal((n, n))
     G, img = np.empty((2, n, n)), np.empty((n, n))
-    kx = sp.apply_K(v.reshape(-1))
-    y = np.empty_like(kx)
+    y = sp.apply_K(v.reshape(-1))
     y[...] = rng.standard_normal(y.shape)
     x = np.empty(n * n)
-    x2, step = np.zeros(n * n), PrimalStep(0.3)
+    x2, step = np.zeros(n * n), LiftedStep(0.5, mu=0.3, tau=0.3)
     calls = {
         "_grad": lambda: _grad(v, out=G),
         "_grad_adjoint": lambda: _grad_adjoint(G, out=img),
-        "apply_K": lambda: sp.apply_K(v.reshape(-1), out=kx),
+        "dual step": lambda: sp.apply_K(v.reshape(-1), step=step),
         "apply_K_adjoint": lambda: sp.apply_K_adjoint(y, out=x),
-        "primal step": lambda: sp.apply_K_adjoint(y, out=x2, primal=step),
+        "primal step": lambda: sp.apply_K_adjoint(step.y, out=x2, step=step),
     }
     for call in calls.values():
         call()
@@ -161,15 +160,11 @@ def test_operators_write_into_out(rng, variant):
     dp = DenoiseProblem(rand_grid(rng, 4, 3), 0.7, variant)
     sp = dp.saddle_problem()
     x, x2 = rng.standard_normal(12), rng.standard_normal(12)
-    buf = sp.apply_K(x)
-    got = sp.apply_K(x2, out=buf)
-    assert np.shares_memory(got, buf)
-    assert np.array_equal(buf, sp.apply_K(x2))
-    # TV tails are the transpose of a contiguous (2, n) array, and a
-    # C-contiguous (n, 2) array is not
-    bad = np.zeros(buf.shape) if variant == "tv" else np.zeros(buf.shape[::-1])
-    with pytest.raises(ValueError):
-        sp.apply_K(x2, out=bad)
+    # the dual stage writes K x into its record's kx, on every call
+    step = LiftedStep(0.7, mu=0.3)
+    buf = sp.apply_K(x, step=step)
+    assert buf is step.kx and np.array_equal(buf, sp.apply_K(x))
+    assert sp.apply_K(x2, step=step) is buf and np.array_equal(buf, sp.apply_K(x2))
     v = np.empty(12)
     assert np.shares_memory(sp.apply_K_adjoint(buf, out=v), v)
     assert np.array_equal(v, sp.apply_K_adjoint(buf))
@@ -179,7 +174,7 @@ def test_operators_write_into_out(rng, variant):
         sp.prox_G(v, 0.3, out=v)
     # the primal step writes over the x it is given, and needs one
     with pytest.raises(ValueError):
-        sp.apply_K_adjoint(buf, primal=PrimalStep(0.3))
+        sp.apply_K_adjoint(buf, step=LiftedStep(0.7, tau=0.3))
     p = rng.standard_normal((2, 4, 3)) * 3.0
     q = p.copy()
     assert dp.project_dual(q, out=q) is q
@@ -197,19 +192,6 @@ def test_unlift_round_trip(rng, variant):
               BlockConeVector.view_of(np.ones(tails.shape[0]), tails)):
         assert np.array_equal(unlift(y, (4, 3)), field)
         assert np.array_equal(dp.unlifted_dual(y), 2.0 * field)
-
-
-@pytest.mark.parametrize("variant", ["tv", "h1"])
-def test_unlifted_dual_writes_into_out(rng, variant):
-    dp = DenoiseProblem(rand_grid(rng, 4, 3), 0.7, variant)
-    tails = np.empty_like(dp.saddle_problem().apply_K(np.zeros(12)))
-    tails[...] = rng.standard_normal(tails.shape)
-    y = BlockConeVector.view_of(np.ones(tails.shape[0]), tails)
-    out = np.full((2, 4, 3), np.nan)
-    got = dp.unlifted_dual(y, out=out)
-    assert got is out and np.shares_memory(got, out)
-    assert np.array_equal(out, dp.unlifted_dual(y))
-    assert np.array_equal(out, 2.0 * unlift(y, (4, 3)))
 
 
 @pytest.mark.parametrize("variant", ["tv", "h1"])
@@ -232,7 +214,6 @@ def test_dual_fields_are_planar_only(rng, variant):
             "dual_value": lambda: dp.dual_value(bad),
             "duality_gap": lambda: dp.duality_gap(x, bad),
             "metrics": lambda: metrics(x, bad, dp, target, 1.0),
-            "unlifted_dual's out": lambda: dp.unlifted_dual(y, out=bad),
         }
         for what, call in calls.items():
             with pytest.raises(ValueError, match="planar"):

@@ -140,16 +140,17 @@ def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
 
 
 def dual_step(sp, x, b0=0.7, mu=0.3, keep=True, fill=7.0):
-    """K x through apply_K with a DualSolve, its buffers and K x's prefilled with fill.
+    """The dual stage through apply_K on one LiftedStep, its buffers prefilled with fill.
 
-    Returns (K x's tails, d0, y_tails, minimum), the arrays apply_K wrote into.
+    A first call allocates the record's kx, y and d0, which are then filled;
+    returns (kx, d0, y, minimum) after the second call.
     """
-    dual = pedi.DualSolve(b0, mu=mu, keep=keep)
-    kx = np.full_like(sp.apply_K(x), fill)
-    for a in dual.buffers(kx):
+    step = pedi.LiftedStep(b0, mu=mu, keep=keep)
+    sp.apply_K(x, step=step)
+    for a in (step.kx, step.d0, step.y):
         a.fill(fill)
-    sp.apply_K(x, out=kx, dual=dual)
-    return kx, dual.d0, dual.y_tails, dual.minimum
+    assert sp.apply_K(x, step=step) is step.kx
+    return step.kx, step.d0, step.y, step.minimum
 
 
 def tv_saddle(rng, shape):
@@ -204,21 +205,33 @@ def test_dual_solve(monkeypatch, rng, shape, mu):
         assert identical(got[2], y) and np.all(got[0] == 7.0) and np.all(got[1] == 7.0)
 
 
+@pytest.mark.parametrize("path", ["c", NUMPY], ids=["c", "numpy"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_dual_solve_follows_its_out(rng, variant):
-    # apply_K keeps its kernel's views in the DualSolve with the out they
-    # came from; another out, or none, gets K x written into it
-    sp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((5, 7))), 0.7, variant).saddle_problem()
-    dual = pedi.DualSolve(0.7, mu=0.3, keep=True)
-    x = rng.standard_normal(35)
-    first = sp.apply_K(x, dual=dual)
-    again = sp.apply_K(x, dual=dual)
-    assert again is not first and np.array_equal(again, first)
-    other = np.full_like(first, 7.0)
-    assert sp.apply_K(x, out=other, dual=dual) is other and np.array_equal(other, first)
-    # a new x into the first out, K x as apply_K without a dual solve forms it
-    for x in (rng.standard_normal(35), 2.0 * x):
-        assert sp.apply_K(x, out=first, dual=dual) is first and np.array_equal(first, sp.apply_K(x))
+def test_dual_stage_writes_into_its_record(monkeypatch, rng, path, variant):
+    # the first apply_K with a LiftedStep allocates the record's kx, y and
+    # d0; every later call writes into them and returns the same kx, K x as
+    # apply_K without a record forms it, and on the compiled path
+    # allocates nothing image-sized
+    if path == "c" and kernels.PATH != "c":
+        pytest.skip(f"kernels: {kernels.PATH}")
+    monkeypatch.setattr(kernels, "PATH", path)
+    sp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((64, 64))), 0.7, variant).saddle_problem()
+    step = pedi.LiftedStep(0.7, mu=0.3, keep=True)
+    x = rng.standard_normal(64 * 64)
+    kx = sp.apply_K(x, step=step)
+    buffers = (step.kx, step.y, step.d0)
+    assert kx is step.kx and np.array_equal(kx, sp.apply_K(x))
+    for x in (rng.standard_normal(64 * 64), 2.0 * x):
+        tracemalloc.start()
+        try:
+            again = sp.apply_K(x, step=step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again is kx and all(a is b for a, b in zip((step.kx, step.y, step.d0), buffers))
+        assert np.array_equal(kx, sp.apply_K(x))
+        # the numpy reference squares H1's one tail into a buffer of its own
+        assert path != "c" or peak < 4096, peak
 
 
 @needs_c
@@ -243,7 +256,7 @@ H1_SHAPES = SHAPES + [(1, 70001), (70001, 1)]
 @pytest.mark.parametrize("mu", [0.3, 1e-200, 0.0])
 def test_h1_dual_solve(monkeypatch, rng, shape, mu):
     # h1_dual against the reference the numpy path runs, _grad and then
-    # DualSolve.solve (_tail_norms and _dual_update)
+    # LiftedStep.solve (_tail_norms and _dual_update)
     n = shape[0] * shape[1]
     sp = h1_saddle(rng, shape)
     for x in (rng.standard_normal(n), special(rng, n)):
@@ -252,11 +265,13 @@ def test_h1_dual_solve(monkeypatch, rng, shape, mu):
         kx, d0, y, t = ref[-1]
         with np.errstate(all="ignore"):
             g = _grad(x.reshape(shape))
-            want = pedi.DualSolve(0.7, mu=mu)
-            want.solve(g.reshape(1, -1))
+            want = pedi.LiftedStep(0.7, mu=mu)
+            want.kx, want.y = g.reshape(1, -1), np.empty((1, 2 * n))
+            want.d0, want.tn2 = np.empty(1), np.empty(1)
+            want.solve()
             assert identical(t, float(np.square(g).sum()))
         assert identical(kx, g.reshape(1, -1)) and identical(t, want.minimum)
-        assert identical(d0, want.d0) and identical(y, want.y_tails)
+        assert identical(d0, want.d0) and identical(y, want.y)
         # without keep the pass writes y only: K x and d's head stay as they were
         monkeypatch.setattr(kernels, "PATH", "c")
         got = dual_step(sp, x, mu=mu, keep=False)
@@ -275,10 +290,11 @@ def test_h1_dual_solve_zero_head(monkeypatch, shape):
     assert_identical(c[-1], ref[-1])
 
 
-def primal_step(sp, y, x, tau):
-    """pedi's primal step through apply_K_adjoint with a PrimalStep, in place on x: [x, ||x||^2]."""
-    step = pedi.PrimalStep(tau)
-    assert sp.apply_K_adjoint(y, out=x, primal=step) is x
+def primal_step(sp, y, x, tau, step=None):
+    """pedi's primal step through apply_K_adjoint on a LiftedStep, a new one if None, in place on x: [x, ||x||^2]."""
+    step = pedi.LiftedStep(0.7) if step is None else step
+    step.tau = tau
+    assert sp.apply_K_adjoint(y, out=x, step=step) is x
     return [x, step.norm2]
 
 
@@ -294,24 +310,24 @@ def primal_reference(sp, shape, y, x, tau):
 @pytest.mark.parametrize("shape", H1_SHAPES, ids=shape_ids)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_primal_step(monkeypatch, rng, shape, variant):
-    # the fused step against the three operations it folds, on y tails in
-    # the layout pedi_run passes, with special values in y and in x
+    # the fused step against the three operations it folds, on the y of
+    # the record pedi_run passes, with special values in y and in x
     n = shape[0] * shape[1]
     dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, variant)
     sp = dp.saddle_problem()
-    dual = pedi.DualSolve(0.5, mu=0.3)
-    sp.apply_K(rng.standard_normal(n), dual=dual)
-    for y, x in ((rng.standard_normal(dual.y_tails.shape), rng.standard_normal(n)),
-                 (special(rng, dual.y_tails.shape), rng.standard_normal(n)),
-                 (rng.standard_normal(dual.y_tails.shape), special(rng, n))):
-        dual.y_tails[...] = y
+    step = pedi.LiftedStep(0.5, mu=0.3)
+    sp.apply_K(rng.standard_normal(n), step=step)
+    for y, x in ((rng.standard_normal(step.y.shape), rng.standard_normal(n)),
+                 (special(rng, step.y.shape), rng.standard_normal(n)),
+                 (rng.standard_normal(step.y.shape), special(rng, n))):
+        step.y[...] = y
         # both paths multiply by the prox's factor 1 / (1 + tau), also at
         # the edge of the range: subnormal at 1e308, 0 at inf
         for tau in (0.3, 1.0, 1e-300, 7.0, 1e308, np.inf):
-            c, ref = on_both_paths(monkeypatch, lambda x: primal_step(sp, dual.y_tails, x, tau), x)
+            c, ref = on_both_paths(monkeypatch, lambda x: primal_step(sp, step.y, x, tau, step), x)
             assert_identical(c[-1], ref[-1])
             with np.errstate(all="ignore"):
-                want = primal_reference(sp, shape, dual.y_tails, x.copy(), tau)
+                want = primal_reference(sp, shape, step.y, x.copy(), tau)
             assert_identical(c[-1], want)
 
 
@@ -407,18 +423,17 @@ def check_ascent(monkeypatch, dp, v, planes, z, calls):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_unlifted_dual_on_both_layouts(monkeypatch, rng, shape, variant):
-    # pedi_run's planar tails into a planar out, on special values: one
-    # numpy multiplication on either kernel path, 2 tail(y) bit for bit, and
-    # no kernel call
+    # pedi_run's planar tails, on special values: one numpy multiplication
+    # on either kernel path, 2 tail(y) bit for bit, and no kernel call
     dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal(shape)), 0.5, variant)
     kx = dp.saddle_problem().apply_K(np.zeros(dp.n_pixels))
     kx[...] = special(rng, kx.shape)
     y = BlockConeVector.view_of(np.ones(kx.shape[0]), kx)
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
-    c, ref = on_both_paths(monkeypatch, lambda out: dp.unlifted_dual(y, out=out), np.full((2,) + shape, 7.0))
+    c, ref = on_both_paths(monkeypatch, lambda: dp.unlifted_dual(y))
     monkeypatch.setattr(kernels, "ext", rec.ext)
-    assert c[1] is c[0] and identical(c[0], ref[0])
+    assert identical(c[0], ref[0])
     assert identical(c[0], 2.0 * imaging.unlift(y, shape)) and identical(c[0], 2.0 * kx.T.reshape((2,) + shape))
     assert rec.calls == {}
 
@@ -575,10 +590,10 @@ def test_overflowing_norm_of_a_finite_iterate_on_both_paths(monkeypatch, path):
     dp = DenoiseProblem(add_gaussian_noise(synthetic_image(8, 8), 6.15, 3), 0.3, "tv")
     sp = dp.saddle_problem()
 
-    def apply_K_adjoint(y, out=None, primal=None):
+    def apply_K_adjoint(y, out=None, step=None):
         # the primal step leaves this entry near 1e200, so ||x||^2 overflows
         out[3] = 1e200
-        return sp.apply_K_adjoint(y, out=out, primal=primal)
+        return sp.apply_K_adjoint(y, out=out, step=step)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -640,12 +655,15 @@ def test_metrics_on_both_paths(monkeypatch, rng, shape, variant):
 def test_metrics_allocates_no_image(rng):
     # the numpy path's objective, dual_value and residual peak at 133 KB
     # here; H1's regularizer sums its gradient without storing it, and
-    # pedi's y is read as it lies, with no unlifted field
+    # pedi's y is read as it lies, with no unlifted field: the loop's view
+    # and the result's copy alike
     for variant in VARIANTS:
         dp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((64, 64))), 0.4, variant)
         x, p = rng.standard_normal(64 * 64), rng.standard_normal((2, 64, 64))
         target = Target.of(dp, rng.standard_normal(64 * 64))
-        for dual in (p, lifted(p, variant)):
+        sp = dp.saddle_problem()
+        res = pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 3)
+        for dual in (p, lifted(p, variant), res.y):
             metrics(x, dual, dp, target, 3.0)
             tracemalloc.start()
             try:
@@ -954,9 +972,9 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     target = Target.of(dp, rng.standard_normal(30))
 
     def dual_update(x):
-        dual = pedi.DualSolve(0.4, mu=0.3)
-        kx = dp.saddle_problem().apply_K(x, dual=dual)
-        return kx, dual.d0, dual.y_tails, dual.minimum
+        step = pedi.LiftedStep(0.4, mu=0.3)
+        kx = dp.saddle_problem().apply_K(x, step=step)
+        return kx, step.d0, step.y, step.minimum
 
     y32 = dp.saddle_problem().apply_K(x).astype(np.float32)
 

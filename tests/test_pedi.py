@@ -7,7 +7,7 @@ import pytest
 
 from barrierpd.barrier import RankOneConstraint, central_path_solve
 from barrierpd.baselines import dual_fb_run
-from barrierpd.imaging import DenoiseProblem, ImageGrid, add_gaussian_noise, synthetic_image
+from barrierpd.imaging import DenoiseProblem, ImageGrid, add_gaussian_noise, synthetic_image, unlift
 from barrierpd.jordan import SpinElement, identity, is_interior, lambda_min
 from barrierpd import pedi
 from barrierpd.pedi import (
@@ -308,9 +308,9 @@ def _with_x_entry(sp, value):
     carries into the new x: NaN and +-inf stay, and 1e200 stays finite with
     ||x||^2 overflowing."""
 
-    def apply_K_adjoint(y, out=None, primal=None):
+    def apply_K_adjoint(y, out=None, step=None):
         out[3] = value
-        return sp.apply_K_adjoint(y, out=out, primal=primal)
+        return sp.apply_K_adjoint(y, out=out, step=step)
 
     return dataclasses.replace(sp, apply_K_adjoint=apply_K_adjoint)
 
@@ -354,6 +354,18 @@ def test_callback_views_are_read_only():
 
     pedi_run(sp, cfg, 3, callback=cb)
     assert seen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+def test_result_keeps_the_loops_planar_layout(variant):
+    # the result's y and d are copies laid out as the loop's tails, so
+    # their unlifted fields are C-contiguous views, which the kernels take
+    dp = make_problem(variant=variant)
+    sp = dp.saddle_problem()
+    res = pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 3)
+    for v in (res.y, res.d):
+        field = unlift(v, dp.shape)
+        assert field.flags.c_contiguous and np.shares_memory(field, v.tails)
 
 
 @pytest.mark.parametrize("variant", ["tv", "h1"])

@@ -56,13 +56,13 @@ def old_saddle_problem(dp):
     sp = dp.saddle_problem()
     zf, shape = dp.z.flat(), dp.shape
 
-    def apply_K_adjoint(y_tails, out, primal):
-        tau = primal.tau
+    def apply_K_adjoint(y_tails, out, step):
+        tau = step.tau
         v = imaging._grad_adjoint(y_tails.T.reshape((2,) + shape), np.empty_like(out), 2.0, out, tau)
         np.multiply(zf, tau, out=out)
         out += v
         out /= 1.0 + tau
-        primal.norm2 = _sumsq(out)
+        step.norm2 = _sumsq(out)
         return out
 
     return dataclasses.replace(sp, apply_K_adjoint=apply_K_adjoint)
@@ -132,10 +132,10 @@ def test_dual_solve_within_ulps_of_the_two_division_form(variant, mu, value):
     sp = dp.saddle_problem()
     for x in (rng.standard_normal(42), np.zeros(42)):
         x[::5] = value
-        dual = pedi.DualSolve(0.7, mu=mu)
+        step = pedi.LiftedStep(0.7, mu=mu)
         with np.errstate(all="ignore"):
-            kx = sp.apply_K(x, dual=dual)
-            d0, y = np.empty_like(dual.d0), np.empty_like(dual.y_tails)
+            kx = sp.apply_K(x, step=step)
+            d0, y = np.empty_like(step.d0), np.empty_like(step.y)
             old_dual_update(kx, pedi._tail_norms(kx, np.empty(len(d0))), 0.7, mu, d0, y)
-        assert identical(dual.d0, d0)
-        assert within_ulps(dual.y_tails, y, ULPS), (dual.y_tails, y)
+        assert identical(step.d0, d0)
+        assert within_ulps(step.y, y, ULPS), (step.y, y)
