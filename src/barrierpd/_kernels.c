@@ -22,8 +22,8 @@
  * norm, the dual solve and the soc rule's minimum in one visit; on H1,
  * whose one block needs the norm of all of K x first, h1_dual sums its
  * squares formed on the fly, solves for the block's scalars and then
- * writes y.  Both store K x and d's heads only when asked, since only the
- * final iterate's are read.  The baselines' whole dual step, the projection
+ * writes y.  Both write y alone, planar like every other field, and store
+ * no K x.  The baselines' whole dual step, the projection
  * of the ascent p + s D v, is one call in the same way, writing p in place
  * and storing no ascent: on TV project_tv forms and projects each pixel's
  * ascent in one visit; on H1 project_h1 sums the ascent's squares formed on
@@ -41,10 +41,9 @@
  * sqrt and 1 division 121-126 us and a sqrt alone 73-78 us.  So a kernel
  * makes only the divisions its algebra needs: a loop-invariant divisor
  * becomes its reciprocal, taken once per call, and a per-pixel quotient is
- * formed once.  tv_dual divides once per pixel, and once more only where it
- * stores d's head; project_tv divides once; primal_step and grad_adjoint
- * multiply by 1 / (1 + tau).  The numpy references use the same
- * expressions.
+ * formed once.  tv_dual and project_tv divide once per pixel; primal_step
+ * and grad_adjoint multiply by 1 / (1 + tau).  The numpy references use
+ * the same expressions.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; the sums' leaves read theirs from a job.  On x86-64 each
@@ -254,18 +253,15 @@ KERNEL static void grad_adjoint(const double *restrict g0, const double *restric
 /* Rows r0..r1-1 of pedi's dual step on TV, each pixel in one visit: its
  * block's tail (g0, g1) of K x = grad v; the squared norm
  * t = g0^2 + g1^2; the closed-form dual solve of pedi._dual_update, with
- * e = sqrt(t b0^2 + mu^2) + mu, the tail (g0, g1) s of y, s = (b0^2/2) / e
- * and zero where e is not positive, and the head d = e / b0 of d.  It
- * writes y's tails into (y0, y1), and with keep also K x into (k0, k1) and
- * d's heads into d0, the pixel's one other division.  The least and
- * greatest bit patterns of the norms t go into *lo and *hi: such a sum is
- * +0 or positive unless NaN, and non-negative doubles order like their bit
- * patterns, so the minimum is an unsigned integer reduction, exact in any
- * order; NaN patterns of either sign lie above +inf's. */
-KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double *restrict k1,
-                           double *restrict d0, double *restrict y0, double *restrict y1, idx n1,
-                           idx n2, idx r0, idx r1, double b0, double mu, int keep, uint64_t *lo,
-                           uint64_t *hi)
+ * e = sqrt(t b0^2 + mu^2) + mu and the tail (g0, g1) s of y,
+ * s = (b0^2/2) / e and zero where e is not positive, written into the
+ * planes (y0, y1).  The least and greatest bit patterns of the norms t go
+ * into *lo and *hi: such a sum is +0 or positive unless NaN, and
+ * non-negative doubles order like their bit patterns, so the minimum is an
+ * unsigned integer reduction, exact in any order; NaN patterns of either
+ * sign lie above +inf's. */
+KERNEL static void tv_dual(const double *restrict v, double *restrict y0, double *restrict y1, idx n1,
+                           idx n2, idx r0, idx r1, double b0, double mu, uint64_t *lo, uint64_t *hi)
 {
     double bb = b0 * b0, mm = mu * mu, hbb = bb / 2.0;
     uint64_t l = UINT64_MAX, h = 0;
@@ -279,11 +275,6 @@ KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double
         h = b > h ? b : h;
         y0[k] = g0 * s;
         y1[k] = g1 * s;
-        if (keep) {
-            k0[k] = g0;
-            k1[k] = g1;
-            d0[k] = e / b0;
-        }
     });
     *lo = l;
     *hi = h;
@@ -291,19 +282,14 @@ KERNEL static void tv_dual(const double *restrict v, double *restrict k0, double
 
 /* Rows r0..r1-1 of the write of pedi's dual step on H1, whose one block
  * has the factor s = (b0^2/2) / e: y = (grad v) s into the planes (y0, y1),
- * as pedi._dual_update's product forms it, and with keep K x = grad v
- * itself into (k0, k1), each plane in a pass of its own. */
-KERNEL static void h1_write(const double *restrict v, double *restrict k0, double *restrict k1,
-                            double *restrict y0, double *restrict y1, idx n1, idx n2, idx r0,
-                            idx r1, double s, int keep)
+ * as pedi._dual_update's product forms it, each plane in a pass of its
+ * own. */
+KERNEL static void h1_write(const double *restrict v, double *restrict y0, double *restrict y1, idx n1,
+                            idx n2, idx r0, idx r1, double s)
 {
     idx lo = r0 * n2, hi = r1 * n2;
     STENCIL(v, n1, n2, lo, hi, y0[k] = g0 * s);
     STENCIL(v, n1, n2, lo, hi, y1[k] = g1 * s);
-    if (keep) {
-        STENCIL(v, n1, n2, lo, hi, k0[k] = g0);
-        STENCIL(v, n1, n2, lo, hi, k1[k] = g1);
-    }
 }
 
 /* The pixels of one tile of project_tv's sweep with z.  At 256 x 256 on
@@ -753,16 +739,13 @@ static void t_grad_adjoint(Job *j, idx lo, idx hi, int c)
 
 static void t_tv_dual(Job *j, idx lo, idx hi, int c)
 {
-    idx n = j->n1 * j->n2;
-    tv_dual(j->a[0], j->a[1], j->a[1] + n, j->a[2], j->a[3], j->a[3] + n, j->n1, j->n2, lo, hi,
-            j->s[0], j->s[1], j->s[2] != 0.0, &j->lo[c], &j->hi[c]);
+    tv_dual(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[0], j->s[1], &j->lo[c],
+            &j->hi[c]);
 }
 
 static void t_h1_write(Job *j, idx lo, idx hi, int c)
 {
-    idx n = j->n1 * j->n2;
-    h1_write(j->a[0], j->a[1], j->a[1] + n, j->a[3], j->a[3] + n, j->n1, j->n2, lo, hi, j->s[0],
-             j->s[2] != 0.0);
+    h1_write(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[0]);
 }
 
 static void t_project_tv(Job *j, idx lo, idx hi, int c)
@@ -884,32 +867,26 @@ WRAPPER(grad_adjoint)
     return finish(&bs);
 }
 
-/* tv_dual(v, kx, d0, y, b0, mu, keep) -> the least squared norm of K x's
- * tails, NaN if any is NaN, like np.min: v an (n1, n2) image, kx a
- * (2, n1, n2) field, d0 an (n,) array and y planar (2, n) tails, n = n1 n2.
- * It writes y, and with keep true also kx = grad v and d0. */
+/* tv_dual(v, y, b0, mu) -> the least squared norm of K x's tails, NaN if
+ * any is NaN, like np.min: pedi's whole dual step on TV, v an (n1, n2)
+ * image or its flattening and y a (2, n1, n2) field, the planar tails of
+ * y, which it writes. */
 WRAPPER(tv_dual)
 {
     Bufs bs = {.n = 0};
     Job j;
     double m = 0.0;
-    if (unpack(&bs, &j, args, nargs, "rwww", 3) && image_and_field(&bs, 0, 1, &j)) {
-        const Py_buffer *d = &bs.b[2], *y = &bs.b[3];
-        idx n = size(&bs, 0);
-        if (d->ndim != 1 || size(&bs, 2) != n || y->ndim != 2 || y->shape[0] != 2 || y->shape[1] != n)
-            fail("tv_dual needs an (n,) d0 and (2, n) y, n = n1 n2");
-        else {
-            run(&j, t_tv_dual, j.n1, n);
-            uint64_t lo = UINT64_MAX, hi = 0;
-            for (int c = 0; c < j.chunks; c++) {
-                lo = j.lo[c] < lo ? j.lo[c] : lo;
-                hi = j.hi[c] > hi ? j.hi[c] : hi;
-            }
-            if (hi > 0x7ff0000000000000u)
-                m = NAN;
-            else
-                memcpy(&m, &lo, sizeof m);
+    if (unpack(&bs, &j, args, nargs, "rw", 2) && image_and_field(&bs, 0, 1, &j)) {
+        run(&j, t_tv_dual, j.n1, j.n1 * j.n2);
+        uint64_t lo = UINT64_MAX, hi = 0;
+        for (int c = 0; c < j.chunks; c++) {
+            lo = j.lo[c] < lo ? j.lo[c] : lo;
+            hi = j.hi[c] > hi ? j.hi[c] : hi;
         }
+        if (hi > 0x7ff0000000000000u)
+            m = NAN;
+        else
+            memcpy(&m, &lo, sizeof m);
     }
     release(&bs);
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(m);
@@ -961,35 +938,27 @@ WRAPPER(project_h1)
     return finish(&bs);
 }
 
-/* h1_dual(v, kx, d0, y, b0, mu, keep) -> t, the squared norm of K x's one
- * tail, pedi's whole dual step on H1: v an (n1, n2) image, kx a
- * (2, n1, n2) field, d0 a (1,) array and y the (1, 2 n) tail, n = n1 n2.
- * It sums t over grad v on the fly, as np.square(_grad(v)).sum() adds it,
- * storing no field; solves e = sqrt(t b0^2 + mu^2) + mu and the factor
+/* h1_dual(v, y, b0, mu) -> t, the squared norm of K x's one tail, pedi's
+ * whole dual step on H1: v an (n1, n2) image or its flattening and y a
+ * (2, n1, n2) field, the planar tail of y, which it writes.  It sums t
+ * over grad v on the fly, as np.square(_grad(v)).sum() adds it, storing
+ * no field; solves e = sqrt(t b0^2 + mu^2) + mu and the factor
  * s = (b0^2/2) / e, 0 where e is not positive, as pedi._dual_update does;
- * and then writes y = (grad v) s, and with keep true also kx = grad v and
- * d0 = e / b0. */
+ * and then writes y = (grad v) s. */
 WRAPPER(h1_dual)
 {
     Bufs bs = {.n = 0};
     Job j;
     double t = 0.0;
-    if (unpack(&bs, &j, args, nargs, "rwww", 3) && image_and_field(&bs, 0, 1, &j)) {
-        const Py_buffer *d = &bs.b[2], *y = &bs.b[3];
-        idx n = size(&bs, 0);
-        if (d->ndim != 1 || size(&bs, 2) != 1 || y->ndim != 2 || y->shape[0] != 1 || y->shape[1] != 2 * n)
-            fail("h1_dual needs a (1,) d0 and a (1, 2 n) y, n = n1 n2");
-        else {
-            /* add.reduce starts from its identity, 0 */
-            t = 0.0 + pairwise(&j, walk_grad_sumsq, 2 * n, n);
-            double b0 = j.s[0], mu = j.s[1], bb = b0 * b0;
-            double e = sqrt(t * bb + mu * mu) + mu, q = (bb / 2.0) / e;
-            if (j.s[2] != 0.0)
-                *(double *)j.a[2] = e / b0;
-            /* the factor t_h1_write reads */
-            j.s[0] = e > 0.0 ? q : 0.0;
-            run(&j, t_h1_write, j.n1, n);
-        }
+    if (unpack(&bs, &j, args, nargs, "rw", 2) && image_and_field(&bs, 0, 1, &j)) {
+        idx n = j.n1 * j.n2;
+        /* add.reduce starts from its identity, 0 */
+        t = 0.0 + pairwise(&j, walk_grad_sumsq, 2 * n, n);
+        double b0 = j.s[0], mu = j.s[1], bb = b0 * b0;
+        double e = sqrt(t * bb + mu * mu) + mu, q = (bb / 2.0) / e;
+        /* the factor t_h1_write reads */
+        j.s[0] = e > 0.0 ? q : 0.0;
+        run(&j, t_h1_write, j.n1, n);
     }
     release(&bs);
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(t);
@@ -1074,13 +1043,13 @@ static PyMethodDef methods[] = {
     {"grad_adjoint", (PyCFunction)(void (*)(void))w_grad_adjoint, METH_FASTCALL,
      "grad_adjoint(g, out, m) or grad_adjoint(g, out, m, z, xb, t, theta)"},
     {"tv_dual", (PyCFunction)(void (*)(void))w_tv_dual, METH_FASTCALL,
-     "tv_dual(v, kx, d0, y, b0, mu, keep) -> min"},
+     "tv_dual(v, y, b0, mu) -> min"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
      "project_tv(v, p, alpha, floor, s) or project_tv(v, p, z, alpha, floor, s)"},
     {"project_h1", (PyCFunction)(void (*)(void))w_project_h1, METH_FASTCALL,
      "project_h1(v, p, alpha, s)"},
     {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,
-     "h1_dual(v, kx, d0, y, b0, mu, keep) -> t"},
+     "h1_dual(v, y, b0, mu) -> t"},
     {"primal_step", (PyCFunction)(void (*)(void))w_primal_step, METH_FASTCALL,
      "primal_step(y, z, x, tau) -> sum of the squares of the new x"},
     {"grad_sumsq", (PyCFunction)(void (*)(void))w_grad_sumsq, METH_FASTCALL,

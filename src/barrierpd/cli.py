@@ -25,13 +25,14 @@ import json
 import math
 import os
 import time
+import zipfile
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__, kernels
-from .baselines import BaselineConfig, dual_fb_run, pdhgm_run
+from .baselines import DUAL_FB_L, BaselineConfig, dual_fb_run, pdhgm_run
 from .imaging import DenoiseProblem, Target, add_gaussian_noise, metrics
 from .pedi import ConfigError, StepConfig, check_config, pedi_run
 from .pgm import read_pgm
@@ -87,21 +88,34 @@ def _compute_target(problem: DenoiseProblem, iters: int) -> np.ndarray:
     return res.x
 
 
+def _read_target(path: Path):
+    """(config, x) of the target file at path; a click error for a file that is not a readable target."""
+    try:
+        # opened here, since np.load leaves its own file open when a zip is bad
+        with open(path, "rb") as f:
+            npz = np.load(f, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with npz:
+                if not {"config", "x"} <= set(npz.files):
+                    raise click.ClickException(f"cached target at {path} lacks its config or x; remove the file")
+                return json.loads(str(npz["config"])), npz["x"]
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        # a file that is no npz, an object-dtype x or a config that is not JSON
+        raise click.ClickException(f"cached target at {path} cannot be read ({exc}); remove the file")
+
+
 def _load_target(out: Path, key: dict, n_pixels: int):
     """The cached target x of key as a primal vector, None if there is none; a click error for a bad cache file."""
     path = _target_path(out, _key_hash(key))
     if not path.exists():
         return None
-    with np.load(path, allow_pickle=False) as npz:
-        if not {"config", "x"} <= set(npz.files):
-            raise click.ClickException(f"cached target at {path} lacks its config or x; remove the file")
-        stored_key = json.loads(str(npz["config"]))
-        if stored_key != key:
-            raise click.ClickException(
-                f"target cache collision at {path}: stored config {stored_key} "
-                f"does not match requested {key}; remove the file or change --out"
-            )
-        x = npz["x"]
+    stored_key, x = _read_target(path)
+    if stored_key != key:
+        raise click.ClickException(
+            f"target cache collision at {path}: stored config {stored_key} "
+            f"does not match requested {key}; remove the file or change --out"
+        )
     if x.size != n_pixels:
         raise click.ClickException(
             f"cached target at {path} holds {x.size} entries, expected {n_pixels}; remove the file"
@@ -134,10 +148,13 @@ def _atomic_write_bytes(path: Path, data: bytes):
 def _configure(solver, problem, iters, gamma, zeta, theta):
     """Build and check one solver's configuration before anything runs.
 
-    solver must be one of SOLVERS.  Returns (run, opnorm): run(log) runs the
-    solver with log as its callback, which each solver calls after each
+    solver must be one of SOLVERS.  Returns (run, params): run(log) runs
+    the solver with log as its callback, which each solver calls after each
     iteration as log(i, x, p, ...) with its dual iterate p: the baselines'
     planar field, or pedi's lifted y, which metrics reads as it lies.
+    params are the sidecar's gamma, zeta, theta and opnorm, the norm bound
+    behind the solver's steps, each None where the solver takes no such
+    parameter.
     Raises ConfigError for a configuration the solver would reject.
     """
     if solver in PEDI_RULES:
@@ -145,11 +162,15 @@ def _configure(solver, problem, iters, gamma, zeta, theta):
         cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=problem.alpha, gamma=gamma, zeta=zeta, theta=theta)
         rule = PEDI_RULES[solver]
         check_config(sp, cfg, rule)
-        return (lambda log: pedi_run(sp, cfg, iters, step_rule=rule, callback=log)), sp.opnorm_K
+        params = {"gamma": gamma, "zeta": zeta, "theta": theta, "opnorm": sp.opnorm_K}
+        return (lambda log: pedi_run(sp, cfg, iters, step_rule=rule, callback=log)), params
     if solver == "pdhgm":
         cfg = BaselineConfig.default_for(problem, max_iters=iters, gamma=gamma)
-        return (lambda log: pdhgm_run(problem, cfg, callback=log)), problem.opnorm_D
-    return (lambda log: dual_fb_run(problem, iters, callback=log)), problem.opnorm_D
+        params = {"gamma": gamma, "zeta": None, "theta": None, "opnorm": problem.opnorm_D}
+        return (lambda log: pdhgm_run(problem, cfg, callback=log)), params
+    # dual_fb's step is 1 / L^2 with L = DUAL_FB_L
+    params = {"gamma": None, "zeta": None, "theta": None, "opnorm": DUAL_FB_L}
+    return (lambda log: dual_fb_run(problem, iters, callback=log)), params
 
 
 def _run_solver(run, problem, target, gap0):
@@ -209,9 +230,12 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, th
     solver_list = [s.strip() for s in solvers.split(",") if s.strip()]
     if not solver_list:
         raise click.ClickException("solver list is empty")
-    for s in solver_list:
+    for i, s in enumerate(solver_list):
         if s not in SOLVERS:
             raise click.ClickException(f"unknown solver {s!r}; choose from {', '.join(SOLVERS)}")
+        # a second run would overwrite the first's log and sidecar
+        if s in solver_list[:i]:
+            raise click.ClickException(f"solver {s!r} is listed more than once")
     if iters < 1:
         raise click.ClickException("--iters must be >= 1")
     if target_iters < 1:
@@ -241,7 +265,7 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, th
         raise click.ClickException(f"bad reference solution: {exc}")
     gap0 = problem.half_z2
 
-    for solver, (run_solver, opnorm) in zip(solver_list, plans):
+    for solver, (run_solver, params) in zip(solver_list, plans):
         records = _run_solver(run_solver, problem, target, gap0)
         csv_path = out / f"{solver}.csv"
         _write_csv(csv_path, records)
@@ -250,10 +274,7 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, th
             "problem": key,
             "iters": iters,
             "step_rule": PEDI_RULES.get(solver),
-            "gamma": gamma,
-            "zeta": zeta,
-            "theta": theta,
-            "opnorm": opnorm,
+            **params,
             "gap0": gap0,
             "kernels": "c" if kernels.PATH == "c" else "numpy",
             "kernel_threads": kernels.THREADS,

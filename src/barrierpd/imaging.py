@@ -34,8 +34,8 @@ Conventions fixed here and relied on by every solver:
   dual_fb iteration is one call.  The lifted K's kernel call makes pedi's
   dual solve and the soc rule's minimum of the tail norms (apply_K's
   step=): on TV in the same pass, on H1 by summing the squares of K x
-  formed on the fly before a pass that writes y.  So no loop stores D v, and K x is stored only on
-  pedi's final iteration.  The operators pedi_run calls hand the kernels
+  formed on the fly before a pass that writes y.  So no loop stores D v or
+  K x.  The operators pedi_run calls hand the kernels
   the solver's own buffers, flat primal vectors included, and make no view
   a kernel does not need, so each costs its kernel call and little
   more.  The compiled sums -- metrics' four, pedi's ||x||^2, H1's ascent
@@ -447,14 +447,16 @@ class DenoiseProblem:
         array.  apply_K(x) writes K x into a new array, and apply_K_adjoint
         and prox_G write into out= when given, a contiguous primal vector,
         which for prox_G must not overlap v.  With step=, a pedi.LiftedStep,
-        the two operators run pedi's stages on the record.  apply_K's first
-        call allocates the record's kx, y and d0 and the views its kernels
-        take, and every call does the dual solve.  With the compiled kernels
-        it is K's own call, which never stores K x unless step.keep: tv_dual
-        on TV forms each block's tail and solves it in one pass; h1_dual on
-        H1 sums the one block's squared norm over K x formed on the fly,
-        solves for the block and then writes y.  Otherwise apply_K writes
-        K x into kx and runs step.solve, the reference.
+        the two operators run pedi's stages on the record.
+        apply_K(x, step=s) returns nothing: its first call allocates the
+        record's y and its planar view y_planes, and every call does the
+        dual solve into y.  With the compiled kernels it is K's own call,
+        which writes y_planes alone and stores no K x: tv_dual on TV forms
+        each block's tail and solves it in one pass; h1_dual on H1 sums the
+        one block's squared norm over K x formed on the fly, solves for the
+        block and then writes y.  Otherwise apply_K writes K x into the
+        record's kx, allocated with the reference's scratch on first use,
+        and runs step.solve, the reference.
         apply_K_adjoint(y, out=x, step=s) takes pedi's whole primal step on
         x: x = prox_G(x - tau K* y, tau) and ||x||^2 of the new x.  It reads
         the record's planar view when y is s.y, and makes one for any other
@@ -474,7 +476,7 @@ class DenoiseProblem:
         zf = self.z.flat()
 
         def new_tails():
-            """(tails, planes): a new K x tails array and its planar (2, n1, n2) view."""
+            """(tails, planes): a new (n_blocks, m) array in K x's layout and the planar (2, n1, n2) array it views."""
             planes = np.empty((2, n1, n2))
             return planes.reshape(m, n_blocks).T, planes
 
@@ -483,24 +485,21 @@ class DenoiseProblem:
                 kx, planes = new_tails()
                 _grad(x.reshape(n1, n2), out=planes)
                 return kx
-            if step.kx is None:
-                step.kx, step.kx_planes = new_tails()
-                step.y = np.empty_like(step.kx)
-                step.d0, step.tn2 = np.empty(n_blocks), np.empty(n_blocks)
-                # the dual kernel's y: planar (2, n) on TV, the one (1, 2 n) tail on H1
-                step.y_dual = step.y.T if m == 2 else step.y
-                step.y_planes = step.y.T.reshape(2, n1, n2)
+            if step.y is None:
+                step.y, step.y_planes = new_tails()
             if kernels.PATH == "c":
                 try:
                     # the least squared tail norm: TV's minimum, H1's one norm
                     fused = kernels.ext.tv_dual if m == 2 else kernels.ext.h1_dual
-                    step.minimum = fused(x, step.kx_planes, step.d0, step.y_dual, step.b0, step.mu, step.keep)
-                    return step.kx
+                    step.minimum = fused(x, step.y_planes, step.b0, step.mu)
+                    return
                 except ValueError:
                     pass
+            if step.kx is None:
+                step.kx, step.kx_planes = new_tails()
+                step.e, step.tn2 = np.empty(n_blocks), np.empty(n_blocks)
             _grad(x.reshape(n1, n2), out=step.kx_planes)
             step.solve()
-            return step.kx
 
         def apply_K_adjoint(y_tails, out=None, step=None):
             if out is None and step is None:

@@ -37,8 +37,8 @@ elementwise passes into their own:
   lifted apply_K runs on the numpy path as K's _grad, then pedi's
   _tail_norms and _dual_update and the soc rule's np.min.  tv_dual keeps
   K x in registers; h1_dual forms it twice, once for its one block's norm
-  and once to write y.  Both store K x, with d's heads, only on the final
-  iteration;
+  and once to write y.  Both take y as a planar field, write it alone and
+  store no K x;
 * project_tv(v, p, alpha, floor, s) (TV) and project_h1(v, p, alpha, s)
   (H1) make the baselines' dual step, DenoiseProblem.project_dual with an
   ascent in place, which the numpy code runs as _grad with scale= and
@@ -57,9 +57,9 @@ elementwise passes into their own:
 The kernels are bound by the divider, so each makes only the divisions
 its algebra needs, and the numpy code it replaces uses the same
 expressions: tv_dual and h1_dual form e = sqrt(t b0^2 + mu^2) + mu and the
-tail factor (b0^2/2) / e, one division per block, and d's head e / b0 only
-where they store it; primal_step and pdhgm's grad_adjoint multiply by
-1 / (1 + tau), taken once per call; project_tv divides once per pixel.
+tail factor (b0^2/2) / e, one division per block; primal_step and pdhgm's
+grad_adjoint multiply by 1 / (1 + tau), taken once per call; project_tv
+divides once per pixel.
 
 tv_dual's minimum is exact in any order, and the kernels that sum --
 metric_sums, primal_step's ||x||^2 for pedi's finiteness check, and the

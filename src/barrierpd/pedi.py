@@ -9,13 +9,14 @@ a = e and vectorised over blocks.  The solve needs only each block's
 (Kx)_b, so K does it: the solver keeps one LiftedStep per run, and
 apply_K(x, step=...) forms K x, solves and writes y into the record, one
 pass per pixel on TV, and on H1, the one-block case, a sum of K x's
-squares formed on the fly followed by the write of y.  K maps into cone
-elements with zero heads, so the record holds plain (n, m) tail arrays,
-which the first call allocates and every later one updates in place;
-apply_K_adjoint(y, out=x, step=...) takes the primal step from the record's
-y.  The solver builds :class:`~barrierpd.jordan.BlockConeVector` values
-only at its edge: one read-only view for the callback and copies for the
-result.
+squares formed on the fly followed by the write of y.  The loop reads y
+alone, so the solve's auxiliary d, whose Jordan product with y is mu e,
+is never formed.  K maps into cone elements with zero heads, so the
+record holds y as a plain (n, m) tail array, which the first call
+allocates and every later one updates in place; apply_K_adjoint(y, out=x,
+step=...) takes the primal step from the record's y.  The solver builds
+:class:`~barrierpd.jordan.BlockConeVector` values only at its edge: one
+read-only view for the callback and a copy for the result.
 
 Two step-size regimes are provided: a general rule giving O(1/N^2)
 squared-distance decay (phi_N grows like N^2 and bounds ||x^N - x_hat||^2
@@ -166,7 +167,7 @@ class SaddleProblem:
 
     The dual variable y lives on n second-order cones E_{1+m}, constrained
     blockwise by <e, y_b> = b0, which pins head(y_b) = b0/2.  K maps into
-    elements with zero heads, so apply_K returns only their tails, an (n, m)
+    elements with zero heads, so apply_K forms only their tails, an (n, m)
     array, and apply_K_adjoint takes the tails of y as an (n, m) array; with
     the trace inner product <Kx, y> = 2 sum_b tail(Kx)_b . tail(y)_b.  gamma
     is the strong-convexity factor of G and opnorm_K an upper bound on ||K||:
@@ -177,8 +178,9 @@ class SaddleProblem:
     apply_K_adjoint(y_tails, out) and prox_G(v, tau, out) write into out,
     a primal vector, when given; prox_G's must not overlap v.  pedi_run
     calls the first two with step=, its LiftedStep, once per iteration
-    each: apply_K(x, step=s) runs the dual stage into s and returns s.kx,
-    and apply_K_adjoint(s.y, out=x, step=s) the primal stage in place on x.
+    each: apply_K(x, step=s) runs the dual stage into s and returns
+    nothing, and apply_K_adjoint(s.y, out=x, step=s) the primal stage in
+    place on x.
     An implementation may make each stage one pass of its own (see
     LiftedStep), so pedi_run calls neither prox_G nor a norm of its own.
     """
@@ -196,7 +198,6 @@ class SaddleProblem:
 class PEDIResult:
     x: np.ndarray
     y: BlockConeVector
-    d: BlockConeVector
     states: list
 
 
@@ -244,31 +245,30 @@ def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray) -> np.ndarray:
     return tn2
 
 
-def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0: np.ndarray, y_tails: np.ndarray):
+def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, e: np.ndarray, y_tails: np.ndarray):
     """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, in place.
 
     tn2 holds the squared tail norms t of Kx per block (see _tail_norms) and
-    is overwritten.  With e = sqrt(t b0^2 + mu^2) + mu, the head of d_b is
-    e / b0 and the tail of y_b is tail(Kx)_b times s = (b0^2/2) / e: that
-    is (b0/2) / head(d_b), with one division in place of two.  Writes the
-    heads of d into d0 and the tails of y into y_tails; head(y_b) = b0/2
-    and tail(d_b) = -tail(Kx)_b.  This is the numpy reference of the
-    compiled passes tv_dual and h1_dual (see LiftedStep).
+    is overwritten, and e, one entry per block, is scratch.  With
+    e = sqrt(t b0^2 + mu^2) + mu, the head of d_b would be e / b0 and the
+    tail of y_b is tail(Kx)_b times s = (b0^2/2) / e: that is
+    (b0/2) / head(d_b), with one division in place of two.  Writes the
+    tails of y into y_tails; head(y_b) = b0/2.  This is the numpy reference
+    of the compiled passes tv_dual and h1_dual (see LiftedStep).
     """
-    np.multiply(tn2, b0 * b0, out=d0)
-    d0 += mu * mu
-    np.sqrt(d0, out=d0)
-    d0 += mu
-    # d0 holds e here, and s = (b0^2/2) / e goes into tn2's buffer
+    np.multiply(tn2, b0 * b0, out=e)
+    e += mu * mu
+    np.sqrt(e, out=e)
+    e += mu
+    # s = (b0^2/2) / e goes into tn2's buffer
     scale = tn2
-    if d0.min() > 0.0:
-        np.divide(b0 * b0 / 2.0, d0, out=scale)
+    if e.min() > 0.0:
+        np.divide(b0 * b0 / 2.0, e, out=scale)
     else:
         # e = 0 only when mu underflowed and so did b0^2 ||tail||^2; such
         # a block gets a zero dual tail
         scale.fill(0.0)
-        np.divide(b0 * b0 / 2.0, d0, out=scale, where=d0 > 0.0)
-    d0 /= b0
+        np.divide(b0 * b0 / 2.0, e, out=scale, where=e > 0.0)
     np.multiply(kx_tails, scale[:, None], out=y_tails)
 
 
@@ -276,39 +276,36 @@ def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, d0
 class LiftedStep:
     """One pedi_run's record of its two stages, whose buffers SaddleProblem's operators own.
 
-    pedi_run sets mu, keep and tau; b0 is the problem's.  The dual stage,
+    pedi_run sets mu and tau; b0 is the problem's.  The dual stage,
     apply_K(x, step=s), gives each block the closed form of _dual_update
-    with barrier weight mu and c_b = -(Kx)_b: the tails of y go into y and
-    the heads of d into d0, and the least squared tail norm
-    min_b ||(Kx)_b||^2, the soc rule's input, into minimum (NaN if any norm
-    is NaN, like np.min), which the fused passes find anyway.  Its first
-    call allocates kx, y and d0 in the layout of its K x.  Only the final
-    iteration's K x and d are read, so unless keep is set it may leave kx
-    and d0 unwritten.  The primal stage, apply_K_adjoint(s.y, out=x,
-    step=s), writes x = prox_G(x - tau K* y, tau) over x and puts ||x||^2
-    of the new x, summed as _sumsq sums it, into norm2, which pedi_run
-    checks is finite.  The last five fields are the operators' own, filled
-    on first use: the kernels' views of kx and y, and the numpy
-    references' scratch.  solve() is the dual stage's reference: it runs
-    _tail_norms and _dual_update, both numpy-only, on the K x in kx, which
-    is what apply_K does on the numpy path.  With the compiled kernels
-    DenoiseProblem's operators make each stage one call: tv_dual on TV and
-    h1_dual on H1, whose one block's minimum is its norm, then
-    primal_step.
+    with barrier weight mu and c_b = -(Kx)_b: the tails of y go into y, and
+    the least squared tail norm min_b ||(Kx)_b||^2, the soc rule's input,
+    into minimum (NaN if any norm is NaN, like np.min), which the fused
+    passes find anyway.  Its first call allocates y, in the layout of K x,
+    as a view of y_planes, the planar (2, n1, n2) array the kernels take.
+    The primal stage, apply_K_adjoint(s.y, out=x, step=s), writes
+    x = prox_G(x - tau K* y, tau) over x and puts ||x||^2 of the new x,
+    summed as _sumsq sums it, into norm2, which pedi_run checks is finite.
+    The last five fields are the numpy references' own, allocated on their
+    first use: K x and its planar view, and the scratch of the dual solve
+    and of the primal step.  solve() is the dual stage's reference: it
+    runs _tail_norms and _dual_update, both numpy-only, on the K x in kx,
+    which is what apply_K does on the numpy path.  With the compiled
+    kernels DenoiseProblem's operators make each stage one call, which
+    writes y or x alone: tv_dual on TV and h1_dual on H1, whose one
+    block's minimum is its norm, then primal_step.
     """
 
     b0: float
     mu: float = 0.0
-    keep: bool = True
     tau: float = 0.0
     minimum: Optional[float] = field(default=None, init=False)
     norm2: Optional[float] = field(default=None, init=False)
-    kx: Optional[np.ndarray] = field(default=None, init=False)
     y: Optional[np.ndarray] = field(default=None, init=False)
-    d0: Optional[np.ndarray] = field(default=None, init=False)
-    kx_planes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    y_dual: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     y_planes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    kx: Optional[np.ndarray] = field(default=None, init=False)
+    kx_planes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    e: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     tn2: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     v: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
@@ -316,7 +313,7 @@ class LiftedStep:
         """The dual stage from the K x in kx, with _tail_norms and _dual_update."""
         tn2 = _tail_norms(self.kx, self.tn2)
         self.minimum = float(np.min(tn2))
-        _dual_update(self.kx, tn2, self.b0, self.mu, self.d0, self.y)
+        _dual_update(self.kx, tn2, self.b0, self.mu, self.e, self.y)
 
 
 def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):
@@ -366,9 +363,9 @@ def pedi_run(
     first iteration (see check_config).  Each prox step also gives the sum
     of squares of the new x; if it is not finite (a non-finite x, or a
     finite x whose norm overflows) FloatingPointError is raised, on either
-    kernel path.  The iterates besides x live in one LiftedStep, whose
-    buffers the first apply_K call allocates and every later call updates
-    in place.
+    kernel path.  The dual iterate lives in one LiftedStep, whose buffers
+    the first apply_K call allocates and every later call updates in
+    place.
 
     An iteration runs: mu_{i+1} (_barrier_weight, computed once and passed
     to the dual solve and the rule); apply_K(x, step=s), which forms
@@ -377,12 +374,11 @@ def pedi_run(
     apply_K_adjoint(s.y, out=x, step=s), which forms x - tau K* y, takes
     the prox over x in place and sums ||x||^2.  With the compiled kernels
     (barrierpd.kernels), DenoiseProblem makes each of the two operator
-    calls one kernel call.  apply_K's stores K x and d's heads only on the
-    final iteration, the one the result reads; on TV it is one pass that
-    keeps K x in registers, and on H1 the one block's squared norm is
+    calls one kernel call.  apply_K's stores y alone: on TV it is one pass
+    that keeps K x in registers, and on H1 the one block's squared norm is
     summed over K x formed on the fly, in numpy's pairwise order as
-    ||x||^2 is summed, the block's head and factor follow in closed form,
-    and a second pass writes y.  apply_K_adjoint's is one pass over numpy's
+    ||x||^2 is summed, the block's factor follows in closed form, and a
+    second pass writes y.  apply_K_adjoint's is one pass over numpy's
     pairwise tree of x, whose leaves form K* y, the prox and the squares,
     and which stores nothing but x.  Kernels split large images, and these
     sums, across threads.  Both paths and every thread count give
@@ -404,9 +400,9 @@ def pedi_run(
     descent series (1/2) phi_{i+1} ||x^{i+1} - x_hat||^2, whose boundedness
     is the raw content of the convergence estimate.  x and y are borrowed
     read-only views of the solver's buffers, valid until the callback
-    returns: copy them to keep them.  The result carries the final y and d
-    as BlockConeVector copies.  No randomness: identical inputs give
-    identical trajectories.
+    returns: copy them to keep them.  The result carries x, the final y as
+    a BlockConeVector copy, and the states.  No randomness: identical
+    inputs give identical trajectories.
     """
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
@@ -424,13 +420,11 @@ def pedi_run(
     # the operators are bound once per run; the step rules are looked up on
     # every call, so that a patched one is seen
     apply_K, apply_K_adjoint = problem.apply_K, problem.apply_K_adjoint
-    soc, last = step_rule == "soc", max_iters - 1
+    soc = step_rule == "soc"
 
     for i in range(max_iters):
         # mu_{i+1}, which the dual solve and the rule share
         step.mu = mu = _barrier_weight(state, config)
-        # only the result's d reads K x and d's heads
-        step.keep = i == last
         apply_K(x, step=step)
         if soc:
             # the enlarged monotonicity bound holds blockwise with the block's
@@ -454,8 +448,5 @@ def pedi_run(
                 y_view = BlockConeVector.view_of(np.full(step.y.shape[0], b0 / 2.0), step.y)
             callback(i, x_view, y_view, state, {"kx_norm": kx_norm})
 
-    heads = np.full(step.y.shape[0], b0 / 2.0)
-    y = BlockConeVector.from_arrays(heads, step.y)
-    # d's tails are -tail(K x); the record ends with the run, so K x is negated in place
-    d = BlockConeVector.from_arrays(step.d0, np.negative(step.kx, out=step.kx))
-    return PEDIResult(x=x, y=y, d=d, states=states)
+    y = BlockConeVector.from_arrays(np.full(step.y.shape[0], b0 / 2.0), step.y)
+    return PEDIResult(x=x, y=y, states=states)

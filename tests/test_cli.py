@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -10,10 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 from barrierpd import cli, kernels
+from barrierpd.baselines import DUAL_FB_L
 from barrierpd.cli import SOLVERS, main
 from barrierpd.imaging import DB_CLAMP, DenoiseProblem, IterationRecord, Target, add_gaussian_noise, synthetic_image
 from barrierpd.jordan import BlockConeVector
-from barrierpd.pgm import write_pgm
+from barrierpd.pgm import read_pgm, write_pgm
 
 NUMPY = "numpy (selected by the test)"
 
@@ -195,6 +197,37 @@ def test_a_bad_cached_target_is_a_click_error(tmp_path, bad, message):
         assert isinstance(r.exception, SystemExit) and message in r.output
 
 
+def npy_bytes(a):
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, key: path.write_bytes(b"not an npz archive"),
+    lambda path, key: path.write_bytes(b""),
+    lambda path, key: path.write_bytes(b"PK\x03\x04 and no archive"),
+    lambda path, key: path.write_bytes(npy_bytes(np.ones(64))),
+    lambda path, key: np.savez(path, x=np.array([1.0, "a"], dtype=object), config=json.dumps(key, sort_keys=True)),
+    lambda path, key: np.savez(path, x=np.ones(64), config="{not json"),
+], ids=["not-npz", "empty", "bad-zip", "npy", "object-x", "config-not-json"])
+def test_an_unreadable_cached_target_is_a_click_error(tmp_path, write):
+    # these ended run and make-target with a ValueError or JSONDecodeError
+    # traceback from numpy or json
+    write_pgm(synthetic_image(8, 8), tmp_path / "img.pgm")
+    out = tmp_path / "out"
+    out.mkdir()
+    key = cli._problem_key(tmp_path / "img.pgm", "tv", 0.01, 0.0, 1)
+    path = cli._target_path(out, cli._key_hash(key))
+    write(path, key)
+    for command in (["run", "--solvers", "dual-fb", "--iters", "5", "--target", "load"], ["make-target"]):
+        r = invoke([command[0], *target_args(tmp_path / "img.pgm", out), *command[1:]])
+        assert r.exit_code != 0
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert f"cached target at {path} cannot be read" in r.output and "remove the file" in r.output
+        assert sorted(out.iterdir()) == [path]
+
+
 def test_a_cached_target_without_x_is_a_click_error(tmp_path):
     # it used to end run with a KeyError traceback
     write_pgm(synthetic_image(8, 8), tmp_path / "img.pgm")
@@ -224,6 +257,19 @@ def test_load_without_cache_fails(workdir, tmp_path):
                 "--target", "load"])
     assert r.exit_code != 0
     assert "make-target" in r.output
+
+
+def test_run_rejects_a_repeated_solver_before_output(workdir, tmp_path):
+    # dual-fb,dual-fb used to run dual-fb twice, the second run overwriting
+    # the first's log and sidecar
+    for solvers in ("dual-fb,dual-fb", "pedi-soc,dual-fb,pedi-soc"):
+        r = invoke(["run", "--image", str(workdir / "img.pgm"), "--variant", "tv", "--alpha", "0.5",
+                    "--seed", "1", "--out", str(tmp_path / "out"), "--solvers", solvers, "--iters", "5",
+                    "--target-iters", "20000"])
+        assert r.exit_code != 0
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert "is listed more than once" in r.output
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_bad_flags(workdir):
@@ -288,9 +334,18 @@ def test_solver_name_picks_the_step_rule(workdir, tmp_path):
                 "--sigma", "6.15", "--seed", "1", "--out", str(tmp_path), "--iters", "60",
                 "--solvers", "pedi-general,pedi-soc,pdhgm,dual-fb", "--target-iters", "20000"])
     assert r.exit_code == 0, r.output
-    rules = {s: json.loads((tmp_path / f"{s}.meta.json").read_text())["step_rule"]
-             for s in ("pedi-general", "pedi-soc", "pdhgm", "dual-fb")}
+    meta = {s: json.loads((tmp_path / f"{s}.meta.json").read_text())
+            for s in ("pedi-general", "pedi-soc", "pdhgm", "dual-fb")}
+    rules = {s: m["step_rule"] for s, m in meta.items()}
     assert rules == {"pedi-general": "general", "pedi-soc": "soc", "pdhgm": None, "dual-fb": None}
+    # a parameter the solver does not take is null, and opnorm is the
+    # bound its steps use: dual-fb's step is 1 / L^2 with L = DUAL_FB_L
+    dp = DenoiseProblem(add_gaussian_noise(read_pgm(workdir / "img.pgm"), 6.15, 1), 5.0, "h1")
+    params = {s: (m["gamma"], m["zeta"], m["theta"], m["opnorm"]) for s, m in meta.items()}
+    assert params == {"pedi-general": (0.9, None, None, math.sqrt(2.0) * dp.opnorm_D),
+                      "pedi-soc": (0.9, None, None, math.sqrt(2.0) * dp.opnorm_D),
+                      "pdhgm": (0.9, None, None, dp.opnorm_D),
+                      "dual-fb": (None, None, None, DUAL_FB_L)}
     # on H1 the two rules take different steps, so the logs differ
     general, soc = (strip_wall((tmp_path / f"{s}.csv").read_text()) for s in ("pedi-general", "pedi-soc"))
     assert general != soc

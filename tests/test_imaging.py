@@ -160,11 +160,13 @@ def test_operators_write_into_out(rng, variant):
     dp = DenoiseProblem(rand_grid(rng, 4, 3), 0.7, variant)
     sp = dp.saddle_problem()
     x, x2 = rng.standard_normal(12), rng.standard_normal(12)
-    # the dual stage writes K x into its record's kx, on every call
+    # the dual stage returns nothing and writes y into its record, the same
+    # buffer on every call
     step = LiftedStep(0.7, mu=0.3)
-    buf = sp.apply_K(x, step=step)
-    assert buf is step.kx and np.array_equal(buf, sp.apply_K(x))
-    assert sp.apply_K(x2, step=step) is buf and np.array_equal(buf, sp.apply_K(x2))
+    assert sp.apply_K(x, step=step) is None
+    y = step.y
+    assert sp.apply_K(x2, step=step) is None and step.y is y
+    buf = sp.apply_K(x)
     v = np.empty(12)
     assert np.shares_memory(sp.apply_K_adjoint(buf, out=v), v)
     assert np.array_equal(v, sp.apply_K_adjoint(buf))

@@ -139,18 +139,17 @@ def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
         assert_identical(c, ref)
 
 
-def dual_step(sp, x, b0=0.7, mu=0.3, keep=True, fill=7.0):
-    """The dual stage through apply_K on one LiftedStep, its buffers prefilled with fill.
+def dual_step(sp, x, b0=0.7, mu=0.3, fill=7.0):
+    """The dual stage through apply_K on one LiftedStep, its y prefilled with fill.
 
-    A first call allocates the record's kx, y and d0, which are then filled;
-    returns (kx, d0, y, minimum) after the second call.
+    A first call allocates the record's y, which is then filled; returns
+    (y, minimum) after the second call.
     """
-    step = pedi.LiftedStep(b0, mu=mu, keep=keep)
+    step = pedi.LiftedStep(b0, mu=mu)
     sp.apply_K(x, step=step)
-    for a in (step.kx, step.d0, step.y):
-        a.fill(fill)
-    assert sp.apply_K(x, step=step) is step.kx
-    return step.kx, step.d0, step.y, step.minimum
+    step.y.fill(fill)
+    assert sp.apply_K(x, step=step) is None
+    return step.y, step.minimum
 
 
 def tv_saddle(rng, shape):
@@ -174,12 +173,12 @@ def test_tail_norms_and_min(monkeypatch, rng, shape):
             norms = np.einsum("kij,kij->ij", g, g)
         c, ref = on_both_paths(monkeypatch, lambda x: dual_step(sp, x), x)
         assert_identical(c[-1], ref[-1])
-        assert identical(ref[-1][3], np.min(norms))
+        assert identical(ref[-1][1], np.min(norms))
     # np.min's answer with NaN present is NaN, and +0 is a minimum like any other
     x = np.zeros(n)
-    assert dual_step(sp, x)[3] == 0.0
+    assert dual_step(sp, x)[1] == 0.0
     x[-1] = np.nan
-    assert n < 2 or np.isnan(dual_step(sp, x)[3])
+    assert n < 2 or np.isnan(dual_step(sp, x)[1])
 
 
 @needs_c
@@ -193,34 +192,29 @@ def test_dual_solve(monkeypatch, rng, shape, mu):
     for x in (rng.standard_normal(n), special(rng, n)):
         c, ref = on_both_paths(monkeypatch, lambda x: dual_step(sp, x, mu=mu), x)
         assert_identical(c[-1], ref[-1])
-        kx, d0, y = ref[-1][:3]
+        y = ref[-1][0]
         with np.errstate(all="ignore"):
+            kx = sp.apply_K(x)
             tn2 = pedi._tail_norms(kx, np.empty(n))
-            d0_ref, y_ref = np.empty(n), np.empty_like(y)
-            pedi._dual_update(kx, tn2, 0.7, mu, d0_ref, y_ref)
-        assert identical(d0, d0_ref) and identical(y, y_ref)
-        # without keep the pass writes y only: K x and d's heads stay as they were
-        monkeypatch.setattr(kernels, "PATH", "c")
-        got = dual_step(sp, x, mu=mu, keep=False)
-        assert identical(got[2], y) and np.all(got[0] == 7.0) and np.all(got[1] == 7.0)
+            y_ref = np.empty_like(y)
+            pedi._dual_update(kx, tn2, 0.7, mu, np.empty(n), y_ref)
+        assert identical(y, y_ref)
 
 
 @pytest.mark.parametrize("path", ["c", NUMPY], ids=["c", "numpy"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_dual_stage_writes_into_its_record(monkeypatch, rng, path, variant):
-    # the first apply_K with a LiftedStep allocates the record's kx, y and
-    # d0; every later call writes into them and returns the same kx, K x as
-    # apply_K without a record forms it, and on the compiled path
-    # allocates nothing image-sized
+    # the first apply_K with a LiftedStep allocates the record's y; every
+    # later call writes into the same buffers and returns nothing, and on
+    # the compiled path allocates nothing image-sized
     if path == "c" and kernels.PATH != "c":
         pytest.skip(f"kernels: {kernels.PATH}")
     monkeypatch.setattr(kernels, "PATH", path)
     sp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((64, 64))), 0.7, variant).saddle_problem()
-    step = pedi.LiftedStep(0.7, mu=0.3, keep=True)
+    step = pedi.LiftedStep(0.7, mu=0.3)
     x = rng.standard_normal(64 * 64)
-    kx = sp.apply_K(x, step=step)
-    buffers = (step.kx, step.y, step.d0)
-    assert kx is step.kx and np.array_equal(kx, sp.apply_K(x))
+    assert sp.apply_K(x, step=step) is None
+    buffers = (step.y, step.y_planes, step.kx)
     for x in (rng.standard_normal(64 * 64), 2.0 * x):
         tracemalloc.start()
         try:
@@ -228,21 +222,41 @@ def test_dual_stage_writes_into_its_record(monkeypatch, rng, path, variant):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert again is kx and all(a is b for a, b in zip((step.kx, step.y, step.d0), buffers))
-        assert np.array_equal(kx, sp.apply_K(x))
+        assert again is None and all(a is b for a, b in zip((step.y, step.y_planes, step.kx), buffers))
         # the numpy reference squares H1's one tail into a buffer of its own
         assert path != "c" or peak < 4096, peak
 
 
 @needs_c
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_compiled_dual_stage_writes_y_alone(monkeypatch, rng, variant):
+    # the compiled dual stage used to store K x and d's heads on a run's
+    # final iteration; it writes y alone: its image is left as it was, and
+    # the record holds no K x, nor the reference's scratch, until the numpy
+    # path runs, whose kx is K x and whose y is the compiled pass's
+    sp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((9, 11))), 0.7, variant).saddle_problem()
+    step = pedi.LiftedStep(0.7, mu=0.3)
+    x = rng.standard_normal(99)
+    before = x.copy()
+    for _ in range(2):
+        sp.apply_K(x, step=step)
+        assert identical(x, before)
+        assert all(a is None for a in (step.kx, step.kx_planes, step.e, step.tn2))
+    y = step.y.copy()
+    monkeypatch.setattr(kernels, "PATH", NUMPY)
+    sp.apply_K(x, step=step)
+    assert identical(step.kx, sp.apply_K(x)) and identical(step.y, y)
+
+
+@needs_c
 def test_dual_solve_zero_heads(monkeypatch, rng):
-    # b0^2 underflows to 0 and mu = 0, so every head d0 is 0: the tails must be 0, not NaN
+    # b0^2 underflows to 0 and mu = 0, so every e is 0: the tails must be 0, not NaN
     sp = tv_saddle(rng, (5, 10))
     stage = lambda x: dual_step(sp, x, b0=1e-170, mu=0.0, fill=np.nan)  # noqa: E731
     c, ref = on_both_paths(monkeypatch, stage, rng.standard_normal(50))
     for got in (c[-1], ref[-1]):
-        assert np.all(got[1] == 0.0) and np.all(got[2] == 0.0)
-    assert identical(c[-1][2], ref[-1][2])
+        assert np.all(got[0] == 0.0)
+    assert identical(c[-1][0], ref[-1][0])
 
 
 # 1 x n and n x 1 images whose sum splits across threads; at 257 x 263 the
@@ -262,31 +276,26 @@ def test_h1_dual_solve(monkeypatch, rng, shape, mu):
     for x in (rng.standard_normal(n), special(rng, n)):
         c, ref = on_both_paths(monkeypatch, lambda x: dual_step(sp, x, mu=mu), x)
         assert_identical(c[-1], ref[-1])
-        kx, d0, y, t = ref[-1]
+        y, t = ref[-1]
         with np.errstate(all="ignore"):
             g = _grad(x.reshape(shape))
             want = pedi.LiftedStep(0.7, mu=mu)
             want.kx, want.y = g.reshape(1, -1), np.empty((1, 2 * n))
-            want.d0, want.tn2 = np.empty(1), np.empty(1)
+            want.e, want.tn2 = np.empty(1), np.empty(1)
             want.solve()
             assert identical(t, float(np.square(g).sum()))
-        assert identical(kx, g.reshape(1, -1)) and identical(t, want.minimum)
-        assert identical(d0, want.d0) and identical(y, want.y)
-        # without keep the pass writes y only: K x and d's head stay as they were
-        monkeypatch.setattr(kernels, "PATH", "c")
-        got = dual_step(sp, x, mu=mu, keep=False)
-        assert identical(got[2], y) and np.all(got[0] == 7.0) and np.all(got[1] == 7.0)
+        assert identical(t, want.minimum) and identical(y, want.y)
 
 
 @needs_c
 @pytest.mark.parametrize("shape", [(5, 7), (256, 256)], ids=shape_ids)
 def test_h1_dual_solve_zero_head(monkeypatch, shape):
-    # a constant image with mu = 0: t = 0 and d = 0, so y's tail is zero, not NaN
+    # a constant image with mu = 0: t = 0 and e = 0, so y's tail is zero, not NaN
     sp = h1_saddle(np.random.default_rng(0), shape)
     stage = lambda x: dual_step(sp, x, mu=0.0, fill=np.nan)  # noqa: E731
     c, ref = on_both_paths(monkeypatch, stage, np.full(shape[0] * shape[1], 3.0))
     for got in (c[-1], ref[-1]):
-        assert got[3] == 0.0 and got[1].tolist() == [0.0] and np.all(got[2] == 0.0)
+        assert got[1] == 0.0 and np.all(got[0] == 0.0)
     assert_identical(c[-1], ref[-1])
 
 
@@ -465,8 +474,8 @@ def test_h1_elementwise_passes(monkeypatch, rng, shape):
     for kx in (rng.standard_normal((m, 1)), special(rng, (m, 1))):
         tn2 = np.einsum("ij,ij->i", kx.T, kx.T)
 
-        def stage(kx, tn2, d0, y):
-            pedi._dual_update(kx.T, tn2, 0.7, 0.3, d0, y.T)
+        def stage(kx, tn2, e, y):
+            pedi._dual_update(kx.T, tn2, 0.7, 0.3, e, y.T)
 
         c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty(1), np.empty((m, 1)))
         assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
@@ -506,11 +515,11 @@ def test_tail_norm_min_in_the_last_chunk(monkeypatch, shape):
     assert seen == [0.0]
     for path in ("c", NUMPY):
         monkeypatch.setattr(kernels, "PATH", path)
-        kx, _, _, minimum = dual_step(sp, x)
+        kx, minimum = sp.apply_K(x), dual_step(sp, x)[1]
         norms = np.einsum("ij,ij->i", kx, kx)
         assert minimum == 0.0 and np.flatnonzero(norms == 0.0).tolist() == [n1 * n2 - 1]
         x[-1] = np.nan
-        assert np.isnan(dual_step(sp, x)[3])
+        assert np.isnan(dual_step(sp, x)[1])
         x[-1] = 0.0
 
 
@@ -684,7 +693,7 @@ def run_all(dp, iters=50):
     out = []
     for rule in ("general", "soc"):
         res = pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), iters, step_rule=rule)
-        out.append((res.x, res.y.heads, res.y.tails, res.d.heads, res.d.tails, res.states))
+        out.append((res.x, res.y.heads, res.y.tails, res.states))
     res = pdhgm_run(dp, BaselineConfig.default_for(dp, iters))
     out.append((res.x, res.p))
     res = dual_fb_run(dp, iters)
@@ -849,10 +858,9 @@ def test_every_kernel_is_reached(monkeypatch):
 def test_kernels_reject_without_writing(rng):
     ext = kernels.ext
     v = rng.standard_normal((4, 5))
-    # the checks every wrapper shares, on tv_dual's K x and on the
-    # baselines' p, which project_tv writes in place
-    d0, y = np.full(20, 7.0), np.full((2, 20), 7.0)
-    writes = {"tv_dual's kx": lambda out: ext.tv_dual(v, out, d0, y, 1.0, 0.5, True),
+    # the checks every wrapper shares, on pedi's y, which tv_dual writes,
+    # and on the baselines' p, which project_tv writes in place
+    writes = {"tv_dual's y": lambda out: ext.tv_dual(v, out, 1.0, 0.5),
               "project_tv's p": lambda out: ext.project_tv(v, out, 1.0, 1.0, 0.5)}
     for what, write in writes.items():
         bad_outs = {
@@ -867,7 +875,6 @@ def test_kernels_reject_without_writing(rng):
             with pytest.raises(ValueError):
                 write(out)
             assert np.array_equal(out, before), (what, why)
-    assert np.all(d0 == 7.0) and np.all(y == 7.0)
     # an image may be flat, of n1 n2 entries exactly
     g = rng.standard_normal((2, 4, 5))
     for flat in (v.reshape(-1)[:19].copy(), rng.standard_normal(21), v.reshape(1, -1)):
@@ -935,26 +942,16 @@ def test_kernels_reject_without_writing(rng):
         with pytest.raises(ValueError):
             ext.primal_step(w, q, u, 0.5)
         assert identical(u, before) and np.all(x == 7.0), why
-    # tv_dual: the shapes, the dtype and an output overlapping another array
-    kx, d0, y = np.full((2, 4, 5), 7.0), np.full(20, 7.0), np.full((2, 20), 7.0)
-    wide = np.full((2, 40), 7.0)
-    for args in ((v.T, kx, d0, y), (v, kx[:, :, :4].copy(), d0, y), (v, kx, d0[:19].copy(), y),
-                 (v, kx, d0.reshape(4, 5), y), (v, kx, d0, y.reshape(2, 4, 5)), (v, kx, d0, y.T.copy()),
-                 (v.astype(np.float32), kx, d0, y), (v, kx, d0, y.astype(np.float32)),
-                 (v, kx, d0, wide[:, ::2]), (v, kx, d0, kx.reshape(2, 20)),
-                 (v, kx, y[0], y)):
-        with pytest.raises(ValueError):
-            ext.tv_dual(*args, 1.0, 0.5, True)
-    assert all(np.all(a == 7.0) for a in (kx, d0, y, wide))
-    # h1_dual likewise, with a (1,) d0 and the (1, 2 n) tail y
-    d0, y, wide = np.full(1, 7.0), np.full((1, 40), 7.0), np.full((1, 80), 7.0)
-    for args in ((v.T, kx, d0, y), (v, kx[:, :, :4].copy(), d0, y), (v, kx, np.full(2, 7.0), y),
-                 (v, kx, d0.reshape(1, 1), y), (v, kx, d0, y.reshape(2, 20)), (v, kx, d0, y.T.copy()),
-                 (v.astype(np.float32), kx, d0, y), (v, kx, d0, y.astype(np.float32)),
-                 (v, kx, d0, wide[:, ::2]), (v, kx, d0, kx.reshape(1, 40)), (v, kx, y[0, :1], y)):
-        with pytest.raises(ValueError):
-            ext.h1_dual(*args, 1.0, 0.5, True)
-    assert all(np.all(a == 7.0) for a in (kx, d0, y, wide))
+    # tv_dual and h1_dual: the shapes, the dtype and a y overlapping the image
+    y, wide = np.full((2, 4, 5), 7.0), np.full((2, 4, 10), 7.0)
+    under = np.full((3, 4, 5), 7.0)
+    for dual in (ext.tv_dual, ext.h1_dual):
+        for args in ((v.T, y), (v, y[:, :, :4].copy()), (v, y.reshape(2, 20)), (v, y.reshape(1, 40)),
+                     (v, y.transpose(0, 2, 1).copy()), (v.astype(np.float32), y), (v, y.astype(np.float32)),
+                     (v, wide[:, :, ::2]), (under[0], under[:2])):
+            with pytest.raises(ValueError):
+                dual(*args, 1.0, 0.5)
+    assert all(np.all(a == 7.0) for a in (y, wide, under))
     for bad in (np.empty((4, 6))[:, :5], np.empty(20), np.empty((2, 4, 5)), np.empty((4, 5), dtype=np.float32),
                 np.empty((0, 5))):
         with pytest.raises(ValueError):
@@ -973,8 +970,8 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
 
     def dual_update(x):
         step = pedi.LiftedStep(0.4, mu=0.3)
-        kx = dp.saddle_problem().apply_K(x, step=step)
-        return kx, step.d0, step.y, step.minimum
+        dp.saddle_problem().apply_K(x, step=step)
+        return step.kx, step.y, step.minimum
 
     y32 = dp.saddle_problem().apply_K(x).astype(np.float32)
 
