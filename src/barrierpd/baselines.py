@@ -57,7 +57,9 @@ class BaselineConfig:
     The classical step condition tau0*sigma0*||K||^2 <= 1 is enforced at
     construction against the supplied operator norm, which must be an upper
     bound on ||D||: use the problem's closed-form DenoiseProblem.opnorm_D.
-    Every parameter must be finite, and a NaN fails every check.
+    gamma may not exceed 1, the strong-convexity modulus of
+    G = (1/2)||x - z||^2, which the accelerated schedule's O(1/N^2) rate
+    assumes.  Every parameter must be finite, and a NaN fails every check.
     """
 
     tau0: float
@@ -69,8 +71,8 @@ class BaselineConfig:
     def __post_init__(self):
         if not (0 < self.tau0 < math.inf and 0 < self.sigma0 < math.inf):
             raise ConfigError("tau0 and sigma0 must be positive and finite")
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigError("gamma must be nonnegative and finite")
+        if not 0 <= self.gamma <= 1.0:
+            raise ConfigError("gamma must be in [0, 1], G's strong-convexity modulus")
         if not (self.opnorm >= 0 and self.opnorm * self.opnorm < math.inf):
             raise ConfigError("opnorm must be nonnegative, with a finite square")
         if self.max_iters < 1:

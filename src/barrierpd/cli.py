@@ -153,8 +153,9 @@ def _configure(solver, problem, iters, gamma, zeta, theta):
     iteration as log(i, x, p, ...) with its dual iterate p: the baselines'
     planar field, or pedi's lifted y, which metrics reads as it lies.
     params are the sidecar's gamma, zeta, theta and opnorm, the norm bound
-    behind the solver's steps, each None where the solver takes no such
-    parameter.
+    behind the solver's steps, each the value the solver runs with (pedi's
+    default zeta and theta included) and None where the solver takes no
+    such parameter.
     Raises ConfigError for a configuration the solver would reject.
     """
     if solver in PEDI_RULES:
@@ -162,7 +163,7 @@ def _configure(solver, problem, iters, gamma, zeta, theta):
         cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=problem.alpha, gamma=gamma, zeta=zeta, theta=theta)
         rule = PEDI_RULES[solver]
         check_config(sp, cfg, rule)
-        params = {"gamma": gamma, "zeta": zeta, "theta": theta, "opnorm": sp.opnorm_K}
+        params = {"gamma": cfg.gamma, "zeta": cfg.zeta, "theta": cfg.theta, "opnorm": sp.opnorm_K}
         return (lambda log: pedi_run(sp, cfg, iters, step_rule=rule, callback=log)), params
     if solver == "pdhgm":
         cfg = BaselineConfig.default_for(problem, max_iters=iters, gamma=gamma)

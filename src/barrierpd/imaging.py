@@ -13,11 +13,13 @@ Conventions fixed here and relied on by every solver:
   array of any other shape;
 * D and D* (_grad, _grad_adjoint) run each axis-1 difference as one
   shifted pass over the flattened (n1, n2) plane, which is several times
-  faster than 2-d column slices and rounds every element the same way.  An
-  out= array (or its plane) must therefore flatten to a view: one that
-  would need a copy raises ValueError rather than leaving out
-  unwritten.  The compiled kernels (barrierpd.kernels) take only the stages
-  the solver loops and the logged metrics run, each one call over
+  faster than 2-d column slices and rounds every element the same way.
+  _grad returns a new field; _grad_adjoint's out= array must therefore
+  flatten to a view: one that would need a copy raises ValueError rather
+  than leaving out unwritten.  pedi's numpy path composes its two stages
+  from these plain operators, each allocating its own result.  The
+  compiled kernels (barrierpd.kernels) take only the stages the solver
+  loops and the logged metrics run, each one call over
   C-contiguous float64 buffers, split across threads on large images and
   bit-identical to the numpy code, which runs on the numpy path, for any
   array a kernel rejects and for every one-off evaluation that shares no
@@ -126,41 +128,23 @@ class ImageGrid:
         return self._flat
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """1-d view of an output array; ValueError if flattening it would copy."""
-    # the flags test spares contiguous arrays np.reshape's argument parsing
-    return a.reshape(-1) if a.flags.c_contiguous else np.reshape(a, -1, copy=False)
-
-
-def _grad(
-    values: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    scale: float = 1.0,
-    addend: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Gradient of an (n1, n2) array as a planar (2, n1, n2) field, into out if given.
+def _grad(values: np.ndarray) -> np.ndarray:
+    """Gradient of an (n1, n2) array as a new planar (2, n1, n2) field.
 
     The axis-1 difference is one shifted pass over the flattened plane; the
     entries it computes across row ends fall in the last column, which the
-    Neumann boundary then zeroes.  out is then (D values) scale, plus a
-    planar addend p if given: the baselines' dual ascent, which this numpy
-    code makes for DenoiseProblem.project_dual's reference and fallback.
-    It is numpy code only: no loop stores D v, and the kernels that need
-    it (pedi's dual step, the baselines' projections, the metric and H1
-    sums) form it on the fly with these operations.
+    Neumann boundary then zeroes.  It is numpy code only: no loop stores
+    D v, and the kernels that need it (pedi's dual step, the baselines'
+    projections, the metric and H1 sums) form it on the fly with these
+    operations.
     """
-    if out is None:
-        out = np.empty((2,) + values.shape)
-    g1f = _flat(out[1])
+    out = np.empty((2,) + values.shape)
+    g1f = out[1].reshape(-1)
     vf = values.reshape(-1)
     np.subtract(values[1:, :], values[:-1, :], out=out[0, :-1, :])
     out[0, -1, :] = 0.0
     np.subtract(vf[1:], vf[:-1], out=g1f[:-1])
     out[1, :, -1] = 0.0
-    if scale != 1.0:
-        out *= scale
-    if addend is not None:
-        out += addend
     return out
 
 
@@ -210,7 +194,9 @@ def _grad_adjoint(
     g0, g1 = planes[0], planes[1]
     flat = out
     out = out.reshape(g0.shape) if out.ndim == 1 else out
-    of = _flat(out)
+    # a 1-d view of out, ValueError if flattening it would copy; the flags
+    # test spares contiguous arrays np.reshape's argument parsing
+    of = out.reshape(-1) if out.flags.c_contiguous else np.reshape(out, -1, copy=False)
     g1f = g1.reshape(-1)
     out[0, :] = 0.0
     out[1:, :] = g0[:-1, :]
@@ -373,9 +359,9 @@ class DenoiseProblem:
         Per-pixel for TV, globally for H1.  Writes into out, a field of the
         same shape that may be p itself, if given.  With ascent = (v, s), v
         an (n1, n2) image and s a step, it projects the ascent p + s D v
-        instead, formed as _grad(v, scale=s, addend=p) forms it: the
-        baselines' whole dual step.  With an ascent and recover = z, an
-        (n1, n2) image, it then writes the primal v = z - D* out over v, as
+        instead, formed as (D v) s + p from _grad(v): the baselines' whole
+        dual step.  With an ascent and recover = z, an (n1, n2) image, it
+        then writes the primal v = z - D* out over v, as
         _grad_adjoint(out, out=v, minuend=z) makes it: dual_fb's whole
         iteration.  Only the step in place, out=p, calls a kernel, which
         stores no ascent: on TV one sweep, which with recover= also writes
@@ -414,7 +400,12 @@ class DenoiseProblem:
                 except ValueError:
                     pass
         if not compiled:
-            self._project(p if ascent is None else _grad(v, scale=s, addend=p), out, floor)
+            if ascent is not None:
+                g = _grad(v)
+                g *= s
+                g += p
+                p = g
+            self._project(p, out, floor)
         if recover is not None:
             _grad_adjoint(out, out=v, minuend=recover)
         return out
@@ -454,52 +445,47 @@ class DenoiseProblem:
         which writes y_planes alone and stores no K x: tv_dual on TV forms
         each block's tail and solves it in one pass; h1_dual on H1 sums the
         one block's squared norm over K x formed on the fly, solves for the
-        block and then writes y.  Otherwise apply_K writes K x into the
-        record's kx, allocated with the reference's scratch on first use,
-        and runs step.solve, the reference.
+        block and then writes y.  Otherwise it is step.solve(apply_K(x)),
+        the reference.
         apply_K_adjoint(y, out=x, step=s) takes pedi's whole primal step on
-        x: x = prox_G(x - tau K* y, tau) and ||x||^2 of the new x.  It reads
-        the record's planar view when y is s.y, and makes one for any other
-        y.  With the compiled kernels it is one call, primal_step, which
-        writes nothing but x; otherwise, and for arrays the kernel rejects,
-        it runs the reference, K* with x as the minuend into the record's
-        scratch v, prox_G back into x and pedi._sumsq, whose results are
-        the kernel's bit for bit.  prox_G is numpy code, (z tau + v) r with
-        r = 1 / (1 + tau) taken once, as primal_step forms it; pedi_run
-        reaches it only through that reference.  opnorm_K =
-        sqrt(2) opnorm_D, an upper bound on ||K|| since opnorm_D is one
-        with a margin far above the roundoff of that product.
+        x: x = prox_G(x - tau K* y, tau) and ||x||^2 of the new x.  With the
+        compiled kernels it is one call, primal_step, which reads the
+        record's planar view when y is s.y and writes nothing but x;
+        otherwise, and for arrays the kernel rejects, it composes the
+        reference: x - tau K* y into a new array with _grad_adjoint, prox_G
+        back into x and pedi._sumsq, whose results are the kernel's bit for
+        bit.
+        prox_G is numpy code, (z tau + v) r with r = 1 / (1 + tau) taken
+        once, as primal_step forms it; pedi_run reaches it only through
+        that reference.  opnorm_K = sqrt(2) opnorm_D, an upper bound on
+        ||K|| since opnorm_D is one with a margin far above the roundoff of
+        that product.
         """
         n1, n2 = self.shape
         n = self.n_pixels
         m, n_blocks = (2, n) if self.variant == "tv" else (2 * n, 1)
         zf = self.z.flat()
 
-        def new_tails():
-            """(tails, planes): a new (n_blocks, m) array in K x's layout and the planar (2, n1, n2) array it views."""
-            planes = np.empty((2, n1, n2))
-            return planes.reshape(m, n_blocks).T, planes
-
+        # neither operator calls itself: a closure that referred to itself
+        # would keep z alive, with every saddle problem, until a cyclic
+        # collection
         def apply_K(x, step=None):
+            if step is not None:
+                if step.y is None:
+                    step.y_planes = np.empty((2, n1, n2))
+                    step.y = step.y_planes.reshape(m, n_blocks).T
+                if kernels.PATH == "c":
+                    try:
+                        # the least squared tail norm: TV's minimum, H1's one norm
+                        fused = kernels.ext.tv_dual if m == 2 else kernels.ext.h1_dual
+                        step.minimum = fused(x, step.y_planes, step.b0, step.mu)
+                        return
+                    except ValueError:
+                        pass
+            kx = _grad(x.reshape(n1, n2)).reshape(m, n_blocks).T
             if step is None:
-                kx, planes = new_tails()
-                _grad(x.reshape(n1, n2), out=planes)
                 return kx
-            if step.y is None:
-                step.y, step.y_planes = new_tails()
-            if kernels.PATH == "c":
-                try:
-                    # the least squared tail norm: TV's minimum, H1's one norm
-                    fused = kernels.ext.tv_dual if m == 2 else kernels.ext.h1_dual
-                    step.minimum = fused(x, step.y_planes, step.b0, step.mu)
-                    return
-                except ValueError:
-                    pass
-            if step.kx is None:
-                step.kx, step.kx_planes = new_tails()
-                step.e, step.tn2 = np.empty(n_blocks), np.empty(n_blocks)
-            _grad(x.reshape(n1, n2), out=step.kx_planes)
-            step.solve()
+            step.solve(kx)
 
         def apply_K_adjoint(y_tails, out=None, step=None):
             if out is None and step is None:
@@ -517,10 +503,9 @@ class DenoiseProblem:
                     return out
                 except ValueError:
                     pass
-            if step.v is None:
-                step.v = np.empty_like(out)
-            _grad_adjoint(planes, step.v, 2.0, out, tau)
-            prox_G(step.v, tau, out=out)
+            # x - tau K* y into a new array, then its prox back into x
+            v = _grad_adjoint(planes, np.empty(n), 2.0, out, tau)
+            prox_G(v, tau, out=out)
             step.norm2 = _sumsq(out)
             return out
 

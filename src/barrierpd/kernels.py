@@ -31,18 +31,19 @@ elementwise passes into their own:
 * grad_adjoint(g, out, m) makes H1 dual_fb's x = z - D* p, which
   dual_value shares, and grad_adjoint(g, out, m, z, xb, t, theta) pdhgm's
   whole primal step, its prox and extrapolation, in D*'s pass;
-* primal_step makes pedi's whole primal step, which the numpy code runs
-  as _grad_adjoint's x - tau K* y, then prox_G and _sumsq's ||x||^2;
+* primal_step makes pedi's whole primal step, which the numpy code
+  composes from the lifted K*, as x - (K* y) tau, then prox_G and _sumsq's
+  ||x||^2;
 * tv_dual (TV) and h1_dual (H1) make pedi's whole dual step, which the
-  lifted apply_K runs on the numpy path as K's _grad, then pedi's
-  _tail_norms and _dual_update and the soc rule's np.min.  tv_dual keeps
+  lifted apply_K composes on the numpy path as K x, then pedi's
+  _tail_norms, the soc rule's np.min and _dual_update.  tv_dual keeps
   K x in registers; h1_dual forms it twice, once for its one block's norm
   and once to write y.  Both take y as a planar field, write it alone and
   store no K x;
 * project_tv(v, p, alpha, floor, s) (TV) and project_h1(v, p, alpha, s)
   (H1) make the baselines' dual step, DenoiseProblem.project_dual with an
-  ascent in place, which the numpy code runs as _grad with scale= and
-  addend= and then the projection: project_tv in one pass, project_h1 as a
+  ascent in place, which the numpy code runs as _grad, (D v) s + p and
+  then the projection: project_tv in one pass, project_h1 as a
   sum of the ascent's squares formed on the fly followed by its write.
   project_tv(v, p, z, alpha, floor, s) makes TV dual_fb's whole
   iteration, project_dual with recover=z as well, whose numpy code then

@@ -7,14 +7,16 @@ the constraint both denoising models lift with), so the dual solve is the
 closed form of :func:`barrierpd.barrier.central_path_solve` specialised to
 a = e and vectorised over blocks.  The solve needs only each block's
 (Kx)_b, so K does it: the solver keeps one LiftedStep per run, and
-apply_K(x, step=...) forms K x, solves and writes y into the record, one
-pass per pixel on TV, and on H1, the one-block case, a sum of K x's
-squares formed on the fly followed by the write of y.  The loop reads y
-alone, so the solve's auxiliary d, whose Jordan product with y is mu e,
-is never formed.  K maps into cone elements with zero heads, so the
-record holds y as a plain (n, m) tail array, which the first call
-allocates and every later one updates in place; apply_K_adjoint(y, out=x,
-step=...) takes the primal step from the record's y.  The solver builds
+apply_K(x, step=...) forms K x, solves and writes y into the record.  The
+compiled kernels make that one pass per pixel on TV, and on H1, the
+one-block case, a sum of K x's squares formed on the fly followed by the
+write of y; the numpy path composes K x, _tail_norms and _dual_update,
+each into arrays of its own.  The loop reads y alone, so the solve's
+auxiliary d, whose Jordan product with y is mu e, is never formed.  K
+maps into cone elements with zero heads, so the record holds y as a plain
+(n, m) tail array, which the first call allocates and every later one
+updates in place; apply_K_adjoint(y, out=x, step=...) takes the primal
+step from the record's y.  The solver builds
 :class:`~barrierpd.jordan.BlockConeVector` values only at its edge: one
 read-only view for the callback and a copy for the result.
 
@@ -151,10 +153,14 @@ def step_rule_general(state: StepState, config: StepConfig, mu: Optional[float] 
 
 def step_rule_soc(state: StepState, current_Kx_norm: float, config: StepConfig,
                   mu: Optional[float] = None) -> StepState:
-    """Second-order-cone rule with the ||K x^i||-enlarged monotonicity bound; mu as for step_rule_general."""
+    """Second-order-cone rule with the ||K x^i||-enlarged monotonicity bound; mu as for step_rule_general.
+
+    current_Kx_norm must be finite and nonnegative, else ValueError: a NaN
+    or inf would make phi and tau NaN or inf.
+    """
     _check_zeta(config, "soc")
-    if current_Kx_norm < 0:
-        raise ValueError("current_Kx_norm must be nonnegative")
+    if not 0 <= current_Kx_norm < math.inf:
+        raise ValueError("current_Kx_norm must be nonnegative and finite")
     if mu is None:
         mu = _barrier_weight(state, config)
     omega_lb = mu * config.zeta + current_Kx_norm / (math.sqrt(2.0) * config.b0)
@@ -182,7 +188,10 @@ class SaddleProblem:
     nothing, and apply_K_adjoint(s.y, out=x, step=s) the primal stage in
     place on x.
     An implementation may make each stage one pass of its own (see
-    LiftedStep), so pedi_run calls neither prox_G nor a norm of its own.
+    LiftedStep), so pedi_run calls neither prox_G nor a norm of its own,
+    or compose the stage from the plain operators, as DenoiseProblem's
+    numpy path does: s.solve(apply_K(x)), then
+    prox_G(x - tau apply_K_adjoint(y), tau, out=x) and _sumsq(x).
     """
 
     primal_dim: int
@@ -211,10 +220,14 @@ def _sumsq(a: np.ndarray) -> float:
     It adds them in numpy's pairwise order, summing the order's subtrees
     down to slices of at most _SLICE entries, each squared into a small
     buffer and summed by numpy, so it allocates no array of a's size unless
-    a must be copied into C order.  A sum that overflows is inf, with no
-    warning.  This is the numpy reference of the compiled kernels that sum
-    squares in the same order (grad_sumsq, h1_dual's norm, primal_step's
-    ||x||^2), which the solvers call on the compiled path in its place.
+    a must be copied into C order.  That is what it is for: in the numpy
+    loops at 256 x 256 an image-sized square beside K x or an ascent made
+    glibc give the top of the heap back on every iteration, some 480 page
+    faults a call, which doubled an H1 iteration.  A sum that overflows is
+    inf, with no warning.  This is the numpy reference of the compiled
+    kernels that sum squares in the same order (grad_sumsq, h1_dual's norm,
+    primal_step's ||x||^2), which the solvers call on the compiled path in
+    its place.
     """
     flat = np.ravel(a)
     with np.errstate(over="ignore"):
@@ -231,44 +244,42 @@ def _pairwise_sumsq(a: np.ndarray, buf: np.ndarray) -> float:
     return _pairwise_sumsq(a[:h], buf) + _pairwise_sumsq(a[h:], buf)
 
 
-def _tail_norms(kx_tails: np.ndarray, tn2: np.ndarray) -> np.ndarray:
-    """The squared tail norms of Kx per block, written into tn2 and returned.
+def _tail_norms(kx_tails: np.ndarray) -> np.ndarray:
+    """The squared tail norms of Kx per block, a new array.
 
     A single block (H1) sums its squares with _sumsq, in component-major
     order; other tails use einsum, which for two-entry tails (TV) is the
     reference of the compiled pass (see LiftedStep).
     """
     if kx_tails.shape[0] == 1:
-        tn2[0] = _sumsq(kx_tails)
-    else:
-        np.einsum("ij,ij->i", kx_tails, kx_tails, out=tn2)
-    return tn2
+        return np.array([_sumsq(kx_tails)])
+    return np.einsum("ij,ij->i", kx_tails, kx_tails)
 
 
-def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, e: np.ndarray, y_tails: np.ndarray):
-    """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, in place.
+def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, y_tails: np.ndarray):
+    """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, into y_tails.
 
-    tn2 holds the squared tail norms t of Kx per block (see _tail_norms) and
-    is overwritten, and e, one entry per block, is scratch.  With
-    e = sqrt(t b0^2 + mu^2) + mu, the head of d_b would be e / b0 and the
-    tail of y_b is tail(Kx)_b times s = (b0^2/2) / e: that is
+    tn2 holds the squared tail norms t of Kx per block (see _tail_norms)
+    and is overwritten: e and then the tail factor take its buffer, so the
+    solve allocates nothing block-sized beside K x and tn2 (see _sumsq for
+    why that matters).  With e = sqrt(t b0^2 + mu^2) + mu, the head of d_b
+    would be e / b0 and the tail of y_b is tail(Kx)_b times
+    s = (b0^2/2) / e: that is
     (b0/2) / head(d_b), with one division in place of two.  Writes the
     tails of y into y_tails; head(y_b) = b0/2.  This is the numpy reference
     of the compiled passes tv_dual and h1_dual (see LiftedStep).
     """
-    np.multiply(tn2, b0 * b0, out=e)
+    e = tn2
+    e *= b0 * b0
     e += mu * mu
     np.sqrt(e, out=e)
     e += mu
-    # s = (b0^2/2) / e goes into tn2's buffer
-    scale = tn2
     if e.min() > 0.0:
-        np.divide(b0 * b0 / 2.0, e, out=scale)
+        scale = np.divide(b0 * b0 / 2.0, e, out=e)
     else:
         # e = 0 only when mu underflowed and so did b0^2 ||tail||^2; such
         # a block gets a zero dual tail
-        scale.fill(0.0)
-        np.divide(b0 * b0 / 2.0, e, out=scale, where=e > 0.0)
+        scale = np.divide(b0 * b0 / 2.0, e, out=np.zeros_like(e), where=e > 0.0)
     np.multiply(kx_tails, scale[:, None], out=y_tails)
 
 
@@ -286,14 +297,13 @@ class LiftedStep:
     The primal stage, apply_K_adjoint(s.y, out=x, step=s), writes
     x = prox_G(x - tau K* y, tau) over x and puts ||x||^2 of the new x,
     summed as _sumsq sums it, into norm2, which pedi_run checks is finite.
-    The last five fields are the numpy references' own, allocated on their
-    first use: K x and its planar view, and the scratch of the dual solve
-    and of the primal step.  solve() is the dual stage's reference: it
-    runs _tail_norms and _dual_update, both numpy-only, on the K x in kx,
-    which is what apply_K does on the numpy path.  With the compiled
-    kernels DenoiseProblem's operators make each stage one call, which
-    writes y or x alone: tv_dual on TV and h1_dual on H1, whose one
-    block's minimum is its norm, then primal_step.
+    solve(kx) is the dual stage's reference: it runs _tail_norms and
+    _dual_update, both numpy-only, on K x, and the numpy path's apply_K(x,
+    step=s) is s.solve(apply_K(x)).  The numpy path's primal stage composes
+    the problem's own K*, prox_G and _sumsq, each allocating what it needs.
+    With the compiled kernels DenoiseProblem's operators make each stage one
+    call, which writes y or x alone: tv_dual on TV and h1_dual on H1, whose
+    one block's minimum is its norm, then primal_step.
     """
 
     b0: float
@@ -303,17 +313,12 @@ class LiftedStep:
     norm2: Optional[float] = field(default=None, init=False)
     y: Optional[np.ndarray] = field(default=None, init=False)
     y_planes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    kx: Optional[np.ndarray] = field(default=None, init=False)
-    kx_planes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    e: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    tn2: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    v: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
-    def solve(self):
-        """The dual stage from the K x in kx, with _tail_norms and _dual_update."""
-        tn2 = _tail_norms(self.kx, self.tn2)
+    def solve(self, kx: np.ndarray):
+        """The dual stage from K x's tails kx, with _tail_norms and _dual_update."""
+        tn2 = _tail_norms(kx)
         self.minimum = float(np.min(tn2))
-        _dual_update(self.kx, tn2, self.b0, self.mu, self.e, self.y)
+        _dual_update(kx, tn2, self.b0, self.mu, self.y)
 
 
 def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):
@@ -363,9 +368,10 @@ def pedi_run(
     first iteration (see check_config).  Each prox step also gives the sum
     of squares of the new x; if it is not finite (a non-finite x, or a
     finite x whose norm overflows) FloatingPointError is raised, on either
-    kernel path.  The dual iterate lives in one LiftedStep, whose buffers
-    the first apply_K call allocates and every later call updates in
-    place.
+    kernel path; under the soc rule an x0 whose ||K x|| is not finite fails
+    one stage earlier, with step_rule_soc's ValueError.  The dual iterate
+    lives in one LiftedStep, whose buffers the first apply_K call allocates
+    and every later call updates in place.
 
     An iteration runs: mu_{i+1} (_barrier_weight, computed once and passed
     to the dual solve and the rule); apply_K(x, step=s), which forms

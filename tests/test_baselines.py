@@ -40,9 +40,11 @@ def test_step_condition_uses_the_exact_bound():
 @pytest.mark.parametrize("bad", [
     {"tau0": np.nan}, {"tau0": np.inf}, {"sigma0": np.nan}, {"sigma0": np.inf}, {"gamma": np.nan},
     {"gamma": np.inf}, {"opnorm": np.nan}, {"opnorm": np.inf}, {"opnorm": 1e200}, {"opnorm": -1.0},
+    {"gamma": 1.5},
 ])
 def test_config_rejects_non_finite_values(bad):
-    # a NaN passed every check, the step condition's too
+    # a NaN passed every check, the step condition's too; and a finite
+    # gamma above 1, G's strong-convexity modulus, voids the O(1/N^2) rate
     with pytest.raises(ConfigError):
         BaselineConfig(**{"tau0": 0.1, "sigma0": 0.1, "gamma": 0.9, "max_iters": 10, "opnorm": 2.0, **bad})
 

@@ -287,9 +287,9 @@ def test_run_rejects_bad_flags(workdir):
     [("dual-fb,pedi-soc", ["--gamma", "1.5"]), ("dual-fb,pedi-soc", ["--zeta", "-1"]),
      ("dual-fb,pdhgm", ["--gamma", "-1"]), ("dual-fb,pedi-soc", ["--theta", "nan"]),
      ("dual-fb,pedi-general", ["--gamma", "nan"]), ("dual-fb,pedi-soc", ["--zeta", "nan"]),
-     ("dual-fb,pdhgm", ["--gamma", "nan"])],
+     ("dual-fb,pdhgm", ["--gamma", "nan"]), ("dual-fb,pdhgm", ["--gamma", "1.5"])],
     ids=["pedi-gamma", "pedi-zeta", "pdhgm-gamma", "pedi-theta-nan", "pedi-gamma-nan", "pedi-zeta-nan",
-         "pdhgm-gamma-nan"],
+         "pdhgm-gamma-nan", "pdhgm-gamma-above-modulus"],
 )
 def test_run_rejects_bad_solver_config_before_output(workdir, tmp_path, solvers, flags):
     # a ConfigError used to escape as a traceback after earlier solvers had
@@ -338,12 +338,15 @@ def test_solver_name_picks_the_step_rule(workdir, tmp_path):
             for s in ("pedi-general", "pedi-soc", "pdhgm", "dual-fb")}
     rules = {s: m["step_rule"] for s, m in meta.items()}
     assert rules == {"pedi-general": "general", "pedi-soc": "soc", "pdhgm": None, "dual-fb": None}
-    # a parameter the solver does not take is null, and opnorm is the
-    # bound its steps use: dual-fb's step is 1 / L^2 with L = DUAL_FB_L
+    # a parameter the solver does not take is null, pedi's zeta and theta
+    # are the defaults it ran with, 0.9 / alpha^2 and its reciprocal, and
+    # opnorm is the bound its steps use: dual-fb's step is 1 / L^2 with
+    # L = DUAL_FB_L
     dp = DenoiseProblem(add_gaussian_noise(read_pgm(workdir / "img.pgm"), 6.15, 1), 5.0, "h1")
     params = {s: (m["gamma"], m["zeta"], m["theta"], m["opnorm"]) for s, m in meta.items()}
-    assert params == {"pedi-general": (0.9, None, None, math.sqrt(2.0) * dp.opnorm_D),
-                      "pedi-soc": (0.9, None, None, math.sqrt(2.0) * dp.opnorm_D),
+    zeta = 0.9 / 5.0**2
+    assert params == {"pedi-general": (0.9, zeta, 1.0 / zeta, math.sqrt(2.0) * dp.opnorm_D),
+                      "pedi-soc": (0.9, zeta, 1.0 / zeta, math.sqrt(2.0) * dp.opnorm_D),
                       "pdhgm": (0.9, None, None, dp.opnorm_D),
                       "dual-fb": (None, None, None, DUAL_FB_L)}
     # on H1 the two rules take different steps, so the logs differ

@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from barrierpd import imaging
+from barrierpd import imaging, kernels
 from barrierpd.imaging import (
     DB_CLAMP,
     DenoiseProblem,
@@ -85,21 +87,13 @@ def test_gradient_kernels_match_slicing_reference(rng, shape):
     want_adj = ref_grad_adjoint(np.moveaxis(planes, 0, -1))
     assert np.array_equal(_grad(v), want_grad)
     assert np.array_equal(_grad_adjoint(planes), want_adj)
-    out = np.full((2,) + shape, np.nan)
-    assert _grad(v, out=out) is out and np.array_equal(out, want_grad)
     img = np.full(shape, np.nan)
     assert _grad_adjoint(planes, out=img) is img and np.array_equal(img, want_adj)
-    # a strided plane that still flattens to a view is written in place
-    field = np.full(shape + (2,), np.nan)
-    _grad(v, out=np.moveaxis(field, -1, 0))
-    assert np.array_equal(field, ref_grad(v))
 
 
 def test_gradient_kernels_refuse_out_that_would_copy(rng):
     # writing through a flattened copy would leave out untouched
     n = 5
-    with pytest.raises(ValueError):
-        _grad(rng.standard_normal((n, n)), out=np.empty((2, n, n + 1))[:, :, :n])
     with pytest.raises(ValueError):
         _grad_adjoint(rng.standard_normal((2, n, n)), out=np.empty((n, n + 1))[:, :n])
 
@@ -107,23 +101,25 @@ def test_gradient_kernels_refuse_out_that_would_copy(rng):
 @pytest.mark.parametrize("variant", ["tv", "h1"])
 def test_kernels_allocate_no_array_copy(rng, variant):
     # each call may allocate at most a quarter of one n1*n2 float array: a
-    # reshape that silently started copying would allocate a whole one
+    # reshape that silently started copying would allocate a whole one.
+    # pedi's two stages with step= are one kernel call each on the compiled
+    # path; the numpy path composes them from operators that allocate
     n = 64
     dp = DenoiseProblem(rand_grid(rng, n, n), 0.5, variant)
     sp = dp.saddle_problem()
     v = rng.standard_normal((n, n))
-    G, img = np.empty((2, n, n)), np.empty((n, n))
+    G, img = _grad(v), np.empty((n, n))
     y = sp.apply_K(v.reshape(-1))
     y[...] = rng.standard_normal(y.shape)
     x = np.empty(n * n)
     x2, step = np.zeros(n * n), LiftedStep(0.5, mu=0.3, tau=0.3)
     calls = {
-        "_grad": lambda: _grad(v, out=G),
         "_grad_adjoint": lambda: _grad_adjoint(G, out=img),
-        "dual step": lambda: sp.apply_K(v.reshape(-1), step=step),
         "apply_K_adjoint": lambda: sp.apply_K_adjoint(y, out=x),
-        "primal step": lambda: sp.apply_K_adjoint(step.y, out=x2, step=step),
     }
+    if kernels.PATH == "c":
+        calls["dual step"] = lambda: sp.apply_K(v.reshape(-1), step=step)
+        calls["primal step"] = lambda: sp.apply_K_adjoint(step.y, out=x2, step=step)
     for call in calls.values():
         call()
     peaks = {}
@@ -137,6 +133,20 @@ def test_kernels_allocate_no_array_copy(rng, variant):
     finally:
         tracemalloc.stop()
     assert all(peak < n * n * 8 / 4 for peak in peaks.values()), peaks
+
+
+def test_saddle_operators_are_freed_without_a_cyclic_collection(rng):
+    # an operator that called itself through its closure made a reference
+    # cycle, which kept z alive with every saddle problem until the cyclic
+    # collector ran: perfbench's peak RSS grew by 5.7 MiB at 256 x 256
+    sp = DenoiseProblem(rand_grid(rng, 8, 8), 0.5, "h1").saddle_problem()
+    refs = [weakref.ref(f) for f in (sp.apply_K, sp.apply_K_adjoint, sp.prox_G)]
+    gc.disable()
+    try:
+        del sp
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_lift_unlift(rng):

@@ -195,9 +195,8 @@ def test_dual_solve(monkeypatch, rng, shape, mu):
         y = ref[-1][0]
         with np.errstate(all="ignore"):
             kx = sp.apply_K(x)
-            tn2 = pedi._tail_norms(kx, np.empty(n))
             y_ref = np.empty_like(y)
-            pedi._dual_update(kx, tn2, 0.7, mu, np.empty(n), y_ref)
+            pedi._dual_update(kx, pedi._tail_norms(kx), 0.7, mu, y_ref)
         assert identical(y, y_ref)
 
 
@@ -214,7 +213,7 @@ def test_dual_stage_writes_into_its_record(monkeypatch, rng, path, variant):
     step = pedi.LiftedStep(0.7, mu=0.3)
     x = rng.standard_normal(64 * 64)
     assert sp.apply_K(x, step=step) is None
-    buffers = (step.y, step.y_planes, step.kx)
+    buffers = (step.y, step.y_planes)
     for x in (rng.standard_normal(64 * 64), 2.0 * x):
         tracemalloc.start()
         try:
@@ -222,8 +221,7 @@ def test_dual_stage_writes_into_its_record(monkeypatch, rng, path, variant):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert again is None and all(a is b for a, b in zip((step.y, step.y_planes, step.kx), buffers))
-        # the numpy reference squares H1's one tail into a buffer of its own
+        assert again is None and all(a is b for a, b in zip((step.y, step.y_planes), buffers))
         assert path != "c" or peak < 4096, peak
 
 
@@ -231,21 +229,23 @@ def test_dual_stage_writes_into_its_record(monkeypatch, rng, path, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_compiled_dual_stage_writes_y_alone(monkeypatch, rng, variant):
     # the compiled dual stage used to store K x and d's heads on a run's
-    # final iteration; it writes y alone: its image is left as it was, and
-    # the record holds no K x, nor the reference's scratch, until the numpy
-    # path runs, whose kx is K x and whose y is the compiled pass's
+    # final iteration; it writes y alone: its image is left as it was, the
+    # record holds its declared fields and no K x, and the numpy path,
+    # which composes K x and the solve, gives the compiled pass's y
     sp = DenoiseProblem(imaging.ImageGrid(rng.standard_normal((9, 11))), 0.7, variant).saddle_problem()
     step = pedi.LiftedStep(0.7, mu=0.3)
+    fields = {f.name for f in dataclasses.fields(step)}
+    assert fields == {"b0", "mu", "tau", "minimum", "norm2", "y", "y_planes"}
     x = rng.standard_normal(99)
     before = x.copy()
     for _ in range(2):
         sp.apply_K(x, step=step)
         assert identical(x, before)
-        assert all(a is None for a in (step.kx, step.kx_planes, step.e, step.tn2))
+        assert set(vars(step)) <= fields
     y = step.y.copy()
     monkeypatch.setattr(kernels, "PATH", NUMPY)
     sp.apply_K(x, step=step)
-    assert identical(step.kx, sp.apply_K(x)) and identical(step.y, y)
+    assert identical(step.y, y) and set(vars(step)) <= fields
 
 
 @needs_c
@@ -270,7 +270,7 @@ H1_SHAPES = SHAPES + [(1, 70001), (70001, 1)]
 @pytest.mark.parametrize("mu", [0.3, 1e-200, 0.0])
 def test_h1_dual_solve(monkeypatch, rng, shape, mu):
     # h1_dual against the reference the numpy path runs, _grad and then
-    # LiftedStep.solve (_tail_norms and _dual_update)
+    # LiftedStep.solve (_tail_norms and _dual_update) on K x
     n = shape[0] * shape[1]
     sp = h1_saddle(rng, shape)
     for x in (rng.standard_normal(n), special(rng, n)):
@@ -280,9 +280,8 @@ def test_h1_dual_solve(monkeypatch, rng, shape, mu):
         with np.errstate(all="ignore"):
             g = _grad(x.reshape(shape))
             want = pedi.LiftedStep(0.7, mu=mu)
-            want.kx, want.y = g.reshape(1, -1), np.empty((1, 2 * n))
-            want.e, want.tn2 = np.empty(1), np.empty(1)
-            want.solve()
+            want.y = np.empty((1, 2 * n))
+            want.solve(g.reshape(1, -1))
             assert identical(t, float(np.square(g).sum()))
         assert identical(t, want.minimum) and identical(y, want.y)
 
@@ -390,10 +389,18 @@ def test_project_dual_tv(monkeypatch, rng, shape, alpha):
     check_ascent(monkeypatch, dp, special(rng, shape), planes, special(rng, shape), {"project_tv": 2})
 
 
+def ascent(v, s, p):
+    """The baselines' ascent (D v) s + p, formed as project_dual's numpy reference forms it."""
+    g = _grad(v)
+    g *= s
+    g += p
+    return g
+
+
 def check_ascent(monkeypatch, dp, v, planes, z, calls):
     """The baselines' dual step P(p + s D v) through project_dual on both paths, in place and into another out.
 
-    Both must give the projection of _grad's ascent bit for bit, and in
+    Both must give the projection of the ascent bit for bit, and in
     place with recover=z also dual_fb's v = z - D* p of that projection
     over v.  The compiled path makes each in-place step with its kernel
     calls, calls per step s in all, without a rejected array; another out
@@ -415,7 +422,7 @@ def check_ascent(monkeypatch, dp, v, planes, z, calls):
         c, ref = on_both_paths(monkeypatch, in_place, v, planes)
         assert_identical(c[:2], ref[:2])
         with np.errstate(all="ignore"):
-            want = dp.project_dual(_grad(v, scale=s, addend=planes))
+            want = dp.project_dual(ascent(v, s, planes))
             primal = z - _grad_adjoint(want)
         assert identical(c[1], want)
         c, ref = on_both_paths(monkeypatch, separate, v, planes, np.full_like(planes, 7.0))
@@ -474,16 +481,15 @@ def test_h1_elementwise_passes(monkeypatch, rng, shape):
     for kx in (rng.standard_normal((m, 1)), special(rng, (m, 1))):
         tn2 = np.einsum("ij,ij->i", kx.T, kx.T)
 
-        def stage(kx, tn2, e, y):
-            pedi._dual_update(kx.T, tn2, 0.7, 0.3, e, y.T)
+        def stage(kx, tn2, y):
+            pedi._dual_update(kx.T, tn2, 0.7, 0.3, y.T)
 
-        c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty(1), np.empty((m, 1)))
-        assert_identical([c[0], c[2], c[3]], [ref[0], ref[2], ref[3]])
+        c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty((m, 1)))
+        assert_identical(c, ref)
         # the one block's squared norm, summed in component-major order
-        stage = lambda kx, tn2: pedi._tail_norms(kx.T, tn2)  # noqa: E731
-        c, ref = on_both_paths(monkeypatch, stage, kx, np.empty(1))
+        c, ref = on_both_paths(monkeypatch, lambda kx: pedi._tail_norms(kx.T), kx)
         with np.errstate(over="ignore"):
-            assert identical(c[1], ref[1]) and identical(ref[1], [np.square(kx).sum()])
+            assert identical(c[1], ref[1]) and identical(ref[1], np.array([np.square(kx).sum()]))
 
 
 @needs_c
@@ -492,7 +498,7 @@ def test_h1_project_dual_ascent(monkeypatch, rng, shape):
     # H1's dual step: the sum of the ascent's squares, formed on the fly,
     # then its write, inside the ball and outside, and on special values
     v, planes = rng.standard_normal(shape), rng.standard_normal((2,) + shape)
-    norm = imaging._field_norm(_grad(v, scale=0.3, addend=planes))
+    norm = imaging._field_norm(ascent(v, 0.3, planes))
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
         for args in ((v, planes), (special(rng, shape), planes), (v, special(rng, (2,) + shape))):
@@ -557,7 +563,8 @@ def test_sumsq_follows_numpys_summation_order(monkeypatch, rng):
     # numpy's square-then-sum order, which fixes H1's norms and pedi's
     # ||x||^2: a numpy release that changed it fails here first.  The fused
     # primal step's sum splits across threads from 65,536 pixels on two
-    # CPUs, and the numpy path's slices hold 8,192 entries
+    # CPUs, and sizes about 8,192, numpy's ufunc buffer size, check that
+    # numpy's own sum adds one pairwise tree over the whole array
     sizes = [*range(1, 301), 4095, 4096, 4097, 8191, 8192, 8193, 65535, 65536, 65537, 131072, 262147]
     images = [(1, n) for n in sizes[:-1]] + [(1, 262145), (512, 512)] + SHAPES
     for shape in images:
@@ -971,7 +978,7 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     def dual_update(x):
         step = pedi.LiftedStep(0.4, mu=0.3)
         dp.saddle_problem().apply_K(x, step=step)
-        return step.kx, step.y, step.minimum
+        return step.y, step.minimum
 
     y32 = dp.saddle_problem().apply_K(x).astype(np.float32)
 
