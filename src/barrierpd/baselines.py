@@ -34,7 +34,7 @@ import numpy as np
 from .imaging import DenoiseProblem, _grad_adjoint
 # unused here; kept as a module attribute for perfbench's layer trace
 from .imaging import _grad  # noqa: F401
-from .pedi import ConfigError, _readonly
+from .pedi import ConfigError, _readonly, _stop_reason
 
 __all__ = [
     "BaselineConfig",
@@ -92,10 +92,16 @@ class BaselineConfig:
 
 @dataclass
 class BaselineResult:
-    """The final primal vector x and planar (2, n1, n2) dual field p."""
+    """The final primal vector x and planar (2, n1, n2) dual field p, the iterations run and why the run stopped.
+
+    stop_reason is "max_iters", or the reason the callback returned to end
+    the run after iteration n_iters - 1.
+    """
 
     x: np.ndarray
     p: np.ndarray
+    n_iters: int
+    stop_reason: str
 
 
 def pdhgm_run(
@@ -113,7 +119,9 @@ def pdhgm_run(
     The callback, if given, is invoked as callback(i, x, p, info) after each
     iteration, with p the planar (2, n1, n2) dual field; x and p are
     borrowed read-only views of the solver's buffers, valid until the
-    callback returns: copy them to keep them.
+    callback returns: copy them to keep them.  It returns None to go on,
+    or a str, the reason to end the run after this iteration, as for
+    pedi_run.
     """
     n1, n2 = problem.shape
     zf = problem.z.flat()
@@ -125,6 +133,7 @@ def pdhgm_run(
     # its (n1, n2) view and the read-only view the callback gets
     cur, nxt = [(a.reshape(n1, n2), a, _readonly(a)) for a in (np.zeros_like(zf), np.empty_like(zf))]
     tau, sigma, gamma = config.tau0, config.sigma0, config.gamma
+    stop_reason = "max_iters"
 
     for i in range(config.max_iters):
         problem.project_dual(p, out=p, ascent=(x_bar, sigma))
@@ -134,9 +143,12 @@ def pdhgm_run(
         cur, nxt = nxt, cur
         tau, sigma = theta * tau, sigma / theta
         if callback is not None:
-            callback(i, cur[2], p_view, {"tau": tau, "sigma": sigma, "theta": theta})
+            reason = callback(i, cur[2], p_view, {"tau": tau, "sigma": sigma, "theta": theta})
+            if reason is not None:
+                stop_reason = _stop_reason(reason)
+                break
 
-    return BaselineResult(x=cur[1], p=p)
+    return BaselineResult(x=cur[1], p=p, n_iters=i + 1, stop_reason=stop_reason)
 
 
 def dual_fb_run(
@@ -158,8 +170,10 @@ def dual_fb_run(
     The callback, if given, is invoked as callback(i, x, p, info) after each
     iteration, with p the planar (2, n1, n2) dual field; x and p are
     borrowed read-only views of the solver's buffers, valid until the
-    callback returns: copy them to keep them.  max_iters must be at least
-    1, or ConfigError is raised, as BaselineConfig raises it for pdhgm_run.
+    callback returns: copy them to keep them.  It returns None to go on,
+    or a str, the reason to end the run after this iteration, as for
+    pedi_run.  max_iters must be at least 1, or ConfigError is raised, as
+    BaselineConfig raises it for pdhgm_run.
     """
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
@@ -171,11 +185,15 @@ def dual_fb_run(
     x2 = x.reshape(n1, n2)
     x_view, p_view = _readonly(x), _readonly(p)
     tau = 1.0 / DUAL_FB_L**2
+    stop_reason = "max_iters"
 
     for i in range(max_iters):
         # p = P(p + tau D x), then x = z - D* p: on TV one sweep
         problem.project_dual(p, out=p, ascent=(x2, tau), recover=z)
         if callback is not None:
-            callback(i, x_view, p_view, {"tau": tau})
+            reason = callback(i, x_view, p_view, {"tau": tau})
+            if reason is not None:
+                stop_reason = _stop_reason(reason)
+                break
 
-    return BaselineResult(x=x, p=p)
+    return BaselineResult(x=x, p=p, n_iters=i + 1, stop_reason=stop_reason)

@@ -7,8 +7,17 @@ Subcommands:
   solver (schema ``iter,wall_seconds,gap_db,target_db,value_db``, where
   wall_seconds is solver time, the logging left out) plus a JSON sidecar
   with the full configuration.
-* ``make-target``: compute and cache a long-run reference solution, keyed by
-  a hash of the problem configuration.
+* ``make-target``: compute and cache a reference solution, keyed by a hash
+  of the problem configuration, with the duality gap it reached.  The
+  target solve runs pdhgm until that gap certifies the target at
+  TARGET_GAP (-120 dB) of the initial gap, G being 1-strongly convex, and
+  ``--target-iters`` caps it; a target whose gap stays above 1e-8 of the
+  initial gap (-80 dB) fails the quality gate.  ``run`` computes the same
+  target unless told to load the cached one, and records its gap in each
+  sidecar as ``target_gap_db`` (null for a cache file written without it).
+  The target is within its certified error of the solution, ||x - x*||^2
+  <= 1e-12 ||z||^2, so a ``target_db`` cell below about -120 dB measures
+  the distance to the target alone, not to the solution.
 * ``table``: report, per log and threshold, the first iteration (rounded up
   to a multiple of 10) and wall time at which the metric crosses.
 
@@ -33,13 +42,21 @@ import numpy as np
 
 from . import __version__, kernels
 from .baselines import DUAL_FB_L, BaselineConfig, dual_fb_run, pdhgm_run
-from .imaging import DenoiseProblem, Target, add_gaussian_noise, metrics
+from .imaging import DenoiseProblem, Target, _db, add_gaussian_noise, metrics
 from .pedi import ConfigError, StepConfig, check_config, pedi_run
 from .pgm import read_pgm
 
 SOLVERS = ("pedi-general", "pedi-soc", "pdhgm", "dual-fb")
 # the solver name alone picks the pedi step rule
 PEDI_RULES = {"pedi-general": "general", "pedi-soc": "soc"}
+# The target solve stops once its duality gap is at most this fraction of
+# gap0, -120 dB.  G = (1/2)||x - z||^2 is 1-strongly convex, so the gap
+# bounds (1/2)||x - x*||^2 and certifies the target's own error.
+TARGET_GAP = 1e-12
+# the gap is read on every TARGET_CHECK-th iteration: at 64 x 64 it costs
+# over half a pdhgm iteration
+TARGET_CHECK = 10
+TARGET_ITERS_HELP = "Most iterations of the target solve, which stops once its gap is certified at -120 dB."
 
 
 def _problem_key(image_path: Path, variant: str, alpha: float, sigma: float, seed: int) -> dict:
@@ -72,24 +89,41 @@ def _target_path(out: Path, key_hash: str) -> Path:
     return out / f"target_{key_hash}.npz"
 
 
-def _compute_target(problem: DenoiseProblem, iters: int) -> np.ndarray:
+def _compute_target(problem: DenoiseProblem, iters: int):
+    """(result, gap_db) of the target solve: pdhgm until the gap is at most TARGET_GAP gap0, for iters at most.
+
+    The gap is read on every TARGET_CHECK-th iteration.  gap_db is the gap
+    of the result relative to gap0, in dB; a result whose gap is above
+    1e-8 gap0, or NaN, fails the quality gate, a click error.
+    """
     # gamma = 0.3 keeps the step sizes from decaying too fast, which on these
     # problems gives a much sharper tail than the benchmark default
     cfg = BaselineConfig.default_for(problem, max_iters=iters, gamma=0.3)
-    res = pdhgm_run(problem, cfg)
     gap0 = problem.half_z2
+
+    def certify(i, x, p, info):
+        if (i + 1) % TARGET_CHECK == 0 and problem.duality_gap(x, p) <= TARGET_GAP * gap0:
+            return "gap certified"
+        return None
+
+    res = pdhgm_run(problem, cfg, callback=certify)
     gap = problem.duality_gap(res.x, res.p)
+    gap_db = _db(gap, gap0)
     # a NaN gap fails the gate too
     if not gap <= 1e-8 * gap0:
         raise click.ClickException(
-            f"reference solution fails quality gate: gap {gap:g} > 1e-8*gap0 {1e-8 * gap0:g}; "
-            f"increase --target-iters"
+            f"reference solution fails quality gate: gap {gap:g} ({gap_db:.1f} dB) > 1e-8*gap0 {1e-8 * gap0:g} "
+            f"after {res.n_iters} iterations; increase --target-iters"
         )
-    return res.x
+    return res, gap_db
 
 
 def _read_target(path: Path):
-    """(config, x) of the target file at path; a click error for a file that is not a readable target."""
+    """(config, x, gap_db) of the target file at path; a click error for a file that is not a readable target.
+
+    gap_db is the gap the target reached, None for a file written before
+    the target recorded it.
+    """
     try:
         # opened here, since np.load leaves its own file open when a zip is bad
         with open(path, "rb") as f:
@@ -99,18 +133,28 @@ def _read_target(path: Path):
             with npz:
                 if not {"config", "x"} <= set(npz.files):
                     raise click.ClickException(f"cached target at {path} lacks its config or x; remove the file")
-                return json.loads(str(npz["config"])), npz["x"]
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        # a file that is no npz, an object-dtype x or a config that is not JSON
+                gap_db = None
+                if "gap_db" in npz.files:
+                    gap_db = npz["gap_db"]
+                    if gap_db.shape != ():
+                        raise ValueError(f"gap_db of shape {gap_db.shape} is not a scalar")
+                    gap_db = float(gap_db)
+                return json.loads(str(npz["config"])), npz["x"], gap_db
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        # a file that is no npz, an object-dtype x, a config that is not JSON
+        # or a gap_db that is not one number
         raise click.ClickException(f"cached target at {path} cannot be read ({exc}); remove the file")
 
 
 def _load_target(out: Path, key: dict, n_pixels: int):
-    """The cached target x of key as a primal vector, None if there is none; a click error for a bad cache file."""
+    """(x, gap_db) of key's cached target, x a primal vector (see _read_target), None if there is none.
+
+    A click error for a bad cache file.
+    """
     path = _target_path(out, _key_hash(key))
     if not path.exists():
         return None
-    stored_key, x = _read_target(path)
+    stored_key, x, gap_db = _read_target(path)
     if stored_key != key:
         raise click.ClickException(
             f"target cache collision at {path}: stored config {stored_key} "
@@ -120,7 +164,7 @@ def _load_target(out: Path, key: dict, n_pixels: int):
         raise click.ClickException(
             f"cached target at {path} holds {x.size} entries, expected {n_pixels}; remove the file"
         )
-    return x.reshape(-1)
+    return x.reshape(-1), gap_db
 
 
 def _atomic_write_bytes(path: Path, data: bytes):
@@ -225,7 +269,7 @@ def _common_problem_options(fn):
 @click.option("--zeta", default=None, type=float)
 @click.option("--theta", default=None, type=float)
 @click.option("--target", "target_policy", default="compute", type=click.Choice(["load", "compute"]), show_default=True)
-@click.option("--target-iters", default=100000, type=int, show_default=True)
+@click.option("--target-iters", default=100000, type=int, show_default=True, help=TARGET_ITERS_HELP)
 def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, theta, target_policy, target_iters):
     """Run solver(s) and write one CSV log per solver."""
     solver_list = [s.strip() for s in solvers.split(",") if s.strip()]
@@ -253,13 +297,15 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, th
     out.mkdir(parents=True, exist_ok=True)
     key = _problem_key(image, variant, alpha, sigma, seed)
     if target_policy == "load":
-        target_x = _load_target(out, key, problem.n_pixels)
-        if target_x is None:
+        cached = _load_target(out, key, problem.n_pixels)
+        if cached is None:
             raise click.ClickException(
                 f"no cached target for this configuration in {out}; run make-target first"
             )
+        target_x, target_gap_db = cached
     else:
-        target_x = _compute_target(problem, target_iters)
+        res, target_gap_db = _compute_target(problem, target_iters)
+        target_x = res.x
     try:
         target = Target.of(problem, target_x)
     except ValueError as exc:
@@ -277,6 +323,7 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, th
             "step_rule": PEDI_RULES.get(solver),
             **params,
             "gap0": gap0,
+            "target_gap_db": target_gap_db,
             "kernels": "c" if kernels.PATH == "c" else "numpy",
             "kernel_threads": kernels.THREADS,
             "version": __version__,
@@ -287,9 +334,9 @@ def run(image, variant, alpha, sigma, seed, out, solvers, iters, gamma, zeta, th
 
 @main.command("make-target")
 @_common_problem_options
-@click.option("--target-iters", default=100000, type=int, show_default=True)
+@click.option("--target-iters", default=100000, type=int, show_default=True, help=TARGET_ITERS_HELP)
 def make_target(image, variant, alpha, sigma, seed, out, target_iters):
-    """Compute and cache a long-run reference solution for a configuration."""
+    """Compute and cache a certified reference solution for a configuration."""
     if target_iters < 1:
         raise click.ClickException("--target-iters must be >= 1")
     problem = _build(image, variant, alpha, sigma, seed)
@@ -300,10 +347,11 @@ def make_target(image, variant, alpha, sigma, seed, out, target_iters):
     if cached is not None:
         click.echo(f"cache hit: {path}")
         return
-    x = _compute_target(problem, target_iters)
+    res, gap_db = _compute_target(problem, target_iters)
     buf = io.BytesIO()
-    np.savez(buf, x=x, config=json.dumps(key, sort_keys=True))
+    np.savez(buf, x=res.x, config=json.dumps(key, sort_keys=True), gap_db=gap_db)
     _atomic_write_bytes(path, buf.getvalue())
+    click.echo(f"target solve stopped after {res.n_iters} iterations ({res.stop_reason}) at gap {gap_db:.1f} dB")
     click.echo(f"wrote {path}")
 
 

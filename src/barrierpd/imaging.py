@@ -345,7 +345,24 @@ class DenoiseProblem:
         return self.half_z2 - 0.5 * float(np.square(r, out=r).sum())
 
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
-        return self.objective(x) - self.dual_value(p)
+        """objective(x) - dual_value(p), p a planar (2, n1, n2) field.
+
+        G is 1-strongly convex, so for a feasible p the gap bounds
+        (1/2)||x - x*||^2.  With
+        the compiled kernels the sums behind both terms come from
+        _metric_sums' one visit per pixel, with x as its target, whose
+        distance sum is 0 and unread; the value is the numpy code's bit for
+        bit, and that code runs on the numpy path and for arrays the kernel
+        rejects (a non-contiguous p, say).
+        """
+        p = np.asarray(p)
+        _check_field(p, self.shape)
+        sums = _metric_sums(x, p, self, x, 1.0)
+        if sums is None:
+            return self.objective(x) - self.dual_value(p)
+        # the scalar expressions of objective and dual_value
+        xz2, reg, zp2, _ = sums
+        return (0.5 * xz2 + self.alpha * reg) - (self.half_z2 - 0.5 * zp2)
 
     def project_dual(
         self,
@@ -620,11 +637,11 @@ class Target:
         return cls(x=x, norm2=norm2, value=problem.objective(x))
 
 
-def _metric_sums(x, p, problem: DenoiseProblem, target: Target, scale: float):
+def _metric_sums(x, p, problem: DenoiseProblem, xhat: np.ndarray, scale: float):
     """metrics' four sums in one compiled visit per pixel; None when the kernels are off or reject an array.
 
     Returns (sum (x - z)^2, R(x), sum (z - (D* p) scale)^2,
-    sum (x - target.x)^2), each equal to the numpy code's: the kernel forms
+    sum (x - xhat)^2), each equal to the numpy code's: the kernel forms
     every term with that code's operations and adds the terms in numpy's
     pairwise order.  p is a planar (2, n1, n2) field, and scale is 1 for a
     baseline's p and 2 for the tails of pedi's y, read as they lie.  H1's
@@ -634,7 +651,7 @@ def _metric_sums(x, p, problem: DenoiseProblem, target: Target, scale: float):
         return None
     tv = problem.variant == "tv"
     try:
-        xz2, reg, zp2, dist2 = kernels.ext.metric_sums(x, problem.z.flat(), target.x, p, tv, scale)
+        xz2, reg, zp2, dist2 = kernels.ext.metric_sums(x, problem.z.flat(), xhat, p, tv, scale)
     except ValueError:
         return None
     if not tv:
@@ -681,7 +698,7 @@ def metrics(
     else:
         p, scale = np.asarray(p), 1.0
         _check_field(p, shape)
-    sums = _metric_sums(x, p, problem, target, scale)
+    sums = _metric_sums(x, p, problem, target.x, scale)
     if sums is None:
         val = problem.objective(x)
         dual = problem.dual_value(p, scale)

@@ -53,7 +53,8 @@ elementwise passes into their own:
   a logged row's four sums (imaging.metrics) in one visit per pixel, D* p
   times the factor c formed in the same loop as the other terms on TV: c
   is 1 for a baseline's p and 2 for pedi's y, whose tails it reads as they
-  lie, so that no logged row unlifts y.
+  lie, so that no logged row unlifts y.  DenoiseProblem.duality_gap shares
+  it, with x as its own xhat, for the target solve's stopping test.
 
 The kernels are bound by the divider, so each makes only the divisions
 its algebra needs, and the numpy code it replaces uses the same

@@ -205,9 +205,17 @@ class SaddleProblem:
 
 @dataclass
 class PEDIResult:
+    """The final x and y, the StepState of each iteration run, their number and why the run stopped.
+
+    stop_reason is "max_iters", or the reason the callback returned to end
+    the run after iteration n_iters - 1.
+    """
+
     x: np.ndarray
     y: BlockConeVector
     states: list
+    n_iters: int
+    stop_reason: str
 
 
 # the most entries the numpy path of _sumsq squares at once
@@ -344,6 +352,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _stop_reason(reason) -> str:
+    """A callback's reason to end its run: reason itself, a str; TypeError for any other value."""
+    if not isinstance(reason, str):
+        raise TypeError(f"a solver callback returns None to go on or a str reason to stop, got {reason!r}")
+    return reason
+
+
 def pedi_run(
     problem: SaddleProblem,
     config: StepConfig,
@@ -365,11 +380,12 @@ def pedi_run(
     must fit the problem: the same b0, a gamma no larger and an opnorm_K no
     smaller than the problem's, and a zeta in the step rule's range, and
     max_iters must be at least 1; otherwise ConfigError is raised before the
-    first iteration (see check_config).  Each prox step also gives the sum
-    of squares of the new x; if it is not finite (a non-finite x, or a
-    finite x whose norm overflows) FloatingPointError is raised, on either
-    kernel path; under the soc rule an x0 whose ||K x|| is not finite fails
-    one stage earlier, with step_rule_soc's ValueError.  The dual iterate
+    first iteration (see check_config).  An x0 that is not finite raises
+    ValueError, also before the first iteration.  Each prox step also gives
+    the sum of squares of the new x; if it is not finite (a non-finite x,
+    or a finite x whose norm overflows) FloatingPointError is raised, on
+    either kernel path; under the soc rule a finite x0 whose ||K x||
+    overflows fails one stage earlier, with step_rule_soc's ValueError.  The dual iterate
     lives in one LiftedStep, whose buffers the first apply_K call allocates
     and every later call updates in place.
 
@@ -406,9 +422,12 @@ def pedi_run(
     descent series (1/2) phi_{i+1} ||x^{i+1} - x_hat||^2, whose boundedness
     is the raw content of the convergence estimate.  x and y are borrowed
     read-only views of the solver's buffers, valid until the callback
-    returns: copy them to keep them.  The result carries x, the final y as
-    a BlockConeVector copy, and the states.  No randomness: identical
-    inputs give identical trajectories.
+    returns: copy them to keep them.  The callback returns None to go on,
+    or a str, the reason to end the run after this iteration; any other
+    value raises TypeError.  The result carries x, the final y as a
+    BlockConeVector copy, the states, the number of iterations run and the
+    stop reason, "max_iters" when the run went to max_iters.  No
+    randomness: identical inputs give identical trajectories.
     """
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
@@ -416,6 +435,8 @@ def pedi_run(
     x = np.zeros(problem.primal_dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.primal_dim,):
         raise ValueError("x0 has wrong dimension")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
 
     state = initial_state()
     states = []
@@ -427,6 +448,7 @@ def pedi_run(
     # every call, so that a patched one is seen
     apply_K, apply_K_adjoint = problem.apply_K, problem.apply_K_adjoint
     soc = step_rule == "soc"
+    stop_reason = "max_iters"
 
     for i in range(max_iters):
         # mu_{i+1}, which the dual solve and the rule share
@@ -452,7 +474,10 @@ def pedi_run(
         if callback is not None:
             if y_view is None:
                 y_view = BlockConeVector.view_of(np.full(step.y.shape[0], b0 / 2.0), step.y)
-            callback(i, x_view, y_view, state, {"kx_norm": kx_norm})
+            reason = callback(i, x_view, y_view, state, {"kx_norm": kx_norm})
+            if reason is not None:
+                stop_reason = _stop_reason(reason)
+                break
 
     y = BlockConeVector.from_arrays(np.full(step.y.shape[0], b0 / 2.0), step.y)
-    return PEDIResult(x=x, y=y, states=states)
+    return PEDIResult(x=x, y=y, states=states, n_iters=i + 1, stop_reason=stop_reason)

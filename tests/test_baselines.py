@@ -73,6 +73,62 @@ def test_every_solver_rejects_max_iters_below_one(solver, max_iters):
             pedi.pedi_run(sp, cfg, max_iters, step_rule=solver.removeprefix("pedi-"))
 
 
+def run_solver(solver, dp, max_iters, callback=None):
+    """(result, dual iterate) of one of the four solvers on dp: the baselines' p, pedi's y tails."""
+    if solver == "pdhgm":
+        res = pdhgm_run(dp, BaselineConfig.default_for(dp, max_iters), callback=callback)
+        return res, res.p
+    if solver == "dual-fb":
+        res = dual_fb_run(dp, max_iters, callback=callback)
+        return res, res.p
+    sp = dp.saddle_problem()
+    cfg = pedi.StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+    res = pedi.pedi_run(sp, cfg, max_iters, step_rule=solver.removeprefix("pedi-"), callback=callback)
+    return res, res.y.tails
+
+
+SOLVERS = ["pedi-general", "pedi-soc", "pdhgm", "dual-fb"]
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("variant", ["tv", "h1"])
+@pytest.mark.parametrize("k", [0, 6])
+def test_a_callback_reason_ends_the_run_after_that_iteration(solver, variant, k):
+    # one stop contract for all four: the run ends after iteration k, and
+    # its iterates are those of a run of k + 1 iterations, bit for bit
+    dp = make_problem(variant=variant)
+    seen = []
+
+    def stop_at_k(i, *_):
+        seen.append(i)
+        return "enough" if i == k else None
+
+    res, dual = run_solver(solver, dp, 50, stop_at_k)
+    assert seen == list(range(k + 1))
+    assert (res.n_iters, res.stop_reason) == (k + 1, "enough")
+    ref, ref_dual = run_solver(solver, dp, k + 1)
+    assert (ref.n_iters, ref.stop_reason) == (k + 1, "max_iters")
+    assert res.x.tobytes() == ref.x.tobytes() and dual.tobytes() == ref_dual.tobytes()
+    if solver.startswith("pedi"):
+        assert res.states == ref.states and len(res.states) == k + 1
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_callback_returning_none_runs_to_max_iters(solver):
+    seen = []
+    res, _ = run_solver(solver, make_problem(), 12, lambda i, *_: seen.append(i))
+    assert (res.n_iters, res.stop_reason) == (12, "max_iters")
+    assert seen == list(range(12))
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("reason", [True, 0, b"stop"], ids=["true", "zero", "bytes"])
+def test_a_callback_returning_another_value_fails_loudly(solver, reason):
+    # a reason is a str: any other value but None is a mistake, not a stop
+    with pytest.raises(TypeError, match="returns None to go on or a str reason to stop"):
+        run_solver(solver, make_problem(), 12, lambda *_: reason)
+
+
 def test_acceleration_identities():
     dp = make_problem()
     cfg = BaselineConfig.default_for(dp, max_iters=40)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import time
 
 import click
@@ -11,9 +12,17 @@ import pytest
 from click.testing import CliRunner
 
 from barrierpd import cli, kernels
-from barrierpd.baselines import DUAL_FB_L
+from barrierpd.baselines import DUAL_FB_L, BaselineConfig, pdhgm_run
 from barrierpd.cli import SOLVERS, main
-from barrierpd.imaging import DB_CLAMP, DenoiseProblem, IterationRecord, Target, add_gaussian_noise, synthetic_image
+from barrierpd.imaging import (
+    DB_CLAMP,
+    DenoiseProblem,
+    IterationRecord,
+    Target,
+    _db,
+    add_gaussian_noise,
+    synthetic_image,
+)
 from barrierpd.jordan import BlockConeVector
 from barrierpd.pgm import read_pgm, write_pgm
 
@@ -210,7 +219,9 @@ def npy_bytes(a):
     lambda path, key: path.write_bytes(npy_bytes(np.ones(64))),
     lambda path, key: np.savez(path, x=np.array([1.0, "a"], dtype=object), config=json.dumps(key, sort_keys=True)),
     lambda path, key: np.savez(path, x=np.ones(64), config="{not json"),
-], ids=["not-npz", "empty", "bad-zip", "npy", "object-x", "config-not-json"])
+    lambda path, key: np.savez(path, x=np.ones(64), config=json.dumps(key, sort_keys=True), gap_db=np.ones(2)),
+    lambda path, key: np.savez(path, x=np.ones(64), config=json.dumps(key, sort_keys=True), gap_db="low"),
+], ids=["not-npz", "empty", "bad-zip", "npy", "object-x", "config-not-json", "gap-not-scalar", "gap-not-number"])
 def test_an_unreadable_cached_target_is_a_click_error(tmp_path, write):
     # these ended run and make-target with a ValueError or JSONDecodeError
     # traceback from numpy or json
@@ -248,6 +259,59 @@ def test_target_gate_fails_a_nan_gap(monkeypatch):
     monkeypatch.setattr(DenoiseProblem, "duality_gap", lambda self, x, p: math.nan)
     with pytest.raises(click.ClickException, match="quality gate"):
         cli._compute_target(dp, 5)
+
+
+def test_target_gate_names_the_gap_it_reached():
+    dp = DenoiseProblem(synthetic_image(8, 8), 0.01, "tv")
+    with pytest.raises(click.ClickException,
+                       match=r"quality gate: gap \S+ \(-?\d+\.\d dB\) > 1e-8\*gap0 \S+ after 5 iterations"):
+        cli._compute_target(dp, 5)
+
+
+def test_target_stops_on_its_certificate():
+    # the gap, read on every TARGET_CHECK-th iteration, certifies the target
+    # at TARGET_GAP gap0 (-120 dB) long before the cap
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(64, 64), 6.15, 42), 0.01, "tv")
+    gap0 = dp.half_z2
+    res, gap_db = cli._compute_target(dp, 20000)
+    assert res.stop_reason == "gap certified"
+    assert res.n_iters % cli.TARGET_CHECK == 0 and res.n_iters < 20000
+    gap = dp.duality_gap(res.x, res.p)
+    assert gap <= cli.TARGET_GAP * gap0 and gap_db == _db(gap, gap0) <= -120.0
+    # and the check before did not certify it
+    earlier = pdhgm_run(dp, BaselineConfig.default_for(dp, res.n_iters - cli.TARGET_CHECK, gamma=0.3))
+    assert dp.duality_gap(earlier.x, earlier.p) > cli.TARGET_GAP * gap0
+
+
+def test_target_records_the_gap_it_reached(workdir, tmp_path):
+    # make-target stores the gap beside x and echoes it with the stop; run
+    # writes it into each sidecar, from the cache or from its own solve
+    args = base_args(workdir, [])
+    args[args.index("--out") + 1] = str(tmp_path)
+    r = invoke(["make-target", *args, "--target-iters", "20000"])
+    assert r.exit_code == 0, r.output
+    (path,) = tmp_path.glob("target_*.npz")
+    with np.load(path) as npz:
+        gap_db = float(npz["gap_db"])
+    assert gap_db <= -120.0
+    assert re.search(rf"stopped after \d+0 iterations \(gap certified\) at gap {gap_db:.1f} dB", r.output)
+    for policy in (["--target", "load"], ["--target-iters", "20000"]):
+        r = invoke(["run", *args, "--solvers", "pdhgm,dual-fb", "--iters", "3", *policy])
+        assert r.exit_code == 0, r.output
+        for solver in ("pdhgm", "dual-fb"):
+            assert json.loads((tmp_path / f"{solver}.meta.json").read_text())["target_gap_db"] == gap_db
+
+
+def test_a_cached_target_without_its_gap_is_read(tmp_path):
+    # a cache file written before the target recorded its gap still loads;
+    # the sidecar's target_gap_db is null
+    write_pgm(synthetic_image(8, 8), tmp_path / "img.pgm")
+    out = tmp_path / "out"
+    write_target(out, tmp_path / "img.pgm", np.ones(64))
+    r = invoke(["run", *target_args(tmp_path / "img.pgm", out), "--solvers", "dual-fb", "--iters", "5",
+                "--target", "load"])
+    assert r.exit_code == 0, r.output
+    assert json.loads((out / "dual-fb.meta.json").read_text())["target_gap_db"] is None
 
 
 def test_load_without_cache_fails(workdir, tmp_path):
@@ -544,7 +608,8 @@ def test_sidecar_records_the_kernel_threads(workdir, tmp_path):
 @pytest.mark.skipif(kernels.PATH != "c", reason=f"kernels: {kernels.PATH}")
 @pytest.mark.parametrize("variant, alpha", [("tv", "0.01"), ("h1", "5")])
 def test_logs_identical_on_both_paths(tmp_path, monkeypatch, variant, alpha):
-    # the solvers, the target and the per-iteration metrics all run compiled
+    # the solvers, the target and its stopping test, and the per-iteration
+    # metrics all run compiled: the same target, stop and logs on both paths
     write_pgm(synthetic_image(32, 32), tmp_path / "img.pgm")
     results = []
     for path in ("numpy (selected by the test)", "c"):
@@ -552,11 +617,13 @@ def test_logs_identical_on_both_paths(tmp_path, monkeypatch, variant, alpha):
         out = tmp_path / path[:5]
         args = ["--image", str(tmp_path / "img.pgm"), "--variant", variant, "--alpha", alpha,
                 "--sigma", "6.15", "--seed", "42", "--out", str(out)]
-        assert invoke(["make-target", *args, "--target-iters", "2000"]).exit_code == 0
+        r = invoke(["make-target", *args, "--target-iters", "2000"])
+        assert r.exit_code == 0, r.output
+        stop = r.output.splitlines()[0]
         r = invoke(["run", *args, "--solvers", ",".join(SOLVERS), "--iters", "300", "--target", "load"])
         assert r.exit_code == 0, r.output
         (target,) = out.glob("target_*.npz")
         with np.load(target) as npz:
             logs = {s: strip_wall((out / f"{s}.csv").read_text()) for s in SOLVERS}
-            results.append((npz["x"].tobytes(), logs))
+            results.append((npz["x"].tobytes(), float(npz["gap_db"]), stop, logs))
     assert results[0] == results[1]

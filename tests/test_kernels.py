@@ -94,6 +94,41 @@ def assert_identical(c, ref):
 
 
 @needs_c
+@pytest.mark.parametrize("variant, alpha", [("tv", 0.01), ("tv", 5.0), ("h1", 5.0)])
+def test_duality_gap_is_one_metrics_visit(monkeypatch, variant, alpha):
+    # on the compiled path the gap is metric_sums' visit with x as its own
+    # target, bit for bit objective(x) - dual_value(p) of the numpy code, on
+    # pdhgm's and dual_fb's iterates; a non-contiguous p, the same values in
+    # column-major planes, falls back to that code
+    for shape in ((16, 16), (63, 65)):
+        dp = DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 42), alpha, variant)
+        iterates = []
+
+        def keep(i, x, p, info):
+            if i % 7 == 0:
+                iterates.append((x.copy(), p.copy()))
+
+        pdhgm_run(dp, BaselineConfig.default_for(dp, 30, gamma=0.3), callback=keep)
+        dual_fb_run(dp, 30, callback=keep)
+        for x, p in iterates:
+            monkeypatch.setattr(kernels, "PATH", NUMPY)
+            want = dp.objective(x) - dp.dual_value(p)
+            monkeypatch.setattr(kernels, "PATH", "c")
+            rec = Recorder(kernels.ext)
+            monkeypatch.setattr(kernels, "ext", rec)
+            assert identical(dp.duality_gap(x, p), want)
+            assert rec.calls.get("metric_sums") == 1 and rec.rejected == []
+            strided = np.asfortranarray(p.transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert not strided.flags.c_contiguous and np.array_equal(strided, p)
+            assert identical(dp.duality_gap(x, strided), want)
+            assert rec.calls["metric_sums"] == 2 and rec.rejected[0][0] == "metric_sums"
+            monkeypatch.setattr(kernels, "ext", rec.ext)
+    # a field of another grid's shape is refused, as dual_value refuses it
+    with pytest.raises(ValueError, match="planar"):
+        dp.duality_gap(x, np.zeros((2, 65, 63)))
+
+
+@needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_gradient_pair(monkeypatch, rng, shape):
     # D*'s minuend form, dual_fb's x = z - D* p, with (n1, n2) and flat
@@ -122,8 +157,9 @@ def test_gradient_pair(monkeypatch, rng, shape):
             c, ref = on_both_paths(monkeypatch, dp.duality_gap, x, p)
             assert_identical(c[-1:], ref[-1:])
     monkeypatch.setattr(kernels, "ext", rec.ext)
-    # on the compiled path every dual value's D* and H1's regularizer ran compiled
-    assert rec.rejected == [] and rec.calls == {"grad_adjoint": 8, "grad_sumsq": 2}
+    # on the compiled path every dual value's D* and H1's regularizer ran
+    # compiled, and every gap was one metrics visit
+    assert rec.rejected == [] and rec.calls == {"grad_adjoint": 4, "metric_sums": 4, "grad_sumsq": 2}
 
 
 @needs_c
@@ -694,17 +730,25 @@ def test_metrics_allocates_no_image(rng):
 # whole solvers
 
 
+def go_on(*_):
+    return None
+
+
 def run_all(dp, iters=50):
-    """x, the dual iterate and the step states of all four solvers, iters iterations each."""
+    """x, the dual iterate, the step states and the stop of all four solvers, iters iterations each.
+
+    Each run gets a callback that returns None, so the contract's test rides
+    in every iteration.
+    """
     sp = dp.saddle_problem()
     out = []
     for rule in ("general", "soc"):
-        res = pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), iters, step_rule=rule)
-        out.append((res.x, res.y.heads, res.y.tails, res.states))
-    res = pdhgm_run(dp, BaselineConfig.default_for(dp, iters))
-    out.append((res.x, res.p))
-    res = dual_fb_run(dp, iters)
-    out.append((res.x, res.p))
+        res = pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), iters, step_rule=rule, callback=go_on)
+        out.append((res.x, res.y.heads, res.y.tails, res.states, [res.n_iters, res.stop_reason]))
+    res = pdhgm_run(dp, BaselineConfig.default_for(dp, iters), callback=go_on)
+    out.append((res.x, res.p, [res.n_iters, res.stop_reason]))
+    res = dual_fb_run(dp, iters, callback=go_on)
+    out.append((res.x, res.p, [res.n_iters, res.stop_reason]))
     return out
 
 
@@ -1242,7 +1286,7 @@ def test_isa_clones_match_the_default_build(monkeypatch, tmp_path):
         out = []
         for dp in problems:
             runs = run_all(dp, 20)
-            x, p = runs[2]
+            x, p = runs[2][:2]
             out += [*runs, tuple(metrics(x, p, dp, Target.of(dp, dp.z.flat()), 1.0))]
         return out
 

@@ -301,6 +301,27 @@ def test_pedi_x0_and_watchdog():
     assert np.array_equal(x0, dp.z.flat())
 
 
+@pytest.mark.parametrize("rule", ["general", "soc"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_x0_is_refused_before_the_first_iteration(rule, value):
+    # "general" failed after a whole iteration with a FloatingPointError,
+    # "soc" with step_rule_soc's ValueError: both now refuse x0 up front
+    dp = make_problem(variant="tv")
+    sp = dp.saddle_problem()
+    cfg = StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha)
+    x0 = dp.z.flat().copy()
+    x0[5] = value
+    calls = []
+
+    def apply_K(x, step=None):
+        calls.append(x)
+        return sp.apply_K(x, step=step)
+
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        pedi_run(dataclasses.replace(sp, apply_K=apply_K), cfg, 3, step_rule=rule, x0=x0)
+    assert calls == []
+
+
 def _with_x_entry(sp, value):
     """sp whose primal step starts from an x with value in one entry, which the step
     carries into the new x: NaN and +-inf stay, and 1e200 stays finite with
