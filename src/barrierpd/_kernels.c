@@ -63,17 +63,25 @@
  * into contiguous chunks without changing any result.  The one element
  * that reads another chunk's output, x in the first row of a chunk of
  * project_tv's sweep, is made by the caller after the join.  A sum splits
- * by the subtrees of its pairwise tree, whose sums the caller adds in the
- * tree's order (see pairwise), so it too is the same for any thread count.  A
- * call whose parts would each cover at least MIN_PART pixels runs on a
- * pool of worker threads (see run); a smaller one, and every metric_sums
- * call, runs on the calling thread alone.  The pool has one thread per
- * CPU in the process's affinity mask, at most MAX_THREADS, counting the
- * caller; taskset or any other affinity mask is what restricts it, and
- * the BLAS thread variables do not.  The workers start on the first call
- * that splits, sleep on a condition variable between calls, and never
- * spin.  A wrapper holds the interpreter lock for its whole call, which
- * is what lets Python threads share the one pool.
+ * by the subtrees of its pairwise tree, each summed once, whose sums the
+ * caller adds in the tree's order (see pairwise), so it too is the same for
+ * any thread count.  A call whose parts would each cover at least MIN_PART
+ * pixels runs on a pool of worker threads (see run); a smaller one, and
+ * every metric_sums call, runs on the calling thread alone.  The pool has
+ * one thread per CPU in the process's affinity mask, at most MAX_THREADS,
+ * counting the caller; taskset or any other affinity mask is what restricts
+ * it, and the BLAS thread variables do not.  Each thread takes the chunks
+ * of its own band of rows first, the same band in every call, and a sum's
+ * subtree goes with the rows of its first term, so one core keeps the same
+ * rows in its cache through an iteration's calls (see work).  An H1
+ * iteration makes three split calls, its dual step's sum and write and then
+ * its primal pass, all bound by memory: at 256 x 256 an H1 dual_fb
+ * iteration took 102-112 us on 2 CPUs against 149-159 us on one, and
+ * 194-209 us against 146-173 us when the first thread to come took each
+ * chunk (300-iteration loops, median of 7, three alternations).  The workers
+ * start on the first call that splits, sleep on a condition variable
+ * between calls, and never spin.  A wrapper holds the interpreter lock for
+ * its whole call, which is what lets Python threads share the one pool.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -342,6 +350,9 @@ KERNEL static void project_tv(double *restrict v, double *restrict p0, double *r
 #define MAX_THREADS 8
 #define CHUNKS_PER_THREAD 2
 #define MAX_CHUNKS (MAX_THREADS * CHUNKS_PER_THREAD)
+/* the fields of pool.claim that hold them */
+_Static_assert(MAX_CHUNKS <= 16, "the unclaimed-chunk mask has 16 bits");
+_Static_assert(MAX_THREADS < 256 && MAX_CHUNKS < 256, "the thread and chunk counts have 8 bits each");
 /* A split sum adds the subtrees NODE_DEPTH levels down numpy's pairwise
  * tree, at most MAX_NODES of them (see pairwise) */
 #define NODE_DEPTH 4
@@ -349,8 +360,14 @@ KERNEL static void project_tv(double *restrict v, double *restrict p0, double *r
 /* The fewest pixels a thread's part of a split call may cover.  Pixels,
  * not array entries, so that all of an iteration's kernels split or none
  * do (a gradient field holds two entries per pixel): an image split in
- * some stages only, or at 128 x 128, ran slower than on one thread, with
- * its data moving between the cores' caches. */
+ * some stages only ran slower than on one thread.  So does an image split
+ * at 128 x 128, where the arrays fit one core's L2, even with each thread
+ * keeping its own rows: an H1 iteration took 1.0-1.8 times its time on one
+ * thread (1.4-2.1 when the first thread to come took each chunk), a TV
+ * pedi or pdhgm iteration 1.0-1.5 times (0.7-1.2), and only TV dual_fb
+ * gained, at 0.7-1.1 times (300-iteration loops of pedi-general, pdhgm and
+ * dual_fb, median of 9, six alternations, 2 CPUs, a build with MIN_PART
+ * 8192). */
 #define MIN_PART 32768
 /* the most times a caller yields its CPU waiting for claimed chunks */
 #define WAIT_YIELDS 200
@@ -370,18 +387,19 @@ struct Job {
     int chunks;
     uint64_t lo[MAX_CHUNKS], hi[MAX_CHUNKS];
     /* a split sum's walker puts the sum of terms node[u]..node[u+1]-1, its
-     * node u, into sum[u] */
+     * node u of nodes, into sum[u] */
     Walk *walk;
+    int nodes;
     idx node[MAX_NODES + 1];
     double sum[MAX_NODES];
 };
 
 /* The job being run is published by a store to claim, which packs the
- * job's generation, seq (bits 32-63), its chunk count (16-31) and the next
- * unclaimed chunk (0-15).  A thread takes a chunk by a compare-and-swap
- * that advances the next chunk, so a thread still holding a word of an
- * earlier job claims nothing, and a job's fields stay put while any of its
- * chunks is claimed and not done. */
+ * job's generation, seq (bits 32-63), its thread count (24-31), its chunk
+ * count (16-23) and a mask of its unclaimed chunks (0-15).  A thread takes a
+ * chunk by a compare-and-swap that clears the chunk's bit, so a thread still
+ * holding a word of an earlier job claims nothing, and a job's fields stay
+ * put while any of its chunks is claimed and not done. */
 static struct {
     pthread_mutex_t lock;
     pthread_cond_t wake, finished;
@@ -394,23 +412,31 @@ static struct {
 } pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER,
           0, 1, -1, NULL, 0, 0};
 
-/* Claims and runs chunks of the published job until none is left; a worker
- * that finishes the job's last chunk wakes the caller. */
-static void work(int worker)
+/* Claims and runs chunks of the published job until none is left, thread
+ * t (0 for the caller, i for worker i) taking the chunks of its own band,
+ * chunks * t / threads up to chunks * (t + 1) / threads, before any left
+ * over: so a thread runs the same rows in every call, and a late thread
+ * delays no other.  A worker that finishes the job's last chunk wakes the
+ * caller. */
+static void work(int t)
 {
     for (;;) {
         uint64_t w = atomic_load_explicit(&pool.claim, memory_order_acquire);
         int chunks, c;
         do {
-            chunks = (int)(w >> 16 & 0xffff);
-            c = (int)(w & 0xffff);
-            if (c >= chunks)
+            int threads = (int)(w >> 24 & 0xff);
+            uint32_t left = (uint32_t)(w & 0xffff), own = 0;
+            chunks = (int)(w >> 16 & 0xff);
+            if (!left)
                 return;
-        } while (!atomic_compare_exchange_weak_explicit(&pool.claim, &w, w + 1, memory_order_acq_rel,
-                                                        memory_order_acquire));
+            if (t < threads)
+                own = left & ((1u << chunks * (t + 1) / threads) - (1u << chunks * t / threads));
+            c = __builtin_ctz(own ? own : left);
+        } while (!atomic_compare_exchange_weak_explicit(&pool.claim, &w, w & ~((uint64_t)1 << c),
+                                                        memory_order_acq_rel, memory_order_acquire));
         Job *j = pool.job;
         j->task(j, j->units * c / chunks, j->units * (c + 1) / chunks, c);
-        if (atomic_fetch_add_explicit(&pool.done, 1, memory_order_acq_rel) + 1 == chunks && worker) {
+        if (atomic_fetch_add_explicit(&pool.done, 1, memory_order_acq_rel) + 1 == chunks && t) {
             pthread_mutex_lock(&pool.lock);
             pthread_cond_signal(&pool.finished);
             pthread_mutex_unlock(&pool.lock);
@@ -418,19 +444,20 @@ static void work(int worker)
     }
 }
 
-/* A worker sleeps until a call is published after the one it last saw;
- * seen starts at the count when it was created, so it takes part in the
- * call that started it. */
+/* Worker t sleeps until a call is published after the one it last saw.
+ * It counts the latest call when it first takes the lock as unseen, so it
+ * takes part in the call that started it, or in a later one; a call whose
+ * chunks are all claimed gives it nothing to do. */
 static void *worker(void *arg)
 {
-    uint32_t seen = (uint32_t)(uintptr_t)arg;
+    int t = (int)(uintptr_t)arg;
     pthread_mutex_lock(&pool.lock);
-    for (;;) {
+    for (uint32_t seen = pool.seq - 1;;) {
         while (pool.seq == seen)
             pthread_cond_wait(&pool.wake, &pool.lock);
         seen = pool.seq;
         pthread_mutex_unlock(&pool.lock);
-        work(1);
+        work(t);
         pthread_mutex_lock(&pool.lock);
     }
     return NULL;
@@ -447,7 +474,7 @@ static void start(void)
     pool.workers = 0;
     for (int i = 1; i < pool.cpus; i++) {
         pthread_t t;
-        if (pthread_create(&t, NULL, worker, (void *)(uintptr_t)pool.seq) != 0)
+        if (pthread_create(&t, NULL, worker, (void *)(uintptr_t)i) != 0)
             break;
         pthread_detach(t);
         pool.workers++;
@@ -469,9 +496,10 @@ static void after_fork_in_child(void)
 /* Runs task over units 0..units-1 of the job, which cover the given
  * number of pixels.  When every thread's part would cover at least
  * MIN_PART pixels the units are cut into CHUNKS_PER_THREAD contiguous
- * chunks per thread, which the caller and the workers claim; the caller
- * then waits only for chunks already claimed.  Otherwise the caller runs
- * the task alone, as one chunk. */
+ * chunks per thread, and each thread claims its own band of them first
+ * (see work), so that a thread's rows stay in its core's cache from one
+ * call to the next; the caller then waits only for chunks already
+ * claimed.  Otherwise the caller runs the task alone, as one chunk. */
 static void run(Job *j, Task *task, idx units, idx pixels)
 {
     idx parts = pixels / MIN_PART;
@@ -492,7 +520,9 @@ static void run(Job *j, Task *task, idx units, idx pixels)
     atomic_store_explicit(&pool.done, 0, memory_order_relaxed);
     pthread_mutex_lock(&pool.lock);
     pool.seq++;
-    atomic_store_explicit(&pool.claim, (uint64_t)pool.seq << 32 | (uint64_t)j->chunks << 16,
+    atomic_store_explicit(&pool.claim,
+                          (uint64_t)pool.seq << 32 | (uint64_t)threads << 24 | (uint64_t)j->chunks << 16 |
+                              ((1u << j->chunks) - 1),
                           memory_order_release);
     pthread_cond_broadcast(&pool.wake);
     pthread_mutex_unlock(&pool.lock);
@@ -703,23 +733,31 @@ static double join(const double *sum, idx n, int depth, int *u)
     return a + join(sum, n - h, depth - 1, u);
 }
 
+/* Units are pixels: a chunk sums each node whose first term, counted
+ * within its plane, lies in its pixels, so that a planar sum's nodes of
+ * plane 1 run on the thread that runs the same pixels' nodes of plane 0. */
 static void t_sum(Job *j, idx lo, idx hi, int c)
 {
-    for (idx u = lo; u < hi; u++)
-        j->walk(j, j->node[u], j->node[u + 1] - j->node[u], &j->sum[u]);
+    for (int u = 0; u < j->nodes; u++) {
+        idx first = j->node[u] % j->units;
+        if (lo <= first && first < hi)
+            j->walk(j, j->node[u], j->node[u + 1] - j->node[u], &j->sum[u]);
+    }
 }
 
-/* The sum of n terms in numpy's pairwise order, which covers the given
- * number of pixels: walk sums the terms of the tree's nodes NODE_DEPTH
- * levels down, each as a unit of run, and the caller adds the node sums in
+/* The sum of n terms in numpy's pairwise order, which cover the given
+ * number of pixels, once or as two planes: walk sums the terms of the
+ * tree's nodes NODE_DEPTH levels down, each once, on the thread whose
+ * pixels hold the node's first term, and the caller adds the node sums in
  * the tree's order.  Each node's sum is the same on any thread, so the
  * result is bit for bit the whole tree's for any thread count. */
 static double pairwise(Job *j, Walk *walk, idx n, idx pixels)
 {
-    int nodes = split(j->node, 0, n, NODE_DEPTH), u = 0;
-    j->node[nodes] = n;
+    int u = 0;
+    j->nodes = split(j->node, 0, n, NODE_DEPTH);
+    j->node[j->nodes] = n;
     j->walk = walk;
-    run(j, t_sum, nodes, pixels);
+    run(j, t_sum, pixels, pixels);
     return join(j->sum, n, NODE_DEPTH, &u);
 }
 

@@ -78,10 +78,14 @@ thread variables do not set it, and neither does any option.  The worker
 threads start on the first call whose every part would cover at least
 32,768 pixels (on two CPUs a 256 x 256 image splits, a 128 x 128 one does
 not), sleep between calls, and are started afresh in a forked child.
+Each thread takes its own band of rows first, the same band in every
+call, so one core keeps the same rows in its cache from one call to the
+next; a thread that comes late takes what is left of the others' bands.
 Every element is computed as on one thread, so the split changes no
 result.  The sums split too, except the metrics pass's: by the subtrees
-of numpy's pairwise order, whose sums the caller adds in that order, so
-they are also the same for any thread count.
+of numpy's pairwise order, each summed once by the thread whose band
+holds its first pixel, and added by the caller in that order, so they
+are also the same for any thread count.
 """
 
 from __future__ import annotations

@@ -1155,9 +1155,10 @@ print(*(hashlib.sha256(x.tobytes()).hexdigest() for x in xs), dp.regularizer(dp.
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs sched_setaffinity and two CPUs")
 def test_results_do_not_depend_on_the_thread_count():
-    # the split sums add their subtrees in numpy's tree order, and every
-    # other kernel computes each element as on one thread: a child pinned to
-    # one CPU gets the bits of a child on all of them
+    # the split sums sum each subtree once, on whichever thread, and add
+    # them in numpy's tree order, and every other kernel computes each
+    # element as on one thread: a child pinned to one CPU gets the bits of a
+    # child on all of them
     code = """
 import hashlib, os, sys
 if sys.argv[1] == "1":
@@ -1177,10 +1178,19 @@ for shape in ((1, 65535), (256, 256), (1, 65537), (1, 131071), (257, 263), (512,
     sums.append(kernels.ext.primal_step(rng.standard_normal((2,) + shape), rng.standard_normal(n), x, 0.3))
     sums.append(float(np.square(x).sum()))
 sums += [kernels.ext.grad_sumsq(rng.standard_normal(shape)) for shape in ((181, 181), (257, 263), (1, 70001))]
-dp = DenoiseProblem(add_gaussian_noise(synthetic_image(256, 256), 6.15, 3), 5.0, "h1")
-sp = dp.saddle_problem()
-xs = [pdhgm_run(dp, BaselineConfig.default_for(dp, 30)).x, dual_fb_run(dp, 30).x]
-xs += [pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 30, step_rule=r).x for r in ("general", "soc")]
+# H1's dual steps, a planar sum and then a write: at (257, 263) and
+# (1, 70001) a band's bounds cut a subtree of the pairwise tree
+xs = []
+for shape in ((256, 256), (257, 263), (1, 70001)):
+    v, y, p = rng.standard_normal(shape), np.empty((2,) + shape), rng.standard_normal((2,) + shape)
+    sums.append(kernels.ext.h1_dual(v, y, 5.0, 0.1))
+    kernels.ext.project_h1(v, p, 1.0, 0.125)
+    xs += [y, p]
+for shape in ((256, 256), (257, 263), (1, 70001)):
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), 5.0, "h1")
+    sp = dp.saddle_problem()
+    xs += [pdhgm_run(dp, BaselineConfig.default_for(dp, 30)).x, dual_fb_run(dp, 30).x]
+    xs += [pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 30, step_rule=r).x for r in ("general", "soc")]
 # TV dual_fb's sweep, whose chunks leave their first row of x to the caller
 for shape in ((256, 256), (257, 263)):
     res = dual_fb_run(DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), 0.3, "tv"), 30)
