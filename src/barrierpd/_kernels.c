@@ -1,20 +1,22 @@
 /* Compiled per-stage kernels of the four solvers, split across the host's CPUs.
  *
  * A kernel, and each form of one, exists only for a stage that a solver
- * iteration or a logged row runs; a one-off evaluation, such as D or D*
- * alone, runs the numpy code unless it shares such a form, as a dual value
- * shares H1 dual_fb's z - D* p.  Each kernel does, on every element, the
+ * iteration or a logged row runs; a one-off evaluation, such as D, D* or a
+ * dual value's z - D* p alone, runs the numpy code unless it shares such a
+ * form, as the duality gap shares a logged row's.  Each kernel does, on
+ * every element, the
  * operations of the numpy code it replaces in the same order, so its
  * results are bit-identical to that code's.  The build flags keep it so:
  * -ffp-contract=off stops a*b + c from becoming a fused multiply-add, and
  * no -ffast-math.  Of the reductions, tv_dual's minimum is exact in any
  * order, and metric_sums, primal_step, grad_sumsq and h1_dual's norm add
  * their terms in numpy's own pairwise order.  Stages the numpy code makes
- * as passes of their own ride in a neighbouring kernel's pass: in
- * grad_adjoint H1 dual_fb's x = z - D* p and pdhgm's whole primal step, its
- * prox and extrapolation; in project_tv's sweep TV dual_fb's x = z - D* p,
- * written tile by tile behind the projection, which makes a whole dual_fb
- * iteration one call.  pedi's whole primal step is one call,
+ * as passes of their own ride in a neighbouring kernel's pass: the
+ * baselines' primal step, dual_fb's x = z - D* p or pdhgm's prox and
+ * extrapolation, is written right behind their projection, tile by tile in
+ * project_tv's sweep and block of rows by block of rows in project_h1's
+ * write, so that a whole baseline iteration is one call.  pedi's whole
+ * primal step is one call,
  * primal_step, whose leaves of numpy's tree each form x - tau K* y row
  * segment by row segment, take the prox, write x in place and square the
  * new x for the solver's finiteness check.  pedi's whole dual step is one
@@ -23,11 +25,11 @@
  * whose one block needs the norm of all of K x first, h1_dual sums its
  * squares formed on the fly, solves for the block's scalars and then
  * writes y.  Both write y alone, planar like every other field, and store
- * no K x.  The baselines' whole dual step, the projection
- * of the ascent p + s D v, is one call in the same way, writing p in place
- * and storing no ascent: on TV project_tv forms and projects each pixel's
- * ascent in one visit; on H1 project_h1 sums the ascent's squares formed on
- * the fly and then writes it, scaled, with ascend.  A logged row's four sums
+ * no K x.  The baselines' dual step, the projection of the ascent
+ * p + s D v, writes p in place and stores no ascent: on TV project_tv forms
+ * and projects each pixel's ascent in one visit; on H1 project_h1 sums the
+ * ascent's squares formed on the fly and then writes it, scaled, with
+ * ascend.  A logged row's four sums
  * are one call too, metric_sums, which visits each pixel once: on TV one
  * loop per row segment forms all four terms, D* p among them, and D* p is
  * multiplied last by a factor c, 2 for pedi's p = 2 tail(y), so the pass
@@ -42,8 +44,8 @@
  * makes only the divisions its algebra needs: a loop-invariant divisor
  * becomes its reciprocal, taken once per call, and a per-pixel quotient is
  * formed once.  tv_dual and project_tv divide once per pixel; primal_step
- * and grad_adjoint multiply by 1 / (1 + tau).  The numpy references use
- * the same expressions.
+ * and pdhgm's primal step multiply by 1 / (1 + tau).  The numpy references
+ * use the same expressions.
  *
  * The kernels are plain functions of restrict pointers and scalars, which
  * gcc vectorises; the sums' leaves read theirs from a job.  On x86-64 each
@@ -61,8 +63,8 @@
  *
  * Every element is computed independently of the others, so a call splits
  * into contiguous chunks without changing any result.  The one element
- * that reads another chunk's output, x in the first row of a chunk of
- * project_tv's sweep, is made by the caller after the join.  A sum splits
+ * that reads another chunk's output, x in the first row of a chunk of a
+ * baseline's iteration, is made by the caller after the join.  A sum splits
  * by the subtrees of its pairwise tree, each summed once, whose sums the
  * caller adds in the tree's order (see pairwise), so it too is the same for
  * any thread count.  A call whose parts would each cover at least MIN_PART
@@ -74,11 +76,13 @@
  * of its own band of rows first, the same band in every call, and a sum's
  * subtree goes with the rows of its first term, so one core keeps the same
  * rows in its cache through an iteration's calls (see work).  An H1
- * iteration makes three split calls, its dual step's sum and write and then
- * its primal pass, all bound by memory: at 256 x 256 an H1 dual_fb
- * iteration took 102-112 us on 2 CPUs against 149-159 us on one, and
- * 194-209 us against 146-173 us when the first thread to come took each
- * chunk (300-iteration loops, median of 7, three alternations).  The workers
+ * iteration of pedi makes three split calls, its dual step's sum and write
+ * and then its primal step, and one of a baseline two, its sum and then its
+ * write with the primal step behind it, all bound by memory: at 256 x 256
+ * an H1 dual_fb iteration took 102-117 us on 2 CPUs against 136-137 us on
+ * one; as three calls it took 102-112 us against 149-159 us, and 194-209 us
+ * against 146-173 us when the first thread to come took each chunk
+ * (300-iteration loops, median of 7, three alternations).  The workers
  * start on the first call that splits, sleep on a condition variable
  * between calls, and never spin.  A wrapper holds the interpreter lock for
  * its whole call, which is what lets Python threads share the one pool.
@@ -214,47 +218,67 @@ static inline void grad_adjoint_row(const double *restrict g0, const double *res
     ROW(n1, n2, i, j0, j1, o[k - b] = GRAD_ADJOINT(g0, g1, n2, k, up, down, left, right) * c);
 }
 
-/* Rows r0..r1-1 of the baselines' dual ascent a = (grad v) s + p, as
- * imaging._grad makes it with an addend, times f, written over the planes
- * (p0, p1) of p: the write of the H1 projection, f being 1 inside the
- * ball, where the numpy code copies a. */
-KERNEL static void ascend(const double *restrict v, double *restrict p0, double *restrict p1, idx n1,
-                          idx n2, idx r0, idx r1, double s, double f)
+/* Columns j0..j1-1 of row i of the baselines' primal step from the planes
+ * (p0, p1) of the new p, as imaging._grad_adjoint makes it with a minuend:
+ * dual_fb's v = z - D* p; or, with x, pdhgm's prox
+ * xn = ((x - (D* p) t) + z t) r of the point x - (D* p) t, r = 1 / (1 + t),
+ * and its extrapolation v = (xn - x) theta + xn.  Always inlined, like
+ * grad_adjoint_row. */
+__attribute__((always_inline))
+static inline void primal_row(const double *restrict p0, const double *restrict p1, const double *restrict z,
+                              const double *restrict x, double *restrict xn, double *restrict v, idx n1,
+                              idx n2, idx i, idx j0, idx j1, double t, double r, double theta)
 {
-    idx lo = r0 * n2, hi = r1 * n2;
-    STENCIL(v, n1, n2, lo, hi, p0[k] = (g0 * s + p0[k]) * f);
-    STENCIL(v, n1, n2, lo, hi, p1[k] = (g1 * s + p1[k]) * f);
+    const idx b = i * n2 + j0, m = j1 - j0;
+    if (!x) {
+        grad_adjoint_row(p0, p1, v + b, n1, n2, i, j0, j1, 1.0);
+        for (idx q = b; q < b + m; q++)
+            v[q] = z[q] - v[q];
+        return;
+    }
+    double *restrict o = xn + b;
+    grad_adjoint_row(p0, p1, o, n1, n2, i, j0, j1, 1.0);
+    /* the extrapolation in a loop of its own: in the prox's loop, the pass
+     * at 256 x 256 took 1.08-1.12 times as long as that loop with a
+     * division by 1 + t (one CPU, AVX-512); split, 0.95 times on one CPU
+     * and 0.83 on two */
+    for (idx q = 0; q < m; q++)
+        o[q] = ((x[b + q] - o[q] * t) + z[b + q] * t) * r;
+    for (idx q = 0; q < m; q++)
+        v[b + q] = (o[q] - x[b + q]) * theta + o[q];
 }
 
-/* Rows r0..r1-1 of a minuend m minus the adjoint of grad, into out:
- * baselines.dual_fb_run's x = z - D* p.  With z as well, out is instead
- * pdhgm's primal step, the prox ((m - (D* g) t) + z t) r of the point
- * m - (D* g) t, r = 1 / (1 + t), and xb its extrapolation
- * (out - m) theta + out. */
-KERNEL static void grad_adjoint(const double *restrict g0, const double *restrict g1,
-                                const double *restrict m, const double *restrict z,
-                                double *restrict xb, double *restrict out, idx n1, idx n2, idx r0,
-                                idx r1, double t, double theta)
+/* The rows of one block of project_h1's write, which primal_row follows
+ * over the same rows.  Blocks of 4, 8 and 16 rows were within the noise of
+ * one another in the H1 baselines' loops, and 8 read best on one CPU at
+ * 256 x 256 (pdhgm 200 against 210-213 us, dual_fb 136 against 143-145).
+ * A whole band, the primal pass after all of the write, took 1.14-1.21
+ * times as long on one CPU at 256 x 256, 1.20-1.49 times at 512 x 512, and
+ * 1.15 times for pdhgm at 512 x 512 on two (300-iteration loops, best of 3
+ * rounds of a median of 7, 2 CPUs, AVX-512). */
+#define BLOCK 8
+
+/* Rows r0..r1-1 of the write of the baselines' dual step on H1 and of
+ * their primal step behind it, in blocks of BLOCK rows: the ascent
+ * a = (grad v) s + p, as imaging._grad makes it with an addend, times f,
+ * written over the planes (p0, p1) of p, f being 1 inside the ball, where
+ * the numpy code copies a; then the block's rows of primal_row from the new
+ * p over v.  A row of p reads v in its own row and the next, and a row of
+ * v reads p in its own row and the one before, so no v is read after it is
+ * overwritten and D* reads only the new p.  Except in the first chunk,
+ * r0 > 0, row r0's v is left to the caller: its D* reads row r0-1's p, and
+ * the chunk before reads row r0's old v. */
+KERNEL static void ascend(double *restrict v, double *restrict p0, double *restrict p1, const double *restrict z,
+                          const double *restrict x, double *restrict xn, idx n1, idx n2, idx r0, idx r1,
+                          double s, double f, double t, double theta)
 {
     double r = 1.0 / (1.0 + t);
-    for (idx i = r0; i < r1; i++) {
-        double *restrict o = out + i * n2;
-        const double *restrict mi = m + i * n2;
-        grad_adjoint_row(g0, g1, o, n1, n2, i, 0, n2, 1.0);
-        if (z) {
-            const double *restrict zi = z + i * n2;
-            double *restrict bi = xb + i * n2;
-            /* the extrapolation in a loop of its own: in the prox's loop,
-             * the pass at 256 x 256 took 1.08-1.12 times as long as that
-             * loop with a division by 1 + t (one CPU, AVX-512); split, 0.95
-             * times on one CPU and 0.83 on two */
-            for (idx j = 0; j < n2; j++)
-                o[j] = ((mi[j] - o[j] * t) + zi[j] * t) * r;
-            for (idx j = 0; j < n2; j++)
-                bi[j] = (o[j] - mi[j]) * theta + o[j];
-        } else
-            for (idx j = 0; j < n2; j++)
-                o[j] = mi[j] - o[j];
+    for (idx b = r0; b < r1; b += BLOCK) {
+        idx e = r1 - b < BLOCK ? r1 : b + BLOCK;
+        STENCIL(v, n1, n2, b * n2, e * n2, p0[k] = (g0 * s + p0[k]) * f);
+        STENCIL(v, n1, n2, b * n2, e * n2, p1[k] = (g1 * s + p1[k]) * f);
+        for (idx i = b > 0 && b == r0 ? b + 1 : b; i < e; i++)
+            primal_row(p0, p1, z, x, xn, v, n1, n2, i, 0, n2, t, r, theta);
     }
 }
 
@@ -306,26 +330,29 @@ KERNEL static void h1_write(const double *restrict v, double *restrict y0, doubl
  * rows, against 159-177 us for its two calls before. */
 #define TILE 64
 
-/* Rows r0..r1-1 of the baselines' whole dual step on TV, p = P(p + s D v),
- * in one visit per pixel: the ascent a = (grad v) s + p, formed as
- * imaging._grad forms it with an addend, and its projection onto the ball
- * of radius alpha, a alpha / max(||a||, floor) as
- * DenoiseProblem.project_dual makes it, written back over (p0, p1).
- *
- * With z, the rows are swept in tiles of TILE pixels, and after each
- * tile's projection v = z - D* p is written over the same tile, as
- * grad_adjoint makes it: dual_fb's whole iteration.  p at pixel k reads v
- * at k, k+1 and k+n2, and v at k reads p at k-n2, k-1 and k, so no v is
- * read after it is overwritten and D* reads only the new p.  Except in the
- * first chunk, r0 > 0, row r0's v is left to the caller: its D* reads row
- * r0-1's p, and the chunk before reads row r0's old v. */
-KERNEL static void project_tv(double *restrict v, double *restrict p0, double *restrict p1,
-                              const double *restrict z, idx n1, idx n2, idx r0, idx r1,
-                              double alpha, double floor, double s)
+/* Rows r0..r1-1 of the baselines' whole iteration on TV.  Their dual step
+ * p = P(p + s D v) makes one visit per pixel: the ascent a = (grad v) s + p,
+ * formed as imaging._grad forms it with an addend, and its projection onto
+ * the ball of radius alpha, a alpha / max(||a||, floor) as
+ * DenoiseProblem.project_dual makes it, written back over (p0, p1).  The
+ * rows are swept in tiles of TILE pixels, and after each tile's projection
+ * primal_row writes the primal step from the new p over the same tile:
+ * dual_fb's v = z - D* p, or with x pdhgm's prox into xn and its
+ * extrapolation into v.  p at pixel k reads v at k, k+1 and k+n2, and v at
+ * k reads p at k-n2, k-1 and k, so no v is read after it is overwritten and
+ * D* reads only the new p.  Except in the first chunk, r0 > 0, row r0's v is
+ * left to the caller: its D* reads row r0-1's p, and the chunk before reads
+ * row r0's old v.  Always inlined into project_tv. */
+__attribute__((always_inline))
+static inline void sweep_tv(double *restrict v, double *restrict p0, double *restrict p1,
+                            const double *restrict z, const double *restrict x, double *restrict xn, idx n1,
+                            idx n2, idx r0, idx r1, double alpha, double floor, double s, double t,
+                            double theta)
 {
-    idx hi = r1 * n2, tile = z ? TILE : hi - r0 * n2, from = (r0 > 0 ? r0 + 1 : r0) * n2;
-    for (idx lo = r0 * n2; lo < hi; lo += tile) {
-        idx e = hi - lo < tile ? hi : lo + tile;
+    double rt = 1.0 / (1.0 + t);
+    idx hi = r1 * n2, from = (r0 > 0 ? r0 + 1 : r0) * n2;
+    for (idx lo = r0 * n2; lo < hi; lo += TILE) {
+        idx e = hi - lo < TILE ? hi : lo + TILE;
         STENCIL(v, n1, n2, lo, e, {
             double a0 = g0 * s + p0[k], a1 = g1 * s + p1[k], r = sqrt(a0 * a0 + a1 * a1);
             r = r < floor ? floor : r;
@@ -333,16 +360,26 @@ KERNEL static void project_tv(double *restrict v, double *restrict p0, double *r
             p0[k] = a0 * r;
             p1[k] = a1 * r;
         });
-        if (!z)
-            continue;
         for (idx k = lo > from ? lo : from; k < e;) {
             idx i = k / n2, j0 = k % n2, j1 = j0 + (e - k) < n2 ? j0 + (e - k) : n2;
-            grad_adjoint_row(p0, p1, v + k, n1, n2, i, j0, j1, 1.0);
-            for (idx q = k; q < k + (j1 - j0); q++)
-                v[q] = z[q] - v[q];
+            primal_row(p0, p1, z, x, xn, v, n1, n2, i, j0, j1, t, rt, theta);
             k += j1 - j0;
         }
     }
+}
+
+/* sweep_tv in a copy per primal step, so that dual_fb's runs its own loops
+ * alone: as one copy for both, dual_fb's sweep took 1.03-1.10 times its
+ * time before pdhgm's step joined it (one CPU, 64 x 64 to 512 x 512). */
+KERNEL static void project_tv(double *restrict v, double *restrict p0, double *restrict p1,
+                              const double *restrict z, const double *restrict x, double *restrict xn, idx n1,
+                              idx n2, idx r0, idx r1, double alpha, double floor, double s, double t,
+                              double theta)
+{
+    if (x)
+        sweep_tv(v, p0, p1, z, x, xn, n1, n2, r0, r1, alpha, floor, s, t, theta);
+    else
+        sweep_tv(v, p0, p1, z, NULL, NULL, n1, n2, r0, r1, alpha, floor, s, 0.0, 0.0);
 }
 
 /* ----- the worker pool --------------------------------------------------- */
@@ -380,7 +417,7 @@ typedef void Task(Job *j, idx lo, idx hi, int c);
 typedef void Walk(const Job *j, idx lo, idx n, double *s);
 struct Job {
     double *a[5];
-    double s[3];
+    double s[5];
     idx n1, n2;
     Task *task;
     idx units;
@@ -763,16 +800,12 @@ static double pairwise(Job *j, Walk *walk, idx n, idx pixels)
 
 /* ----- tasks ------------------------------------------------------------- */
 
-/* Units are rows. */
+/* Units are rows.  The arrays are (v, p, z, x, xn), as unpack_iteration
+ * lays them out; t_ascend's scalars are (alpha, s, t, theta, f). */
 static void t_ascend(Job *j, idx lo, idx hi, int c)
 {
-    ascend(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->n1, j->n2, lo, hi, j->s[1], j->s[2]);
-}
-
-static void t_grad_adjoint(Job *j, idx lo, idx hi, int c)
-{
-    grad_adjoint(j->a[0], j->a[0] + j->n1 * j->n2, j->a[2], j->a[3], j->a[4], j->a[1], j->n1, j->n2, lo,
-                 hi, j->s[0], j->s[1]);
+    ascend(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->a[2], j->a[3], j->a[4], j->n1, j->n2, lo, hi, j->s[1],
+           j->s[4], j->s[2], j->s[3]);
 }
 
 static void t_tv_dual(Job *j, idx lo, idx hi, int c)
@@ -788,8 +821,8 @@ static void t_h1_write(Job *j, idx lo, idx hi, int c)
 
 static void t_project_tv(Job *j, idx lo, idx hi, int c)
 {
-    project_tv(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->a[2], j->n1, j->n2, lo, hi, j->s[0],
-               j->s[1], j->s[2]);
+    project_tv(j->a[0], j->a[1], j->a[1] + j->n1 * j->n2, j->a[2], j->a[3], j->a[4], j->n1, j->n2, lo, hi,
+               j->s[0], j->s[1], j->s[2], j->s[3], j->s[4]);
 }
 
 /* ----- wrappers ---------------------------------------------------------- */
@@ -883,26 +916,32 @@ static PyObject *finish(Bufs *bs)
 #define WRAPPER(name) \
     static PyObject *w_##name(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 
-/* grad_adjoint(g, out, m) or grad_adjoint(g, out, m, z, xb, t, theta): g a
- * (2, n1, n2) array, out, the minuend m, z and xb (n1, n2) images or their
- * flattenings; out = m - D* g, or with z and xb pdhgm's primal step,
- * out = ((m - (D* g) t) + z t) (1 / (1 + t)) and
- * xb = (out - m) theta + out. */
-WRAPPER(grad_adjoint)
+/* Unpacks the arrays of a baselines' iteration, (v, p, z) or with pdhgm's
+ * prox (v, p, z, x, xn), and then ns scalars, or ns + 2 with the prox, the
+ * last two (t, theta); dual_fb's form gets x = xn = NULL and t = theta = 0.
+ * v, z, x and xn are images on the field p.  1 on success, else 0 with
+ * ValueError or TypeError. */
+static int unpack_iteration(Bufs *bs, Job *j, PyObject *const *args, Py_ssize_t nargs, int ns)
 {
-    Bufs bs = {.n = 0};
-    Job j;
-    j.a[3] = j.a[4] = NULL;
-    j.s[0] = j.s[1] = 0.0;
-    int pdhgm = nargs == 7;
-    if (unpack(&bs, &j, args, nargs, pdhgm ? "rwrrw" : "rwr", pdhgm ? 2 : 0)) {
-        int ok = 1;
-        for (int i = 1; i < bs.n && ok; i++)
-            ok = image_and_field(&bs, i, 0, &j);
-        if (ok)
-            run(&j, t_grad_adjoint, j.n1, j.n1 * j.n2);
-    }
-    return finish(&bs);
+    int prox = nargs == 5 + ns + 2;
+    j->a[3] = j->a[4] = NULL;
+    j->s[ns] = j->s[ns + 1] = 0.0;
+    if (!unpack(bs, j, args, nargs, prox ? "wwrrw" : "wwr", prox ? ns + 2 : ns))
+        return 0;
+    for (int i = 0; i < bs->n; i++)
+        if (i != 1 && !image_and_field(bs, i, 1, j))
+            return 0;
+    return 1;
+}
+
+/* The first row of each chunk after the first, which the sweep left to the
+ * caller, from the p of all chunks. */
+KERNEL static void first_rows(const Job *j, double t, double theta)
+{
+    idx n = j->n1 * j->n2;
+    for (int c = 1; c < j->chunks; c++)
+        primal_row(j->a[1], j->a[1] + n, j->a[2], j->a[3], j->a[4], j->a[0], j->n1, j->n2,
+                   j->n1 * c / j->chunks, 0, j->n2, t, 1.0 / (1.0 + t), theta);
 }
 
 /* tv_dual(v, y, b0, mu) -> the least squared norm of K x's tails, NaN if
@@ -930,48 +969,42 @@ WRAPPER(tv_dual)
     return PyErr_Occurred() ? NULL : PyFloat_FromDouble(m);
 }
 
-/* project_tv(v, p, alpha, floor, s), the baselines' dual step on TV,
- * which projects p + s D v into p itself: v an (n1, n2) image, p a
- * (2, n1, n2) field.  project_tv(v, p, z, alpha, floor, s), with z an
- * image too, is dual_fb's whole iteration: it also writes v = z - D* p
- * of the new p over v, in the same sweep. */
+/* project_tv(v, p, z, alpha, floor, s), dual_fb's whole iteration on TV:
+ * v an (n1, n2) image or its flattening, p a (2, n1, n2) field and z an
+ * image.  It projects p + s D v into p itself and writes v = z - D* p of
+ * the new p over v, in one sweep.  project_tv(v, p, z, x, xn, alpha, floor,
+ * s, t, theta), with images x and xn, is pdhgm's: the sweep writes instead
+ * the prox xn = ((x - (D* p) t) + z t) (1 / (1 + t)) and its extrapolation
+ * v = (xn - x) theta + xn over v, the ascent's source. */
 WRAPPER(project_tv)
 {
     Bufs bs = {.n = 0};
     Job j;
-    int recover = nargs == 6;
-    j.a[2] = NULL;
-    if (unpack(&bs, &j, args, nargs, recover ? "wwr" : "rw", 3) && image_and_field(&bs, 0, 1, &j) &&
-        (!recover || image_and_field(&bs, 2, 1, &j))) {
-        idx n = j.n1 * j.n2;
-        run(&j, t_project_tv, j.n1, n);
-        /* the first row of each chunk after the first, which its sweep
-         * left, from the p of all chunks */
-        for (int c = 1; recover && c < j.chunks; c++) {
-            idx r = j.n1 * c / j.chunks;
-            grad_adjoint(j.a[1], j.a[1] + n, j.a[2], NULL, NULL, j.a[0], j.n1, j.n2, r, r + 1, 0.0, 0.0);
-        }
+    if (unpack_iteration(&bs, &j, args, nargs, 3)) {
+        run(&j, t_project_tv, j.n1, j.n1 * j.n2);
+        first_rows(&j, j.s[3], j.s[4]);
     }
     return finish(&bs);
 }
 
-/* project_h1(v, p, alpha, s), the baselines' dual step on H1, which
- * projects a = p + s D v onto the ball of radius alpha into p itself: v an
- * (n1, n2) image, p a (2, n1, n2) field.  It sums the squares of a formed
- * on the fly, as np.square(a).sum() adds them, and then writes a times
- * alpha / ||a||, or a itself when ||a|| <= alpha, as
- * DenoiseProblem.project_dual does. */
+/* project_h1(v, p, z, alpha, s) and project_h1(v, p, z, x, xn, alpha, s,
+ * t, theta), the same iterations on H1, which project a = p + s D v onto
+ * the ball of radius alpha.  It sums the squares of a formed on the fly, as
+ * np.square(a).sum() adds them, and then writes a times alpha / ||a||, or a
+ * itself when ||a|| <= alpha, as DenoiseProblem.project_dual does, with
+ * the primal step of project_tv's form right behind it. */
 WRAPPER(project_h1)
 {
     Bufs bs = {.n = 0};
     Job j;
-    if (unpack(&bs, &j, args, nargs, "rw", 2) && image_and_field(&bs, 0, 1, &j)) {
+    if (unpack_iteration(&bs, &j, args, nargs, 2)) {
         idx n = j.n1 * j.n2;
         /* add.reduce starts from its identity, 0 */
         double r = sqrt(0.0 + pairwise(&j, walk_ascent_sumsq, 2 * n, n)), alpha = j.s[0];
         /* the factor t_ascend reads */
-        j.s[2] = r <= alpha ? 1.0 : alpha / r;
+        j.s[4] = r <= alpha ? 1.0 : alpha / r;
         run(&j, t_ascend, j.n1, n);
+        first_rows(&j, j.s[2], j.s[3]);
     }
     return finish(&bs);
 }
@@ -1078,14 +1111,12 @@ WRAPPER(metric_sums)
 }
 
 static PyMethodDef methods[] = {
-    {"grad_adjoint", (PyCFunction)(void (*)(void))w_grad_adjoint, METH_FASTCALL,
-     "grad_adjoint(g, out, m) or grad_adjoint(g, out, m, z, xb, t, theta)"},
     {"tv_dual", (PyCFunction)(void (*)(void))w_tv_dual, METH_FASTCALL,
      "tv_dual(v, y, b0, mu) -> min"},
     {"project_tv", (PyCFunction)(void (*)(void))w_project_tv, METH_FASTCALL,
-     "project_tv(v, p, alpha, floor, s) or project_tv(v, p, z, alpha, floor, s)"},
+     "project_tv(v, p, z, alpha, floor, s) or project_tv(v, p, z, x, xn, alpha, floor, s, t, theta)"},
     {"project_h1", (PyCFunction)(void (*)(void))w_project_h1, METH_FASTCALL,
-     "project_h1(v, p, alpha, s)"},
+     "project_h1(v, p, z, alpha, s) or project_h1(v, p, z, x, xn, alpha, s, t, theta)"},
     {"h1_dual", (PyCFunction)(void (*)(void))w_h1_dual, METH_FASTCALL,
      "h1_dual(v, y, b0, mu) -> t"},
     {"primal_step", (PyCFunction)(void (*)(void))w_primal_step, METH_FASTCALL,

@@ -7,20 +7,18 @@ and serve as references in the benchmark harness.  Like the interior method
 they keep the dual field in a planar (2, n1, n2) buffer, the layout their
 callbacks and results hand out, and the primal iterates in vectors
 allocated once, all updated in place through the same gradient code
-(_grad_adjoint and DenoiseProblem.project_dual).  Those run
-compiled (barrierpd.kernels) whenever pedi's stages do, so timings compare
-the algorithms, not their implementations.  An iteration is two stages.
-The dual step p = P(p + s D v) is one project_dual call with ascent=,
-which on TV projects each pixel's ascent as it forms it, in place, and on
-H1 sums the ascent's squares on the fly before writing its projection
-over p: no ascent field is stored.  D*'s pass then makes pdhgm's whole
-primal step, the prox of G and the extrapolation (_grad_adjoint's
-minuend=, z=, x_bar= and theta=).  dual_fb's primal step, x = z - D* p,
-is asked of the same project_dual call (recover=): on TV it rides in the
-projection's sweep, tile by tile, so the whole iteration is one kernel
-call, and on H1 it is D*'s pass after the projection.  Each run makes the
-views its loop passes once, so an iteration costs its kernel calls and
-little more.
+(DenoiseProblem.project_dual).  It runs compiled (barrierpd.kernels)
+whenever pedi's stages do, so timings compare the algorithms, not their
+implementations.  An iteration is two stages, both asked of one
+project_dual call.  The dual step p = P(p + s D v) is its ascent=, which
+on TV projects each pixel's ascent as it forms it, in place, and on H1
+sums the ascent's squares on the fly before writing its projection over
+p: no ascent field is stored.  The primal step rides right behind the
+projection, tile by tile on TV and block of rows by block of rows on H1:
+dual_fb's x = z - D* p (recover=z), or pdhgm's prox of G at x - tau D* p
+and its extrapolation (recover=z and prox=).  So every baseline iteration
+is one kernel call.  Each run makes the views its loop passes once, so an
+iteration costs its kernel call and little more.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .imaging import DenoiseProblem, _grad_adjoint
-# unused here; kept as a module attribute for perfbench's layer trace
-from .imaging import _grad  # noqa: F401
+from .imaging import DenoiseProblem
+# unused here; kept as module attributes for perfbench's layer trace
+from .imaging import _grad, _grad_adjoint  # noqa: F401
 from .pedi import ConfigError, _readonly, _stop_reason
 
 __all__ = [
@@ -111,10 +109,14 @@ def pdhgm_run(
 ) -> BaselineResult:
     """Accelerated primal-dual hybrid gradient (modified) iteration.
 
-    Dual ascent with ball projection, primal prox of G, then extrapolation;
-    the gamma-acceleration schedule is theta_i = 1/sqrt(1 + 2 gamma tau_i),
+    Dual ascent with ball projection, primal prox of G, then extrapolation,
+    all in one project_dual call (recover= and prox=); the
+    gamma-acceleration schedule is theta_i = 1/sqrt(1 + 2 gamma tau_i),
     tau_{i+1} = theta_i tau_i, sigma_{i+1} = sigma_i / theta_i, which keeps
-    the product sigma_i tau_i invariant.
+    the product sigma_i tau_i invariant.  config.opnorm must bound the
+    problem's ||D||, opnorm_D, from above, or ConfigError is raised before
+    the first iteration: the step test tau0 sigma0 opnorm^2 <= 1 proves
+    nothing with an estimate from below.
 
     The callback, if given, is invoked as callback(i, x, p, info) after each
     iteration, with p the planar (2, n1, n2) dual field; x and p are
@@ -123,6 +125,8 @@ def pdhgm_run(
     or a str, the reason to end the run after this iteration, as for
     pedi_run.
     """
+    if config.opnorm < problem.opnorm_D:
+        raise ConfigError(f"config opnorm = {config.opnorm!r} is below the problem's ||D|| = {problem.opnorm_D!r}")
     n1, n2 = problem.shape
     zf = problem.z.flat()
     z = zf.reshape(n1, n2)
@@ -136,10 +140,10 @@ def pdhgm_run(
     stop_reason = "max_iters"
 
     for i in range(config.max_iters):
-        problem.project_dual(p, out=p, ascent=(x_bar, sigma))
         theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
-        # the prox at x - tau D* p and the extrapolation x_bar, in D*'s pass
-        _grad_adjoint(p, out=nxt[0], minuend=cur[0], step=tau, z=z, x_bar=x_bar, theta=theta)
+        # p = P(p + sigma D x_bar), then the prox at x - tau D* p into the
+        # next x and the extrapolation over x_bar: one call
+        problem.project_dual(p, out=p, ascent=(x_bar, sigma), recover=z, prox=(cur[0], nxt[0], tau, theta))
         cur, nxt = nxt, cur
         tau, sigma = theta * tau, sigma / theta
         if callback is not None:
@@ -163,9 +167,10 @@ def dual_fb_run(
     step followed by ball projection.  The primal is recovered through the
     optimality relation x = z - D* p, once per iteration, by the
     projection's own call (project_dual's recover=): it is both the
-    iterate reported for p and the point of the next gradient step.  On TV
-    the call is one sweep that writes x tile by tile right behind the
-    projection; on H1, and on the numpy path, D*'s pass follows it.
+    iterate reported for p and the point of the next gradient step.  The
+    kernel writes x right behind the projection, tile by tile on TV and
+    block of rows by block of rows on H1; on the numpy path D*'s pass
+    follows it.
 
     The callback, if given, is invoked as callback(i, x, p, info) after each
     iteration, with p the planar (2, n1, n2) dual field; x and p are

@@ -23,17 +23,17 @@ Conventions fixed here and relied on by every solver:
   C-contiguous float64 buffers, split across threads on large images and
   bit-identical to the numpy code, which runs on the numpy path, for any
   array a kernel rejects and for every one-off evaluation that shares no
-  loop's kernel (D alone, D* alone, a projection into another out).  D*'s
-  kernel makes H1 dual_fb's z - D* p, which dual_value shares, and pdhgm's
-  prox and extrapolation.  The lifted K*'s kernel call makes pedi's whole
+  loop's kernel (D alone, D* alone, dual_value's z - D* p, a projection
+  into another out).  The lifted K*'s kernel call makes pedi's whole
   primal step, x - tau K* y, its prox and ||x||^2 (apply_K_adjoint's
-  step=), storing nothing but the new x.  The baselines' whole dual step,
-  the projection of the ascent p + s D v (project_dual's ascent= in
-  place), is one kernel call that stores no ascent: on TV one pass, on H1
-  a sum of the ascent's squares formed on the fly before the pass that
-  writes p.  On TV that pass also makes dual_fb's x = z - D* p
-  (project_dual's recover=), tile by tile behind the projection, so a
-  dual_fb iteration is one call.  The lifted K's kernel call makes pedi's
+  step=), storing nothing but the new x.  A baseline's whole iteration is
+  one kernel call that stores no ascent: the projection of the ascent
+  p + s D v (project_dual's ascent= in place) and, right behind it, the
+  primal step, dual_fb's x = z - D* p (recover=) or pdhgm's prox and
+  extrapolation (prox= as well).  On TV that is one sweep, the primal step
+  written tile by tile behind the projection; on H1 a sum of the ascent's
+  squares formed on the fly before the pass that writes p, each block of
+  rows followed by its primal step.  The lifted K's kernel call makes pedi's
   dual solve and the soc rule's minimum of the tail norms (apply_K's
   step=): on TV in the same pass, on H1 by summing the squares of K x
   formed on the fly before a pass that writes y.  So no loop stores D v or
@@ -168,29 +168,19 @@ def _grad_adjoint(
     field, whatever its boundary columns hold.  The product with scale comes
     last; with an (n1, n2) minuend m, which must not overlap out, out is
     then m minus that product times step: pedi's x - tau K* y (the
-    reference of its fused primal step), and dual_fb's x = z - D* p (the
-    reference of TV's sweep, project_dual's recover=) and dual_value's
-    z - D* p.  With z and x_bar as well, out is then pdhgm's primal step,
-    the prox ((m - step D* p) + z step) r of that point, with
-    r = 1 / (1 + step) taken once, and x_bar its extrapolation
-    (out - m) theta + out; x_bar may overlap no other argument.  out, the
-    minuend, z and x_bar may also be flat, the row-major flattening of an
-    (n1, n2) array.  The compiled kernel runs the two forms the baselines'
-    loops take, in D*'s pass: m - D* p (scale and step 1, H1 dual_fb's) and
-    pdhgm's step (scale 1).  Every other form is numpy code only.
+    reference of its fused primal step), dual_fb's x = z - D* p (the
+    reference of project_dual's recover=) and dual_value's z - D* p.  With
+    z and x_bar as well, out is then pdhgm's primal step, the prox
+    ((m - step D* p) + z step) r of that point, with r = 1 / (1 + step)
+    taken once, and x_bar its extrapolation (out - m) theta + out (the
+    reference of project_dual's prox=); x_bar may overlap no other
+    argument.  out, the minuend, z and x_bar may also be flat, the
+    row-major flattening of an (n1, n2) array.  It is numpy code only: the
+    loops' kernels form D* on the fly, the baselines' behind their
+    projection.
     """
     if out is None:
         out = np.empty(planes.shape[1:])
-    if kernels.PATH == "c" and minuend is not None and scale == 1.0:
-        try:
-            if z is not None:
-                kernels.ext.grad_adjoint(planes, out, minuend, z, x_bar, step, theta)
-                return out
-            if step == 1.0:
-                kernels.ext.grad_adjoint(planes, out, minuend)
-                return out
-        except ValueError:
-            pass
     g0, g1 = planes[0], planes[1]
     flat = out
     out = out.reshape(g0.shape) if out.ndim == 1 else out
@@ -335,9 +325,9 @@ class DenoiseProblem:
         """Dual objective (1/2)||z||^2 - (1/2)||z - D* q||^2 at q = scale p, p a planar (2, n1, n2) field.
 
         (1/2)||z||^2 is the cached half_z2, and z - D* q is _grad_adjoint's
-        minuend form, the one H1 dual_fb's loop takes, with the product with
-        scale formed last, as (D* p) scale: metrics reads pedi's
-        q = 2 tail(y) from the tails with scale 2.
+        minuend form, dual_fb's reference, with the product with scale formed
+        last, as (D* p) scale: metrics reads pedi's q = 2 tail(y) from the
+        tails with scale 2.
         """
         p = np.asarray(p, dtype=float)
         _check_field(p, self.shape)
@@ -370,23 +360,29 @@ class DenoiseProblem:
         out: Optional[np.ndarray] = None,
         ascent: Optional[tuple] = None,
         recover: Optional[np.ndarray] = None,
+        prox: Optional[tuple] = None,
     ) -> np.ndarray:
         """Project a planar (2, n1, n2) field p onto the dual constraint ||p|| <= alpha.
 
         Per-pixel for TV, globally for H1.  Writes into out, a field of the
         same shape that may be p itself, if given.  With ascent = (v, s), v
         an (n1, n2) image and s a step, it projects the ascent p + s D v
-        instead, formed as (D v) s + p from _grad(v): the baselines' whole
-        dual step.  With an ascent and recover = z, an (n1, n2) image, it
-        then writes the primal v = z - D* out over v, as
+        instead, formed as (D v) s + p from _grad(v): the baselines' dual
+        step.  With an ascent and recover = z, an (n1, n2) image, it then
+        writes the primal v = z - D* out over v, as
         _grad_adjoint(out, out=v, minuend=z) makes it: dual_fb's whole
-        iteration.  Only the step in place, out=p, calls a kernel, which
-        stores no ascent: on TV one sweep, which with recover= also writes
-        v tile by tile behind the projection; on H1 a sum of the ascent's
-        squares formed on the fly followed by the write, and then recover='s
-        _grad_adjoint.  Every other call, and the numpy path, take the numpy
-        reference: the ascent in a field of its own, its projection, then
-        recover='s _grad_adjoint.
+        iteration.  With prox = (x, x_next, tau, theta) as well, x and
+        x_next images, it writes pdhgm's primal step instead, as
+        _grad_adjoint(out, out=x_next, minuend=x, step=tau, z=z, x_bar=v,
+        theta=theta) makes it: the prox at x - tau D* out into x_next and
+        its extrapolation over v, pdhgm's whole iteration.  Only an
+        iteration in place, out=p with recover=, calls a kernel, which
+        stores no ascent and writes the primal step right behind the
+        projection: on TV one sweep, tile by tile; on H1 a sum of the
+        ascent's squares formed on the fly followed by the write, block of
+        rows by block of rows.  Every other call, and the numpy path, take
+        the numpy reference: the ascent in a field of its own, its
+        projection, then recover='s _grad_adjoint.
         """
         in_place = out is p
         p = np.asarray(p, dtype=float)
@@ -397,33 +393,39 @@ class DenoiseProblem:
             _check_field(out, self.z.values.shape)
         if recover is not None and ascent is None:
             raise ValueError("recover= needs an ascent= to write the primal into")
+        if prox is not None and recover is None:
+            raise ValueError("prox= needs recover=, the z of its prox")
         # flooring the norm at alpha caps alpha/norm at 1 without a second
         # pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
         floor = max(self.alpha, 1e-300)
-        compiled = False
         if ascent is not None:
             v, s = ascent
-            if in_place and kernels.PATH == "c":
+            if recover is not None and in_place and kernels.PATH == "c":
+                # the primal step rides behind the projection
                 try:
-                    if self.variant == "h1":
-                        kernels.ext.project_h1(v, out, self.alpha, s)
-                    elif recover is None:
-                        kernels.ext.project_tv(v, out, self.alpha, floor, s)
+                    if prox is None:
+                        if self.variant == "tv":
+                            kernels.ext.project_tv(v, out, recover, self.alpha, floor, s)
+                        else:
+                            kernels.ext.project_h1(v, out, recover, self.alpha, s)
                     else:
-                        # v = z - D* out rides in the projection's sweep
-                        kernels.ext.project_tv(v, out, recover, self.alpha, floor, s)
-                        return out
-                    compiled = True
+                        x, x_next, tau, theta = prox
+                        if self.variant == "tv":
+                            kernels.ext.project_tv(v, out, recover, x, x_next, self.alpha, floor, s, tau, theta)
+                        else:
+                            kernels.ext.project_h1(v, out, recover, x, x_next, self.alpha, s, tau, theta)
+                    return out
                 except ValueError:
                     pass
-        if not compiled:
-            if ascent is not None:
-                g = _grad(v)
-                g *= s
-                g += p
-                p = g
-            self._project(p, out, floor)
-        if recover is not None:
+            g = _grad(v)
+            g *= s
+            g += p
+            p = g
+        self._project(p, out, floor)
+        if prox is not None:
+            x, x_next, tau, theta = prox
+            _grad_adjoint(out, out=x_next, minuend=x, step=tau, z=recover, x_bar=v, theta=theta)
+        elif recover is not None:
             _grad_adjoint(out, out=v, minuend=recover)
         return out
 

@@ -16,21 +16,18 @@ otherwise "numpy (<reason>)", the reason being a missing compiler, the
 compiler's error text or a cache directory that is not writable.  No option
 selects the path.  A kernel form exists only for a stage that a solver
 iteration or a logged row runs, and a one-off evaluation (D alone, D*
-alone, a projection into another out) runs the numpy reference unless it
-shares such a form, as dual_value shares H1 dual_fb's z - D* p.  Every
-function that calls a kernel keeps the numpy code it replaces, which runs
-on the numpy path and for arrays a kernel rejects (non-contiguous, not
-float64, overlapping), and which the tests use as the reference: both
-compute every element with the same operations in the same order, so their
-results are bit-identical.  Every gradient field or cone tail a kernel
-takes is stored planar, all of plane 0 (the axis-0 differences) before
-plane 1, the one layout of the package's dual fields.  The eight kernels,
-ten forms in all, each make one stage whole, folding neighbouring
-elementwise passes into their own:
+alone, dual_value's z - D* p, a projection into another out) runs the
+numpy reference unless it shares such a form, as duality_gap shares a
+logged row's metric_sums.  Every function that calls a kernel keeps the
+numpy code it replaces, which runs on the numpy path and for arrays a
+kernel rejects (non-contiguous, not float64, overlapping), and which the
+tests use as the reference: both compute every element with the same
+operations in the same order, so their results are bit-identical.  Every
+gradient field or cone tail a kernel takes is stored planar, all of plane
+0 (the axis-0 differences) before plane 1, the one layout of the package's
+dual fields.  The seven kernels, nine forms in all, each make one stage
+whole, folding neighbouring elementwise passes into their own:
 
-* grad_adjoint(g, out, m) makes H1 dual_fb's x = z - D* p, which
-  dual_value shares, and grad_adjoint(g, out, m, z, xb, t, theta) pdhgm's
-  whole primal step, its prox and extrapolation, in D*'s pass;
 * primal_step makes pedi's whole primal step, which the numpy code
   composes from the lifted K*, as x - (K* y) tau, then prox_G and _sumsq's
   ||x||^2;
@@ -40,15 +37,18 @@ elementwise passes into their own:
   K x in registers; h1_dual forms it twice, once for its one block's norm
   and once to write y.  Both take y as a planar field, write it alone and
   store no K x;
-* project_tv(v, p, alpha, floor, s) (TV) and project_h1(v, p, alpha, s)
-  (H1) make the baselines' dual step, DenoiseProblem.project_dual with an
-  ascent in place, which the numpy code runs as _grad, (D v) s + p and
-  then the projection: project_tv in one pass, project_h1 as a
-  sum of the ascent's squares formed on the fly followed by its write.
-  project_tv(v, p, z, alpha, floor, s) makes TV dual_fb's whole
-  iteration, project_dual with recover=z as well, whose numpy code then
-  runs _grad_adjoint's v = z - D* p: one sweep that writes each tile's v
-  right behind its projection;
+* project_tv (TV) and project_h1 (H1) make a baseline's whole iteration,
+  DenoiseProblem.project_dual with an ascent and recover=z in place, which
+  the numpy code runs as _grad, (D v) s + p, the projection and then
+  _grad_adjoint's primal step.  project_tv(v, p, z, alpha, floor, s) and
+  project_h1(v, p, z, alpha, s) make dual_fb's, whose primal step is
+  v = z - D* p; project_tv(v, p, z, x, xn, alpha, floor, s, t, theta) and
+  project_h1(v, p, z, x, xn, alpha, s, t, theta) make pdhgm's, with
+  prox=(x, xn, t, theta) as well, whose primal step is the prox at
+  x - t D* p into xn and its extrapolation over v.  project_tv is one sweep
+  that writes each tile's primal step right behind its projection;
+  project_h1 sums the ascent's squares formed on the fly and then writes
+  the projection, each block of rows followed by its primal step;
 * grad_sumsq makes H1's regularizer, and metric_sums(x, z, xhat, p, tv, c)
   a logged row's four sums (imaging.metrics) in one visit per pixel, D* p
   times the factor c formed in the same loop as the other terms on TV: c
@@ -60,7 +60,7 @@ The kernels are bound by the divider, so each makes only the divisions
 its algebra needs, and the numpy code it replaces uses the same
 expressions: tv_dual and h1_dual form e = sqrt(t b0^2 + mu^2) + mu and the
 tail factor (b0^2/2) / e, one division per block; primal_step and pdhgm's
-grad_adjoint multiply by 1 / (1 + tau), taken once per call; project_tv
+primal step multiply by 1 / (1 + tau), taken once per call; project_tv
 divides once per pixel.
 
 tv_dual's minimum is exact in any order, and the kernels that sum --

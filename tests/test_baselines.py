@@ -37,6 +37,22 @@ def test_step_condition_uses_the_exact_bound():
         BaselineConfig(tau0=1.0 / est, sigma0=1.0 / est, gamma=0.9, max_iters=10, opnorm=dp.opnorm_D)
 
 
+def test_pdhgm_refuses_an_opnorm_below_the_problems():
+    # the same estimate from below passes BaselineConfig's step test against
+    # itself; the run must refuse it before its first iteration, as
+    # pedi.check_config refuses such an opnorm_K
+    dp = make_problem(n=64)
+    est = power_iteration_opnorm_D(64, 64)
+    cfg = BaselineConfig(tau0=1.0 / est, sigma0=1.0 / est, gamma=0.9, max_iters=10, opnorm=est)
+    calls = []
+    with pytest.raises(ConfigError, match="below"):
+        pdhgm_run(dp, cfg, callback=lambda *a: calls.append(a))
+    assert calls == []
+    # an upper bound above the problem's passes
+    cfg = BaselineConfig(tau0=0.1, sigma0=0.1, gamma=0.9, max_iters=2, opnorm=2.0 * dp.opnorm_D)
+    assert pdhgm_run(dp, cfg).n_iters == 2
+
+
 @pytest.mark.parametrize("bad", [
     {"tau0": np.nan}, {"tau0": np.inf}, {"sigma0": np.nan}, {"sigma0": np.inf}, {"gamma": np.nan},
     {"gamma": np.inf}, {"opnorm": np.nan}, {"opnorm": np.inf}, {"opnorm": 1e200}, {"opnorm": -1.0},

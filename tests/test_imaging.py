@@ -422,7 +422,11 @@ def test_project_dual(rng):
     q = np.full((2, 5, 5), 7.0)
     with pytest.raises(ValueError, match="ascent"):
         dp.project_dual(q, out=q, recover=dp.z.values)
-    assert np.all(q == 7.0)
+    # and pdhgm's prox takes its z from recover=
+    x, x_next = dp.z.values.copy(), np.full((5, 5), 7.0)
+    with pytest.raises(ValueError, match="recover"):
+        dp.project_dual(q, out=q, ascent=(x, 0.5), prox=(dp.z.values, x_next, 0.3, 0.8))
+    assert np.all(q == 7.0) and np.all(x == dp.z.values) and np.all(x_next == 7.0)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 1e-5, 1e3, 1e-305])

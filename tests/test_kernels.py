@@ -132,8 +132,9 @@ def test_duality_gap_is_one_metrics_visit(monkeypatch, variant, alpha):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_gradient_pair(monkeypatch, rng, shape):
     # D*'s minuend form, dual_fb's x = z - D* p, with (n1, n2) and flat
-    # arrays; then dual_value's z - D* p and the duality gap, which take
-    # that form too, on special values in p and x
+    # arrays; then dual_value's z - D* p and the duality gap, on special
+    # values in p and x.  The minuend form is numpy code on both paths: the
+    # loops run it inside the projection's call
     n = shape[0] * shape[1]
     planes, m = special(rng, (2,) + shape), special(rng, shape)
     with np.errstate(all="ignore"):
@@ -157,22 +158,26 @@ def test_gradient_pair(monkeypatch, rng, shape):
             c, ref = on_both_paths(monkeypatch, dp.duality_gap, x, p)
             assert_identical(c[-1:], ref[-1:])
     monkeypatch.setattr(kernels, "ext", rec.ext)
-    # on the compiled path every dual value's D* and H1's regularizer ran
-    # compiled, and every gap was one metrics visit
-    assert rec.rejected == [] and rec.calls == {"grad_adjoint": 4, "metric_sums": 4, "grad_sumsq": 2}
+    # on the compiled path H1's regularizer ran compiled, and every gap was
+    # one metrics visit
+    assert rec.rejected == [] and rec.calls == {"metric_sums": 4, "grad_sumsq": 2}
 
 
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_folds_into_the_gradient_pair(monkeypatch, rng, shape):
-    # pdhgm's prox and extrapolation in D*'s pass, on special values in
-    # every argument, at steps that include 1, whose product the numpy code
-    # skips, and inf
-    planes, m, z = special(rng, (2,) + shape), special(rng, shape), special(rng, shape)
-    for s in (0.3, 1.0, 1e-300, 7.0, np.inf):
-        stage = lambda g, out, m, z, xb: _grad_adjoint(g, out, minuend=m, step=s, z=z, x_bar=xb, theta=0.8)  # noqa: E731
-        c, ref = on_both_paths(monkeypatch, stage, planes, np.empty(shape), m, z, np.full(shape, 7.0))
-        assert_identical(c, ref)
+    # pdhgm's prox and extrapolation behind the projection, in its call, on
+    # special values in every argument, at steps that include 1, whose
+    # product the numpy code skips, and inf
+    planes, v, x, z = special(rng, (2,) + shape), special(rng, shape), special(rng, shape), special(rng, shape)
+    for variant in VARIANTS:
+        dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), 0.4, variant)
+        for tau in (0.3, 1.0, 1e-300, 7.0, np.inf):
+            def stage(v, p, xn):
+                assert dp.project_dual(p, out=p, ascent=(v, 0.5), recover=z, prox=(x, xn, tau, 0.8)) is p
+
+            c, ref = on_both_paths(monkeypatch, stage, v, planes, np.full(shape, 7.0))
+            assert_identical(c, ref)
 
 
 def dual_step(sp, x, b0=0.7, mu=0.3, fill=7.0):
@@ -394,22 +399,73 @@ def pdhgm_primal_reference(planes, x, z, tau, theta):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_primal_stages(monkeypatch, rng, shape):
     n = shape[0] * shape[1]
-    x, z = special(rng, n), special(rng, n)
+    v, x, z = special(rng, shape), special(rng, n), special(rng, n)
     planes = special(rng, (2,) + shape)
-    for tau in (0.3, 1e-300, 7.0, 1e308, np.inf):
-        # pdhgm's prox and extrapolation in D*'s pass, with (n1, n2) and flat
-        # arrays; the last two steps make the prox's factor 1 / (1 + tau)
-        # subnormal and 0
-        for layout in (shape, (n,)):
-            def stage(g, w, x, z, xb):
-                return _grad_adjoint(g, out=w, minuend=x, step=tau, z=z, x_bar=xb, theta=0.8)
-
-            arrays = (planes, np.full(layout, 7.0), x.reshape(layout), z.reshape(layout), np.full(layout, 7.0))
-            c, ref = on_both_paths(monkeypatch, stage, *arrays)
-            assert_identical(c, ref)
+    for variant in VARIANTS:
+        dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), 0.4, variant)
+        with np.errstate(all="ignore"):
+            p = dp.project_dual(ascent(v, 0.5, planes))
+        for tau in (0.3, 1e-300, 7.0, 1e308, np.inf):
+            # pdhgm's whole iteration, with (n1, n2) and flat x, z and next
+            # x, against its passes one by one; the last two steps make the
+            # prox's factor 1 / (1 + tau) subnormal and 0
             with np.errstate(all="ignore"):
-                w, x_bar = pdhgm_primal_reference(planes, x.reshape(shape), z.reshape(shape), tau, 0.8)
-            assert identical(c[1], w.reshape(layout)) and identical(c[4], x_bar.reshape(layout))
+                w, x_bar = pdhgm_primal_reference(p, x.reshape(shape), z.reshape(shape), tau, 0.8)
+            for layout in (shape, (n,)):
+                def stage(v, q, xn):
+                    prox = (x.reshape(layout), xn, tau, 0.8)
+                    dp.project_dual(q, out=q, ascent=(v, 0.5), recover=z.reshape(layout), prox=prox)
+
+                c, ref = on_both_paths(monkeypatch, stage, v, planes, np.full(layout, 7.0))
+                assert_identical(c, ref)
+                assert identical(c[0], x_bar) and identical(c[1], p) and identical(c[2], w.reshape(layout))
+
+
+def iteration_reference(dp, v, p, z, s, prox=None):
+    """The baselines' iteration from the numpy operations one by one: the
+    ascent, its projection, then z - D* p over v, or with prox = (x, xn, tau,
+    theta) pdhgm's prox into xn and its extrapolation over v.  Writes v, p
+    and xn in place, as the kernels do."""
+    p[...] = dp.project_dual(ascent(v, s, p))
+    if prox is None:
+        v[...] = z - _grad_adjoint(p)
+    else:
+        x, xn, tau, theta = prox
+        xn[...], v[...] = pdhgm_primal_reference(p, x, z, tau, theta)
+
+
+@needs_c
+@pytest.mark.parametrize("shape", [(256, 256), (257, 263), (70001, 1), (3, 1), (1, 5)], ids=shape_ids)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_iteration_kernels_against_their_reference(rng, shape, variant):
+    # each form of project_tv and project_h1 called directly against the
+    # numpy operations it folds.  The first three shapes split into chunks,
+    # two per thread of at least 32,768 pixels each, whose first rows of v
+    # the caller writes after the join; v starts as the ascent's source and
+    # xn as 7s, so a row left unwritten shows, and those rows are also
+    # compared on their own
+    n1, n2 = shape
+    threads = min(n1 * n2 // 32768, kernels.THREADS)
+    chunks = min(n1, 2 * threads) if threads > 1 else 1
+    first_rows = [n1 * c // chunks for c in range(1, chunks)]
+    assert (len(first_rows) > 0) == (n1 * n2 > 100 and kernels.THREADS > 1)
+    v, p, z, x = (rng.standard_normal(s) for s in (shape, (2,) + shape, shape, shape))
+    norm = imaging._field_norm(ascent(v, 0.3, p))
+    for alpha in ((0.4, 1e3) if variant == "tv" else (0.5 * norm, 2.0 * norm)):
+        dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, variant)
+        scalars = (alpha, 0.3) if variant == "h1" else (alpha, max(alpha, 1e-300), 0.3)
+        kernel = kernels.ext.project_h1 if variant == "h1" else kernels.ext.project_tv
+        for prox in (False, True):
+            got, want = [[a.copy() for a in (v, p, np.full(shape, 7.0))] for _ in range(2)]
+            if prox:
+                kernel(got[0], got[1], z, x, got[2], *scalars, 0.7, 0.8)
+                iteration_reference(dp, *want[:2], z, 0.3, (x, want[2], 0.7, 0.8))
+            else:
+                kernel(got[0], got[1], z, *scalars)
+                iteration_reference(dp, *want[:2], z, 0.3)
+            for g, w in zip(got, want):
+                assert identical(g, w) and identical(g[..., first_rows, :], w[..., first_rows, :]), (alpha, prox)
+            assert prox or np.all(got[2] == 7.0)
 
 
 @needs_c
@@ -438,9 +494,11 @@ def check_ascent(monkeypatch, dp, v, planes, z, calls):
 
     Both must give the projection of the ascent bit for bit, and in
     place with recover=z also dual_fb's v = z - D* p of that projection
-    over v.  The compiled path makes each in-place step with its kernel
-    calls, calls per step s in all, without a rejected array; another out
-    takes the numpy reference, the ascent and then its projection.
+    over v, or with prox= pdhgm's prox and extrapolation.  The compiled path
+    makes each in-place step with recover= in its kernel calls, calls per
+    step s in all, without a rejected array; a step without recover= or into
+    another out takes the numpy reference, the ascent and then its
+    projection.
     """
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
@@ -455,6 +513,9 @@ def check_ascent(monkeypatch, dp, v, planes, z, calls):
         def recovering(v, p, z):
             assert dp.project_dual(p, out=p, ascent=(v, s), recover=z) is p
 
+        def proxing(v, p, xn):
+            assert dp.project_dual(p, out=p, ascent=(v, s), recover=z, prox=(planes[0], xn, 0.7, 0.8)) is p
+
         c, ref = on_both_paths(monkeypatch, in_place, v, planes)
         assert_identical(c[:2], ref[:2])
         with np.errstate(all="ignore"):
@@ -467,6 +528,11 @@ def check_ascent(monkeypatch, dp, v, planes, z, calls):
         c, ref = on_both_paths(monkeypatch, recovering, v, planes, z)
         assert_identical(c[:3], ref[:3])
         assert identical(c[0], primal) and identical(c[1], want) and identical(c[2], z)
+        c, ref = on_both_paths(monkeypatch, proxing, v, planes, np.full(v.shape, 7.0))
+        assert_identical(c[:3], ref[:3])
+        with np.errstate(all="ignore"):
+            x_next, x_bar = pdhgm_primal_reference(want, planes[0], z, 0.7, 0.8)
+        assert identical(c[0], x_bar) and identical(c[1], want) and identical(c[2], x_next)
     monkeypatch.setattr(kernels, "ext", rec.ext)
     assert rec.rejected == [] and rec.calls == {k: n * len(scales) for k, n in calls.items()}
 
@@ -531,14 +597,15 @@ def test_h1_elementwise_passes(monkeypatch, rng, shape):
 @needs_c
 @pytest.mark.parametrize("shape", H1_SHAPES, ids=shape_ids)
 def test_h1_project_dual_ascent(monkeypatch, rng, shape):
-    # H1's dual step: the sum of the ascent's squares, formed on the fly,
-    # then its write, inside the ball and outside, and on special values
+    # H1's iterations: the sum of the ascent's squares, formed on the fly,
+    # then its write with the primal step behind it, inside the ball and
+    # outside, and on special values
     v, planes = rng.standard_normal(shape), rng.standard_normal((2,) + shape)
     norm = imaging._field_norm(ascent(v, 0.3, planes))
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
         for args in ((v, planes), (special(rng, shape), planes), (v, special(rng, (2,) + shape))):
-            check_ascent(monkeypatch, dp, *args, special(rng, shape), {"project_h1": 2, "grad_adjoint": 1})
+            check_ascent(monkeypatch, dp, *args, special(rng, shape), {"project_h1": 2})
 
 
 @needs_c
@@ -841,10 +908,9 @@ def test_solvers_take_the_compiled_path(monkeypatch):
     dual_fb_run(dp, 5)
     assert rec.rejected == []
     # pedi's K, dual solve and soc minimum are one tv_dual pass, and its
-    # K*, prox and ||x||^2 one primal_step call; the baselines' ascent and
-    # projection are one project_tv pass, pdhgm's primal step rides in its
-    # grad_adjoint, and dual_fb's x = z - D* p in its project_tv sweep
-    assert rec.calls == {"grad_adjoint": 5, "tv_dual": 10, "primal_step": 10, "project_tv": 10}
+    # K*, prox and ||x||^2 one primal_step call; each baseline iteration is
+    # one project_tv sweep, its ascent, projection and primal step
+    assert rec.calls == {"tv_dual": 10, "primal_step": 10, "project_tv": 10}
 
 
 @needs_c
@@ -859,10 +925,9 @@ def test_h1_solvers_take_the_compiled_path(monkeypatch):
     dual_fb_run(dp, 5)
     assert rec.rejected == []
     # pedi's K, tail norm and dual solve are one h1_dual call, and its K*,
-    # prox and ||x||^2 one primal_step call; the baselines' ascent, its norm
-    # and projection are one project_h1 call, and pdhgm's primal step rides
-    # in its grad_adjoint
-    assert rec.calls == {"grad_adjoint": 10, "h1_dual": 10, "primal_step": 10, "project_h1": 10}
+    # prox and ||x||^2 one primal_step call; each baseline iteration, its
+    # ascent, its norm, projection and primal step, is one project_h1 call
+    assert rec.calls == {"h1_dual": 10, "primal_step": 10, "project_h1": 10}
 
 
 def documented_forms(ext) -> set:
@@ -898,7 +963,7 @@ def test_every_kernel_is_reached(monkeypatch):
     forms = documented_forms(rec.ext)
     assert rec.rejected == []
     assert {name for name, _ in forms} == exported
-    assert rec.forms == forms and len(forms) == 10
+    assert rec.forms == forms and len(forms) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +977,7 @@ def test_kernels_reject_without_writing(rng):
     # the checks every wrapper shares, on pedi's y, which tv_dual writes,
     # and on the baselines' p, which project_tv writes in place
     writes = {"tv_dual's y": lambda out: ext.tv_dual(v, out, 1.0, 0.5),
-              "project_tv's p": lambda out: ext.project_tv(v, out, 1.0, 1.0, 0.5)}
+              "project_tv's p": lambda out: ext.project_tv(v.copy(), out, v, 1.0, 1.0, 0.5)}
     for what, write in writes.items():
         bad_outs = {
             "not contiguous": np.full((2, 4, 6), 7.0)[:, :, :5],
@@ -927,25 +992,19 @@ def test_kernels_reject_without_writing(rng):
                 write(out)
             assert np.array_equal(out, before), (what, why)
     # an image may be flat, of n1 n2 entries exactly
-    g = rng.standard_normal((2, 4, 5))
     for flat in (v.reshape(-1)[:19].copy(), rng.standard_normal(21), v.reshape(1, -1)):
         p, x = np.full((2, 4, 5), 7.0), np.full((4, 5), 7.0)
         with pytest.raises(ValueError):
-            ext.project_tv(flat, p, 1.0, 1.0, 0.5)
+            ext.project_tv(flat, p, v, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            ext.grad_adjoint(g, flat.copy(), v)
+            ext.project_tv(x, p, v, flat, np.empty((4, 5)), 1.0, 1.0, 0.5, 0.3, 0.8)
         with pytest.raises(ValueError):
-            ext.grad_adjoint(g, x, flat)
+            ext.project_h1(x, p, v, v, flat.copy(), 1.0, 0.5, 0.3, 0.8)
         assert np.all(p == 7.0) and np.all(x == 7.0)
-    # an output overlapping an input
-    buf = rng.standard_normal(3 * 20)
-    with pytest.raises(ValueError):
-        ext.grad_adjoint(buf[:40].reshape(2, 4, 5), buf[30:50].reshape(4, 5), buf[40:60].reshape(4, 5))
-    with pytest.raises(ValueError):
-        ext.grad_adjoint(g, buf[:20].reshape(4, 5), buf[10:30].reshape(4, 5))
-    # the baselines' dual step writes p in place: each of these leaves it unwritten
-    p = np.full((2, 4, 5), 7.0)
-    for project in (lambda v, p: ext.project_tv(v, p, 1.0, 1.0, 0.5), lambda v, p: ext.project_h1(v, p, 1.0, 0.5)):
+    # the baselines' iterations write p in place: each of these leaves it unwritten
+    p, z = np.full((2, 4, 5), 7.0), rng.standard_normal((4, 5))
+    for project in (lambda v, p: ext.project_tv(v, p, z, 1.0, 1.0, 0.5),
+                    lambda v, p: ext.project_h1(v, p, z, 1.0, 0.5)):
         for why, (w, q) in {
             "v overlapping p": (p[1], p),
             "p of the wrong shape": (v, np.full((2, 5, 4), 7.0)),
@@ -960,7 +1019,7 @@ def test_kernels_reject_without_writing(rng):
             assert np.all(q == 7.0) and np.all(p == 7.0), why
     # dual_fb's sweep also writes x = z - D* p over v: each of these leaves
     # both unwritten
-    x, z = np.full((4, 5), 7.0), rng.standard_normal((4, 5))
+    x = np.full((4, 5), 7.0)
     for why, (w, q, u) in {
         "x overlapping p": (p[1], p, z),
         "z overlapping x": (x, p, x),
@@ -970,9 +1029,29 @@ def test_kernels_reject_without_writing(rng):
         "read-only x": (np.full((4, 5), 7.0), p, z),
     }.items():
         w.flags.writeable = why != "read-only x"
-        with pytest.raises(ValueError):
-            ext.project_tv(w, q, u, 1.0, 1.0, 0.5)
-        assert np.all(w == 7.0) and np.all(q == 7.0) and np.all(p == 7.0), why
+        for project in (lambda *a: ext.project_tv(*a, 1.0, 1.0, 0.5), lambda *a: ext.project_h1(*a, 1.0, 0.5)):
+            with pytest.raises(ValueError):
+                project(w, q, u)
+            assert np.all(w == 7.0) and np.all(q == 7.0) and np.all(p == 7.0), why
+    # pdhgm's writes its next x as well, and its extrapolation over v, the
+    # ascent's source: a next x overlapping either, or x, leaves all three
+    # unwritten
+    buf, xs = np.full(60, 7.0), rng.standard_normal((4, 5))
+    for why, (w, u, xn) in {
+        "next x overlapping x_bar": (buf[:20].reshape(4, 5), xs, buf[10:30].reshape(4, 5)),
+        "next x over x_bar": (buf[:20].reshape(4, 5), xs, buf[:20].reshape(4, 5)),
+        "next x overlapping x": (buf[:20].reshape(4, 5), buf[30:50].reshape(4, 5), buf[40:60].reshape(4, 5)),
+        "next x over x": (buf[:20].reshape(4, 5), buf[40:60].reshape(4, 5), buf[40:60].reshape(4, 5)),
+        "x_bar overlapping x": (buf[:20].reshape(4, 5), buf[10:30].reshape(4, 5), buf[40:60].reshape(4, 5)),
+        "read-only next x": (buf[:20].reshape(4, 5), xs, np.full((4, 5), 7.0)),
+    }.items():
+        before = buf.copy()
+        xn.flags.writeable = why != "read-only next x"
+        for project in (lambda *a: ext.project_tv(*a, 1.0, 1.0, 0.5, 0.3, 0.8),
+                        lambda *a: ext.project_h1(*a, 1.0, 0.5, 0.3, 0.8)):
+            with pytest.raises(ValueError):
+                project(w, p, z, u, xn)
+            assert np.all(p == 7.0) and identical(buf, before) and np.all(xn == 7.0), why
     # pedi's primal step writes x in place: each of these leaves it unwritten
     y, z = rng.standard_normal((2, 4, 5)), rng.standard_normal(20)
     x = np.full(20, 7.0)
@@ -1026,21 +1105,23 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
 
     y32 = dp.saddle_problem().apply_K(x).astype(np.float32)
 
-    def fb_step(z):
-        q, x2 = planes.copy(), v.copy()
-        dp.project_dual(q, out=q, ascent=(x2, 0.3), recover=z)
+    def fb_step(z, q=planes, prox=None):
+        q, x2 = q.copy(order="K"), v.copy()
+        dp.project_dual(q, out=q, ascent=(x2, 0.3), recover=z, prox=prox)
         return [q, x2]
 
+    def pdhgm_step(x, x_next):
+        return [*fb_step(v, prox=(x, x_next, 0.3, 0.8)), x_next]
+
     def rejected():
-        q = p.copy(order="K")
         return [
-            # strided planes, x = z - D* p as dual_value makes it
-            _grad_adjoint(planes[:, :, ::-1].copy()[:, :, ::-1], minuend=v),
-            # the baselines' dual step in place on that field
-            dp.project_dual(q, out=q, ascent=(v, 0.3)),
-            # dual_fb's sweep with a reversed z: the reference, whose D*
-            # rejects it too
+            # dual_fb's sweep in place on that field
+            *fb_step(v, p),
+            # and with a reversed z
             *fb_step(v[:, ::-1]),
+            # pdhgm's sweep with a reversed x, then into a strided next x
+            *pdhgm_step(v[::-1], np.full((6, 5), 7.0)),
+            *pdhgm_step(v, np.full((6, 10), 7.0)[:, ::2]),
             # a reversed x, not C-contiguous: the fused pass rejects it
             *dual_update(x[::-1]),
             dp.saddle_problem().prox_G(v.reshape(-1)[::-1], 0.3),
@@ -1059,10 +1140,8 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
     monkeypatch.setattr(kernels, "ext", rec)
     got = rejected()
     assert [name for name, _ in rec.rejected] == [
-        "grad_adjoint", "project_tv", "project_tv", "grad_adjoint", "tv_dual", "primal_step",
-        # dual_value's D* rejects the interleaved and strided fields; it
-        # takes a float64 copy of the float32 one, C-contiguous like it
-        "metric_sums", "grad_adjoint", "metric_sums", "metric_sums", "grad_adjoint"]
+        "project_tv", "project_tv", "project_tv", "project_tv", "tv_dual", "primal_step",
+        "metric_sums", "metric_sums", "metric_sums"]
     monkeypatch.setattr(kernels, "PATH", NUMPY)
     for a, b in zip(got, rejected()):
         assert identical(a, b)
@@ -1178,23 +1257,30 @@ for shape in ((1, 65535), (256, 256), (1, 65537), (1, 131071), (257, 263), (512,
     sums.append(kernels.ext.primal_step(rng.standard_normal((2,) + shape), rng.standard_normal(n), x, 0.3))
     sums.append(float(np.square(x).sum()))
 sums += [kernels.ext.grad_sumsq(rng.standard_normal(shape)) for shape in ((181, 181), (257, 263), (1, 70001))]
-# H1's dual steps, a planar sum and then a write: at (257, 263) and
-# (1, 70001) a band's bounds cut a subtree of the pairwise tree
+# H1's dual steps, a planar sum and then a write, the baselines' with
+# their primal step behind it: at (257, 263) and (1, 70001) a band's bounds
+# cut a subtree of the pairwise tree, and at (70001, 1) the chunks leave
+# their first row of v to the caller
 xs = []
-for shape in ((256, 256), (257, 263), (1, 70001)):
+for shape in ((256, 256), (257, 263), (1, 70001), (70001, 1)):
     v, y, p = rng.standard_normal(shape), np.empty((2,) + shape), rng.standard_normal((2,) + shape)
+    z, x, xn = rng.standard_normal(shape), rng.standard_normal(shape), np.empty(shape)
     sums.append(kernels.ext.h1_dual(v, y, 5.0, 0.1))
-    kernels.ext.project_h1(v, p, 1.0, 0.125)
-    xs += [y, p]
-for shape in ((256, 256), (257, 263), (1, 70001)):
+    kernels.ext.project_h1(v, p, z, 1.0, 0.125)
+    xs += [y, p.copy(), v.copy()]
+    kernels.ext.project_h1(v, p, z, x, xn, 1.0, 0.125, 0.3, 0.8)
+    xs += [p, v, xn]
+for shape in ((256, 256), (257, 263), (1, 70001), (70001, 1)):
     dp = DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), 5.0, "h1")
     sp = dp.saddle_problem()
-    xs += [pdhgm_run(dp, BaselineConfig.default_for(dp, 30)).x, dual_fb_run(dp, 30).x]
+    for res in (pdhgm_run(dp, BaselineConfig.default_for(dp, 30)), dual_fb_run(dp, 30)):
+        xs += [res.x, res.p]
     xs += [pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 30, step_rule=r).x for r in ("general", "soc")]
-# TV dual_fb's sweep, whose chunks leave their first row of x to the caller
+# TV's sweeps, whose chunks leave their first row of x to the caller
 for shape in ((256, 256), (257, 263)):
-    res = dual_fb_run(DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), 0.3, "tv"), 30)
-    xs += [res.x, res.p]
+    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(*shape), 6.15, 3), 0.3, "tv")
+    for res in (pdhgm_run(dp, BaselineConfig.default_for(dp, 30)), dual_fb_run(dp, 30)):
+        xs += [res.x, res.p]
 print(kernels.THREADS, *(s.hex() for s in sums), *(hashlib.sha256(x.tobytes()).hexdigest() for x in xs))
 """
     one, all_cpus = (run_python(code.replace("sys.argv[1]", repr(n))) for n in ("1", "all"))
