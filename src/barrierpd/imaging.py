@@ -11,43 +11,36 @@ Conventions fixed here and relied on by every solver:
   update them in place (``out=``).  Every public function takes and returns
   an unlifted dual field in this layout alone, and raises ValueError for an
   array of any other shape;
-* D and D* (_grad, _grad_adjoint) run each axis-1 difference as one
+* D and D* are _grad and _grad_adjoint, numpy code that lives with the
+  kernels' other numpy building blocks in barrierpd.kernels and is
+  re-exported here under those names.  Each axis-1 difference is one
   shifted pass over the flattened (n1, n2) plane, which is several times
   faster than 2-d column slices and rounds every element the same way.
   _grad returns a new field; _grad_adjoint's out= array must therefore
   flatten to a view: one that would need a copy raises ValueError rather
-  than leaving out unwritten.  pedi's numpy path composes its two stages
-  from these plain operators, each allocating its own result.  The
-  compiled kernels (barrierpd.kernels) take only the stages the solver
-  loops and the logged metrics run, each one call over
-  C-contiguous float64 buffers, split across threads on large images and
-  bit-identical to the numpy code, which runs on the numpy path, for any
-  array a kernel rejects and for every one-off evaluation that shares no
-  loop's kernel (D alone, D* alone, dual_value's z - D* p, a projection
-  into another out).  The lifted K*'s kernel call makes pedi's whole
-  primal step, x - tau K* y, its prox and ||x||^2 (apply_K_adjoint's
-  step=), storing nothing but the new x.  A baseline's whole iteration is
-  one kernel call that stores no ascent: the projection of the ascent
-  p + s D v (project_dual's ascent= in place) and, right behind it, the
-  primal step, dual_fb's x = z - D* p (recover=) or pdhgm's prox and
-  extrapolation (prox= as well).  On TV that is one sweep, the primal step
-  written tile by tile behind the projection; on H1 a sum of the ascent's
-  squares formed on the fly before the pass that writes p, each block of
-  rows followed by its primal step.  The lifted K's kernel call makes pedi's
-  dual solve and the soc rule's minimum of the tail norms (apply_K's
-  step=): on TV in the same pass, on H1 by summing the squares of K x
-  formed on the fly before a pass that writes y.  So no loop stores D v or
-  K x.  The operators pedi_run calls hand the kernels
-  the solver's own buffers, flat primal vectors included, and make no view
-  a kernel does not need, so each costs its kernel call and little
-  more.  The compiled sums -- metrics' four, pedi's ||x||^2, H1's ascent
-  norm and dual-solve norm, and H1's regularizer, which sums the squares
-  of a gradient it never stores -- add their terms in numpy's pairwise
-  summation order; all but metrics' split across threads by the subtrees
-  of that order, which changes no bit;
+  than leaving out unwritten;
+* every stage a solver loop or a logged row runs is one call of a kernel
+  form of barrierpd.kernels, which picks the path itself: the compiled
+  kernel, one call over C-contiguous float64 buffers, split across threads
+  on large images, or its numpy reference, bit for bit the same.  No
+  function here tests the path.  The lifted K's form (apply_K's step=)
+  makes pedi's dual solve and the soc rule's minimum of the tail norms,
+  tv_dual on TV and h1_dual on H1; the lifted K*'s (apply_K_adjoint's
+  step=) pedi's whole primal step, x - tau K* y, its prox and ||x||^2,
+  primal_step.  A baseline's whole iteration (project_dual's ascent= in
+  place with recover=) is one call of project_tv or project_h1: the
+  projection of the ascent p + s D v and, right behind it, the primal
+  step, dual_fb's x = z - D* p or pdhgm's prox and extrapolation (prox=).
+  H1's regularizer is grad_sumsq, and a logged row's sums (metrics,
+  duality_gap) are metric_sums.  So no loop stores D v or K x.  The
+  operators pedi_run calls hand the forms the solver's own buffers, flat
+  primal vectors included, and make no view a kernel does not need, so
+  each costs its kernel call and little more.  A one-off evaluation that
+  shares no loop's form (D alone, D* alone, dual_value's z - D* p, a
+  projection into another out) is numpy code on either path;
 * H1's global norm is sqrt(sum g^2) over the planar field, summed in
-  component-major order whatever the field's strides, so its roundoff
-  depends on neither the strides nor BLAS;
+  component-major order whatever the field's strides (kernels._sumsq), so
+  its roundoff depends on neither the strides nor BLAS;
 * the cone lifting puts gradient tails into spin-algebra blocks with zero
   heads -- n1*n2 blocks of E_{1+2} for TV, a single block of E_{1+2*n1*n2}
   for H1.  Since the heads are zero, the lifted operator K carries only the
@@ -75,7 +68,9 @@ import numpy as np
 
 from . import kernels
 from .jordan import BlockConeVector
-from .pedi import SaddleProblem, _sumsq
+# D and D*, numpy code only; re-exported under these names
+from .kernels import _grad, _grad_adjoint
+from .pedi import SaddleProblem
 
 __all__ = [
     "ImageGrid",
@@ -128,107 +123,10 @@ class ImageGrid:
         return self._flat
 
 
-def _grad(values: np.ndarray) -> np.ndarray:
-    """Gradient of an (n1, n2) array as a new planar (2, n1, n2) field.
-
-    The axis-1 difference is one shifted pass over the flattened plane; the
-    entries it computes across row ends fall in the last column, which the
-    Neumann boundary then zeroes.  It is numpy code only: no loop stores
-    D v, and the kernels that need it (pedi's dual step, the baselines'
-    projections, the metric and H1 sums) form it on the fly with these
-    operations.
-    """
-    out = np.empty((2,) + values.shape)
-    g1f = out[1].reshape(-1)
-    vf = values.reshape(-1)
-    np.subtract(values[1:, :], values[:-1, :], out=out[0, :-1, :])
-    out[0, -1, :] = 0.0
-    np.subtract(vf[1:], vf[:-1], out=g1f[:-1])
-    out[1, :, -1] = 0.0
-    return out
-
-
-def _grad_adjoint(
-    planes: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    scale: float = 1.0,
-    minuend: Optional[np.ndarray] = None,
-    step: float = 1.0,
-    z: Optional[np.ndarray] = None,
-    x_bar: Optional[np.ndarray] = None,
-    theta: float = 0.0,
-) -> np.ndarray:
-    """scale times the adjoint of _grad on a planar (2, n1, n2) field, an (n1, n2) array, into out if given.
-
-    The axis-1 terms are two shifted passes over the flattened plane, each
-    of which also reaches one column it must leave alone (column 0 across
-    row ends, then the last column); that column is saved before the pass
-    and restored after it.  Every element sees the same operations in the
-    same order as the 2-d column slices, so the result is exact for any
-    field, whatever its boundary columns hold.  The product with scale comes
-    last; with an (n1, n2) minuend m, which must not overlap out, out is
-    then m minus that product times step: pedi's x - tau K* y (the
-    reference of its fused primal step), dual_fb's x = z - D* p (the
-    reference of project_dual's recover=) and dual_value's z - D* p.  With
-    z and x_bar as well, out is then pdhgm's primal step, the prox
-    ((m - step D* p) + z step) r of that point, with r = 1 / (1 + step)
-    taken once, and x_bar its extrapolation (out - m) theta + out (the
-    reference of project_dual's prox=); x_bar may overlap no other
-    argument.  out, the minuend, z and x_bar may also be flat, the
-    row-major flattening of an (n1, n2) array.  It is numpy code only: the
-    loops' kernels form D* on the fly, the baselines' behind their
-    projection.
-    """
-    if out is None:
-        out = np.empty(planes.shape[1:])
-    g0, g1 = planes[0], planes[1]
-    flat = out
-    out = out.reshape(g0.shape) if out.ndim == 1 else out
-    # a 1-d view of out, ValueError if flattening it would copy; the flags
-    # test spares contiguous arrays np.reshape's argument parsing
-    of = out.reshape(-1) if out.flags.c_contiguous else np.reshape(out, -1, copy=False)
-    g1f = g1.reshape(-1)
-    out[0, :] = 0.0
-    out[1:, :] = g0[:-1, :]
-    out[:-1, :] -= g0[:-1, :]
-    edge = out[:, 0].copy()
-    of[1:] += g1f[:-1]
-    out[:, 0] = edge
-    edge[:] = out[:, -1]
-    of -= g1f
-    out[:, -1] = edge
-    if scale != 1.0:
-        out *= scale
-    if minuend is not None:
-        if step != 1.0:
-            out *= step
-        np.subtract(minuend.reshape(out.shape), out, out=out)
-        if z is not None:
-            xb = x_bar.reshape(out.shape)
-            np.multiply(z.reshape(out.shape), step, out=xb)
-            out += xb
-            out *= 1.0 / (1.0 + step)
-            np.subtract(out, minuend.reshape(out.shape), out=xb)
-            xb *= theta
-            xb += out
-    return flat
-
-
 def _check_field(p: np.ndarray, shape) -> None:
     """ValueError unless the array p is a planar (2, n1, n2) dual field on the (n1, n2) grid shape."""
     if p.shape != (2,) + shape:
         raise ValueError(f"a dual field on this grid is a planar {(2,) + shape} array, got shape {p.shape}")
-
-
-def _field_norm(planes: np.ndarray) -> float:
-    """Euclidean norm of a planar field, sqrt(sum g^2) summed in (2, n1, n2) element order.
-
-    The order fixes the roundoff of the H1 regularizer and of the H1 dual
-    projection, and it is the same whatever the strides of planes: _sumsq
-    adds the squares of a contiguous field as they lie, in numpy's pairwise
-    order, and those of any other field from a contiguous copy.
-    """
-    return math.sqrt(_sumsq(planes))
 
 
 def unlift(y: BlockConeVector, shape) -> np.ndarray:
@@ -301,58 +199,42 @@ class DenoiseProblem:
     def regularizer(self, x: np.ndarray) -> float:
         """R(x): TV or H1 seminorm of the image x (flat vector).
 
-        With the compiled kernels H1's is one pass that sums the squares of
-        the gradient as it forms them, and allocates nothing.
+        H1's is the kernel form grad_sumsq, which sums the squares of the
+        gradient as it forms them and allocates nothing.
         """
         v = np.asarray(x, dtype=float).reshape(self.shape)
-        if self.variant == "h1" and kernels.PATH == "c":
-            try:
-                # _field_norm(_grad(v)) bit for bit, with no field stored
-                return math.sqrt(kernels.ext.grad_sumsq(v))
-            except ValueError:
-                pass
-        g = _grad(v)
         if self.variant == "tv":
-            norms = np.einsum("kij,kij->ij", g, g)
-            return float(np.sqrt(norms, out=norms).sum())
-        return _field_norm(g)
+            return kernels._tv(v)
+        return math.sqrt(kernels.grad_sumsq(v))
 
     def objective(self, x: np.ndarray) -> float:
         r = np.subtract(x, self.z.flat())
         return 0.5 * float(np.square(r, out=r).sum()) + self.alpha * self.regularizer(x)
 
-    def dual_value(self, p: np.ndarray, scale: float = 1.0) -> float:
-        """Dual objective (1/2)||z||^2 - (1/2)||z - D* q||^2 at q = scale p, p a planar (2, n1, n2) field.
+    def dual_value(self, p: np.ndarray) -> float:
+        """Dual objective (1/2)||z||^2 - (1/2)||z - D* p||^2, p a planar (2, n1, n2) field.
 
-        (1/2)||z||^2 is the cached half_z2, and z - D* q is _grad_adjoint's
-        minuend form, dual_fb's reference, with the product with scale formed
-        last, as (D* p) scale: metrics reads pedi's q = 2 tail(y) from the
-        tails with scale 2.
+        (1/2)||z||^2 is the cached half_z2, and z - D* p is _grad_adjoint's
+        minuend form, as dual_fb's iteration forms it.
         """
         p = np.asarray(p, dtype=float)
         _check_field(p, self.shape)
-        r = _grad_adjoint(p, scale=scale, minuend=self.z.values).reshape(-1)
+        r = _grad_adjoint(p, minuend=self.z.values).reshape(-1)
         return self.half_z2 - 0.5 * float(np.square(r, out=r).sum())
 
     def duality_gap(self, x: np.ndarray, p: np.ndarray) -> float:
         """objective(x) - dual_value(p), p a planar (2, n1, n2) field.
 
         G is 1-strongly convex, so for a feasible p the gap bounds
-        (1/2)||x - x*||^2.  With
-        the compiled kernels the sums behind both terms come from
-        _metric_sums' one visit per pixel, with x as its target, whose
-        distance sum is 0 and unread; the value is the numpy code's bit for
-        bit, and that code runs on the numpy path and for arrays the kernel
-        rejects (a non-contiguous p, say).
+        (1/2)||x - x*||^2.  The sums behind both terms are one metric_sums
+        call, as a logged row's, with x as its own target, whose distance
+        sum is 0 and unread; the value is objective(x) - dual_value(p) bit
+        for bit.
         """
         p = np.asarray(p)
         _check_field(p, self.shape)
-        sums = _metric_sums(x, p, self, x, 1.0)
-        if sums is None:
-            return self.objective(x) - self.dual_value(p)
-        # the scalar expressions of objective and dual_value
-        xz2, reg, zp2, _ = sums
-        return (0.5 * xz2 + self.alpha * reg) - (self.half_z2 - 0.5 * zp2)
+        val, dual, _ = _values(x, p, self, x, 1.0)
+        return val - dual
 
     def project_dual(
         self,
@@ -365,84 +247,44 @@ class DenoiseProblem:
         """Project a planar (2, n1, n2) field p onto the dual constraint ||p|| <= alpha.
 
         Per-pixel for TV, globally for H1.  Writes into out, a field of the
-        same shape that may be p itself, if given.  With ascent = (v, s), v
-        an (n1, n2) image and s a step, it projects the ascent p + s D v
-        instead, formed as (D v) s + p from _grad(v): the baselines' dual
-        step.  With an ascent and recover = z, an (n1, n2) image, it then
-        writes the primal v = z - D* out over v, as
-        _grad_adjoint(out, out=v, minuend=z) makes it: dual_fb's whole
-        iteration.  With prox = (x, x_next, tau, theta) as well, x and
-        x_next images, it writes pdhgm's primal step instead, as
-        _grad_adjoint(out, out=x_next, minuend=x, step=tau, z=z, x_bar=v,
-        theta=theta) makes it: the prox at x - tau D* out into x_next and
-        its extrapolation over v, pdhgm's whole iteration.  Only an
-        iteration in place, out=p with recover=, calls a kernel, which
-        stores no ascent and writes the primal step right behind the
-        projection: on TV one sweep, tile by tile; on H1 a sum of the
-        ascent's squares formed on the fly followed by the write, block of
-        rows by block of rows.  Every other call, and the numpy path, take
-        the numpy reference: the ascent in a field of its own, its
-        projection, then recover='s _grad_adjoint.
+        same shape that may be p itself, if given; this projection is numpy
+        code.  With ascent = (v, s), v an (n1, n2) image and s a step, and
+        recover = z, an (n1, n2) image, it runs a baseline's whole iteration
+        in place, out=p: it projects the ascent p + s D v into p and then
+        writes the primal v = z - D* p over v, dual_fb's iteration.  With
+        prox = (x, x_next, tau, theta) as well, x and x_next images, it
+        writes pdhgm's primal step instead: the prox at x - tau D* p into
+        x_next and its extrapolation over v.  That is one call of the kernel
+        form project_tv or project_h1 (barrierpd.kernels), which stores no
+        ascent and writes the primal step right behind the projection.  Any
+        other use of ascent= raises ValueError.
         """
         in_place = out is p
         p = np.asarray(p, dtype=float)
-        _check_field(p, self.z.values.shape)
-        if out is None:
-            out = np.empty(p.shape)
-        elif not in_place:
-            _check_field(out, self.z.values.shape)
-        if recover is not None and ascent is None:
-            raise ValueError("recover= needs an ascent= to write the primal into")
-        if prox is not None and recover is None:
-            raise ValueError("prox= needs recover=, the z of its prox")
+        _check_field(p, self.shape)
         # flooring the norm at alpha caps alpha/norm at 1 without a second
         # pass, and rounds exactly like min(1, alpha/max(norm, 1e-300))
         floor = max(self.alpha, 1e-300)
-        if ascent is not None:
-            v, s = ascent
-            if recover is not None and in_place and kernels.PATH == "c":
-                # the primal step rides behind the projection
-                try:
-                    if prox is None:
-                        if self.variant == "tv":
-                            kernels.ext.project_tv(v, out, recover, self.alpha, floor, s)
-                        else:
-                            kernels.ext.project_h1(v, out, recover, self.alpha, s)
-                    else:
-                        x, x_next, tau, theta = prox
-                        if self.variant == "tv":
-                            kernels.ext.project_tv(v, out, recover, x, x_next, self.alpha, floor, s, tau, theta)
-                        else:
-                            kernels.ext.project_h1(v, out, recover, x, x_next, self.alpha, s, tau, theta)
-                    return out
-                except ValueError:
-                    pass
-            g = _grad(v)
-            g *= s
-            g += p
-            p = g
-        self._project(p, out, floor)
-        if prox is not None:
-            x, x_next, tau, theta = prox
-            _grad_adjoint(out, out=x_next, minuend=x, step=tau, z=recover, x_bar=v, theta=theta)
-        elif recover is not None:
-            _grad_adjoint(out, out=v, minuend=recover)
-        return out
-
-    def _project(self, p: np.ndarray, out: np.ndarray, floor: float) -> None:
-        """The numpy projection of the field p into out, TV's norms floored at floor."""
-        if self.variant == "tv":
-            scale = np.einsum("kij,kij->ij", p, p)
-            np.sqrt(scale, out=scale)
-            np.maximum(scale, floor, out=scale)
-            np.divide(self.alpha, scale, out=scale)
-            np.multiply(p, scale, out=out)
+        tv = self.variant == "tv"
+        if ascent is None:
+            if recover is not None or prox is not None:
+                raise ValueError("recover= and prox= need an ascent= to write the primal step behind")
+            if out is None:
+                out = np.empty(p.shape)
+            elif not in_place:
+                _check_field(out, self.shape)
+            kernels._project(p, out, self.alpha, floor if tv else None)
+            return out
+        if not in_place or recover is None:
+            raise ValueError("ascent= is a baseline's iteration: it needs out=p and recover=, its primal step's z")
+        v, s = ascent
+        # pdhgm's form takes x and x_next after z, and tau and theta last
+        prox = prox or ()
+        if tv:
+            kernels.project_tv(v, out, recover, *prox[:2], self.alpha, floor, s, *prox[2:])
         else:
-            nrm = _field_norm(p)
-            if nrm <= self.alpha:
-                np.copyto(out, p)
-            else:
-                np.multiply(p, self.alpha / nrm, out=out)
+            kernels.project_h1(v, out, recover, *prox[:2], self.alpha, s, *prox[2:])
+        return out
 
     # ----- conic form ----------------------------------------------------
 
@@ -460,51 +302,34 @@ class DenoiseProblem:
         the two operators run pedi's stages on the record.
         apply_K(x, step=s) returns nothing: its first call allocates the
         record's y and its planar view y_planes, and every call does the
-        dual solve into y.  With the compiled kernels it is K's own call,
-        which writes y_planes alone and stores no K x: tv_dual on TV forms
-        each block's tail and solves it in one pass; h1_dual on H1 sums the
-        one block's squared norm over K x formed on the fly, solves for the
-        block and then writes y.  Otherwise it is step.solve(apply_K(x)),
-        the reference.
+        dual solve into y_planes, one call of the kernel form tv_dual on TV
+        and h1_dual on H1, which store no K x.
         apply_K_adjoint(y, out=x, step=s) takes pedi's whole primal step on
-        x: x = prox_G(x - tau K* y, tau) and ||x||^2 of the new x.  With the
-        compiled kernels it is one call, primal_step, which reads the
-        record's planar view when y is s.y and writes nothing but x;
-        otherwise, and for arrays the kernel rejects, it composes the
-        reference: x - tau K* y into a new array with _grad_adjoint, prox_G
-        back into x and pedi._sumsq, whose results are the kernel's bit for
-        bit.
+        x: x = prox_G(x - tau K* y, tau) and ||x||^2 of the new x, one call
+        of the kernel form primal_step, which reads the record's planar
+        view when y is s.y.
         prox_G is numpy code, (z tau + v) r with r = 1 / (1 + tau) taken
-        once, as primal_step forms it; pedi_run reaches it only through
-        that reference.  opnorm_K = sqrt(2) opnorm_D, an upper bound on
+        once, as primal_step forms it; pedi_run never calls it.  opnorm_K = sqrt(2) opnorm_D, an upper bound on
         ||K|| since opnorm_D is one with a margin far above the roundoff of
         that product.
         """
         n1, n2 = self.shape
         n = self.n_pixels
         m, n_blocks = (2, n) if self.variant == "tv" else (2 * n, 1)
+        dual_step = kernels.tv_dual if self.variant == "tv" else kernels.h1_dual
         zf = self.z.flat()
 
         # neither operator calls itself: a closure that referred to itself
         # would keep z alive, with every saddle problem, until a cyclic
         # collection
         def apply_K(x, step=None):
-            if step is not None:
-                if step.y is None:
-                    step.y_planes = np.empty((2, n1, n2))
-                    step.y = step.y_planes.reshape(m, n_blocks).T
-                if kernels.PATH == "c":
-                    try:
-                        # the least squared tail norm: TV's minimum, H1's one norm
-                        fused = kernels.ext.tv_dual if m == 2 else kernels.ext.h1_dual
-                        step.minimum = fused(x, step.y_planes, step.b0, step.mu)
-                        return
-                    except ValueError:
-                        pass
-            kx = _grad(x.reshape(n1, n2)).reshape(m, n_blocks).T
             if step is None:
-                return kx
-            step.solve(kx)
+                return _grad(x.reshape(n1, n2)).reshape(m, n_blocks).T
+            if step.y is None:
+                step.y_planes = np.empty((2, n1, n2))
+                step.y = step.y_planes.reshape(m, n_blocks).T
+            # the least squared tail norm: TV's minimum, H1's one norm
+            step.minimum = dual_step(x, step.y_planes, step.b0, step.mu)
 
         def apply_K_adjoint(y_tails, out=None, step=None):
             if out is None and step is None:
@@ -515,17 +340,7 @@ class DenoiseProblem:
                 return _grad_adjoint(y_tails.T.reshape(2, n1, n2), out, 2.0)
             # the record's planar view of its own y; any other y gets one per call
             planes = step.y_planes if y_tails is step.y else y_tails.T.reshape(2, n1, n2)
-            tau = step.tau
-            if kernels.PATH == "c":
-                try:
-                    step.norm2 = kernels.ext.primal_step(planes, zf, out, tau)
-                    return out
-                except ValueError:
-                    pass
-            # x - tau K* y into a new array, then its prox back into x
-            v = _grad_adjoint(planes, np.empty(n), 2.0, out, tau)
-            prox_G(v, tau, out=out)
-            step.norm2 = _sumsq(out)
+            step.norm2 = kernels.primal_step(planes, zf, out, step.tau)
             return out
 
         def prox_G(v, tau, out=None):
@@ -639,26 +454,20 @@ class Target:
         return cls(x=x, norm2=norm2, value=problem.objective(x))
 
 
-def _metric_sums(x, p, problem: DenoiseProblem, xhat: np.ndarray, scale: float):
-    """metrics' four sums in one compiled visit per pixel; None when the kernels are off or reject an array.
+def _values(x, p, problem: DenoiseProblem, xhat: np.ndarray, scale: float):
+    """(objective(x), the dual value at (D* p) scale, sum (x - xhat)^2) from one metric_sums call.
 
-    Returns (sum (x - z)^2, R(x), sum (z - (D* p) scale)^2,
-    sum (x - xhat)^2), each equal to the numpy code's: the kernel forms
-    every term with that code's operations and adds the terms in numpy's
-    pairwise order.  p is a planar (2, n1, n2) field, and scale is 1 for a
-    baseline's p and 2 for the tails of pedi's y, read as they lie.  H1's
-    R(x) is regularizer(x), whose planar sum of squares fixes its roundoff.
+    p is a planar (2, n1, n2) field, and scale is 1 for a baseline's p and
+    2 for the tails of pedi's y, read as they lie.  H1's R(x) is
+    regularizer(x), whose planar sum of squares fixes its roundoff; the
+    values are objective's and dual_value's bit for bit.
     """
-    if kernels.PATH != "c":
-        return None
     tv = problem.variant == "tv"
-    try:
-        xz2, reg, zp2, dist2 = kernels.ext.metric_sums(x, problem.z.flat(), xhat, p, tv, scale)
-    except ValueError:
-        return None
+    xz2, reg, zp2, dist2 = kernels.metric_sums(x, problem.z.flat(), xhat, p, tv, scale)
     if not tv:
         reg = problem.regularizer(x)
-    return xz2, reg, zp2, dist2
+    # the scalar expressions of objective and dual_value
+    return 0.5 * xz2 + problem.alpha * reg, problem.half_z2 - 0.5 * zp2, dist2
 
 
 def metrics(
@@ -686,10 +495,10 @@ def metrics(
     serves both the gap and value_db; the dual value uses the problem's
     cached (1/2)||z||^2 (DenoiseProblem.half_z2).
 
-    With the compiled kernels and a C-contiguous float64 field (as every
-    solver's callback passes) the four sums behind these numbers come from
-    one visit per pixel that allocates no image-sized array; otherwise
-    objective, dual_value and a residual compute them.  Both give the same
+    The four sums behind these numbers are one call of the kernel form
+    metric_sums: with the compiled kernels and a C-contiguous float64 field
+    (as every solver's callback passes) one visit per pixel that allocates
+    no image-sized array, and otherwise its numpy reference, with the same
     record bit for bit.
     """
     if not 0.0 < gap0 < math.inf:
@@ -700,17 +509,7 @@ def metrics(
     else:
         p, scale = np.asarray(p), 1.0
         _check_field(p, shape)
-    sums = _metric_sums(x, p, problem, target.x, scale)
-    if sums is None:
-        val = problem.objective(x)
-        dual = problem.dual_value(p, scale)
-        r = np.subtract(x, target.x)
-        dist2 = float(np.square(r, out=r).sum())
-    else:
-        # the scalar expressions of objective and dual_value
-        xz2, reg, zp2, dist2 = sums
-        val = 0.5 * xz2 + problem.alpha * reg
-        dual = problem.half_z2 - 0.5 * zp2
+    val, dual, dist2 = _values(x, p, problem, target.x, scale)
     gap = val - dual
     val_hat = target.value
     gap_db = _db(gap, gap0)

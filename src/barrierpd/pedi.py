@@ -7,12 +7,14 @@ the constraint both denoising models lift with), so the dual solve is the
 closed form of :func:`barrierpd.barrier.central_path_solve` specialised to
 a = e and vectorised over blocks.  The solve needs only each block's
 (Kx)_b, so K does it: the solver keeps one LiftedStep per run, and
-apply_K(x, step=...) forms K x, solves and writes y into the record.  The
-compiled kernels make that one pass per pixel on TV, and on H1, the
+apply_K(x, step=...) forms K x, solves and writes y into the record.  This
+module is the algorithm alone.  DenoiseProblem makes each of the two
+stages one call of a kernel form of barrierpd.kernels, which holds the
+forms' numpy references, the closed-form solve's (_dual_update) among them.
+The compiled dual stage is one pass per pixel on TV, and on H1, the
 one-block case, a sum of K x's squares formed on the fly followed by the
-write of y; the numpy path composes K x, _tail_norms and _dual_update,
-each into arrays of its own.  The loop reads y alone, so the solve's
-auxiliary d, whose Jordan product with y is mu e, is never formed.  K
+write of y.  The loop reads y alone, so the solve's auxiliary d, whose
+Jordan product with y is mu e, is never formed.  K
 maps into cone elements with zero heads, so the record holds y as a plain
 (n, m) tail array, which the first call allocates and every later one
 updates in place; apply_K_adjoint(y, out=x, step=...) takes the primal
@@ -187,11 +189,9 @@ class SaddleProblem:
     each: apply_K(x, step=s) runs the dual stage into s and returns
     nothing, and apply_K_adjoint(s.y, out=x, step=s) the primal stage in
     place on x.
-    An implementation may make each stage one pass of its own (see
-    LiftedStep), so pedi_run calls neither prox_G nor a norm of its own,
-    or compose the stage from the plain operators, as DenoiseProblem's
-    numpy path does: s.solve(apply_K(x)), then
-    prox_G(x - tau apply_K_adjoint(y), tau, out=x) and _sumsq(x).
+    Each stage is whole in its operator (see LiftedStep), so pedi_run
+    calls neither prox_G nor a norm of its own; DenoiseProblem makes each
+    one call of a kernel form of barrierpd.kernels.
     """
 
     primal_dim: int
@@ -218,100 +218,24 @@ class PEDIResult:
     stop_reason: str
 
 
-# the most entries the numpy path of _sumsq squares at once
-_SLICE = 8192
-
-
-def _sumsq(a: np.ndarray) -> float:
-    """Sum of the squares of a's entries in C order, as np.square(a).sum() adds those of a C-contiguous a.
-
-    It adds them in numpy's pairwise order, summing the order's subtrees
-    down to slices of at most _SLICE entries, each squared into a small
-    buffer and summed by numpy, so it allocates no array of a's size unless
-    a must be copied into C order.  That is what it is for: in the numpy
-    loops at 256 x 256 an image-sized square beside K x or an ascent made
-    glibc give the top of the heap back on every iteration, some 480 page
-    faults a call, which doubled an H1 iteration.  A sum that overflows is
-    inf, with no warning.  This is the numpy reference of the compiled
-    kernels that sum squares in the same order (grad_sumsq, h1_dual's norm,
-    primal_step's ||x||^2), which the solvers call on the compiled path in
-    its place.
-    """
-    flat = np.ravel(a)
-    with np.errstate(over="ignore"):
-        return _pairwise_sumsq(flat, np.empty(min(flat.size, _SLICE)))
-
-
-def _pairwise_sumsq(a: np.ndarray, buf: np.ndarray) -> float:
-    """The sum of the squares of the 1-d a in numpy's pairwise order, squared into buf slice by slice."""
-    n = a.size
-    if n <= _SLICE:
-        return float(np.square(a, out=buf[:n]).sum())
-    # numpy's pairwise sum splits at half the length, rounded down to a multiple of 8
-    h = n // 2 - n // 2 % 8
-    return _pairwise_sumsq(a[:h], buf) + _pairwise_sumsq(a[h:], buf)
-
-
-def _tail_norms(kx_tails: np.ndarray) -> np.ndarray:
-    """The squared tail norms of Kx per block, a new array.
-
-    A single block (H1) sums its squares with _sumsq, in component-major
-    order; other tails use einsum, which for two-entry tails (TV) is the
-    reference of the compiled pass (see LiftedStep).
-    """
-    if kx_tails.shape[0] == 1:
-        return np.array([_sumsq(kx_tails)])
-    return np.einsum("ij,ij->i", kx_tails, kx_tails)
-
-
-def _dual_update(kx_tails: np.ndarray, tn2: np.ndarray, b0: float, mu: float, y_tails: np.ndarray):
-    """Closed-form dual solve per block for a = e and c_b = -(Kx)_b, into y_tails.
-
-    tn2 holds the squared tail norms t of Kx per block (see _tail_norms)
-    and is overwritten: e and then the tail factor take its buffer, so the
-    solve allocates nothing block-sized beside K x and tn2 (see _sumsq for
-    why that matters).  With e = sqrt(t b0^2 + mu^2) + mu, the head of d_b
-    would be e / b0 and the tail of y_b is tail(Kx)_b times
-    s = (b0^2/2) / e: that is
-    (b0/2) / head(d_b), with one division in place of two.  Writes the
-    tails of y into y_tails; head(y_b) = b0/2.  This is the numpy reference
-    of the compiled passes tv_dual and h1_dual (see LiftedStep).
-    """
-    e = tn2
-    e *= b0 * b0
-    e += mu * mu
-    np.sqrt(e, out=e)
-    e += mu
-    if e.min() > 0.0:
-        scale = np.divide(b0 * b0 / 2.0, e, out=e)
-    else:
-        # e = 0 only when mu underflowed and so did b0^2 ||tail||^2; such
-        # a block gets a zero dual tail
-        scale = np.divide(b0 * b0 / 2.0, e, out=np.zeros_like(e), where=e > 0.0)
-    np.multiply(kx_tails, scale[:, None], out=y_tails)
-
-
 @dataclass(eq=False)
 class LiftedStep:
     """One pedi_run's record of its two stages, whose buffers SaddleProblem's operators own.
 
     pedi_run sets mu and tau; b0 is the problem's.  The dual stage,
-    apply_K(x, step=s), gives each block the closed form of _dual_update
-    with barrier weight mu and c_b = -(Kx)_b: the tails of y go into y, and
-    the least squared tail norm min_b ||(Kx)_b||^2, the soc rule's input,
-    into minimum (NaN if any norm is NaN, like np.min), which the fused
-    passes find anyway.  Its first call allocates y, in the layout of K x,
-    as a view of y_planes, the planar (2, n1, n2) array the kernels take.
-    The primal stage, apply_K_adjoint(s.y, out=x, step=s), writes
-    x = prox_G(x - tau K* y, tau) over x and puts ||x||^2 of the new x,
-    summed as _sumsq sums it, into norm2, which pedi_run checks is finite.
-    solve(kx) is the dual stage's reference: it runs _tail_norms and
-    _dual_update, both numpy-only, on K x, and the numpy path's apply_K(x,
-    step=s) is s.solve(apply_K(x)).  The numpy path's primal stage composes
-    the problem's own K*, prox_G and _sumsq, each allocating what it needs.
-    With the compiled kernels DenoiseProblem's operators make each stage one
-    call, which writes y or x alone: tv_dual on TV and h1_dual on H1, whose
-    one block's minimum is its norm, then primal_step.
+    apply_K(x, step=s), gives each block the closed form of
+    kernels._dual_update with barrier weight mu and c_b = -(Kx)_b: the
+    tails of y go into y, and the least squared tail norm
+    min_b ||(Kx)_b||^2, the soc rule's input, into minimum (NaN if any norm
+    is NaN, like np.min), which the fused passes find anyway.  Its first
+    call allocates y, in the layout of K x, as a view of y_planes, the
+    planar (2, n1, n2) array the kernels take.  The primal stage,
+    apply_K_adjoint(s.y, out=x, step=s), writes x = prox_G(x - tau K* y,
+    tau) over x and puts ||x||^2 of the new x, summed as kernels._sumsq
+    sums it, into norm2, which pedi_run checks is finite.  DenoiseProblem's
+    operators make each stage one call of a kernel form, which writes y or
+    x alone: tv_dual on TV and h1_dual on H1, whose one block's minimum is
+    its norm, then primal_step.
     """
 
     b0: float
@@ -321,12 +245,6 @@ class LiftedStep:
     norm2: Optional[float] = field(default=None, init=False)
     y: Optional[np.ndarray] = field(default=None, init=False)
     y_planes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-
-    def solve(self, kx: np.ndarray):
-        """The dual stage from K x's tails kx, with _tail_norms and _dual_update."""
-        tn2 = _tail_norms(kx)
-        self.minimum = float(np.min(tn2))
-        _dual_update(kx, tn2, self.b0, self.mu, self.y)
 
 
 def check_config(problem: SaddleProblem, config: StepConfig, step_rule: str = "general"):

@@ -222,7 +222,7 @@ def test_dual_fields_are_planar_only(rng, variant):
             "project_dual's p": lambda: dp.project_dual(bad),
             "project_dual's out": lambda: dp.project_dual(good, out=bad),
             "project_dual in place": lambda: dp.project_dual(bad, out=bad),
-            "project_dual's ascent in place": lambda: dp.project_dual(bad, out=bad, ascent=(v, 0.3)),
+            "project_dual's iteration": lambda: dp.project_dual(bad, out=bad, ascent=(v, 0.3), recover=v.copy()),
             "dual_value": lambda: dp.dual_value(bad),
             "duality_gap": lambda: dp.duality_gap(x, bad),
             "metrics": lambda: metrics(x, bad, dp, target, 1.0),
@@ -426,7 +426,16 @@ def test_project_dual(rng):
     x, x_next = dp.z.values.copy(), np.full((5, 5), 7.0)
     with pytest.raises(ValueError, match="recover"):
         dp.project_dual(q, out=q, ascent=(x, 0.5), prox=(dp.z.values, x_next, 0.3, 0.8))
-    assert np.all(q == 7.0) and np.all(x == dp.z.values) and np.all(x_next == 7.0)
+    # an ascent is a baseline's whole iteration, in place with recover=:
+    # without recover=, or into another out, it raises and writes nothing
+    out = np.full((2, 5, 5), 7.0)
+    for call in (lambda: dp.project_dual(q, out=q, ascent=(x, 0.5)),
+                 lambda: dp.project_dual(q, out=out, ascent=(x, 0.5), recover=dp.z.values),
+                 lambda: dp.project_dual(q, ascent=(x, 0.5), recover=dp.z.values)):
+        with pytest.raises(ValueError, match="ascent"):
+            call()
+    assert np.all(q == 7.0) and np.all(out == 7.0)
+    assert np.all(x == dp.z.values) and np.all(x_next == 7.0)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 1e-5, 1e3, 1e-305])

@@ -1,14 +1,16 @@
 """The compiled kernels against the numpy code they replace.
 
-Each stage is run on both paths by switching kernels.PATH, the one attribute
-that selects the path; the numpy path is the reference, and the two must
-agree bit for bit (NaN payloads aside) on fields with nonzero boundary
-entries, signed zeros, subnormals, infinities and NaN.  The cache tests
+Each stage is run on both paths by switching kernels.PATH, which each kernel
+form reads on every call, as it reads kernels.ext; the numpy path runs the
+forms' references, and the two must agree bit for bit (NaN payloads aside)
+on fields with nonzero boundary entries, signed zeros, subnormals,
+infinities and NaN.  The cache tests
 build into temporary directories, so they never touch the package's own
 build.
 """
 
 import dataclasses
+import math
 import os
 import re
 import shutil
@@ -226,8 +228,8 @@ def test_tail_norms_and_min(monkeypatch, rng, shape):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 @pytest.mark.parametrize("mu", [0.3, 1e-200, 0.0])
 def test_dual_solve(monkeypatch, rng, shape, mu):
-    # the fused pass against the reference, _grad, _tail_norms and
-    # _dual_update, which the numpy path runs
+    # the fused pass against the building blocks of its reference, K x,
+    # its tail norms and _dual_update, which the numpy path runs
     n = shape[0] * shape[1]
     sp = tv_saddle(rng, shape)
     for x in (rng.standard_normal(n), special(rng, n)):
@@ -236,9 +238,10 @@ def test_dual_solve(monkeypatch, rng, shape, mu):
         y = ref[-1][0]
         with np.errstate(all="ignore"):
             kx = sp.apply_K(x)
-            y_ref = np.empty_like(y)
-            pedi._dual_update(kx, pedi._tail_norms(kx), 0.7, mu, y_ref)
-        assert identical(y, y_ref)
+            y_ref = np.empty((2,) + shape)
+            tn2 = np.einsum("ij,ij->i", kx, kx).reshape(shape)
+            kernels._dual_update(kx.T.reshape((2,) + shape), tn2, 0.7, mu, y_ref)
+        assert identical(y, y_ref.reshape(2, n).T)
 
 
 @pytest.mark.parametrize("path", ["c", NUMPY], ids=["c", "numpy"])
@@ -310,8 +313,8 @@ H1_SHAPES = SHAPES + [(1, 70001), (70001, 1)]
 @pytest.mark.parametrize("shape", H1_SHAPES, ids=shape_ids)
 @pytest.mark.parametrize("mu", [0.3, 1e-200, 0.0])
 def test_h1_dual_solve(monkeypatch, rng, shape, mu):
-    # h1_dual against the reference the numpy path runs, _grad and then
-    # LiftedStep.solve (_tail_norms and _dual_update) on K x
+    # h1_dual against its reference, which the numpy path runs: _grad, the
+    # one block's _sumsq and _dual_update on K x
     n = shape[0] * shape[1]
     sp = h1_saddle(rng, shape)
     for x in (rng.standard_normal(n), special(rng, n)):
@@ -320,11 +323,10 @@ def test_h1_dual_solve(monkeypatch, rng, shape, mu):
         y, t = ref[-1]
         with np.errstate(all="ignore"):
             g = _grad(x.reshape(shape))
-            want = pedi.LiftedStep(0.7, mu=mu)
-            want.y = np.empty((1, 2 * n))
-            want.solve(g.reshape(1, -1))
+            want = np.empty((2,) + shape)
+            assert identical(t, kernels.FORMS["h1_dual"](x, want, 0.7, mu))
             assert identical(t, float(np.square(g).sum()))
-        assert identical(t, want.minimum) and identical(y, want.y)
+        assert identical(y, want.reshape(1, -1))
 
 
 @needs_c
@@ -450,7 +452,7 @@ def test_iteration_kernels_against_their_reference(rng, shape, variant):
     first_rows = [n1 * c // chunks for c in range(1, chunks)]
     assert (len(first_rows) > 0) == (n1 * n2 > 100 and kernels.THREADS > 1)
     v, p, z, x = (rng.standard_normal(s) for s in (shape, (2,) + shape, shape, shape))
-    norm = imaging._field_norm(ascent(v, 0.3, p))
+    norm = math.sqrt(kernels._sumsq(ascent(v, 0.3, p)))
     for alpha in ((0.4, 1e3) if variant == "tv" else (0.5 * norm, 2.0 * norm)):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, variant)
         scalars = (alpha, 0.3) if variant == "h1" else (alpha, max(alpha, 1e-300), 0.3)
@@ -490,41 +492,27 @@ def ascent(v, s, p):
 
 
 def check_ascent(monkeypatch, dp, v, planes, z, calls):
-    """The baselines' dual step P(p + s D v) through project_dual on both paths, in place and into another out.
+    """The baselines' iterations through project_dual on both paths.
 
-    Both must give the projection of the ascent bit for bit, and in
-    place with recover=z also dual_fb's v = z - D* p of that projection
-    over v, or with prox= pdhgm's prox and extrapolation.  The compiled path
-    makes each in-place step with recover= in its kernel calls, calls per
-    step s in all, without a rejected array; a step without recover= or into
-    another out takes the numpy reference, the ascent and then its
-    projection.
+    Both must give the projection of the ascent P(p + s D v) in place, bit
+    for bit, and with recover=z also dual_fb's v = z - D* p of that
+    projection over v, or with prox= pdhgm's prox and extrapolation.  The
+    compiled path makes each iteration in its kernel calls, calls per step s
+    in all, without a rejected array.
     """
     rec = Recorder(kernels.ext)
     monkeypatch.setattr(kernels, "ext", rec)
     scales = (0.3, 1.0, 1e-300, 7.0, np.inf)
     for s in scales:
-        def in_place(v, p):
-            assert dp.project_dual(p, out=p, ascent=(v, s)) is p
-
-        def separate(v, p, out):
-            assert dp.project_dual(p, out=out, ascent=(v, s)) is out
-
         def recovering(v, p, z):
             assert dp.project_dual(p, out=p, ascent=(v, s), recover=z) is p
 
         def proxing(v, p, xn):
             assert dp.project_dual(p, out=p, ascent=(v, s), recover=z, prox=(planes[0], xn, 0.7, 0.8)) is p
 
-        c, ref = on_both_paths(monkeypatch, in_place, v, planes)
-        assert_identical(c[:2], ref[:2])
         with np.errstate(all="ignore"):
             want = dp.project_dual(ascent(v, s, planes))
             primal = z - _grad_adjoint(want)
-        assert identical(c[1], want)
-        c, ref = on_both_paths(monkeypatch, separate, v, planes, np.full_like(planes, 7.0))
-        assert_identical(c[:3], ref[:3])
-        assert identical(c[1], planes) and identical(c[2], want)
         c, ref = on_both_paths(monkeypatch, recovering, v, planes, z)
         assert_identical(c[:3], ref[:3])
         assert identical(c[0], primal) and identical(c[1], want) and identical(c[2], z)
@@ -559,20 +547,20 @@ def test_unlifted_dual_on_both_layouts(monkeypatch, rng, shape, variant):
 @needs_c
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_ids)
 def test_h1_elementwise_passes(monkeypatch, rng, shape):
-    # _field_norm's sum of squares, the regularizer's sum over a gradient
-    # it never stores, H1 project_dual's two branches and pedi's numpy-only
-    # one-block tail norm and dual update
+    # _sumsq's sum of squares of a field, the regularizer's sum over a
+    # gradient it never stores, H1 project_dual's two branches and the
+    # numpy-only one-block tail norm and dual update of h1_dual's reference
     planes = special(rng, (2,) + shape)
-    c, ref = on_both_paths(monkeypatch, imaging._field_norm, planes)
+    c, ref = on_both_paths(monkeypatch, kernels._sumsq, planes)
     assert_identical(c, ref)
     x = special(rng, shape[0] * shape[1])
     dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), 0.5, "h1")
     c, ref = on_both_paths(monkeypatch, dp.regularizer, x)
     assert_identical(c, ref)
     with np.errstate(all="ignore"):
-        assert identical(c[-1], imaging._field_norm(_grad(x.reshape(shape))))
+        assert identical(c[-1], math.sqrt(kernels._sumsq(_grad(x.reshape(shape)))))
     finite = rng.standard_normal((2,) + shape)
-    norm = imaging._field_norm(finite)
+    norm = math.sqrt(kernels._sumsq(finite))
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
         stage = lambda p, out: dp.project_dual(p, out=out)  # noqa: E731
@@ -584,14 +572,14 @@ def test_h1_elementwise_passes(monkeypatch, rng, shape):
         tn2 = np.einsum("ij,ij->i", kx.T, kx.T)
 
         def stage(kx, tn2, y):
-            pedi._dual_update(kx.T, tn2, 0.7, 0.3, y.T)
+            kernels._dual_update(kx.reshape((2,) + shape), tn2, 0.7, 0.3, y)
 
-        c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty((m, 1)))
+        c, ref = on_both_paths(monkeypatch, stage, kx, tn2, np.empty((2,) + shape))
         assert_identical(c, ref)
         # the one block's squared norm, summed in component-major order
-        c, ref = on_both_paths(monkeypatch, lambda kx: pedi._tail_norms(kx.T), kx)
+        c, ref = on_both_paths(monkeypatch, lambda kx: kernels._sumsq(kx.reshape((2,) + shape)), kx)
         with np.errstate(over="ignore"):
-            assert identical(c[1], ref[1]) and identical(ref[1], np.array([np.square(kx).sum()]))
+            assert identical(c[1], ref[1]) and identical(ref[1], np.square(kx).sum())
 
 
 @needs_c
@@ -601,7 +589,7 @@ def test_h1_project_dual_ascent(monkeypatch, rng, shape):
     # then its write with the primal step behind it, inside the ball and
     # outside, and on special values
     v, planes = rng.standard_normal(shape), rng.standard_normal((2,) + shape)
-    norm = imaging._field_norm(ascent(v, 0.3, planes))
+    norm = math.sqrt(kernels._sumsq(ascent(v, 0.3, planes)))
     for alpha in (0.5 * norm, 2.0 * norm):
         dp = DenoiseProblem(imaging.ImageGrid(np.zeros(shape)), alpha, "h1")
         for args in ((v, planes), (special(rng, shape), planes), (v, special(rng, (2,) + shape))):
@@ -690,12 +678,12 @@ def test_sumsq_follows_numpys_summation_order(monkeypatch, rng):
     for a in arrays:
         with np.errstate(over="ignore"):
             want = float(np.square(a).sum())
-        assert identical(pedi._sumsq(a), want), a.shape
+        assert identical(kernels._sumsq(a), want), a.shape
     # H1's field norm is the same whatever the field's strides: here the
     # planar field over interleaved (n1, n2, 2) memory
     planes = rng.standard_normal((2, 5, 7))
-    norm = imaging._field_norm(planes)
-    assert norm == imaging._field_norm(np.ascontiguousarray(np.moveaxis(planes, 0, -1)).transpose(2, 0, 1))
+    norm = math.sqrt(kernels._sumsq(planes))
+    assert norm == math.sqrt(kernels._sumsq(np.ascontiguousarray(np.moveaxis(planes, 0, -1)).transpose(2, 0, 1)))
     assert norm == np.sqrt(np.square(planes).sum())
 
 
@@ -964,6 +952,10 @@ def test_every_kernel_is_reached(monkeypatch):
     assert rec.rejected == []
     assert {name for name, _ in forms} == exported
     assert rec.forms == forms and len(forms) == 9
+    # the table is complete: each kernel has one numpy reference, a form of
+    # kernels.py of its name, and each reference a kernel
+    assert set(kernels.FORMS) == exported
+    assert all(getattr(kernels, name).__wrapped__ is ref for name, ref in kernels.FORMS.items())
 
 
 # ---------------------------------------------------------------------------
@@ -1128,8 +1120,8 @@ def test_public_functions_take_rejected_arrays_down_the_numpy_path(monkeypatch, 
             # float32 y tails: the fused primal step rejects them, and the
             # numpy reference runs
             *primal_step(dp.saddle_problem(), y32, x.copy(), 0.3),
-            # the norm of that field, summed in planar order
-            imaging._field_norm(p),
+            # the sum of squares of that field, in planar order
+            kernels._sumsq(p),
             # that field, a float32 one and a strided one
             *metrics(x, p, dp, target, 3.0),
             *metrics(x, planes.astype(np.float32), dp, target, 3.0),
@@ -1454,12 +1446,18 @@ def test_failed_build_leaves_the_numpy_path(monkeypatch, tmp_path):
     ext, path = kernels.load(tmp_path / "file" / "cache", kernels.compiler())
     assert ext is None and path.startswith("numpy (cache directory not writable")
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
-    # the solvers run on the path the failed load leaves
+    # the solvers, a logged row and the gap run on the path a failed load
+    # leaves, with no extension to touch
     monkeypatch.setattr(kernels, "PATH", path)
-    dp = DenoiseProblem(add_gaussian_noise(synthetic_image(8, 8), 6.15, 3), 0.3, "tv")
-    sp = dp.saddle_problem()
-    assert np.all(np.isfinite(pedi_run(sp, StepConfig(opnorm_K=sp.opnorm_K, b0=dp.alpha), 5).x))
-    assert np.all(np.isfinite(pdhgm_run(dp, BaselineConfig.default_for(dp, 5)).x))
+    monkeypatch.setattr(kernels, "ext", ext)
+    for variant, alpha in (("tv", 0.3), ("h1", 5.0)):
+        dp = DenoiseProblem(add_gaussian_noise(synthetic_image(8, 8), 6.15, 3), alpha, variant)
+        target = Target.of(dp, dp.z.flat())
+        # pedi's x, y heads and tails, or a baseline's x and p
+        for x, *dual, _ in run_all(dp, 5):
+            p = BlockConeVector.view_of(*dual[:2]) if len(dual) == 3 else dual[0]
+            assert np.all(np.isfinite(x)) and math.isfinite(metrics(x, p, dp, target, 1.0).gap_db)
+        assert math.isfinite(dp.duality_gap(x, p))
 
 
 @needs_c

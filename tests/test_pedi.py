@@ -9,10 +9,9 @@ from barrierpd.barrier import RankOneConstraint, central_path_solve
 from barrierpd.baselines import dual_fb_run
 from barrierpd.imaging import DenoiseProblem, ImageGrid, add_gaussian_noise, synthetic_image, unlift
 from barrierpd.jordan import SpinElement, identity, is_interior
-from barrierpd import pedi
+from barrierpd import kernels, pedi
 from barrierpd.pedi import (
     ConfigError,
-    _dual_update,
     StepConfig,
     StepState,
     initial_state,
@@ -229,10 +228,10 @@ def test_dual_update_matches_central_path_oracle(variant, alpha, rule):
 def test_dual_update_zero_heads_give_zero_tails():
     # with mu = 0 and b0^2 underflowing, every e is 0; the dual tails
     # must then be 0, not NaN or whatever y held
-    kx = np.ones((3, 2))
-    tn2 = np.einsum("ij,ij->i", kx, kx)
-    y = np.full((3, 2), np.nan)
-    _dual_update(kx, tn2, 1e-170, 0.0, y)
+    kx = np.ones((2, 3, 1))
+    tn2 = np.einsum("kij,kij->ij", kx, kx)
+    y = np.full((2, 3, 1), np.nan)
+    kernels._dual_update(kx, tn2, 1e-170, 0.0, y)
     assert np.all(y == 0.0)
 
 

@@ -7,8 +7,8 @@ and no d0.  pedi's and pdhgm's proxes used to divide
 each pixel by 1 + tau and now multiply it by 1 / (1 + tau).  The two kernel
 paths agree bit for bit with each other (test_kernels), but not with the old
 formulas, which this file keeps as its reference, in numpy: the former
-_dual_update, prox and pdhgm step, patched into the solvers' numpy path.
-The bound:
+_dual_update, prox and pdhgm step, patched into the solvers' numpy path,
+the kernel forms' references in barrierpd.kernels.  The bound:
 
 * every solver's final x within 1e-13 max|x| of the reference's, and its
   duality gap within 1e-12 of the reference's gap, on the golden instances
@@ -18,25 +18,30 @@ The bound:
   within 4 ulp.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from barrierpd import baselines, imaging, kernels, pedi
+from barrierpd import imaging, kernels, pedi
 from barrierpd.baselines import BaselineConfig, dual_fb_run, pdhgm_run
 from barrierpd.imaging import DenoiseProblem, add_gaussian_noise, synthetic_image
-from barrierpd.pedi import StepConfig, _sumsq, pedi_run
+from barrierpd.kernels import _grad, _grad_adjoint, _sumsq
+from barrierpd.pedi import StepConfig, pedi_run
 
 from test_kernels import NUMPY, SPECIALS, identical
 
 # (variant, alpha, n, iterations): the golden instances, then the benchmark's alpha
 INSTANCES = [("tv", 0.3, 16, 50), ("h1", 5.0, 16, 50), ("tv", 0.01, 64, 300)]
 ULPS = 4
+# the calls of each old form that the solvers' numpy path made
+RAN = collections.Counter()
 
 
-def old_dual_update(kx_tails, tn2, b0, mu, y_tails):
+def old_dual_update(g, tn2, b0, mu, y):
     """The dual solve with two divisions per block: d0 = e / b0, then (b0/2) / d0."""
+    RAN["old_dual_update"] += 1
     d0 = np.empty_like(tn2)
     np.multiply(tn2, b0 * b0, out=d0)
     d0 += mu * mu
@@ -49,7 +54,7 @@ def old_dual_update(kx_tails, tn2, b0, mu, y_tails):
     else:
         scale.fill(0.0)
         np.divide(b0 / 2.0, d0, out=scale, where=d0 > 0.0)
-    np.multiply(kx_tails, scale[:, None], out=y_tails)
+    np.multiply(g, scale, out=y)
 
 
 def old_saddle_problem(dp):
@@ -59,7 +64,7 @@ def old_saddle_problem(dp):
 
     def apply_K_adjoint(y_tails, out, step):
         tau = step.tau
-        v = imaging._grad_adjoint(y_tails.T.reshape((2,) + shape), np.empty_like(out), 2.0, out, tau)
+        v = _grad_adjoint(y_tails.T.reshape((2,) + shape), np.empty_like(out), 2.0, out, tau)
         np.multiply(zf, tau, out=out)
         out += v
         out /= 1.0 + tau
@@ -69,18 +74,17 @@ def old_saddle_problem(dp):
     return dataclasses.replace(sp, apply_K_adjoint=apply_K_adjoint)
 
 
-def old_grad_adjoint(planes, out=None, scale=1.0, minuend=None, step=1.0, z=None, x_bar=None, theta=0.0):
-    """_grad_adjoint whose pdhgm step (z given) divides by 1 + step."""
-    out = imaging._grad_adjoint(planes, out, scale, minuend, step)
-    if z is not None:
-        xb = x_bar.reshape(out.shape)
-        np.multiply(z.reshape(out.shape), step, out=xb)
-        out += xb
-        out /= 1.0 + step
-        np.subtract(out, minuend.reshape(out.shape), out=xb)
-        xb *= theta
-        xb += out
-    return out
+def old_pdhgm_step(p, z, x, xn, v, t, theta):
+    """pdhgm's primal step whose prox divides by 1 + t."""
+    RAN["old_pdhgm_step"] += 1
+    w = _grad_adjoint(p, out=xn, minuend=x, step=t).reshape(p.shape[1:])
+    xb = v.reshape(w.shape)
+    np.multiply(z.reshape(w.shape), t, out=xb)
+    w += xb
+    w /= 1.0 + t
+    np.subtract(w, x.reshape(w.shape), out=xb)
+    xb *= theta
+    xb += w
 
 
 def solve_all(dp, sp, iters):
@@ -101,9 +105,12 @@ def test_solvers_within_the_roundoff_bound(monkeypatch, variant, alpha, n, iters
     dp = DenoiseProblem(add_gaussian_noise(synthetic_image(n, n), 6.15, 1), alpha, variant)
     new = solve_all(dp, dp.saddle_problem(), iters)
     monkeypatch.setattr(kernels, "PATH", NUMPY)
-    monkeypatch.setattr(pedi, "_dual_update", old_dual_update)
-    monkeypatch.setattr(baselines, "_grad_adjoint", old_grad_adjoint)
+    monkeypatch.setattr(kernels, "_dual_update", old_dual_update)
+    monkeypatch.setattr(kernels, "_pdhgm_step", old_pdhgm_step)
+    RAN.clear()
     old = solve_all(dp, old_saddle_problem(dp), iters)
+    # every dual solve of the two pedi runs and every pdhgm step took the old form
+    assert RAN == {"old_dual_update": 2 * iters, "old_pdhgm_step": iters}
     for name, (x, p) in new.items():
         x_old, p_old = old[name]
         assert np.max(np.abs(x - x_old)) <= 1e-13 * np.max(np.abs(x_old)), name
@@ -136,7 +143,8 @@ def test_dual_solve_within_ulps_of_the_two_division_form(variant, mu, value):
         step = pedi.LiftedStep(0.7, mu=mu)
         with np.errstate(all="ignore"):
             sp.apply_K(x, step=step)
-            kx = sp.apply_K(x)
-            y = np.empty_like(step.y)
-            old_dual_update(kx, pedi._tail_norms(kx), 0.7, mu, y)
-        assert within_ulps(step.y, y, ULPS), (step.y, y)
+            g = _grad(x.reshape(dp.shape))
+            tn2 = np.einsum("kij,kij->ij", g, g) if variant == "tv" else np.array([_sumsq(g)])
+            y = np.empty_like(step.y_planes)
+            old_dual_update(g, tn2, 0.7, mu, y)
+        assert within_ulps(step.y_planes, y, ULPS), (step.y_planes, y)
